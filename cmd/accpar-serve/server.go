@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -101,7 +102,7 @@ func newServer(sess *accpar.Session, cfg serveConfig) *server {
 func (s *server) routes(mux *http.ServeMux) {
 	wrap := func(name string, weight int64, m *endpointMetrics, h http.HandlerFunc) http.HandlerFunc {
 		guarded := s.adm.Guard(weight, m.shed, h)
-		recorded := s.record("/v1/"+name, m, guarded)
+		recorded := s.record("/v1/"+name, guarded)
 		return admission.Recover(instrument(m, s.coal.coalesce(name, s.cfg.MaxBodyBytes, recorded)))
 	}
 	mux.HandleFunc("POST /v1/plan", wrap("plan", weightPlan, planMetrics, s.plan))
@@ -364,11 +365,11 @@ func buildArray(v2, v3 int) (*accpar.Array, error) {
 }
 
 // plan serves POST /v1/plan: the partition plan as JSON, byte-identical
-// to `accpar -json` for the same workload (the response goes through the
-// same Plan.WriteJSON path the CLI uses, and caching never changes
-// decisions). With "explain" or "trace" the plan document is embedded
-// verbatim under "plan" with the audit report and scoped trace beside
-// it.
+// to `accpar -json` for the same workload (the response is the
+// Plan.AppendJSON document the CLI's Plan.WriteJSON writes, and caching
+// never changes decisions). With "explain" or "trace" the plan document
+// is embedded verbatim under "plan" with the audit report and scoped
+// trace beside it.
 func (s *server) plan(w http.ResponseWriter, r *http.Request) {
 	var req planRequest
 	if !s.decode(w, r, &req) {
@@ -417,14 +418,33 @@ func (s *server) plan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !req.Explain && !req.Trace {
-		w.Header().Set("Content-Type", "application/json")
-		if err := plan.WriteJSON(w); err != nil {
-			obsEncodeErrors.Inc()
-			obs.Log().Warn("serve.plan_write_failed", "err", err.Error())
-		}
+		writePlan(w, plan)
 		return
 	}
 	s.writeWrappedPlan(w, r, &req, plan, rec)
+}
+
+// writePlan answers with the plan document. It is encoded in full before
+// anything is sent, so an encode failure is a 500 rather than a 200 with
+// an empty body.
+func writePlan(w http.ResponseWriter, plan *accpar.Plan) {
+	body, err := plan.AppendJSON(nil)
+	if err != nil {
+		obsEncodeErrors.Inc()
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	writeBody(w, body)
+}
+
+// writeBody sends a complete JSON response body with one write.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if _, err := w.Write(body); err != nil {
+		obsEncodeErrors.Inc()
+		obs.Log().Warn("serve.plan_write_failed", "err", err.Error())
+	}
 }
 
 // writeWrappedPlan writes the explain/trace response: the exact bytes
@@ -434,14 +454,13 @@ func (s *server) plan(w http.ResponseWriter, r *http.Request) {
 // acceptance contract is that the embedded plan is byte-identical to the
 // plain response (minus its trailing newline).
 func (s *server) writeWrappedPlan(w http.ResponseWriter, r *http.Request, req *planRequest, plan *accpar.Plan, rec *accpar.AuditRecorder) {
-	var planBuf bytes.Buffer
-	if err := plan.WriteJSON(&planBuf); err != nil {
+	out, err := plan.AppendJSON([]byte("{\n\"plan\": "))
+	if err != nil {
+		obsEncodeErrors.Inc()
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	var out bytes.Buffer
-	out.WriteString("{\n\"plan\": ")
-	out.Write(bytes.TrimRight(planBuf.Bytes(), "\n"))
+	out = out[:len(out)-1] // the plan document's trailing newline
 	if rec != nil {
 		var auditBuf bytes.Buffer
 		if err := rec.WriteJSON(&auditBuf); err != nil {
@@ -450,8 +469,8 @@ func (s *server) writeWrappedPlan(w http.ResponseWriter, r *http.Request, req *p
 		}
 		audit := bytes.TrimRight(auditBuf.Bytes(), "\n")
 		captureFrom(r.Context()).noteAudit(append(json.RawMessage(nil), audit...))
-		out.WriteString(",\n\"audit\": ")
-		out.Write(audit)
+		out = append(out, ",\n\"audit\": "...)
+		out = append(out, audit...)
 	}
 	if req.Trace {
 		tr := obs.TracerFrom(r.Context())
@@ -461,16 +480,12 @@ func (s *server) writeWrappedPlan(w http.ResponseWriter, r *http.Request, req *p
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
-			out.WriteString(",\n\"trace\": ")
-			out.Write(bytes.TrimRight(traceBuf.Bytes(), "\n"))
+			out = append(out, ",\n\"trace\": "...)
+			out = append(out, bytes.TrimRight(traceBuf.Bytes(), "\n")...)
 		}
 	}
-	out.WriteString("\n}\n")
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(out.Bytes()); err != nil {
-		obsEncodeErrors.Inc()
-		obs.Log().Warn("serve.plan_write_failed", "err", err.Error())
-	}
+	out = append(out, "\n}\n"...)
+	writeBody(w, out)
 }
 
 // compareRow is one strategy's result in a /v1/compare response.

@@ -4,6 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
+	"strconv"
+	"sync"
+	"unicode/utf8"
 
 	"accpar/internal/cost"
 )
@@ -12,7 +17,9 @@ import (
 // launchers, dashboards) can consume partitioning decisions without
 // linking the search engine.
 
-// PlanJSON is the wire form of a Plan.
+// PlanJSON is the typed view of a plan document: what ReadPlanJSON
+// decodes and ToJSON builds. The document itself is written by
+// AppendJSON without going through this type.
 type PlanJSON struct {
 	Network  string        `json:"network"`
 	Batch    int           `json:"batch"`
@@ -39,7 +46,8 @@ type PlanNodeJSON struct {
 	Right          *PlanNodeJSON `json:"right,omitempty"`
 }
 
-// ToJSON converts the plan to its wire form.
+// ToJSON converts the plan to its typed wire view; WriteJSON's document
+// decodes to exactly this value.
 func (p *Plan) ToJSON() *PlanJSON {
 	units := p.Network.Units()
 	names := make([]string, len(units))
@@ -84,11 +92,257 @@ func (p *Plan) ToJSON() *PlanJSON {
 	}
 }
 
-// WriteJSON streams the plan as indented JSON.
+// WriteJSON writes the plan as indented JSON — the document AppendJSON
+// produces — with a single w.Write. On error nothing is written.
 func (p *Plan) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p.ToJSON())
+	bp := encodeBufPool.Get().(*[]byte)
+	b, err := p.AppendJSON((*bp)[:0])
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	if cap(b) <= maxPooledEncodeBuf {
+		*bp = b
+		encodeBufPool.Put(bp)
+	}
+	return err
+}
+
+// encodeBufPool recycles WriteJSON's scratch buffers. Buffers above
+// maxPooledEncodeBuf are dropped so one huge plan does not pin its
+// buffer for the life of the process.
+var encodeBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledEncodeBuf = 4 << 20
+
+// AppendJSON appends the plan's JSON document to dst and returns the
+// extended buffer. The bytes, trailing newline included, are exactly
+// what encoding/json's Encoder with SetIndent("", "  ") writes for
+// ToJSON(): the same member order and omitempty rules, float form and
+// HTML-safe string escaping. A NaN or infinite value makes it return dst
+// unchanged and an error wrapping *json.UnsupportedValueError.
+func (p *Plan) AppendJSON(dst []byte) ([]byte, error) {
+	e := planEncoder{b: dst}
+	e.b = append(e.b, '{')
+	e.key(1, "network", true)
+	e.string(p.Network.Name)
+	e.key(1, "batch", false)
+	e.b = strconv.AppendInt(e.b, int64(p.Network.Batch), 10)
+	e.key(1, "strategy", false)
+	e.string(p.Strategy)
+	e.key(1, "units", false)
+	e.b = append(e.b, '[')
+	// The segments are walked in Network.Units() order without copying
+	// the units.
+	units := 0
+	unit := func(name string) {
+		e.item(2, units)
+		e.string(name)
+		units++
+	}
+	for _, s := range p.Network.Segments {
+		if s.Unit != nil {
+			unit(s.Unit.Name)
+			continue
+		}
+		for _, path := range s.Paths {
+			for i := range path {
+				unit(path[i].Name)
+			}
+		}
+	}
+	e.closeArray(1, units)
+	e.key(1, "time_sec", false)
+	e.float(p.Time())
+	e.key(1, "root", false)
+	e.node(p.Root, 2)
+	e.b = append(e.b, "\n}\n"...)
+	if e.err != nil {
+		return dst, fmt.Errorf("core: encoding plan: %w", e.err)
+	}
+	return e.b, nil
+}
+
+// planEncoder appends one plan document; err keeps the first unsupported
+// float, after which the output is discarded.
+type planEncoder struct {
+	b   []byte
+	err error
+}
+
+// node appends n as an object whose members sit at the given depth,
+// emitting the fields ToJSON sets for a leaf or a split.
+func (e *planEncoder) node(n *PlanNode, depth int) {
+	e.b = append(e.b, '{')
+	e.key(depth, "level", true)
+	e.b = strconv.AppendInt(e.b, int64(n.Level), 10)
+	e.key(depth, "group", false)
+	e.string(n.GroupDesc)
+	if n.IsLeaf() {
+		e.floatField(depth, "leaf_compute_sec", n.LeafComputeTime)
+		e.floatField(depth, "leaf_mem_sec", n.LeafMemTime)
+		e.floatField(depth, "leaf_comm_sec", n.LeafCommTime)
+		e.intField(depth, "residency_bytes", n.LeafResidencyBytes)
+		e.intField(depth, "hbm_bytes", n.LeafHBMBytes)
+	} else {
+		e.floatField(depth, "alpha", n.Alpha)
+		if len(n.Types) > 0 {
+			e.key(depth, "types", false)
+			e.b = append(e.b, '[')
+			for i, t := range n.Types {
+				e.item(depth+1, i)
+				e.b = append(e.b, '"')
+				e.b = append(e.b, t.Short()...)
+				e.b = append(e.b, '"')
+			}
+			e.closeArray(depth, len(n.Types))
+		}
+		e.floatField(depth, "comm_time_sec", n.Eval.CommTime)
+		e.floatField(depth, "comm_bytes", n.Eval.CommBytes)
+		e.key(depth, "left", false)
+		e.node(n.Left, depth+1)
+		if n.Right != nil {
+			e.key(depth, "right", false)
+			e.node(n.Right, depth+1)
+		}
+	}
+	e.newline(depth - 1)
+	e.b = append(e.b, '}')
+}
+
+// key appends the separator, indent and name of an object member; the
+// first member follows the opening brace directly.
+func (e *planEncoder) key(depth int, name string, first bool) {
+	if !first {
+		e.b = append(e.b, ',')
+	}
+	e.newline(depth)
+	e.b = append(e.b, '"')
+	e.b = append(e.b, name...)
+	e.b = append(e.b, `": `...)
+}
+
+// item appends the separator and indent of array element i.
+func (e *planEncoder) item(depth, i int) {
+	if i > 0 {
+		e.b = append(e.b, ',')
+	}
+	e.newline(depth)
+}
+
+// closeArray ends an array of n elements whose enclosing member sits at
+// depth; an empty array stays "[]".
+func (e *planEncoder) closeArray(depth, n int) {
+	if n > 0 {
+		e.newline(depth)
+	}
+	e.b = append(e.b, ']')
+}
+
+// newline appends a line break and depth levels of two-space indent.
+func (e *planEncoder) newline(depth int) {
+	e.b = append(e.b, '\n')
+	for n := 2 * depth; n > 0; n -= len(indentSpaces) {
+		e.b = append(e.b, indentSpaces[:min(n, len(indentSpaces))]...)
+	}
+}
+
+const indentSpaces = "                                                                "
+
+// floatField appends an omitempty float member: zero, either sign, is
+// left out.
+func (e *planEncoder) floatField(depth int, name string, f float64) {
+	if f != 0 {
+		e.key(depth, name, false)
+		e.float(f)
+	}
+}
+
+// intField appends an omitempty integer member.
+func (e *planEncoder) intField(depth int, name string, v int64) {
+	if v != 0 {
+		e.key(depth, name, false)
+		e.b = strconv.AppendInt(e.b, v, 10)
+	}
+}
+
+// float appends f in encoding/json's form: like ES6 number-to-string,
+// with exponent notation outside [1e-6, 1e21) and no padded exponent.
+func (e *planEncoder) float(f float64) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		if e.err == nil {
+			e.err = &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
+	if format == 'e' {
+		// e-07 → e-7
+		n := len(e.b)
+		if n >= 4 && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
+			e.b[n-2] = e.b[n-1]
+			e.b = e.b[:n-1]
+		}
+	}
+}
+
+const hexDigits = "0123456789abcdef"
+
+// string appends s quoted the way encoding/json does with HTML escaping
+// on: <, > and & as \u escapes, control bytes escaped, U+2028 and U+2029
+// escaped, and each invalid UTF-8 byte replaced by \ufffd.
+func (e *planEncoder) string(s string) {
+	e.b = append(e.b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			e.b = append(e.b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				e.b = append(e.b, '\\', c)
+			case '\b':
+				e.b = append(e.b, '\\', 'b')
+			case '\f':
+				e.b = append(e.b, '\\', 'f')
+			case '\n':
+				e.b = append(e.b, '\\', 'n')
+			case '\r':
+				e.b = append(e.b, '\\', 'r')
+			case '\t':
+				e.b = append(e.b, '\\', 't')
+			default:
+				e.b = append(e.b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			e.b = append(e.b, s[start:i]...)
+			e.b = append(e.b, `\ufffd`...)
+			i++
+			start = i
+			continue
+		}
+		if r == '\u2028' || r == '\u2029' {
+			e.b = append(e.b, s[start:i]...)
+			e.b = append(e.b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	e.b = append(e.b, s[start:]...)
+	e.b = append(e.b, '"')
 }
 
 // ParseTypeShort converts a short type label ("I", "II", "III") back to a

@@ -1,7 +1,6 @@
 package dse
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -340,11 +339,9 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 		r.Variant = variant
 		r.Strategy = plan.Strategy
 		if cfg.KeepPlans {
-			var buf bytes.Buffer
-			if err := plan.WriteJSON(&buf); err != nil {
+			if r.PlanJSON, err = plan.AppendJSON(nil); err != nil {
 				return err
 			}
-			r.PlanJSON = buf.Bytes()
 		}
 		if !r.Infeasible {
 			// Infeasible candidates are off the frontier, so they cannot
