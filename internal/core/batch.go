@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -47,7 +46,7 @@ func NewBatchEngine(net *dnn.Network, opt Options) (*BatchEngine, error) {
 	}
 	return &BatchEngine{
 		base:  p,
-		bound: newBoundModel(p.units, p.rootDims(), p.opt),
+		bound: newBoundModel(p.units, p.rootDims, p.opt),
 	}, nil
 }
 
@@ -94,15 +93,10 @@ func (e *BatchEngine) LowerBound(tree *hardware.Tree) float64 {
 	return e.bound.lower(tree)
 }
 
-// MemoLen reports the resident subproblem count, for tests and sweep
-// telemetry.
-func (e *BatchEngine) MemoLen() int { return e.base.memo.len() }
-
 // BatchSet is the portfolio counterpart of BatchEngine: one engine per
-// option set, the same winner rule as PartitionBest (lowest modelled
-// time, earliest option set on ties), so its plans are byte-identical to
-// PartitionBest over the same option sets — and, via NewBatchAccPar, to
-// the production PartitionAccPar entry point.
+// option set and PartitionBest's winner rule (bestOf), so its plans are
+// byte-identical to PartitionBest over the same option sets — and, via
+// NewBatchAccPar, to the production PartitionAccPar entry point.
 type BatchSet struct {
 	engines []*BatchEngine
 }
@@ -143,34 +137,9 @@ func NewBatchAccPar(net *dnn.Network) (*BatchSet, error) {
 // hit pattern deterministic in tests — but concurrent PlanBestCtx calls
 // are safe.
 func (s *BatchSet) PlanBestCtx(ctx context.Context, tree *hardware.Tree) (*Plan, int, error) {
-	var best *Plan
-	bestIdx := -1
-	var nofit error
-	for i, e := range s.engines {
-		plan, err := e.PlanCtx(ctx, tree)
-		if err != nil {
-			// Same tolerance as PartitionBestCtx: a variant with no fitting
-			// plan loses to any variant that finds one; the typed error
-			// propagates only when every variant is infeasible.
-			if errors.Is(err, ErrNoFeasiblePlan) {
-				if nofit == nil {
-					nofit = err
-				}
-				continue
-			}
-			return nil, -1, err
-		}
-		if best == nil || plan.Time() < best.Time() {
-			best, bestIdx = plan, i
-		}
-	}
-	if best == nil {
-		if nofit != nil {
-			return nil, -1, nofit
-		}
-		return nil, -1, fmt.Errorf("core: BatchSet produced no plan")
-	}
-	return best, bestIdx, nil
+	return bestOf(ctx, len(s.engines), 1, func(i int) (*Plan, error) {
+		return s.engines[i].PlanCtx(ctx, tree)
+	})
 }
 
 // ReplanTimeCtx models the post-fault makespan of the winning variant's
@@ -195,13 +164,4 @@ func (s *BatchSet) LowerBound(tree *hardware.Tree) float64 {
 		}
 	}
 	return lb
-}
-
-// MemoLen reports the total resident subproblem count across variants.
-func (s *BatchSet) MemoLen() int {
-	n := 0
-	for _, e := range s.engines {
-		n += e.MemoLen()
-	}
-	return n
 }

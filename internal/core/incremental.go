@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,12 +18,13 @@ import (
 )
 
 // This file implements incremental replanning: a ReplanEngine retains
-// one planner's dependency-tracked search state — the subproblem memo,
-// the hardware digest index, a stale-re-costing memo and whole plans
-// keyed by tree digest — across fault events, so responding to a
-// degradation re-solves only the subproblems the fault actually
-// touched. Everything is content-addressed, which splits correctness
-// from retention cleanly:
+// one planner's dependency-tracked subproblem memo and hardware digest
+// index across fault events, so responding to a degradation re-solves
+// only the subproblems the fault actually touched. The memo is the
+// engine's only store: a recurrent tree is one root-subproblem hit, and
+// the stale pass memoizes its re-costings in the same memo under tagged
+// keys (see staleNodeInc). Everything is content-addressed, which splits
+// correctness from retention cleanly:
 //
 //   - correctness: a retained entry can only be hit by a subproblem with
 //     byte-identical inputs, so incremental replans are byte-identical
@@ -39,8 +39,8 @@ import (
 
 const (
 	// defaultRecentTrees bounds the hardware trees (by content digest) an
-	// engine keeps warm: retained whole plans and the reachable-spec set
-	// for dependency invalidation both follow this working set.
+	// engine keeps warm: the reachable-spec set for dependency
+	// invalidation follows this working set.
 	defaultRecentTrees = 32
 	// defaultMemoCap is the entry-count watermark above which the epoch
 	// backstop prunes memo entries not served recently.
@@ -53,10 +53,10 @@ const (
 // much retained state it served, how much it invalidated, and how much
 // it genuinely re-solved.
 type ReplanStats struct {
-	// IncrementalHits counts subproblems served from retained state: the
-	// dependency-tracked memo, the stale-re-costing memo, the shared
-	// cross-run cache, whole retained plans, and untouched-hardware
-	// subtree reuse.
+	// IncrementalHits counts subproblems served from retained state: hits
+	// on the dependency-tracked memo (a recurrent tree's root, a memoized
+	// stale re-costing, or any untouched subtree) and on the shared
+	// cross-run cache.
 	IncrementalHits int64 `json:"incremental_hits"`
 	// Invalidated counts retained entries dropped before this call by the
 	// dependency walk (hardware left the working set) or the epoch
@@ -107,21 +107,13 @@ func (p *planner) noteStaleReuse() {
 	}
 }
 
-// retainedPlan is a fully solved plan kept by digest, with the decision
-// digests its stale re-costings are memoized under.
-type retainedPlan struct {
-	plan *Plan
-	tree *hardware.Tree
-	// decisions maps each plan node to a digest of its decision context:
-	// the path of (side, α, types) choices from the root — which pins the
-	// node's effective dims, since the root dims are fixed per engine —
-	// plus the decision subtree below it. Two nodes with equal digests
-	// re-cost identically on equal hardware.
-	decisions map[*PlanNode]uint64
-}
-
+// recentTree is one tree of an engine's working set: its content digest,
+// dependency set and root subproblem key. The key is hashed once, on
+// admission, so a recurrent tree reaches its root memo entry without
+// re-hashing the root dims.
 type recentTree struct {
 	digest [16]byte
+	key    string
 	specs  []uint64
 	root   *hardware.Tree
 }
@@ -136,13 +128,8 @@ type ReplanEngine struct {
 	// epoch numbers engine calls; memo entries are stamped with the epoch
 	// that last served them (the retention backstop's clock).
 	epoch atomic.Int64
-	// stale memoizes stale re-costings under (hardware digest, decision
-	// digest) keys; see staleNodeInc.
-	stale *planMemo
-	// plans retains whole solved plans by tree digest; recent is the
-	// MRU-first working set of tree digests that bounds both plans and
-	// the reachable-spec set for dependency invalidation.
-	plans     map[[16]byte]*retainedPlan
+	// recent is the MRU-first working set of trees that bounds the
+	// reachable-spec set for dependency invalidation.
 	recent    []recentTree
 	recentCap int
 	memoCap   int
@@ -158,18 +145,12 @@ func NewReplanEngine(net *dnn.Network, opt Options) (*ReplanEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ReplanEngine{
-		base:      p,
-		stale:     newPlanMemo(),
-		plans:     make(map[[16]byte]*retainedPlan),
-		recentCap: defaultRecentTrees,
-		memoCap:   defaultMemoCap,
-	}, nil
+	return &ReplanEngine{base: p, recentCap: defaultRecentTrees, memoCap: defaultMemoCap}, nil
 }
 
 // admit indexes tree, moves it to the front of the recent working set
 // and evicts beyond capacity. Caller holds e.mu.
-func (e *ReplanEngine) admit(tree *hardware.Tree) hwInfo {
+func (e *ReplanEngine) admit(tree *hardware.Tree) recentTree {
 	info := e.base.hw.ensure(tree)
 	for i := range e.recent {
 		if e.recent[i].digest == info.digest {
@@ -183,19 +164,19 @@ func (e *ReplanEngine) admit(tree *hardware.Tree) hwInfo {
 			}
 			copy(e.recent[1:i+1], e.recent[:i])
 			e.recent[0] = r
-			return info
+			return r
 		}
 	}
+	key, _ := e.base.subproblemKey(tree, e.base.rootDims)
+	r := recentTree{digest: info.digest, key: key, specs: info.specs, root: tree}
 	e.recent = append(e.recent, recentTree{})
 	copy(e.recent[1:], e.recent)
-	e.recent[0] = recentTree{digest: info.digest, specs: info.specs, root: tree}
-	for len(e.recent) > e.recentCap {
-		last := e.recent[len(e.recent)-1]
-		e.recent = e.recent[:len(e.recent)-1]
-		delete(e.plans, last.digest)
+	e.recent[0] = r
+	if len(e.recent) > e.recentCap {
+		e.recent = e.recent[:e.recentCap]
 		e.gcNeeded = true
 	}
-	return info
+	return r
 }
 
 // maybeGC runs the retention policy and returns how many entries were
@@ -216,15 +197,11 @@ func (e *ReplanEngine) maybeGC(epoch int64) int64 {
 			roots = append(roots, r.root)
 		}
 		removed += int64(e.base.memo.invalidate(reachable))
-		removed += int64(e.stale.invalidate(reachable))
 		e.base.hw.rebuild(roots)
 		e.gcNeeded = false
 	}
 	if e.base.memo.len() > e.memoCap {
 		removed += int64(e.base.memo.evictBefore(epoch - epochKeepWindow))
-	}
-	if e.stale.len() > e.memoCap {
-		removed += int64(e.stale.evictBefore(epoch - epochKeepWindow))
 	}
 	if removed > 0 {
 		obsReplanInvalidated.Add(removed)
@@ -232,83 +209,47 @@ func (e *ReplanEngine) maybeGC(epoch int64) int64 {
 	return removed
 }
 
-// retain stores a freshly solved plan under its tree digest if its tree
-// is still in the working set, and returns the retained record.
-func (e *ReplanEngine) retain(info hwInfo, tree *hardware.Tree, plan *Plan) *retainedPlan {
-	rp := &retainedPlan{plan: plan, tree: tree, decisions: planDecisionDigests(plan)}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if existing, ok := e.plans[info.digest]; ok {
-		return existing
-	}
-	for _, r := range e.recent {
-		if r.digest == info.digest {
-			e.plans[info.digest] = rp
-			break
-		}
-	}
-	return rp
-}
-
-// PlanCtx partitions one tree through the engine's retained state: a
-// tree already in the working set returns its retained plan as a clone;
-// otherwise the search runs with every untouched subproblem served from
-// the retained memo. Byte-identical to PartitionCtx with the same
-// (network, options) on the same tree.
+// PlanCtx partitions one tree through the engine's retained memo: a tree
+// already in the working set is one root-subproblem hit; otherwise the
+// search runs with every untouched subproblem served from the memo.
+// Byte-identical to PartitionCtx with the same (network, options) on the
+// same tree.
 func (e *ReplanEngine) PlanCtx(ctx context.Context, tree *hardware.Tree) (*Plan, ReplanStats, error) {
 	start := time.Now()
 	rs := &replanStats{}
 	ep := e.epoch.Add(1)
 	e.mu.Lock()
-	info := e.admit(tree)
+	r := e.admit(tree)
 	invalidated := e.maybeGC(ep)
-	if rp, ok := e.plans[info.digest]; ok {
-		e.mu.Unlock()
-		rs.hits.Add(1)
-		obsReplanHits.Inc()
-		return clonePlan(rp.plan), rs.snapshot(invalidated, time.Since(start)), nil
-	}
 	pc := e.base.forCall(ctx, ep, rs)
 	e.mu.Unlock()
-	plan, err := pc.plan(tree)
-	if err != nil {
-		return nil, rs.snapshot(invalidated, time.Since(start)), err
-	}
-	e.retain(info, tree, plan)
-	return clonePlan(plan), rs.snapshot(invalidated, time.Since(start)), nil
+	plan, err := pc.planKeyed(tree, r.key, r.specs)
+	return plan, rs.snapshot(invalidated, time.Since(start)), err
 }
 
 // ReplanCtx is the incremental replanning pipeline: resolve the pristine
-// plan (usually a retained-plan hit), re-cost its decisions on the
-// degraded tree (cloning every subtree the fault did not touch and
-// memoizing what it did), partition the degraded tree through the
-// retained memo, and adopt the better post-fault plan. The report is
-// byte-identical to core.ReplanCtx on the same inputs; the engine only
-// changes how much of it was re-computed. Aborted calls publish nothing
-// and leave the retained state exactly as consistent as before — the
-// next call re-solves whatever the aborted one did not finish.
+// plan (usually a root memo hit), re-cost its decisions on the degraded
+// tree (cloning every subtree the fault did not touch and memoizing what
+// it did), partition the degraded tree through the retained memo, and
+// adopt the better post-fault plan. The report is byte-identical to
+// core.ReplanCtx on the same inputs; the engine only changes how much of
+// it was re-computed. Aborted calls publish nothing and leave the
+// retained state exactly as consistent as before — the next call
+// re-solves whatever the aborted one did not finish.
 func (e *ReplanEngine) ReplanCtx(ctx context.Context, pristine, degraded *hardware.Tree) (*ReplanReport, ReplanStats, error) {
 	start := time.Now()
 	rs := &replanStats{}
 	ep := e.epoch.Add(1)
 	e.mu.Lock()
-	pinfo := e.admit(pristine)
-	dinfo := e.admit(degraded)
+	pr := e.admit(pristine)
+	dr := e.admit(degraded)
 	invalidated := e.maybeGC(ep)
-	prp := e.plans[pinfo.digest]
-	drp := e.plans[dinfo.digest]
 	pc := e.base.forCall(ctx, ep, rs)
 	e.mu.Unlock()
 
-	if prp != nil {
-		rs.hits.Add(1)
-		obsReplanHits.Inc()
-	} else {
-		faultFree, err := pc.plan(pristine)
-		if err != nil {
-			return nil, rs.snapshot(invalidated, time.Since(start)), err
-		}
-		prp = e.retain(pinfo, pristine, faultFree)
+	faultFree, err := pc.planKeyed(pristine, pr.key, pr.specs)
+	if err != nil {
+		return nil, rs.snapshot(invalidated, time.Since(start)), err
 	}
 
 	// The stale re-costing and the fresh degraded partition are
@@ -316,31 +257,27 @@ func (e *ReplanEngine) ReplanCtx(ctx context.Context, pristine, degraded *hardwa
 	var stale, fresh *Plan
 	g := parallel.NewGroup(min(2, parallel.Workers(e.base.opt.Parallelism)))
 	g.Go(func() error {
-		var serr error
-		stale, serr = e.stalePlanInc(pc, prp, pristine, degraded)
-		return serr
+		root, serr := pc.staleNodeInc(degraded, pristine, faultFree.Root, pc.rootDims, dr.key)
+		if serr != nil {
+			return serr
+		}
+		stale = &Plan{Network: pc.net, Strategy: faultFree.Strategy + " (stale)", Root: root}
+		if serr := stale.Validate(); serr != nil {
+			return fmt.Errorf("core: internal stale-plan inconsistency: %w", serr)
+		}
+		return nil
 	})
 	g.Go(func() error {
-		if drp != nil {
-			rs.hits.Add(1)
-			obsReplanHits.Inc()
-			fresh = clonePlan(drp.plan)
-			return nil
-		}
-		f, ferr := pc.plan(degraded)
-		if ferr != nil {
-			return ferr
-		}
-		e.retain(dinfo, degraded, f)
-		fresh = f
-		return nil
+		var ferr error
+		fresh, ferr = pc.planKeyed(degraded, dr.key, dr.specs)
+		return ferr
 	})
 	if err := g.Wait(); err != nil {
 		return nil, rs.snapshot(invalidated, time.Since(start)), err
 	}
 
 	rep := &ReplanReport{
-		FaultFree: clonePlan(prp.plan),
+		FaultFree: faultFree,
 		Stale:     stale,
 		Fresh:     fresh,
 		Replanned: fresh,
@@ -360,96 +297,79 @@ func (e *ReplanEngine) ReplanCtx(ctx context.Context, pristine, degraded *hardwa
 	return rep, rep.Stats, nil
 }
 
-// stalePlanInc re-costs the retained pristine plan's decisions on the
-// degraded tree, incrementally: subtrees whose hardware digest matches
-// their pristine counterpart are the pristine plan verbatim (same specs,
-// same decisions, same dims — see the invariant on staleNodeInc), and
-// re-costings of touched subtrees are memoized under (hardware digest,
-// decision digest) so recurrent faults re-cost nothing.
-func (e *ReplanEngine) stalePlanInc(pc *planner, prp *retainedPlan, pristine, degraded *hardware.Tree) (*Plan, error) {
-	if prp == nil || prp.plan == nil || prp.plan.Root == nil {
-		return nil, fmt.Errorf("core: stale evaluation needs a plan")
-	}
-	root, err := e.staleNodeInc(pc, degraded, pristine, prp.plan.Root, prp.decisions, pc.rootDims())
-	if err != nil {
-		return nil, err
-	}
-	out := &Plan{Network: pc.net, Strategy: prp.plan.Strategy + " (stale)", Root: root}
-	if err := out.Validate(); err != nil {
-		return nil, fmt.Errorf("core: internal stale-plan inconsistency: %w", err)
-	}
-	return out, nil
-}
-
 // staleNodeInc applies one stale decision to one (possibly degraded)
-// hierarchy node, mirroring staleNode byte-for-byte with three retained
-// shortcuts. It relies on an invariant of the stale walk: at every node
+// hierarchy node, mirroring staleNode byte-for-byte with two retained
+// shortcuts: a subtree whose hardware digest matches its pristine
+// counterpart pristNode (the node old was solved for) is the pristine
+// plan verbatim, and every other re-costing is memoized under
+// staleKey(degraded subproblem key, pristine subtree digest). key is
+// node's subproblem key at dims when the caller already has it ("" to
+// hash it here).
+//
+// The memo key is sound by an invariant of the stale walk: at every node
 // where the degraded structure still aligns with the plan's, the
-// effective dims equal old.Dims exactly, because they are computed by
-// the same scaleUnitDims chain from the same root dims with the same
-// (α, types) decisions (ClampRatio is idempotent on stored ratios). The
-// decision digest therefore pins the dims, and (hardware digest,
-// decision digest) fully addresses a stale re-costing.
-func (e *ReplanEngine) staleNodeInc(pc *planner, node, pristNode *hardware.Tree, old *PlanNode, decisions map[*PlanNode]uint64, dims []tensor.LayerDims) (*PlanNode, error) {
-	if err := pc.checkCtx(); err != nil {
+// effective dims equal old.Dims exactly, because they are computed by the
+// same scaleUnitDims chain from the same root dims with the same
+// (α, types) decisions (ClampRatio is idempotent on stored ratios). So
+// old is this engine's own solution for (pristine subtree, dims) — a pure
+// function of the pristine digest and the dims the key already carries —
+// and (degraded subtree, dims, pristine subtree) fully addresses the
+// re-costing.
+func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, dims []tensor.LayerDims, key string) (*PlanNode, error) {
+	if err := p.checkCtx(); err != nil {
 		return nil, err
 	}
 	if old == nil || node.IsLeaf() != old.IsLeaf() {
 		// Structure diverged: no stale decision for this subtree. The fresh
 		// partition goes through the retained memo, so a subtree already
 		// solved for any fresh pass (or a symmetric sibling) is reused.
-		return pc.partitionNode(node, dims)
+		return p.partitionNode(node, dims)
 	}
-	ninfo := pc.hw.ensure(node)
-	if pristNode != nil && pc.hw.ensure(pristNode).digest == ninfo.digest {
+	ninfo := p.hw.ensure(node)
+	pinfo := p.hw.ensure(pristNode)
+	if pinfo.digest == ninfo.digest {
 		// The fault did not touch this subtree's hardware: re-costing the
 		// plan's own decisions on the plan's own hardware reproduces the
 		// plan.
-		pc.noteStaleReuse()
+		p.noteStaleReuse()
 		return clonePlanNodeAt(old, node.Level), nil
 	}
-	dec, ok := decisions[old]
-	if !ok {
-		// Defensive: a node outside the retained plan's digest map (cannot
-		// happen for walks rooted at prp.plan.Root) falls back to the
-		// unmemoized re-costing path.
-		return pc.staleNode(node, old, dims)
+	if key == "" {
+		key, _ = p.subproblemKey(node, dims)
 	}
-	key := staleKey(ninfo.digest, dec)
-	if cached, _, okc := e.stale.get(key, pc.epoch); okc {
-		pc.noteHit()
+	key = staleKey(key, pinfo.digest)
+	if cached, _, ok := p.memo.get(key, p.epoch); ok {
+		p.noteHit()
 		return clonePlanNodeAt(cached, node.Level), nil
 	}
+	// The re-costing depends on both subtrees' hardware.
+	deps := mergeSpecs(ninfo.specs, pinfo.specs)
 	if node.IsLeaf() {
-		n, err := leafNode(node, pc.units, dims, pc.opt)
+		n, err := leafNode(node, p.units, dims, p.opt)
 		if err != nil {
 			return nil, err
 		}
-		e.stale.put(key, n, ninfo.specs, pc.epoch)
-		return clonePlanNodeAt(n, node.Level), nil
+		p.memo.put(key, n, deps, p.epoch)
+		return n, nil
 	}
-	sideI := Side{Compute: node.Left.Group.ComputeDensity(), Net: pc.opt.Topology.BisectionBandwidth(node.Left.Group)}
-	sideJ := Side{Compute: node.Right.Group.ComputeDensity(), Net: pc.opt.Topology.BisectionBandwidth(node.Right.Group)}
+	sideI := Side{Compute: node.Left.Group.ComputeDensity(), Net: p.opt.Topology.BisectionBandwidth(node.Left.Group)}
+	sideJ := Side{Compute: node.Right.Group.ComputeDensity(), Net: p.opt.Topology.BisectionBandwidth(node.Right.Group)}
 	if err := checkSides(node.Level, sideI, sideJ); err != nil {
 		return nil, err
 	}
-	if len(old.Types) != len(pc.units) {
-		return nil, fmt.Errorf("core: stale plan has %d types for %d units", len(old.Types), len(pc.units))
+	if len(old.Types) != len(p.units) {
+		return nil, fmt.Errorf("core: stale plan has %d types for %d units", len(old.Types), len(p.units))
 	}
-	ctx := newLevelCtx(pc.units, dims, pc.segs, pc.planSegs, sideI, sideJ, pc.opt)
+	ctx := newLevelCtx(p.units, dims, p.segs, p.planSegs, sideI, sideJ, p.opt)
 	ctx.alpha = cost.ClampRatio(old.Alpha)
 	types := old.Types
 	ev := ctx.evalLevel(types)
 
-	var pl, pr *hardware.Tree
-	if pristNode != nil && !pristNode.IsLeaf() {
-		pl, pr = pristNode.Left, pristNode.Right
-	}
-	left, err := e.staleNodeInc(pc, node.Left, pl, old.Left, decisions, scaleUnitDims(pc.units, dims, types, ctx.alpha))
+	left, err := p.staleNodeInc(node.Left, pristNode.Left, old.Left, scaleUnitDims(p.units, dims, types, ctx.alpha), "")
 	if err != nil {
 		return nil, err
 	}
-	right, err := e.staleNodeInc(pc, node.Right, pr, old.Right, decisions, scaleUnitDims(pc.units, dims, types, ctx.beta()))
+	right, err := p.staleNodeInc(node.Right, pristNode.Right, old.Right, scaleUnitDims(p.units, dims, types, ctx.beta()), "")
 	if err != nil {
 		return nil, err
 	}
@@ -465,66 +385,17 @@ func (e *ReplanEngine) staleNodeInc(pc *planner, node, pristNode *hardware.Tree,
 		Left:      left,
 		Right:     right,
 	}
-	e.stale.put(key, n, ninfo.specs, pc.epoch)
-	return clonePlanNodeAt(n, node.Level), nil
+	p.memo.put(key, n, deps, p.epoch)
+	return n, nil
 }
 
-func staleKey(digest [16]byte, dec uint64) string {
-	var b [24]byte
-	copy(b[:16], digest[:])
-	binary.LittleEndian.PutUint64(b[16:], dec)
-	return string(b[:])
-}
-
-// planDecisionDigests digests every node's decision context: the (side,
-// α, types) path from the root — which, with the engine's fixed root
-// dims, pins the node's effective dims — combined with the decision
-// subtree below it. Symmetric siblings (identical decisions under
-// identical paths) share digests, so their stale re-costings share memo
-// entries.
-func planDecisionDigests(p *Plan) map[*PlanNode]uint64 {
-	m := make(map[*PlanNode]uint64, 512)
-	var buf [8]byte
-	var walk func(n *PlanNode, path, side uint64) uint64
-	walk = func(n *PlanNode, path, side uint64) uint64 {
-		if n == nil {
-			return 0
-		}
-		h := fnv.New64a()
-		w := func(v uint64) {
-			binary.LittleEndian.PutUint64(buf[:], v)
-			h.Write(buf[:])
-		}
-		w(side)
-		if n.IsLeaf() {
-			w(1)
-		} else {
-			w(2)
-		}
-		w(math.Float64bits(n.Alpha))
-		w(uint64(len(n.Types)))
-		for _, t := range n.Types {
-			w(uint64(t))
-		}
-		own := h.Sum64()
-		p2 := mix64(path, own)
-		ls := walk(n.Left, p2, 1)
-		rsub := walk(n.Right, p2, 2)
-		sub := mix64(mix64(own, ls), rsub)
-		m[n] = mix64(p2, sub)
-		return sub
-	}
-	walk(p.Root, 0, 0)
-	return m
-}
-
-// mix64 combines two 64-bit hashes (splitmix-style finalizer).
-func mix64(a, b uint64) uint64 {
-	x := a ^ (b + 0x9e3779b97f4a7c15 + (a << 6) + (a >> 2))
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return x
+// staleKey tags a stale re-costing's memo key: the degraded subproblem
+// key followed by the pristine subtree digest and a tag byte. Its length
+// alone keeps it disjoint from plain subproblem keys, and it never
+// leaves the engine's memo (SharedCache and snapshots see only plain
+// keys).
+func staleKey(key string, pristine [16]byte) string {
+	return key + string(pristine[:]) + "s"
 }
 
 // ReplanEngines is a bounded LRU registry of ReplanEngines keyed by
@@ -675,8 +546,8 @@ func (s *ReplanEngines) Len() int {
 // engineKey fingerprints everything fixed per engine: the search
 // fingerprint (network structure + decision-relevant options) plus the
 // root dims, which the search fingerprint deliberately excludes (dims
-// travel in subproblem keys there, but an engine's retained plans are
-// bound to one batch geometry).
+// travel in subproblem keys there, but an engine plans one network, so
+// its admitted root keys are bound to one batch geometry).
 func engineKey(p *planner) string {
 	h := fnv.New128a()
 	h.Write([]byte(searchFingerprint(p.units, p.segs, p.planSegs, p.opt)))
@@ -701,11 +572,10 @@ func engineKey(p *planner) string {
 }
 
 // PartitionBestCtx is PartitionBestCtx through the registry's engines:
-// each option set plans through its retained engine, and the winner scan
-// matches the one-shot portfolio exactly (lowest time, earliest option
-// set on ties), so the result is byte-identical to core.PartitionBestCtx
-// while recurrent trees are served from retained plans. The returned
-// stats aggregate all variants.
+// each option set plans through its retained engine and bestOf picks the
+// winner, so the result is byte-identical to core.PartitionBestCtx while
+// recurrent trees are served from retained memos. The returned stats
+// aggregate all variants.
 func (s *ReplanEngines) PartitionBestCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, ReplanStats, error) {
 	var total ReplanStats
 	if len(opts) == 0 {
@@ -719,35 +589,14 @@ func (s *ReplanEngines) PartitionBestCtx(ctx context.Context, net *dnn.Network, 
 		}
 		engines[i] = e
 	}
-	workers := 1
-	for _, opt := range opts {
-		if opt.Parallelism != 1 {
-			workers = 0 // at least one search wants concurrency: use the pool
-			break
-		}
-	}
-	plans := make([]*Plan, len(opts))
 	stats := make([]ReplanStats, len(opts))
-	err := parallel.ForEachCtx(ctx, len(opts), workers, func(i int) error {
-		plan, st, perr := engines[i].PlanCtx(ctx, tree)
-		if perr != nil {
-			return perr
-		}
-		plans[i] = plan
+	best, _, err := bestOf(ctx, len(opts), portfolioWorkers(opts), func(i int) (*Plan, error) {
+		plan, st, err := engines[i].PlanCtx(ctx, tree)
 		stats[i] = st
-		return nil
+		return plan, err
 	})
 	for _, st := range stats {
 		total.Add(st)
 	}
-	if err != nil {
-		return nil, total, wrapCtxErr(err)
-	}
-	var best *Plan
-	for _, plan := range plans {
-		if best == nil || plan.Time() < best.Time() {
-			best = plan
-		}
-	}
-	return best, total, nil
+	return best, total, err
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -274,9 +275,10 @@ func TestMinResidencyBytes(t *testing.T) {
 	}
 }
 
-// TestPortfolioToleratesInfeasibleVariants: PartitionBest skips variants
-// that cannot fit and propagates the typed error only when every variant
-// is infeasible.
+// TestPortfolioToleratesInfeasibleVariants: every portfolio path —
+// PartitionBest, BatchSet.PlanBestCtx and ReplanEngines.PartitionBestCtx —
+// skips variants that cannot fit, returns the same fitting winner, and
+// propagates the typed error only when every variant is infeasible.
 func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
 	net := buildNet(t, "alexnet", 128)
 	variants := AccParVariants()
@@ -284,14 +286,46 @@ func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
 		variants[i].MemoryLimit = MemoryReject
 	}
 
-	// At a binding-but-feasible capacity some variants may die; the
-	// portfolio must still return a fitting winner.
-	plan, err := PartitionBest(net, shrunkTree(t, 64), variants...)
+	// At a binding-but-feasible capacity some variant must die on its own,
+	// or the tolerance goes unexercised; the portfolio must still return a
+	// fitting winner.
+	tree := shrunkTree(t, 256)
+	infeasible := 0
+	for _, opt := range variants {
+		if _, err := Partition(net, tree, opt); errors.Is(err, ErrNoFeasiblePlan) {
+			infeasible++
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if infeasible == 0 {
+		t.Fatal("no variant is infeasible on its own; the capacity no longer binds")
+	}
+	plan, err := PartitionBest(net, tree, variants...)
 	if err != nil {
 		t.Fatalf("portfolio with feasible variants: %v", err)
 	}
 	if !plan.Memory().OK {
 		t.Error("portfolio winner overflows")
+	}
+	want := planJSON(t, plan)
+	set, err := NewBatchSet(net, variants...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, _, err := set.PlanBestCtx(context.Background(), tree)
+	if err != nil {
+		t.Fatalf("batch portfolio with feasible variants: %v", err)
+	}
+	if !bytes.Equal(planJSON(t, batch), want) {
+		t.Error("batch portfolio winner differs from PartitionBest")
+	}
+	engines, _, err := NewReplanEngines(0).PartitionBestCtx(context.Background(), net, tree, variants...)
+	if err != nil {
+		t.Fatalf("engine portfolio with feasible variants: %v", err)
+	}
+	if !bytes.Equal(planJSON(t, engines), want) {
+		t.Error("engine portfolio winner differs from PartitionBest")
 	}
 
 	// At an impossible capacity every variant fails and the sentinel

@@ -211,16 +211,3 @@ func clonePlanNodeAt(n *PlanNode, level int) *PlanNode {
 	c.Right = clonePlanNodeAt(n.Right, level+1)
 	return &c
 }
-
-// clonePlan clones a whole plan; see clonePlanNodeAt for the aliasing
-// contract. The root keeps its own level, so levels are preserved.
-func clonePlan(p *Plan) *Plan {
-	if p == nil {
-		return nil
-	}
-	c := *p
-	if p.Root != nil {
-		c.Root = clonePlanNodeAt(p.Root, p.Root.Level)
-	}
-	return &c
-}

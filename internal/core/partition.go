@@ -21,8 +21,11 @@ import (
 // across several trees of the same network and options — Replan does
 // exactly that, so subtrees untouched by a degradation are solved once.
 type planner struct {
-	net      *dnn.Network
-	units    []dnn.WeightedLayer
+	net   *dnn.Network
+	units []dnn.WeightedLayer
+	// rootDims are the network's unscaled per-unit dims, shared by every
+	// plan root (plan nodes never write their Dims).
+	rootDims []tensor.LayerDims
 	segs     []segRef
 	planSegs []segRef
 	opt      Options
@@ -97,9 +100,15 @@ func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, e
 		// so type vectors index both structures identically.
 		planSegs = indexSegments(net.Linearize())
 	}
+	units := net.Units()
+	rootDims := make([]tensor.LayerDims, len(units))
+	for i, u := range units {
+		rootDims[i] = u.Dims
+	}
 	p := &planner{
 		net:      net,
-		units:    net.Units(),
+		units:    units,
+		rootDims: rootDims,
 		segs:     segs,
 		planSegs: planSegs,
 		opt:      opt,
@@ -118,21 +127,19 @@ func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, e
 	return p, nil
 }
 
-// rootDims returns the network's unscaled per-unit dims.
-func (p *planner) rootDims() []tensor.LayerDims {
-	dims := make([]tensor.LayerDims, len(p.units))
-	for i, u := range p.units {
-		dims[i] = u.Dims
-	}
-	return dims
-}
-
 // plan runs the hierarchical partitioning over one hardware tree.
 func (p *planner) plan(tree *hardware.Tree) (*Plan, error) {
+	key, info := p.subproblemKey(tree, p.rootDims)
+	return p.planKeyed(tree, key, info.specs)
+}
+
+// planKeyed is plan with the root subproblem key and dependency set
+// already in hand; a ReplanEngine keeps both per admitted tree, so a
+// recurrent tree costs one memo lookup and no dims hashing.
+func (p *planner) planKeyed(tree *hardware.Tree, key string, deps []uint64) (*Plan, error) {
 	sp := obs.StartSpanCtx(p.ctx, "planner", "plan")
 	defer sp.End()
-	p.hw.ensure(tree)
-	root, err := p.partitionNode(tree, p.rootDims())
+	root, err := p.partitionKeyed(tree, p.rootDims, key, deps)
 	if err != nil {
 		return nil, err
 	}
@@ -185,10 +192,16 @@ func strategyName(opt Options) string {
 // are level-independent and the cached solution may have been computed
 // at a different depth.
 func (p *planner) partitionNode(node *hardware.Tree, dims []tensor.LayerDims) (*PlanNode, error) {
+	key, info := p.subproblemKey(node, dims)
+	return p.partitionKeyed(node, dims, key, info.specs)
+}
+
+// partitionKeyed is partitionNode for a subproblem already keyed; deps is
+// the subtree's spec-fingerprint set, recorded with any memo entry.
+func (p *planner) partitionKeyed(node *hardware.Tree, dims []tensor.LayerDims, key string, deps []uint64) (*PlanNode, error) {
 	if err := p.checkCtx(); err != nil {
 		return nil, err
 	}
-	key, info := p.subproblemKey(node, dims)
 	if cached, prev, ok := p.memo.get(key, p.epoch); ok {
 		obsMemoHits.Inc()
 		p.noteHit()
@@ -230,7 +243,7 @@ func (p *planner) partitionNode(node *hardware.Tree, dims []tensor.LayerDims) (*
 				p.noteHit()
 				p.auditHit(node, key, ProvenanceSharedCacheHit)
 			}
-			p.memo.put(key, n, info.specs, p.epoch)
+			p.memo.put(key, n, deps, p.epoch)
 			return clonePlanNodeAt(n, node.Level), nil
 		}
 	}
@@ -240,7 +253,7 @@ func (p *planner) partitionNode(node *hardware.Tree, dims []tensor.LayerDims) (*
 		// usually carry tree-specific context (degenerate specs).
 		return nil, err
 	}
-	p.memo.put(key, n, info.specs, p.epoch)
+	p.memo.put(key, n, deps, p.epoch)
 	return n, nil
 }
 

@@ -190,7 +190,7 @@ func (p *Plan) TypeHistogram() map[cost.Type]int {
 
 // Validate checks structural consistency of the plan tree.
 func (p *Plan) Validate() error {
-	nUnits := len(p.Network.Units())
+	nUnits := unitCount(p.Network)
 	var walk func(n *PlanNode) error
 	walk = func(n *PlanNode) error {
 		if n == nil {
@@ -217,4 +217,19 @@ func (p *Plan) Validate() error {
 		return walk(n.Right)
 	}
 	return walk(p.Root)
+}
+
+// unitCount is len(net.Units()) without materializing the unit list.
+func unitCount(net *dnn.Network) int {
+	n := 0
+	for _, s := range net.Segments {
+		if s.Unit != nil {
+			n++
+			continue
+		}
+		for _, path := range s.Paths {
+			n += len(path)
+		}
+	}
+	return n
 }

@@ -67,13 +67,6 @@ func PartitionBestCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree
 	if len(opts) == 0 {
 		return nil, fmt.Errorf("core: PartitionBest needs at least one option set")
 	}
-	workers := 1
-	for _, opt := range opts {
-		if opt.Parallelism != 1 {
-			workers = 0 // at least one search wants concurrency: use the pool
-			break
-		}
-	}
 	// When the caller attached an audit recorder, each variant searches
 	// into a private recorder and only the winner's decisions are adopted
 	// — the audit then explains the plan actually returned, not a blend of
@@ -96,40 +89,14 @@ func PartitionBestCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree
 			}
 		}
 	}
-	plans := make([]*Plan, len(opts))
-	nofit := make([]error, len(opts))
-	err := parallel.ForEachCtx(ctx, len(opts), workers, func(i int) error {
-		plan, err := PartitionCtx(ctx, net, tree, opts[i])
-		if err != nil {
-			// One variant exhausting its restricted space without a fitting
-			// plan must not abort the portfolio: another variant's larger
-			// space may still contain one. Only if every variant comes up
-			// infeasible does the typed error propagate.
-			if errors.Is(err, ErrNoFeasiblePlan) {
-				nofit[i] = err
-				return nil
-			}
-			return err
-		}
-		plans[i] = plan
-		return nil
+	best, idx, err := bestOf(ctx, len(opts), portfolioWorkers(opts), func(i int) (*Plan, error) {
+		return PartitionCtx(ctx, net, tree, opts[i])
 	})
+	if callerAudit == nil {
+		return best, err
+	}
 	if err != nil {
-		return nil, wrapCtxErr(err)
-	}
-	var best *Plan
-	bestIdx := -1
-	for i, plan := range plans {
-		if plan == nil {
-			continue
-		}
-		if best == nil || plan.Time() < best.Time() {
-			best = plan
-			bestIdx = i
-		}
-	}
-	if best == nil {
-		if callerAudit != nil {
+		if errors.Is(err, ErrNoFeasiblePlan) {
 			// No winner to attribute: keep the first audited variant's
 			// records so infeasibility is still explainable.
 			for _, va := range variantAudits {
@@ -139,18 +106,63 @@ func PartitionBestCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree
 				}
 			}
 		}
+		return nil, err
+	}
+	callerAudit.adopt(variantAudits[idx])
+	best.audit = callerAudit
+	return best, nil
+}
+
+// portfolioWorkers sizes a portfolio's worker pool: serial when every
+// option set asks for the serial reference path (Parallelism 1), the
+// default pool otherwise.
+func portfolioWorkers(opts []Options) int {
+	for _, opt := range opts {
+		if opt.Parallelism != 1 {
+			return 0
+		}
+	}
+	return 1
+}
+
+// bestOf is the one portfolio winner rule. It runs variants 0..n-1
+// through run on a pool of workers (1 runs them inline in index order)
+// and returns the winner and its index: lowest modelled time, earliest
+// variant on ties, so the outcome matches the serial loop exactly. A
+// variant with no fitting plan must not abort the portfolio — another
+// variant's larger space may still contain one — so ErrNoFeasiblePlan
+// (the earliest variant's) propagates only when every variant is
+// infeasible. Any other error aborts the whole portfolio.
+func bestOf(ctx context.Context, n, workers int, run func(i int) (*Plan, error)) (*Plan, int, error) {
+	plans := make([]*Plan, n)
+	nofit := make([]error, n)
+	err := parallel.ForEachCtx(ctx, n, workers, func(i int) error {
+		plan, err := run(i)
+		if errors.Is(err, ErrNoFeasiblePlan) {
+			nofit[i] = err
+			return nil
+		}
+		plans[i] = plan
+		return err
+	})
+	if err != nil {
+		return nil, -1, wrapCtxErr(err)
+	}
+	best := -1
+	for i, plan := range plans {
+		if plan != nil && (best < 0 || plan.Time() < plans[best].Time()) {
+			best = i
+		}
+	}
+	if best < 0 {
 		for _, e := range nofit {
 			if e != nil {
-				return nil, e
+				return nil, -1, e
 			}
 		}
-		return nil, fmt.Errorf("core: PartitionBest produced no plan")
+		return nil, -1, fmt.Errorf("core: portfolio produced no plan")
 	}
-	if callerAudit != nil {
-		callerAudit.adopt(variantAudits[bestIdx])
-		best.audit = callerAudit
-	}
-	return best, nil
+	return plans[best], best, nil
 }
 
 // PartitionAccPar is the production AccPar entry point: the full

@@ -34,7 +34,7 @@ func NewRatioBenchCase(net *dnn.Network, tree *hardware.Tree, opt Options) (*Rat
 	if err := checkSides(tree.Level, sideI, sideJ); err != nil {
 		return nil, err
 	}
-	ctx := newLevelCtx(p.units, p.rootDims(), p.segs, p.planSegs, sideI, sideJ, p.opt)
+	ctx := newLevelCtx(p.units, p.rootDims, p.segs, p.planSegs, sideI, sideJ, p.opt)
 	ctx.alpha = 0.5
 	types, _, err := ctx.runDP()
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"accpar/internal/core"
 	"accpar/internal/dnn"
+	"accpar/internal/faults"
 	"accpar/internal/hardware"
 	"accpar/internal/models"
 )
@@ -119,17 +120,24 @@ func TestNetScaleRenamesSpecs(t *testing.T) {
 // TestDSEPlanEquivalence is the acceptance check: every unpruned
 // candidate's plan, produced through the sweep-shared batch memos, is
 // byte-identical to a standalone PartitionAccPar search of the same
-// tree.
+// tree, and every candidate the fault afflicts reports the resilience a
+// standalone core.Replan of its winning variant adopts. The whole grid
+// is swept without pruning so the faulted kind is always present.
 func TestDSEPlanEquivalence(t *testing.T) {
 	space := smallSpace()
-	space.MaxCandidates = 12
-	cfg := Config{Model: "resnet18", Batch: 64, Fault: "slowdown:0=2.0", Workers: 4, KeepPlans: true}
+	cfg := Config{Model: "resnet18", Batch: 64, Fault: "slowdown:0=2.0", Workers: 4, NoPrune: true, KeepPlans: true}
 	rep, err := Sweep(context.Background(), space, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs, err := faults.Parse(cfg.Fault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenario := &faults.Scenario{Faults: fs}
 	net := buildNet(t, cfg.Model, cfg.Batch)
-	checked := 0
+	variants := core.AccParVariants()
+	checked, faulted := 0, 0
 	for _, r := range rep.Results {
 		if r.Pruned {
 			continue
@@ -153,10 +161,30 @@ func TestDSEPlanEquivalence(t *testing.T) {
 			t.Errorf("%s: sweep makespan %v != standalone %v", r.Name, r.Makespan, want.Time())
 		}
 		checked++
+
+		degraded, err := space.DegradedTree(&r.Candidate, scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if degraded == nil {
+			continue // the candidate does not procure the faulted kind
+		}
+		replan, err := core.Replan(net, tree, degraded, variants[r.Variant])
+		if err != nil {
+			t.Fatalf("%s standalone replan: %v", r.Name, err)
+		}
+		if got := replan.Replanned.Time(); r.Resilience != got {
+			t.Errorf("%s: sweep resilience %v != standalone replan %v", r.Name, r.Resilience, got)
+		}
+		faulted++
 	}
 	if checked == 0 {
 		t.Fatal("no unpruned candidates to check")
 	}
+	if faulted == 0 {
+		t.Fatal("no candidate carries the faulted kind")
+	}
+	t.Logf("%d candidates checked, %d of them under the fault", checked, faulted)
 }
 
 // pruneSpace mixes a cheap fast kind with an expensive slow one so the

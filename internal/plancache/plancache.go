@@ -237,6 +237,15 @@ func (c *Cache[V]) Do(key string, fn func() (V, error)) (val V, hit bool, err er
 		obsMisses.Inc()
 		return f.val, false, f.err
 	}
+	// No flight: either none ran, or one finished after the head probe —
+	// a flight Puts its value before deregistering, so re-probing under
+	// fmu serves that value instead of computing the key a second time.
+	if v, ok := c.lookup(key); ok {
+		c.fmu.Unlock()
+		c.hits.Add(1)
+		obsHits.Inc()
+		return v, true, nil
+	}
 	f := &flight[V]{done: make(chan struct{})}
 	c.flights[key] = f
 	c.fmu.Unlock()

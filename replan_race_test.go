@@ -35,9 +35,10 @@ func replanReportsEqual(t *testing.T, got, want *ReplanReport) error {
 // concurrent Degrade→Replan cycles over several fault scenarios,
 // interleaved with pristine Partition and Resilience calls. Every worker
 // shares the session's ReplanEngines registry — the AccPar replans all
-// land on one retained engine — so the hammer exercises the
-// dependency-tracked memo, the retained-plan store and the recent-tree
-// working set under contention. Every result must stay byte-identical to
+// land on one retained engine — so the hammer exercises the engine's
+// one store, its dependency-tracked memo (plain subproblems, recurrent
+// tree roots and stale re-costings alike), and the recent-tree working
+// set under contention. Every result must stay byte-identical to
 // its engineless fresh-computation reference, and after the hammer a
 // recurrent replan must be served entirely from retained state.
 func TestSessionReplanHammerRace(t *testing.T) {

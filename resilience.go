@@ -219,11 +219,11 @@ func Resilience(net *Network, groups []ArrayGroup, strategy Strategy, sc FaultSc
 
 // partitionEnginesCtx is partitionCachedCtx through an optional
 // ReplanEngines registry: with a registry the search runs on a retained
-// ReplanEngine (dependency-tracked memo, retained whole plans), so a
-// hardware tree the engine has already solved — the pristine array on
-// every resilience call after the first, or a recurrent degraded array —
-// is answered from retained state. Plans are byte-identical to the
-// engineless path; only the work performed differs.
+// ReplanEngine's dependency-tracked memo, so a hardware tree the engine
+// has already solved — the pristine array on every resilience call after
+// the first, or a recurrent degraded array — is one root memo hit. Plans
+// are byte-identical to the engineless path; only the work performed
+// differs.
 func partitionEnginesCtx(ctx context.Context, engines *core.ReplanEngines, net *Network, arr *Array, strategy Strategy, cache *PlanCache) (*Plan, ReplanStats, error) {
 	if engines == nil {
 		plan, err := partitionCachedCtx(ctx, net, arr, strategy, cache)

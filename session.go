@@ -41,9 +41,9 @@ type Session struct {
 	cache *PlanCache
 	// engines retains per-(network, options) ReplanEngine instances so
 	// Session.ReplanCtx and Session.ResilienceCtx replan incrementally:
-	// each engine keeps a dependency-tracked subproblem memo, retained
-	// whole plans and a recent-hardware working set, making a recurrent
-	// fault a sub-millisecond lookup instead of a fresh search. Every
+	// each engine keeps a dependency-tracked subproblem memo and a
+	// recent-hardware working set, making a recurrent fault a few root
+	// memo lookups instead of a fresh search. Every
 	// engine binds the session cache, so engine misses still warm — and
 	// are warmed by — all other session work.
 	engines *core.ReplanEngines
