@@ -90,6 +90,8 @@ type levelCtx struct {
 	// edgesCache is the Table 5 edge enumeration over segs, computed once
 	// instead of per evalLevel call.
 	edgesCache [][2]int
+	// dp is runDP's working memory, allocated on the first call.
+	dp dpScratch
 }
 
 // newLevelCtx builds a fully-prepared context for one hierarchy split.
@@ -126,7 +128,8 @@ func (c *levelCtx) allowedTypes(u int) []cost.Type {
 	l := c.units[u].layer
 	if c.opt.Fixed != nil && !l.Virtual {
 		if t, ok := c.opt.Fixed(l); ok {
-			return []cost.Type{t}
+			// A one-element window of cost.Types: no allocation.
+			return cost.Types[t : t+1]
 		}
 	}
 	return c.opt.Types
@@ -202,148 +205,265 @@ func (c *levelCtx) edgeCost(p, n int, tt, t cost.Type) float64 {
 	return math.Max(ei, ej)
 }
 
-// pathDP computes, for a parallel-region path between endpoint states
-// (tt at the unit before the region, t at the merge unit), the minimum cost
-// of the path's layers plus all conversions along it, and the arg-min inner
-// type assignment. An empty path is a pure identity shortcut: its cost is
-// the direct tt→t conversion on the merge unit's boundary.
-func (c *levelCtx) pathDP(prev int, path []int, merge int, tt, t cost.Type) (float64, []cost.Type) {
-	if len(path) == 0 {
-		return c.edgeCost(prev, merge, tt, t), nil
+// The Section 5.2 multi-path DP. A parallel region between the unit
+// before it (state tt) and its merge unit (state t) costs the sum, over
+// its paths, of each path's minimum given both endpoint states. Only the
+// last edge of a path, into the merge unit, depends on t, so each path is
+// solved in two steps instead of once per (tt, t) pair: pathForward
+// builds the path's forward table for every feasible entry type tt, and
+// pathFinish closes those tables into the merge unit once per merge type
+// t. runDP sums the finished minima per (t, tt) pair, in the same order
+// and with the same strict-< tie rule as a per-pair solve, and backtracks
+// a path's inner types only for the pair that wins.
+//
+// All of runDP's working memory lives in one dpScratch per levelCtx,
+// sized from planSegs on first use and reused by every later runDP call
+// on the same context (the type/ratio alternation of solveSplit).
+
+// dpTypes is the number of partition types the DP tables are indexed by.
+const dpTypes = 3
+
+// dpScratch is runDP's working memory. The path tables of every region
+// live side by side in cost/back, so the final backtrack can walk any of
+// them: a path of length L owns L·dpTypes·dpTypes cells laid out
+// [position k][entry tt][type x], and dpTypes·dpTypes finish slots in
+// fin/last laid out [merge t][entry tt].
+type dpScratch struct {
+	// allowed caches allowedTypes per unit; nil until first use.
+	allowed [][]cost.Type
+	// unit caches unitCost per (unit, type) for the current call.
+	unit [][dpTypes]float64
+	// cost/fin and back/last are each carved from one allocation.
+	cost, fin  []float64
+	back, last []int8
+	chain      []dpRec
+}
+
+// dpRec is one main-chain position of the DP.
+type dpRec struct {
+	unit int
+	// back is the predecessor state chosen per own state.
+	back [dpTypes]int8
+	// paths is the region preceding a merge unit (nil otherwise); cells
+	// and fins are its offsets into the scratch path tables.
+	paths       [][]int
+	cells, fins int
+}
+
+// scratch returns the context's DP scratch, allocating it on first use.
+func (c *levelCtx) scratch() *dpScratch {
+	dp := &c.dp
+	if dp.allowed != nil {
+		return dp
 	}
-	type cell struct {
-		cost float64
-		back int
-	}
-	table := make([][]cell, len(path))
-	for k := range table {
-		table[k] = make([]cell, len(cost.Types))
-		for i := range table[k] {
-			table[k][i] = cell{cost: math.Inf(1), back: -1}
+	cells, fins, chain := 0, 0, 0
+	for _, seg := range c.planSegs {
+		if seg.unit >= 0 {
+			chain++
+			continue
+		}
+		for _, path := range seg.paths {
+			cells += len(path) * dpTypes * dpTypes
+			fins += dpTypes * dpTypes
 		}
 	}
-	for _, t0 := range c.allowedTypes(path[0]) {
-		table[0][t0] = cell{cost: c.edgeCost(prev, path[0], tt, t0) + c.unitCost(path[0], t0)}
+	floats := make([]float64, cells+fins)
+	ints := make([]int8, cells+fins)
+	*dp = dpScratch{
+		allowed: make([][]cost.Type, len(c.units)),
+		unit:    make([][dpTypes]float64, len(c.units)),
+		cost:    floats[:cells],
+		fin:     floats[cells:],
+		back:    ints[:cells],
+		last:    ints[cells:],
+		chain:   make([]dpRec, 0, chain),
 	}
+	for u := range dp.allowed {
+		dp.allowed[u] = c.allowedTypes(u)
+	}
+	return dp
+}
+
+// pathForward fills the forward tables of a non-empty parallel path for
+// every entry type tt (the state of unit prev before the region) with a
+// finite cost in cur. cst[(k·3+tt)·3+x] is the cheapest cost of the
+// entry conversion plus the path's first k+1 units and their
+// conversions, with path[k] in type x; back at the same index is the
+// arg-min type of path[k-1] (-1 at k = 0). Each conversion inside the
+// path is costed once and shared by all entry types; infeasible cells
+// stay +Inf.
+func (c *levelCtx) pathForward(prev int, path []int, cur *[dpTypes]float64, cst []float64, back []int8) {
+	inf := math.Inf(1)
+	for i := range cst {
+		cst[i] = inf
+		back[i] = -1
+	}
+	dp := &c.dp
+	for _, t0 := range dp.allowed[path[0]] {
+		base := dp.unit[path[0]][t0]
+		for _, tt := range dp.allowed[prev] {
+			if math.IsInf(cur[tt], 1) {
+				continue
+			}
+			cst[int(tt)*dpTypes+int(t0)] = c.edgeCost(prev, path[0], tt, t0) + base
+		}
+	}
+	const row = dpTypes * dpTypes
 	for k := 1; k < len(path); k++ {
-		for _, tk := range c.allowedTypes(path[k]) {
-			base := c.unitCost(path[k], tk)
-			for _, tp := range c.allowedTypes(path[k-1]) {
-				prevCost := table[k-1][tp].cost
-				if math.IsInf(prevCost, 1) {
-					continue
-				}
-				cand := prevCost + c.edgeCost(path[k-1], path[k], tp, tk) + base
-				if cand < table[k][tk].cost {
-					table[k][tk] = cell{cost: cand, back: int(tp)}
+		prow, krow, kback := cst[(k-1)*row:k*row], cst[k*row:(k+1)*row], back[k*row:(k+1)*row]
+		for _, tk := range dp.allowed[path[k]] {
+			base := dp.unit[path[k]][tk]
+			for _, tp := range dp.allowed[path[k-1]] {
+				e := c.edgeCost(path[k-1], path[k], tp, tk)
+				for tt := 0; tt < dpTypes; tt++ {
+					prevCost := prow[tt*dpTypes+int(tp)]
+					if math.IsInf(prevCost, 1) {
+						continue
+					}
+					cand := prevCost + e + base
+					if cand < krow[tt*dpTypes+int(tk)] {
+						krow[tt*dpTypes+int(tk)] = cand
+						kback[tt*dpTypes+int(tk)] = int8(tp)
+					}
 				}
 			}
 		}
 	}
-	best := math.Inf(1)
-	bestLast := -1
-	last := len(path) - 1
-	for _, tl := range c.allowedTypes(path[last]) {
-		if math.IsInf(table[last][tl].cost, 1) {
-			continue
+}
+
+// pathFinish closes a non-empty path's forward tables into the merge unit
+// under merge type t: fin[tt] is the path's minimum cost between the
+// endpoint states (tt, t) and last[tt] the arg-min type of its last unit
+// (+Inf and -1 when no type is feasible).
+func (c *levelCtx) pathFinish(path []int, merge int, t cost.Type, cst []float64, fin []float64, last []int8) {
+	for tt := range fin {
+		fin[tt] = math.Inf(1)
+		last[tt] = -1
+	}
+	k := len(path) - 1
+	row := cst[k*dpTypes*dpTypes : (k+1)*dpTypes*dpTypes]
+	for _, tl := range c.dp.allowed[path[k]] {
+		e := c.edgeCost(path[k], merge, tl, t)
+		for tt := range fin {
+			if math.IsInf(row[tt*dpTypes+int(tl)], 1) {
+				continue
+			}
+			cand := row[tt*dpTypes+int(tl)] + e
+			if cand < fin[tt] {
+				fin[tt] = cand
+				last[tt] = int8(tl)
+			}
 		}
-		cand := table[last][tl].cost + c.edgeCost(path[last], merge, tl, t)
-		if cand < best {
-			best = cand
-			bestLast = int(tl)
+	}
+}
+
+// solveRegion tabulates every path's minima between the endpoint states
+// of a region from prev to merge unit m into the scratch at the region's
+// offsets, and returns the offsets past the region. An empty path is a
+// pure identity shortcut: its cost is the direct tt→t conversion on the
+// merge unit's boundary.
+func (c *levelCtx) solveRegion(prev int, paths [][]int, m int, cur *[dpTypes]float64, cells, fins int) (int, int) {
+	dp := &c.dp
+	for _, path := range paths {
+		n := len(path) * dpTypes * dpTypes
+		cst := dp.cost[cells : cells+n]
+		if len(path) > 0 {
+			c.pathForward(prev, path, cur, cst, dp.back[cells:cells+n])
 		}
+		for _, t := range dp.allowed[m] {
+			fin := dp.fin[fins+int(t)*dpTypes : fins+int(t+1)*dpTypes]
+			if len(path) > 0 {
+				c.pathFinish(path, m, t, cst, fin, dp.last[fins+int(t)*dpTypes:fins+int(t+1)*dpTypes])
+				continue
+			}
+			for _, tt := range dp.allowed[prev] {
+				if !math.IsInf(cur[tt], 1) {
+					fin[tt] = c.edgeCost(prev, m, tt, t)
+				}
+			}
+		}
+		cells += n
+		fins += dpTypes * dpTypes
 	}
-	if bestLast < 0 {
-		return math.Inf(1), nil
-	}
-	types := make([]cost.Type, len(path))
-	cur := bestLast
-	for k := last; k >= 0; k-- {
-		types[k] = cost.Type(cur)
-		cur = table[k][cur].back
-	}
-	return best, types
+	return cells, fins
 }
 
 // runDP executes the layer-wise dynamic programming (Eq. 9) over the whole
 // network at one hierarchy node, returning the per-unit type assignment
-// (indexed like net.Units()) and the minimized objective value.
+// (indexed like net.Units()) and the minimized objective value. The
+// returned slice is freshly allocated: plan nodes keep it, and memo hits
+// alias it.
 func (c *levelCtx) runDP() ([]cost.Type, float64, error) {
 	n := len(c.units)
 	if n == 0 {
 		return nil, 0, fmt.Errorf("core: no units to partition")
 	}
-	const K = 3
 	inf := math.Inf(1)
-
-	// rec holds backtracking state for each main-chain position.
-	type rec struct {
-		unit      int
-		back      [K]int           // chosen predecessor type
-		pathTypes [K][][]cost.Type // for merge units: winning inner types per own type
-		paths     [][]int          // unit indices of the preceding region
+	dp := c.scratch()
+	for u, allowed := range dp.allowed {
+		for _, t := range allowed {
+			dp.unit[u][t] = c.unitCost(u, t)
+		}
 	}
-	var chain []rec
+	chain := dp.chain[:0]
 
-	cur := [K]float64{inf, inf, inf}
+	cur := [dpTypes]float64{inf, inf, inf}
 	first := c.planSegs[0].unit
-	for _, t := range c.allowedTypes(first) {
-		cur[t] = c.unitCost(first, t)
+	for _, t := range dp.allowed[first] {
+		cur[t] = dp.unit[first][t]
 	}
-	chain = append(chain, rec{unit: first, back: [K]int{-1, -1, -1}})
+	chain = append(chain, dpRec{unit: first, back: [dpTypes]int8{-1, -1, -1}})
 
+	cells, fins := 0, 0
 	i := 1
 	for i < len(c.planSegs) {
 		seg := c.planSegs[i]
 		prevUnit := chain[len(chain)-1].unit
-		next := [K]float64{inf, inf, inf}
-		r := rec{back: [K]int{-1, -1, -1}}
+		next := [dpTypes]float64{inf, inf, inf}
+		r := dpRec{back: [dpTypes]int8{-1, -1, -1}}
 
 		if seg.unit >= 0 {
 			// Plain series transition (Eq. 9).
 			v := seg.unit
 			r.unit = v
-			for _, t := range c.allowedTypes(v) {
-				base := c.unitCost(v, t)
-				for _, tt := range c.allowedTypes(prevUnit) {
+			for _, t := range dp.allowed[v] {
+				base := dp.unit[v][t]
+				for _, tt := range dp.allowed[prevUnit] {
 					if math.IsInf(cur[tt], 1) {
 						continue
 					}
 					cand := cur[tt] + c.edgeCost(prevUnit, v, tt, t) + base
 					if cand < next[t] {
 						next[t] = cand
-						r.back[t] = int(tt)
+						r.back[t] = int8(tt)
 					}
 				}
 			}
 			i++
 		} else {
 			// Parallel region followed by its merge unit (Section 5.2):
-			// enumerate endpoint states, solve each path independently, sum
-			// the per-path minima.
+			// enumerate endpoint states and sum the per-path minima.
 			if i+1 >= len(c.planSegs) || c.planSegs[i+1].unit < 0 {
 				return nil, 0, fmt.Errorf("core: parallel region without merge unit")
 			}
 			m := c.planSegs[i+1].unit
-			r.unit = m
-			r.paths = seg.paths
-			for _, t := range c.allowedTypes(m) {
-				base := c.unitCost(m, t)
-				for _, tt := range c.allowedTypes(prevUnit) {
+			r.unit, r.paths, r.cells, r.fins = m, seg.paths, cells, fins
+			cells, fins = c.solveRegion(prevUnit, seg.paths, m, &cur, cells, fins)
+			for _, t := range dp.allowed[m] {
+				base := dp.unit[m][t]
+				for _, tt := range dp.allowed[prevUnit] {
 					if math.IsInf(cur[tt], 1) {
 						continue
 					}
 					sum := 0.0
-					inner := make([][]cost.Type, len(seg.paths))
 					feasible := true
-					for k, path := range seg.paths {
-						pc, ptypes := c.pathDP(prevUnit, path, m, tt, t)
+					for k := range seg.paths {
+						pc := dp.fin[r.fins+(k*dpTypes+int(t))*dpTypes+int(tt)]
 						if math.IsInf(pc, 1) {
 							feasible = false
 							break
 						}
 						sum += pc
-						inner[k] = ptypes
 					}
 					if !feasible {
 						continue
@@ -351,8 +471,7 @@ func (c *levelCtx) runDP() ([]cost.Type, float64, error) {
 					cand := cur[tt] + sum + base
 					if cand < next[t] {
 						next[t] = cand
-						r.back[t] = int(tt)
-						r.pathTypes[t] = inner
+						r.back[t] = int8(tt)
 					}
 				}
 			}
@@ -361,11 +480,12 @@ func (c *levelCtx) runDP() ([]cost.Type, float64, error) {
 		cur = next
 		chain = append(chain, r)
 	}
+	dp.chain = chain
 
 	// Pick the best final state and backtrack.
 	bestT, bestCost := -1, inf
 	lastUnit := chain[len(chain)-1].unit
-	for _, t := range c.allowedTypes(lastUnit) {
+	for _, t := range dp.allowed[lastUnit] {
 		if cur[t] < bestCost {
 			bestCost = cur[t]
 			bestT = int(t)
@@ -376,18 +496,22 @@ func (c *levelCtx) runDP() ([]cost.Type, float64, error) {
 	}
 
 	types := make([]cost.Type, n)
-	t := bestT
+	t := int8(bestT)
 	for k := len(chain) - 1; k >= 0; k-- {
-		r := chain[k]
+		r := &chain[k]
 		types[r.unit] = cost.Type(t)
-		if r.paths != nil {
-			for pi, path := range r.paths {
-				for li, u := range path {
-					types[u] = r.pathTypes[t][pi][li]
-				}
+		tt := int(r.back[t])
+		cells, fins := r.cells, r.fins
+		for _, path := range r.paths {
+			x := dp.last[fins+int(t)*dpTypes+tt]
+			for j := len(path) - 1; j >= 0; j-- {
+				types[path[j]] = cost.Type(x)
+				x = dp.back[cells+(j*dpTypes+tt)*dpTypes+int(x)]
 			}
+			cells += len(path) * dpTypes * dpTypes
+			fins += dpTypes * dpTypes
 		}
-		t = r.back[t]
+		t = int8(tt)
 	}
 	return types, bestCost, nil
 }
@@ -396,7 +520,16 @@ func (c *levelCtx) runDP() ([]cost.Type, float64, error) {
 // unit) implied by the segment structure, including the edges into, inside
 // and out of parallel paths.
 func edgeList(segs []segRef) [][2]int {
-	var edges [][2]int
+	n := 0
+	for i, seg := range segs[1:] {
+		if seg.unit >= 0 && segs[i].unit >= 0 {
+			n++ // series edge; a merge unit's edges are its paths' last
+		}
+		for _, path := range seg.paths {
+			n += len(path) + 1
+		}
+	}
+	edges := make([][2]int, 0, n)
 	prev := segs[0].unit
 	i := 1
 	for i < len(segs) {

@@ -163,28 +163,28 @@ func (p *planMemo) evictBefore(cutoff int64) int {
 // subproblemKey hashes (hardware subtree, effective dims) into a memo
 // key, resolving the subtree through the planner's hardware index: the
 // digest replaces the former O(subtree) spec walk, so keying a node is
-// O(dims) regardless of how much hardware hangs below it.
+// O(dims) regardless of how much hardware hangs below it. The hashed
+// bytes — the digest, the unit count and nine little-endian int64
+// extents per unit — are laid out in one buffer and written once.
 func (p *planner) subproblemKey(node *hardware.Tree, dims []tensor.LayerDims) (string, hwInfo) {
 	info := p.hw.ensure(node)
-	h := fnv.New128a()
-	h.Write(info.digest[:])
-	var buf [8]byte
-	wInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	wInt(int64(len(dims)))
+	buf := make([]byte, 0, len(info.digest)+8*(1+9*len(dims)))
+	buf = append(buf, info.digest[:]...)
+	le := binary.LittleEndian
+	buf = le.AppendUint64(buf, uint64(len(dims)))
 	for _, d := range dims {
-		wInt(int64(d.B))
-		wInt(int64(d.Di))
-		wInt(int64(d.Do))
-		wInt(int64(d.HIn))
-		wInt(int64(d.WIn))
-		wInt(int64(d.HOut))
-		wInt(int64(d.WOut))
-		wInt(int64(d.KH))
-		wInt(int64(d.KW))
+		buf = le.AppendUint64(buf, uint64(d.B))
+		buf = le.AppendUint64(buf, uint64(d.Di))
+		buf = le.AppendUint64(buf, uint64(d.Do))
+		buf = le.AppendUint64(buf, uint64(d.HIn))
+		buf = le.AppendUint64(buf, uint64(d.WIn))
+		buf = le.AppendUint64(buf, uint64(d.HOut))
+		buf = le.AppendUint64(buf, uint64(d.WOut))
+		buf = le.AppendUint64(buf, uint64(d.KH))
+		buf = le.AppendUint64(buf, uint64(d.KW))
 	}
+	h := fnv.New128a()
+	h.Write(buf)
 	return string(h.Sum(nil)), info
 }
 

@@ -1,0 +1,38 @@
+package core
+
+import (
+	"encoding/hex"
+	"testing"
+
+	"accpar/internal/cost"
+)
+
+// TestSubproblemKeyBytes pins the memo keys of two fixed (subtree, dims)
+// subproblems: a root and a scaled left child. cacheSchema persists these
+// bytes in plan-cache snapshots, so any change to the hashing must bump
+// the schema.
+func TestSubproblemKeyBytes(t *testing.T) {
+	net := buildNet(t, "resnet18", 64)
+	p, err := newPlanner(nil, net, AccPar())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := paperTree(t, 2)
+	types := make([]cost.Type, len(p.units))
+	for i := range types {
+		types[i] = cost.Types[i%len(cost.Types)]
+	}
+	childDims := scaleUnitDims(p.units, p.rootDims, types, 0.3)
+	rootKey, _ := p.subproblemKey(tree, p.rootDims)
+	childKey, _ := p.subproblemKey(tree.Left, childDims)
+	for _, c := range []struct {
+		name, key, want string
+	}{
+		{"root", rootKey, "064ac5a261364ef3496b2701202d948a"},
+		{"left child", childKey, "6db54c380b2dd8b3ff6e33133349c5bc"},
+	} {
+		if got := hex.EncodeToString([]byte(c.key)); got != c.want {
+			t.Errorf("%s key = %s, want %s", c.name, got, c.want)
+		}
+	}
+}

@@ -163,14 +163,50 @@ func (d LayerDims) WeightShape() Shape {
 	return NewShape(d.Di, d.Do, d.KH, d.KW)
 }
 
-// AF returns A(F_l) = A(E_l), the input feature-map / error size.
-func (d LayerDims) AF() int64 { return d.InputShape().Size() }
+// AF returns A(F_l) = A(E_l), the input feature-map / error size: the
+// Size of InputShape, multiplied out directly because the planner's hot
+// paths call it per unit per subproblem.
+func (d LayerDims) AF() int64 {
+	if d.IsFC() {
+		return size2(d.B, d.Di)
+	}
+	return size4(d.B, d.Di, d.HIn, d.WIn)
+}
 
-// AFNext returns A(F_{l+1}) = A(E_{l+1}), the output feature-map / error size.
-func (d LayerDims) AFNext() int64 { return d.OutputShape().Size() }
+// AFNext returns A(F_{l+1}) = A(E_{l+1}), the output feature-map / error
+// size: the Size of OutputShape.
+func (d LayerDims) AFNext() int64 {
+	if d.IsFC() {
+		return size2(d.B, d.Do)
+	}
+	return size4(d.B, d.Do, d.HOut, d.WOut)
+}
 
-// AW returns A(W_l) = A(ΔW_l), the kernel size.
-func (d LayerDims) AW() int64 { return d.WeightShape().Size() }
+// AW returns A(W_l) = A(ΔW_l), the kernel size: the Size of WeightShape.
+func (d LayerDims) AW() int64 {
+	if d.IsFC() {
+		return size2(d.Di, d.Do)
+	}
+	return size4(d.Di, d.Do, d.KH, d.KW)
+}
+
+// size2 and size4 are NewShape(...).Size() without building the shape,
+// keeping NewShape's panic on a non-positive extent. They are fixed-arity
+// because a variadic helper's argument slice would escape through the
+// panic message and allocate on every call.
+func size2(a, b int) int64 {
+	if a <= 0 || b <= 0 {
+		NewShape(a, b)
+	}
+	return int64(a) * int64(b)
+}
+
+func size4(a, b, c, d int) int64 {
+	if a <= 0 || b <= 0 || c <= 0 || d <= 0 {
+		NewShape(a, b, c, d)
+	}
+	return int64(a) * int64(b) * int64(c) * int64(d)
+}
 
 // Scale returns a copy of the dims with one logical dimension scaled by
 // ratio (used when descending the partitioning hierarchy: a child group that
