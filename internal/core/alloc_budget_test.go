@@ -3,8 +3,10 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"accpar/internal/hardware"
 	"accpar/internal/models"
 )
 
@@ -37,5 +39,59 @@ func TestColdSearchAllocBudget(t *testing.T) {
 	t.Logf("%.0f allocs per cold search", allocs)
 	if allocs > coldSearchAllocBudget {
 		t.Errorf("cold ResNet-50/512 search on 128+128 boards: %.0f allocs, budget %d", allocs, coldSearchAllocBudget)
+	}
+}
+
+// replanAllocBudget bounds the allocations of one steady-state replan:
+// the nine-variant AccPar portfolio partitioning the pristine 16+16 fleet
+// (a recurrent root hit) and a never-seen degraded one, on a registry
+// whose working sets are full, so the new tree evicts one per engine.
+// Measured at 4.6k; 14.7k when every eviction re-digested each engine's
+// whole working set into a per-engine index.
+const replanAllocBudget = 7_000
+
+// TestReplanSteadyStateAllocBudget fails when retention upkeep grows with
+// the working set again: a whole-index re-digest per engine, or one
+// index per variant, multiplies this figure.
+func TestReplanSteadyStateAllocBudget(t *testing.T) {
+	net, err := models.BuildNetwork("inception", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := v2v3Groups(16)
+	pristine := treeFor(t, groups...)
+	variants := AccParVariants()
+	for i := range variants {
+		variants[i].Parallelism = 1
+	}
+	reg := NewReplanEngines(0)
+	ctx := context.Background()
+	var planErr error
+	replan := func(degraded *hardware.Tree) {
+		for _, tree := range []*hardware.Tree{pristine, degraded} {
+			if _, _, err := reg.PartitionBestCtx(ctx, net, tree, variants...); err != nil {
+				planErr = err
+			}
+		}
+	}
+	const runs = 4
+	trees := make([]*hardware.Tree, defaultRecentTrees+runs+1)
+	for i := range trees {
+		trees[i] = slowdownTree(t, groups, i%2, 1.1+0.05*float64(i))
+	}
+	for _, tree := range trees[:defaultRecentTrees] {
+		replan(tree)
+	}
+	next := defaultRecentTrees
+	allocs := testing.AllocsPerRun(runs, func() {
+		replan(trees[next])
+		next++
+	})
+	if planErr != nil {
+		t.Fatal(planErr)
+	}
+	t.Logf("%.0f allocs per steady-state replan", allocs)
+	if allocs > replanAllocBudget {
+		t.Errorf("steady-state replan of inception/64 on 16+16 boards: %.0f allocs, budget %d", allocs, replanAllocBudget)
 	}
 }

@@ -49,13 +49,21 @@ type hwInfo struct {
 // of candidate hierarchies pays O(total nodes), not O(n²) map copying.
 // A node missing from the map — a tree never announced via ensure — is
 // indexed on demand, so lookups never fail, only slow down.
+//
+// A one-shot search or a sweep discards its index with it. A long-lived
+// index (one per ReplanEngines registry, shared by its engines) bounds
+// itself by reference-counted roots instead: retain holds a root,
+// release drops the hold, and the last release forgets the root's nodes
+// by a pointer walk. Upkeep is therefore proportional to the trees that
+// enter or leave; retained trees are never re-digested.
 type hwIndex struct {
-	mu sync.RWMutex
-	m  map[*hardware.Tree]hwInfo
+	mu   sync.RWMutex
+	m    map[*hardware.Tree]hwInfo
+	refs map[*hardware.Tree]int
 }
 
 func newHWIndex() *hwIndex {
-	return &hwIndex{m: make(map[*hardware.Tree]hwInfo)}
+	return &hwIndex{m: make(map[*hardware.Tree]hwInfo), refs: make(map[*hardware.Tree]int)}
 }
 
 // ensure returns root's hwInfo, indexing its whole subtree first if it
@@ -72,22 +80,43 @@ func (x *hwIndex) ensure(root *hardware.Tree) hwInfo {
 	if info, ok := x.m[root]; ok {
 		return info
 	}
-	return indexTree(root, x.m)
+	return x.index(root)
 }
 
-// rebuild drops every indexed node not under one of roots, bounding the
-// index to the trees a retention policy still cares about. Concurrent
-// searches over an evicted tree re-index it on demand via ensure.
-func (x *hwIndex) rebuild(roots []*hardware.Tree) {
+// retain takes one hold on root, indexing its subtree if it is new, and
+// returns root's hwInfo.
+func (x *hwIndex) retain(root *hardware.Tree) hwInfo {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	next := make(map[*hardware.Tree]hwInfo)
-	for _, r := range roots {
-		if r != nil {
-			indexTree(r, next)
-		}
+	x.refs[root]++
+	if info, ok := x.m[root]; ok {
+		return info
 	}
-	x.m = next
+	return x.index(root)
+}
+
+// release drops one hold on root. The last hold's release forgets every
+// node under root without hashing anything. Trees are built per
+// hierarchy, so the walk touches no other retained tree's nodes; a node
+// two retained roots did share would only be re-indexed on demand.
+func (x *hwIndex) release(root *hardware.Tree) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if n := x.refs[root]; n > 1 {
+		x.refs[root] = n - 1
+		return
+	}
+	delete(x.refs, root)
+	forgetTree(root, x.m)
+}
+
+// index digests root's subtree into the map and counts the new nodes.
+// Caller holds the write lock.
+func (x *hwIndex) index(root *hardware.Tree) hwInfo {
+	n := len(x.m)
+	info := indexTree(root, x.m)
+	obsNodesIndexed.Add(int64(len(x.m) - n))
+	return info
 }
 
 // size returns the indexed node count.
@@ -95,6 +124,15 @@ func (x *hwIndex) size() int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	return len(x.m)
+}
+
+// forgetTree deletes every node of t from m.
+func forgetTree(t *hardware.Tree, m map[*hardware.Tree]hwInfo) {
+	delete(m, t)
+	if !t.IsLeaf() {
+		forgetTree(t.Left, m)
+		forgetTree(t.Right, m)
+	}
 }
 
 // indexTree computes hwInfo for every node of t bottom-up into m and

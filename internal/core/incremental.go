@@ -32,10 +32,13 @@ import (
 //     retention policy kept or dropped — including after aborted calls,
 //     which never publish partial entries;
 //   - retention: each entry's recorded dependency set (the spec
-//     fingerprints of its hardware subtree) is walked when degraded
+//     fingerprints of its hardware subtree) is tested when degraded
 //     hardware leaves the recent working set, invalidating exactly the
 //     dependent subtree of subproblems; an epoch backstop bounds what
-//     reachable hardware can accumulate.
+//     reachable hardware can accumulate. The hardware index holds each
+//     working-set root by reference and forgets a root's nodes when its
+//     last holder lets go, so retention costs follow the trees that enter
+//     and leave, never the trees kept.
 
 const (
 	// defaultRecentTrees bounds the hardware trees (by content digest) an
@@ -129,11 +132,15 @@ type ReplanEngine struct {
 	// that last served them (the retention backstop's clock).
 	epoch atomic.Int64
 	// recent is the MRU-first working set of trees that bounds the
-	// reachable-spec set for dependency invalidation.
+	// reachable-spec set for dependency invalidation. Each entry holds its
+	// root in the hardware index.
 	recent    []recentTree
 	recentCap int
 	memoCap   int
-	gcNeeded  bool
+	// evicted collects the spec fingerprints of trees evicted since the
+	// last retention pass; the pass invalidates entries depending on the
+	// ones no retained tree still reaches.
+	evicted []uint64
 }
 
 // NewReplanEngine returns an engine for the network and options. The
@@ -148,22 +155,26 @@ func NewReplanEngine(net *dnn.Network, opt Options) (*ReplanEngine, error) {
 	return &ReplanEngine{base: p, recentCap: defaultRecentTrees, memoCap: defaultMemoCap}, nil
 }
 
-// admit indexes tree, moves it to the front of the recent working set
-// and evicts beyond capacity. Caller holds e.mu.
+// admit moves tree to the front of the recent working set, holding it in
+// the hardware index (and indexing it) on first sight, and evicts beyond
+// capacity: an evicted root is released and its specs logged for the
+// next retention pass. Caller holds e.mu.
 func (e *ReplanEngine) admit(tree *hardware.Tree) recentTree {
-	info := e.base.hw.ensure(tree)
-	for i := range e.recent {
-		if e.recent[i].digest == info.digest {
-			r := e.recent[i]
-			if r.root != tree {
-				// Same content, new tree object (servers rebuild trees per
-				// request): track the latest pointer and let gc prune index
-				// entries of abandoned ones.
-				r.root = tree
-				e.gcNeeded = true
-			}
-			copy(e.recent[1:i+1], e.recent[:i])
-			e.recent[0] = r
+	for i, r := range e.recent {
+		if r.root == tree {
+			e.toFront(i, r)
+			return r
+		}
+	}
+	info := e.base.hw.retain(tree)
+	for i, r := range e.recent {
+		if r.digest == info.digest {
+			// Same content, new tree object (servers rebuild trees per
+			// request): hold the latest pointer and forget the old one. The
+			// specs are unchanged, so no memo entry is affected.
+			e.base.hw.release(r.root)
+			r.root = tree
+			e.toFront(i, r)
 			return r
 		}
 	}
@@ -173,32 +184,57 @@ func (e *ReplanEngine) admit(tree *hardware.Tree) recentTree {
 	copy(e.recent[1:], e.recent)
 	e.recent[0] = r
 	if len(e.recent) > e.recentCap {
+		old := e.recent[e.recentCap]
+		e.recent[e.recentCap] = recentTree{}
 		e.recent = e.recent[:e.recentCap]
-		e.gcNeeded = true
+		e.base.hw.release(old.root)
+		e.evicted = append(e.evicted, old.specs...)
 	}
 	return r
 }
 
+// toFront moves working-set entry i, updated to r, to the front.
+func (e *ReplanEngine) toFront(i int, r recentTree) {
+	copy(e.recent[1:i+1], e.recent[:i])
+	e.recent[0] = r
+}
+
+// goneSpecs returns the logged fingerprints of evicted trees that no
+// tree of the working set still reaches (nil when there are none) and
+// clears the log. Every dependency of an entry stored by a serial call
+// was reachable at the previous pass, so these are exactly the
+// fingerprints whose dependents must go; an entry a concurrent call
+// stores for hardware already evicted is left to the epoch backstop.
+func (e *ReplanEngine) goneSpecs() map[uint64]bool {
+	if len(e.evicted) == 0 {
+		return nil
+	}
+	gone := make(map[uint64]bool, len(e.evicted))
+	for _, fp := range e.evicted {
+		gone[fp] = true
+	}
+	e.evicted = e.evicted[:0]
+	for _, r := range e.recent {
+		for _, fp := range r.specs {
+			delete(gone, fp)
+		}
+	}
+	if len(gone) == 0 {
+		return nil
+	}
+	return gone
+}
+
 // maybeGC runs the retention policy and returns how many entries were
 // invalidated. The dependency walk drops entries whose hardware left the
-// recent working set; the epoch backstop bounds entries on reachable
-// hardware whose dims no future search will ask for. Caller holds e.mu;
-// invalidation is safe against in-flight calls — a dropped entry is
-// re-solved, never wrongly hit.
+// recent working set, and runs only when some spec did leave; the epoch
+// backstop bounds entries on reachable hardware whose dims no future
+// search will ask for. Caller holds e.mu; invalidation is safe against
+// in-flight calls — a dropped entry is re-solved, never wrongly hit.
 func (e *ReplanEngine) maybeGC(epoch int64) int64 {
 	var removed int64
-	if e.gcNeeded {
-		reachable := make(map[uint64]bool, 8)
-		roots := make([]*hardware.Tree, 0, len(e.recent))
-		for _, r := range e.recent {
-			for _, fp := range r.specs {
-				reachable[fp] = true
-			}
-			roots = append(roots, r.root)
-		}
-		removed += int64(e.base.memo.invalidate(reachable))
-		e.base.hw.rebuild(roots)
-		e.gcNeeded = false
+	if gone := e.goneSpecs(); gone != nil {
+		removed += int64(e.base.memo.invalidate(gone))
 	}
 	if e.base.memo.len() > e.memoCap {
 		removed += int64(e.base.memo.evictBefore(epoch - epochKeepWindow))
@@ -222,7 +258,12 @@ func (e *ReplanEngine) PlanCtx(ctx context.Context, tree *hardware.Tree) (*Plan,
 	r := e.admit(tree)
 	invalidated := e.maybeGC(ep)
 	pc := e.base.forCall(ctx, ep, rs)
+	// The call holds its tree for its whole search, so neither a
+	// concurrent call's eviction nor a registry drop forgets hardware the
+	// search still walks (it would re-index those nodes outside any hold).
+	pc.hw.retain(tree)
 	e.mu.Unlock()
+	defer pc.hw.release(tree)
 	plan, err := pc.planKeyed(tree, r.key, r.specs)
 	return plan, rs.snapshot(invalidated, time.Since(start)), err
 }
@@ -245,7 +286,12 @@ func (e *ReplanEngine) ReplanCtx(ctx context.Context, pristine, degraded *hardwa
 	dr := e.admit(degraded)
 	invalidated := e.maybeGC(ep)
 	pc := e.base.forCall(ctx, ep, rs)
+	// Both trees are held for the call, as in PlanCtx.
+	pc.hw.retain(pristine)
+	pc.hw.retain(degraded)
 	e.mu.Unlock()
+	defer pc.hw.release(pristine)
+	defer pc.hw.release(degraded)
 
 	faultFree, err := pc.planKeyed(pristine, pr.key, pr.specs)
 	if err != nil {
@@ -412,6 +458,12 @@ type ReplanEngines struct {
 	order    []string // MRU-first
 	trees    map[string]*hardware.Tree
 	treeMRU  []string
+	// hw is the one hardware index all resident engines read: digests and
+	// spec sets depend on the trees alone, never on options, so a new
+	// tree is digested once per registry rather than once per variant.
+	// Each engine holds its working-set roots in it; dropping an engine
+	// releases them.
+	hw *hwIndex
 }
 
 // treeInternCap bounds the interned trees per registry: enough for a
@@ -428,6 +480,7 @@ func NewReplanEngines(capacity int) *ReplanEngines {
 		capacity: capacity,
 		m:        make(map[string]*ReplanEngine),
 		trees:    make(map[string]*hardware.Tree),
+		hw:       newHWIndex(),
 	}
 }
 
@@ -435,7 +488,7 @@ func NewReplanEngines(capacity int) *ReplanEngines {
 // registry's retained tree when one with identical content (same
 // ordered spec list, same level budget) exists. Servers rebuild the
 // array object on every request; without interning each request's fresh
-// tree pointer forces the engines' hardware index to re-digest the
+// tree pointer forces the registry's hardware index to digest the
 // whole hierarchy (O(fleet) hashing) before a single retained entry can
 // be consulted. With it, a recurrent request presents the exact pointer
 // the index already knows and the digest lookup is O(1). Interning
@@ -511,19 +564,42 @@ func (s *ReplanEngines) Engine(net *dnn.Network, opt Options) (*ReplanEngine, er
 	}
 	key := engineKey(e.base)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if existing, ok := s.m[key]; ok {
 		s.touch(key)
+		s.mu.Unlock()
 		return existing, nil
 	}
+	e.base.hw = s.hw
 	s.m[key] = e
 	s.order = append([]string{key}, s.order...)
-	for len(s.order) > s.capacity {
+	var dropped *ReplanEngine
+	if len(s.order) > s.capacity {
 		last := s.order[len(s.order)-1]
 		s.order = s.order[:len(s.order)-1]
+		dropped = s.m[last]
 		delete(s.m, last)
 	}
+	s.mu.Unlock()
+	if dropped != nil {
+		dropped.detach()
+	}
 	return e, nil
+}
+
+// detach releases everything a dropped engine holds in the registry's
+// shared index and resets it to private, empty state: a caller still
+// holding the engine keeps getting correct plans, but nothing it does
+// afterwards can pin hardware in the registry's index.
+func (e *ReplanEngine) detach() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, r := range e.recent {
+		e.base.hw.release(r.root)
+	}
+	e.recent = nil
+	e.evicted = nil
+	e.base.hw = newHWIndex()
+	e.base.memo = newPlanMemo()
 }
 
 func (s *ReplanEngines) touch(key string) {

@@ -113,20 +113,21 @@ func (p *planMemo) len() int {
 	return int(p.count.Load())
 }
 
-// invalidate removes every entry depending on a spec fingerprint absent
-// from reachable and returns the number removed. This is the dependency
-// walk of incremental replanning: after a Degrade/DegradeGroups the
-// fingerprints of the touched group change, so precisely the subproblems
-// whose hardware subtree contained that group fall out, and everything
-// else stays resident for the next search.
-func (p *planMemo) invalidate(reachable map[uint64]bool) int {
+// invalidate removes every entry depending on a spec fingerprint in gone
+// and returns the number removed. This is the dependency walk of
+// incremental replanning: after a Degrade/DegradeGroups the fingerprints
+// of the touched group change, so once the degraded hardware leaves the
+// working set precisely the subproblems whose hardware subtree contained
+// that group fall out, and everything else stays resident for the next
+// search.
+func (p *planMemo) invalidate(gone map[uint64]bool) int {
 	removed := 0
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
 		for k, e := range s.m {
 			for _, fp := range e.deps {
-				if !reachable[fp] {
+				if gone[fp] {
 					delete(s.m, k)
 					removed++
 					break
