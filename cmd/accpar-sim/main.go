@@ -79,7 +79,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "fault injection seed")
 	flag.Float64Var(&o.ckpt, "ckpt", 0, "checkpoint-restart overhead in seconds charged on group loss")
 	flag.BoolVar(&o.replan, "replan", false, "replan against the degraded specs and print the resilience report (needs -faults)")
-	flag.StringVar(&o.cacheFile, "cache-file", "", "warm-start the plan cache from this snapshot and save it back on exit")
+	flag.StringVar(&o.cacheFile, "cache-file", "", "warm-start the plan cache from this snapshot and save it back on exit (non-replan planning only: -replan searches never use the plan cache)")
 	flag.StringVar(&o.metricsOut, "metrics-out", "", "write the metrics registry to this file (expvar-style text for .txt, JSON otherwise)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write a Chrome Trace Event Format JSON trace (planner spans + simulated timelines) to this file, loadable in Perfetto or chrome://tracing")
 	version := flag.Bool("version", false, "print version and exit")
@@ -159,7 +159,8 @@ func run(o opts) error {
 	}
 
 	// Planning runs through a session so -cache-file can warm-start the
-	// partition searches (the simulation itself is never cached).
+	// partition search. -replan runs on the session's replan engines,
+	// which never use the plan cache, and the simulation is never cached.
 	sess := accpar.NewSession(0)
 	if o.cacheFile != "" {
 		n, err := sess.LoadCacheFile(o.cacheFile)

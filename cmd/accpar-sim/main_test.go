@@ -74,7 +74,8 @@ func TestRunCacheFile(t *testing.T) {
 	if err := run(o); err != nil {
 		t.Errorf("warm run: %v", err)
 	}
-	// Replanning reuses the same snapshot.
+	// -replan runs on replan engines, which never use the plan cache; the
+	// snapshot is loaded and saved back with the same entries.
 	o.faults, o.replan = "slowdown:0=2.0", true
 	if err := run(o); err != nil {
 		t.Errorf("warm replan run: %v", err)

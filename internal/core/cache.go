@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 
+	"accpar/internal/cost"
 	"accpar/internal/dnn"
 	"accpar/internal/hardware"
 	"accpar/internal/plancache"
@@ -15,7 +17,10 @@ import (
 
 // This file connects the planner to the cross-run plan cache. The
 // per-search planMemo (memo.go) dies with each Partition call; SharedCache
-// outlives searches, processes and — through snapshots — machines. Every
+// outlives searches, processes and — through snapshots — machines. Only
+// one-shot searches (PartitionCtx) attach it: a ReplanEngine's retained
+// memo is that engine's one store, and mirroring its work here would only
+// churn the cache with subproblems of hardware that rarely recurs. Every
 // entry is a solved hierarchical subproblem, content-addressed by the
 // concatenation of two fingerprints:
 //
@@ -44,10 +49,11 @@ import (
 const cacheSchema = "accpar-plan-node-v4"
 
 // SharedCache is a concurrency-safe, bounded, persistent cache of solved
-// hierarchical subproblems, shared across Partition, Replan, Compare,
-// evaluation sweeps and autotuning — any number of concurrent searches
-// over any mix of networks, hardware trees and options. The zero capacity
-// selects plancache.DefaultCapacity.
+// hierarchical subproblems, shared across one-shot searches — Partition,
+// the AccPar portfolio, Compare, evaluation sweeps and autotuning — over
+// any mix of networks, hardware trees and options. Replanning never
+// touches it: replan engines keep their own dependency-tracked memo. The
+// zero capacity selects plancache.DefaultCapacity.
 type SharedCache struct {
 	c *plancache.Cache[*PlanNode]
 }
@@ -83,13 +89,65 @@ func encodePlanNode(n *PlanNode) ([]byte, error) {
 	return json.Marshal(n)
 }
 
-// decodePlanNode reverses encodePlanNode.
+// decodePlanNode reverses encodePlanNode, rejecting with an
+// *InvalidPlanError any subtree a search could not have produced, so a
+// corrupted or tampered snapshot can never replay an unusable node into
+// a plan.
 func decodePlanNode(b []byte) (*PlanNode, error) {
 	var n PlanNode
 	if err := json.Unmarshal(b, &n); err != nil {
 		return nil, err
 	}
+	if len(n.Dims) == 0 {
+		return nil, invalidNode(&n, "no unit dims")
+	}
+	if err := validateTree(&n, len(n.Dims)); err != nil {
+		return nil, err
+	}
+	if err := checkDecodedNode(&n); err != nil {
+		return nil, err
+	}
 	return &n, nil
+}
+
+// checkDecodedNode walks a structurally valid decoded subtree for the
+// value defects validateTree does not cover: non-positive dims, types
+// outside the three partition types, and negative or non-finite figures.
+func checkDecodedNode(n *PlanNode) error {
+	for i, d := range n.Dims {
+		if err := d.Validate(); err != nil {
+			return invalidNode(n, "unit %d: %v", i, err)
+		}
+	}
+	for i, t := range n.Types {
+		if t != cost.TypeI && t != cost.TypeII && t != cost.TypeIII {
+			return invalidNode(n, "unit %d has invalid partition type %d", i, int(t))
+		}
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"alpha", n.Alpha},
+		{"time I", n.Eval.TimeI}, {"time J", n.Eval.TimeJ},
+		{"comm time", n.Eval.CommTime}, {"comm bytes", n.Eval.CommBytes},
+		{"side I compute", n.SideI.Compute}, {"side I net", n.SideI.Net},
+		{"side J compute", n.SideJ.Compute}, {"side J net", n.SideJ.Net},
+		{"leaf compute time", n.LeafComputeTime}, {"leaf memory time", n.LeafMemTime},
+		{"leaf comm time", n.LeafCommTime},
+		{"leaf residency bytes", float64(n.LeafResidencyBytes)}, {"leaf HBM bytes", float64(n.LeafHBMBytes)},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 0) {
+			return invalidNode(n, "%s = %g", f.name, f.v)
+		}
+	}
+	if n.IsLeaf() {
+		return nil
+	}
+	if err := checkDecodedNode(n.Left); err != nil {
+		return err
+	}
+	return checkDecodedNode(n.Right)
 }
 
 // Save writes a versioned snapshot of the cache for cross-process
@@ -100,7 +158,9 @@ func (s *SharedCache) Save(w io.Writer) error {
 
 // Load replays a snapshot previously written with Save, returning the
 // number of restored subproblems. Snapshots from an incompatible plan
-// encoding are rejected.
+// encoding are rejected, as are snapshots holding any entry no search
+// could have produced (InvalidPlanError); a rejected snapshot restores
+// nothing.
 func (s *SharedCache) Load(r io.Reader) (int, error) {
 	return s.c.Load(r, cacheSchema, decodePlanNode)
 }

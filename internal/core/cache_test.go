@@ -150,10 +150,12 @@ func TestCacheOptionIsolation(t *testing.T) {
 	}
 }
 
-// TestCacheReplanShares: Replan with a shared cache produces the same
-// report as without, and a second Replan over a warm cache still adopts
-// identically.
-func TestCacheReplanShares(t *testing.T) {
+// TestCacheUntouchedByReplan: replanning runs on a ReplanEngine whose
+// memo is its only store, so a Replan handed a shared cache must neither
+// consult nor fill it — and still report exactly what an uncached Replan
+// reports — while a one-shot Partition through the same cache still
+// fills it and then hits it.
+func TestCacheUntouchedByReplan(t *testing.T) {
 	net := buildNet(t, "alexnet", 64)
 	groups := v2v3Groups(4)
 	pristine := treeFor(t, groups...)
@@ -192,6 +194,18 @@ func TestCacheReplanShares(t *testing.T) {
 				t.Errorf("pass %d: %s plan differs from uncached reference", pass, pair.name)
 			}
 		}
+	}
+	if st := cache.Stats(); st.Hits+st.Misses != 0 || st.Entries != 0 {
+		t.Errorf("Replan used the shared cache: %+v", st)
+	}
+
+	for pass := 0; pass < 2; pass++ {
+		if _, err := Partition(net, pristine, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cache.Stats(); st.Entries == 0 || st.Hits == 0 {
+		t.Errorf("Partition through the same cache should fill it, then hit it: %+v", st)
 	}
 }
 

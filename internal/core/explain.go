@@ -16,17 +16,19 @@ type LayerExplanation struct {
 	// Chosen is the selected type.
 	Chosen cost.Type
 	// UnitCost is the layer's own cost (compute + intra-layer psum) per
-	// candidate type, in seconds.
+	// candidate type under the plan's objective: seconds, or bytes for a
+	// plan searched with ObjectiveCommOnly.
 	UnitCost map[cost.Type]float64
 	// IntraBytes is the Table 4 partial-sum traffic per candidate type.
 	IntraBytes map[cost.Type]float64
 	// InEdgeCost and OutEdgeCost are the conversion costs actually paid on
 	// this layer's incoming and outgoing boundaries under the full chosen
-	// assignment.
+	// assignment, in UnitCost's unit.
 	InEdgeCost, OutEdgeCost float64
 }
 
-// ctxForNode reconstructs the level context of a non-leaf plan node.
+// ctxForNode reconstructs the level context of a non-leaf plan node under
+// the options the plan was searched with.
 func (p *Plan) ctxForNode(n *PlanNode) *levelCtx {
 	units := p.Network.Units()
 	ctx := &levelCtx{
@@ -35,7 +37,7 @@ func (p *Plan) ctxForNode(n *PlanNode) *levelCtx {
 		sideI: n.SideI,
 		sideJ: n.SideJ,
 		alpha: n.Alpha,
-		opt:   Options{}.withDefaults(),
+		opt:   p.opt.withDefaults(),
 	}
 	ctx.planSegs = ctx.segs
 	for i := range units {
@@ -90,8 +92,12 @@ func (p *Plan) ExplainString() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	unit := "seconds"
+	if p.opt.Objective == ObjectiveCommOnly {
+		unit = "bytes"
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "root split %s, alpha %.3f — per-layer costs in seconds\n", p.Root.GroupDesc, p.Root.Alpha)
+	fmt.Fprintf(&b, "root split %s, alpha %.3f — per-layer costs in %s\n", p.Root.GroupDesc, p.Root.Alpha, unit)
 	fmt.Fprintf(&b, "%-12s %-8s %-12s %-12s %-12s %-12s %-12s\n",
 		"layer", "chosen", "cost(I)", "cost(II)", "cost(III)", "in-conv", "out-conv")
 	for _, ex := range exs {

@@ -78,3 +78,71 @@ func TestExplainLeafOnlyPlan(t *testing.T) {
 		t.Error("leaf-only plan must refuse explanation")
 	}
 }
+
+// TestExplainUsesSearchOptions: Explain must price the root split under
+// the options the plan was searched with, so its cost for the chosen type
+// equals what the search itself weighed (the audit's winner cost). An
+// inference-mode plan priced as training overstates unit costs by orders
+// of magnitude, and a comm-only plan priced in seconds instead of bytes
+// is off by a factor of ~1e11.
+func TestExplainUsesSearchOptions(t *testing.T) {
+	inference := AccPar()
+	inference.Mode = ModeInference
+	commOnly := AccPar()
+	commOnly.Objective = ObjectiveCommOnly
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		unit string
+	}{
+		{"inference", inference, "seconds"},
+		{"comm-only", commOnly, "bytes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := buildNet(t, "alexnet", 64)
+			rec := NewAuditRecorder()
+			opt := tc.opt
+			opt.Audit = rec
+			plan, err := Partition(net, paperTree(t, 4), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var root *AuditSubproblem
+			rep := rec.Report()
+			for i := range rep.Subproblems {
+				s := &rep.Subproblems[i]
+				if s.Level == plan.Root.Level && s.Group == plan.Root.GroupDesc && s.Provenance == ProvenanceCold && !s.Leaf {
+					root = s
+					break
+				}
+			}
+			if root == nil {
+				t.Fatal("no cold root-split record in audit")
+			}
+			exs, err := plan.Explain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(exs) != len(root.Units) {
+				t.Fatalf("Explain has %d units; audit has %d", len(exs), len(root.Units))
+			}
+			for i, ex := range exs {
+				for _, cand := range root.Units[i].Candidates {
+					if cand.Reason != ReasonWon {
+						continue
+					}
+					if got := ex.UnitCost[ex.Chosen]; got != cand.CostSeconds {
+						t.Errorf("%s: Explain prices chosen %v at %g; the search weighed %g", ex.Unit, ex.Chosen, got, cand.CostSeconds)
+					}
+				}
+			}
+			s, err := plan.ExplainString()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := "per-layer costs in " + tc.unit; !strings.Contains(s, want) {
+				t.Errorf("rendered explanation lacks %q:\n%s", want, s)
+			}
+		})
+	}
+}

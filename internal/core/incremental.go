@@ -58,8 +58,7 @@ const (
 type ReplanStats struct {
 	// IncrementalHits counts subproblems served from retained state: hits
 	// on the dependency-tracked memo (a recurrent tree's root, a memoized
-	// stale re-costing, or any untouched subtree) and on the shared
-	// cross-run cache.
+	// stale re-costing, or any untouched subtree).
 	IncrementalHits int64 `json:"incremental_hits"`
 	// Invalidated counts retained entries dropped before this call by the
 	// dependency walk (hardware left the working set) or the epoch
@@ -144,9 +143,8 @@ type ReplanEngine struct {
 }
 
 // NewReplanEngine returns an engine for the network and options. The
-// options' Cache, if set, is consulted and fed as usual — the engine's
-// retained memo sits in front of it, the dependency graph under the
-// existing plan cache.
+// engine's retained memo is its only store: the options' Cache, if set,
+// is ignored, so engine work neither reads nor fills a SharedCache.
 func NewReplanEngine(net *dnn.Network, opt Options) (*ReplanEngine, error) {
 	p, err := newPlanner(nil, net, opt)
 	if err != nil {
@@ -307,7 +305,7 @@ func (e *ReplanEngine) ReplanCtx(ctx context.Context, pristine, degraded *hardwa
 		if serr != nil {
 			return serr
 		}
-		stale = &Plan{Network: pc.net, Strategy: faultFree.Strategy + " (stale)", Root: root}
+		stale = &Plan{Network: pc.net, Strategy: faultFree.Strategy + " (stale)", Root: root, opt: pc.opt}
 		if serr := stale.Validate(); serr != nil {
 			return fmt.Errorf("core: internal stale-plan inconsistency: %w", serr)
 		}
@@ -438,8 +436,7 @@ func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, di
 // staleKey tags a stale re-costing's memo key: the degraded subproblem
 // key followed by the pristine subtree digest and a tag byte. Its length
 // alone keeps it disjoint from plain subproblem keys, and it never
-// leaves the engine's memo (SharedCache and snapshots see only plain
-// keys).
+// leaves the engine's memo.
 func staleKey(key string, pristine [16]byte) string {
 	return key + string(pristine[:]) + "s"
 }

@@ -25,8 +25,8 @@ var (
 	// obsReplanHits counts subproblems an engine-driven incremental
 	// replan served from retained state instead of re-solving: hits on
 	// the engine's memo (plain subproblems, a recurrent tree's root and
-	// memoized stale re-costings alike) and the shared cache, plus stale
-	// subtrees cloned from the pristine plan.
+	// memoized stale re-costings alike), plus stale subtrees cloned from
+	// the pristine plan.
 	obsReplanHits = obs.NewCounter("core.replan_incremental_hits")
 	// obsReplanInvalidated counts retained memo entries dropped by
 	// dependency invalidation after degraded hardware left the recent

@@ -128,13 +128,16 @@ type Options struct {
 	// first at every split, so plans are byte-identical to MemoryOff
 	// whenever the constraint is inactive or non-binding.
 	MemoryLimit MemoryMode
-	// Cache, when non-nil, is the cross-run subproblem cache the search
-	// seeds its per-search memo from and feeds its solutions into. Plans
-	// are byte-identical with the cache disabled, cold or warm — caching
-	// changes wall-clock only, never decisions — which the cache
-	// equivalence tests enforce. Cache is identity, not configuration: it
-	// never influences results, so it takes no part in the search
-	// fingerprint.
+	// Cache, when non-nil, is the cross-run subproblem cache a one-shot
+	// search (PartitionCtx and the portfolio and sweep entry points built
+	// on it) seeds its per-search memo from and feeds its solutions into.
+	// Retained and derived searches ignore it: ReplanEngine, ReplanEngines,
+	// Replan, BatchEngine and StalePlan keep their own memo as their only
+	// store. Plans are byte-identical with the cache disabled, cold or
+	// warm — caching changes wall-clock only, never decisions — which the
+	// cache equivalence tests enforce. Cache is identity, not
+	// configuration: it never influences results, so it takes no part in
+	// the search fingerprint.
 	Cache *SharedCache
 	// Audit, when non-nil, records every subproblem decision the search
 	// makes — candidates, costs, winners, prune reasons, memo provenance —

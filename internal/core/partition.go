@@ -31,8 +31,9 @@ type planner struct {
 	opt      Options
 	memo     *planMemo
 	sem      *parallel.Sem
-	// shared is the optional cross-run cache (Options.Cache); searchFP
-	// namespaces this planner's subproblem keys inside it.
+	// shared is the cross-run cache (Options.Cache), attached by
+	// PartitionCtx only: retained engines keep their memo as their one
+	// store. searchFP namespaces this planner's subproblem keys inside it.
 	shared   *SharedCache
 	searchFP string
 	// hw indexes every hardware tree this planner has planned: content
@@ -57,8 +58,8 @@ type planner struct {
 }
 
 // forCall returns a shallow copy of the planner rebound to one engine
-// call: same memo, hardware index, semaphore and shared cache — the
-// retained state incremental replanning exists for — but a per-call
+// call: same memo, hardware index and semaphore — the retained state
+// incremental replanning exists for — but a per-call
 // context, epoch and stats collector. The copy is what lets one retained
 // planner serve concurrent calls with different deadlines.
 func (p *planner) forCall(ctx context.Context, epoch int64, rs *replanStats) *planner {
@@ -114,15 +115,11 @@ func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, e
 		opt:      opt,
 		memo:     newPlanMemo(),
 		sem:      parallel.NewSem(opt.Parallelism),
-		shared:   opt.Cache,
 		hw:       newHWIndex(),
 		ctx:      ctx,
 	}
 	if ctx != nil {
 		p.done = ctx.Done()
-	}
-	if p.shared != nil {
-		p.searchFP = searchFingerprint(p.units, p.segs, p.planSegs, p.opt)
 	}
 	return p, nil
 }
@@ -143,7 +140,7 @@ func (p *planner) planKeyed(tree *hardware.Tree, key string, deps []uint64) (*Pl
 	if err != nil {
 		return nil, err
 	}
-	plan := &Plan{Network: p.net, Strategy: strategyName(p.opt), Root: root, audit: p.opt.Audit}
+	plan := &Plan{Network: p.net, Strategy: strategyName(p.opt), Root: root, audit: p.opt.Audit, opt: p.opt}
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("core: internal plan inconsistency: %w", err)
 	}
@@ -175,6 +172,9 @@ func PartitionCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, op
 	p, err := newPlanner(ctx, net, opt)
 	if err != nil {
 		return nil, err
+	}
+	if opt.Cache != nil {
+		p.shared, p.searchFP = opt.Cache, searchFingerprint(p.units, p.segs, p.planSegs, p.opt)
 	}
 	return p.plan(tree)
 }
@@ -240,7 +240,6 @@ func (p *planner) partitionKeyed(node *hardware.Tree, dims []tensor.LayerDims, k
 			}
 			if hit {
 				obsSharedHits.Inc()
-				p.noteHit()
 				p.auditHit(node, key, ProvenanceSharedCacheHit)
 			}
 			p.memo.put(key, n, deps, p.epoch)

@@ -89,6 +89,10 @@ type Plan struct {
 	// (Options.Audit), surfaced via SearchAudit. Unexported so plan JSON
 	// stays byte-identical with and without auditing.
 	audit *AuditRecorder
+	// opt is the option set the plan was searched with (defaults applied),
+	// so Explain prices alternatives under the plan's own objective and
+	// mode. Zero for plans not built by a search.
+	opt Options
 }
 
 // Time returns the modelled per-iteration execution time in seconds.
@@ -188,35 +192,65 @@ func (p *Plan) TypeHistogram() map[cost.Type]int {
 	return h
 }
 
-// Validate checks structural consistency of the plan tree.
+// Validate checks structural consistency of the plan tree, reporting the
+// first defect as an *InvalidPlanError.
 func (p *Plan) Validate() error {
-	nUnits := unitCount(p.Network)
-	var walk func(n *PlanNode) error
-	walk = func(n *PlanNode) error {
-		if n == nil {
-			return fmt.Errorf("core: nil plan node")
-		}
-		if n.IsLeaf() {
-			if n.Right != nil {
-				return fmt.Errorf("core: half-leaf node at level %d", n.Level)
-			}
-			if n.LeafComputeTime < 0 || n.LeafMemTime < 0 {
-				return fmt.Errorf("core: negative leaf time at level %d", n.Level)
-			}
-			return nil
-		}
-		if len(n.Types) != nUnits {
-			return fmt.Errorf("core: level %d has %d types, want %d", n.Level, len(n.Types), nUnits)
-		}
-		if n.Alpha < cost.MinRatio || n.Alpha > 1-cost.MinRatio {
-			return fmt.Errorf("core: level %d alpha %g out of range", n.Level, n.Alpha)
-		}
-		if err := walk(n.Left); err != nil {
-			return err
-		}
-		return walk(n.Right)
+	return validateTree(p.Root, unitCount(p.Network))
+}
+
+// InvalidPlanError reports a plan node no search could have produced: a
+// structural defect Plan.Validate rejects or, in a snapshot entry
+// (SharedCache.Load), a value defect.
+type InvalidPlanError struct {
+	// Level is the hierarchy level of the offending node (0 when the node
+	// itself is missing).
+	Level int
+	// Detail describes the defect.
+	Detail string
+}
+
+func (e *InvalidPlanError) Error() string {
+	if e.Level > 0 {
+		return fmt.Sprintf("core: invalid plan node at level %d: %s", e.Level, e.Detail)
 	}
-	return walk(p.Root)
+	return fmt.Sprintf("core: invalid plan node: %s", e.Detail)
+}
+
+// invalidNode reports a defect of node n as an *InvalidPlanError.
+func invalidNode(n *PlanNode, format string, args ...any) error {
+	return &InvalidPlanError{Level: n.Level, Detail: fmt.Sprintf(format, args...)}
+}
+
+// validateTree checks the structural invariants of a plan subtree over
+// nUnits units: no nil children or half-leaves, one dims entry per unit
+// at every node, non-negative leaf times, and one type per unit and an
+// in-range ratio at every split.
+func validateTree(n *PlanNode, nUnits int) error {
+	if n == nil {
+		return &InvalidPlanError{Detail: "nil plan node"}
+	}
+	if len(n.Dims) != nUnits {
+		return invalidNode(n, "%d unit dims, want %d", len(n.Dims), nUnits)
+	}
+	if n.IsLeaf() {
+		if n.Right != nil {
+			return invalidNode(n, "half-leaf node")
+		}
+		if n.LeafComputeTime < 0 || n.LeafMemTime < 0 {
+			return invalidNode(n, "negative leaf time")
+		}
+		return nil
+	}
+	if len(n.Types) != nUnits {
+		return invalidNode(n, "%d types, want %d", len(n.Types), nUnits)
+	}
+	if n.Alpha < cost.MinRatio || n.Alpha > 1-cost.MinRatio {
+		return invalidNode(n, "alpha %g out of range", n.Alpha)
+	}
+	if err := validateTree(n.Left, nUnits); err != nil {
+		return err
+	}
+	return validateTree(n.Right, nUnits)
 }
 
 // unitCount is len(net.Units()) without materializing the unit list.

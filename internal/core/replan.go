@@ -38,7 +38,7 @@ func (p *planner) stalePlan(plan *Plan, tree *hardware.Tree) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Plan{Network: p.net, Strategy: plan.Strategy + " (stale)", Root: root}
+	out := &Plan{Network: p.net, Strategy: plan.Strategy + " (stale)", Root: root, opt: p.opt}
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("core: internal stale-plan inconsistency: %w", err)
 	}

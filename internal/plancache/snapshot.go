@@ -69,7 +69,9 @@ func (c *Cache[V]) Save(w io.Writer, schema string, encode func(V) ([]byte, erro
 // Load replays a snapshot into the cache, decoding each value and
 // inserting it subject to the normal LRU bound. It returns the number of
 // entries restored. Snapshots with a different magic, container version or
-// schema tag are rejected wholesale.
+// schema tag are rejected wholesale, and so is a snapshot with any entry
+// decode rejects: every entry is decoded before the first is inserted, so
+// a load is all-or-nothing.
 func (c *Cache[V]) Load(r io.Reader, schema string, decode func([]byte) (V, error)) (int, error) {
 	var file snapshotFile
 	if err := json.NewDecoder(r).Decode(&file); err != nil {
@@ -84,15 +86,17 @@ func (c *Cache[V]) Load(r io.Reader, schema string, decode func([]byte) (V, erro
 	if file.Schema != schema {
 		return 0, fmt.Errorf("plancache: snapshot schema %q, want %q", file.Schema, schema)
 	}
-	n := 0
-	for _, e := range file.Entries {
+	vals := make([]V, len(file.Entries))
+	for i, e := range file.Entries {
 		v, err := decode(e.V)
 		if err != nil {
-			return n, fmt.Errorf("plancache: decoding entry: %w", err)
+			return 0, fmt.Errorf("plancache: decoding entry %d: %w", i, err)
 		}
-		c.Put(string(e.K), v)
-		n++
+		vals[i] = v
 	}
-	obs.Log().Info("plancache.warm_start", "entries", n, "schema", schema)
-	return n, nil
+	for i, e := range file.Entries {
+		c.Put(string(e.K), vals[i])
+	}
+	obs.Log().Info("plancache.warm_start", "entries", len(vals), "schema", schema)
+	return len(vals), nil
 }

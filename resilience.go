@@ -214,19 +214,19 @@ func (r *ResilienceReport) String() string {
 // replanned result is adopted only if its simulated makespan beats the
 // stale run, so Replanned.Time ≤ Stale.Time always holds.
 func Resilience(net *Network, groups []ArrayGroup, strategy Strategy, sc FaultScenario, cfg SimConfig) (*ResilienceReport, error) {
-	return resilienceCachedCtx(context.Background(), nil, net, groups, strategy, sc, cfg, nil)
+	return resilienceCtx(context.Background(), nil, net, groups, strategy, sc, cfg)
 }
 
-// partitionEnginesCtx is partitionCachedCtx through an optional
-// ReplanEngines registry: with a registry the search runs on a retained
-// ReplanEngine's dependency-tracked memo, so a hardware tree the engine
-// has already solved — the pristine array on every resilience call after
-// the first, or a recurrent degraded array — is one root memo hit. Plans
-// are byte-identical to the engineless path; only the work performed
+// partitionEnginesCtx is PartitionCtx through an optional ReplanEngines
+// registry: with a registry the search runs on a retained ReplanEngine's
+// dependency-tracked memo, so a hardware tree the engine has already
+// solved — the pristine array on every resilience call after the first,
+// or a recurrent degraded array — is one root memo hit. Plans are
+// byte-identical to the engineless path; only the work performed
 // differs.
-func partitionEnginesCtx(ctx context.Context, engines *core.ReplanEngines, net *Network, arr *Array, strategy Strategy, cache *PlanCache) (*Plan, ReplanStats, error) {
+func partitionEnginesCtx(ctx context.Context, engines *core.ReplanEngines, net *Network, arr *Array, strategy Strategy) (*Plan, ReplanStats, error) {
 	if engines == nil {
-		plan, err := partitionCachedCtx(ctx, net, arr, strategy, cache)
+		plan, err := PartitionCtx(ctx, net, arr, strategy)
 		return plan, ReplanStats{}, err
 	}
 	tree, err := engines.InternTree(arr, 64)
@@ -234,28 +234,22 @@ func partitionEnginesCtx(ctx context.Context, engines *core.ReplanEngines, net *
 		return nil, ReplanStats{}, err
 	}
 	if strategy == StrategyAccPar {
-		variants := core.AccParVariants()
-		for i := range variants {
-			variants[i].Cache = cache
-		}
-		return engines.PartitionBestCtx(ctx, net, tree, variants...)
+		return engines.PartitionBestCtx(ctx, net, tree, core.AccParVariants()...)
 	}
-	opt := strategy.Options()
-	opt.Cache = cache
-	eng, err := engines.Engine(net, opt)
+	eng, err := engines.Engine(net, strategy.Options())
 	if err != nil {
 		return nil, ReplanStats{}, err
 	}
 	return eng.PlanCtx(ctx, tree)
 }
 
-// resilienceCachedCtx is Resilience through an optional shared plan
-// cache and a context; it backs the package-level entry point (nil
-// cache, background context) and Session. The partition searches poll
-// ctx themselves; the simulation phases are not cancellation-aware, so
-// the pipeline re-checks ctx between phases — an abort is observed
-// within one phase.
-func resilienceCachedCtx(ctx context.Context, engines *core.ReplanEngines, net *Network, groups []ArrayGroup, strategy Strategy, sc FaultScenario, cfg SimConfig, cache *PlanCache) (*ResilienceReport, error) {
+// resilienceCtx is Resilience through an optional engine registry and a
+// context; it backs the package-level entry point (no registry,
+// background context) and Session. The partition searches poll ctx
+// themselves; the simulation phases are not cancellation-aware, so the
+// pipeline re-checks ctx between phases — an abort is observed within
+// one phase.
+func resilienceCtx(ctx context.Context, engines *core.ReplanEngines, net *Network, groups []ArrayGroup, strategy Strategy, sc FaultScenario, cfg SimConfig) (*ResilienceReport, error) {
 	if len(groups) != 2 {
 		return nil, fmt.Errorf("accpar: resilience needs exactly 2 accelerator groups, got %d", len(groups))
 	}
@@ -272,7 +266,7 @@ func resilienceCachedCtx(ctx context.Context, engines *core.ReplanEngines, net *
 	// The experiment's phases carry spans so a trace of a resilience run
 	// reads as its pipeline: plan, three simulations, replan.
 	sp := obs.StartSpanCtx(ctx, "resilience", "plan-pristine")
-	plan, pst, err := partitionEnginesCtx(ctx, engines, net, arr, strategy, cache)
+	plan, pst, err := partitionEnginesCtx(ctx, engines, net, arr, strategy)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -319,7 +313,7 @@ func resilienceCachedCtx(ctx context.Context, engines *core.ReplanEngines, net *
 	// which entry point triggered it.
 	sp = obs.StartSpanCtx(ctx, "resilience", "plan-degraded")
 	replanStart := time.Now()
-	dplan, dst, err := partitionEnginesCtx(ctx, engines, net, darr, strategy, cache)
+	dplan, dst, err := partitionEnginesCtx(ctx, engines, net, darr, strategy)
 	sp.End()
 	if err != nil {
 		return nil, err

@@ -28,24 +28,27 @@ type CacheStats = plancache.Stats
 // solutions (≤ 0 selects the default).
 func NewPlanCache(capacity int) *PlanCache { return core.NewSharedCache(capacity) }
 
-// Session binds the package's entry points to one shared PlanCache, so
-// repeated and related searches — batch sweeps, strategy comparisons,
-// fault replanning, autotuning — reuse each other's solved subproblems
-// instead of recomputing them. A Session is safe for concurrent use;
-// methods mirror the package-level functions of the same name.
+// Session binds the package's entry points to two stores. One-shot
+// planning — Partition, PartitionWithOptions, Compare, TuneBatch,
+// TuneDepth — shares one PlanCache, so repeated and related searches
+// reuse each other's solved subproblems instead of recomputing them.
+// Fault work — Replan and Resilience — runs on retained replan engines
+// whose dependency-tracked memos are their only store; it never reads or
+// fills the PlanCache. A Session is safe for concurrent use; methods
+// mirror the package-level functions of the same name.
 //
-// Sessions persist across processes: SaveCache writes a versioned
+// The PlanCache persists across processes: SaveCache writes a versioned
 // snapshot, and a new Session warm-started with LoadCache resolves
-// previously seen subproblems without recomputation.
+// previously seen one-shot subproblems without recomputation. Replan and
+// resilience work is not in the snapshot; a new Session's first replan
+// of a network starts its engines cold.
 type Session struct {
 	cache *PlanCache
 	// engines retains per-(network, options) ReplanEngine instances so
 	// Session.ReplanCtx and Session.ResilienceCtx replan incrementally:
 	// each engine keeps a dependency-tracked subproblem memo and a
 	// recent-hardware working set, making a recurrent fault a few root
-	// memo lookups instead of a fresh search. Every
-	// engine binds the session cache, so engine misses still warm — and
-	// are warmed by — all other session work.
+	// memo lookups instead of a fresh search.
 	engines *core.ReplanEngines
 }
 
@@ -56,7 +59,7 @@ func NewSession(capacity int) *Session {
 }
 
 // Cache returns the session's shared plan cache, for callers who want to
-// pass it to the advanced entry points directly (Options.Cache).
+// pass it to the one-shot entry points directly (Options.Cache).
 func (s *Session) Cache() *PlanCache { return s.cache }
 
 // CacheStats returns the session cache's counters.
@@ -82,7 +85,7 @@ func (s *Session) LoadCacheFile(path string) (int, error) { return s.cache.LoadF
 // a free port; see DiagServer.Addr) with a "plan-cache" readiness probe
 // bound to this session: readiness fails until the session cache holds at
 // least one solved subproblem (a warm start via LoadCache, or any
-// completed search). Metrics and events are process-wide, so the server
+// completed one-shot search; replan and resilience runs do not count). Metrics and events are process-wide, so the server
 // also reflects work done outside this session.
 func (s *Session) ServeDiagnostics(addr string) (*DiagServer, error) {
 	return diag.Start(addr, diag.Options{
@@ -113,8 +116,9 @@ func (s *Session) PartitionCtx(ctx context.Context, net *Network, arr *Array, st
 }
 
 // Resilience is the package-level fault-injection experiment through the
-// session cache: the pristine and degraded partition searches share
-// subproblems with each other and with prior session work.
+// session's replan engines: the pristine and degraded partition searches
+// share subproblems with each other and with prior replan and resilience
+// work of the session, never with its plan cache.
 func (s *Session) Resilience(net *Network, groups []ArrayGroup, strategy Strategy, sc FaultScenario, cfg SimConfig) (*ResilienceReport, error) {
 	return s.ResilienceCtx(context.Background(), net, groups, strategy, sc, cfg)
 }
@@ -123,7 +127,7 @@ func (s *Session) Resilience(net *Network, groups []ArrayGroup, strategy Strateg
 // searches poll ctx, and the pipeline re-checks it between its plan and
 // simulation phases, so an abort is observed within one phase.
 func (s *Session) ResilienceCtx(ctx context.Context, net *Network, groups []ArrayGroup, strategy Strategy, sc FaultScenario, cfg SimConfig) (*ResilienceReport, error) {
-	return resilienceCachedCtx(ctx, s.engines, net, groups, strategy, sc, cfg, s.cache)
+	return resilienceCtx(ctx, s.engines, net, groups, strategy, sc, cfg)
 }
 
 // PartitionWithOptions is the package-level PartitionWithOptions through
@@ -169,10 +173,10 @@ func (s *Session) CompareCtx(ctx context.Context, net *Network, arr *Array) (*Co
 	return c, nil
 }
 
-// Replan is ReplanAnalytic through the session cache: the pristine-array
-// search, the degraded-array search, and any earlier session work share
-// subproblems (a fault touching one group leaves the other group's
-// subtrees cache-resident).
+// Replan is ReplanAnalytic through the session's replan engines: the
+// pristine-array search, the degraded-array search, and earlier replan
+// and resilience work share subproblems (a fault touching one group
+// leaves the other group's subtrees memo-resident).
 func (s *Session) Replan(net *Network, groups []ArrayGroup, strategy Strategy, sc *FaultScenario) (*ReplanReport, error) {
 	return s.ReplanCtx(context.Background(), net, groups, strategy, sc)
 }
@@ -184,9 +188,7 @@ func (s *Session) Replan(net *Network, groups []ArrayGroup, strategy Strategy, s
 // a recurrent scenario is answered entirely from the dependency-tracked
 // memo. Reports stay byte-identical to a fresh session's.
 func (s *Session) ReplanCtx(ctx context.Context, net *Network, groups []ArrayGroup, strategy Strategy, sc *FaultScenario) (*ReplanReport, error) {
-	opt := strategy.Options()
-	opt.Cache = s.cache
-	return replanAnalyticCtx(ctx, s.engines, net, groups, opt, sc)
+	return replanAnalyticCtx(ctx, s.engines, net, groups, strategy.Options(), sc)
 }
 
 // TuneBatch is the package-level TuneBatch through the session cache.

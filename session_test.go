@@ -2,6 +2,7 @@ package accpar
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -207,5 +208,50 @@ func TestSessionTuneDepthCached(t *testing.T) {
 	}
 	if st := sess.CacheStats(); st.Hits == 0 {
 		t.Errorf("repeated TuneDepth shared nothing: %+v", st)
+	}
+}
+
+// TestSessionReplanLeavesCacheUntouched: a Session's replan and
+// resilience runs go through its retained replan engines, whose memos are
+// their only store, so they neither consult nor fill the session cache;
+// one-shot planning through the same session still fills it and then
+// hits it.
+func TestSessionReplanLeavesCacheUntouched(t *testing.T) {
+	net, err := BuildModel("alexnet", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := v2v3ResilienceGroups(4)
+	fl, err := ParseFaults("slowdown:0=2.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := FaultScenario{Seed: 1, Faults: fl}
+	ctx := context.Background()
+
+	sess := NewSession(0)
+	for pass := 0; pass < 2; pass++ {
+		if _, err := sess.ReplanCtx(ctx, net, groups, StrategyAccPar, &sc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.ResilienceCtx(ctx, net, groups, StrategyAccPar, sc, SimConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := sess.CacheStats(); st.Hits+st.Misses != 0 || st.Entries != 0 {
+		t.Errorf("replan and resilience runs used the session cache: %+v", st)
+	}
+
+	arr, err := HeterogeneousArray(groups...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		if _, err := sess.Partition(net, arr, StrategyAccPar); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := sess.CacheStats(); st.Entries == 0 || st.Hits == 0 {
+		t.Errorf("Session.Partition should fill the cache, then hit it: %+v", st)
 	}
 }
