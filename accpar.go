@@ -230,13 +230,19 @@ func HeterogeneousArray(groups ...ArrayGroup) (*Array, error) {
 	return hardware.NewHeterogeneous(groups...)
 }
 
+// MaxAccelerators bounds the fleets ParseFleet and the planning service
+// accept, in accelerators in total. It is checked before any array is
+// built, so an oversized request costs a parse, not an allocation.
+const MaxAccelerators = 1 << 16
+
 // ParseFleet builds an array from a "name:count,name:count" description
 // using the built-in accelerator presets (tpu-v2, tpu-v3, gpu-class-a,
 // gpu-class-b, edge-npu). This is the parser behind the CLI and serve
-// -fleet/"fleet" specs.
+// -fleet/"fleet" specs. Fleets over MaxAccelerators are rejected.
 func ParseFleet(desc string) (*Array, error) {
 	presets := hardware.Presets()
 	var groups []ArrayGroup
+	total := 0
 	for _, part := range strings.Split(desc, ",") {
 		part = strings.TrimSpace(part)
 		name, countStr, ok := strings.Cut(part, ":")
@@ -251,83 +257,42 @@ func ParseFleet(desc string) (*Array, error) {
 		if err != nil || count < 1 {
 			return nil, fmt.Errorf("fleet entry %q: bad count", part)
 		}
+		if count > MaxAccelerators-total {
+			return nil, fmt.Errorf("fleet %q: more than %d accelerators", desc, MaxAccelerators)
+		}
+		total += count
 		groups = append(groups, ArrayGroup{Spec: spec, Count: count})
 	}
 	return HeterogeneousArray(groups...)
 }
 
 // Strategy selects a parallelization scheme.
-type Strategy int
+type Strategy = core.Strategy
 
+// The four compared strategies.
 const (
 	// StrategyDP is the data-parallelism baseline: every layer Type-I,
 	// equal ratios.
-	StrategyDP Strategy = iota
+	StrategyDP = core.StrategyDP
 	// StrategyOWT is "one weird trick": CONV layers data-parallel, FC
 	// layers model-parallel.
-	StrategyOWT
+	StrategyOWT = core.StrategyOWT
 	// StrategyHyPar is the HyPar baseline: two types, communication-only
 	// objective, equal ratios, linearized graphs.
-	StrategyHyPar
+	StrategyHyPar = core.StrategyHyPar
 	// StrategyAccPar is the full AccPar method: complete type space, joint
 	// cost model, flexible ratios, native multi-path search.
-	StrategyAccPar
+	StrategyAccPar = core.StrategyAccPar
 )
 
 // Strategies lists all strategies in ascending flexibility order
 // (Table 8 of the paper: DP ≺ OWT ≺ HyPar ≺ AccPar).
-var Strategies = []Strategy{StrategyDP, StrategyOWT, StrategyHyPar, StrategyAccPar}
+var Strategies = core.Strategies
 
 // ParseStrategy converts a case-insensitive strategy name ("dp", "owt",
 // "hypar", "accpar") to a Strategy — the parser behind the CLI and serve
 // -strategy/"strategy" inputs.
-func ParseStrategy(name string) (Strategy, error) {
-	switch strings.ToLower(name) {
-	case "dp":
-		return StrategyDP, nil
-	case "owt":
-		return StrategyOWT, nil
-	case "hypar":
-		return StrategyHyPar, nil
-	case "accpar":
-		return StrategyAccPar, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q (want dp, owt, hypar or accpar)", name)
-	}
-}
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyDP:
-		return "DP"
-	case StrategyOWT:
-		return "OWT"
-	case StrategyHyPar:
-		return "HyPar"
-	case StrategyAccPar:
-		return "AccPar"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// Options returns the underlying partitioner configuration, for callers who
-// want to tweak it before PartitionWithOptions.
-func (s Strategy) Options() Options {
-	switch s {
-	case StrategyDP:
-		return core.DataParallel()
-	case StrategyOWT:
-		return core.OWT()
-	case StrategyHyPar:
-		return core.HyPar()
-	case StrategyAccPar:
-		return core.AccPar()
-	default:
-		panic(fmt.Sprintf("accpar: invalid strategy %d", int(s)))
-	}
-}
+func ParseStrategy(name string) (Strategy, error) { return core.ParseStrategy(name) }
 
 // Partition produces the hierarchical partitioning plan of the network on
 // the array under the strategy, splitting the array down to single
@@ -351,16 +316,15 @@ func PartitionCtx(ctx context.Context, net *Network, arr *Array, strategy Strate
 // partitionCachedCtx is Partition through an optional shared plan cache
 // and a context; it backs the package-level entry points and Session.
 func partitionCachedCtx(ctx context.Context, net *Network, arr *Array, strategy Strategy, cache *PlanCache) (*Plan, error) {
-	if strategy == StrategyAccPar {
-		tree, err := hardware.BuildTree(arr, 64)
-		if err != nil {
-			return nil, err
-		}
-		return core.PartitionAccParCachedCtx(ctx, net, tree, cache)
+	tree, err := hardware.BuildTree(arr, 64)
+	if err != nil {
+		return nil, err
 	}
-	opt := strategy.Options()
-	opt.Cache = cache
-	return PartitionWithOptionsCtx(ctx, net, arr, opt, 64)
+	opts := strategy.Variants()
+	for i := range opts {
+		opts[i].Cache = cache
+	}
+	return core.PartitionCtx(ctx, net, tree, opts...)
 }
 
 // PartitionWithOptions is the advanced entry point: explicit partitioner
@@ -422,13 +386,13 @@ func TuneBatch(model string, arr *Array, minBatch, maxBatch int) (*autotune.Batc
 	if err != nil {
 		return nil, err
 	}
-	return autotune.TuneBatch(model, tree, minBatch, maxBatch)
+	return autotune.TuneBatch(model, tree, minBatch, maxBatch, nil)
 }
 
 // TuneDepth sweeps hierarchy-level budgets on the array and returns the
 // budget with the highest AccPar throughput for the network.
 func TuneDepth(net *Network, arr *Array) (*autotune.DepthResult, error) {
-	return autotune.TuneDepth(net, arr)
+	return autotune.TuneDepth(net, arr, nil)
 }
 
 // SimulateArray runs the array-level event-driven simulation of a full

@@ -6,6 +6,7 @@ package accpar
 // the trace generator.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,7 +34,7 @@ func BenchmarkTopologySweep(b *testing.B) {
 	}
 	var full, ring float64
 	for _, r := range results {
-		if r.Scheme == eval.SchemeAccPar {
+		if r.Scheme == StrategyAccPar {
 			switch r.Topology.String() {
 			case "full-bisection":
 				full = r.Time
@@ -60,10 +61,10 @@ func BenchmarkBatchSweep(b *testing.B) {
 		}
 	}
 	for _, r := range results {
-		if r.Scheme == eval.SchemeAccPar && r.Batch == 64 {
+		if r.Scheme == StrategyAccPar && r.Batch == 64 {
 			b.ReportMetric(r.Speedup, "accpar_b64")
 		}
-		if r.Scheme == eval.SchemeAccPar && r.Batch == 1024 {
+		if r.Scheme == StrategyAccPar && r.Batch == 1024 {
 			b.ReportMetric(r.Speedup, "accpar_b1024")
 		}
 	}
@@ -106,7 +107,7 @@ func BenchmarkExhaustiveSearch(b *testing.B) {
 	opt.Exhaustive = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Partition(net, tree, opt); err != nil {
+		if _, err := core.PartitionCtx(context.Background(), net, tree, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -146,7 +147,7 @@ func BenchmarkMemoryReport(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := core.PartitionAccPar(net, tree)
+	plan, err := core.PartitionCtx(context.Background(), net, tree, core.StrategyAccPar.Variants()...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func BenchmarkArraySimulation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := core.PartitionAccPar(net, tree)
+	plan, err := core.PartitionCtx(context.Background(), net, tree, core.StrategyAccPar.Variants()...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -203,13 +204,13 @@ func BenchmarkInferencePartitioning(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			train, err := core.PartitionAccPar(net, tree)
+			train, err := core.PartitionCtx(context.Background(), net, tree, core.StrategyAccPar.Variants()...)
 			if err != nil {
 				b.Fatal(err)
 			}
 			opt := core.AccPar()
 			opt.Mode = core.ModeInference
-			infer, err := core.Partition(net, tree, opt)
+			infer, err := core.PartitionCtx(context.Background(), net, tree, opt)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -14,6 +14,7 @@ package accpar
 // figures). EXPERIMENTS.md records paper-vs-measured for every entry.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -25,9 +26,9 @@ import (
 // reportGeomeans attaches the four schemes' geometric-mean speedups.
 func reportGeomeans(b *testing.B, fr *eval.FigureResult) {
 	b.Helper()
-	b.ReportMetric(fr.Geomean[eval.SchemeOWT], "geomean_owt")
-	b.ReportMetric(fr.Geomean[eval.SchemeHyPar], "geomean_hypar")
-	b.ReportMetric(fr.Geomean[eval.SchemeAccPar], "geomean_accpar")
+	b.ReportMetric(fr.Geomean[StrategyOWT], "geomean_owt")
+	b.ReportMetric(fr.Geomean[StrategyHyPar], "geomean_hypar")
+	b.ReportMetric(fr.Geomean[StrategyAccPar], "geomean_accpar")
 }
 
 // BenchmarkFigure5Heterogeneous regenerates Figure 5: the speedup of DP,
@@ -98,7 +99,7 @@ func BenchmarkFigure8Hierarchy(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	acc := fr.Series[eval.SchemeAccPar].Y
+	acc := fr.Series[StrategyAccPar].Y
 	b.ReportMetric(acc[0], "accpar_h2")
 	b.ReportMetric(acc[len(acc)-1], "accpar_h9")
 	b.Logf("\n%s", fr.Table)
@@ -174,7 +175,7 @@ func BenchmarkPartitionSearch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Partition(net, tree, core.AccPar()); err != nil {
+		if _, err := core.PartitionCtx(context.Background(), net, tree, core.AccPar()); err != nil {
 			b.Fatal(err)
 		}
 	}

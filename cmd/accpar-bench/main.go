@@ -243,9 +243,9 @@ func run(cfg eval.Config, fig, table int, ablations, bars bool) error {
 func printFigure(fr *eval.FigureResult, bars bool) {
 	fmt.Println(fr.Table)
 	if bars {
-		fmt.Println(fr.Series[eval.SchemeAccPar].Bars(48))
+		fmt.Println(fr.Series[core.StrategyAccPar].Bars(48))
 	}
 	fmt.Printf("geomean speedups: DP %.2f  OWT %.2f  HyPar %.2f  AccPar %.2f\n\n",
-		fr.Geomean[eval.SchemeDP], fr.Geomean[eval.SchemeOWT],
-		fr.Geomean[eval.SchemeHyPar], fr.Geomean[eval.SchemeAccPar])
+		fr.Geomean[core.StrategyDP], fr.Geomean[core.StrategyOWT],
+		fr.Geomean[core.StrategyHyPar], fr.Geomean[core.StrategyAccPar])
 }

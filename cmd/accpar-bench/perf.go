@@ -92,7 +92,7 @@ func entry(name string, r testing.BenchmarkResult) BenchEntry {
 	}
 }
 
-// benchPartition measures core.Partition on one model over the
+// benchPartition measures core.PartitionCtx on one model over the
 // heterogeneous paper array at the given worker count.
 func benchPartition(model string, batch, perKind, parallelism int) (testing.BenchmarkResult, error) {
 	net, err := models.BuildNetwork(model, batch)
@@ -109,7 +109,7 @@ func benchPartition(model string, batch, perKind, parallelism int) (testing.Benc
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Partition(net, tree, opt); err != nil {
+			if _, err := core.PartitionCtx(context.Background(), net, tree, opt); err != nil {
 				benchErr = err
 				b.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func benchPartition(model string, batch, perKind, parallelism int) (testing.Benc
 	return r, benchErr
 }
 
-// benchPartitionConstrained measures core.Partition on the paper array
+// benchPartitionConstrained measures core.PartitionCtx on the paper array
 // under the given memory mode, serially so the off/reject comparison
 // isn't confounded by scheduling noise. At Table 7 capacities the
 // constraint is non-binding, making the reject-mode run a direct
@@ -140,7 +140,7 @@ func benchPartitionConstrained(model string, batch, perKind int, mode core.Memor
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Partition(net, tree, opt); err != nil {
+			if _, err := core.PartitionCtx(context.Background(), net, tree, opt); err != nil {
 				benchErr = err
 				b.Fatal(err)
 			}
@@ -263,7 +263,7 @@ func benchReplanAfterFault(model string, batch, perKind int) (full, incremental,
 	full = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Replan(net, pristine, degraded, core.AccPar()); err != nil {
+			if _, err := core.ReplanCtx(context.Background(), net, pristine, degraded, core.AccPar()); err != nil {
 				benchErr = err
 				b.Fatal(err)
 			}
@@ -368,7 +368,7 @@ const dseFault = "slowdown:0=2.0"
 // benchDSESweep times the fleet design-space sweep two ways on one
 // model. Cold is the pre-batch-engine baseline of independent
 // per-candidate searches — the production entry points run per fleet
-// with no retained state: PartitionAccPar for the makespan, a stale
+// with no retained state: the AccPar portfolio for the makespan, a stale
 // re-cost plus a fresh portfolio search of the degraded tree for the
 // resilience axis (without an engine there is no retained winner to
 // narrow the replan to). Shared is the shipped dse.Sweep: one
@@ -399,7 +399,7 @@ func benchDSESweep(model string, batch, perKind int) (cold, shared testing.Bench
 			if err != nil {
 				return err
 			}
-			plan, err := core.PartitionAccPar(net, tree)
+			plan, err := core.PartitionCtx(context.Background(), net, tree, core.StrategyAccPar.Variants()...)
 			if err != nil {
 				return err
 			}
@@ -413,7 +413,7 @@ func benchDSESweep(model string, batch, perKind int) (cold, shared testing.Bench
 			if _, err := core.StalePlan(net, plan, degraded, core.AccPar()); err != nil {
 				return err
 			}
-			_, err = core.PartitionAccPar(net, degraded)
+			_, err = core.PartitionCtx(context.Background(), net, degraded, core.StrategyAccPar.Variants()...)
 			return err
 		})
 	}
@@ -617,7 +617,7 @@ func runPerf(cfg eval.Config, jsonPath, cacheFile, cpuProfile, memProfile string
 		return err
 	}
 	sweepCold, sweepWarm, err := benchColdWarm(func(cache *core.SharedCache) error {
-		_, err := eval.SpeedupSweepCached(tree, []string{"resnet50"}, batch, cache)
+		_, err := eval.SpeedupSweep(context.Background(), tree, []string{"resnet50"}, batch, cache)
 		return err
 	})
 	if err != nil {
@@ -634,7 +634,7 @@ func runPerf(cfg eval.Config, jsonPath, cacheFile, cpuProfile, memProfile string
 		minBatch = 16
 	}
 	tuneCold, tuneWarm, err := benchColdWarm(func(cache *core.SharedCache) error {
-		_, err := autotune.TuneBatchCached("resnet50", tree, minBatch, batch, cache)
+		_, err := autotune.TuneBatch("resnet50", tree, minBatch, batch, cache)
 		return err
 	})
 	if err != nil {
@@ -658,7 +658,7 @@ func runPerf(cfg eval.Config, jsonPath, cacheFile, cpuProfile, memProfile string
 		}
 		report.WarmStartEntries = n
 		start := time.Now()
-		if _, err := autotune.TuneBatchCached("resnet50", tree, minBatch, batch, persist); err != nil {
+		if _, err := autotune.TuneBatch("resnet50", tree, minBatch, batch, persist); err != nil {
 			return err
 		}
 		elapsed := time.Since(start)
@@ -728,7 +728,7 @@ func profilePartition(model string, batch, perKind int, cpuProfile, memProfile s
 			return err
 		}
 		for i := 0; i < 5; i++ {
-			if _, err := core.Partition(net, tree, core.AccPar()); err != nil {
+			if _, err := core.PartitionCtx(context.Background(), net, tree, core.AccPar()); err != nil {
 				pprof.StopCPUProfile()
 				f.Close()
 				return err
@@ -741,7 +741,7 @@ func profilePartition(model string, batch, perKind int, cpuProfile, memProfile s
 		fmt.Println("wrote:", cpuProfile)
 	}
 	if memProfile != "" {
-		if _, err := core.Partition(net, tree, core.AccPar()); err != nil {
+		if _, err := core.PartitionCtx(context.Background(), net, tree, core.AccPar()); err != nil {
 			return err
 		}
 		f, err := os.Create(memProfile)

@@ -16,7 +16,7 @@ import (
 )
 
 // newTestMuxCfg is newTestMux with explicit robustness knobs.
-func newTestMuxCfg(t *testing.T, cfg serveConfig) (*server, *http.ServeMux) {
+func newTestMuxCfg(t testing.TB, cfg serveConfig) (*server, *http.ServeMux) {
 	t.Helper()
 	srv := newServer(accpar.NewSession(0), cfg)
 	mux := http.NewServeMux()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -269,14 +270,30 @@ func (q *planRequest) defaults() {
 	}
 }
 
+// checkFleet rejects a v2/v3 fleet larger than accpar.MaxAccelerators
+// before any array is built (ParseFleet bounds "fleet" specs itself).
+func (q *planRequest) checkFleet() error {
+	if q.V2 > accpar.MaxAccelerators || q.V3 > accpar.MaxAccelerators || q.V2+q.V3 > accpar.MaxAccelerators {
+		return fmt.Errorf("fleet v2=%d v3=%d: more than %d accelerators", q.V2, q.V3, accpar.MaxAccelerators)
+	}
+	return nil
+}
+
 // decodeBody parses the request body into v with the server's body
-// bound applied: oversize bodies answer 413, malformed ones 400. An
-// empty body is valid and leaves v zero-valued (all defaults).
+// bound applied: oversize bodies answer 413, malformed ones — including
+// any data after the JSON object — 400. An empty body is valid and
+// leaves v zero-valued (all defaults).
 func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil && err.Error() != "EOF" {
+	err := dec.Decode(v)
+	if err == nil {
+		if err = dec.Decode(new(json.RawMessage)); err == nil {
+			err = errors.New("data after the JSON object")
+		}
+	}
+	if err != nil && !errors.Is(err, io.EOF) {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit), http.StatusRequestEntityTooLarge)
@@ -288,12 +305,17 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
-// decode parses the request body into req, applying defaults.
-func (s *server) decode(w http.ResponseWriter, r *http.Request, req *planRequest) bool {
-	if !s.decodeBody(w, r, req) {
+// decode parses the request body into v, whose workload spec is req,
+// applies the defaults and bounds the fleet.
+func (s *server) decode(w http.ResponseWriter, r *http.Request, v any, req *planRequest) bool {
+	if !s.decodeBody(w, r, v) {
 		return false
 	}
 	req.defaults()
+	if err := req.checkFleet(); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return false
+	}
 	return true
 }
 
@@ -372,7 +394,7 @@ func buildArray(v2, v3 int) (*accpar.Array, error) {
 // trace beside it.
 func (s *server) plan(w http.ResponseWriter, r *http.Request) {
 	var req planRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, &req, &req) {
 		return
 	}
 	captureFrom(r.Context()).note(req.Tag, req.summary())
@@ -501,7 +523,7 @@ type compareRow struct {
 // with times, throughputs and speedups over the DP baseline.
 func (s *server) compare(w http.ResponseWriter, r *http.Request) {
 	var req planRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, &req, &req) {
 		return
 	}
 	captureFrom(r.Context()).note(req.Tag, req.summary())
@@ -553,10 +575,9 @@ type resilienceRequest struct {
 // fault-free / stale / replanned experiment on a two-group array.
 func (s *server) resilience(w http.ResponseWriter, r *http.Request) {
 	var req resilienceRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decode(w, r, &req, &req.planRequest) {
 		return
 	}
-	req.defaults()
 	captureFrom(r.Context()).note(req.Tag, req.summary())
 	if req.Seed == 0 {
 		req.Seed = 1

@@ -99,18 +99,9 @@ func run(o opts) error {
 	if err != nil {
 		return err
 	}
-	var st accpar.Strategy
-	switch strings.ToLower(o.strategy) {
-	case "dp":
-		st = accpar.StrategyDP
-	case "owt":
-		st = accpar.StrategyOWT
-	case "hypar":
-		st = accpar.StrategyHyPar
-	case "accpar":
-		st = accpar.StrategyAccPar
-	default:
-		return fmt.Errorf("unknown strategy %q", o.strategy)
+	st, err := accpar.ParseStrategy(o.strategy)
+	if err != nil {
+		return err
 	}
 	if o.replan && o.faults == "" {
 		return fmt.Errorf("-replan needs a -faults scenario to replan against")

@@ -11,13 +11,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"accpar"
 	"accpar/internal/core"
-	"accpar/internal/eval"
 	"accpar/internal/hardware"
 	"accpar/internal/obs"
 	"accpar/internal/workload"
@@ -107,23 +107,16 @@ func run(seed int64, batch, layers, v2, v3 int, dotOut string) error {
 		return err
 	}
 	fmt.Printf("%-8s %-14s %-10s\n", "scheme", "time/iter (s)", "speedup")
-	var dpTime float64
-	for _, s := range eval.Schemes {
-		plan, err := s.Partition(net, tree)
+	plans := map[core.Strategy]*core.Plan{}
+	for _, s := range core.Strategies {
+		plan, err := core.PartitionCtx(context.Background(), net, tree, s.Variants()...)
 		if err != nil {
 			return err
 		}
-		if s == eval.SchemeDP {
-			dpTime = plan.Time()
-		}
-		fmt.Printf("%-8v %-14.6g %-10.2f\n", s, plan.Time(), dpTime/plan.Time())
-	}
-
-	plan, err := core.PartitionAccPar(net, tree)
-	if err != nil {
-		return err
+		plans[s] = plan
+		fmt.Printf("%-8v %-14.6g %-10.2f\n", s, plan.Time(), plans[core.StrategyDP].Time()/plan.Time())
 	}
 	fmt.Println()
-	fmt.Println(plan.TypeMap())
+	fmt.Println(plans[core.StrategyAccPar].TypeMap())
 	return nil
 }

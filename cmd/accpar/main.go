@@ -125,7 +125,7 @@ func run(model string, batch, v2, v3 int, fleet, strategy string, levels int, sh
 		return nil
 	}
 
-	st, err := parseStrategy(strategy)
+	st, err := accpar.ParseStrategy(strategy)
 	if err != nil {
 		return err
 	}
@@ -221,5 +221,3 @@ func buildArray(v2, v3 int) (*accpar.Array, error) {
 		return nil, fmt.Errorf("need at least one accelerator (-v2/-v3)")
 	}
 }
-
-func parseStrategy(s string) (accpar.Strategy, error) { return accpar.ParseStrategy(s) }

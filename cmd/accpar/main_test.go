@@ -15,12 +15,12 @@ func TestParseStrategy(t *testing.T) {
 		"hypar": accpar.StrategyHyPar, "AccPar": accpar.StrategyAccPar,
 	}
 	for in, want := range cases {
-		got, err := parseStrategy(in)
+		got, err := accpar.ParseStrategy(in)
 		if err != nil || got != want {
-			t.Errorf("parseStrategy(%q) = %v, %v", in, got, err)
+			t.Errorf("accpar.ParseStrategy(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := parseStrategy("alpa"); err == nil {
+	if _, err := accpar.ParseStrategy("alpa"); err == nil {
 		t.Error("unknown strategy must error")
 	}
 }
@@ -66,7 +66,7 @@ func TestParseFleet(t *testing.T) {
 	if err != nil || arr.Size() != 6 {
 		t.Errorf("ParseFleet: %v, %v", arr, err)
 	}
-	for _, bad := range []string{"tpu-v2", "nope:4", "tpu-v2:x", "tpu-v2:0"} {
+	for _, bad := range []string{"tpu-v2", "nope:4", "tpu-v2:x", "tpu-v2:0", "tpu-v3:4000000", "tpu-v2:40000,tpu-v3:40000", "tpu-v2:9223372036854775807"} {
 		if _, err := accpar.ParseFleet(bad); err == nil {
 			t.Errorf("ParseFleet(%q) must error", bad)
 		}

@@ -1,6 +1,7 @@
 package arraysim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -25,7 +26,7 @@ func planAndTree(t *testing.T, model string, batch, perKind int, opt core.Option
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := core.Partition(net, tree, opt)
+	plan, err := core.PartitionCtx(context.Background(), net, tree, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package autotune
 
 import (
+	"context"
 	"fmt"
 
 	"accpar/internal/core"
@@ -33,20 +34,17 @@ type BatchResult struct {
 
 // TuneBatch sweeps power-of-two batch sizes in [minBatch, maxBatch] for
 // the model on the array, partitions each with AccPar, and returns the
-// highest-throughput batch whose plan fits every leaf's HBM.
-func TuneBatch(model string, tree *hardware.Tree, minBatch, maxBatch int) (*BatchResult, error) {
-	return TuneBatchCached(model, tree, minBatch, maxBatch, nil)
-}
-
-// TuneBatchCached is TuneBatch over a shared cross-run plan cache (nil for
-// the uncached sweep). Batch sizes change every subproblem's dims, so one
-// cold sweep shares little with itself — but a repeated or replayed sweep
-// (the deployment loop re-tuning after every fleet change) resolves
-// entirely from a warm cache.
-func TuneBatchCached(model string, tree *hardware.Tree, minBatch, maxBatch int, cache *core.SharedCache) (*BatchResult, error) {
+// highest-throughput batch whose plan fits every leaf's HBM. Every search
+// seeds from and feeds cache (nil for the uncached sweep). Batch sizes
+// change every subproblem's dims, so one cold sweep shares little with
+// itself — but a repeated or replayed sweep (the deployment loop
+// re-tuning after every fleet change) resolves entirely from a warm
+// cache.
+func TuneBatch(model string, tree *hardware.Tree, minBatch, maxBatch int, cache *core.SharedCache) (*BatchResult, error) {
 	if minBatch < 1 || maxBatch < minBatch {
 		return nil, fmt.Errorf("autotune: invalid batch range [%d,%d]", minBatch, maxBatch)
 	}
+	opts := accParCached(cache)
 	res := &BatchResult{}
 	found := false
 	for b := minBatch; b <= maxBatch; b *= 2 {
@@ -54,7 +52,7 @@ func TuneBatchCached(model string, tree *hardware.Tree, minBatch, maxBatch int, 
 		if err != nil {
 			return nil, err
 		}
-		plan, err := core.PartitionAccParCached(net, tree, cache)
+		plan, err := core.PartitionCtx(context.TODO(), net, tree, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -94,16 +92,12 @@ type DepthResult struct {
 // TuneDepth sweeps hierarchy-level budgets from 1 to the array's full
 // depth and returns the budget with the highest AccPar throughput. Deeper
 // hierarchies trade more explicit partitioning decisions (Figure 8's
-// x-axis) against more communication levels.
-func TuneDepth(net *dnn.Network, arr *hardware.Array) (*DepthResult, error) {
-	return TuneDepthCached(net, arr, nil)
-}
-
-// TuneDepthCached is TuneDepth over a shared cross-run plan cache (nil for
-// the uncached sweep). Depth budgets share their upper tree levels'
-// subtrees across iterations, so even a cold depth sweep reuses work; a
-// warm one resolves entirely from the cache.
-func TuneDepthCached(net *dnn.Network, arr *hardware.Array, cache *core.SharedCache) (*DepthResult, error) {
+// x-axis) against more communication levels. Every search seeds from and
+// feeds cache (nil for the uncached sweep); depth budgets share their
+// upper tree levels' subtrees, so even a cold depth sweep reuses work and
+// a warm one resolves entirely from the cache.
+func TuneDepth(net *dnn.Network, arr *hardware.Array, cache *core.SharedCache) (*DepthResult, error) {
+	opts := accParCached(cache)
 	full, err := hardware.BuildTree(arr, 64)
 	if err != nil {
 		return nil, err
@@ -118,7 +112,7 @@ func TuneDepthCached(net *dnn.Network, arr *hardware.Array, cache *core.SharedCa
 		if err != nil {
 			return nil, err
 		}
-		plan, err := core.PartitionAccParCached(net, tree, cache)
+		plan, err := core.PartitionCtx(context.TODO(), net, tree, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -129,4 +123,14 @@ func TuneDepthCached(net *dnn.Network, arr *hardware.Array, cache *core.SharedCa
 		}
 	}
 	return res, nil
+}
+
+// accParCached is the AccPar portfolio with every variant seeding from
+// and feeding cache.
+func accParCached(cache *core.SharedCache) []core.Options {
+	opts := core.StrategyAccPar.Variants()
+	for i := range opts {
+		opts[i].Cache = cache
+	}
+	return opts
 }

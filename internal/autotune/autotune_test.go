@@ -23,7 +23,7 @@ func smallTree(t *testing.T) *hardware.Tree {
 }
 
 func TestTuneBatch(t *testing.T) {
-	res, err := TuneBatch("alexnet", smallTree(t), 32, 256)
+	res, err := TuneBatch("alexnet", smallTree(t), 32, 256, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +56,10 @@ func TestTuneBatchMemoryGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TuneBatch("vgg16", tree, 64, 128); err == nil {
+	if _, err := TuneBatch("vgg16", tree, 64, 128, nil); err == nil {
 		t.Error("infeasible memory must be reported")
 	}
-	if _, err := TuneBatch("vgg16", tree, 128, 64); err == nil {
+	if _, err := TuneBatch("vgg16", tree, 128, 64, nil); err == nil {
 		t.Error("inverted range must be rejected")
 	}
 }
@@ -75,7 +75,7 @@ func TestTuneDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TuneDepth(net, arr)
+	res, err := TuneDepth(net, arr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestColdSearchAllocBudget(t *testing.T) {
 	opt.Parallelism = 1
 	var planErr error
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := Partition(net, tree, opt); err != nil {
+		if _, err := PartitionCtx(context.Background(), net, tree, opt); err != nil {
 			planErr = err
 		}
 	})
@@ -60,7 +60,7 @@ func TestReplanSteadyStateAllocBudget(t *testing.T) {
 	}
 	groups := v2v3Groups(16)
 	pristine := treeFor(t, groups...)
-	variants := AccParVariants()
+	variants := StrategyAccPar.Variants()
 	for i := range variants {
 		variants[i].Parallelism = 1
 	}
@@ -69,7 +69,7 @@ func TestReplanSteadyStateAllocBudget(t *testing.T) {
 	var planErr error
 	replan := func(degraded *hardware.Tree) {
 		for _, tree := range []*hardware.Tree{pristine, degraded} {
-			if _, _, err := reg.PartitionBestCtx(ctx, net, tree, variants...); err != nil {
+			if _, _, err := reg.PartitionCtx(ctx, net, tree, variants...); err != nil {
 				planErr = err
 			}
 		}

@@ -19,7 +19,7 @@ func TestAuditEquivalence(t *testing.T) {
 	net := buildNet(t, "resnet50", 64)
 	tree := paperTree(t, 4)
 
-	plain, err := Partition(net, tree, AccPar())
+	plain, err := PartitionCtx(context.Background(), net, tree, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestAuditEquivalence(t *testing.T) {
 
 	opt := AccPar()
 	opt.Audit = NewAuditRecorder()
-	audited, err := Partition(net, tree, opt)
+	audited, err := PartitionCtx(context.Background(), net, tree, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestAuditEquivalence(t *testing.T) {
 	serial := AccPar()
 	serial.Parallelism = 1
 	serial.Audit = NewAuditRecorder()
-	if _, err := Partition(net, tree, serial); err != nil {
+	if _, err := PartitionCtx(context.Background(), net, tree, serial); err != nil {
 		t.Fatal(err)
 	}
 	a, err := json.Marshal(rep)
@@ -74,28 +74,28 @@ func TestAuditEquivalence(t *testing.T) {
 
 // TestAuditGoldenSmallFleet pins the audit against the production search
 // on a small FC workload: the portfolio's adopted audit must name exactly
-// the winner PartitionAccPar returns, with per-unit costs matching the
-// Explain cost model.
+// the winner the AccPar portfolio search returns, with per-unit costs
+// matching the Explain cost model.
 func TestAuditGoldenSmallFleet(t *testing.T) {
 	net := buildNet(t, "mlp", 64)
 	tree := paperTree(t, 2)
 
-	want, err := PartitionAccPar(net, tree)
+	want, err := PartitionCtx(context.Background(), net, tree, StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rec := NewAuditRecorder()
-	variants := AccParVariants()
+	variants := StrategyAccPar.Variants()
 	for i := range variants {
 		variants[i].Audit = rec
 	}
-	plan, err := PartitionBestCtx(context.Background(), net, tree, variants...)
+	plan, err := PartitionCtx(context.Background(), net, tree, variants...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(planJSON(t, plan), planJSON(t, want)) {
-		t.Fatal("audited portfolio plan differs from PartitionAccPar")
+		t.Fatal("audited portfolio plan differs from the AccPar portfolio search")
 	}
 
 	rep := rec.Report()
@@ -160,7 +160,7 @@ func TestAuditRejectShowsCapacityFloorPrune(t *testing.T) {
 	opt := AccPar()
 	opt.MemoryLimit = MemoryReject
 	opt.Audit = NewAuditRecorder()
-	_, err := Partition(net, tree, opt)
+	_, err := PartitionCtx(context.Background(), net, tree, opt)
 	var nfe *NoFeasiblePlanError
 	if !errors.As(err, &nfe) {
 		t.Fatalf("got %v; want *NoFeasiblePlanError", err)

@@ -68,7 +68,7 @@ func (e *BatchEngine) PlanCtx(ctx context.Context, tree *hardware.Tree) (*Plan, 
 
 // ReplanTimeCtx models the candidate's post-fault operating point: plan's
 // decisions re-costed on the degraded tree (stale) and a fresh
-// degradation-aware partition, adopting the faster — exactly Replan's
+// degradation-aware partition, adopting the faster — exactly ReplanCtx's
 // adoption rule, but through the sweep-shared memo, so degraded subtrees
 // common to many candidates are also solved once.
 func (e *BatchEngine) ReplanTimeCtx(ctx context.Context, plan *Plan, degraded *hardware.Tree) (float64, error) {
@@ -94,9 +94,9 @@ func (e *BatchEngine) LowerBound(tree *hardware.Tree) float64 {
 }
 
 // BatchSet is the portfolio counterpart of BatchEngine: one engine per
-// option set and PartitionBest's winner rule (bestOf), so its plans are
-// byte-identical to PartitionBest over the same option sets — and, via
-// NewBatchAccPar, to the production PartitionAccPar entry point.
+// option set and PartitionCtx's winner rule (bestOf), so its plans are
+// byte-identical to PartitionCtx over the same option sets — over
+// StrategyAccPar.Variants(), to the production AccPar search.
 type BatchSet struct {
 	engines []*BatchEngine
 }
@@ -122,12 +122,6 @@ func NewBatchSet(net *dnn.Network, opts ...Options) (*BatchSet, error) {
 		e.base.hw = engines[0].base.hw
 	}
 	return &BatchSet{engines: engines}, nil
-}
-
-// NewBatchAccPar builds the batch counterpart of PartitionAccPar: the
-// full AccParVariants portfolio over shared per-variant memos.
-func NewBatchAccPar(net *dnn.Network) (*BatchSet, error) {
-	return NewBatchSet(net, AccParVariants()...)
 }
 
 // PlanBestCtx partitions tree with every option set and returns the

@@ -35,11 +35,11 @@ func homTree(t *testing.T, spec hardware.Spec, n, levels int) *hardware.Tree {
 
 // TestBatchPlanEquivalence is the core batch-engine contract: every plan
 // produced through the sweep-shared memo is byte-identical to a
-// standalone PartitionAccPar run, for every candidate, no matter how
+// standalone AccPar portfolio search, for every candidate, no matter how
 // much cross-candidate state the earlier candidates left behind.
 func TestBatchPlanEquivalence(t *testing.T) {
 	net := buildNet(t, "resnet18", 64)
-	set, err := NewBatchAccPar(net)
+	set, err := NewBatchSet(net, StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,15 +56,15 @@ func TestBatchPlanEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tree %d: %v", i, err)
 		}
-		if variant < 0 || variant >= len(AccParVariants()) {
+		if variant < 0 || variant >= len(StrategyAccPar.Variants()) {
 			t.Fatalf("tree %d: variant index %d out of range", i, variant)
 		}
-		want, err := PartitionAccPar(net, tree)
+		want, err := PartitionCtx(context.Background(), net, tree, StrategyAccPar.Variants()...)
 		if err != nil {
 			t.Fatalf("tree %d standalone: %v", i, err)
 		}
 		if !bytes.Equal(planBytes(t, got), planBytes(t, want)) {
-			t.Errorf("tree %d: batch plan diverges from standalone PartitionAccPar", i)
+			t.Errorf("tree %d: batch plan diverges from standalone AccPar portfolio search", i)
 		}
 	}
 }
@@ -132,7 +132,7 @@ func TestBatchCrossFleetHits(t *testing.T) {
 	// One-shot searches must never count cross-fleet hits, whatever the
 	// engine left in the process-wide counters.
 	before = obsCrossFleetHits.Value()
-	if _, err := Partition(net, homTree(t, hardware.TPUv3(), 32, 64), AccPar()); err != nil {
+	if _, err := PartitionCtx(context.Background(), net, homTree(t, hardware.TPUv3(), 32, 64), AccPar()); err != nil {
 		t.Fatal(err)
 	}
 	if got := obsCrossFleetHits.Value() - before; got != 0 {
@@ -149,7 +149,7 @@ func TestLowerBoundAdmissible(t *testing.T) {
 	ctx := context.Background()
 	for _, model := range []string{"alexnet", "resnet18"} {
 		net := buildNet(t, model, 64)
-		set, err := NewBatchAccPar(net)
+		set, err := NewBatchSet(net, StrategyAccPar.Variants()...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func degradeTree(t *testing.T, tree *hardware.Tree) *hardware.Tree {
 // standalone search.
 func TestBatchCancellation(t *testing.T) {
 	net := buildNet(t, "resnet18", 64)
-	set, err := NewBatchAccPar(net)
+	set, err := NewBatchSet(net, StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +249,8 @@ func TestBatchCancellation(t *testing.T) {
 	if _, _, err := set.PlanBestCtx(canceled, tree); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled batch plan: got %v, want ErrCanceled", err)
 	}
-	if !errors.Is(wrapCtxErr(canceled.Err()), ErrCanceled) {
-		t.Fatal("sanity: wrapCtxErr must map context.Canceled to ErrCanceled")
+	if !errors.Is(WrapCtxErr(canceled.Err()), ErrCanceled) {
+		t.Fatal("sanity: WrapCtxErr must map context.Canceled to ErrCanceled")
 	}
 
 	// Mid-search abort: cancel from a watcher goroutine while the sweep
@@ -281,7 +281,7 @@ func TestBatchCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := PartitionAccPar(net, tree)
+	want, err := PartitionCtx(context.Background(), net, tree, StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}

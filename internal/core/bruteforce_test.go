@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -216,7 +217,7 @@ func TestDPBacktrackCostConsistency(t *testing.T) {
 // full hierarchical search.
 func TestInceptionPartitioning(t *testing.T) {
 	net := buildNet(t, "inception", 64)
-	plan, err := PartitionAccPar(net, paperTree(t, 4))
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 4), StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestInceptionPartitioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []Options{DataParallel(), OWT(), HyPar()} {
-		base, err := Partition(net, paperTree(t, 4), s)
+		base, err := PartitionCtx(context.Background(), net, paperTree(t, 4), s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"hash/fnv"
@@ -11,12 +10,11 @@ import (
 
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
-	"accpar/internal/hardware"
 	"accpar/internal/plancache"
 )
 
 // This file connects the planner to the cross-run plan cache. The
-// per-search planMemo (memo.go) dies with each Partition call; SharedCache
+// per-search planMemo (memo.go) dies with each PartitionCtx call; SharedCache
 // outlives searches, processes and — through snapshots — machines. Only
 // one-shot searches (PartitionCtx) attach it: a ReplanEngine's retained
 // memo is that engine's one store, and mirroring its work here would only
@@ -49,7 +47,7 @@ import (
 const cacheSchema = "accpar-plan-node-v4"
 
 // SharedCache is a concurrency-safe, bounded, persistent cache of solved
-// hierarchical subproblems, shared across one-shot searches — Partition,
+// hierarchical subproblems, shared across one-shot searches — PartitionCtx,
 // the AccPar portfolio, Compare, evaluation sweeps and autotuning — over
 // any mix of networks, hardware trees and options. Replanning never
 // touches it: replan engines keep their own dependency-tracked memo. The
@@ -282,21 +280,4 @@ func searchFingerprint(units []dnn.WeightedLayer, segs, planSegs []segRef, opt O
 		}
 	}
 	return string(h.Sum(nil))
-}
-
-// PartitionAccParCached is PartitionAccPar with a shared cross-run cache:
-// the production portfolio search with every variant seeding from and
-// feeding the same cache. A nil cache degrades to the uncached search.
-func PartitionAccParCached(net *dnn.Network, tree *hardware.Tree, cache *SharedCache) (*Plan, error) {
-	return PartitionAccParCachedCtx(context.Background(), net, tree, cache)
-}
-
-// PartitionAccParCachedCtx is PartitionAccParCached bound to a context;
-// see PartitionBestCtx for the abort semantics.
-func PartitionAccParCachedCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, cache *SharedCache) (*Plan, error) {
-	variants := AccParVariants()
-	for i := range variants {
-		variants[i].Cache = cache
-	}
-	return PartitionBestCtx(ctx, net, tree, variants...)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -22,7 +23,7 @@ func TestCacheEquivalence(t *testing.T) {
 			net := buildNet(t, model, 64)
 
 			base := AccPar()
-			reference, err := Partition(net, tree, base)
+			reference, err := PartitionCtx(context.Background(), net, tree, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -31,7 +32,7 @@ func TestCacheEquivalence(t *testing.T) {
 			cache := NewSharedCache(0)
 			cached := base
 			cached.Cache = cache
-			cold, err := Partition(net, tree, cached)
+			cold, err := PartitionCtx(context.Background(), net, tree, cached)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +43,7 @@ func TestCacheEquivalence(t *testing.T) {
 				t.Error("cold run populated no cache entries")
 			}
 
-			warm, err := Partition(net, tree, cached)
+			warm, err := PartitionCtx(context.Background(), net, tree, cached)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +68,7 @@ func TestCacheEquivalence(t *testing.T) {
 			}
 			fromSnap := base
 			fromSnap.Cache = restored
-			snapPlan, err := Partition(net, tree, fromSnap)
+			snapPlan, err := PartitionCtx(context.Background(), net, tree, fromSnap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,11 +91,11 @@ func TestCacheWarmRunIsAllHits(t *testing.T) {
 	cache := NewSharedCache(0)
 	opt := AccPar()
 	opt.Cache = cache
-	if _, err := Partition(net, tree, opt); err != nil {
+	if _, err := PartitionCtx(context.Background(), net, tree, opt); err != nil {
 		t.Fatal(err)
 	}
 	before := cache.Stats()
-	if _, err := Partition(net, tree, opt); err != nil {
+	if _, err := PartitionCtx(context.Background(), net, tree, opt); err != nil {
 		t.Fatal(err)
 	}
 	after := cache.Stats()
@@ -129,7 +130,7 @@ func TestCacheOptionIsolation(t *testing.T) {
 	// each against its private uncached reference.
 	refs := make([][]byte, len(variants))
 	for i, v := range variants {
-		plan, err := Partition(net, tree, v.opt)
+		plan, err := PartitionCtx(context.Background(), net, tree, v.opt)
 		if err != nil {
 			t.Fatalf("%s reference: %v", v.name, err)
 		}
@@ -139,7 +140,7 @@ func TestCacheOptionIsolation(t *testing.T) {
 		for i, v := range variants {
 			opt := v.opt
 			opt.Cache = cache
-			plan, err := Partition(net, tree, opt)
+			plan, err := PartitionCtx(context.Background(), net, tree, opt)
 			if err != nil {
 				t.Fatalf("%s pass %d: %v", v.name, pass, err)
 			}
@@ -167,7 +168,7 @@ func TestCacheUntouchedByReplan(t *testing.T) {
 	}
 	degraded := treeFor(t, deg...)
 
-	ref, err := Replan(net, pristine, degraded, AccPar())
+	ref, err := ReplanCtx(context.Background(), net, pristine, degraded, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestCacheUntouchedByReplan(t *testing.T) {
 	opt := AccPar()
 	opt.Cache = cache
 	for pass := 0; pass < 2; pass++ {
-		rep, err := Replan(net, pristine, degraded, opt)
+		rep, err := ReplanCtx(context.Background(), net, pristine, degraded, opt)
 		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
@@ -200,7 +201,7 @@ func TestCacheUntouchedByReplan(t *testing.T) {
 	}
 
 	for pass := 0; pass < 2; pass++ {
-		if _, err := Partition(net, pristine, opt); err != nil {
+		if _, err := PartitionCtx(context.Background(), net, pristine, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +215,7 @@ func TestCacheUntouchedByReplan(t *testing.T) {
 func TestCacheBoundedEviction(t *testing.T) {
 	net := buildNet(t, "vgg16", 64)
 	tree := paperTree(t, 4)
-	ref, err := Partition(net, tree, AccPar())
+	ref, err := PartitionCtx(context.Background(), net, tree, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestCacheBoundedEviction(t *testing.T) {
 	opt := AccPar()
 	opt.Cache = cache
 	for pass := 0; pass < 2; pass++ {
-		plan, err := Partition(net, tree, opt)
+		plan, err := PartitionCtx(context.Background(), net, tree, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +274,7 @@ func TestCacheConcurrentSearches(t *testing.T) {
 				opt := AccPar()
 				opt.Cache = cache
 				opt.Parallelism = w%2 + 1
-				plan, err := Partition(net, pristine, opt)
+				plan, err := PartitionCtx(context.Background(), net, pristine, opt)
 				if err != nil {
 					errs <- fmt.Errorf("worker %d Partition: %w", w, err)
 					return
@@ -284,7 +285,7 @@ func TestCacheConcurrentSearches(t *testing.T) {
 			case 1:
 				opt := DataParallel()
 				opt.Cache = cache
-				plan, err := Partition(net, pristine, opt)
+				plan, err := PartitionCtx(context.Background(), net, pristine, opt)
 				if err != nil {
 					errs <- fmt.Errorf("worker %d Partition(DP): %w", w, err)
 					return
@@ -295,7 +296,7 @@ func TestCacheConcurrentSearches(t *testing.T) {
 			default:
 				opt := AccPar()
 				opt.Cache = cache
-				if _, err := Replan(net, pristine, degraded, opt); err != nil {
+				if _, err := ReplanCtx(context.Background(), net, pristine, degraded, opt); err != nil {
 					errs <- fmt.Errorf("worker %d Replan: %w", w, err)
 				}
 			}
@@ -314,26 +315,36 @@ func TestCacheConcurrentSearches(t *testing.T) {
 
 func mustPartition(t *testing.T, net *dnn.Network, tree *hardware.Tree, opt Options) *Plan {
 	t.Helper()
-	plan, err := Partition(net, tree, opt)
+	plan, err := PartitionCtx(context.Background(), net, tree, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return plan
 }
 
-// TestPartitionAccParCached: the cached portfolio entry point matches the
+// cachedVariants is the AccPar portfolio with every variant seeding from
+// and feeding cache.
+func cachedVariants(cache *SharedCache) []Options {
+	opts := StrategyAccPar.Variants()
+	for i := range opts {
+		opts[i].Cache = cache
+	}
+	return opts
+}
+
+// TestPartitionAccParCached: the cached portfolio search matches the
 // uncached one and reuses the cache across calls.
 func TestPartitionAccParCached(t *testing.T) {
 	net := buildNet(t, "alexnet", 64)
 	tree := paperTree(t, 4)
-	ref, err := PartitionAccPar(net, tree)
+	ref, err := PartitionCtx(context.Background(), net, tree, StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := planJSON(t, ref)
 	cache := NewSharedCache(0)
 	for pass := 0; pass < 2; pass++ {
-		plan, err := PartitionAccParCached(net, tree, cache)
+		plan, err := PartitionCtx(context.Background(), net, tree, cachedVariants(cache)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +355,7 @@ func TestPartitionAccParCached(t *testing.T) {
 	if st := cache.Stats(); st.Hits == 0 {
 		t.Errorf("portfolio reuse recorded no hits: %+v", st)
 	}
-	if _, err := PartitionAccParCached(net, tree, nil); err != nil {
+	if _, err := PartitionCtx(context.Background(), net, tree, cachedVariants(nil)...); err != nil {
 		t.Errorf("nil cache must degrade to the uncached search: %v", err)
 	}
 }

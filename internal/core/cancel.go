@@ -6,12 +6,11 @@ import (
 	"fmt"
 )
 
-// Cancellation support for the hierarchical search. Every entry point has
-// a Ctx variant; the plain variants delegate with context.Background(),
-// whose nil Done channel keeps the per-subproblem check a single nil
-// comparison — the ctx-threaded paths are byte-identical to the
-// pre-context engine, in both results and (for the no-context case)
-// work performed.
+// Cancellation support for the hierarchical search. Every search entry
+// point takes a context; context.Background(), whose nil Done channel
+// keeps the per-subproblem check a single nil comparison, gives the same
+// plan and performs the same work as a search with no cancellation
+// support at all.
 //
 // Abort consistency: a canceled search returns ErrCanceled or
 // ErrDeadlineExceeded and never publishes partial results. The
@@ -31,9 +30,12 @@ var ErrCanceled = fmt.Errorf("core: search canceled: %w", context.Canceled)
 // sentinel.
 var ErrDeadlineExceeded = fmt.Errorf("core: search deadline exceeded: %w", context.DeadlineExceeded)
 
-// wrapCtxErr maps a context error (possibly already wrapped) to the
-// package's typed sentinel; other errors pass through unchanged.
-func wrapCtxErr(err error) error {
+// WrapCtxErr maps a context error (possibly already wrapped) to the
+// package's typed sentinel; other errors pass through unchanged. Fan-out
+// primitives outside the planner surface raw context errors; callers
+// pass them through here so every abort reports ErrCanceled or
+// ErrDeadlineExceeded.
+func WrapCtxErr(err error) error {
 	switch {
 	case err == nil:
 		return nil
@@ -65,7 +67,7 @@ func (p *planner) checkCtx() error {
 	}
 	select {
 	case <-p.done:
-		return wrapCtxErr(p.ctx.Err())
+		return WrapCtxErr(p.ctx.Err())
 	default:
 		return nil
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -75,7 +76,7 @@ func TestStrategyStrings(t *testing.T) {
 // every level.
 func TestDataParallelAllTypeI(t *testing.T) {
 	net := buildNet(t, "alexnet", 64)
-	plan, err := Partition(net, paperTree(t, 4), DataParallel())
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 4), DataParallel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestDataParallelAllTypeI(t *testing.T) {
 // TestOWTAssignments: CONV layers Type-I, FC layers Type-II.
 func TestOWTAssignments(t *testing.T) {
 	net := buildNet(t, "alexnet", 64)
-	plan, err := Partition(net, paperTree(t, 4), OWT())
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 4), OWT())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestOWTAssignments(t *testing.T) {
 // TestHyParNeverTypeIII: the HyPar baseline searches only {I, II}.
 func TestHyParNeverTypeIII(t *testing.T) {
 	net := buildNet(t, "vgg11", 64)
-	plan, err := Partition(net, paperTree(t, 4), HyPar())
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 4), HyPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +137,12 @@ func TestAccParBeatsOrMatchesBaselines(t *testing.T) {
 	tree := paperTree(t, 8)
 	for _, name := range []string{"lenet", "alexnet", "vgg11", "resnet18"} {
 		net := buildNet(t, name, 64)
-		accpar, err := Partition(net, tree, AccPar())
+		accpar, err := PartitionCtx(context.Background(), net, tree, AccPar())
 		if err != nil {
 			t.Fatalf("%s accpar: %v", name, err)
 		}
 		for label, opt := range map[string]Options{"dp": DataParallel(), "owt": OWT(), "hypar": HyPar()} {
-			base, err := Partition(net, tree, opt)
+			base, err := PartitionCtx(context.Background(), net, tree, opt)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, label, err)
 			}
@@ -162,7 +163,7 @@ func TestAccParBeatsOrMatchesBaselines(t *testing.T) {
 func TestFlexibleRatioBalancesHeterogeneous(t *testing.T) {
 	net := buildNet(t, "resnet50", 512)
 	tree := paperTree(t, 64)
-	plan, err := Partition(net, tree, AccPar())
+	plan, err := PartitionCtx(context.Background(), net, tree, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestFlexibleRatioBalancesHeterogeneous(t *testing.T) {
 func TestEqualRatioOnHomogeneous(t *testing.T) {
 	net := buildNet(t, "alexnet", 32)
 	tree := twoAccelTree(t, hardware.TPUv3(), hardware.TPUv3())
-	plan, err := Partition(net, tree, AccPar())
+	plan, err := PartitionCtx(context.Background(), net, tree, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestEqualRatioOnHomogeneous(t *testing.T) {
 // and validate structurally.
 func TestMultiPathPlan(t *testing.T) {
 	net := buildNet(t, "resnet18", 32)
-	plan, err := Partition(net, paperTree(t, 4), AccPar())
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 4), AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestMultiPathPlan(t *testing.T) {
 // still assign a type to every unit.
 func TestLinearizeMatchesMultipathLayerCount(t *testing.T) {
 	net := buildNet(t, "resnet18", 32)
-	plan, err := Partition(net, paperTree(t, 4), HyPar())
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 4), HyPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestPlanTimePositiveAndFinite(t *testing.T) {
 		for label, opt := range map[string]Options{
 			"accpar": AccPar(), "dp": DataParallel(), "owt": OWT(), "hypar": HyPar(),
 		} {
-			plan, err := Partition(net, tree, opt)
+			plan, err := PartitionCtx(context.Background(), net, tree, opt)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, label, err)
 			}
@@ -258,11 +259,11 @@ func TestPlanTimePositiveAndFinite(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	net := buildNet(t, "resnet18", 32)
 	tree := paperTree(t, 8)
-	a, err := Partition(net, tree, AccPar())
+	a, err := PartitionCtx(context.Background(), net, tree, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Partition(net, tree, AccPar())
+	b, err := PartitionCtx(context.Background(), net, tree, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestSingleAcceleratorLeafOnly(t *testing.T) {
 	net := buildNet(t, "lenet", 16)
 	arr, _ := hardware.NewHomogeneous(hardware.TPUv3(), 1)
 	tree, _ := hardware.BuildTree(arr, 4)
-	plan, err := Partition(net, tree, AccPar())
+	plan, err := PartitionCtx(context.Background(), net, tree, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +313,11 @@ func TestMoreAcceleratorsFaster(t *testing.T) {
 	net := buildNet(t, "resnet50", 128)
 	small := paperTree(t, 2)
 	large := paperTree(t, 16)
-	p1, err := Partition(net, small, AccPar())
+	p1, err := PartitionCtx(context.Background(), net, small, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Partition(net, large, AccPar())
+	p2, err := PartitionCtx(context.Background(), net, large, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestTypeMapRendersAllLevels(t *testing.T) {
 	net := buildNet(t, "alexnet", 128)
 	arr, _ := hardware.NewHomogeneous(hardware.TPUv3(), 128)
 	tree, _ := hardware.BuildTree(arr, 7)
-	plan, err := Partition(net, tree, AccPar())
+	plan, err := PartitionCtx(context.Background(), net, tree, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +357,7 @@ func TestTypeMapRendersAllLevels(t *testing.T) {
 // TestTypesAtMissingLevel errors.
 func TestTypesAtMissingLevel(t *testing.T) {
 	net := buildNet(t, "lenet", 16)
-	plan, err := Partition(net, paperTree(t, 2), AccPar())
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 2), AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +376,7 @@ func TestFixedAssignmentRespected(t *testing.T) {
 		}
 		return 0, false
 	}
-	plan, err := Partition(net, paperTree(t, 4), opt)
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 4), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,11 +396,11 @@ func TestCommOnlyObjectiveIgnoresHeterogeneity(t *testing.T) {
 	het := paperTree(t, 4)
 	arrHom, _ := hardware.NewHomogeneous(hardware.TPUv3(), 8)
 	hom, _ := hardware.BuildTree(arrHom, 64)
-	p1, err := Partition(net, het, HyPar())
+	p1, err := PartitionCtx(context.Background(), net, het, HyPar())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Partition(net, hom, HyPar())
+	p2, err := PartitionCtx(context.Background(), net, hom, HyPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +427,7 @@ func TestRestrictedTypeSetInfeasibleWithContradictoryFixed(t *testing.T) {
 	// this plan is feasible; the infeasible case needs an empty overlap in
 	// transitions, which cannot occur with a full 3×3 table. Instead check
 	// the restricted search simply never emits Type-III on free layers.
-	plan, err := Partition(net, paperTree(t, 2), opt)
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 2), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +440,7 @@ func TestRestrictedTypeSetInfeasibleWithContradictoryFixed(t *testing.T) {
 // junctions (they have no kernel to pin).
 func TestVirtualUnitsFreeUnderFixed(t *testing.T) {
 	net := buildNet(t, "resnet18", 16)
-	plan, err := Partition(net, paperTree(t, 2), DataParallel())
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 2), DataParallel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +465,7 @@ func TestVirtualUnitsFreeUnderFixed(t *testing.T) {
 // it on heterogeneous arrays; both have full per-unit type vectors.
 func TestSpines(t *testing.T) {
 	net := buildNet(t, "alexnet", 64)
-	plan, err := PartitionAccPar(net, paperTree(t, 8))
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 8), StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}

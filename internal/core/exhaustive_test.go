@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -14,13 +15,13 @@ func TestExhaustiveMatchesDPFullHierarchy(t *testing.T) {
 	tree := paperTree(t, 4)
 	for _, model := range []string{"lenet", "alexnet"} {
 		net := buildNet(t, model, 32)
-		dp, err := Partition(net, tree, AccPar())
+		dp, err := PartitionCtx(context.Background(), net, tree, AccPar())
 		if err != nil {
 			t.Fatal(err)
 		}
 		opt := AccPar()
 		opt.Exhaustive = true
-		ex, err := Partition(net, tree, opt)
+		ex, err := PartitionCtx(context.Background(), net, tree, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +37,7 @@ func TestExhaustiveRefusesLargeNetworks(t *testing.T) {
 	net := buildNet(t, "vgg19", 16)
 	opt := AccPar()
 	opt.Exhaustive = true
-	if _, err := Partition(net, paperTree(t, 2), opt); err == nil {
+	if _, err := PartitionCtx(context.Background(), net, paperTree(t, 2), opt); err == nil {
 		t.Error("exhaustive search over 19 units must be refused")
 	}
 }
@@ -47,7 +48,7 @@ func TestExhaustiveRespectsRestrictions(t *testing.T) {
 	net := buildNet(t, "lenet", 16)
 	opt := HyPar()
 	opt.Exhaustive = true
-	plan, err := Partition(net, paperTree(t, 2), opt)
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 2), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 func TestExplainAlexnet(t *testing.T) {
 	net := buildNet(t, "alexnet", 64)
-	plan, err := PartitionAccPar(net, paperTree(t, 4))
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 4), StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestExplainAlexnet(t *testing.T) {
 // the minimum standalone cost.
 func TestExplainChosenIsReasonable(t *testing.T) {
 	net := buildNet(t, "lenet", 16)
-	plan, err := Partition(net, paperTree(t, 2), DataParallel())
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 2), DataParallel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestExplainLeafOnlyPlan(t *testing.T) {
 	net := buildNet(t, "lenet", 16)
 	arr, _ := hardware.NewHomogeneous(hardware.TPUv3(), 1)
 	tree, _ := hardware.BuildTree(arr, 4)
-	plan, err := Partition(net, tree, AccPar())
+	plan, err := PartitionCtx(context.Background(), net, tree, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestExplainUsesSearchOptions(t *testing.T) {
 			rec := NewAuditRecorder()
 			opt := tc.opt
 			opt.Audit = rec
-			plan, err := Partition(net, paperTree(t, 4), opt)
+			plan, err := PartitionCtx(context.Background(), net, paperTree(t, 4), opt)
 			if err != nil {
 				t.Fatal(err)
 			}

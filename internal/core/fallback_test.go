@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -73,11 +74,11 @@ func TestLevelBudgetFallbackConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := PartitionAccPar(net, full)
+	pf, err := PartitionCtx(context.Background(), net, full, StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := PartitionAccPar(net, capped)
+	pc, err := PartitionCtx(context.Background(), net, capped, StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestLevelBudgetFallbackConsistency(t *testing.T) {
 // TestPlanValidateRejections: corrupted plan trees are caught.
 func TestPlanValidateRejections(t *testing.T) {
 	net := buildNet(t, "lenet", 16)
-	plan, err := PartitionAccPar(net, paperTree(t, 2))
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 2), StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -18,7 +19,7 @@ var updateDigests = flag.Bool("update-digests", false, "rewrite testdata/plan_di
 
 const digestFile = "testdata/plan_digests.txt"
 
-// goldenVariantNames labels AccParVariants() by position.
+// goldenVariantNames labels StrategyAccPar.Variants() by position.
 var goldenVariantNames = []string{"accpar", "types-I-II", "types-I-III", "comm-only", "equal-ratio", "linearized", "hypar", "owt", "dp"}
 
 // goldenFleet is a TPU-v2/v3 fleet whose board HBM is divided by hbmDiv
@@ -39,9 +40,9 @@ var goldenFleets = []goldenFleet{{8, 8, 1}, {32, 96, 1}, {128, 128, 1}, {8, 8, 6
 // lines, the digest being the SHA-256 of the plan's canonical JSON.
 func goldenPlanDigests(t *testing.T) []string {
 	t.Helper()
-	variants := AccParVariants()
+	variants := StrategyAccPar.Variants()
 	if len(variants) != len(goldenVariantNames) {
-		t.Fatalf("AccParVariants has %d entries, golden names %d", len(variants), len(goldenVariantNames))
+		t.Fatalf("StrategyAccPar.Variants has %d entries, golden names %d", len(variants), len(goldenVariantNames))
 	}
 	var lines []string
 	for _, model := range append(models.EvaluationOrder(), "inception") {
@@ -56,7 +57,7 @@ func goldenPlanDigests(t *testing.T) []string {
 						opt.Mode = mode
 						opt.Parallelism = 1
 						name := fmt.Sprintf("%s/%s/%s/%v/%v", model, fl, goldenVariantNames[vi], mem, mode)
-						plan, err := Partition(net, tree, opt)
+						plan, err := PartitionCtx(context.Background(), net, tree, opt)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}

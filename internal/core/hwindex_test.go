@@ -75,11 +75,11 @@ func TestHWIndexBoundedUnderChurn(t *testing.T) {
 	net := buildNet(t, "lenet", 16)
 	groups := v2v3Groups(4)
 	pristine := treeFor(t, groups...)
-	variants := AccParVariants()
+	variants := StrategyAccPar.Variants()
 	reg := NewReplanEngines(len(variants) + 1)
 	ctx := context.Background()
 	planBest := func(tree *hardware.Tree) error {
-		_, _, err := reg.PartitionBestCtx(ctx, net, tree, variants...)
+		_, _, err := reg.PartitionCtx(ctx, net, tree, variants...)
 		return err
 	}
 	if err := planBest(pristine); err != nil {
@@ -180,7 +180,7 @@ func TestHWIndexBoundedUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Partition(net, probe, dropped.base.opt)
+	want, err := PartitionCtx(context.Background(), net, probe, dropped.base.opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +200,12 @@ func TestHWIndexBoundedUnderChurn(t *testing.T) {
 func TestReplanEnginesIndexNewTreeOnce(t *testing.T) {
 	net := buildNet(t, "lenet", 16)
 	groups := v2v3Groups(64)
-	variants := AccParVariants()
+	variants := StrategyAccPar.Variants()
 	reg := NewReplanEngines(0)
 	ctx := context.Background()
 	planBest := func(tree *hardware.Tree) {
 		t.Helper()
-		if _, _, err := reg.PartitionBestCtx(ctx, net, tree, variants...); err != nil {
+		if _, _, err := reg.PartitionCtx(ctx, net, tree, variants...); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -644,15 +644,15 @@ func engineKey(p *planner) string {
 	return string(h.Sum(nil))
 }
 
-// PartitionBestCtx is PartitionBestCtx through the registry's engines:
-// each option set plans through its retained engine and bestOf picks the
-// winner, so the result is byte-identical to core.PartitionBestCtx while
+// PartitionCtx is core.PartitionCtx through the registry's engines: each
+// option set plans through its retained engine and bestOf picks the
+// winner, so the result is byte-identical to core.PartitionCtx while
 // recurrent trees are served from retained memos. The returned stats
 // aggregate all variants.
-func (s *ReplanEngines) PartitionBestCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, ReplanStats, error) {
+func (s *ReplanEngines) PartitionCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, ReplanStats, error) {
 	var total ReplanStats
 	if len(opts) == 0 {
-		return nil, total, fmt.Errorf("core: PartitionBest needs at least one option set")
+		return nil, total, fmt.Errorf("core: PartitionCtx needs at least one option set")
 	}
 	engines := make([]*ReplanEngine, len(opts))
 	for i := range opts {

@@ -60,7 +60,7 @@ func degradedTreeFor(t *testing.T, groups []hardware.GroupSpec, sc faults.Scenar
 // replan must match byte-for-byte.
 func coldReplanReference(t *testing.T, net *dnn.Network, pristine, degraded *hardware.Tree, opt Options) *ReplanReport {
 	t.Helper()
-	faultFree, err := Partition(net, pristine, opt)
+	faultFree, err := PartitionCtx(context.Background(), net, pristine, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func coldReplanReference(t *testing.T, net *dnn.Network, pristine, degraded *har
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Partition(net, degraded, opt)
+	fresh, err := PartitionCtx(context.Background(), net, degraded, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,12 +296,12 @@ func TestReplanEnginesRegistry(t *testing.T) {
 	}
 
 	tree := treeFor(t, v2v3Groups(4)...)
-	want, err := PartitionBest(netA, tree, AccParVariants()...)
+	want, err := PartitionCtx(context.Background(), netA, tree, StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		got, _, err := reg.PartitionBestCtx(context.Background(), netA, tree, AccParVariants()...)
+		got, _, err := reg.PartitionCtx(context.Background(), netA, tree, StrategyAccPar.Variants()...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"accpar/internal/cost"
@@ -16,11 +17,11 @@ func TestInferenceFasterThanTraining(t *testing.T) {
 		train := mkOpt()
 		infer := mkOpt()
 		infer.Mode = ModeInference
-		pt, err := Partition(net, tree, train)
+		pt, err := PartitionCtx(context.Background(), net, tree, train)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pi, err := Partition(net, tree, infer)
+		pi, err := PartitionCtx(context.Background(), net, tree, infer)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +45,7 @@ func TestInferenceDataParallelIsFree(t *testing.T) {
 	tree := paperTree(t, 4)
 	opt := DataParallel()
 	opt.Mode = ModeInference
-	plan, err := Partition(net, tree, opt)
+	plan, err := PartitionCtx(context.Background(), net, tree, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +60,13 @@ func TestInferenceDataParallelIsFree(t *testing.T) {
 func TestInferenceShiftsTypeChoices(t *testing.T) {
 	net := buildNet(t, "vgg11", 64)
 	tree := paperTree(t, 4)
-	train, err := Partition(net, tree, AccPar())
+	train, err := PartitionCtx(context.Background(), net, tree, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := AccPar()
 	opt.Mode = ModeInference
-	infer, err := Partition(net, tree, opt)
+	infer, err := PartitionCtx(context.Background(), net, tree, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestMemoryModesNonBindingByteIdentical(t *testing.T) {
 		net := buildNet(t, model, 64)
 		for _, tree := range []*hardware.Tree{twoAccelTree(t, hardware.TPUv2(), hardware.TPUv3()), paperTree(t, 2)} {
 			for _, mkOpt := range []func() Options{AccPar, DataParallel, OWT, HyPar} {
-				off, err := Partition(net, tree, mkOpt())
+				off, err := PartitionCtx(context.Background(), net, tree, mkOpt())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -39,7 +39,7 @@ func TestMemoryModesNonBindingByteIdentical(t *testing.T) {
 				for _, mode := range []MemoryMode{MemoryReject, MemoryPenalize} {
 					opt := mkOpt()
 					opt.MemoryLimit = mode
-					got, err := Partition(net, tree, opt)
+					got, err := PartitionCtx(context.Background(), net, tree, opt)
 					if err != nil {
 						t.Fatalf("%s/%s mode %v: %v", model, tree.Group.String(), mode, err)
 					}
@@ -74,12 +74,12 @@ func TestMemoryRejectPlansAlwaysFit(t *testing.T) {
 			tree := shrunkTree(t, div)
 			opt := AccPar()
 			opt.Optimizer = c.opt
-			off, err := Partition(net, tree, opt)
+			off, err := PartitionCtx(context.Background(), net, tree, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opt.MemoryLimit = MemoryReject
-			rej, err := Partition(net, tree, opt)
+			rej, err := PartitionCtx(context.Background(), net, tree, opt)
 			if err != nil {
 				if !errors.Is(err, ErrNoFeasiblePlan) {
 					t.Fatalf("%s div %d: untyped failure %v", c.model, div, err)
@@ -170,7 +170,7 @@ func TestMemoryRejectIffBruteForce(t *testing.T) {
 
 			copt := opt
 			copt.MemoryLimit = MemoryReject
-			_, err := Partition(net, tree, copt)
+			_, err := PartitionCtx(context.Background(), net, tree, copt)
 			want := bruteFeasible(capL, capR)
 			switch {
 			case err == nil && !want:
@@ -185,7 +185,7 @@ func TestMemoryRejectIffBruteForce(t *testing.T) {
 			// plan fits exactly when reject mode succeeds.
 			popt := opt
 			popt.MemoryLimit = MemoryPenalize
-			plan, perr := Partition(net, tree, popt)
+			plan, perr := PartitionCtx(context.Background(), net, tree, popt)
 			if perr != nil {
 				t.Fatalf("net %d frac %g: penalize mode errored: %v", ni, frac, perr)
 			}
@@ -276,12 +276,12 @@ func TestMinResidencyBytes(t *testing.T) {
 }
 
 // TestPortfolioToleratesInfeasibleVariants: every portfolio path —
-// PartitionBest, BatchSet.PlanBestCtx and ReplanEngines.PartitionBestCtx —
+// PartitionCtx, BatchSet.PlanBestCtx and ReplanEngines.PartitionCtx —
 // skips variants that cannot fit, returns the same fitting winner, and
 // propagates the typed error only when every variant is infeasible.
 func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
 	net := buildNet(t, "alexnet", 128)
-	variants := AccParVariants()
+	variants := StrategyAccPar.Variants()
 	for i := range variants {
 		variants[i].MemoryLimit = MemoryReject
 	}
@@ -292,7 +292,7 @@ func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
 	tree := shrunkTree(t, 256)
 	infeasible := 0
 	for _, opt := range variants {
-		if _, err := Partition(net, tree, opt); errors.Is(err, ErrNoFeasiblePlan) {
+		if _, err := PartitionCtx(context.Background(), net, tree, opt); errors.Is(err, ErrNoFeasiblePlan) {
 			infeasible++
 		} else if err != nil {
 			t.Fatal(err)
@@ -301,7 +301,7 @@ func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
 	if infeasible == 0 {
 		t.Fatal("no variant is infeasible on its own; the capacity no longer binds")
 	}
-	plan, err := PartitionBest(net, tree, variants...)
+	plan, err := PartitionCtx(context.Background(), net, tree, variants...)
 	if err != nil {
 		t.Fatalf("portfolio with feasible variants: %v", err)
 	}
@@ -318,19 +318,19 @@ func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
 		t.Fatalf("batch portfolio with feasible variants: %v", err)
 	}
 	if !bytes.Equal(planJSON(t, batch), want) {
-		t.Error("batch portfolio winner differs from PartitionBest")
+		t.Error("batch portfolio winner differs from PartitionCtx")
 	}
-	engines, _, err := NewReplanEngines(0).PartitionBestCtx(context.Background(), net, tree, variants...)
+	engines, _, err := NewReplanEngines(0).PartitionCtx(context.Background(), net, tree, variants...)
 	if err != nil {
 		t.Fatalf("engine portfolio with feasible variants: %v", err)
 	}
 	if !bytes.Equal(planJSON(t, engines), want) {
-		t.Error("engine portfolio winner differs from PartitionBest")
+		t.Error("engine portfolio winner differs from PartitionCtx")
 	}
 
 	// At an impossible capacity every variant fails and the sentinel
 	// surfaces.
-	if _, err := PartitionBest(net, shrunkTree(t, 1<<20), variants...); !errors.Is(err, ErrNoFeasiblePlan) {
+	if _, err := PartitionCtx(context.Background(), net, shrunkTree(t, 1<<20), variants...); !errors.Is(err, ErrNoFeasiblePlan) {
 		t.Errorf("all-infeasible portfolio returned %v, want ErrNoFeasiblePlan", err)
 	}
 }
@@ -344,7 +344,7 @@ func TestConstrainedDeterminism(t *testing.T) {
 	opt.MemoryLimit = MemoryReject
 	var want []byte
 	for i := 0; i < 3; i++ {
-		plan, err := Partition(net, shrunkTree(t, 128), opt)
+		plan, err := PartitionCtx(context.Background(), net, shrunkTree(t, 128), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +366,7 @@ func TestMemoryPrunedMetric(t *testing.T) {
 	opt := AccPar()
 	opt.MemoryLimit = MemoryPenalize
 	before := obsMemoryPruned.Value()
-	if _, err := Partition(net, shrunkTree(t, 1<<13), opt); err != nil {
+	if _, err := PartitionCtx(context.Background(), net, shrunkTree(t, 1<<13), opt); err != nil {
 		t.Fatal(err)
 	}
 	if after := obsMemoryPruned.Value(); after <= before {

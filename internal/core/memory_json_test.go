@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 
 func TestMemoryReportFits(t *testing.T) {
 	net := buildNet(t, "vgg16", 64)
-	plan, err := PartitionAccPar(net, paperTree(t, 8))
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 8), StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestMemoryReportOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := buildNet(t, "alexnet", 64)
-	plan, err := Partition(net, tree, DataParallel())
+	plan, err := PartitionCtx(context.Background(), net, tree, DataParallel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestMemoryReportOverflow(t *testing.T) {
 func TestShardingReducesResidency(t *testing.T) {
 	net := buildNet(t, "vgg16", 8)
 	tree := paperTree(t, 8)
-	dp, err := Partition(net, tree, DataParallel())
+	dp, err := PartitionCtx(context.Background(), net, tree, DataParallel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestShardingReducesResidency(t *testing.T) {
 			return cost.TypeII, true
 		},
 	}
-	mp, err := Partition(net, tree, modelPar)
+	mp, err := PartitionCtx(context.Background(), net, tree, modelPar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +97,11 @@ func TestOptimizerStateInResidency(t *testing.T) {
 	sgd := DataParallel()
 	adam := DataParallel()
 	adam.Optimizer = optimizer.Adam
-	p1, err := Partition(net, tree, sgd)
+	p1, err := PartitionCtx(context.Background(), net, tree, sgd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Partition(net, tree, adam)
+	p2, err := PartitionCtx(context.Background(), net, tree, adam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestOptimizerStateInResidency(t *testing.T) {
 
 func TestPlanJSONRoundTrip(t *testing.T) {
 	net := buildNet(t, "resnet18", 16)
-	plan, err := PartitionAccPar(net, paperTree(t, 4))
+	plan, err := PartitionCtx(context.Background(), net, paperTree(t, 4), StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"accpar/internal/obs"
@@ -18,7 +19,7 @@ func TestObservationEquivalence(t *testing.T) {
 	tree := paperTree(t, 4)
 
 	obs.SetTracer(nil)
-	plain, err := Partition(net, tree, AccPar())
+	plain, err := PartitionCtx(context.Background(), net, tree, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestObservationEquivalence(t *testing.T) {
 	tr := obs.NewTracer()
 	obs.SetTracer(tr)
 	defer obs.SetTracer(nil)
-	traced, err := Partition(net, tree, AccPar())
+	traced, err := PartitionCtx(context.Background(), net, tree, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestMetricsCountSubproblems(t *testing.T) {
 	tree := paperTree(t, 4)
 
 	before := obs.Default().Snapshot()
-	if _, err := Partition(net, tree, AccPar()); err != nil {
+	if _, err := PartitionCtx(context.Background(), net, tree, AccPar()); err != nil {
 		t.Fatal(err)
 	}
 	after := obs.Default().Snapshot()

@@ -129,10 +129,10 @@ type Options struct {
 	// whenever the constraint is inactive or non-binding.
 	MemoryLimit MemoryMode
 	// Cache, when non-nil, is the cross-run subproblem cache a one-shot
-	// search (PartitionCtx and the portfolio and sweep entry points built
-	// on it) seeds its per-search memo from and feeds its solutions into.
+	// search (PartitionCtx and the sweep entry points built on it) seeds
+	// its per-search memo from and feeds its solutions into.
 	// Retained and derived searches ignore it: ReplanEngine, ReplanEngines,
-	// Replan, BatchEngine and StalePlan keep their own memo as their only
+	// ReplanCtx, BatchEngine and StalePlan keep their own memo as their only
 	// store. Plans are byte-identical with the cache disabled, cold or
 	// warm — caching changes wall-clock only, never decisions — which the
 	// cache equivalence tests enforce. Cache is identity, not

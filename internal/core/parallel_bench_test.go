@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"accpar/internal/cost"
@@ -113,7 +114,7 @@ func BenchmarkPartitionHierarchical(b *testing.B) {
 			opt.Parallelism = bc.par
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Partition(net, tree, opt); err != nil {
+				if _, err := PartitionCtx(context.Background(), net, tree, opt); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -44,7 +45,7 @@ func TestParallelismEquivalence(t *testing.T) {
 			for _, par := range []int{1, 4, 0} {
 				opt := AccPar()
 				opt.Parallelism = par
-				plan, err := Partition(net, tree, opt)
+				plan, err := PartitionCtx(context.Background(), net, tree, opt)
 				if err != nil {
 					t.Fatalf("Parallelism=%d: %v", par, err)
 				}
@@ -70,7 +71,7 @@ func TestParallelismEquivalenceResidual(t *testing.T) {
 	for _, par := range []int{1, 4, 0} {
 		opt := AccPar()
 		opt.Parallelism = par
-		plan, err := Partition(net, tree, opt)
+		plan, err := PartitionCtx(context.Background(), net, tree, opt)
 		if err != nil {
 			t.Fatalf("Parallelism=%d: %v", par, err)
 		}
@@ -90,7 +91,7 @@ func TestParallelismValidate(t *testing.T) {
 	opt := AccPar()
 	opt.Parallelism = -1
 	net := residualNet()
-	if _, err := Partition(net, paperTree(t, 2), opt); err == nil {
+	if _, err := PartitionCtx(context.Background(), net, paperTree(t, 2), opt); err == nil {
 		t.Error("negative Parallelism must be rejected")
 	}
 }
@@ -207,12 +208,12 @@ func TestPlannerMemoRace(t *testing.T) {
 			opt := AccPar()
 			opt.Parallelism = w%3 + 1 // mix serial and forked recursion
 			if w%2 == 0 {
-				if _, err := Partition(net, pristine, opt); err != nil {
+				if _, err := PartitionCtx(context.Background(), net, pristine, opt); err != nil {
 					errs <- fmt.Errorf("worker %d Partition: %w", w, err)
 				}
 				return
 			}
-			if _, err := Replan(net, pristine, degraded, opt); err != nil {
+			if _, err := ReplanCtx(context.Background(), net, pristine, degraded, opt); err != nil {
 				errs <- fmt.Errorf("worker %d Replan: %w", w, err)
 			}
 		}()

@@ -18,7 +18,7 @@ import (
 // the network view (units, segment structures), the fixed options, the
 // subproblem memo, and the worker-pool semaphore bounding the fan-out of
 // the recursion over hardware-tree children. A planner may be reused
-// across several trees of the same network and options — Replan does
+// across several trees of the same network and options — ReplanCtx does
 // exactly that, so subtrees untouched by a degradation are solved once.
 type planner struct {
 	net   *dnn.Network
@@ -150,25 +150,9 @@ func (p *planner) planKeyed(tree *hardware.Tree, key string, deps []uint64) (*Pl
 	return plan, nil
 }
 
-// Partition runs the hierarchical layer-wise partitioning of the network
-// over the accelerator hierarchy, returning the complete plan. At every
-// non-leaf hierarchy node it alternates the Eq. 9 dynamic programming with
-// the Eq. 10 ratio balance until the type assignment stabilizes, then
-// recurses into both children with the per-unit dims scaled by the chosen
-// ratio along each unit's partitioned dimension. Options.Parallelism
-// bounds the worker pool the recursion fans out over; every subproblem is
-// pure, so the plan is byte-identical across all settings.
-func Partition(net *dnn.Network, tree *hardware.Tree, opt Options) (*Plan, error) {
-	return PartitionCtx(context.Background(), net, tree, opt)
-}
-
-// PartitionCtx is Partition bound to a context: the search polls ctx at
-// every subproblem visit and every type/ratio alternation, aborting with
-// ErrCanceled or ErrDeadlineExceeded. An aborted search never publishes
-// partial results — neither into its plan nor into the shared cache —
-// and for a live context the produced plan is byte-identical to
-// Partition's.
-func PartitionCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opt Options) (*Plan, error) {
+// partitionOne is PartitionCtx's single search: one option set, one
+// planner, attached to the shared cache when opt.Cache is set.
+func partitionOne(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opt Options) (*Plan, error) {
 	p, err := newPlanner(ctx, net, opt)
 	if err != nil {
 		return nil, err

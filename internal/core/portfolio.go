@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
@@ -11,21 +12,84 @@ import (
 	"accpar/internal/parallel"
 )
 
-// The hierarchical search is greedy across levels: each level's dynamic
-// programming is exact (Eq. 9), but the dims it hands the next level depend
-// on its choices, so a level-optimal assignment is not always
-// subtree-optimal. Because AccPar's complete partition space strictly
-// contains every baseline's space, a sound implementation must never emit a
-// plan worse than a plan the restricted configurations can find. AccParVariants
-// lists the restricted configurations whose greedy paths differ; PartitionBest
-// evaluates all of them under the one true cost model and keeps the winner,
-// restoring the containment guarantee the paper's claims rest on.
+// The paper compares four schemes that are restrictions of one search:
+// Table 8 orders them DP ≺ OWT ≺ HyPar ≺ AccPar. The hierarchical search
+// is greedy across levels: each level's dynamic programming is exact
+// (Eq. 9), but the dims it hands the next level depend on its choices, so
+// a level-optimal assignment is not always subtree-optimal. Because
+// AccPar's complete partition space strictly contains every baseline's
+// space, a sound implementation must never emit a plan worse than a plan
+// the restricted configurations can find. StrategyAccPar.Variants lists
+// the restricted configurations whose greedy paths differ; PartitionCtx
+// evaluates all of them under the one true cost model and keeps the
+// winner, restoring the containment guarantee the paper's claims rest on.
 
-// AccParVariants returns the option sets the production AccPar search
-// evaluates: the full configuration plus the restricted variants it
-// subsumes (type-set restrictions, the communication-proxy objective, and
-// the baselines themselves).
-func AccParVariants() []Options {
+// Strategy selects a parallelization scheme.
+type Strategy int
+
+const (
+	// StrategyDP is the data-parallelism baseline: every layer Type-I,
+	// equal ratios.
+	StrategyDP Strategy = iota
+	// StrategyOWT is "one weird trick": CONV layers data-parallel, FC
+	// layers model-parallel.
+	StrategyOWT
+	// StrategyHyPar is the HyPar baseline: two types, communication-only
+	// objective, equal ratios, linearized graphs.
+	StrategyHyPar
+	// StrategyAccPar is the full AccPar method: complete type space, joint
+	// cost model, flexible ratios, native multi-path search.
+	StrategyAccPar
+)
+
+// Strategies lists all strategies in ascending flexibility order
+// (Table 8 of the paper: DP ≺ OWT ≺ HyPar ≺ AccPar).
+var Strategies = []Strategy{StrategyDP, StrategyOWT, StrategyHyPar, StrategyAccPar}
+
+var (
+	strategyNames   = [...]string{"DP", "OWT", "HyPar", "AccPar"}
+	strategyOptions = [...]func() Options{DataParallel, OWT, HyPar, AccPar}
+)
+
+// ParseStrategy converts a case-insensitive strategy name ("dp", "owt",
+// "hypar", "accpar") to a Strategy — the parser behind the CLI and serve
+// -strategy/"strategy" inputs.
+func ParseStrategy(name string) (Strategy, error) {
+	for _, s := range Strategies {
+		if strings.EqualFold(name, s.String()) {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q (want dp, owt, hypar or accpar)", name)
+}
+
+// String names the strategy as in the paper's figures.
+func (s Strategy) String() string {
+	if s < 0 || int(s) >= len(strategyNames) {
+		return fmt.Sprintf("Strategy(%d)", int(s))
+	}
+	return strategyNames[s]
+}
+
+// Options returns the strategy's single search configuration, for
+// callers who want to tweak it before searching.
+func (s Strategy) Options() Options {
+	if s < 0 || int(s) >= len(strategyOptions) {
+		panic(fmt.Sprintf("core: invalid strategy %d", int(s)))
+	}
+	return strategyOptions[s]()
+}
+
+// Variants returns the option sets PartitionCtx searches for the
+// strategy. AccPar is the production portfolio: the full configuration
+// plus the restricted variants it subsumes (type-set restrictions, the
+// communication-proxy objective, and the baselines themselves). Every
+// other strategy is its single configuration. The slice is fresh, so
+// callers may set per-call fields (Cache, MemoryLimit, Topology) on it.
+func (s Strategy) Variants() []Options {
+	if s != StrategyAccPar {
+		return []Options{s.Options()}
+	}
 	twoTypesII := AccPar()
 	twoTypesII.Types = []cost.Type{cost.TypeI, cost.TypeII}
 	twoTypesIII := AccPar()
@@ -49,23 +113,35 @@ func AccParVariants() []Options {
 	}
 }
 
-// PartitionBest partitions the network with every option set and returns
-// the plan with the lowest modelled iteration time. The option sets are
-// independent searches, so they run across a worker pool; results land in
-// per-slot storage and the winner is chosen by a serial scan — lowest
-// time, earliest option set on ties — so the outcome matches the serial
-// loop exactly. The pool stays serial when every option set asks for the
-// serial reference path (Parallelism 1).
-func PartitionBest(net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, error) {
-	return PartitionBestCtx(context.Background(), net, tree, opts...)
-}
-
-// PartitionBestCtx is PartitionBest bound to a context: each variant's
-// search polls ctx, and option sets not yet started when ctx is done are
-// never dispatched. Aborts report ErrCanceled or ErrDeadlineExceeded.
-func PartitionBestCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, error) {
-	if len(opts) == 0 {
-		return nil, fmt.Errorf("core: PartitionBest needs at least one option set")
+// PartitionCtx runs the hierarchical layer-wise partitioning of the
+// network over the accelerator hierarchy, returning the complete plan. At
+// every non-leaf hierarchy node it alternates the Eq. 9 dynamic
+// programming with the Eq. 10 ratio balance until the type assignment
+// stabilizes, then recurses into both children with the per-unit dims
+// scaled by the chosen ratio along each unit's partitioned dimension.
+// Options.Parallelism bounds the worker pool the recursion fans out over;
+// every subproblem is pure, so the plan is byte-identical across all
+// settings.
+//
+// With several option sets (a Strategy's Variants) PartitionCtx searches
+// each and returns the plan with the lowest modelled iteration time. The
+// searches are independent, so they run across a worker pool; the winner
+// is chosen by a serial scan — lowest time, earliest option set on ties —
+// so the outcome matches the serial loop exactly. The pool stays serial
+// when every option set asks for the serial reference path
+// (Parallelism 1).
+//
+// The search polls ctx at every subproblem visit and every type/ratio
+// alternation, and option sets not yet started when ctx is done are never
+// dispatched; aborts report ErrCanceled or ErrDeadlineExceeded. An
+// aborted search never publishes partial results — neither into its plan
+// nor into the shared cache (Options.Cache).
+func PartitionCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, error) {
+	switch len(opts) {
+	case 0:
+		return nil, fmt.Errorf("core: PartitionCtx needs at least one option set")
+	case 1:
+		return partitionOne(ctx, net, tree, opts[0])
 	}
 	// When the caller attached an audit recorder, each variant searches
 	// into a private recorder and only the winner's decisions are adopted
@@ -90,7 +166,7 @@ func PartitionBestCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree
 		}
 	}
 	best, idx, err := bestOf(ctx, len(opts), portfolioWorkers(opts), func(i int) (*Plan, error) {
-		return PartitionCtx(ctx, net, tree, opts[i])
+		return partitionOne(ctx, net, tree, opts[i])
 	})
 	if callerAudit == nil {
 		return best, err
@@ -146,7 +222,7 @@ func bestOf(ctx context.Context, n, workers int, run func(i int) (*Plan, error))
 		return err
 	})
 	if err != nil {
-		return nil, -1, wrapCtxErr(err)
+		return nil, -1, WrapCtxErr(err)
 	}
 	best := -1
 	for i, plan := range plans {
@@ -163,11 +239,4 @@ func bestOf(ctx context.Context, n, workers int, run func(i int) (*Plan, error))
 		return nil, -1, fmt.Errorf("core: portfolio produced no plan")
 	}
 	return plans[best], best, nil
-}
-
-// PartitionAccPar is the production AccPar entry point: the full
-// complete-space search plus the restricted-variant portfolio, decided by
-// the joint computation + communication cost model.
-func PartitionAccPar(net *dnn.Network, tree *hardware.Tree) (*Plan, error) {
-	return PartitionBest(net, tree, AccParVariants()...)
 }

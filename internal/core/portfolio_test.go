@@ -12,7 +12,7 @@ import (
 )
 
 func TestAccParVariantsContainBaselines(t *testing.T) {
-	variants := AccParVariants()
+	variants := StrategyAccPar.Variants()
 	if len(variants) < 7 {
 		t.Fatalf("portfolio has %d variants, want >= 7", len(variants))
 	}
@@ -61,12 +61,12 @@ func TestPartitionBestDominates(t *testing.T) {
 	for label, tree := range trees {
 		for _, model := range []string{"alexnet", "resnet18"} {
 			net := buildNet(t, model, 64)
-			best, err := PartitionAccPar(net, tree)
+			best, err := PartitionCtx(context.Background(), net, tree, StrategyAccPar.Variants()...)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", label, model, err)
 			}
-			for i, opt := range AccParVariants() {
-				plan, err := Partition(net, tree, opt)
+			for i, opt := range StrategyAccPar.Variants() {
+				plan, err := PartitionCtx(context.Background(), net, tree, opt)
 				if err != nil {
 					t.Fatalf("%s/%s variant %d: %v", label, model, i, err)
 				}
@@ -81,7 +81,7 @@ func TestPartitionBestDominates(t *testing.T) {
 
 func TestPartitionBestRequiresOptions(t *testing.T) {
 	net := buildNet(t, "lenet", 8)
-	if _, err := PartitionBest(net, paperTree(t, 2)); err == nil {
+	if _, err := PartitionCtx(context.Background(), net, paperTree(t, 2)); err == nil {
 		t.Error("empty option list must be rejected")
 	}
 }
@@ -95,13 +95,13 @@ func TestPartitionBestCtxPreCanceled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := PartitionBestCtx(ctx, net, tree, AccParVariants()...); !errors.Is(err, ErrCanceled) {
+	if _, err := PartitionCtx(ctx, net, tree, StrategyAccPar.Variants()...); !errors.Is(err, ErrCanceled) {
 		t.Errorf("pre-canceled portfolio: got %v, want ErrCanceled", err)
 	}
 
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	if _, err := PartitionBestCtx(expired, net, tree, AccParVariants()...); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := PartitionCtx(expired, net, tree, StrategyAccPar.Variants()...); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Errorf("expired portfolio: got %v, want ErrDeadlineExceeded", err)
 	}
 }
@@ -121,7 +121,7 @@ func TestPartitionBestCtxMidSearchCancel(t *testing.T) {
 			time.Sleep(delay)
 			cancel()
 		}()
-		if _, err := PartitionBestCtx(ctx, net, tree, AccParVariants()...); err != nil && !errors.Is(err, ErrCanceled) {
+		if _, err := PartitionCtx(ctx, net, tree, StrategyAccPar.Variants()...); err != nil && !errors.Is(err, ErrCanceled) {
 			t.Fatalf("mid-search cancel (delay %v): got %v, want nil or ErrCanceled", delay, err)
 		}
 		cancel()
@@ -135,11 +135,11 @@ func TestPartitionBestCtxMidSearchCancel(t *testing.T) {
 		t.Errorf("goroutines leaked across canceled portfolio searches: %d > baseline %d", n, baseline)
 	}
 
-	got, err := PartitionAccPar(net, tree)
+	got, err := PartitionCtx(context.Background(), net, tree, StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := PartitionAccPar(net, tree)
+	want, err := PartitionCtx(context.Background(), net, tree, StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}

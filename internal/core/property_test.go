@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"accpar/internal/hardware"
@@ -38,11 +39,11 @@ func scaledTree(t *testing.T, computeScale, netScale float64) *hardware.Tree {
 func TestPropertyFasterComputeNeverSlower(t *testing.T) {
 	for _, model := range []string{"alexnet", "resnet18", "vgg11"} {
 		net := buildNet(t, model, 64)
-		base, err := PartitionAccPar(net, scaledTree(t, 1, 1))
+		base, err := PartitionCtx(context.Background(), net, scaledTree(t, 1, 1), StrategyAccPar.Variants()...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := PartitionAccPar(net, scaledTree(t, 2, 1))
+		fast, err := PartitionCtx(context.Background(), net, scaledTree(t, 2, 1), StrategyAccPar.Variants()...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,11 +58,11 @@ func TestPropertyFasterComputeNeverSlower(t *testing.T) {
 func TestPropertyMoreBandwidthNeverSlower(t *testing.T) {
 	for _, model := range []string{"alexnet", "resnet18", "vgg11"} {
 		net := buildNet(t, model, 64)
-		base, err := PartitionAccPar(net, scaledTree(t, 1, 1))
+		base, err := PartitionCtx(context.Background(), net, scaledTree(t, 1, 1), StrategyAccPar.Variants()...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fat, err := PartitionAccPar(net, scaledTree(t, 1, 2))
+		fat, err := PartitionCtx(context.Background(), net, scaledTree(t, 1, 2), StrategyAccPar.Variants()...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,11 +79,11 @@ func TestPropertyBatchMonotone(t *testing.T) {
 	for _, model := range []string{"alexnet", "resnet18"} {
 		small := buildNet(t, model, 32)
 		large := buildNet(t, model, 128)
-		ps, err := PartitionAccPar(small, tree)
+		ps, err := PartitionCtx(context.Background(), small, tree, StrategyAccPar.Variants()...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := PartitionAccPar(large, tree)
+		pl, err := PartitionCtx(context.Background(), large, tree, StrategyAccPar.Variants()...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -129,7 +129,7 @@ func (r *ReplanReport) Recovery() float64 {
 	return (r.Stale.Time() - r.Replanned.Time()) / gap
 }
 
-// Replan runs the degradation-aware replanning pipeline: partition the
+// ReplanCtx runs the degradation-aware replanning pipeline: partition the
 // pristine hierarchy, re-cost those decisions on the degraded hierarchy
 // (recomputing nothing — the stale view), partition the degraded
 // hierarchy from scratch (recomputing types and α against the post-fault
@@ -137,17 +137,11 @@ func (r *ReplanReport) Recovery() float64 {
 // One planner serves all three passes, so the memo carries every subtree
 // the degradation did not touch from the pristine partition straight into
 // the degraded one, and the stale and fresh passes run concurrently when
-// Options.Parallelism permits.
-func Replan(net *dnn.Network, pristine, degraded *hardware.Tree, opt Options) (*ReplanReport, error) {
-	return ReplanCtx(context.Background(), net, pristine, degraded, opt)
-}
-
-// ReplanCtx is Replan bound to a context: all three passes (pristine,
-// stale, fresh) poll ctx and the pipeline aborts with ErrCanceled or
-// ErrDeadlineExceeded without publishing a report. It runs through a
-// one-shot ReplanEngine, so its mechanics — including the stale pass's
-// untouched-subtree reuse — are exactly the incremental path's, just
-// without retained state from earlier calls.
+// Options.Parallelism permits. All three passes poll ctx and the pipeline
+// aborts with ErrCanceled or ErrDeadlineExceeded without publishing a
+// report. It runs through a one-shot ReplanEngine, so its mechanics —
+// including the stale pass's untouched-subtree reuse — are exactly the
+// incremental path's, just without retained state from earlier calls.
 func ReplanCtx(ctx context.Context, net *dnn.Network, pristine, degraded *hardware.Tree, opt Options) (*ReplanReport, error) {
 	e, err := NewReplanEngine(net, opt)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -37,7 +38,7 @@ func TestStalePlanIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := treeFor(t, v2v3Groups(4)...)
-	plan, err := Partition(net, tree, AccPar())
+	plan, err := PartitionCtx(context.Background(), net, tree, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestReplanBeatsStaleUnderSlowdown(t *testing.T) {
 	}
 	degraded := treeFor(t, deg...)
 
-	rep, err := Replan(net, pristine, degraded, AccPar())
+	rep, err := ReplanCtx(context.Background(), net, pristine, degraded, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestReplanAfterGroupLoss(t *testing.T) {
 	}
 	degraded := treeFor(t, deg...)
 
-	rep, err := Replan(net, pristine, degraded, AccPar())
+	rep, err := ReplanCtx(context.Background(), net, pristine, degraded, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestDegenerateHardwareTypedError(t *testing.T) {
 		Left:  &hardware.Tree{Group: mk(poison, 1), Level: 2},
 		Right: &hardware.Tree{Group: mk(hardware.TPUv3(), 1), Level: 2},
 	}
-	_, err = Partition(net, tree, AccPar())
+	_, err = PartitionCtx(context.Background(), net, tree, AccPar())
 	if err == nil {
 		t.Fatal("NaN compute density must fail")
 	}

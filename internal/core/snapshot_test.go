@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -55,7 +56,7 @@ func smallSnapshot(tb testing.TB) []byte {
 	cache := NewSharedCache(0)
 	opt := AccPar()
 	opt.Cache = cache
-	if _, err := Partition(net, tree, opt); err != nil {
+	if _, err := PartitionCtx(context.Background(), net, tree, opt); err != nil {
 		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -168,7 +169,7 @@ func FuzzSharedCacheLoad(f *testing.F) {
 			}
 			return
 		}
-		plan, err := PartitionAccParCached(net, tree, cache)
+		plan, err := PartitionCtx(context.Background(), net, tree, cachedVariants(cache)...)
 		if err != nil {
 			var invalid *InvalidPlanError
 			if !errors.As(err, &invalid) {

@@ -119,7 +119,7 @@ func TestNetScaleRenamesSpecs(t *testing.T) {
 
 // TestDSEPlanEquivalence is the acceptance check: every unpruned
 // candidate's plan, produced through the sweep-shared batch memos, is
-// byte-identical to a standalone PartitionAccPar search of the same
+// byte-identical to a standalone AccPar portfolio search of the same
 // tree, and every candidate the fault afflicts reports the resilience a
 // standalone core.Replan of its winning variant adopts. The whole grid
 // is swept without pruning so the faulted kind is always present.
@@ -136,7 +136,7 @@ func TestDSEPlanEquivalence(t *testing.T) {
 	}
 	scenario := &faults.Scenario{Faults: fs}
 	net := buildNet(t, cfg.Model, cfg.Batch)
-	variants := core.AccParVariants()
+	variants := core.StrategyAccPar.Variants()
 	checked, faulted := 0, 0
 	for _, r := range rep.Results {
 		if r.Pruned {
@@ -146,7 +146,7 @@ func TestDSEPlanEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.PartitionAccPar(net, tree)
+		want, err := core.PartitionCtx(context.Background(), net, tree, core.StrategyAccPar.Variants()...)
 		if err != nil {
 			t.Fatalf("%s standalone: %v", r.Name, err)
 		}
@@ -155,7 +155,7 @@ func TestDSEPlanEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(r.PlanJSON, buf.Bytes()) {
-			t.Errorf("%s: sweep plan diverges from standalone PartitionAccPar", r.Name)
+			t.Errorf("%s: sweep plan diverges from standalone AccPar portfolio search", r.Name)
 		}
 		if r.Makespan != want.Time() {
 			t.Errorf("%s: sweep makespan %v != standalone %v", r.Name, r.Makespan, want.Time())
@@ -169,7 +169,7 @@ func TestDSEPlanEquivalence(t *testing.T) {
 		if degraded == nil {
 			continue // the candidate does not procure the faulted kind
 		}
-		replan, err := core.Replan(net, tree, degraded, variants[r.Variant])
+		replan, err := core.ReplanCtx(context.Background(), net, tree, degraded, variants[r.Variant])
 		if err != nil {
 			t.Fatalf("%s standalone replan: %v", r.Name, err)
 		}

@@ -64,7 +64,7 @@ type Result struct {
 	Resilience float64 `json:"resilience_s"`
 	// Strategy describes the winning portfolio variant.
 	Strategy string `json:"strategy,omitempty"`
-	// Variant is the winning variant's index in core.AccParVariants.
+	// Variant is the winning variant's index in core.StrategyAccPar.Variants().
 	Variant int `json:"variant"`
 	// Pruned marks candidates skipped via the admissible lower bound.
 	Pruned bool `json:"pruned,omitempty"`
@@ -148,31 +148,13 @@ func (r *Report) WriteFrontierJSON(w io.Writer) error {
 // across workers for pruning decisions.
 type point struct{ mk, cost, res float64 }
 
-// wrapCtxErr maps raw context errors (a pool aborting before any search
-// observed the context) to core's typed sentinels, so a canceled sweep
-// always reports core.ErrCanceled / core.ErrDeadlineExceeded.
-func wrapCtxErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, core.ErrCanceled) || errors.Is(err, core.ErrDeadlineExceeded):
-		return err
-	case errors.Is(err, context.DeadlineExceeded):
-		return core.ErrDeadlineExceeded
-	case errors.Is(err, context.Canceled):
-		return core.ErrCanceled
-	default:
-		return err
-	}
-}
-
 // Sweep enumerates the space and evaluates every candidate through one
 // shared core.BatchSet: plan with the full AccPar portfolio, model the
 // post-fault replanned makespan, prune candidates whose admissible
 // bounds are dominated by an already-evaluated fleet, and evaluate
 // candidates whose level caps truncate to identical hardware exactly
 // once. Evaluations fan out over a deterministic worker pool; every
-// plan is byte-identical to a standalone PartitionAccPar run, so the
+// plan is byte-identical to a standalone AccPar portfolio search, so the
 // frontier is a pure function of (space, config).
 func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 	start := time.Now()
@@ -189,7 +171,7 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	variants := core.AccParVariants()
+	variants := core.StrategyAccPar.Variants()
 	for i := range variants {
 		variants[i].MemoryLimit = cfg.Memory
 	}
@@ -354,7 +336,7 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, wrapCtxErr(err)
+		return nil, core.WrapCtxErr(err)
 	}
 
 	rep := &Report{

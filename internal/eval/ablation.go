@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"accpar/internal/core"
@@ -94,13 +95,13 @@ func RunAblationsOn(tree *hardware.Tree, cfg Config) ([]AblationResult, *report.
 		if err != nil {
 			return nil, nil, err
 		}
-		full, err := core.PartitionAccPar(net, tree)
+		full, err := core.PartitionCtx(context.TODO(), net, tree, core.StrategyAccPar.Variants()...)
 		if err != nil {
 			return nil, nil, err
 		}
 		row := []float64{}
 		for _, a := range Ablations {
-			plan, err := core.Partition(net, tree, a.Options())
+			plan, err := core.PartitionCtx(context.TODO(), net, tree, a.Options())
 			if err != nil {
 				return nil, nil, fmt.Errorf("eval: ablation %v on %s: %w", a, name, err)
 			}

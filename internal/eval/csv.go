@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+
+	"accpar/internal/core"
 )
 
 // WriteCSV streams a figure's per-model speedups as CSV (one row per
@@ -18,7 +20,7 @@ func (fr *FigureResult) WriteCSV(w io.Writer) error {
 	}
 	for _, r := range fr.Results {
 		rec := []string{r.Model}
-		for _, s := range Schemes {
+		for _, s := range core.Strategies {
 			rec = append(rec, strconv.FormatFloat(r.Speedup[s], 'g', 6, 64))
 		}
 		if err := cw.Write(rec); err != nil {
@@ -32,7 +34,7 @@ func (fr *FigureResult) WriteCSV(w io.Writer) error {
 // WriteSeriesCSV streams an x-swept figure (Figure 8 style) as CSV using
 // the series' shared x labels.
 func (fr *FigureResult) WriteSeriesCSV(w io.Writer) error {
-	acc := fr.Series[SchemeAccPar]
+	acc := fr.Series[core.StrategyAccPar]
 	if acc == nil || len(acc.X) == 0 {
 		return fmt.Errorf("eval: figure %q has no series", fr.Name)
 	}
@@ -42,7 +44,7 @@ func (fr *FigureResult) WriteSeriesCSV(w io.Writer) error {
 	}
 	for i := range acc.X {
 		rec := []string{acc.X[i]}
-		for _, s := range Schemes {
+		for _, s := range core.Strategies {
 			rec = append(rec, strconv.FormatFloat(fr.Series[s].Y[i], 'g', 6, 64))
 		}
 		if err := cw.Write(rec); err != nil {

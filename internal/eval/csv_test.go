@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"accpar/internal/core"
 )
 
 func TestFigureCSV(t *testing.T) {
@@ -30,7 +32,7 @@ func TestFigureCSV(t *testing.T) {
 	}
 	// Values parse and match the results to the serialized precision.
 	v, err := strconv.ParseFloat(rows[1][4], 64)
-	want := fr.Results[0].Speedup[SchemeAccPar]
+	want := fr.Results[0].Speedup[core.StrategyAccPar]
 	if err != nil || v < want*0.9999 || v > want*1.0001 {
 		t.Errorf("row value %q vs %g", rows[1][4], want)
 	}

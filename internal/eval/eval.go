@@ -20,73 +20,15 @@ import (
 	"accpar/internal/report"
 )
 
-// Scheme identifies one of the four compared parallelization schemes.
-type Scheme int
-
-const (
-	// SchemeDP is the data-parallelism baseline.
-	SchemeDP Scheme = iota
-	// SchemeOWT is "one weird trick".
-	SchemeOWT
-	// SchemeHyPar is the HyPar baseline.
-	SchemeHyPar
-	// SchemeAccPar is the paper's contribution.
-	SchemeAccPar
-)
-
-// Schemes lists the four schemes in presentation order.
-var Schemes = []Scheme{SchemeDP, SchemeOWT, SchemeHyPar, SchemeAccPar}
-
-// String names the scheme as in the figures.
-func (s Scheme) String() string {
-	switch s {
-	case SchemeDP:
-		return "DP"
-	case SchemeOWT:
-		return "OWT"
-	case SchemeHyPar:
-		return "HyPar"
-	case SchemeAccPar:
-		return "AccPar"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
+// partition plans net on tree under s — AccPar as its full portfolio —
+// seeding from and feeding cache (nil for the uncached search). Plans
+// are byte-identical either way.
+func partition(ctx context.Context, s core.Strategy, net *dnn.Network, tree *hardware.Tree, cache *core.SharedCache) (*core.Plan, error) {
+	opts := s.Variants()
+	for i := range opts {
+		opts[i].Cache = cache
 	}
-}
-
-// Options returns the partitioner configuration of the scheme.
-func (s Scheme) Options() core.Options {
-	switch s {
-	case SchemeDP:
-		return core.DataParallel()
-	case SchemeOWT:
-		return core.OWT()
-	case SchemeHyPar:
-		return core.HyPar()
-	case SchemeAccPar:
-		return core.AccPar()
-	default:
-		panic(fmt.Sprintf("eval: invalid scheme %d", int(s)))
-	}
-}
-
-// Partition produces the scheme's plan. AccPar uses the production
-// portfolio search (core.PartitionAccPar), which restores the guarantee
-// that its complete space never loses to the restricted baselines; the
-// baselines use their single configuration.
-func (s Scheme) Partition(net *dnn.Network, tree *hardware.Tree) (*core.Plan, error) {
-	return s.PartitionCached(net, tree, nil)
-}
-
-// PartitionCached is Partition seeding from and feeding a shared
-// cross-run plan cache; nil degrades to the uncached search. Plans are
-// byte-identical either way.
-func (s Scheme) PartitionCached(net *dnn.Network, tree *hardware.Tree, cache *core.SharedCache) (*core.Plan, error) {
-	if s == SchemeAccPar {
-		return core.PartitionAccParCached(net, tree, cache)
-	}
-	opt := s.Options()
-	opt.Cache = cache
-	return core.Partition(net, tree, opt)
+	return core.PartitionCtx(ctx, net, tree, opts...)
 }
 
 // Config sizes the experiments. The zero value is upgraded to the paper's
@@ -144,30 +86,21 @@ func HomogeneousTree(n int) (*hardware.Tree, error) {
 type ModelResult struct {
 	Model string
 	// Time is modelled per-iteration time per scheme, seconds.
-	Time map[Scheme]float64
+	Time map[core.Strategy]float64
 	// Speedup is normalized to DP, the paper's baseline.
-	Speedup map[Scheme]float64
+	Speedup map[core.Strategy]float64
 }
 
 // SpeedupSweep partitions every model with every scheme on the tree and
 // normalizes to data parallelism. The models are independent searches, so
 // they run across a worker pool; each model's result lands in its own
 // slot, so the returned order (and on error, the reported model) matches
-// the serial sweep exactly.
-func SpeedupSweep(tree *hardware.Tree, modelNames []string, batch int) ([]ModelResult, error) {
-	return SpeedupSweepCached(tree, modelNames, batch, nil)
-}
-
-// SpeedupSweepCached is SpeedupSweep over a shared plan cache (nil for the
-// uncached sweep). A warm cache turns the whole sweep into lookups.
-func SpeedupSweepCached(tree *hardware.Tree, modelNames []string, batch int, cache *core.SharedCache) ([]ModelResult, error) {
-	return SpeedupSweepCachedCtx(context.Background(), tree, modelNames, batch, cache)
-}
-
-// SpeedupSweepCachedCtx is SpeedupSweepCached with a context carrying an
-// optional request-scoped tracer (obs.WithTracer): per-model sweep spans
-// land in that tracer, so concurrent sweeps each trace in isolation.
-func SpeedupSweepCachedCtx(ctx context.Context, tree *hardware.Tree, modelNames []string, batch int, cache *core.SharedCache) ([]ModelResult, error) {
+// the serial sweep exactly. Every search seeds from and feeds cache (nil
+// for the uncached sweep), so a warm cache turns the whole sweep into
+// lookups. ctx bounds the searches and may carry a request-scoped tracer
+// (obs.WithTracer): per-model sweep spans land in that tracer, so
+// concurrent sweeps each trace in isolation.
+func SpeedupSweep(ctx context.Context, tree *hardware.Tree, modelNames []string, batch int, cache *core.SharedCache) ([]ModelResult, error) {
 	out := make([]ModelResult, len(modelNames))
 	err := parallel.ForEach(len(modelNames), 0, func(i int) error {
 		name := modelNames[i]
@@ -179,16 +112,16 @@ func SpeedupSweepCachedCtx(ctx context.Context, tree *hardware.Tree, modelNames 
 		if err != nil {
 			return fmt.Errorf("eval: %s: %w", name, err)
 		}
-		r := ModelResult{Model: name, Time: map[Scheme]float64{}, Speedup: map[Scheme]float64{}}
-		for _, s := range Schemes {
-			plan, err := s.PartitionCached(net, tree, cache)
+		r := ModelResult{Model: name, Time: map[core.Strategy]float64{}, Speedup: map[core.Strategy]float64{}}
+		for _, s := range core.Strategies {
+			plan, err := partition(ctx, s, net, tree, cache)
 			if err != nil {
 				return fmt.Errorf("eval: %s/%v: %w", name, s, err)
 			}
 			r.Time[s] = plan.Time()
 		}
-		for _, s := range Schemes {
-			r.Speedup[s] = r.Time[SchemeDP] / r.Time[s]
+		for _, s := range core.Strategies {
+			r.Speedup[s] = r.Time[core.StrategyDP] / r.Time[s]
 		}
 		out[i] = r
 		return nil
@@ -204,8 +137,8 @@ func SpeedupSweepCachedCtx(ctx context.Context, tree *hardware.Tree, modelNames 
 type FigureResult struct {
 	Name    string
 	Table   *report.Table
-	Series  map[Scheme]*report.Series
-	Geomean map[Scheme]float64
+	Series  map[core.Strategy]*report.Series
+	Geomean map[core.Strategy]float64
 	Results []ModelResult
 }
 
@@ -214,27 +147,27 @@ func render(name, xlabel string, results []ModelResult) *FigureResult {
 	fr := &FigureResult{
 		Name:    name,
 		Table:   report.NewTable(name, xlabel, "DP", "OWT", "HyPar", "AccPar"),
-		Series:  map[Scheme]*report.Series{},
-		Geomean: map[Scheme]float64{},
+		Series:  map[core.Strategy]*report.Series{},
+		Geomean: map[core.Strategy]float64{},
 		Results: results,
 	}
-	for _, s := range Schemes {
+	for _, s := range core.Strategies {
 		fr.Series[s] = &report.Series{Name: s.String(), XLabel: xlabel, YLabel: "speedup vs DP"}
 	}
 	for _, r := range results {
-		fr.Table.AddFloatRow(r.Model, 2, r.Speedup[SchemeDP], r.Speedup[SchemeOWT], r.Speedup[SchemeHyPar], r.Speedup[SchemeAccPar])
-		for _, s := range Schemes {
+		fr.Table.AddFloatRow(r.Model, 2, r.Speedup[core.StrategyDP], r.Speedup[core.StrategyOWT], r.Speedup[core.StrategyHyPar], r.Speedup[core.StrategyAccPar])
+		for _, s := range core.Strategies {
 			fr.Series[s].Add(r.Model, r.Speedup[s])
 		}
 	}
-	for _, s := range Schemes {
+	for _, s := range core.Strategies {
 		var vals []float64
 		for _, r := range results {
 			vals = append(vals, r.Speedup[s])
 		}
 		fr.Geomean[s] = report.Geomean(vals)
 	}
-	fr.Table.AddFloatRow("geomean", 2, fr.Geomean[SchemeDP], fr.Geomean[SchemeOWT], fr.Geomean[SchemeHyPar], fr.Geomean[SchemeAccPar])
+	fr.Table.AddFloatRow("geomean", 2, fr.Geomean[core.StrategyDP], fr.Geomean[core.StrategyOWT], fr.Geomean[core.StrategyHyPar], fr.Geomean[core.StrategyAccPar])
 	return fr
 }
 
@@ -246,7 +179,7 @@ func Figure5(cfg Config) (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := SpeedupSweepCached(tree, cfg.Models, cfg.Batch, cfg.Cache)
+	results, err := SpeedupSweep(context.TODO(), tree, cfg.Models, cfg.Batch, cfg.Cache)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +194,7 @@ func Figure6(cfg Config) (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := SpeedupSweepCached(tree, cfg.Models, cfg.Batch, cfg.Cache)
+	results, err := SpeedupSweep(context.TODO(), tree, cfg.Models, cfg.Batch, cfg.Cache)
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +218,7 @@ func Figure7() (*core.Plan, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	plan, err := core.Partition(net, tree, core.AccPar())
+	plan, err := core.PartitionCtx(context.TODO(), net, tree, core.AccPar())
 	if err != nil {
 		return nil, "", err
 	}
@@ -311,10 +244,10 @@ func Figure8(cfg Config) (*FigureResult, error) {
 	fr := &FigureResult{
 		Name:    "Figure 8: speedup vs hierarchy level on Vgg19 (heterogeneous array)",
 		Table:   report.NewTable("Figure 8: speedup vs hierarchy level on Vgg19 (heterogeneous array)", "h", "DP", "OWT", "HyPar", "AccPar"),
-		Series:  map[Scheme]*report.Series{},
-		Geomean: map[Scheme]float64{},
+		Series:  map[core.Strategy]*report.Series{},
+		Geomean: map[core.Strategy]float64{},
 	}
-	for _, s := range Schemes {
+	for _, s := range core.Strategies {
 		fr.Series[s] = &report.Series{Name: s.String(), XLabel: "hierarchy level", YLabel: "speedup vs DP"}
 	}
 	// The h values are independent sweeps: run them across the worker
@@ -328,17 +261,17 @@ func Figure8(cfg Config) (*FigureResult, error) {
 		if err != nil {
 			return err
 		}
-		times := map[Scheme]float64{}
-		for _, s := range Schemes {
-			plan, err := s.PartitionCached(net, tree, cfg.Cache)
+		times := map[core.Strategy]float64{}
+		for _, s := range core.Strategies {
+			plan, err := partition(context.TODO(), s, net, tree, cfg.Cache)
 			if err != nil {
 				return fmt.Errorf("eval: figure8 h=%d %v: %w", h, s, err)
 			}
 			times[s] = plan.Time()
 		}
 		row := []float64{1.0}
-		for _, s := range Schemes[1:] {
-			row = append(row, times[SchemeDP]/times[s])
+		for _, s := range core.Strategies[1:] {
+			row = append(row, times[core.StrategyDP]/times[s])
 		}
 		rows[k] = row
 		return nil
@@ -346,17 +279,17 @@ func Figure8(cfg Config) (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var speedups = map[Scheme][]float64{}
+	var speedups = map[core.Strategy][]float64{}
 	for k, row := range rows {
 		label := fmt.Sprintf("h=%d", hLo+k)
 		fr.Table.AddFloatRow(label, 2, row...)
-		for i, s := range Schemes {
+		for i, s := range core.Strategies {
 			sp := row[i]
 			fr.Series[s].Add(label, sp)
 			speedups[s] = append(speedups[s], sp)
 		}
 	}
-	for _, s := range Schemes {
+	for _, s := range core.Strategies {
 		fr.Geomean[s] = report.Geomean(speedups[s])
 	}
 	return fr, nil
@@ -367,7 +300,7 @@ func Figure8(cfg Config) (*FigureResult, error) {
 // across the plan trees of all models, and its geomean speedup — making the
 // paper's DP ≺ OWT ≺ HyPar ≺ AccPar ordering measurable.
 type FlexibilityRow struct {
-	Scheme          Scheme
+	Scheme          core.Strategy
 	Dynamic         bool
 	DistinctConfigs int
 	Geomean         float64
@@ -380,23 +313,23 @@ func Table8(cfg Config) ([]FlexibilityRow, *report.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	results, err := SpeedupSweepCached(tree, cfg.Models, cfg.Batch, cfg.Cache)
+	results, err := SpeedupSweep(context.TODO(), tree, cfg.Models, cfg.Batch, cfg.Cache)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Each scheme's config census is an independent sweep over the models:
 	// count per-slot across the worker pool, render rows serially in
 	// scheme order.
-	distinct := make([]int, len(Schemes))
-	err = parallel.ForEach(len(Schemes), 0, func(k int) error {
-		s := Schemes[k]
+	distinct := make([]int, len(core.Strategies))
+	err = parallel.ForEach(len(core.Strategies), 0, func(k int) error {
+		s := core.Strategies[k]
 		configs := map[string]bool{}
 		for _, name := range cfg.Models {
 			net, err := models.BuildNetwork(name, cfg.Batch)
 			if err != nil {
 				return err
 			}
-			plan, err := s.PartitionCached(net, tree, cfg.Cache)
+			plan, err := partition(context.TODO(), s, net, tree, cfg.Cache)
 			if err != nil {
 				return err
 			}
@@ -418,14 +351,14 @@ func Table8(cfg Config) ([]FlexibilityRow, *report.Table, error) {
 	}
 	var rows []FlexibilityRow
 	tbl := report.NewTable("Table 8: flexibility of DP, OWT, HyPar and AccPar", "scheme", "configuration", "distinct configs", "geomean speedup")
-	for k, s := range Schemes {
+	for k, s := range core.Strategies {
 		var vals []float64
 		for _, r := range results {
 			vals = append(vals, r.Speedup[s])
 		}
 		row := FlexibilityRow{
 			Scheme:          s,
-			Dynamic:         s == SchemeHyPar || s == SchemeAccPar,
+			Dynamic:         s.Options().Fixed == nil,
 			DistinctConfigs: distinct[k],
 			Geomean:         report.Geomean(vals),
 		}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"accpar/internal/core"
 	"accpar/internal/models"
 )
 
@@ -15,7 +16,7 @@ func smallCfg() Config {
 }
 
 func TestSchemeStringsAndOptions(t *testing.T) {
-	want := map[Scheme]string{SchemeDP: "DP", SchemeOWT: "OWT", SchemeHyPar: "HyPar", SchemeAccPar: "AccPar"}
+	want := map[core.Strategy]string{core.StrategyDP: "DP", core.StrategyOWT: "OWT", core.StrategyHyPar: "HyPar", core.StrategyAccPar: "AccPar"}
 	for s, name := range want {
 		if s.String() != name {
 			t.Errorf("%d: name %q", int(s), s.String())
@@ -34,24 +35,24 @@ func TestFigure5SmallShape(t *testing.T) {
 	}
 	for _, r := range fr.Results {
 		// DP speedup is 1 by construction.
-		if r.Speedup[SchemeDP] != 1.0 {
-			t.Errorf("%s: DP speedup = %g", r.Model, r.Speedup[SchemeDP])
+		if r.Speedup[core.StrategyDP] != 1.0 {
+			t.Errorf("%s: DP speedup = %g", r.Model, r.Speedup[core.StrategyDP])
 		}
 		// AccPar dominates every baseline on the heterogeneous array.
-		for _, s := range []Scheme{SchemeDP, SchemeOWT, SchemeHyPar} {
-			if r.Speedup[SchemeAccPar] < r.Speedup[s]*(1-1e-9) {
-				t.Errorf("%s: AccPar %.3f below %v %.3f", r.Model, r.Speedup[SchemeAccPar], s, r.Speedup[s])
+		for _, s := range []core.Strategy{core.StrategyDP, core.StrategyOWT, core.StrategyHyPar} {
+			if r.Speedup[core.StrategyAccPar] < r.Speedup[s]*(1-1e-9) {
+				t.Errorf("%s: AccPar %.3f below %v %.3f", r.Model, r.Speedup[core.StrategyAccPar], s, r.Speedup[s])
 			}
 		}
 	}
 	// Geomean ordering: AccPar > HyPar and AccPar > OWT > nothing specific
 	// about OWT vs HyPar at small scale; the headline claim is AccPar on
 	// top and DP at 1.
-	if fr.Geomean[SchemeAccPar] <= fr.Geomean[SchemeHyPar] {
-		t.Errorf("geomean AccPar %.3f not above HyPar %.3f", fr.Geomean[SchemeAccPar], fr.Geomean[SchemeHyPar])
+	if fr.Geomean[core.StrategyAccPar] <= fr.Geomean[core.StrategyHyPar] {
+		t.Errorf("geomean AccPar %.3f not above HyPar %.3f", fr.Geomean[core.StrategyAccPar], fr.Geomean[core.StrategyHyPar])
 	}
-	if fr.Geomean[SchemeDP] != 1.0 {
-		t.Errorf("geomean DP = %g", fr.Geomean[SchemeDP])
+	if fr.Geomean[core.StrategyDP] != 1.0 {
+		t.Errorf("geomean DP = %g", fr.Geomean[core.StrategyDP])
 	}
 	if !strings.Contains(fr.Table.String(), "geomean") {
 		t.Error("table missing geomean row")
@@ -66,9 +67,9 @@ func TestFigure5VggBeatsResnetSpeedups(t *testing.T) {
 		t.Fatal(err)
 	}
 	vgg, res := fr.Results[0], fr.Results[1]
-	if vgg.Speedup[SchemeAccPar] <= res.Speedup[SchemeAccPar] {
+	if vgg.Speedup[core.StrategyAccPar] <= res.Speedup[core.StrategyAccPar] {
 		t.Errorf("Vgg AccPar speedup %.2f must exceed Resnet's %.2f (Section 6.2)",
-			vgg.Speedup[SchemeAccPar], res.Speedup[SchemeAccPar])
+			vgg.Speedup[core.StrategyAccPar], res.Speedup[core.StrategyAccPar])
 	}
 }
 
@@ -84,17 +85,17 @@ func TestFigure6HomogeneousGapNarrows(t *testing.T) {
 	}
 	// On the homogeneous array the AccPar/HyPar gap narrows relative to the
 	// heterogeneous array (ratio flexibility stops mattering).
-	gapHet := het.Geomean[SchemeAccPar] / het.Geomean[SchemeHyPar]
-	gapHom := hom.Geomean[SchemeAccPar] / hom.Geomean[SchemeHyPar]
+	gapHet := het.Geomean[core.StrategyAccPar] / het.Geomean[core.StrategyHyPar]
+	gapHom := hom.Geomean[core.StrategyAccPar] / hom.Geomean[core.StrategyHyPar]
 	if gapHom >= gapHet {
 		t.Errorf("homogeneous AccPar/HyPar gap %.3f not below heterogeneous %.3f", gapHom, gapHet)
 	}
 	// AccPar still on top (complete space still helps) — per model, not
 	// just in aggregate: the portfolio guarantees containment.
 	for _, r := range hom.Results {
-		for _, s := range []Scheme{SchemeDP, SchemeOWT, SchemeHyPar} {
-			if r.Speedup[SchemeAccPar] < r.Speedup[s]*(1-1e-9) {
-				t.Errorf("homogeneous %s: AccPar %.3f below %v %.3f", r.Model, r.Speedup[SchemeAccPar], s, r.Speedup[s])
+		for _, s := range []core.Strategy{core.StrategyDP, core.StrategyOWT, core.StrategyHyPar} {
+			if r.Speedup[core.StrategyAccPar] < r.Speedup[s]*(1-1e-9) {
+				t.Errorf("homogeneous %s: AccPar %.3f below %v %.3f", r.Model, r.Speedup[core.StrategyAccPar], s, r.Speedup[s])
 			}
 		}
 	}
@@ -133,7 +134,7 @@ func TestFigure8Scalability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := fr.Series[SchemeAccPar].Y
+	acc := fr.Series[core.StrategyAccPar].Y
 	if len(acc) != 8 {
 		t.Fatalf("h sweep has %d points, want 8", len(acc))
 	}
@@ -143,15 +144,15 @@ func TestFigure8Scalability(t *testing.T) {
 		t.Errorf("AccPar speedup must grow with hierarchy depth: h=2 %.2f vs h=9 %.2f", acc[0], acc[len(acc)-1])
 	}
 	// DP is the normalization baseline: always 1.
-	for i, v := range fr.Series[SchemeDP].Y {
+	for i, v := range fr.Series[core.StrategyDP].Y {
 		if v != 1.0 {
 			t.Errorf("DP point %d = %g", i, v)
 		}
 	}
 	// AccPar dominates at every h.
 	for i := range acc {
-		if acc[i] < fr.Series[SchemeHyPar].Y[i]*(1-1e-9) {
-			t.Errorf("h index %d: AccPar %.2f below HyPar %.2f", i, acc[i], fr.Series[SchemeHyPar].Y[i])
+		if acc[i] < fr.Series[core.StrategyHyPar].Y[i]*(1-1e-9) {
+			t.Errorf("h index %d: AccPar %.2f below HyPar %.2f", i, acc[i], fr.Series[core.StrategyHyPar].Y[i])
 		}
 	}
 }
@@ -238,8 +239,8 @@ func TestHeadlineFullScaleSmoke(t *testing.T) {
 		t.Fatalf("results = %d", len(fr.Results))
 	}
 	g := fr.Geomean
-	if !(g[SchemeAccPar] > g[SchemeHyPar] && g[SchemeHyPar] > g[SchemeOWT] && g[SchemeOWT] > 1) {
+	if !(g[core.StrategyAccPar] > g[core.StrategyHyPar] && g[core.StrategyHyPar] > g[core.StrategyOWT] && g[core.StrategyOWT] > 1) {
 		t.Errorf("geomean ordering violated: OWT %.2f, HyPar %.2f, AccPar %.2f",
-			g[SchemeOWT], g[SchemeHyPar], g[SchemeAccPar])
+			g[core.StrategyOWT], g[core.StrategyHyPar], g[core.StrategyAccPar])
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"accpar/internal/core"
@@ -20,7 +21,7 @@ import (
 type TopologyResult struct {
 	Topology hardware.Topology
 	Model    string
-	Scheme   Scheme
+	Scheme   core.Strategy
 	Time     float64
 	Speedup  float64 // vs DP under the same topology
 }
@@ -42,33 +43,25 @@ func TopologySweep(cfg Config, model string) ([]TopologyResult, *report.Table, e
 		fmt.Sprintf("Topology sensitivity on %s (speedup vs DP per topology)", model),
 		"topology", "DP time (s)", "OWT", "HyPar", "AccPar")
 	for _, topo := range hardware.Topologies {
-		times := map[Scheme]float64{}
-		for _, s := range Schemes {
-			opt := s.Options()
-			opt.Topology = topo
-			var plan *core.Plan
-			var err error
-			if s == SchemeAccPar {
-				variants := core.AccParVariants()
-				for i := range variants {
-					variants[i].Topology = topo
-				}
-				plan, err = core.PartitionBest(net, tree, variants...)
-			} else {
-				plan, err = core.Partition(net, tree, opt)
+		times := map[core.Strategy]float64{}
+		for _, s := range core.Strategies {
+			opts := s.Variants()
+			for i := range opts {
+				opts[i].Topology = topo
 			}
+			plan, err := core.PartitionCtx(context.TODO(), net, tree, opts...)
 			if err != nil {
 				return nil, nil, fmt.Errorf("eval: topology %v scheme %v: %w", topo, s, err)
 			}
 			times[s] = plan.Time()
 		}
-		row := []string{topo.String(), fmt.Sprintf("%.4g", times[SchemeDP])}
-		for _, s := range Schemes[1:] {
-			sp := times[SchemeDP] / times[s]
+		row := []string{topo.String(), fmt.Sprintf("%.4g", times[core.StrategyDP])}
+		for _, s := range core.Strategies[1:] {
+			sp := times[core.StrategyDP] / times[s]
 			row = append(row, fmt.Sprintf("%.2f", sp))
 			out = append(out, TopologyResult{Topology: topo, Model: model, Scheme: s, Time: times[s], Speedup: sp})
 		}
-		out = append(out, TopologyResult{Topology: topo, Model: model, Scheme: SchemeDP, Time: times[SchemeDP], Speedup: 1})
+		out = append(out, TopologyResult{Topology: topo, Model: model, Scheme: core.StrategyDP, Time: times[core.StrategyDP], Speedup: 1})
 		tbl.AddRow(row...)
 	}
 	return out, tbl, nil
@@ -78,7 +71,7 @@ func TopologySweep(cfg Config, model string) ([]TopologyResult, *report.Table, e
 type BatchResult struct {
 	Batch   int
 	Model   string
-	Scheme  Scheme
+	Scheme  core.Strategy
 	Time    float64
 	Speedup float64
 }
@@ -103,21 +96,21 @@ func BatchSweep(cfg Config, model string, batches []int) ([]BatchResult, *report
 		if err != nil {
 			return nil, nil, err
 		}
-		times := map[Scheme]float64{}
-		for _, s := range Schemes {
-			plan, err := s.Partition(net, tree)
+		times := map[core.Strategy]float64{}
+		for _, s := range core.Strategies {
+			plan, err := partition(context.TODO(), s, net, tree, nil)
 			if err != nil {
 				return nil, nil, fmt.Errorf("eval: batch %d scheme %v: %w", b, s, err)
 			}
 			times[s] = plan.Time()
 		}
-		row := []string{fmt.Sprintf("%d", b), fmt.Sprintf("%.4g", times[SchemeDP])}
-		for _, s := range Schemes[1:] {
-			sp := times[SchemeDP] / times[s]
+		row := []string{fmt.Sprintf("%d", b), fmt.Sprintf("%.4g", times[core.StrategyDP])}
+		for _, s := range core.Strategies[1:] {
+			sp := times[core.StrategyDP] / times[s]
 			row = append(row, fmt.Sprintf("%.2f", sp))
 			out = append(out, BatchResult{Batch: b, Model: model, Scheme: s, Time: times[s], Speedup: sp})
 		}
-		out = append(out, BatchResult{Batch: b, Model: model, Scheme: SchemeDP, Time: times[SchemeDP], Speedup: 1})
+		out = append(out, BatchResult{Batch: b, Model: model, Scheme: core.StrategyDP, Time: times[core.StrategyDP], Speedup: 1})
 		tbl.AddRow(row...)
 	}
 	return out, tbl, nil

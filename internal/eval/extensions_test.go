@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"accpar/internal/core"
 	"accpar/internal/hardware"
 )
 
@@ -12,27 +13,27 @@ func TestTopologySweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(hardware.Topologies)*len(Schemes) {
+	if len(results) != len(hardware.Topologies)*len(core.Strategies) {
 		t.Fatalf("results = %d", len(results))
 	}
-	byTopo := map[hardware.Topology]map[Scheme]TopologyResult{}
+	byTopo := map[hardware.Topology]map[core.Strategy]TopologyResult{}
 	for _, r := range results {
 		if byTopo[r.Topology] == nil {
-			byTopo[r.Topology] = map[Scheme]TopologyResult{}
+			byTopo[r.Topology] = map[core.Strategy]TopologyResult{}
 		}
 		byTopo[r.Topology][r.Scheme] = r
 	}
 	for topo, rs := range byTopo {
 		// AccPar dominates under every topology.
-		for _, s := range []Scheme{SchemeDP, SchemeOWT, SchemeHyPar} {
-			if rs[SchemeAccPar].Time > rs[s].Time*(1+1e-9) {
-				t.Errorf("%v: AccPar %.4g slower than %v %.4g", topo, rs[SchemeAccPar].Time, s, rs[s].Time)
+		for _, s := range []core.Strategy{core.StrategyDP, core.StrategyOWT, core.StrategyHyPar} {
+			if rs[core.StrategyAccPar].Time > rs[s].Time*(1+1e-9) {
+				t.Errorf("%v: AccPar %.4g slower than %v %.4g", topo, rs[core.StrategyAccPar].Time, s, rs[s].Time)
 			}
 		}
 	}
 	// Worse interconnects slow everything: DP time under ring exceeds DP
 	// time under full bisection.
-	if byTopo[hardware.Ring][SchemeDP].Time <= byTopo[hardware.FullBisection][SchemeDP].Time {
+	if byTopo[hardware.Ring][core.StrategyDP].Time <= byTopo[hardware.FullBisection][core.StrategyDP].Time {
 		t.Error("ring must be slower than full bisection for data parallelism")
 	}
 	if !strings.Contains(tbl.String(), "ring") {
@@ -45,18 +46,18 @@ func TestBatchSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2*len(Schemes) {
+	if len(results) != 2*len(core.Strategies) {
 		t.Fatalf("results = %d", len(results))
 	}
 	var dp32, dp128 float64
 	for _, r := range results {
-		if r.Scheme == SchemeDP && r.Batch == 32 {
+		if r.Scheme == core.StrategyDP && r.Batch == 32 {
 			dp32 = r.Time
 		}
-		if r.Scheme == SchemeDP && r.Batch == 128 {
+		if r.Scheme == core.StrategyDP && r.Batch == 128 {
 			dp128 = r.Time
 		}
-		if r.Scheme == SchemeAccPar && r.Speedup < 1-1e-9 {
+		if r.Scheme == core.StrategyAccPar && r.Speedup < 1-1e-9 {
 			t.Errorf("batch %d: AccPar speedup %.3f below 1", r.Batch, r.Speedup)
 		}
 	}

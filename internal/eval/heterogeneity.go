@@ -1,8 +1,10 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
+	"accpar/internal/core"
 	"accpar/internal/hardware"
 	"accpar/internal/models"
 	"accpar/internal/report"
@@ -11,7 +13,7 @@ import (
 // HeterogeneityResult is one point of the fleet-composition sweep.
 type HeterogeneityResult struct {
 	V2, V3  int
-	Scheme  Scheme
+	Scheme  core.Strategy
 	Time    float64
 	Speedup float64 // vs DP on the same fleet
 }
@@ -61,21 +63,21 @@ func HeterogeneitySweep(cfg Config, model string, boards int) ([]HeterogeneityRe
 		if err != nil {
 			return nil, nil, err
 		}
-		times := map[Scheme]float64{}
-		for _, s := range Schemes {
-			plan, err := s.Partition(net, tree)
+		times := map[core.Strategy]float64{}
+		for _, s := range core.Strategies {
+			plan, err := partition(context.TODO(), s, net, tree, nil)
 			if err != nil {
 				return nil, nil, fmt.Errorf("eval: fleet %d+%d scheme %v: %w", v2, v3, s, err)
 			}
 			times[s] = plan.Time()
 		}
-		row := []string{fmt.Sprintf("%d×v2+%d×v3", v2, v3), fmt.Sprintf("%.4g", times[SchemeDP])}
-		for _, s := range Schemes[1:] {
-			sp := times[SchemeDP] / times[s]
+		row := []string{fmt.Sprintf("%d×v2+%d×v3", v2, v3), fmt.Sprintf("%.4g", times[core.StrategyDP])}
+		for _, s := range core.Strategies[1:] {
+			sp := times[core.StrategyDP] / times[s]
 			row = append(row, fmt.Sprintf("%.2f", sp))
 			out = append(out, HeterogeneityResult{V2: v2, V3: v3, Scheme: s, Time: times[s], Speedup: sp})
 		}
-		out = append(out, HeterogeneityResult{V2: v2, V3: v3, Scheme: SchemeDP, Time: times[SchemeDP], Speedup: 1})
+		out = append(out, HeterogeneityResult{V2: v2, V3: v3, Scheme: core.StrategyDP, Time: times[core.StrategyDP], Speedup: 1})
 		tbl.AddRow(row...)
 	}
 	return out, tbl, nil

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -25,7 +26,7 @@ type MemoryCeilingResult struct {
 	// Fraction scales every board's HBM capacity (1 = Table 7 values).
 	Fraction float64
 	Model    string
-	Scheme   Scheme
+	Scheme   core.Strategy
 	// Feasible reports whether any plan fit; Time is meaningful only
 	// when it did.
 	Feasible bool
@@ -34,7 +35,7 @@ type MemoryCeilingResult struct {
 
 // ceilingSchemes is the comparison set of the study: AccPar against the
 // replication-heavy baselines whose feasibility knees it should beat.
-var ceilingSchemes = []Scheme{SchemeDP, SchemeOWT, SchemeAccPar}
+var ceilingSchemes = []core.Strategy{core.StrategyDP, core.StrategyOWT, core.StrategyAccPar}
 
 // MemoryCeilingSweep partitions the model on the heterogeneous array with
 // every board's HBM scaled by each fraction, planning under MemoryReject,
@@ -95,19 +96,13 @@ func MemoryCeilingSweep(cfg Config, model string, fractions []float64) ([]Memory
 // partitionRejecting runs one scheme under the reject-mode constraint:
 // the AccPar portfolio with every variant constrained, or the baseline's
 // single constrained configuration.
-func partitionRejecting(s Scheme, net *dnn.Network, tree *hardware.Tree, cache *core.SharedCache) (*core.Plan, error) {
-	if s == SchemeAccPar {
-		variants := core.AccParVariants()
-		for i := range variants {
-			variants[i].MemoryLimit = core.MemoryReject
-			variants[i].Cache = cache
-		}
-		return core.PartitionBest(net, tree, variants...)
+func partitionRejecting(s core.Strategy, net *dnn.Network, tree *hardware.Tree, cache *core.SharedCache) (*core.Plan, error) {
+	opts := s.Variants()
+	for i := range opts {
+		opts[i].MemoryLimit = core.MemoryReject
+		opts[i].Cache = cache
 	}
-	opt := s.Options()
-	opt.MemoryLimit = core.MemoryReject
-	opt.Cache = cache
-	return core.Partition(net, tree, opt)
+	return core.PartitionCtx(context.TODO(), net, tree, opts...)
 }
 
 // gib renders a capacity in GiB with sub-GiB values kept readable.

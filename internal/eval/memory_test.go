@@ -3,6 +3,8 @@ package eval
 import (
 	"strings"
 	"testing"
+
+	"accpar/internal/core"
 )
 
 // TestMemoryCeilingSweep runs the ceiling study at small scale and
@@ -19,7 +21,7 @@ func TestMemoryCeilingSweep(t *testing.T) {
 	if len(results) != len(fractions)*len(ceilingSchemes) {
 		t.Fatalf("results = %d, want %d", len(results), len(fractions)*len(ceilingSchemes))
 	}
-	bySchemeFrac := map[Scheme]map[float64]MemoryCeilingResult{}
+	bySchemeFrac := map[core.Strategy]map[float64]MemoryCeilingResult{}
 	for _, r := range results {
 		if bySchemeFrac[r.Scheme] == nil {
 			bySchemeFrac[r.Scheme] = map[float64]MemoryCeilingResult{}
@@ -47,8 +49,8 @@ func TestMemoryCeilingSweep(t *testing.T) {
 	// AccPar's sharded type space must stay feasible wherever any
 	// replicating baseline still fits.
 	for _, f := range fractions {
-		for _, s := range []Scheme{SchemeDP, SchemeOWT} {
-			if bySchemeFrac[s][f].Feasible && !bySchemeFrac[SchemeAccPar][f].Feasible {
+		for _, s := range []core.Strategy{core.StrategyDP, core.StrategyOWT} {
+			if bySchemeFrac[s][f].Feasible && !bySchemeFrac[core.StrategyAccPar][f].Feasible {
 				t.Errorf("at 1/%g: %v feasible but AccPar is not", 1/f, s)
 			}
 		}

@@ -7,7 +7,7 @@
 // expresses such conditions as first-class fault objects that the
 // discrete-event simulator injects per task (internal/sim), the hardware
 // model turns into post-fault specifications (hardware.DegradeGroups),
-// and the partitioner replans against (core.Replan).
+// and the partitioner replans against (core.ReplanCtx).
 //
 // Four fault classes are modelled:
 //

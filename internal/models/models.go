@@ -50,6 +50,9 @@ func Build(name string, batch int) (*dnn.Graph, error) {
 	if !ok {
 		return nil, fmt.Errorf("models: unknown model %q (have %v)", name, Names())
 	}
+	if batch < 1 {
+		return nil, fmt.Errorf("models: batch %d must be at least 1", batch)
+	}
 	return b(batch)
 }
 

@@ -31,6 +31,18 @@ func TestBuildUnknown(t *testing.T) {
 	}
 }
 
+// TestBuildBadBatch: a non-positive batch is an input error, not a
+// tensor-shape panic, for every model.
+func TestBuildBadBatch(t *testing.T) {
+	for _, name := range Names() {
+		for _, batch := range []int{0, -1} {
+			if _, err := BuildNetwork(name, batch); err == nil {
+				t.Errorf("%s batch %d: want an error", name, batch)
+			}
+		}
+	}
+}
+
 // TestWeightedLayerCounts pins the canonical weighted-layer counts of each
 // architecture (conv + fc).
 func TestWeightedLayerCounts(t *testing.T) {

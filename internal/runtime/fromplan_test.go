@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"testing"
 
 	"accpar/internal/core"
@@ -31,7 +32,7 @@ func TestPlanExecutesNumerically(t *testing.T) {
 	for label, opt := range map[string]core.Options{
 		"dp": core.DataParallel(), "owt": core.OWT(), "hypar": core.HyPar(), "accpar": core.AccPar(),
 	} {
-		plan, err := core.Partition(net, tree, opt)
+		plan, err := core.PartitionCtx(context.Background(), net, tree, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -77,7 +78,7 @@ func TestChainFromPlanRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := core.Partition(conv, tree, core.AccPar())
+	plan, err := core.PartitionCtx(context.Background(), conv, tree, core.AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestChainFromPlanRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err = core.Partition(res, tree, core.AccPar())
+	plan, err = core.PartitionCtx(context.Background(), res, tree, core.AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestChainFromPlanRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err = core.Partition(mlp, t1, core.AccPar())
+	plan, err = core.PartitionCtx(context.Background(), mlp, t1, core.AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"accpar/internal/core"
@@ -49,7 +50,7 @@ func FuzzGenerate(f *testing.F) {
 				t.Fatalf("bad edge %v over %d units", e, units)
 			}
 		}
-		plan, err := core.Partition(net, tree, core.AccPar())
+		plan, err := core.PartitionCtx(context.Background(), net, tree, core.AccPar())
 		if err != nil {
 			t.Fatalf("partition: %v", err)
 		}

@@ -2,7 +2,6 @@ package accpar
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -66,32 +65,11 @@ func DegradeArrayGroups(groups []ArrayGroup, sc *FaultScenario) ([]ArrayGroup, e
 // decisions on the degraded array, partition the degraded array from
 // scratch, and adopt the better post-fault plan.
 func ReplanAnalytic(net *Network, groups []ArrayGroup, strategy Strategy, sc *FaultScenario) (*ReplanReport, error) {
-	return replanAnalytic(net, groups, strategy.Options(), sc)
+	return replanAnalyticCtx(context.Background(), nil, net, groups, strategy.Options(), sc)
 }
 
-// ctxSentinel maps a raw context error (surfaced by a fan-out primitive
-// rather than the planner itself) to the package's typed sentinel;
-// everything else passes through unchanged.
-func ctxSentinel(err error) error {
-	switch {
-	case err == nil, errors.Is(err, ErrCanceled), errors.Is(err, ErrDeadlineExceeded):
-		return err
-	case errors.Is(err, context.DeadlineExceeded):
-		return ErrDeadlineExceeded
-	case errors.Is(err, context.Canceled):
-		return ErrCanceled
-	default:
-		return err
-	}
-}
-
-// replanAnalytic is the options-level replanning pipeline shared by
-// ReplanAnalytic and Session.Replan.
-func replanAnalytic(net *Network, groups []ArrayGroup, opt Options, sc *FaultScenario) (*ReplanReport, error) {
-	return replanAnalyticCtx(context.Background(), nil, net, groups, opt, sc)
-}
-
-// replanAnalyticCtx is replanAnalytic bound to a context and an optional
+// replanAnalyticCtx is the options-level replanning pipeline behind
+// ReplanAnalytic and Session.Replan, bound to a context and an optional
 // engine registry. With a registry (Session calls) the replan runs
 // through a retained ReplanEngine, so a recurrent fault — the same
 // (network, options, degraded hardware) seen again — is served from the
@@ -233,14 +211,7 @@ func partitionEnginesCtx(ctx context.Context, engines *core.ReplanEngines, net *
 	if err != nil {
 		return nil, ReplanStats{}, err
 	}
-	if strategy == StrategyAccPar {
-		return engines.PartitionBestCtx(ctx, net, tree, core.AccParVariants()...)
-	}
-	eng, err := engines.Engine(net, strategy.Options())
-	if err != nil {
-		return nil, ReplanStats{}, err
-	}
-	return eng.PlanCtx(ctx, tree)
+	return engines.PartitionCtx(ctx, net, tree, strategy.Variants()...)
 }
 
 // resilienceCtx is Resilience through an optional engine registry and a
@@ -282,7 +253,7 @@ func resilienceCtx(ctx context.Context, engines *core.ReplanEngines, net *Networ
 	if err != nil {
 		return nil, err
 	}
-	if err := ctxSentinel(ctx.Err()); err != nil {
+	if err := core.WrapCtxErr(ctx.Err()); err != nil {
 		return nil, err
 	}
 
@@ -319,7 +290,7 @@ func resilienceCtx(ctx context.Context, engines *core.ReplanEngines, net *Networ
 		return nil, err
 	}
 	core.ObserveReplanLatency(time.Since(replanStart))
-	if err := ctxSentinel(ctx.Err()); err != nil {
+	if err := core.WrapCtxErr(ctx.Err()); err != nil {
 		return nil, err
 	}
 	sp = obs.StartSpanCtx(ctx, "resilience", "simulate-replanned")

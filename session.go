@@ -164,7 +164,7 @@ func (s *Session) CompareCtx(ctx context.Context, net *Network, arr *Array) (*Co
 		return nil
 	})
 	if err != nil {
-		return nil, ctxSentinel(err)
+		return nil, core.WrapCtxErr(err)
 	}
 	c := &Comparison{Plans: map[Strategy]*Plan{}}
 	for i, st := range Strategies {
@@ -197,10 +197,10 @@ func (s *Session) TuneBatch(model string, arr *Array, minBatch, maxBatch int) (*
 	if err != nil {
 		return nil, err
 	}
-	return autotune.TuneBatchCached(model, tree, minBatch, maxBatch, s.cache)
+	return autotune.TuneBatch(model, tree, minBatch, maxBatch, s.cache)
 }
 
 // TuneDepth is the package-level TuneDepth through the session cache.
 func (s *Session) TuneDepth(net *Network, arr *Array) (*autotune.DepthResult, error) {
-	return autotune.TuneDepthCached(net, arr, s.cache)
+	return autotune.TuneDepth(net, arr, s.cache)
 }
