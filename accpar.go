@@ -266,6 +266,27 @@ func ParseFleet(desc string) (*Array, error) {
 	return HeterogeneousArray(groups...)
 }
 
+// TPUFleet builds the v2×TPU-v2 + v3×TPU-v3 array that the CLI's
+// -v2/-v3 flags and the planning service's v2/v3 fields describe; a zero
+// count drops its group. Negative counts, an empty fleet and fleets over
+// MaxAccelerators are rejected before any array is built.
+func TPUFleet(v2, v3 int) (*Array, error) {
+	switch {
+	case v2 < 0 || v3 < 0:
+		return nil, fmt.Errorf("fleet v2=%d v3=%d: negative accelerator count", v2, v3)
+	case v2 > MaxAccelerators || v3 > MaxAccelerators-v2:
+		return nil, fmt.Errorf("fleet v2=%d v3=%d: more than %d accelerators", v2, v3, MaxAccelerators)
+	case v2 > 0 && v3 > 0:
+		return HeterogeneousArray(ArrayGroup{Spec: TPUv2(), Count: v2}, ArrayGroup{Spec: TPUv3(), Count: v3})
+	case v2 > 0:
+		return HomogeneousArray(TPUv2(), v2)
+	case v3 > 0:
+		return HomogeneousArray(TPUv3(), v3)
+	default:
+		return nil, fmt.Errorf("fleet needs at least one accelerator (v2/v3)")
+	}
+}
+
 // Strategy selects a parallelization scheme.
 type Strategy = core.Strategy
 

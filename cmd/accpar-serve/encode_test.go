@@ -18,7 +18,7 @@ func lenetPlan(t *testing.T) *accpar.Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := buildArray(4, 4)
+	arr, err := accpar.TPUFleet(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

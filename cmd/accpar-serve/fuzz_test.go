@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,12 +15,13 @@ import (
 // FuzzPlanRequest drives arbitrary bodies through /v1/plan under a short
 // deadline. Whatever the body, the answer is a plan, a client error, or
 // the 504 the deadline promises — never another 5xx, and never a
-// recovered panic.
+// recovered panic. A v2/v3 fleet with a negative count is never planned.
 func FuzzPlanRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"model":"lenet","batch":-1,"v2":2,"v3":2}`,
 		`{"model":"lenet","fleet":"tpu-v3:4000000","timeout_ms":50}`,
 		`{"model":"lenet","batch":32,"v2":2,"v3":2} {}`,
+		`{"model":"lenet","batch":8,"v2":-5,"v3":4}`,
 		`{"model":"lenet","batch":32,"v2":4,"v3":4,"levels":8}`,
 		`{"model":"resnet18","batch":64,"fleet":"tpu-v2:4,gpu-class-a:4","strategy":"hypar","memory_limit":"reject","explain":true}`,
 		``,
@@ -42,6 +44,14 @@ func FuzzPlanRequest(f *testing.F) {
 		}
 		if after := panics(); after != before {
 			t.Fatalf("body %q: serve.panics moved %d -> %d", body, before, after)
+		}
+		var fleet struct {
+			V2, V3 int
+			Fleet  string
+		}
+		if json.Unmarshal([]byte(body), &fleet) == nil && fleet.Fleet == "" &&
+			(fleet.V2 < 0 || fleet.V3 < 0) && w.Code == http.StatusOK {
+			t.Fatalf("body %q: negative v2/v3 count planned", body)
 		}
 	})
 }

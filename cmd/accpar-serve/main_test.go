@@ -103,22 +103,25 @@ func TestPlanBadInputs(t *testing.T) {
 		"oversized fleet":  `{"model":"lenet","fleet":"tpu-v3:4000000","timeout_ms":50}`,
 		"oversized sum":    `{"model":"lenet","fleet":"tpu-v2:40000,tpu-v3:40000","timeout_ms":50}`,
 		"trailing data":    `{"model":"lenet","batch":32,"v2":2,"v3":2} {}`,
+		"negative v2":      `{"model":"lenet","batch":8,"v2":-5,"v3":4}`,
+		"negative v3":      `{"model":"lenet","batch":8,"v2":4,"v3":-5}`,
 	}
 	for name, body := range cases {
 		if w := post(t, mux, "/v1/plan", body); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: code %d, want 400", name, w.Code)
 		}
 	}
-	// The batch and fleet bounds hold on every /v1 endpoint, before any
+	// The batch and fleet checks hold on every /v1 endpoint, before any
 	// array is built.
 	for _, path := range []string{"/v1/compare", "/v1/resilience"} {
 		for name, body := range map[string]string{
 			"negative batch":  `{"model":"lenet","batch":-1,"v2":2,"v3":2,"faults":"slowdown:0=2"}`,
 			"oversized v2+v3": `{"model":"lenet","batch":32,"v2":40000,"v3":40000,"faults":"slowdown:0=2","timeout_ms":50}`,
 			"oversized v3":    `{"model":"lenet","batch":32,"v2":1,"v3":4000000,"faults":"slowdown:0=2","timeout_ms":50}`,
+			"negative v2":     `{"model":"lenet","batch":8,"v2":-5,"v3":4,"faults":"slowdown:1=2"}`,
 		} {
 			if path == "/v1/compare" {
-				body = strings.Replace(body, `,"faults":"slowdown:0=2"`, "", 1)
+				body = strings.NewReplacer(`,"faults":"slowdown:0=2"`, "", `,"faults":"slowdown:1=2"`, "").Replace(body)
 			}
 			if w := post(t, mux, path, body); w.Code != http.StatusBadRequest {
 				t.Errorf("%s %s: code %d, want 400: %s", path, name, w.Code, w.Body)

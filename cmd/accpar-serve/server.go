@@ -270,9 +270,13 @@ func (q *planRequest) defaults() {
 	}
 }
 
-// checkFleet rejects a v2/v3 fleet larger than accpar.MaxAccelerators
-// before any array is built (ParseFleet bounds "fleet" specs itself).
+// checkFleet rejects negative v2/v3 counts and a v2/v3 fleet larger
+// than accpar.MaxAccelerators before any array is built (ParseFleet
+// bounds "fleet" specs itself).
 func (q *planRequest) checkFleet() error {
+	if q.V2 < 0 || q.V3 < 0 {
+		return fmt.Errorf("fleet v2=%d v3=%d: negative accelerator count", q.V2, q.V3)
+	}
 	if q.V2 > accpar.MaxAccelerators || q.V3 > accpar.MaxAccelerators || q.V2+q.V3 > accpar.MaxAccelerators {
 		return fmt.Errorf("fleet v2=%d v3=%d: more than %d accelerators", q.V2, q.V3, accpar.MaxAccelerators)
 	}
@@ -362,28 +366,12 @@ func workload(req *planRequest) (*accpar.Network, *accpar.Array, error) {
 	if req.Fleet != "" {
 		arr, err = accpar.ParseFleet(req.Fleet)
 	} else {
-		arr, err = buildArray(req.V2, req.V3)
+		arr, err = accpar.TPUFleet(req.V2, req.V3)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 	return net, arr, nil
-}
-
-// buildArray mirrors the accpar CLI's -v2/-v3 array construction.
-func buildArray(v2, v3 int) (*accpar.Array, error) {
-	switch {
-	case v2 > 0 && v3 > 0:
-		return accpar.HeterogeneousArray(
-			accpar.ArrayGroup{Spec: accpar.TPUv2(), Count: v2},
-			accpar.ArrayGroup{Spec: accpar.TPUv3(), Count: v3})
-	case v2 > 0:
-		return accpar.HomogeneousArray(accpar.TPUv2(), v2)
-	case v3 > 0:
-		return accpar.HomogeneousArray(accpar.TPUv3(), v3)
-	default:
-		return nil, fmt.Errorf("need at least one accelerator (v2/v3 or fleet)")
-	}
 }
 
 // plan serves POST /v1/plan: the partition plan as JSON, byte-identical

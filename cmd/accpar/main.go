@@ -103,7 +103,7 @@ func run(model string, batch, v2, v3 int, fleet, strategy string, levels int, sh
 	if fleet != "" {
 		arr, err = accpar.ParseFleet(fleet)
 	} else {
-		arr, err = buildArray(v2, v3)
+		arr, err = accpar.TPUFleet(v2, v3)
 	}
 	if err != nil {
 		return err
@@ -205,19 +205,4 @@ func writeSearchAudit(rec *accpar.AuditRecorder, w io.Writer) error {
 		return nil
 	}
 	return rec.WriteJSON(w)
-}
-
-func buildArray(v2, v3 int) (*accpar.Array, error) {
-	switch {
-	case v2 > 0 && v3 > 0:
-		return accpar.HeterogeneousArray(
-			accpar.ArrayGroup{Spec: accpar.TPUv2(), Count: v2},
-			accpar.ArrayGroup{Spec: accpar.TPUv3(), Count: v3})
-	case v2 > 0:
-		return accpar.HomogeneousArray(accpar.TPUv2(), v2)
-	case v3 > 0:
-		return accpar.HomogeneousArray(accpar.TPUv3(), v3)
-	default:
-		return nil, fmt.Errorf("need at least one accelerator (-v2/-v3)")
-	}
 }

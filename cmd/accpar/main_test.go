@@ -26,20 +26,29 @@ func TestParseStrategy(t *testing.T) {
 }
 
 func TestBuildArray(t *testing.T) {
-	arr, err := buildArray(2, 3)
+	arr, err := accpar.TPUFleet(2, 3)
 	if err != nil || arr.Size() != 5 {
 		t.Errorf("mixed array: %v, %v", arr, err)
 	}
-	arr, err = buildArray(4, 0)
+	arr, err = accpar.TPUFleet(4, 0)
 	if err != nil || arr.Heterogeneous() {
 		t.Errorf("v2-only array: %v, %v", arr, err)
 	}
-	arr, err = buildArray(0, 4)
+	arr, err = accpar.TPUFleet(0, 4)
 	if err != nil || arr.Heterogeneous() {
 		t.Errorf("v3-only array: %v, %v", arr, err)
 	}
-	if _, err := buildArray(0, 0); err == nil {
+	if _, err := accpar.TPUFleet(0, 0); err == nil {
 		t.Error("empty array must error")
+	}
+	for _, c := range [][2]int{{-5, 4}, {4, -5}, {-1, -1}, {40000, 40000}} {
+		if _, err := accpar.TPUFleet(c[0], c[1]); err == nil {
+			t.Errorf("TPUFleet(%d, %d) must error", c[0], c[1])
+		}
+	}
+	// The CLI must not plan the v3 group alone when -v2 is negative.
+	if err := run("lenet", 16, -5, 4, "", "accpar", 8, false, false, false, false, false, "", "", "sgd", "off"); err == nil {
+		t.Error("accpar -v2 -5 -v3 4 must error")
 	}
 }
 

@@ -281,7 +281,7 @@ func (p *planner) auditCompute(node *hardware.Tree, dims []tensor.LayerDims, n *
 	if rec == nil {
 		return
 	}
-	key, _ := p.subproblemKey(node, dims)
+	key := p.subproblemKey(node, dims)
 	sub := AuditSubproblem{
 		Level:      node.Level,
 		Group:      node.Group.String(),

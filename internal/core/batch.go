@@ -11,7 +11,7 @@ import (
 
 // BatchEngine plans many hardware trees against one (network, options)
 // pair while sharing a single structural memo across all of them. The
-// memo keys subproblems by (interned-subtree digest, effective dims), so
+// memo keys subproblems by (subtree content digest, effective dims), so
 // a subtree two candidate fleets have in common — the same accelerator
 // specs under the same link wiring, wherever it hangs in either tree,
 // at whatever depth (digests are level-independent) — is solved once
@@ -113,13 +113,6 @@ func NewBatchSet(net *dnn.Network, opts ...Options) (*BatchSet, error) {
 			return nil, err
 		}
 		engines[i] = e
-	}
-	// All engines read one hardware index: digests and spec sets are
-	// functions of the trees alone, never of options, so each candidate
-	// hierarchy is indexed once for the whole portfolio instead of once
-	// per variant.
-	for _, e := range engines[1:] {
-		e.base.hw = engines[0].base.hw
 	}
 	return &BatchSet{engines: engines}, nil
 }

@@ -38,7 +38,8 @@ import (
 // planner bakes into cached nodes, or the subproblem key scheme changes,
 // so stale snapshots are rejected instead of silently replaying outdated
 // solutions (or, for a key-scheme change, carrying entries no search can
-// ever hit again). v2: digest-based subproblem keys (hwIndex).
+// ever hit again). v2: digest-based subproblem keys (subtree content
+// digests, now hardware.Tree.Identity).
 // v3: level-independent subtree digests (levels are relabeled on clone,
 // so entries keyed under the old level-folding scheme can never be hit).
 // v4: HBM capacities became decision-relevant (Options.MemoryLimit) — a
@@ -262,7 +263,8 @@ func searchFingerprint(units []dnn.WeightedLayer, segs, planSegs []segRef, opt O
 	// The memory constraint changes decisions (constrained searches may
 	// pick different types or ratios), so it namespaces cache entries;
 	// the capacity inputs themselves travel in the subproblem key, whose
-	// hwIndex digests fold in every spec's HBMBytes fingerprint.
+	// subtree digests (hardware.Tree.Identity) fold in every spec's
+	// HBMBytes fingerprint.
 	wInt(int64(opt.MemoryLimit))
 
 	// The Fixed assignment is a function — unhashable by value — but its

@@ -18,12 +18,12 @@ import (
 )
 
 // This file implements incremental replanning: a ReplanEngine retains
-// one planner's dependency-tracked subproblem memo and hardware digest
-// index across fault events, so responding to a degradation re-solves
-// only the subproblems the fault actually touched. The memo is the
-// engine's only store: a recurrent tree is one root-subproblem hit, and
-// the stale pass memoizes its re-costings in the same memo under tagged
-// keys (see staleNodeInc). Everything is content-addressed, which splits
+// one planner's dependency-tracked subproblem memo across fault events,
+// so responding to a degradation re-solves only the subproblems the
+// fault actually touched. The memo is the engine's only store: a
+// recurrent tree is one root-subproblem hit, and the stale pass
+// memoizes its re-costings in the same memo under tagged keys (see
+// staleNodeInc). Everything is content-addressed, which splits
 // correctness from retention cleanly:
 //
 //   - correctness: a retained entry can only be hit by a subproblem with
@@ -35,10 +35,10 @@ import (
 //     fingerprints of its hardware subtree) is tested when degraded
 //     hardware leaves the recent working set, invalidating exactly the
 //     dependent subtree of subproblems; an epoch backstop bounds what
-//     reachable hardware can accumulate. The hardware index holds each
-//     working-set root by reference and forgets a root's nodes when its
-//     last holder lets go, so retention costs follow the trees that enter
-//     and leave, never the trees kept.
+//     reachable hardware can accumulate. The working set records each
+//     tree by digest, spec set and root key only — the digests are cached
+//     on the trees themselves (hardware.Tree.Identity) — so retention
+//     costs follow the trees that enter and leave, never the trees kept.
 
 const (
 	// defaultRecentTrees bounds the hardware trees (by content digest) an
@@ -117,7 +117,6 @@ type recentTree struct {
 	digest [16]byte
 	key    string
 	specs  []uint64
-	root   *hardware.Tree
 }
 
 // ReplanEngine retains one search's dependency-tracked state across
@@ -131,8 +130,7 @@ type ReplanEngine struct {
 	// that last served them (the retention backstop's clock).
 	epoch atomic.Int64
 	// recent is the MRU-first working set of trees that bounds the
-	// reachable-spec set for dependency invalidation. Each entry holds its
-	// root in the hardware index.
+	// reachable-spec set for dependency invalidation.
 	recent    []recentTree
 	recentCap int
 	memoCap   int
@@ -153,31 +151,19 @@ func NewReplanEngine(net *dnn.Network, opt Options) (*ReplanEngine, error) {
 	return &ReplanEngine{base: p, recentCap: defaultRecentTrees, memoCap: defaultMemoCap}, nil
 }
 
-// admit moves tree to the front of the recent working set, holding it in
-// the hardware index (and indexing it) on first sight, and evicts beyond
-// capacity: an evicted root is released and its specs logged for the
-// next retention pass. Caller holds e.mu.
+// admit moves tree to the front of the recent working set, matching it
+// by content digest (servers rebuild trees per request, so a recurrent
+// tree is often a new object), and evicts beyond capacity: an evicted
+// tree's specs are logged for the next retention pass. Caller holds e.mu.
 func (e *ReplanEngine) admit(tree *hardware.Tree) recentTree {
+	id := tree.Identity()
 	for i, r := range e.recent {
-		if r.root == tree {
+		if r.digest == id.Digest {
 			e.toFront(i, r)
 			return r
 		}
 	}
-	info := e.base.hw.retain(tree)
-	for i, r := range e.recent {
-		if r.digest == info.digest {
-			// Same content, new tree object (servers rebuild trees per
-			// request): hold the latest pointer and forget the old one. The
-			// specs are unchanged, so no memo entry is affected.
-			e.base.hw.release(r.root)
-			r.root = tree
-			e.toFront(i, r)
-			return r
-		}
-	}
-	key, _ := e.base.subproblemKey(tree, e.base.rootDims)
-	r := recentTree{digest: info.digest, key: key, specs: info.specs, root: tree}
+	r := recentTree{digest: id.Digest, key: e.base.subproblemKey(tree, e.base.rootDims), specs: id.Specs}
 	e.recent = append(e.recent, recentTree{})
 	copy(e.recent[1:], e.recent)
 	e.recent[0] = r
@@ -185,7 +171,6 @@ func (e *ReplanEngine) admit(tree *hardware.Tree) recentTree {
 		old := e.recent[e.recentCap]
 		e.recent[e.recentCap] = recentTree{}
 		e.recent = e.recent[:e.recentCap]
-		e.base.hw.release(old.root)
 		e.evicted = append(e.evicted, old.specs...)
 	}
 	return r
@@ -256,13 +241,8 @@ func (e *ReplanEngine) PlanCtx(ctx context.Context, tree *hardware.Tree) (*Plan,
 	r := e.admit(tree)
 	invalidated := e.maybeGC(ep)
 	pc := e.base.forCall(ctx, ep, rs)
-	// The call holds its tree for its whole search, so neither a
-	// concurrent call's eviction nor a registry drop forgets hardware the
-	// search still walks (it would re-index those nodes outside any hold).
-	pc.hw.retain(tree)
 	e.mu.Unlock()
-	defer pc.hw.release(tree)
-	plan, err := pc.planKeyed(tree, r.key, r.specs)
+	plan, err := pc.planKeyed(tree, r.key)
 	return plan, rs.snapshot(invalidated, time.Since(start)), err
 }
 
@@ -284,14 +264,9 @@ func (e *ReplanEngine) ReplanCtx(ctx context.Context, pristine, degraded *hardwa
 	dr := e.admit(degraded)
 	invalidated := e.maybeGC(ep)
 	pc := e.base.forCall(ctx, ep, rs)
-	// Both trees are held for the call, as in PlanCtx.
-	pc.hw.retain(pristine)
-	pc.hw.retain(degraded)
 	e.mu.Unlock()
-	defer pc.hw.release(pristine)
-	defer pc.hw.release(degraded)
 
-	faultFree, err := pc.planKeyed(pristine, pr.key, pr.specs)
+	faultFree, err := pc.planKeyed(pristine, pr.key)
 	if err != nil {
 		return nil, rs.snapshot(invalidated, time.Since(start)), err
 	}
@@ -313,7 +288,7 @@ func (e *ReplanEngine) ReplanCtx(ctx context.Context, pristine, degraded *hardwa
 	})
 	g.Go(func() error {
 		var ferr error
-		fresh, ferr = pc.planKeyed(degraded, dr.key, dr.specs)
+		fresh, ferr = pc.planKeyed(degraded, dr.key)
 		return ferr
 	})
 	if err := g.Wait(); err != nil {
@@ -369,9 +344,8 @@ func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, di
 		// solved for any fresh pass (or a symmetric sibling) is reused.
 		return p.partitionNode(node, dims)
 	}
-	ninfo := p.hw.ensure(node)
-	pinfo := p.hw.ensure(pristNode)
-	if pinfo.digest == ninfo.digest {
+	nid, pid := node.Identity(), pristNode.Identity()
+	if pid.Digest == nid.Digest {
 		// The fault did not touch this subtree's hardware: re-costing the
 		// plan's own decisions on the plan's own hardware reproduces the
 		// plan.
@@ -379,15 +353,15 @@ func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, di
 		return clonePlanNodeAt(old, node.Level), nil
 	}
 	if key == "" {
-		key, _ = p.subproblemKey(node, dims)
+		key = p.subproblemKey(node, dims)
 	}
-	key = staleKey(key, pinfo.digest)
+	key = staleKey(key, pid.Digest)
 	if cached, _, ok := p.memo.get(key, p.epoch); ok {
 		p.noteHit()
 		return clonePlanNodeAt(cached, node.Level), nil
 	}
 	// The re-costing depends on both subtrees' hardware.
-	deps := mergeSpecs(ninfo.specs, pinfo.specs)
+	deps := hardware.MergeSpecs(nid.Specs, pid.Specs)
 	if node.IsLeaf() {
 		n, err := leafNode(node, p.units, dims, p.opt)
 		if err != nil {
@@ -446,8 +420,8 @@ func staleKey(key string, pristine [16]byte) string {
 // serving session holds one engine per distinct search it has replanned
 // — including one per portfolio variant — without unbounded growth. It
 // also interns hardware trees by content (see InternTree), so callers
-// that rebuild their array per request keep presenting the engines with
-// stable tree pointers.
+// that rebuild their array per request reuse one tree, whose content
+// identity is already computed.
 type ReplanEngines struct {
 	mu       sync.Mutex
 	capacity int
@@ -455,12 +429,6 @@ type ReplanEngines struct {
 	order    []string // MRU-first
 	trees    map[string]*hardware.Tree
 	treeMRU  []string
-	// hw is the one hardware index all resident engines read: digests and
-	// spec sets depend on the trees alone, never on options, so a new
-	// tree is digested once per registry rather than once per variant.
-	// Each engine holds its working-set roots in it; dropping an engine
-	// releases them.
-	hw *hwIndex
 }
 
 // treeInternCap bounds the interned trees per registry: enough for a
@@ -477,20 +445,19 @@ func NewReplanEngines(capacity int) *ReplanEngines {
 		capacity: capacity,
 		m:        make(map[string]*ReplanEngine),
 		trees:    make(map[string]*hardware.Tree),
-		hw:       newHWIndex(),
 	}
 }
 
 // InternTree returns a hardware tree for the array, reusing the
 // registry's retained tree when one with identical content (same
 // ordered spec list, same level budget) exists. Servers rebuild the
-// array object on every request; without interning each request's fresh
-// tree pointer forces the registry's hardware index to digest the
-// whole hierarchy (O(fleet) hashing) before a single retained entry can
-// be consulted. With it, a recurrent request presents the exact pointer
-// the index already knows and the digest lookup is O(1). Interning
-// never changes plans — trees with equal content plan identically — it
-// only makes the recurrent case cheap.
+// array object on every request; without interning each request pays
+// for building a fresh tree and digesting its whole hierarchy
+// (O(fleet) hashing, hardware.Tree.Identity) before a single retained
+// entry can be consulted. With it, a recurrent request presents a tree
+// whose identity is already cached, one O(array) fingerprint away.
+// Interning never changes plans — trees with equal content plan
+// identically — it only makes the recurrent case cheap.
 func (s *ReplanEngines) InternTree(arr *hardware.Array, maxLevels int) (*hardware.Tree, error) {
 	key := arrayKey(arr, maxLevels)
 	s.mu.Lock()
@@ -566,37 +533,15 @@ func (s *ReplanEngines) Engine(net *dnn.Network, opt Options) (*ReplanEngine, er
 		s.mu.Unlock()
 		return existing, nil
 	}
-	e.base.hw = s.hw
 	s.m[key] = e
 	s.order = append([]string{key}, s.order...)
-	var dropped *ReplanEngine
 	if len(s.order) > s.capacity {
 		last := s.order[len(s.order)-1]
 		s.order = s.order[:len(s.order)-1]
-		dropped = s.m[last]
 		delete(s.m, last)
 	}
 	s.mu.Unlock()
-	if dropped != nil {
-		dropped.detach()
-	}
 	return e, nil
-}
-
-// detach releases everything a dropped engine holds in the registry's
-// shared index and resets it to private, empty state: a caller still
-// holding the engine keeps getting correct plans, but nothing it does
-// afterwards can pin hardware in the registry's index.
-func (e *ReplanEngine) detach() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, r := range e.recent {
-		e.base.hw.release(r.root)
-	}
-	e.recent = nil
-	e.evicted = nil
-	e.base.hw = newHWIndex()
-	e.base.memo = newPlanMemo()
 }
 
 func (s *ReplanEngines) touch(key string) {

@@ -150,10 +150,10 @@ func (p *planner) constrainSplit(node *hardware.Tree, dims []tensor.LayerDims, s
 	// this subtree under any reachable plan, skip the candidate ladder —
 	// this is the in-DP pruning of infeasible subtrees.
 	need := residencyAtDims(p.units, dims, p.opt)
-	info := p.hw.ensure(node)
-	floor := info.hbm
-	if p.opt.Ratio == RatioEqual && info.capFloorHalf < floor {
-		floor = info.capFloorHalf
+	id := node.Identity()
+	floor := id.HBMBytes
+	if p.opt.Ratio == RatioEqual && id.CapFloorHalf < floor {
+		floor = id.CapFloorHalf
 	}
 	if need > floor {
 		obsMemoryPruned.Inc()
@@ -208,9 +208,9 @@ func (p *planner) constrainSplit(node *hardware.Tree, dims []tensor.LayerDims, s
 		// Under flexible ratios, residency follows the split ratio for
 		// batch and channel shards alike: try the penalized types at the
 		// capacity-proportional ratio too.
-		if p.opt.Ratio == RatioFlexible && info.hbm > 0 {
-			capI := float64(p.hw.ensure(node.Left).hbm)
-			alpha := cost.ClampRatio(capI / float64(info.hbm))
+		if p.opt.Ratio == RatioFlexible && id.HBMBytes > 0 {
+			capI := float64(node.Left.Identity().HBMBytes)
+			alpha := cost.ClampRatio(capI / float64(id.HBMBytes))
 			nc, err := p.buildSplit(node, dims, sideI, sideJ, n.Types, alpha)
 			if err != nil {
 				return nil, nil, err

@@ -50,8 +50,8 @@ type memoShard struct {
 type memoEntry struct {
 	node *PlanNode
 	// deps holds the sorted distinct spec fingerprints of the hardware
-	// subtree this solution depends on (shared with the hwIndex — read
-	// only).
+	// subtree this solution depends on (shared with the tree's cached
+	// Identity — read only).
 	deps []uint64
 	// epoch is the replan generation that last hit or stored the entry.
 	epoch atomic.Int64
@@ -162,15 +162,15 @@ func (p *planMemo) evictBefore(cutoff int64) int {
 }
 
 // subproblemKey hashes (hardware subtree, effective dims) into a memo
-// key, resolving the subtree through the planner's hardware index: the
-// digest replaces the former O(subtree) spec walk, so keying a node is
-// O(dims) regardless of how much hardware hangs below it. The hashed
-// bytes — the digest, the unit count and nine little-endian int64
-// extents per unit — are laid out in one buffer and written once.
-func (p *planner) subproblemKey(node *hardware.Tree, dims []tensor.LayerDims) (string, hwInfo) {
-	info := p.hw.ensure(node)
-	buf := make([]byte, 0, len(info.digest)+8*(1+9*len(dims)))
-	buf = append(buf, info.digest[:]...)
+// key. The subtree enters through its cached content digest
+// (hardware.Tree.Identity), so keying a node is O(dims) regardless of
+// how much hardware hangs below it. The hashed bytes — the digest, the
+// unit count and nine little-endian int64 extents per unit — are laid
+// out in one buffer and written once.
+func (p *planner) subproblemKey(node *hardware.Tree, dims []tensor.LayerDims) string {
+	digest := node.Identity().Digest
+	buf := make([]byte, 0, len(digest)+8*(1+9*len(dims)))
+	buf = append(buf, digest[:]...)
 	le := binary.LittleEndian
 	buf = le.AppendUint64(buf, uint64(len(dims)))
 	for _, d := range dims {
@@ -186,16 +186,17 @@ func (p *planner) subproblemKey(node *hardware.Tree, dims []tensor.LayerDims) (s
 	}
 	h := fnv.New128a()
 	h.Write(buf)
-	return string(h.Sum(nil)), info
+	return string(h.Sum(nil))
 }
 
 // clonePlanNodeAt copies a memoized subtree so every parent links a
 // private node graph, relabeling Level to the depth the clone is linked
 // at (children one deeper, mirroring BuildTree). Subtree digests are
-// level-independent (hwindex.go), so a memo hit may serve a solution
-// first computed at a different depth of a different tree; every other
-// field of the solution is depth-invariant, and the relabel restores the
-// one that is not, keeping plans byte-identical to a standalone search.
+// level-independent (hardware.Identity), so a memo hit may serve a
+// solution first computed at a different depth of a different tree;
+// every other field of the solution is depth-invariant, and the relabel
+// restores the one that is not, keeping plans byte-identical to a
+// standalone search.
 func clonePlanNodeAt(n *PlanNode, level int) *PlanNode {
 	if n == nil {
 		return nil

@@ -23,8 +23,8 @@ func TestSubproblemKeyBytes(t *testing.T) {
 		types[i] = cost.Types[i%len(cost.Types)]
 	}
 	childDims := scaleUnitDims(p.units, p.rootDims, types, 0.3)
-	rootKey, _ := p.subproblemKey(tree, p.rootDims)
-	childKey, _ := p.subproblemKey(tree.Left, childDims)
+	rootKey := p.subproblemKey(tree, p.rootDims)
+	childKey := p.subproblemKey(tree.Left, childDims)
 	for _, c := range []struct {
 		name, key, want string
 	}{

@@ -36,11 +36,6 @@ var (
 	// log2-bucketed obs.Timer): one observation per ReplanEngine.ReplanCtx
 	// and per resilience degraded-replanning phase.
 	obsReplanTimer = obs.NewTimer("core.replan.seconds")
-	// obsNodesIndexed counts hardware-tree nodes digested into a hardware
-	// index (indexTree). A replan registry digests each new tree once for
-	// all its engines, so the counter grows with the trees that arrive,
-	// not with the working set retained.
-	obsNodesIndexed = obs.NewCounter("core.hwindex_nodes_indexed")
 	// obsCrossFleetHits counts batch-engine memo hits on entries last
 	// touched while planning a *different* candidate fleet — the work a
 	// design-space sweep amortizes across candidates rather than within

@@ -36,10 +36,6 @@ type planner struct {
 	// store. searchFP namespaces this planner's subproblem keys inside it.
 	shared   *SharedCache
 	searchFP string
-	// hw indexes every hardware tree this planner has planned: content
-	// digests (the subproblem-key prefix) and per-subtree spec
-	// fingerprint sets (the memo's dependency records).
-	hw *hwIndex
 	// ctx aborts the search; done caches its Done channel so the
 	// per-subproblem cancellation probe (checkCtx) is one nil comparison
 	// when no context was supplied.
@@ -58,10 +54,10 @@ type planner struct {
 }
 
 // forCall returns a shallow copy of the planner rebound to one engine
-// call: same memo, hardware index and semaphore — the retained state
-// incremental replanning exists for — but a per-call
-// context, epoch and stats collector. The copy is what lets one retained
-// planner serve concurrent calls with different deadlines.
+// call: same memo and semaphore — the retained state incremental
+// replanning exists for — but a per-call context, epoch and stats
+// collector. The copy is what lets one retained planner serve
+// concurrent calls with different deadlines.
 func (p *planner) forCall(ctx context.Context, epoch int64, rs *replanStats) *planner {
 	pc := *p
 	pc.ctx = ctx
@@ -115,7 +111,6 @@ func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, e
 		opt:      opt,
 		memo:     newPlanMemo(),
 		sem:      parallel.NewSem(opt.Parallelism),
-		hw:       newHWIndex(),
 		ctx:      ctx,
 	}
 	if ctx != nil {
@@ -126,17 +121,16 @@ func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, e
 
 // plan runs the hierarchical partitioning over one hardware tree.
 func (p *planner) plan(tree *hardware.Tree) (*Plan, error) {
-	key, info := p.subproblemKey(tree, p.rootDims)
-	return p.planKeyed(tree, key, info.specs)
+	return p.planKeyed(tree, p.subproblemKey(tree, p.rootDims))
 }
 
-// planKeyed is plan with the root subproblem key and dependency set
-// already in hand; a ReplanEngine keeps both per admitted tree, so a
-// recurrent tree costs one memo lookup and no dims hashing.
-func (p *planner) planKeyed(tree *hardware.Tree, key string, deps []uint64) (*Plan, error) {
+// planKeyed is plan with the root subproblem key already in hand; a
+// ReplanEngine keeps it per admitted tree, so a recurrent tree costs one
+// memo lookup and no dims hashing.
+func (p *planner) planKeyed(tree *hardware.Tree, key string) (*Plan, error) {
 	sp := obs.StartSpanCtx(p.ctx, "planner", "plan")
 	defer sp.End()
-	root, err := p.partitionKeyed(tree, p.rootDims, key, deps)
+	root, err := p.partitionKeyed(tree, p.rootDims, key)
 	if err != nil {
 		return nil, err
 	}
@@ -176,13 +170,13 @@ func strategyName(opt Options) string {
 // are level-independent and the cached solution may have been computed
 // at a different depth.
 func (p *planner) partitionNode(node *hardware.Tree, dims []tensor.LayerDims) (*PlanNode, error) {
-	key, info := p.subproblemKey(node, dims)
-	return p.partitionKeyed(node, dims, key, info.specs)
+	return p.partitionKeyed(node, dims, p.subproblemKey(node, dims))
 }
 
-// partitionKeyed is partitionNode for a subproblem already keyed; deps is
-// the subtree's spec-fingerprint set, recorded with any memo entry.
-func (p *planner) partitionKeyed(node *hardware.Tree, dims []tensor.LayerDims, key string, deps []uint64) (*PlanNode, error) {
+// partitionKeyed is partitionNode for a subproblem already keyed. Memo
+// entries record the subtree's spec-fingerprint set as their
+// dependencies.
+func (p *planner) partitionKeyed(node *hardware.Tree, dims []tensor.LayerDims, key string) (*PlanNode, error) {
 	if err := p.checkCtx(); err != nil {
 		return nil, err
 	}
@@ -226,7 +220,7 @@ func (p *planner) partitionKeyed(node *hardware.Tree, dims []tensor.LayerDims, k
 				obsSharedHits.Inc()
 				p.auditHit(node, key, ProvenanceSharedCacheHit)
 			}
-			p.memo.put(key, n, deps, p.epoch)
+			p.memo.put(key, n, node.Identity().Specs, p.epoch)
 			return clonePlanNodeAt(n, node.Level), nil
 		}
 	}
@@ -236,7 +230,7 @@ func (p *planner) partitionKeyed(node *hardware.Tree, dims []tensor.LayerDims, k
 		// usually carry tree-specific context (degenerate specs).
 		return nil, err
 	}
-	p.memo.put(key, n, deps, p.epoch)
+	p.memo.put(key, n, node.Identity().Specs, p.epoch)
 	return n, nil
 }
 
@@ -291,8 +285,8 @@ func (p *planner) solveSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI
 	ctx := newLevelCtx(p.units, dims, p.segs, p.planSegs, sideI, sideJ, p.opt)
 	if memLambda > 0 {
 		ctx.memLambda = memLambda
-		ctx.capI = float64(p.hw.ensure(node.Left).hbm)
-		ctx.capJ = float64(p.hw.ensure(node.Right).hbm)
+		ctx.capI = float64(node.Left.Identity().HBMBytes)
+		ctx.capJ = float64(node.Right.Identity().HBMBytes)
 	}
 
 	// Initial ratio: equal, or compute-proportional for the flexible mode.

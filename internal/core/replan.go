@@ -33,7 +33,6 @@ func (p *planner) stalePlan(plan *Plan, tree *hardware.Tree) (*Plan, error) {
 	if plan == nil || plan.Root == nil {
 		return nil, fmt.Errorf("core: stale evaluation needs a plan")
 	}
-	p.hw.ensure(tree)
 	root, err := p.staleNode(tree, plan.Root, p.rootDims)
 	if err != nil {
 		return nil, err

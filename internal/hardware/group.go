@@ -2,6 +2,7 @@ package hardware
 
 import (
 	"fmt"
+	"sync"
 )
 
 // Group is a contiguous set of accelerators acting as one side of a
@@ -130,6 +131,11 @@ type Tree struct {
 	// Level is the node's depth: the root is level 1 (the paper's Figure 7
 	// numbers hierarchy levels starting at 1).
 	Level int
+
+	// identOnce guards ident, the node's content identity, computed on
+	// the first Identity call. A Tree must therefore not be copied.
+	identOnce sync.Once
+	ident     Identity
 }
 
 // BuildTree constructs the hierarchy for the array, stopping after

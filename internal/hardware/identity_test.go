@@ -1,0 +1,220 @@
+package hardware
+
+import (
+	"encoding/hex"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// v2v3Tree builds the n×TPU-v2 + n×TPU-v3 hierarchy, with group
+// degradations applied first when degs is non-nil.
+func v2v3Tree(t *testing.T, n int, degs map[int]Degradation) *Tree {
+	t.Helper()
+	groups := []GroupSpec{{Spec: TPUv2(), Count: n}, {Spec: TPUv3(), Count: n}}
+	if degs != nil {
+		var err error
+		if groups, err = DegradeGroups(groups, degs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arr, err := NewHeterogeneous(groups...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := BuildTree(arr, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// slowV3 slows the TPU-v3 group's compute by 2×.
+var slowV3 = map[int]Degradation{1: {Compute: 2, MemBW: 1, NetBW: 1}}
+
+func leftmostLeaf(t *Tree) *Tree {
+	for !t.IsLeaf() {
+		t = t.Left
+	}
+	return t
+}
+
+func rightmostLeaf(t *Tree) *Tree {
+	for !t.IsLeaf() {
+		t = t.Right
+	}
+	return t
+}
+
+func sameIdentity(a, b Identity) bool {
+	return a.Digest == b.Digest && slices.Equal(a.Specs, b.Specs) &&
+		a.HBMBytes == b.HBMBytes && a.CapFloorHalf == b.CapFloorHalf
+}
+
+// nodes returns the tree's nodes in pre-order.
+func nodes(t *Tree) []*Tree {
+	var out []*Tree
+	t.Walk(func(n *Tree) { out = append(out, n) })
+	return out
+}
+
+// TestIdentityPinnedDigests pins digests recorded with the planner's
+// former side-map digester. Subproblem keys and persisted plan-cache
+// snapshots are keyed by these bytes, so a change here is a cache
+// schema change.
+func TestIdentityPinnedDigests(t *testing.T) {
+	pristine := v2v3Tree(t, 128, nil)
+	degraded := v2v3Tree(t, 128, slowV3)
+	for _, c := range []struct {
+		name string
+		node *Tree
+		want string
+	}{
+		{"pristine root", pristine, "2a418a2fa2e99de01da31ae3eeca14ac"},
+		{"pristine v2 leaf", leftmostLeaf(pristine), "293727a49ece40369641b01a941a80ca"},
+		{"pristine v3 leaf", rightmostLeaf(pristine), "bce97cabc6eaf7f097f2d1411c152162"},
+		{"degraded root", degraded, "e5b540328bc3cce5c17e106f4235e483"},
+		{"degraded v2 leaf", leftmostLeaf(degraded), "293727a49ece40369641b01a941a80ca"},
+		{"degraded v3 leaf", rightmostLeaf(degraded), "698542462be178a38cd222083cf82001"},
+	} {
+		d := c.node.Identity().Digest
+		if got := hex.EncodeToString(d[:]); got != c.want {
+			t.Errorf("%s digest = %s, want %s", c.name, got, c.want)
+		}
+	}
+	id := pristine.Identity()
+	if id.HBMBytes != 24<<40 {
+		t.Errorf("root HBM = %d, want 24 TiB", id.HBMBytes)
+	}
+	// 64 GiB v2 leaves, eight levels below the root.
+	if id.CapFloorHalf != 16<<40 {
+		t.Errorf("root equal-ratio floor = %d, want 16 TiB", id.CapFloorHalf)
+	}
+}
+
+// TestIdentitySameContent: separately built trees with the same content
+// agree node for node, and the two halves of a homogeneous group digest
+// equally.
+func TestIdentitySameContent(t *testing.T) {
+	a, b := nodes(v2v3Tree(t, 8, nil)), nodes(v2v3Tree(t, 8, nil))
+	if len(a) != len(b) {
+		t.Fatalf("trees have %d and %d nodes", len(a), len(b))
+	}
+	for i := range a {
+		if !sameIdentity(a[i].Identity(), b[i].Identity()) {
+			t.Fatalf("node %d (level %d, %s) identities differ", i, a[i].Level, a[i].Group)
+		}
+	}
+	v3 := a[0].Right
+	if v3.Left.Identity().Digest != v3.Right.Identity().Digest {
+		t.Error("halves of a homogeneous group digest differently")
+	}
+	if a[0].Left.Identity().Digest == v3.Identity().Digest {
+		t.Error("the v2 and v3 groups digest equally")
+	}
+}
+
+// TestIdentityLevelIndependent: a block digests the same as a whole tree
+// and as a subtree at depth 2 of a larger fleet.
+func TestIdentityLevelIndependent(t *testing.T) {
+	arr, err := NewHomogeneous(TPUv3(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := BuildTree(arr, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := v2v3Tree(t, 8, nil).Right
+	if block.Level == sub.Level {
+		t.Fatalf("both nodes at level %d; the test needs different depths", sub.Level)
+	}
+	if !sameIdentity(block.Identity(), sub.Identity()) {
+		t.Error("the same block at different depths has different identities")
+	}
+}
+
+// TestIdentityDegradedSpec: degrading one group changes the digest and
+// spec set of every subtree containing it and of nothing else.
+func TestIdentityDegradedSpec(t *testing.T) {
+	pristine, degraded := v2v3Tree(t, 4, nil), v2v3Tree(t, 4, slowV3)
+	p, d := pristine.Identity(), degraded.Identity()
+	if p.Digest == d.Digest {
+		t.Error("degraded root digests like the pristine root")
+	}
+	pv3 := TPUv3().Fingerprint()
+	dv3 := degraded.Right.Group.Accel[0].Fingerprint()
+	if !slices.Contains(p.Specs, pv3) || slices.Contains(p.Specs, dv3) {
+		t.Errorf("pristine spec set %x", p.Specs)
+	}
+	if !slices.Contains(d.Specs, dv3) || slices.Contains(d.Specs, pv3) {
+		t.Errorf("degraded spec set %x lacks the degraded v3 or keeps the pristine one", d.Specs)
+	}
+	if len(d.Specs) != 2 {
+		t.Errorf("degraded spec set has %d entries, want 2", len(d.Specs))
+	}
+	if !sameIdentity(pristine.Left.Identity(), degraded.Left.Identity()) {
+		t.Error("untouched v2 subtree changed identity")
+	}
+	if pristine.Right.Identity().Digest == degraded.Right.Identity().Digest {
+		t.Error("degraded v3 subtree kept its digest")
+	}
+}
+
+// TestIdentityHandBuilt: a tree assembled without BuildTree gets the
+// identity BuildTree's tree of the same content gets.
+func TestIdentityHandBuilt(t *testing.T) {
+	v2, v3 := TPUv2(), TPUv3()
+	hand := &Tree{
+		Group: &Group{Accel: []Spec{v2, v3}},
+		Level: 1,
+		Left:  &Tree{Group: &Group{Accel: []Spec{v2}}, Level: 2},
+		Right: &Tree{Group: &Group{Accel: []Spec{v3}}, Level: 2},
+	}
+	built := v2v3Tree(t, 1, nil)
+	got := hand.Identity()
+	if !sameIdentity(got, built.Identity()) {
+		t.Error("hand-built tree's identity differs from BuildTree's")
+	}
+	want := []uint64{v2.Fingerprint(), v3.Fingerprint()}
+	slices.Sort(want)
+	if !slices.Equal(got.Specs, want) {
+		t.Errorf("specs = %x, want %x", got.Specs, want)
+	}
+	if got.HBMBytes != v2.HBMBytes+v3.HBMBytes {
+		t.Errorf("HBM = %d, want %d", got.HBMBytes, v2.HBMBytes+v3.HBMBytes)
+	}
+	if got.CapFloorHalf != 2*v2.HBMBytes {
+		t.Errorf("equal-ratio floor = %d, want %d", got.CapFloorHalf, 2*v2.HBMBytes)
+	}
+}
+
+// TestIdentityConcurrentFirstCalls: goroutines racing to compute a fresh
+// tree's identities, from the root and from the leaves up, all agree
+// with a serially computed reference.
+func TestIdentityConcurrentFirstCalls(t *testing.T) {
+	want := nodes(v2v3Tree(t, 32, nil))
+	got := nodes(v2v3Tree(t, 32, nil))
+	var wg sync.WaitGroup
+	errs := make(chan int, 8*len(got))
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range got {
+				i := k
+				if w%2 == 1 {
+					i = len(got) - 1 - k
+				}
+				if !sameIdentity(got[i].Identity(), want[i].Identity()) {
+					errs <- i
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for i := range errs {
+		t.Fatalf("node %d identity differs from the serial reference", i)
+	}
+}

@@ -92,8 +92,8 @@ func replanAnalyticCtx(ctx context.Context, engines *core.ReplanEngines, net *Ne
 	if err != nil {
 		return nil, err
 	}
-	// Session calls intern both trees so a recurrent scenario hands the
-	// engine pointers its hardware index already knows.
+	// Session calls intern both trees so a recurrent scenario reuses trees
+	// whose content identity is already computed.
 	buildTree := hardware.BuildTree
 	if engines != nil {
 		buildTree = engines.InternTree
