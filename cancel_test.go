@@ -105,27 +105,25 @@ func TestSessionCancelMidSearchLeavesCacheConsistent(t *testing.T) {
 		t.Errorf("plan after aborted runs differs from fresh-session plan:\ngot:  %.200s\nwant: %.200s", got.String(), want.String())
 	}
 
-	// Replay the cache into a fresh session and re-plan: if any aborted
-	// run had published a partial subproblem, the warm-started search
-	// would consume it and diverge.
-	var snap bytes.Buffer
-	if err := sess.SaveCache(&snap); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewSession(0)
-	if _, err := restored.LoadCache(&snap); err != nil {
-		t.Fatal(err)
-	}
-	p2, err := restored.Partition(net, arr, StrategyAccPar)
+	// Re-plan on the same session: the search must now resolve from the
+	// cache alone (hits, no misses), so if any aborted run had published
+	// a partial subproblem this plan would be built from it and diverge.
+	before := sess.CacheStats()
+	p2, err := sess.Partition(net, arr, StrategyAccPar)
 	if err != nil {
 		t.Fatal(err)
+	}
+	after := sess.CacheStats()
+	if after.Hits == before.Hits || after.Misses != before.Misses {
+		t.Errorf("re-plan: %d new hits, %d new misses; want hits and no misses",
+			after.Hits-before.Hits, after.Misses-before.Misses)
 	}
 	var got2 bytes.Buffer
 	if err := p2.WriteJSON(&got2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got2.Bytes(), want.Bytes()) {
-		t.Error("plan from restored cache differs from fresh-session plan")
+		t.Error("cache-resolved plan differs from fresh-session plan")
 	}
 }
 

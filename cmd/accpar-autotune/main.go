@@ -24,7 +24,6 @@ func main() {
 		v3         = flag.Int("v3", 16, "TPU-v3 count")
 		minBatch   = flag.Int("min", 64, "smallest batch to try")
 		maxBatch   = flag.Int("max", 2048, "largest batch to try")
-		cacheFile  = flag.String("cache-file", "", "warm-start the plan cache from this snapshot and save it back on exit")
 		metricsOut = flag.String("metrics-out", "", "write the metrics registry to this file (expvar-style text for .txt, JSON otherwise)")
 		traceOut   = flag.String("trace-out", "", "write a Chrome Trace Event Format JSON trace of the planner spans to this file")
 		version    = flag.Bool("version", false, "print version and exit")
@@ -34,13 +33,13 @@ func main() {
 		fmt.Println(obs.VersionString("accpar-autotune"))
 		return
 	}
-	if err := run(*model, *v2, *v3, *minBatch, *maxBatch, *cacheFile, *metricsOut, *traceOut); err != nil {
+	if err := run(*model, *v2, *v3, *minBatch, *maxBatch, *metricsOut, *traceOut); err != nil {
 		fmt.Fprintln(os.Stderr, "accpar-autotune:", err)
 		os.Exit(1)
 	}
 }
 
-func run(model string, v2, v3, minBatch, maxBatch int, cacheFile, metricsOut, traceOut string) error {
+func run(model string, v2, v3, minBatch, maxBatch int, metricsOut, traceOut string) error {
 	var rec *accpar.TraceRecorder
 	if traceOut != "" {
 		rec = accpar.StartTrace()
@@ -53,18 +52,8 @@ func run(model string, v2, v3, minBatch, maxBatch int, cacheFile, metricsOut, tr
 	}
 	fmt.Printf("fleet: %s  model: %s\n\n", arr.Name, model)
 
-	// Both tuning sweeps share one session cache; re-running the command
-	// with -cache-file turns them into snapshot lookups.
+	// Both tuning sweeps share one session cache.
 	sess := accpar.NewSession(0)
-	if cacheFile != "" {
-		n, err := sess.LoadCacheFile(cacheFile)
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			fmt.Printf("plan cache: warm-started %d subproblems from %s\n\n", n, cacheFile)
-		}
-	}
 
 	batch, err := sess.TuneBatch(model, arr, minBatch, maxBatch)
 	if err != nil {
@@ -98,12 +87,6 @@ func run(model string, v2, v3, minBatch, maxBatch int, cacheFile, metricsOut, tr
 
 	st := sess.CacheStats()
 	fmt.Printf("\nplan cache: %d hits / %d misses (%.1f%% hit rate)\n", st.Hits, st.Misses, 100*st.HitRate())
-	if cacheFile != "" {
-		if err := sess.SaveCacheFile(cacheFile); err != nil {
-			return err
-		}
-		fmt.Println("plan cache: saved snapshot to", cacheFile)
-	}
 	if rec != nil {
 		rec.Stop()
 		if err := rec.SaveFile(traceOut); err != nil {

@@ -1,40 +1,15 @@
 package main
 
-import (
-	"path/filepath"
-	"testing"
-
-	"accpar"
-)
+import "testing"
 
 func TestRunAutotune(t *testing.T) {
-	if err := run("lenet", 2, 2, 16, 32, "", "", ""); err != nil {
+	if err := run("lenet", 2, 2, 16, 32, "", ""); err != nil {
 		t.Errorf("autotune: %v", err)
 	}
-	if err := run("nope", 2, 2, 16, 32, "", "", ""); err == nil {
+	if err := run("nope", 2, 2, 16, 32, "", ""); err == nil {
 		t.Error("unknown model must error")
 	}
-	if err := run("lenet", 2, 2, 32, 16, "", "", ""); err == nil {
+	if err := run("lenet", 2, 2, 32, 16, "", ""); err == nil {
 		t.Error("inverted range must error")
-	}
-}
-
-func TestRunAutotuneCacheFile(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "plans.cache")
-	// First invocation is a cold start that leaves a snapshot behind; the
-	// repeat must find it populated.
-	if err := run("lenet", 2, 2, 16, 32, snap, "", ""); err != nil {
-		t.Fatalf("cold autotune: %v", err)
-	}
-	sess := accpar.NewSession(0)
-	n, err := sess.LoadCacheFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("cold run saved an empty snapshot")
-	}
-	if err := run("lenet", 2, 2, 16, 32, snap, "", ""); err != nil {
-		t.Errorf("warm autotune: %v", err)
 	}
 }

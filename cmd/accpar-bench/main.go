@@ -37,7 +37,6 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of hierarchical planning to this file (with -json)")
 		memProfile = flag.String("memprofile", "", "write a heap profile of hierarchical planning to this file (with -json)")
 		cache      = flag.Bool("cache", false, "share one plan cache across every figure and table run")
-		cacheFile  = flag.String("cache-file", "", "warm-start the plan cache from this snapshot and save it back on exit (implies -cache); with -json, adds the snapshot-backed sweep entry")
 		metricsOut = flag.String("metrics-out", "", "write the metrics registry to this file (expvar-style text for .txt, JSON otherwise)")
 		traceOut   = flag.String("trace-out", "", "write a Chrome Trace Event Format JSON trace of the planner spans to this file")
 		gatePath   = flag.String("gate", "", "regression-gate this fresh -json report against -baseline and exit")
@@ -87,7 +86,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		if err := runPerf(cfg, *jsonPath, *cacheFile, *cpuProfile, *memProfile); err != nil {
+		if err := runPerf(cfg, *jsonPath, *cpuProfile, *memProfile); err != nil {
 			fmt.Fprintln(os.Stderr, "accpar-bench:", err)
 			os.Exit(1)
 		}
@@ -95,16 +94,8 @@ func main() {
 		return
 	}
 
-	if *cache || *cacheFile != "" {
+	if *cache {
 		cfg.Cache = core.NewSharedCache(0)
-		if *cacheFile != "" {
-			if n, err := cfg.Cache.LoadFile(*cacheFile); err != nil {
-				fmt.Fprintln(os.Stderr, "accpar-bench:", err)
-				os.Exit(1)
-			} else if n > 0 {
-				fmt.Printf("plan cache: warm-started %d subproblems from %s\n\n", n, *cacheFile)
-			}
-		}
 	}
 
 	if err := run(cfg, *fig, *table, *ablations, *bars); err != nil {
@@ -129,13 +120,6 @@ func main() {
 		st := cfg.Cache.Stats()
 		fmt.Printf("plan cache: %d hits / %d misses (%.1f%% hit rate), %d resident\n",
 			st.Hits, st.Misses, 100*st.HitRate(), cfg.Cache.Len())
-		if *cacheFile != "" {
-			if err := cfg.Cache.SaveFile(*cacheFile); err != nil {
-				fmt.Fprintln(os.Stderr, "accpar-bench:", err)
-				os.Exit(1)
-			}
-			fmt.Println("plan cache: saved snapshot to", *cacheFile)
-		}
 	}
 	flushObs()
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"accpar"
 	"accpar/internal/eval"
 )
 
@@ -62,11 +61,10 @@ func TestRunPerfJSON(t *testing.T) {
 	}
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "BENCH_PLANNER.json")
-	snap := filepath.Join(dir, "plans.cache")
 	cpu := filepath.Join(dir, "cpu.prof")
 	mem := filepath.Join(dir, "mem.prof")
 	cfg := eval.Config{Batch: 32, PerKind: 2, HomSize: 8}
-	if err := runPerf(cfg, jsonPath, snap, cpu, mem); err != nil {
+	if err := runPerf(cfg, jsonPath, cpu, mem); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(jsonPath)
@@ -80,8 +78,8 @@ func TestRunPerfJSON(t *testing.T) {
 	if report.GoMaxProcs < 1 {
 		t.Errorf("gomaxprocs = %d", report.GoMaxProcs)
 	}
-	if len(report.Benchmarks) != 18 {
-		t.Fatalf("benchmarks = %d, want 18", len(report.Benchmarks))
+	if len(report.Benchmarks) != 17 {
+		t.Fatalf("benchmarks = %d, want 17", len(report.Benchmarks))
 	}
 	if report.OverheadMemoryReject <= -1 {
 		t.Errorf("memory-reject overhead = %g", report.OverheadMemoryReject)
@@ -108,14 +106,6 @@ func TestRunPerfJSON(t *testing.T) {
 	}
 	if report.SpeedupReplanWarm <= 1 {
 		t.Errorf("warm replan speedup = %g, want > 1", report.SpeedupReplanWarm)
-	}
-	if report.WarmStartEntries != 0 {
-		t.Errorf("cold start restored %d entries", report.WarmStartEntries)
-	}
-	// The run leaves a populated snapshot behind for the next process.
-	sess := accpar.NewSession(0)
-	if n, err := sess.LoadCacheFile(snap); err != nil || n == 0 {
-		t.Errorf("snapshot restore: %d entries, err=%v", n, err)
 	}
 	for _, p := range []string{cpu, mem} {
 		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {

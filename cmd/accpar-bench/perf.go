@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"testing"
-	"time"
 
 	"accpar"
 	"accpar/internal/autotune"
@@ -75,11 +74,8 @@ type BenchReport struct {
 	// search tries the exact unconstrained solution first at every split,
 	// so when Table 7 capacities hold every plan this should stay near
 	// zero; the gate enforces a ceiling (memMaxOverhead).
-	OverheadMemoryReject float64 `json:"overhead_memory_reject"`
-	// WarmStartEntries is the number of subproblems restored from the
-	// -cache-file snapshot (0 on a cold start or without the flag).
-	WarmStartEntries int          `json:"warm_start_entries,omitempty"`
-	Benchmarks       []BenchEntry `json:"benchmarks"`
+	OverheadMemoryReject float64      `json:"overhead_memory_reject"`
+	Benchmarks           []BenchEntry `json:"benchmarks"`
 }
 
 func entry(name string, r testing.BenchmarkResult) BenchEntry {
@@ -504,12 +500,9 @@ func benchColdWarm(op func(cache *core.SharedCache) error) (cold, warm BenchEntr
 }
 
 // runPerf measures the planner and simulator benchmarks and writes the
-// JSON report. cacheFile, when non-empty, additionally measures a
-// snapshot-backed sweep: the cache is warm-started from the file before
-// the run and saved back after, so a second invocation resolves from the
-// first one's snapshot. cpuProfile/memProfile optionally capture pprof
-// profiles of one extra hierarchical-planner run.
-func runPerf(cfg eval.Config, jsonPath, cacheFile, cpuProfile, memProfile string) error {
+// JSON report. cpuProfile/memProfile optionally capture pprof profiles of
+// one extra hierarchical-planner run.
+func runPerf(cfg eval.Config, jsonPath, cpuProfile, memProfile string) error {
 	batch, perKind := cfg.Batch, cfg.PerKind
 	if batch == 0 {
 		batch = 512
@@ -644,32 +637,6 @@ func runPerf(cfg eval.Config, jsonPath, cacheFile, cpuProfile, memProfile string
 	report.Benchmarks = append(report.Benchmarks, tuneCold, tuneWarm)
 	if tuneWarm.NsPerOp > 0 {
 		report.SpeedupWarmTuneBatch = tuneCold.NsPerOp / tuneWarm.NsPerOp
-	}
-
-	// Snapshot-backed warm start: one timed TuneBatch sweep against a
-	// cache restored from -cache-file. The first invocation is a cold
-	// start (missing file) that leaves a snapshot behind; a repeat
-	// invocation resolves from it — the cross-process case CI asserts on.
-	if cacheFile != "" {
-		persist := core.NewSharedCache(0)
-		n, err := persist.LoadFile(cacheFile)
-		if err != nil {
-			return err
-		}
-		report.WarmStartEntries = n
-		start := time.Now()
-		if _, err := autotune.TuneBatch("resnet50", tree, minBatch, batch, persist); err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		st := persist.Stats()
-		report.Benchmarks = append(report.Benchmarks, cacheEntry(
-			"TuneBatch/resnet50/snapshot",
-			testing.BenchmarkResult{N: 1, T: elapsed},
-			st.Hits, st.Misses))
-		if err := persist.SaveFile(cacheFile); err != nil {
-			return err
-		}
 	}
 
 	if cpuProfile != "" || memProfile != "" {

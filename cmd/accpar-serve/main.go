@@ -16,8 +16,7 @@
 //	GET  /debug/slowest    flight recorder: the N slowest requests
 //	GET  /debug/pprof/...  net/http/pprof
 //
-// One planning Session (and plan cache) serves every request; -cache-file
-// warm-starts it and persists it back on graceful shutdown. SIGTERM or
+// One planning Session (and plan cache) serves every request. SIGTERM or
 // SIGINT flips /readyz to 503, drains in-flight requests and exits.
 //
 // The service is built to survive overload rather than melt: admission
@@ -38,7 +37,7 @@
 //
 // Usage:
 //
-//	accpar-serve -addr :8080 -cache-file plans.cache
+//	accpar-serve -addr :8080
 //	curl -s localhost:8080/v1/plan -d '{"model":"vgg16","batch":512}'
 package main
 
@@ -60,9 +59,8 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address (\":0\" picks a free port)")
-		cacheFile = flag.String("cache-file", "", "warm-start the plan cache from this snapshot and save it back on graceful shutdown")
-		version   = flag.Bool("version", false, "print version and exit")
+		addr    = flag.String("addr", ":8080", "listen address (\":0\" picks a free port)")
+		version = flag.Bool("version", false, "print version and exit")
 
 		maxConcurrent   = flag.Int64("max-concurrent", 0, "admission capacity in weight units (plan=1, compare/resilience=2); 0 selects 2×GOMAXPROCS")
 		maxQueue        = flag.Int("max-queue", 64, "admission wait-queue bound; requests beyond it are shed with 429 (negative: unbounded)")
@@ -87,24 +85,14 @@ func main() {
 		MaxBodyBytes:    *maxBody,
 		Slowest:         *slowest,
 	}
-	if err := run(*addr, *cacheFile, cfg, *readTimeout, *writeTimeout, *idleTimeout); err != nil {
+	if err := run(*addr, cfg, *readTimeout, *writeTimeout, *idleTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "accpar-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, cacheFile string, cfg serveConfig, readTimeout, writeTimeout, idleTimeout time.Duration) error {
-	sess := accpar.NewSession(0)
-	if cacheFile != "" {
-		n, err := sess.LoadCacheFile(cacheFile)
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			fmt.Printf("plan cache: warm-started %d subproblems from %s\n", n, cacheFile)
-		}
-	}
-	srv := newServer(sess, cfg)
+func run(addr string, cfg serveConfig, readTimeout, writeTimeout, idleTimeout time.Duration) error {
+	srv := newServer(accpar.NewSession(0), cfg)
 
 	mux := http.NewServeMux()
 	srv.routes(mux)
@@ -138,22 +126,14 @@ func run(addr, cacheFile string, cfg serveConfig, readTimeout, writeTimeout, idl
 	case <-ctx.Done():
 	}
 
-	// Graceful shutdown: stop advertising readiness, drain in-flight
-	// requests, then persist the warmed cache.
+	// Graceful shutdown: stop advertising readiness, then drain in-flight
+	// requests.
 	srv.draining.Store(true)
 	obs.Log().Info("serve.draining")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(shutdownCtx); err != nil {
 		return err
-	}
-	if cacheFile != "" {
-		if err := sess.SaveCacheFile(cacheFile); err != nil {
-			return err
-		}
-		st := sess.CacheStats()
-		fmt.Printf("plan cache: %d entries saved to %s (%.1f%% hit rate)\n",
-			st.Entries, cacheFile, 100*st.HitRate())
 	}
 	fmt.Println("accpar-serve: drained, exiting")
 	return nil

@@ -111,10 +111,9 @@ func (s *server) routes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/resilience", wrap("resilience", weightResilience, resilienceMetrics, s.resilience))
 }
 
-// readyChecks are the readiness probes: serving (not draining) and the
-// plan cache's state. The cache probe never fails — an empty cache is a
-// cold start, not unreadiness — but keeping it a named check surfaces the
-// entry count in future 503 bodies if a bound is ever added.
+// readyChecks are the readiness probes: one, "serving", which fails once
+// shutdown has begun and in-flight requests are draining. An empty plan
+// cache is a cold start, not unreadiness, so the cache has no probe.
 func (s *server) readyChecks() []accpar.DiagCheck {
 	return []accpar.DiagCheck{{
 		Name: "serving",

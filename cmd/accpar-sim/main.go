@@ -43,7 +43,6 @@ type opts struct {
 	seed       int64
 	ckpt       float64
 	replan     bool
-	cacheFile  string
 	metricsOut string
 	traceOut   string
 }
@@ -79,7 +78,6 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "fault injection seed")
 	flag.Float64Var(&o.ckpt, "ckpt", 0, "checkpoint-restart overhead in seconds charged on group loss")
 	flag.BoolVar(&o.replan, "replan", false, "replan against the degraded specs and print the resilience report (needs -faults)")
-	flag.StringVar(&o.cacheFile, "cache-file", "", "warm-start the plan cache from this snapshot and save it back on exit (non-replan planning only: -replan searches never use the plan cache)")
 	flag.StringVar(&o.metricsOut, "metrics-out", "", "write the metrics registry to this file (expvar-style text for .txt, JSON otherwise)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write a Chrome Trace Event Format JSON trace (planner spans + simulated timelines) to this file, loadable in Perfetto or chrome://tracing")
 	version := flag.Bool("version", false, "print version and exit")
@@ -149,31 +147,10 @@ func run(o opts) error {
 		return nil
 	}
 
-	// Planning runs through a session so -cache-file can warm-start the
-	// partition search. -replan runs on the session's replan engines,
-	// which never use the plan cache, and the simulation is never cached.
+	// Planning runs through a session so -replan runs on its replan
+	// engines, where the degraded search reuses the pristine one's
+	// subtrees.
 	sess := accpar.NewSession(0)
-	if o.cacheFile != "" {
-		n, err := sess.LoadCacheFile(o.cacheFile)
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			fmt.Printf("plan cache: warm-started %d subproblems from %s\n\n", n, o.cacheFile)
-		}
-	}
-	saveCache := func() error {
-		if o.cacheFile == "" {
-			return nil
-		}
-		if err := sess.SaveCacheFile(o.cacheFile); err != nil {
-			return err
-		}
-		st := sess.CacheStats()
-		fmt.Printf("\nplan cache: %d hits / %d misses (%.1f%% hit rate), snapshot saved to %s\n",
-			st.Hits, st.Misses, 100*st.HitRate(), o.cacheFile)
-		return nil
-	}
 
 	if o.replan {
 		rep, err := sess.Resilience(net, groups, st, *scenario, cfg)
@@ -193,9 +170,6 @@ func run(o opts) error {
 				}
 			}
 		}
-		if err := saveCache(); err != nil {
-			return err
-		}
 		return flushObs()
 	}
 
@@ -209,9 +183,6 @@ func run(o opts) error {
 	}
 	if o.array {
 		if err := runArray(plan, arr, o, st); err != nil {
-			return err
-		}
-		if err := saveCache(); err != nil {
 			return err
 		}
 		// The array-level simulator has no two-group timeline; the trace
@@ -253,9 +224,6 @@ func run(o opts) error {
 		if err := rec.AddSimTimeline(res, [2]string{a.Name, b.Name}, "simulator"); err != nil {
 			return err
 		}
-	}
-	if err := saveCache(); err != nil {
-		return err
 	}
 	return flushObs()
 }

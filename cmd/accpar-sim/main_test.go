@@ -61,27 +61,6 @@ func TestRunFaults(t *testing.T) {
 	}
 }
 
-func TestRunCacheFile(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "plans.cache")
-	o := base()
-	o.cacheFile = snap
-	if err := run(o); err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-	if fi, err := os.Stat(snap); err != nil || fi.Size() == 0 {
-		t.Fatalf("snapshot missing or empty (err=%v)", err)
-	}
-	if err := run(o); err != nil {
-		t.Errorf("warm run: %v", err)
-	}
-	// -replan runs on replan engines, which never use the plan cache; the
-	// snapshot is loaded and saved back with the same entries.
-	o.faults, o.replan = "slowdown:0=2.0", true
-	if err := run(o); err != nil {
-		t.Errorf("warm replan run: %v", err)
-	}
-}
-
 // readTrace parses a written Chrome trace document.
 func readTrace(t *testing.T, path string) []map[string]any {
 	t.Helper()

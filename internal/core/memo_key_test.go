@@ -8,9 +8,9 @@ import (
 )
 
 // TestSubproblemKeyBytes pins the memo keys of two fixed (subtree, dims)
-// subproblems: a root and a scaled left child. cacheSchema persists these
-// bytes in plan-cache snapshots, so any change to the hashing must bump
-// the schema.
+// subproblems: a root and a scaled left child. Keys live only in memory,
+// so they may change between versions; the pin guards that hashing is
+// deterministic and that any change to it is deliberate.
 func TestSubproblemKeyBytes(t *testing.T) {
 	net := buildNet(t, "resnet18", 64)
 	p, err := newPlanner(nil, net, AccPar())

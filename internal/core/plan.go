@@ -199,8 +199,7 @@ func (p *Plan) Validate() error {
 }
 
 // InvalidPlanError reports a plan node no search could have produced: a
-// structural defect Plan.Validate rejects or, in a snapshot entry
-// (SharedCache.Load), a value defect.
+// structural defect Plan.Validate rejects.
 type InvalidPlanError struct {
 	// Level is the hierarchy level of the offending node (0 when the node
 	// itself is missing).

@@ -59,9 +59,8 @@ func nodes(t *Tree) []*Tree {
 }
 
 // TestIdentityPinnedDigests pins digests recorded with the planner's
-// former side-map digester. Subproblem keys and persisted plan-cache
-// snapshots are keyed by these bytes, so a change here is a cache
-// schema change.
+// former side-map digester. Subproblem keys are built from these bytes,
+// so the pin makes any change to tree identity deliberate.
 func TestIdentityPinnedDigests(t *testing.T) {
 	pristine := v2v3Tree(t, 128, nil)
 	degraded := v2v3Tree(t, 128, slowV3)

@@ -10,8 +10,8 @@ import (
 
 // This file is the structured event half of the observability layer: a
 // bounded lock-free ring of log/slog records that instrumented packages
-// emit at decision points — replans and plan adoptions, cache evictions
-// and warm starts, fault injections. Decision points fire once per run,
+// emit at decision points — replans and plan adoptions, cache evictions,
+// fault injections. Decision points fire once per run,
 // not per task, so the ring is always on; the per-task hot paths keep the
 // 0-alloc disabled contract via counters and spans, never events.
 //

@@ -1,15 +1,14 @@
 // Package plancache provides the cross-run subproblem cache the planning
 // stack shares: a concurrency-safe, sharded, bounded-LRU map from content
 // fingerprints to solved values, with singleflight coalescing so N
-// concurrent identical requests perform the work once, operation counters
-// for observability, and versioned disk snapshots for cross-process
-// warm-start.
+// concurrent identical requests perform the work once, and operation
+// counters for observability. The cache lives in memory only; it is
+// shared within one process and never persisted.
 //
 // The package is deliberately generic infrastructure: it knows nothing
 // about plans, networks or hardware. internal/core instantiates it with
-// its plan-node type and supplies the content fingerprints and the
-// snapshot codec; the same machinery would serve any other memoizable
-// solver in the repo.
+// its plan-node type and supplies the content fingerprints; the same
+// machinery would serve any other memoizable solver in the repo.
 //
 // Concurrency model: each shard is guarded by its own mutex, so readers
 // and writers of different shards never contend. Values handed out by Get

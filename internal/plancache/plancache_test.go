@@ -1,10 +1,7 @@
 package plancache
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -214,128 +211,6 @@ func TestDoErrorNotCached(t *testing.T) {
 	v, hit, err := c.Do("ak", func() (int, error) { return 5, nil })
 	if err != nil || v != 5 || hit {
 		t.Fatalf("retry = %d, hit=%v, err=%v; want 5, false, nil", v, hit, err)
-	}
-}
-
-// TestSnapshotRoundTrip: save → load into a fresh cache → every entry
-// hits with an identical value, and recency order survives so subsequent
-// evictions match the original cache's.
-func TestSnapshotRoundTrip(t *testing.T) {
-	encode := func(v int) ([]byte, error) { return json.Marshal(v) }
-	decode := func(b []byte) (int, error) {
-		var v int
-		err := json.Unmarshal(b, &v)
-		return v, err
-	}
-
-	c := New[int](4 * shardCount)
-	for i := 0; i < 4; i++ {
-		c.Put(key(i), 100+i)
-	}
-	c.Get(key(0)) // make key(1) the LRU victim
-
-	var buf bytes.Buffer
-	if err := c.Save(&buf, "test-v1", encode); err != nil {
-		t.Fatal(err)
-	}
-
-	c2 := New[int](4 * shardCount)
-	n, err := c2.Load(bytes.NewReader(buf.Bytes()), "test-v1", decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Fatalf("restored %d entries; want 4", n)
-	}
-	for i := 0; i < 4; i++ {
-		v, ok := c2.Get(key(i))
-		if !ok || v != 100+i {
-			t.Fatalf("restored key %d = %d, %v; want %d, true", i, v, ok, 100+i)
-		}
-	}
-	// Recency survived: the next insert must evict key(1) in both caches.
-	// (The Gets above touched 0..3 in order, re-establishing identical
-	// recency in both caches before the probe inserts.)
-	for i := 0; i < 4; i++ {
-		c.Get(key(i))
-	}
-	c.Put(key(9), 9)
-	c2.Put(key(9), 9)
-	for i := 0; i < 4; i++ {
-		_, ok1 := c.Get(key(i))
-		_, ok2 := c2.Get(key(i))
-		if ok1 != ok2 {
-			t.Fatalf("post-restore eviction diverged at key %d: %v vs %v", i, ok1, ok2)
-		}
-	}
-}
-
-// TestSnapshotRecencyPreserved: without any post-load touches, a loaded
-// cache must evict the same victim the original would — proof that the
-// save order carries the LRU ranking.
-func TestSnapshotRecencyPreserved(t *testing.T) {
-	encode := func(v int) ([]byte, error) { return json.Marshal(v) }
-	decode := func(b []byte) (int, error) {
-		var v int
-		err := json.Unmarshal(b, &v)
-		return v, err
-	}
-	c := New[int](3 * shardCount)
-	c.Put(key(0), 0)
-	c.Put(key(1), 1)
-	c.Put(key(2), 2)
-	c.Get(key(0)) // LRU order now: 1, 2, 0
-
-	var buf bytes.Buffer
-	if err := c.Save(&buf, "s", encode); err != nil {
-		t.Fatal(err)
-	}
-	c2 := New[int](3 * shardCount)
-	if _, err := c2.Load(bytes.NewReader(buf.Bytes()), "s", decode); err != nil {
-		t.Fatal(err)
-	}
-	c2.Put(key(3), 3) // must evict key(1), the restored LRU
-	if _, ok := c2.Get(key(1)); ok {
-		t.Fatal("restored cache evicted the wrong victim: key 1 should be gone")
-	}
-	for _, i := range []int{0, 2, 3} {
-		if _, ok := c2.Get(key(i)); !ok {
-			t.Fatalf("restored cache lost key %d", i)
-		}
-	}
-}
-
-// TestSnapshotRejectsMismatch: wrong magic, version or schema must fail
-// loudly, restoring nothing.
-func TestSnapshotRejectsMismatch(t *testing.T) {
-	encode := func(v int) ([]byte, error) { return json.Marshal(v) }
-	decode := func(b []byte) (int, error) {
-		var v int
-		err := json.Unmarshal(b, &v)
-		return v, err
-	}
-	c := New[int](0)
-	c.Put("a1", 1)
-	var buf bytes.Buffer
-	if err := c.Save(&buf, "schema-v1", encode); err != nil {
-		t.Fatal(err)
-	}
-
-	c2 := New[int](0)
-	if _, err := c2.Load(bytes.NewReader(buf.Bytes()), "schema-v2", decode); err == nil {
-		t.Fatal("schema mismatch accepted")
-	}
-	if c2.Len() != 0 {
-		t.Fatal("rejected load left entries behind")
-	}
-	if _, err := c2.Load(strings.NewReader(`{"magic":"other","version":1,"schema":"schema-v1"}`), "schema-v1", decode); err == nil {
-		t.Fatal("wrong magic accepted")
-	}
-	if _, err := c2.Load(strings.NewReader(`{"magic":"accpar-plancache","version":99,"schema":"schema-v1"}`), "schema-v1", decode); err == nil {
-		t.Fatal("wrong version accepted")
-	}
-	if _, err := c2.Load(strings.NewReader(`not json`), "schema-v1", decode); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

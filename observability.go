@@ -44,7 +44,7 @@ func WriteMetricsText(w io.Writer) error { return obs.Default().WriteText(w) }
 func WriteMetricsPrometheus(w io.Writer) error { return obs.Default().WritePrometheus(w) }
 
 // EventLog is one structured decision event: replans, plan-cache
-// evictions and warm starts, fault injections.
+// evictions, fault injections.
 type EventLog = obs.LogEvent
 
 // Events returns the retained decision events, oldest first. The ring is

@@ -3,7 +3,6 @@ package accpar
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"accpar/internal/autotune"
 	"accpar/internal/core"
@@ -18,7 +17,7 @@ import (
 // that any number of searches — over any mix of networks, arrays and
 // options — can share one instance without cross-contamination. Caching
 // never changes decisions: plans are byte-identical with the cache
-// disabled, cold, warm, or restored from a snapshot.
+// disabled, cold or warm.
 type PlanCache = core.SharedCache
 
 // CacheStats is the cache's hit/miss/eviction/coalesce counters.
@@ -37,11 +36,8 @@ func NewPlanCache(capacity int) *PlanCache { return core.NewSharedCache(capacity
 // fills the PlanCache. A Session is safe for concurrent use; methods
 // mirror the package-level functions of the same name.
 //
-// The PlanCache persists across processes: SaveCache writes a versioned
-// snapshot, and a new Session warm-started with LoadCache resolves
-// previously seen one-shot subproblems without recomputation. Replan and
-// resilience work is not in the snapshot; a new Session's first replan
-// of a network starts its engines cold.
+// Both stores live only as long as the Session: a new Session starts
+// its PlanCache empty and its replan engines cold.
 type Session struct {
 	cache *PlanCache
 	// engines retains per-(network, options) ReplanEngine instances so
@@ -65,35 +61,20 @@ func (s *Session) Cache() *PlanCache { return s.cache }
 // CacheStats returns the session cache's counters.
 func (s *Session) CacheStats() CacheStats { return s.cache.Stats() }
 
-// SaveCache writes a versioned snapshot of the session cache for
-// cross-process warm-start.
-func (s *Session) SaveCache(w io.Writer) error { return s.cache.Save(w) }
-
-// LoadCache replays a snapshot previously written with SaveCache,
-// returning the number of restored subproblems. Snapshots from an
-// incompatible plan encoding are rejected.
-func (s *Session) LoadCache(r io.Reader) (int, error) { return s.cache.Load(r) }
-
-// SaveCacheFile writes a snapshot of the session cache to path.
-func (s *Session) SaveCacheFile(path string) error { return s.cache.SaveFile(path) }
-
-// LoadCacheFile replays the snapshot at path. A missing file is the
-// ordinary cold-start case, not an error, and restores zero entries.
-func (s *Session) LoadCacheFile(path string) (int, error) { return s.cache.LoadFile(path) }
-
 // ServeDiagnostics starts a diagnostics HTTP server on addr (":0" picks
 // a free port; see DiagServer.Addr) with a "plan-cache" readiness probe
 // bound to this session: readiness fails until the session cache holds at
-// least one solved subproblem (a warm start via LoadCache, or any
-// completed one-shot search; replan and resilience runs do not count). Metrics and events are process-wide, so the server
-// also reflects work done outside this session.
+// least one solved subproblem, that is, until a one-shot search has
+// completed (replan and resilience runs do not count). Metrics and events
+// are process-wide, so the server also reflects work done outside this
+// session.
 func (s *Session) ServeDiagnostics(addr string) (*DiagServer, error) {
 	return diag.Start(addr, diag.Options{
 		Ready: []diag.Check{{
 			Name: "plan-cache",
 			Probe: func() error {
 				if s.cache.Stats().Entries == 0 {
-					return fmt.Errorf("empty (no warm start and no completed search yet)")
+					return fmt.Errorf("empty (no completed one-shot search yet)")
 				}
 				return nil
 			},

@@ -56,47 +56,6 @@ func TestSessionCompareMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSessionWarmStartRoundTrip: a session's snapshot must warm a fresh
-// session in another "process" — same plans, resolved from cache.
-func TestSessionWarmStartRoundTrip(t *testing.T) {
-	net, err := BuildModel("vgg16", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr := paperArray(t, 4)
-
-	first := NewSession(0)
-	plan, err := first.Partition(net, arr, StrategyAccPar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := planBytes(t, plan)
-
-	var snap bytes.Buffer
-	if err := first.SaveCache(&snap); err != nil {
-		t.Fatal(err)
-	}
-	second := NewSession(0)
-	n, err := second.LoadCache(bytes.NewReader(snap.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("snapshot restored zero entries")
-	}
-	warm, err := second.Partition(net, arr, StrategyAccPar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := planBytes(t, warm); !bytes.Equal(got, want) {
-		t.Error("warm-started plan differs from the original")
-	}
-	st := second.CacheStats()
-	if st.Hits == 0 || st.Misses != 0 {
-		t.Errorf("warm start should be all hits: %+v", st)
-	}
-}
-
 // TestSessionMixedWorkloadRace hammers one Session with concurrent
 // Partition, Replan and TuneBatch calls (run under -race): one cache,
 // many heterogeneous searches, every result matching its serial
