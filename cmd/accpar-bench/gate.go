@@ -18,7 +18,7 @@ import (
 // reuse is exactly the kind of slowdown the gate exists to catch. Cache
 // cold/warm entries are excluded — their timings measure cache state,
 // not code speed, and the warm side is nanoseconds-scale noise.
-var gatePrefixes = []string{"PartitionHierarchical/", "PartitionConstrained/", "Simulate/", "SolveRatio/", "ReplanAfterFault/", "DSESweep/"}
+var gatePrefixes = []string{"PartitionHierarchical/", "PartitionConstrained/", "Simulate/", "ReplanAfterFault/", "DSESweep/"}
 
 // gated reports whether the gate compares a benchmark entry.
 func gated(name string) bool {

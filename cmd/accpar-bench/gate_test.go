@@ -124,14 +124,14 @@ func TestRunGateEnumeratesAllRegressions(t *testing.T) {
 		BenchEntry{Name: "PartitionHierarchical/resnet50/parallel", NsPerOp: 1000, AllocsPerOp: 100},
 		BenchEntry{Name: "Simulate/vgg16", NsPerOp: 500, AllocsPerOp: 50},
 		BenchEntry{Name: "DSESweep/resnet50/shared", NsPerOp: 2000, AllocsPerOp: 200},
-		BenchEntry{Name: "SolveRatio/closed-form", NsPerOp: 100, AllocsPerOp: 2},
+		BenchEntry{Name: "Simulate/alexnet", NsPerOp: 100, AllocsPerOp: 2},
 	)
-	// Three entries regress: two on ns/op, one dropped entirely. SolveRatio
-	// holds steady and must stay out of the error.
+	// Three entries regress: two on ns/op, one dropped entirely.
+	// Simulate/alexnet holds steady and must stay out of the error.
 	fresh := report(
 		BenchEntry{Name: "PartitionHierarchical/resnet50/parallel", NsPerOp: 9000, AllocsPerOp: 100},
 		BenchEntry{Name: "Simulate/vgg16", NsPerOp: 5000, AllocsPerOp: 50},
-		BenchEntry{Name: "SolveRatio/closed-form", NsPerOp: 100, AllocsPerOp: 2},
+		BenchEntry{Name: "Simulate/alexnet", NsPerOp: 100, AllocsPerOp: 2},
 	)
 	err := runGate(writeReport(t, fresh), writeReport(t, base), 0.25)
 	if err == nil {
@@ -148,7 +148,7 @@ func TestRunGateEnumeratesAllRegressions(t *testing.T) {
 			t.Errorf("gate error missing %q:\n%s", want, msg)
 		}
 	}
-	if strings.Contains(msg, "SolveRatio/closed-form") {
+	if strings.Contains(msg, "Simulate/alexnet") {
 		t.Errorf("gate error names a passing entry:\n%s", msg)
 	}
 }
@@ -224,8 +224,8 @@ func TestRunGateMemOverheadCeiling(t *testing.T) {
 func TestCompareReportsAllocSlack(t *testing.T) {
 	// Tiny absolute alloc counts get slack: 2 → 10 allocs/op is within
 	// the absolute headroom even though the ratio is 5x.
-	base := report(BenchEntry{Name: "SolveRatio/closed-form", NsPerOp: 100, AllocsPerOp: 2})
-	fresh := report(BenchEntry{Name: "SolveRatio/closed-form", NsPerOp: 100, AllocsPerOp: 10})
+	base := report(BenchEntry{Name: "Simulate/alexnet", NsPerOp: 100, AllocsPerOp: 2})
+	fresh := report(BenchEntry{Name: "Simulate/alexnet", NsPerOp: 100, AllocsPerOp: 10})
 	if _, ok := compareReports(fresh, base, 0.25); !ok {
 		t.Error("small absolute alloc increase must pass via the slack")
 	}

@@ -78,8 +78,8 @@ func TestRunPerfJSON(t *testing.T) {
 	if report.GoMaxProcs < 1 {
 		t.Errorf("gomaxprocs = %d", report.GoMaxProcs)
 	}
-	if len(report.Benchmarks) != 17 {
-		t.Fatalf("benchmarks = %d, want 17", len(report.Benchmarks))
+	if len(report.Benchmarks) != 15 {
+		t.Fatalf("benchmarks = %d, want 15", len(report.Benchmarks))
 	}
 	if report.OverheadMemoryReject <= -1 {
 		t.Errorf("memory-reject overhead = %g", report.OverheadMemoryReject)
@@ -91,9 +91,6 @@ func TestRunPerfJSON(t *testing.T) {
 	}
 	if report.SpeedupParallelVsSerial <= 0 {
 		t.Errorf("parallel speedup = %g", report.SpeedupParallelVsSerial)
-	}
-	if report.SpeedupSolveRatioClosedForm <= 0 {
-		t.Errorf("solve-ratio speedup = %g", report.SpeedupSolveRatioClosedForm)
 	}
 	if report.SpeedupWarmSweep <= 1 {
 		t.Errorf("warm sweep speedup = %g, want > 1", report.SpeedupWarmSweep)

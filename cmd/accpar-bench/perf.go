@@ -43,11 +43,6 @@ type BenchReport struct {
 	// the memoization and closed-form bisection wins show up directly in
 	// the absolute ns/op instead.
 	SpeedupParallelVsSerial float64 `json:"speedup_parallel_vs_serial"`
-	// SpeedupSolveRatioClosedForm is the Eq. 10 bisection speedup of the
-	// precomputed-coefficient solver over the per-step full-sweep
-	// reference, measured on a homogeneous root split (where the balance
-	// point is interior and the bisection runs to convergence).
-	SpeedupSolveRatioClosedForm float64 `json:"speedup_solve_ratio_closed_form"`
 	// SpeedupWarmSweep is cold SpeedupSweep ns/op over warm: the same
 	// sweep repeated against an already-populated shared plan cache.
 	SpeedupWarmSweep float64 `json:"speedup_warm_sweep"`
@@ -175,46 +170,6 @@ func benchSimulate(model string, batch, perKind int) (testing.BenchmarkResult, e
 		}
 	})
 	return r, benchErr
-}
-
-// benchSolveRatio measures the Eq. 10 bisection both ways on the
-// homogeneous array's root split.
-func benchSolveRatio(model string, batch, homSize int) (closed, reference testing.BenchmarkResult, err error) {
-	net, err := models.BuildNetwork(model, batch)
-	if err != nil {
-		return closed, reference, err
-	}
-	tree, err := eval.HomogeneousTree(homSize)
-	if err != nil {
-		return closed, reference, err
-	}
-	bc, err := core.NewRatioBenchCase(net, tree, core.AccPar())
-	if err != nil {
-		return closed, reference, err
-	}
-	var benchErr error
-	closed = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := bc.ClosedForm(); err != nil {
-				benchErr = err
-				b.Fatal(err)
-			}
-		}
-	})
-	if benchErr != nil {
-		return closed, reference, benchErr
-	}
-	reference = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := bc.Reference(); err != nil {
-				benchErr = err
-				b.Fatal(err)
-			}
-		}
-	})
-	return closed, reference, benchErr
 }
 
 // benchReplanAfterFault measures the fault-response path three ways on
@@ -555,21 +510,6 @@ func runPerf(cfg eval.Config, jsonPath, cpuProfile, memProfile string) error {
 		return err
 	}
 	report.Benchmarks = append(report.Benchmarks, entry("Simulate/vgg16", simr))
-
-	homSize := cfg.HomSize
-	if homSize == 0 {
-		homSize = 256
-	}
-	closed, reference, err := benchSolveRatio("vgg16", batch, homSize)
-	if err != nil {
-		return err
-	}
-	report.Benchmarks = append(report.Benchmarks,
-		entry("SolveRatio/closed-form", closed),
-		entry("SolveRatio/reference", reference))
-	if closedNs := float64(closed.T.Nanoseconds()) / float64(closed.N); closedNs > 0 {
-		report.SpeedupSolveRatioClosedForm = float64(reference.T.Nanoseconds()) / float64(reference.N) / closedNs
-	}
 
 	// Replan after fault: the full-search baseline vs the retained
 	// ReplanEngine, for both a never-seen degradation (incremental) and a

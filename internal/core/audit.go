@@ -248,16 +248,13 @@ func (p *Plan) SearchAudit() *AuditReport {
 }
 
 // auditKey renders the stable hex prefix of a subproblem key.
-func auditKey(key string) string {
-	if len(key) > 8 {
-		key = key[:8]
-	}
-	return hex.EncodeToString([]byte(key))
+func auditKey(key subKey) string {
+	return hex.EncodeToString(key[:8])
 }
 
 // auditHit records a memo/shared-cache provenance record for a subproblem
 // answered without computing.
-func (p *planner) auditHit(node *hardware.Tree, key, provenance string) {
+func (p *planner) auditHit(node *hardware.Tree, key subKey, provenance string) {
 	rec := p.opt.Audit
 	if rec == nil {
 		return
@@ -276,12 +273,11 @@ func (p *planner) auditHit(node *hardware.Tree, key, provenance string) {
 // ratio (the same reconstruction Plan.Explain performs), the winner, and
 // why each loser died. mem carries the constrained ladder's outcome, nil
 // when the memory constraint was off or non-binding.
-func (p *planner) auditCompute(node *hardware.Tree, dims []tensor.LayerDims, n *PlanNode, mem *AuditMemory) {
+func (p *planner) auditCompute(node *hardware.Tree, dims []tensor.LayerDims, key subKey, n *PlanNode, mem *AuditMemory) {
 	rec := p.opt.Audit
 	if rec == nil {
 		return
 	}
-	key := p.subproblemKey(node, dims)
 	sub := AuditSubproblem{
 		Level:      node.Level,
 		Group:      node.Group.String(),
@@ -299,7 +295,8 @@ func (p *planner) auditCompute(node *hardware.Tree, dims []tensor.LayerDims, n *
 	// with a lower raw cost than the winner's died to the penalty, not to
 	// the objective.
 	steered := mem != nil && (mem.Outcome == OutcomeLambdaPenalized || mem.Outcome == OutcomeCapacityRatio)
-	ctx := newLevelCtx(p.units, dims, p.segs, p.planSegs, n.SideI, n.SideJ, p.opt)
+	ctx := p.level(dims, n.SideI, n.SideJ)
+	defer p.levels.Put(ctx)
 	ctx.alpha = n.Alpha
 	for u := range p.units {
 		if p.units[u].Virtual {

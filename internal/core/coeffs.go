@@ -9,7 +9,7 @@ import (
 // evaluate: every Table 5 transition is one of three closed forms in the
 // ratio α (zero, αβ-bilinear, or β-linear), and every per-unit quantity
 // (FLOPs, Table 4 intra-layer elements, boundary tensor sizes) is a pure
-// function of the unit's effective dims. Computing them once per levelCtx
+// function of the unit's effective dims. Computing them once per split
 // turns unitCost/edgeCost during runDP — and the whole g(α) balance
 // function during the solveRatio bisection — into O(1) arithmetic instead
 // of re-deriving tensor shares on every call.
@@ -75,19 +75,23 @@ func (c *levelCtx) pat() *[3][3]patKind {
 
 // prepare fills the per-unit caches: mode-appropriate FLOPs, Table 4
 // intra-layer elements per type, and the A(F_l)/A(F_{l+1}) boundary
-// inputs. Called once per levelCtx; every unitCost/edgeCost/evalLevel
-// evaluation afterwards is pure arithmetic over these arrays.
+// inputs. Called once per split; every unitCost/edgeCost/evalLevel
+// evaluation afterwards is pure arithmetic over these arrays. The arrays
+// are allocated on a context's first split and rewritten in place after.
 func (c *levelCtx) prepare() {
 	n := len(c.units)
-	c.flopsU = make([]float64, n)
-	c.intraU = make([][3]float64, n)
-	c.afU = make([]int64, n)
-	c.afNextU = make([]int64, n)
+	if len(c.flopsU) != n {
+		c.flopsU = make([]float64, n)
+		c.intraU = make([][3]float64, n)
+		c.afU = make([]int64, n)
+		c.afNextU = make([]int64, n)
+	}
 	for u := range c.units {
 		info := c.units[u]
 		c.afU[u] = info.dims.AF()
 		c.afNextU[u] = info.dims.AFNext()
 		if info.layer.Virtual {
+			c.flopsU[u], c.intraU[u] = 0, [3]float64{}
 			continue
 		}
 		if c.opt.Mode == ModeInference {

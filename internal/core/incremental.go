@@ -115,7 +115,7 @@ func (p *planner) noteStaleReuse() {
 // re-hashing the root dims.
 type recentTree struct {
 	digest [16]byte
-	key    string
+	key    subKey
 	specs  []uint64
 }
 
@@ -320,10 +320,11 @@ func (e *ReplanEngine) ReplanCtx(ctx context.Context, pristine, degraded *hardwa
 // hierarchy node, mirroring staleNode byte-for-byte with two retained
 // shortcuts: a subtree whose hardware digest matches its pristine
 // counterpart pristNode (the node old was solved for) is the pristine
-// plan verbatim, and every other re-costing is memoized under
-// staleKey(degraded subproblem key, pristine subtree digest). key is
-// node's subproblem key at dims when the caller already has it ("" to
-// hash it here).
+// plan verbatim, and every other re-costing is memoized under the memo
+// key (degraded subproblem key, pristine subtree digest) — the stale half
+// of memoKey, which keeps these entries apart from plain subproblems. key
+// is node's subproblem key at dims when the caller already has it (the
+// zero key to hash it here).
 //
 // The memo key is sound by an invariant of the stale walk: at every node
 // where the degraded structure still aligns with the plan's, the
@@ -334,7 +335,7 @@ func (e *ReplanEngine) ReplanCtx(ctx context.Context, pristine, degraded *hardwa
 // function of the pristine digest and the dims the key already carries —
 // and (degraded subtree, dims, pristine subtree) fully addresses the
 // re-costing.
-func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, dims []tensor.LayerDims, key string) (*PlanNode, error) {
+func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, dims []tensor.LayerDims, key subKey) (*PlanNode, error) {
 	if err := p.checkCtx(); err != nil {
 		return nil, err
 	}
@@ -352,11 +353,11 @@ func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, di
 		p.noteStaleReuse()
 		return clonePlanNodeAt(old, node.Level), nil
 	}
-	if key == "" {
+	if key == (subKey{}) {
 		key = p.subproblemKey(node, dims)
 	}
-	key = staleKey(key, pid.Digest)
-	if cached, _, ok := p.memo.get(key, p.epoch); ok {
+	mk := memoKey{sub: key, stale: pid.Digest}
+	if cached, _, ok := p.memo.get(mk, p.epoch); ok {
 		p.noteHit()
 		return clonePlanNodeAt(cached, node.Level), nil
 	}
@@ -367,7 +368,7 @@ func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, di
 		if err != nil {
 			return nil, err
 		}
-		p.memo.put(key, n, deps, p.epoch)
+		p.memo.put(mk, n, deps, p.epoch)
 		return n, nil
 	}
 	sideI := Side{Compute: node.Left.Group.ComputeDensity(), Net: p.opt.Topology.BisectionBandwidth(node.Left.Group)}
@@ -378,41 +379,32 @@ func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, di
 	if len(old.Types) != len(p.units) {
 		return nil, fmt.Errorf("core: stale plan has %d types for %d units", len(old.Types), len(p.units))
 	}
-	ctx := newLevelCtx(p.units, dims, p.segs, p.planSegs, sideI, sideJ, p.opt)
-	ctx.alpha = cost.ClampRatio(old.Alpha)
+	alpha := cost.ClampRatio(old.Alpha)
 	types := old.Types
-	ev := ctx.evalLevel(types)
+	ev := p.evalSplit(dims, sideI, sideJ, types, alpha)
 
-	left, err := p.staleNodeInc(node.Left, pristNode.Left, old.Left, scaleUnitDims(p.units, dims, types, ctx.alpha), "")
+	left, err := p.staleNodeInc(node.Left, pristNode.Left, old.Left, scaleUnitDims(p.units, dims, types, alpha), subKey{})
 	if err != nil {
 		return nil, err
 	}
-	right, err := p.staleNodeInc(node.Right, pristNode.Right, old.Right, scaleUnitDims(p.units, dims, types, ctx.beta()), "")
+	right, err := p.staleNodeInc(node.Right, pristNode.Right, old.Right, scaleUnitDims(p.units, dims, types, 1-alpha), subKey{})
 	if err != nil {
 		return nil, err
 	}
 	n := &PlanNode{
 		Level:     node.Level,
 		GroupDesc: node.Group.String(),
-		Alpha:     ctx.alpha,
+		Alpha:     alpha,
 		Types:     types,
 		Eval:      ev,
-		SideI:     ctx.sideI,
-		SideJ:     ctx.sideJ,
+		SideI:     sideI,
+		SideJ:     sideJ,
 		Dims:      dims,
 		Left:      left,
 		Right:     right,
 	}
-	p.memo.put(key, n, deps, p.epoch)
+	p.memo.put(mk, n, deps, p.epoch)
 	return n, nil
-}
-
-// staleKey tags a stale re-costing's memo key: the degraded subproblem
-// key followed by the pristine subtree digest and a tag byte. Its length
-// alone keeps it disjoint from plain subproblem keys, and it never
-// leaves the engine's memo.
-func staleKey(key string, pristine [16]byte) string {
-	return key + string(pristine[:]) + "s"
 }
 
 // ReplanEngines is a bounded LRU registry of ReplanEngines keyed by

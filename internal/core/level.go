@@ -54,7 +54,10 @@ func indexSegments(net *dnn.Network) []segRef {
 	return refs
 }
 
-// levelCtx bundles everything the DP needs at one hierarchy node.
+// levelCtx bundles everything the DP needs at one hierarchy node. A
+// planner recycles its contexts through a pool (planner.level): the
+// per-unit slices and the DP scratch are sized once for the network, and
+// each split only rewrites their contents.
 type levelCtx struct {
 	units []unitInfo
 	// segs is the true series-parallel structure, used to evaluate what a
@@ -88,27 +91,46 @@ type levelCtx struct {
 	afU     []int64
 	afNextU []int64
 	// edgesCache is the Table 5 edge enumeration over segs, computed once
-	// instead of per evalLevel call.
+	// per context instead of per evalLevel call.
 	edgesCache [][2]int
-	// dp is runDP's working memory, allocated on the first call.
+	// dp is runDP's working memory, allocated on the first call and
+	// reused by every later split the context serves.
 	dp dpScratch
 }
 
-// newLevelCtx builds a fully-prepared context for one hierarchy split.
-func newLevelCtx(units []dnn.WeightedLayer, dims []tensor.LayerDims, segs, planSegs []segRef, sideI, sideJ Side, opt Options) *levelCtx {
+// newLevelCtx builds an unprepared context for one network's splits;
+// reset readies it for a particular split.
+func newLevelCtx(units []dnn.WeightedLayer, segs, planSegs []segRef, opt Options) *levelCtx {
 	c := &levelCtx{
 		units:    make([]unitInfo, len(units)),
 		segs:     segs,
 		planSegs: planSegs,
-		sideI:    sideI,
-		sideJ:    sideJ,
 		opt:      opt,
 	}
 	for i := range units {
-		c.units[i] = unitInfo{layer: units[i], dims: dims[i]}
+		c.units[i].layer = units[i]
 	}
+	return c
+}
+
+// reset readies the context for one split at dims between sides sideI
+// and sideJ: ratio and memory penalty cleared, coefficients recomputed.
+func (c *levelCtx) reset(dims []tensor.LayerDims, sideI, sideJ Side) *levelCtx {
+	for i := range c.units {
+		c.units[i].dims = dims[i]
+	}
+	c.sideI, c.sideJ = sideI, sideJ
+	c.alpha, c.memLambda, c.capI, c.capJ = 0, 0, 0, 0
 	c.prepare()
 	return c
+}
+
+// level takes a context from the planner's pool, reset for one split.
+// Callers return it with p.levels.Put as soon as they have the split's
+// decisions and evaluation, before recursing into the children; nothing
+// a plan node keeps (Types, Dims) points into it.
+func (p *planner) level(dims []tensor.LayerDims, sideI, sideJ Side) *levelCtx {
+	return p.levels.Get().(*levelCtx).reset(dims, sideI, sideJ)
 }
 
 // edges returns the cached Table 5 edge enumeration over the true
@@ -216,9 +238,10 @@ func (c *levelCtx) edgeCost(p, n int, tt, t cost.Type) float64 {
 // and with the same strict-< tie rule as a per-pair solve, and backtracks
 // a path's inner types only for the pair that wins.
 //
-// All of runDP's working memory lives in one dpScratch per levelCtx,
-// sized from planSegs on first use and reused by every later runDP call
-// on the same context (the type/ratio alternation of solveSplit).
+// All of runDP's working memory lives in the levelCtx's dpScratch, sized
+// from planSegs on first use and reused by every later runDP call on the
+// same context: the type/ratio alternation of one split, and every later
+// split the pooled context serves.
 
 // dpTypes is the number of partition types the DP tables are indexed by.
 const dpTypes = 3
@@ -650,25 +673,10 @@ func checkSides(level int, si, sj Side) error {
 // Because the assignment is fixed throughout the bisection, the balance
 // function collapses to the ratioCoeffs closed form: the O(units + edges)
 // aggregation happens once, and each of the 60 bisection steps costs a
-// handful of multiplications. solveRatioReference keeps the direct
-// per-step evalLevel sweep for equivalence tests and benchmarks.
+// handful of multiplications.
 func (c *levelCtx) solveRatio(types []cost.Type) (float64, error) {
 	rc := c.ratioCoeffs(types)
 	return bisectRatio(rc.g)
-}
-
-// solveRatioReference is the pre-optimization bisection that re-evaluates
-// the full level cost at every step. It is retained as the ground truth
-// the coefficient-based solveRatio is tested against, and as the baseline
-// BenchmarkSolveRatio measures the speedup from.
-func (c *levelCtx) solveRatioReference(types []cost.Type) (float64, error) {
-	saved := c.alpha
-	defer func() { c.alpha = saved }()
-	return bisectRatio(func(a float64) float64 {
-		c.alpha = a
-		ev := c.evalLevel(types)
-		return ev.TimeI - ev.TimeJ
-	})
 }
 
 // bisectRatio runs the Eq. 10 bisection on a balance function g.

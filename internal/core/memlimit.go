@@ -226,7 +226,8 @@ func (p *planner) constrainSplit(node *hardware.Tree, dims []tensor.LayerDims, s
 	// This is what makes reject-mode infeasibility exact on the small
 	// networks the property tests verify against brute force.
 	if assignments := p.typeSpaceSize(); assignments > 0 && assignments <= memDFSMaxTries {
-		ctx := newLevelCtx(p.units, dims, p.segs, p.planSegs, sideI, sideJ, p.opt)
+		ctx := p.level(dims, sideI, sideJ)
+		defer p.levels.Put(ctx)
 		types := make([]cost.Type, len(p.units))
 		var enumerate func(u int) (*PlanNode, error)
 		enumerate = func(u int) (*PlanNode, error) {

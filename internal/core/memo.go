@@ -2,10 +2,11 @@ package core
 
 import (
 	"encoding/binary"
-	"hash/fnv"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
+	"accpar/internal/cost"
 	"accpar/internal/hardware"
 	"accpar/internal/tensor"
 )
@@ -44,7 +45,18 @@ const memoShards = 16
 
 type memoShard struct {
 	mu sync.RWMutex
-	m  map[string]*memoEntry
+	m  map[memoKey]*memoEntry
+}
+
+// subKey is a subproblem's 128-bit content identity (subproblemKey).
+type subKey [16]byte
+
+// memoKey addresses one memo entry. A plain subproblem leaves stale zero;
+// a stale re-costing (staleNodeInc) sets it to the pristine subtree's
+// digest, so the two kinds of entry are disjoint by structure.
+type memoKey struct {
+	sub   subKey
+	stale [16]byte
 }
 
 type memoEntry struct {
@@ -60,16 +72,13 @@ type memoEntry struct {
 func newPlanMemo() *planMemo {
 	p := &planMemo{}
 	for i := range p.shards {
-		p.shards[i].m = make(map[string]*memoEntry)
+		p.shards[i].m = make(map[memoKey]*memoEntry)
 	}
 	return p
 }
 
-func (p *planMemo) shard(key string) *memoShard {
-	if len(key) == 0 {
-		return &p.shards[0]
-	}
-	return &p.shards[key[0]&(memoShards-1)]
+func (p *planMemo) shard(key memoKey) *memoShard {
+	return &p.shards[key.sub[0]&(memoShards-1)]
 }
 
 // get returns the cached solution for key, stamping the entry with the
@@ -77,11 +86,12 @@ func (p *planMemo) shard(key string) *memoShard {
 // call — a batch engine distinguishes cross-fleet hits (the entry was
 // solved or served while planning a different candidate, so prev differs
 // from the serving epoch) from intra-tree reuse by exactly that value.
-// The caller must clone the returned node before linking it into a plan:
-// plan consumers (the array simulator's leaf-range index in particular)
-// key maps by *PlanNode, so a subtree shared between two parents would
-// silently alias.
-func (p *planMemo) get(key string, epoch int64) (node *PlanNode, prev int64, ok bool) {
+// The lookup hashes nothing and allocates nothing: key is a fixed-size
+// value. The caller must clone the returned node before linking it into
+// a plan (clonePlanNodeAt): plan consumers (the array simulator's
+// leaf-range index in particular) key maps by *PlanNode, so a subtree
+// shared between two parents would silently alias.
+func (p *planMemo) get(key memoKey, epoch int64) (node *PlanNode, prev int64, ok bool) {
 	s := p.shard(key)
 	s.mu.RLock()
 	e, found := s.m[key]
@@ -96,7 +106,7 @@ func (p *planMemo) get(key string, epoch int64) (node *PlanNode, prev int64, ok 
 	return e.node, prev, true
 }
 
-func (p *planMemo) put(key string, n *PlanNode, deps []uint64, epoch int64) {
+func (p *planMemo) put(key memoKey, n *PlanNode, deps []uint64, epoch int64) {
 	e := &memoEntry{node: n, deps: deps}
 	e.epoch.Store(epoch)
 	s := p.shard(key)
@@ -164,29 +174,87 @@ func (p *planMemo) evictBefore(cutoff int64) int {
 // subproblemKey hashes (hardware subtree, effective dims) into a memo
 // key. The subtree enters through its cached content digest
 // (hardware.Tree.Identity), so keying a node is O(dims) regardless of
-// how much hardware hangs below it. The hashed bytes — the digest, the
-// unit count and nine little-endian int64 extents per unit — are laid
-// out in one buffer and written once.
-func (p *planner) subproblemKey(node *hardware.Tree, dims []tensor.LayerDims) string {
-	digest := node.Identity().Digest
-	buf := make([]byte, 0, len(digest)+8*(1+9*len(dims)))
-	buf = append(buf, digest[:]...)
-	le := binary.LittleEndian
-	buf = le.AppendUint64(buf, uint64(len(dims)))
-	for _, d := range dims {
-		buf = le.AppendUint64(buf, uint64(d.B))
-		buf = le.AppendUint64(buf, uint64(d.Di))
-		buf = le.AppendUint64(buf, uint64(d.Do))
-		buf = le.AppendUint64(buf, uint64(d.HIn))
-		buf = le.AppendUint64(buf, uint64(d.WIn))
-		buf = le.AppendUint64(buf, uint64(d.HOut))
-		buf = le.AppendUint64(buf, uint64(d.WOut))
-		buf = le.AppendUint64(buf, uint64(d.KH))
-		buf = le.AppendUint64(buf, uint64(d.KW))
+// how much hardware hangs below it. The hashed words — the digest's two
+// halves, the unit count and nine extents per unit — go through
+// keyHash one machine word at a time, with no buffer.
+func (p *planner) subproblemKey(node *hardware.Tree, dims []tensor.LayerDims) subKey {
+	h := newKeyHash(node, len(dims))
+	for i := range dims {
+		h.dims(&dims[i])
 	}
-	h := fnv.New128a()
-	h.Write(buf)
-	return string(h.Sum(nil))
+	return h.sum()
+}
+
+// childKey is subproblemKey(node, scaleUnitDims(p.units, dims, types,
+// ratio)) without building the scaled slice: each unit's child dims are
+// hashed as scaleUnit produces them, so a memo hit never materializes
+// dims it would throw away.
+func (p *planner) childKey(node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, ratio float64) subKey {
+	h := newKeyHash(node, len(dims))
+	for i := range dims {
+		d := scaleUnit(p.units[i].Virtual, dims[i], types[i], ratio)
+		h.dims(&d)
+	}
+	return h.sum()
+}
+
+// keyHash is the memo's 128-bit word-wise hash: two independent lanes,
+// each absorbing every word with a 64×64→128-bit multiply folded back to
+// 64 bits (hi ^ lo), under distinct odd multipliers and distinct absorb
+// operations (xor, add), so a collision needs both lanes to collide at
+// once. sum finishes with two Feistel rounds of the same fold, a
+// bijection of the 128-bit state that spreads every input word into
+// every output byte (the shard index reads the first).
+type keyHash struct{ a, b uint64 }
+
+const (
+	keyM1 = 0xa0761d6478bd642f
+	keyM2 = 0xe7037ed1a0b428db
+	keyM3 = 0x8ebc6af09c88c6e3
+	keyM4 = 0x589965cc75374cc3
+)
+
+// fold is the multiply-fold mixing step.
+func fold(x, m uint64) uint64 {
+	hi, lo := bits.Mul64(x, m)
+	return hi ^ lo
+}
+
+// newKeyHash starts a key over node's subtree digest and n units.
+func newKeyHash(node *hardware.Tree, n int) keyHash {
+	digest := node.Identity().Digest
+	h := keyHash{a: keyM3, b: keyM4}
+	h.word(binary.LittleEndian.Uint64(digest[:8]))
+	h.word(binary.LittleEndian.Uint64(digest[8:]))
+	h.word(uint64(n))
+	return h
+}
+
+func (h *keyHash) word(v uint64) {
+	h.a = fold(h.a^v, keyM1)
+	h.b = fold(h.b+v, keyM2)
+}
+
+// dims absorbs one unit's nine extents.
+func (h *keyHash) dims(d *tensor.LayerDims) {
+	h.word(uint64(d.B))
+	h.word(uint64(d.Di))
+	h.word(uint64(d.Do))
+	h.word(uint64(d.HIn))
+	h.word(uint64(d.WIn))
+	h.word(uint64(d.HOut))
+	h.word(uint64(d.WOut))
+	h.word(uint64(d.KH))
+	h.word(uint64(d.KW))
+}
+
+func (h *keyHash) sum() subKey {
+	a := h.a ^ fold(h.b, keyM3)
+	b := h.b ^ fold(a, keyM4)
+	var k subKey
+	binary.LittleEndian.PutUint64(k[:8], a)
+	binary.LittleEndian.PutUint64(k[8:], b)
+	return k
 }
 
 // clonePlanNodeAt copies a memoized subtree so every parent links a

@@ -1,0 +1,97 @@
+package core_test
+
+import (
+	"context"
+	"slices"
+	"testing"
+
+	"accpar/internal/core"
+	"accpar/internal/dse"
+	"accpar/internal/faults"
+	"accpar/internal/hardware"
+	"accpar/internal/models"
+	"accpar/internal/tensor"
+)
+
+// TestSubproblemKeysDistinctOnSweepGrid searches every candidate of the
+// dse-sweep grid (ResNet-50/512; TPU-v2/v3 counts 0/4/8, five level
+// caps, two link tiers; pristine and with the v2 kind slowed 2×) under
+// every AccPar variant and checks that each distinct (subtree digest,
+// dims) pair the searches keyed has a distinct memo key. With memory
+// constraints off every keyed subproblem is a node of some variant's
+// plan, so walking the plans against their trees enumerates them all.
+func TestSubproblemKeysDistinctOnSweepGrid(t *testing.T) {
+	space := &dse.Space{
+		Kinds: []dse.Kind{
+			{Name: "tpu-v2", Spec: hardware.TPUv2(), Price: 1.0},
+			{Name: "tpu-v3", Spec: hardware.TPUv3(), Price: 2.2},
+		},
+		Counts:    []int{0, 4, 8},
+		Levels:    []int{2, 8, 16, 32, 64},
+		NetScales: []float64{1, 2},
+	}
+	cands, err := space.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := faults.Parse("slowdown:0=2.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenario := &faults.Scenario{Faults: fs}
+	var trees []*hardware.Tree
+	for i := range cands {
+		tree, err := cands[i].Tree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, tree)
+		degraded, err := space.DegradedTree(&cands[i], scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if degraded != nil {
+			trees = append(trees, degraded)
+		}
+	}
+	net, err := models.BuildNetwork("resnet50", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type subproblem struct {
+		digest [16]byte
+		dims   []tensor.LayerDims
+	}
+	owner := map[[16]byte]subproblem{}
+	var walk func(n *core.PlanNode, hw *hardware.Tree)
+	walk = func(n *core.PlanNode, hw *hardware.Tree) {
+		if n == nil {
+			return
+		}
+		key := core.SubproblemKey(hw, n.Dims)
+		sub := subproblem{hw.Identity().Digest, n.Dims}
+		if prev, ok := owner[key]; ok && (prev.digest != sub.digest || !slices.Equal(prev.dims, sub.dims)) {
+			t.Fatalf("key %x names two subproblems:\n%x %v\n%x %v", key, prev.digest, prev.dims, sub.digest, sub.dims)
+		}
+		owner[key] = sub
+		walk(n.Left, hw.Left)
+		walk(n.Right, hw.Right)
+	}
+	for _, opt := range core.StrategyAccPar.Variants() {
+		e, err := core.NewBatchEngine(net, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tree := range trees {
+			plan, err := e.PlanCtx(context.Background(), tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			walk(plan.Root, tree)
+		}
+	}
+	if len(owner) < 500 {
+		t.Fatalf("only %d distinct subproblems keyed; the grid expands over 800", len(owner))
+	}
+	t.Logf("%d distinct subproblems, each with its own key", len(owner))
+}

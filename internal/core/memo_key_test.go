@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"encoding/hex"
+	"math/rand"
 	"testing"
 
 	"accpar/internal/cost"
+	"accpar/internal/hardware"
 )
 
 // TestSubproblemKeyBytes pins the memo keys of two fixed (subtree, dims)
@@ -23,16 +26,115 @@ func TestSubproblemKeyBytes(t *testing.T) {
 		types[i] = cost.Types[i%len(cost.Types)]
 	}
 	childDims := scaleUnitDims(p.units, p.rootDims, types, 0.3)
-	rootKey := p.subproblemKey(tree, p.rootDims)
-	childKey := p.subproblemKey(tree.Left, childDims)
 	for _, c := range []struct {
-		name, key, want string
+		name string
+		key  subKey
+		want string
 	}{
-		{"root", rootKey, "064ac5a261364ef3496b2701202d948a"},
-		{"left child", childKey, "6db54c380b2dd8b3ff6e33133349c5bc"},
+		{"root", p.subproblemKey(tree, p.rootDims), "b34dad1a5fdeb7d8f155b80158a0e1b6"},
+		{"left child", p.subproblemKey(tree.Left, childDims), "f070e470b3018f0cc426f4f14d328b38"},
 	} {
-		if got := hex.EncodeToString([]byte(c.key)); got != c.want {
+		if got := hex.EncodeToString(c.key[:]); got != c.want {
 			t.Errorf("%s key = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestChildKeyMatchesScaledDims: a split keys each child on the fly
+// (childKey) while the root, replan and stale paths key materialized dims
+// (subproblemKey). The two must agree exactly, or a child solved on one
+// path would silently miss on the other. Random type vectors and ratios
+// at both clamps are walked several levels down on ResNet-18 and
+// inception, whose virtual junction units (residual adds, concatenations)
+// scale both channel extents.
+func TestChildKeyMatchesScaledDims(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	ratios := []float64{cost.MinRatio, 2 * cost.MinRatio, 0.3, 0.5, 1 - 2*cost.MinRatio, 1 - cost.MinRatio}
+	for _, model := range []string{"resnet18", "inception"} {
+		net := buildNet(t, model, 64)
+		p, err := newPlanner(nil, net, AccPar())
+		if err != nil {
+			t.Fatal(err)
+		}
+		virtual := false
+		for _, u := range p.units {
+			virtual = virtual || u.Virtual
+		}
+		if !virtual {
+			t.Fatalf("%s has no virtual junction units to cover", model)
+		}
+		tree := paperTree(t, 8)
+		for trial := 0; trial < 20; trial++ {
+			node, dims := tree, p.rootDims
+			for !node.IsLeaf() {
+				types := make([]cost.Type, len(dims))
+				for i := range types {
+					types[i] = cost.Types[rnd.Intn(len(cost.Types))]
+				}
+				r := ratios[rnd.Intn(len(ratios))]
+				if trial%2 == 1 {
+					r = cost.ClampRatio(rnd.Float64())
+				}
+				child := node.Left
+				if rnd.Intn(2) == 1 {
+					child = node.Right
+				}
+				scaled := scaleUnitDims(p.units, dims, types, r)
+				if got, want := p.childKey(child, dims, types, r), p.subproblemKey(child, scaled); got != want {
+					t.Fatalf("%s level %d ratio %g: childKey %x, subproblemKey %x", model, node.Level, r, got, want)
+				}
+				node, dims = child, scaled
+			}
+		}
+	}
+}
+
+// TestStaleKeysDisjoint: a replan engine memoizes stale re-costings next
+// to plain subproblems in one memo. Every stale entry must carry a
+// pristine subtree digest in its stale half, so no stale key can equal a
+// plain one.
+func TestStaleKeysDisjoint(t *testing.T) {
+	net := buildNet(t, "resnet18", 64)
+	e, err := NewReplanEngine(net, AccPar())
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := v2v3Groups(8)
+	pristine := treeFor(t, groups...)
+	if _, _, err := e.ReplanCtx(context.Background(), pristine, slowdownTree(t, groups, 0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	digests := map[[16]byte]bool{}
+	var walk func(n *hardware.Tree)
+	walk = func(n *hardware.Tree) {
+		if n == nil {
+			return
+		}
+		digests[n.Identity().Digest] = true
+		walk(n.Left)
+		walk(n.Right)
+	}
+	walk(pristine)
+	plain := map[memoKey]bool{}
+	var stale []memoKey
+	for i := range e.base.memo.shards {
+		for k := range e.base.memo.shards[i].m {
+			if k.stale == ([16]byte{}) {
+				plain[k] = true
+			} else {
+				stale = append(stale, k)
+			}
+		}
+	}
+	if len(plain) == 0 || len(stale) == 0 {
+		t.Fatalf("memo holds %d plain and %d stale entries; want both kinds", len(plain), len(stale))
+	}
+	for _, k := range stale {
+		if !digests[k.stale] {
+			t.Errorf("stale key %x carries %x, not a pristine subtree digest", k.sub, k.stale)
+		}
+		if plain[k] {
+			t.Errorf("stale key %x equals a plain key", k.sub)
 		}
 	}
 }

@@ -41,7 +41,7 @@ func benchCtx(tb testing.TB) (*levelCtx, []cost.Type) {
 		dims[i] = units[i].Dims
 	}
 	segs := indexSegments(net)
-	ctx := newLevelCtx(units, dims, segs, segs, sideI, sideJ, opt)
+	ctx := newLevelCtx(units, segs, segs, opt).reset(dims, sideI, sideJ)
 	ctx.alpha = 0.5
 	types := make([]cost.Type, len(ctx.units))
 	for i := range types {

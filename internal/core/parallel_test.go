@@ -170,6 +170,20 @@ func TestSolveRatioMatchesReference(t *testing.T) {
 	}
 }
 
+// solveRatioReference is the pre-optimization bisection that re-evaluates
+// the full level cost at every step: the ground truth the closed-form
+// solveRatio is tested against, and the baseline BenchmarkSolveRatio's
+// speedup is quoted against.
+func (c *levelCtx) solveRatioReference(types []cost.Type) (float64, error) {
+	saved := c.alpha
+	defer func() { c.alpha = saved }()
+	return bisectRatio(func(a float64) float64 {
+		c.alpha = a
+		ev := c.evalLevel(types)
+		return ev.TimeI - ev.TimeJ
+	})
+}
+
 func uniformTypes(n int, t cost.Type) []cost.Type {
 	out := make([]cost.Type, n)
 	for i := range out {

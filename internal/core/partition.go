@@ -31,6 +31,10 @@ type planner struct {
 	opt      Options
 	memo     *planMemo
 	sem      *parallel.Sem
+	// levels recycles this network's prepared level contexts (level.go),
+	// so a split reuses DP scratch and coefficient slices instead of
+	// allocating them; forCall copies share it.
+	levels *sync.Pool
 	// shared is the cross-run cache (Options.Cache), attached by
 	// PartitionCtx only: retained engines keep their memo as their one
 	// store. searchFP namespaces this planner's subproblem keys inside it.
@@ -54,9 +58,9 @@ type planner struct {
 }
 
 // forCall returns a shallow copy of the planner rebound to one engine
-// call: same memo and semaphore — the retained state incremental
-// replanning exists for — but a per-call context, epoch and stats
-// collector. The copy is what lets one retained planner serve
+// call: same memo, semaphore and level pool — the retained state
+// incremental replanning exists for — but a per-call context, epoch and
+// stats collector. The copy is what lets one retained planner serve
 // concurrent calls with different deadlines.
 func (p *planner) forCall(ctx context.Context, epoch int64, rs *replanStats) *planner {
 	pc := *p
@@ -111,7 +115,10 @@ func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, e
 		opt:      opt,
 		memo:     newPlanMemo(),
 		sem:      parallel.NewSem(opt.Parallelism),
-		ctx:      ctx,
+		levels: &sync.Pool{New: func() any {
+			return newLevelCtx(units, segs, planSegs, opt)
+		}},
+		ctx: ctx,
 	}
 	if ctx != nil {
 		p.done = ctx.Done()
@@ -127,7 +134,7 @@ func (p *planner) plan(tree *hardware.Tree) (*Plan, error) {
 // planKeyed is plan with the root subproblem key already in hand; a
 // ReplanEngine keeps it per admitted tree, so a recurrent tree costs one
 // memo lookup and no dims hashing.
-func (p *planner) planKeyed(tree *hardware.Tree, key string) (*Plan, error) {
+func (p *planner) planKeyed(tree *hardware.Tree, key subKey) (*Plan, error) {
 	sp := obs.StartSpanCtx(p.ctx, "planner", "plan")
 	defer sp.End()
 	root, err := p.partitionKeyed(tree, p.rootDims, key)
@@ -164,36 +171,63 @@ func strategyName(opt Options) string {
 }
 
 // partitionNode handles one hierarchy node with the given effective dims,
-// consulting the subproblem memo first. Memo hits are deep-cloned — plan
-// consumers key maps by *PlanNode identity, so parents must never share
-// subtree pointers — and relabeled to this node's level, since digests
-// are level-independent and the cached solution may have been computed
-// at a different depth.
+// consulting the subproblem memo first; see lookup and solve.
 func (p *planner) partitionNode(node *hardware.Tree, dims []tensor.LayerDims) (*PlanNode, error) {
 	return p.partitionKeyed(node, dims, p.subproblemKey(node, dims))
 }
 
-// partitionKeyed is partitionNode for a subproblem already keyed. Memo
-// entries record the subtree's spec-fingerprint set as their
-// dependencies.
-func (p *planner) partitionKeyed(node *hardware.Tree, dims []tensor.LayerDims, key string) (*PlanNode, error) {
+// partitionKeyed is partitionNode for a subproblem already keyed.
+func (p *planner) partitionKeyed(node *hardware.Tree, dims []tensor.LayerDims, key subKey) (*PlanNode, error) {
 	if err := p.checkCtx(); err != nil {
 		return nil, err
 	}
-	if cached, prev, ok := p.memo.get(key, p.epoch); ok {
-		obsMemoHits.Inc()
-		p.noteHit()
-		provenance := ProvenanceMemoHit
-		if p.batch && prev != p.epoch {
-			// The entry was last solved or served under another candidate's
-			// epoch: this hit amortized work across fleets, not within one
-			// hierarchy.
-			obsCrossFleetHits.Inc()
-			provenance = ProvenanceCrossFleetHit
-		}
-		p.auditHit(node, key, provenance)
-		return clonePlanNodeAt(cached, node.Level), nil
+	if n, ok := p.lookup(node, key); ok {
+		return n, nil
 	}
+	return p.solve(node, dims, key)
+}
+
+// partitionChild handles the child node of a split at (dims, types,
+// ratio): it keys the child's scaled dims on the fly (childKey) and
+// materializes them only on a memo miss.
+func (p *planner) partitionChild(node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, ratio float64) (*PlanNode, error) {
+	if err := p.checkCtx(); err != nil {
+		return nil, err
+	}
+	key := p.childKey(node, dims, types, ratio)
+	if n, ok := p.lookup(node, key); ok {
+		return n, nil
+	}
+	return p.solve(node, scaleUnitDims(p.units, dims, types, ratio), key)
+}
+
+// lookup serves a subproblem from the memo. Hits are deep-cloned — plan
+// consumers key maps by *PlanNode identity, so parents must never share
+// subtree pointers — and relabeled to this node's level, since digests
+// are level-independent and the cached solution may have been computed
+// at a different depth.
+func (p *planner) lookup(node *hardware.Tree, key subKey) (*PlanNode, bool) {
+	cached, prev, ok := p.memo.get(memoKey{sub: key}, p.epoch)
+	if !ok {
+		return nil, false
+	}
+	obsMemoHits.Inc()
+	p.noteHit()
+	provenance := ProvenanceMemoHit
+	if p.batch && prev != p.epoch {
+		// The entry was last solved or served under another candidate's
+		// epoch: this hit amortized work across fleets, not within one
+		// hierarchy.
+		obsCrossFleetHits.Inc()
+		provenance = ProvenanceCrossFleetHit
+	}
+	p.auditHit(node, key, provenance)
+	return clonePlanNodeAt(cached, node.Level), true
+}
+
+// solve answers a memo miss and stores the solution, recording the
+// subtree's spec-fingerprint set as the entry's dependencies.
+func (p *planner) solve(node *hardware.Tree, dims []tensor.LayerDims, key subKey) (*PlanNode, error) {
 	if p.shared != nil {
 		// Cross-run path: the shared cache answers or computes under
 		// singleflight, so N concurrent identical searches — across
@@ -201,9 +235,10 @@ func (p *planner) partitionKeyed(node *hardware.Tree, dims []tensor.LayerDims, k
 		// result lands in the per-search memo too, keeping the rest of
 		// this search off the shared shards, and is cloned on every use
 		// because plan consumers key maps by *PlanNode identity.
+		sharedKey := p.searchFP + string(key[:])
 		for {
-			n, hit, err := p.shared.c.Do(p.searchFP+key, func() (*PlanNode, error) {
-				return p.computeNode(node, dims)
+			n, hit, err := p.shared.c.Do(sharedKey, func() (*PlanNode, error) {
+				return p.computeNode(node, dims, key)
 			})
 			if err != nil {
 				// A coalesced waiter shares its flight's outcome — including
@@ -220,22 +255,23 @@ func (p *planner) partitionKeyed(node *hardware.Tree, dims []tensor.LayerDims, k
 				obsSharedHits.Inc()
 				p.auditHit(node, key, ProvenanceSharedCacheHit)
 			}
-			p.memo.put(key, n, node.Identity().Specs, p.epoch)
+			p.memo.put(memoKey{sub: key}, n, node.Identity().Specs, p.epoch)
 			return clonePlanNodeAt(n, node.Level), nil
 		}
 	}
-	n, err := p.computeNode(node, dims)
+	n, err := p.computeNode(node, dims, key)
 	if err != nil {
 		// Errors are not cached: they are rare, cheap to rediscover, and
 		// usually carry tree-specific context (degenerate specs).
 		return nil, err
 	}
-	p.memo.put(key, n, node.Identity().Specs, p.epoch)
+	p.memo.put(memoKey{sub: key}, n, node.Identity().Specs, p.epoch)
 	return n, nil
 }
 
-// computeNode solves one hierarchy node from scratch.
-func (p *planner) computeNode(node *hardware.Tree, dims []tensor.LayerDims) (*PlanNode, error) {
+// computeNode solves one hierarchy node from scratch; key is its
+// subproblem key, for the audit record.
+func (p *planner) computeNode(node *hardware.Tree, dims []tensor.LayerDims, key subKey) (*PlanNode, error) {
 	obsSubproblems.Inc()
 	if p.rs != nil {
 		p.rs.expanded.Add(1)
@@ -252,7 +288,7 @@ func (p *planner) computeNode(node *hardware.Tree, dims []tensor.LayerDims) (*Pl
 		if err != nil {
 			return nil, err
 		}
-		p.auditCompute(node, dims, n, nil)
+		p.auditCompute(node, dims, key, n, nil)
 		return n, nil
 	}
 
@@ -272,7 +308,7 @@ func (p *planner) computeNode(node *hardware.Tree, dims []tensor.LayerDims) (*Pl
 			return nil, err
 		}
 	}
-	p.auditCompute(node, dims, n, mem)
+	p.auditCompute(node, dims, key, n, mem)
 	return n, nil
 }
 
@@ -282,7 +318,19 @@ func (p *planner) computeNode(node *hardware.Tree, dims []tensor.LayerDims) (*Pl
 // exact unconstrained search. Reported costs (Eval) never include the
 // penalty — it steers decisions only.
 func (p *planner) solveSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI, sideJ Side, memLambda float64) (*PlanNode, error) {
-	ctx := newLevelCtx(p.units, dims, p.segs, p.planSegs, sideI, sideJ, p.opt)
+	types, alpha, ev, err := p.decideSplit(node, dims, sideI, sideJ, memLambda)
+	if err != nil {
+		return nil, err
+	}
+	return p.assembleSplit(node, dims, sideI, sideJ, types, alpha, ev)
+}
+
+// decideSplit is solveSplit's alternation on a pooled level context,
+// which goes back to the pool before the caller recurses: runDP returns
+// a freshly allocated types slice, so nothing after it reads the context.
+func (p *planner) decideSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI, sideJ Side, memLambda float64) ([]cost.Type, float64, LevelEval, error) {
+	ctx := p.level(dims, sideI, sideJ)
+	defer p.levels.Put(ctx)
 	if memLambda > 0 {
 		ctx.memLambda = memLambda
 		ctx.capI = float64(node.Left.Identity().HBMBytes)
@@ -305,11 +353,11 @@ func (p *planner) solveSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI
 	}
 	for iter := 0; iter < p.opt.MaxRatioIters; iter++ {
 		if err := p.checkCtx(); err != nil {
-			return nil, err
+			return nil, 0, LevelEval{}, err
 		}
 		newTypes, _, dpErr := search()
 		if dpErr != nil {
-			return nil, dpErr
+			return nil, 0, LevelEval{}, dpErr
 		}
 		stable := types != nil && equalTypes(types, newTypes)
 		types = newTypes
@@ -318,7 +366,7 @@ func (p *planner) solveSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI
 		}
 		newAlpha, ratioErr := ctx.solveRatio(types)
 		if ratioErr != nil {
-			return nil, ratioErr
+			return nil, 0, LevelEval{}, ratioErr
 		}
 		if stable && math.Abs(newAlpha-ctx.alpha) < 1e-6 {
 			ctx.alpha = newAlpha
@@ -326,26 +374,7 @@ func (p *planner) solveSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI
 		}
 		ctx.alpha = newAlpha
 	}
-
-	ev := ctx.evalLevel(types)
-
-	left, right, err := p.partitionChildren(node, dims, types, ctx.alpha)
-	if err != nil {
-		return nil, err
-	}
-
-	return &PlanNode{
-		Level:     node.Level,
-		GroupDesc: node.Group.String(),
-		Alpha:     ctx.alpha,
-		Types:     types,
-		Eval:      ev,
-		SideI:     ctx.sideI,
-		SideJ:     ctx.sideJ,
-		Dims:      dims,
-		Left:      left,
-		Right:     right,
-	}, nil
+	return types, ctx.alpha, ctx.evalLevel(types), nil
 }
 
 // buildSplit assembles one split for a fixed (types, alpha) candidate —
@@ -353,9 +382,22 @@ func (p *planner) solveSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI
 // constrained ladder uses it for candidates whose decisions were chosen
 // outside the alternation loop.
 func (p *planner) buildSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI, sideJ Side, types []cost.Type, alpha float64) (*PlanNode, error) {
-	ctx := newLevelCtx(p.units, dims, p.segs, p.planSegs, sideI, sideJ, p.opt)
+	return p.assembleSplit(node, dims, sideI, sideJ, types, alpha, p.evalSplit(dims, sideI, sideJ, types, alpha))
+}
+
+// evalSplit prices fixed (types, alpha) decisions at one split on a
+// pooled level context.
+func (p *planner) evalSplit(dims []tensor.LayerDims, sideI, sideJ Side, types []cost.Type, alpha float64) LevelEval {
+	ctx := p.level(dims, sideI, sideJ)
+	defer p.levels.Put(ctx)
 	ctx.alpha = alpha
-	ev := ctx.evalLevel(types)
+	return ctx.evalLevel(types)
+}
+
+// assembleSplit recurses into both children of a priced split and links
+// the node. No level context is held across the recursion: the split's
+// decisions are already in (types, alpha, ev).
+func (p *planner) assembleSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI, sideJ Side, types []cost.Type, alpha float64, ev LevelEval) (*PlanNode, error) {
 	left, right, err := p.partitionChildren(node, dims, types, alpha)
 	if err != nil {
 		return nil, err
@@ -381,8 +423,6 @@ func (p *planner) buildSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI
 // wall-clock only, never results; on a double failure the left child's
 // error wins so error reporting matches the serial order.
 func (p *planner) partitionChildren(node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, alpha float64) (left, right *PlanNode, err error) {
-	ldims := scaleUnitDims(p.units, dims, types, alpha)
-	rdims := scaleUnitDims(p.units, dims, types, 1-alpha)
 	if p.sem.TryAcquire() {
 		obsForks.Inc()
 		var wg sync.WaitGroup
@@ -391,10 +431,10 @@ func (p *planner) partitionChildren(node *hardware.Tree, dims []tensor.LayerDims
 		go func() {
 			defer wg.Done()
 			defer p.sem.Release()
-			right, rerr = p.partitionNode(node.Right, rdims)
+			right, rerr = p.partitionChild(node.Right, dims, types, 1-alpha)
 		}()
 		var lerr error
-		left, lerr = p.partitionNode(node.Left, ldims)
+		left, lerr = p.partitionChild(node.Left, dims, types, alpha)
 		wg.Wait()
 		if lerr != nil {
 			return nil, nil, lerr
@@ -404,11 +444,11 @@ func (p *planner) partitionChildren(node *hardware.Tree, dims []tensor.LayerDims
 		}
 		return left, right, nil
 	}
-	left, err = p.partitionNode(node.Left, ldims)
+	left, err = p.partitionChild(node.Left, dims, types, alpha)
 	if err != nil {
 		return nil, nil, err
 	}
-	right, err = p.partitionNode(node.Right, rdims)
+	right, err = p.partitionChild(node.Right, dims, types, 1-alpha)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -422,14 +462,19 @@ func (p *planner) partitionChildren(node *hardware.Tree, dims []tensor.LayerDims
 func scaleUnitDims(units []dnn.WeightedLayer, dims []tensor.LayerDims, types []cost.Type, ratio float64) []tensor.LayerDims {
 	out := make([]tensor.LayerDims, len(dims))
 	for i, d := range dims {
-		t := types[i]
-		if units[i].Virtual && t != cost.TypeI {
-			out[i] = d.Scale(tensor.DimDi, ratio).Scale(tensor.DimDo, ratio)
-			continue
-		}
-		out[i] = d.Scale(t.Dim(), ratio)
+		out[i] = scaleUnit(units[i].Virtual, d, types[i], ratio)
 	}
 	return out
+}
+
+// scaleUnit scales one unit's dims for a child of a split under type t;
+// scaleUnitDims and childKey share it, so a key hashed on the fly always
+// names the dims a miss materializes.
+func scaleUnit(virtual bool, d tensor.LayerDims, t cost.Type, ratio float64) tensor.LayerDims {
+	if virtual && t != cost.TypeI {
+		return d.Scale(tensor.DimDi, ratio).Scale(tensor.DimDo, ratio)
+	}
+	return d.Scale(t.Dim(), ratio)
 }
 
 // leafNode models an unsplit group executing its final shard: computation

@@ -67,27 +67,26 @@ func (p *planner) staleNode(node *hardware.Tree, old *PlanNode, dims []tensor.La
 	if len(old.Types) != len(p.units) {
 		return nil, fmt.Errorf("core: stale plan has %d types for %d units", len(old.Types), len(p.units))
 	}
-	ctx := newLevelCtx(p.units, dims, p.segs, p.planSegs, sideI, sideJ, p.opt)
-	ctx.alpha = cost.ClampRatio(old.Alpha)
+	alpha := cost.ClampRatio(old.Alpha)
 	types := old.Types
-	ev := ctx.evalLevel(types)
+	ev := p.evalSplit(dims, sideI, sideJ, types, alpha)
 
-	left, err := p.staleNode(node.Left, old.Left, scaleUnitDims(p.units, dims, types, ctx.alpha))
+	left, err := p.staleNode(node.Left, old.Left, scaleUnitDims(p.units, dims, types, alpha))
 	if err != nil {
 		return nil, err
 	}
-	right, err := p.staleNode(node.Right, old.Right, scaleUnitDims(p.units, dims, types, ctx.beta()))
+	right, err := p.staleNode(node.Right, old.Right, scaleUnitDims(p.units, dims, types, 1-alpha))
 	if err != nil {
 		return nil, err
 	}
 	return &PlanNode{
 		Level:     node.Level,
 		GroupDesc: node.Group.String(),
-		Alpha:     ctx.alpha,
+		Alpha:     alpha,
 		Types:     types,
 		Eval:      ev,
-		SideI:     ctx.sideI,
-		SideJ:     ctx.sideJ,
+		SideI:     sideI,
+		SideJ:     sideJ,
 		Dims:      dims,
 		Left:      left,
 		Right:     right,

@@ -1,0 +1,35 @@
+//go:build !race
+
+package dse
+
+import (
+	"context"
+	"testing"
+)
+
+// sweepAllocBudget bounds the allocations of one fresh sweep of the
+// dse-sweep grid (benchSpace, benchConfig). Measured at 29.5k; 48.3k
+// when every split built its own level context and every memo key and
+// child-dims slice was allocated.
+const sweepAllocBudget = 36_000
+
+// TestSweepAllocBudget fails on an allocation regression of the batch
+// search a sweep runs: thousands of splits, most of them memo hits. The
+// race detector's instrumentation allocates on its own, so the budget
+// holds only in normal builds.
+func TestSweepAllocBudget(t *testing.T) {
+	space, cfg := benchSpace(), benchConfig()
+	var sweepErr error
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Sweep(context.Background(), space, cfg); err != nil {
+			sweepErr = err
+		}
+	})
+	if sweepErr != nil {
+		t.Fatal(sweepErr)
+	}
+	t.Logf("%.0f allocs per sweep", allocs)
+	if allocs > sweepAllocBudget {
+		t.Errorf("dse-sweep grid (ResNet-50/512, 80 candidates): %.0f allocs, budget %d", allocs, sweepAllocBudget)
+	}
+}
