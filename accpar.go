@@ -71,7 +71,9 @@ type (
 	ArrayGroup = hardware.GroupSpec
 	// Plan is a complete hierarchical partitioning decision.
 	Plan = core.Plan
-	// PlanNode is one hierarchy node's decision.
+	// PlanNode is one hierarchy node's decision. Nodes are read-only:
+	// plans share solved subtrees with each other and between a split's
+	// two children.
 	PlanNode = core.PlanNode
 	// Options is the advanced partitioner configuration.
 	Options = core.Options

@@ -113,9 +113,8 @@ type builder struct {
 	// link resources.
 	linkBW []float64
 
-	leaves    []leafPlan
-	links     []linkInfo
-	leafRange map[*core.PlanNode][2]int
+	leaves []leafPlan
+	links  []linkInfo
 
 	// per-leaf phase completion tasks, indexed [leaf][unit].
 	fwd  [][]*task
@@ -129,10 +128,14 @@ type leafPlan struct {
 	hw   *hardware.Tree
 }
 
-// linkInfo pairs a split node with its hardware node.
+// linkInfo pairs a split node with its hardware node and the span of
+// leaves (indices into builder.leaves) under it. The span is positional:
+// plan nodes are shared between parents, so one *PlanNode may stand at
+// several links.
 type linkInfo struct {
-	node *core.PlanNode
-	hw   *hardware.Tree
+	node   *core.PlanNode
+	hw     *hardware.Tree
+	leaves [2]int
 }
 
 // Simulate runs one iteration of the plan over the hardware tree it was
@@ -148,6 +151,9 @@ func Simulate(plan *core.Plan, tree *hardware.Tree, cfg Config) (*Result, error)
 	}
 
 	// Collect leaves and links by walking plan and hardware trees in step.
+	// A node-level exchange for unit u depends on that phase's tasks on
+	// every leaf under the node, and gates the dependents on those leaves,
+	// so each link records its leaf span.
 	var walk func(p *core.PlanNode, h *hardware.Tree) error
 	walk = func(p *core.PlanNode, h *hardware.Tree) error {
 		if p.IsLeaf() != h.IsLeaf() {
@@ -157,11 +163,16 @@ func Simulate(plan *core.Plan, tree *hardware.Tree, cfg Config) (*Result, error)
 			b.leaves = append(b.leaves, leafPlan{node: p, hw: h})
 			return nil
 		}
+		li, start := len(b.links), len(b.leaves)
 		b.links = append(b.links, linkInfo{node: p, hw: h})
 		if err := walk(p.Left, h.Left); err != nil {
 			return err
 		}
-		return walk(p.Right, h.Right)
+		if err := walk(p.Right, h.Right); err != nil {
+			return err
+		}
+		b.links[li].leaves = [2]int{start, len(b.leaves)}
+		return nil
 	}
 	if err := walk(plan.Root, tree); err != nil {
 		return nil, err
@@ -190,24 +201,6 @@ func Simulate(plan *core.Plan, tree *hardware.Tree, cfg Config) (*Result, error)
 		b.bwd[i] = make([]*task, n)
 		b.grad[i] = make([]*task, n)
 	}
-
-	// A node-level exchange for unit u depends on that phase's tasks on
-	// every leaf under the node, and gates the dependents on those leaves.
-	b.leafRange = map[*core.PlanNode][2]int{}
-	idx := 0
-	var mark func(p *core.PlanNode)
-	mark = func(p *core.PlanNode) {
-		if p.IsLeaf() {
-			b.leafRange[p] = [2]int{idx, idx + 1}
-			idx++
-			return
-		}
-		start := idx
-		mark(p.Left)
-		mark(p.Right)
-		b.leafRange[p] = [2]int{start, idx}
-	}
-	mark(plan.Root)
 
 	// Forward sweep.
 	for u := 0; u < n; u++ {

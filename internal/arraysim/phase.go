@@ -105,7 +105,7 @@ func (b *builder) phase(ph cost.Phase, u int) {
 			return
 		}
 		lk := b.links[li]
-		r := b.leafRange[lk.node]
+		r := lk.leaves
 		var deps []*task
 		for i := r[0]; i < r[1]; i++ {
 			deps = append(deps, depsFor(i)...)
@@ -163,7 +163,7 @@ func (b *builder) phase(ph cost.Phase, u int) {
 				continue
 			}
 			bytes := float64(cost.IntraCommElements(t, lk.node.Dims[u])) * tensor.BytesPerElement
-			r := b.leafRange[lk.node]
+			r := lk.leaves
 			var deps []*task
 			for i := r[0]; i < r[1]; i++ {
 				deps = append(deps, computeTasks[i])
@@ -258,7 +258,7 @@ func (b *builder) schedule(res *Result) error {
 			}
 			if !b.cfg.OverlapComm {
 				// Serialize with the leaves under the link.
-				r := b.leafRange[b.links[t.link].node]
+				r := b.links[t.link].leaves
 				for i := r[0]; i < r[1]; i++ {
 					if machineFree[i] > start {
 						start = machineFree[i]

@@ -12,10 +12,11 @@ import (
 
 // coldSearchAllocBudget bounds the allocations of one serial cold search
 // of ResNet-50 (batch 512) on the 128+128 paper array — the
-// BenchmarkPartitionHierarchical/serial setup. Measured at 2.0k; 4.1k
-// when every split built its own level context and every memo key and
+// BenchmarkPartitionHierarchical/serial setup. Measured at 1.7k; 2.0k
+// when every memo hit deep-copied the solved subtree, and 4.1k when
+// every split built its own level context and every memo key and
 // child-dims slice was allocated.
-const coldSearchAllocBudget = 2_500
+const coldSearchAllocBudget = 2_000
 
 // TestColdSearchAllocBudget fails on an allocation regression of the cold
 // search hot path (pooled level contexts and DP scratch, allocation-free
@@ -49,10 +50,12 @@ func TestColdSearchAllocBudget(t *testing.T) {
 // the nine-variant AccPar portfolio partitioning the pristine 16+16 fleet
 // (a recurrent root hit) and a never-seen degraded one, on a registry
 // whose working sets are full, so the new tree evicts one per engine.
-// Measured at 3.1k; 4.5k with per-split level contexts and heap-built
-// memo keys, and 14.7k when every eviction re-digested each engine's
-// whole working set into a per-engine index.
-const replanAllocBudget = 4_000
+// Measured at 1.7k; 3.1k when every memo hit deep-copied the solved
+// subtree and every registry lookup built a throwaway engine, 4.5k with
+// per-split level contexts and heap-built memo keys, and 14.7k when
+// every eviction re-digested each engine's whole working set into a
+// per-engine index.
+const replanAllocBudget = 2_100
 
 // TestReplanSteadyStateAllocBudget fails when retention upkeep grows with
 // the working set again: a whole-index re-digest per engine, or one
@@ -97,5 +100,41 @@ func TestReplanSteadyStateAllocBudget(t *testing.T) {
 	t.Logf("%.0f allocs per steady-state replan", allocs)
 	if allocs > replanAllocBudget {
 		t.Errorf("steady-state replan of inception/64 on 16+16 boards: %.0f allocs, budget %d", allocs, replanAllocBudget)
+	}
+}
+
+// warmHitAllocBudget bounds the allocations of one search answered whole
+// by a warm SharedCache: ResNet-50 (batch 512) on 64+64 boards, whose
+// root subproblem is a cache hit. Measured at 95; 350 when every hit
+// deep-copied the cached plan of 255 nodes.
+const warmHitAllocBudget = 120
+
+// TestWarmHitAllocBudget fails when a cache hit copies the cached
+// subtree again instead of linking the shared, read-only node.
+func TestWarmHitAllocBudget(t *testing.T) {
+	net, err := models.BuildNetwork("resnet50", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := paperTree(t, 64)
+	opt := AccPar()
+	opt.Parallelism = 1
+	opt.Cache = NewSharedCache(0)
+	ctx := context.Background()
+	if _, err := PartitionCtx(ctx, net, tree, opt); err != nil {
+		t.Fatal(err)
+	}
+	var planErr error
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := PartitionCtx(ctx, net, tree, opt); err != nil {
+			planErr = err
+		}
+	})
+	if planErr != nil {
+		t.Fatal(planErr)
+	}
+	t.Logf("%.0f allocs per warm-cache search", allocs)
+	if allocs > warmHitAllocBudget {
+		t.Errorf("warm-cache ResNet-50/512 search on 64+64 boards: %.0f allocs, budget %d", allocs, warmHitAllocBudget)
 	}
 }

@@ -34,6 +34,13 @@ import (
 // any mix of networks, hardware trees and options. Replanning never
 // touches it: replan engines keep their own dependency-tracked memo. The
 // zero capacity selects plancache.DefaultCapacity.
+//
+// A resident solution is a read-only PlanNode subtree shared by every
+// plan that reached it: a hit links the stored node into the new plan
+// rather than copying it (a copy is made only to relabel a hit solved at
+// a different depth), so the cache holds each subtree once however many
+// parents and plans link it. Plans built with a SharedCache may
+// therefore share nodes with each other and must never be mutated.
 type SharedCache struct {
 	c *plancache.Cache[*PlanNode]
 }

@@ -76,8 +76,8 @@ func TestCacheWarmRunIsAllHits(t *testing.T) {
 	if after.Misses != before.Misses {
 		t.Errorf("warm run missed %d times; want 0", after.Misses-before.Misses)
 	}
-	// The warm search asks the cache exactly once: the root hit makes the
-	// whole plan a clone.
+	// The warm search asks the cache exactly once: the root hit links the
+	// whole cached plan.
 	if after.Hits != before.Hits+1 {
 		t.Errorf("warm run recorded %d hits; want exactly 1 (the root)", after.Hits-before.Hits)
 	}

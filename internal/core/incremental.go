@@ -66,7 +66,7 @@ type ReplanStats struct {
 	Invalidated int64 `json:"invalidated"`
 	// Expanded counts subproblems solved from scratch.
 	Expanded int64 `json:"expanded"`
-	// StaleReused counts stale-pass nodes cloned directly from the
+	// StaleReused counts stale-pass subtrees linked directly from the
 	// pristine plan because the fault did not touch their hardware.
 	StaleReused int64 `json:"stale_reused"`
 	// Seconds is the call's wall-clock duration.
@@ -148,7 +148,12 @@ func NewReplanEngine(net *dnn.Network, opt Options) (*ReplanEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ReplanEngine{base: p, recentCap: defaultRecentTrees, memoCap: defaultMemoCap}, nil
+	return newEngine(p), nil
+}
+
+// newEngine wraps an initialized planner as a fresh engine.
+func newEngine(p *planner) *ReplanEngine {
+	return &ReplanEngine{base: p, recentCap: defaultRecentTrees, memoCap: defaultMemoCap}
 }
 
 // admit moves tree to the front of the recent working set, matching it
@@ -349,9 +354,9 @@ func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, di
 	if pid.Digest == nid.Digest {
 		// The fault did not touch this subtree's hardware: re-costing the
 		// plan's own decisions on the plan's own hardware reproduces the
-		// plan.
+		// plan, so the stale plan links the pristine subtree itself.
 		p.noteStaleReuse()
-		return clonePlanNodeAt(old, node.Level), nil
+		return atLevel(old, node.Level), nil
 	}
 	if key == (subKey{}) {
 		key = p.subproblemKey(node, dims)
@@ -359,7 +364,7 @@ func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, di
 	mk := memoKey{sub: key, stale: pid.Digest}
 	if cached, _, ok := p.memo.get(mk, p.epoch); ok {
 		p.noteHit()
-		return clonePlanNodeAt(cached, node.Level), nil
+		return atLevel(cached, node.Level), nil
 	}
 	// The re-costing depends on both subtrees' hardware.
 	deps := hardware.MergeSpecs(nid.Specs, pid.Specs)
@@ -512,19 +517,23 @@ func arrayKey(arr *hardware.Array, maxLevels int) string {
 // Engine returns the registry's engine for (net, opt), creating and
 // admitting one on first use. Networks are matched by content (structure
 // and dims), not pointer, so servers that rebuild the network per
-// request keep hitting the same engine.
+// request keep hitting the same engine. The key needs only the search's
+// shape (plannerShape); the engine's memo and level pool are built on a
+// miss.
 func (s *ReplanEngines) Engine(net *dnn.Network, opt Options) (*ReplanEngine, error) {
-	e, err := NewReplanEngine(net, opt)
+	p, err := plannerShape(net, opt)
 	if err != nil {
 		return nil, err
 	}
-	key := engineKey(e.base)
+	key := engineKey(p)
 	s.mu.Lock()
 	if existing, ok := s.m[key]; ok {
 		s.touch(key)
 		s.mu.Unlock()
 		return existing, nil
 	}
+	p.init(nil)
+	e := newEngine(p)
 	s.m[key] = e
 	s.order = append([]string{key}, s.order...)
 	if len(s.order) > s.capacity {

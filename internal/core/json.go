@@ -1,13 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"reflect"
 	"strconv"
-	"sync"
 	"unicode/utf8"
 
 	"accpar/internal/cost"
@@ -94,25 +94,24 @@ func (p *Plan) ToJSON() *PlanJSON {
 
 // WriteJSON writes the plan as indented JSON — the document AppendJSON
 // produces — with a single w.Write. On error nothing is written.
+//
+// A *bytes.Buffer gets the document appended straight into its spare
+// capacity, so a caller that reuses its buffer encodes with no scratch
+// memory at all. There is deliberately no sync.Pool of scratch buffers:
+// a collection drops a pooled buffer whenever the caller has moved to
+// another P, and each refill regrows the whole document, so the cost
+// of an encode would follow the garbage collector's rhythm.
 func (p *Plan) WriteJSON(w io.Writer) error {
-	bp := encodeBufPool.Get().(*[]byte)
-	b, err := p.AppendJSON((*bp)[:0])
+	var dst []byte
+	if buf, ok := w.(*bytes.Buffer); ok {
+		dst = buf.AvailableBuffer()
+	}
+	b, err := p.AppendJSON(dst)
 	if err == nil {
 		_, err = w.Write(b)
 	}
-	if cap(b) <= maxPooledEncodeBuf {
-		*bp = b
-		encodeBufPool.Put(bp)
-	}
 	return err
 }
-
-// encodeBufPool recycles WriteJSON's scratch buffers. Buffers above
-// maxPooledEncodeBuf are dropped so one huge plan does not pin its
-// buffer for the life of the process.
-var encodeBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-const maxPooledEncodeBuf = 4 << 20
 
 // AppendJSON appends the plan's JSON document to dst and returns the
 // extended buffer. The bytes, trailing newline included, are exactly

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"encoding/binary"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"accpar/internal/cost"
 	"accpar/internal/hardware"
 	"accpar/internal/tensor"
+	"accpar/internal/wordhash"
 )
 
 // planMemo caches solved hierarchical subproblems. A subproblem is fully
@@ -87,10 +86,9 @@ func (p *planMemo) shard(key memoKey) *memoShard {
 // solved or served while planning a different candidate, so prev differs
 // from the serving epoch) from intra-tree reuse by exactly that value.
 // The lookup hashes nothing and allocates nothing: key is a fixed-size
-// value. The caller must clone the returned node before linking it into
-// a plan (clonePlanNodeAt): plan consumers (the array simulator's
-// leaf-range index in particular) key maps by *PlanNode, so a subtree
-// shared between two parents would silently alias.
+// value. The returned node is the stored one, shared with every plan
+// that already links it; it is read-only, so the caller links it as is
+// (through atLevel, which copies only on a depth mismatch).
 func (p *planMemo) get(key memoKey, epoch int64) (node *PlanNode, prev int64, ok bool) {
 	s := p.shard(key)
 	s.mu.RLock()
@@ -176,13 +174,13 @@ func (p *planMemo) evictBefore(cutoff int64) int {
 // (hardware.Tree.Identity), so keying a node is O(dims) regardless of
 // how much hardware hangs below it. The hashed words — the digest's two
 // halves, the unit count and nine extents per unit — go through
-// keyHash one machine word at a time, with no buffer.
+// wordhash one machine word at a time, with no buffer.
 func (p *planner) subproblemKey(node *hardware.Tree, dims []tensor.LayerDims) subKey {
 	h := newKeyHash(node, len(dims))
 	for i := range dims {
-		h.dims(&dims[i])
+		hashDims(&h, &dims[i])
 	}
-	return h.sum()
+	return h.Sum()
 }
 
 // childKey is subproblemKey(node, scaleUnitDims(p.units, dims, types,
@@ -193,91 +191,50 @@ func (p *planner) childKey(node *hardware.Tree, dims []tensor.LayerDims, types [
 	h := newKeyHash(node, len(dims))
 	for i := range dims {
 		d := scaleUnit(p.units[i].Virtual, dims[i], types[i], ratio)
-		h.dims(&d)
+		hashDims(&h, &d)
 	}
-	return h.sum()
-}
-
-// keyHash is the memo's 128-bit word-wise hash: two independent lanes,
-// each absorbing every word with a 64×64→128-bit multiply folded back to
-// 64 bits (hi ^ lo), under distinct odd multipliers and distinct absorb
-// operations (xor, add), so a collision needs both lanes to collide at
-// once. sum finishes with two Feistel rounds of the same fold, a
-// bijection of the 128-bit state that spreads every input word into
-// every output byte (the shard index reads the first).
-type keyHash struct{ a, b uint64 }
-
-const (
-	keyM1 = 0xa0761d6478bd642f
-	keyM2 = 0xe7037ed1a0b428db
-	keyM3 = 0x8ebc6af09c88c6e3
-	keyM4 = 0x589965cc75374cc3
-)
-
-// fold is the multiply-fold mixing step.
-func fold(x, m uint64) uint64 {
-	hi, lo := bits.Mul64(x, m)
-	return hi ^ lo
+	return h.Sum()
 }
 
 // newKeyHash starts a key over node's subtree digest and n units.
-func newKeyHash(node *hardware.Tree, n int) keyHash {
+func newKeyHash(node *hardware.Tree, n int) wordhash.Hash {
 	digest := node.Identity().Digest
-	h := keyHash{a: keyM3, b: keyM4}
-	h.word(binary.LittleEndian.Uint64(digest[:8]))
-	h.word(binary.LittleEndian.Uint64(digest[8:]))
-	h.word(uint64(n))
+	h := wordhash.New()
+	h.Digest(&digest)
+	h.Word(uint64(n))
 	return h
 }
 
-func (h *keyHash) word(v uint64) {
-	h.a = fold(h.a^v, keyM1)
-	h.b = fold(h.b+v, keyM2)
+// hashDims absorbs one unit's nine extents.
+func hashDims(h *wordhash.Hash, d *tensor.LayerDims) {
+	h.Word(uint64(d.B))
+	h.Word(uint64(d.Di))
+	h.Word(uint64(d.Do))
+	h.Word(uint64(d.HIn))
+	h.Word(uint64(d.WIn))
+	h.Word(uint64(d.HOut))
+	h.Word(uint64(d.WOut))
+	h.Word(uint64(d.KH))
+	h.Word(uint64(d.KW))
 }
 
-// dims absorbs one unit's nine extents.
-func (h *keyHash) dims(d *tensor.LayerDims) {
-	h.word(uint64(d.B))
-	h.word(uint64(d.Di))
-	h.word(uint64(d.Do))
-	h.word(uint64(d.HIn))
-	h.word(uint64(d.WIn))
-	h.word(uint64(d.HOut))
-	h.word(uint64(d.WOut))
-	h.word(uint64(d.KH))
-	h.word(uint64(d.KW))
-}
-
-func (h *keyHash) sum() subKey {
-	a := h.a ^ fold(h.b, keyM3)
-	b := h.b ^ fold(a, keyM4)
-	var k subKey
-	binary.LittleEndian.PutUint64(k[:8], a)
-	binary.LittleEndian.PutUint64(k[8:], b)
-	return k
-}
-
-// clonePlanNodeAt copies a memoized subtree so every parent links a
-// private node graph, relabeling Level to the depth the clone is linked
-// at (children one deeper, mirroring BuildTree). Subtree digests are
-// level-independent (hardware.Identity), so a memo hit may serve a
-// solution first computed at a different depth of a different tree;
-// every other field of the solution is depth-invariant, and the relabel
-// restores the one that is not, keeping plans byte-identical to a
-// standalone search.
-func clonePlanNodeAt(n *PlanNode, level int) *PlanNode {
-	if n == nil {
-		return nil
+// atLevel returns the solved subtree n as linked at depth level. A
+// solved PlanNode is read-only once built, so every parent that needs it
+// links the node itself: a memo or cache hit costs a pointer. Subtree
+// digests are level-independent (hardware.Identity), though, so a hit may
+// serve a solution first computed at a different depth — mostly a
+// cross-fleet DSE hit. Only then is the subtree copied, relabeling Level
+// to the new depth (children one deeper, mirroring BuildTree); every
+// other field of a solution is depth-invariant, so the relabel keeps
+// plans byte-identical to a standalone search. Types and Dims stay
+// aliased in the copy: they are never written after construction.
+func atLevel(n *PlanNode, level int) *PlanNode {
+	if n == nil || n.Level == level {
+		return n
 	}
 	c := *n
 	c.Level = level
-	// Types and Dims are aliased, not copied: both are freshly allocated
-	// at node construction and never written afterwards (by the planner or
-	// any consumer), so sharing them is safe and keeps a memo or cache hit
-	// at one small struct per node instead of re-copying every per-unit
-	// slice. Node identity is what must stay distinct — plan consumers key
-	// maps by *PlanNode — and it does.
-	c.Left = clonePlanNodeAt(n.Left, level+1)
-	c.Right = clonePlanNodeAt(n.Right, level+1)
+	c.Left = atLevel(n.Left, level+1)
+	c.Right = atLevel(n.Right, level+1)
 	return &c
 }

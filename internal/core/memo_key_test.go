@@ -31,8 +31,8 @@ func TestSubproblemKeyBytes(t *testing.T) {
 		key  subKey
 		want string
 	}{
-		{"root", p.subproblemKey(tree, p.rootDims), "b34dad1a5fdeb7d8f155b80158a0e1b6"},
-		{"left child", p.subproblemKey(tree.Left, childDims), "f070e470b3018f0cc426f4f14d328b38"},
+		{"root", p.subproblemKey(tree, p.rootDims), "761843957c723a9b582e75623b493ef5"},
+		{"left child", p.subproblemKey(tree.Left, childDims), "f90717de4ef7058a0d6dd978e53286ef"},
 	} {
 		if got := hex.EncodeToString(c.key[:]); got != c.want {
 			t.Errorf("%s key = %s, want %s", c.name, got, c.want)

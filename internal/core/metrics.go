@@ -25,7 +25,7 @@ var (
 	// obsReplanHits counts subproblems an engine-driven incremental
 	// replan served from retained state instead of re-solving: hits on
 	// the engine's memo (plain subproblems, a recurrent tree's root and
-	// memoized stale re-costings alike), plus stale subtrees cloned from
+	// memoized stale re-costings alike), plus stale subtrees linked from
 	// the pristine plan.
 	obsReplanHits = obs.NewCounter("core.replan_incremental_hits")
 	// obsReplanInvalidated counts retained memo entries dropped by

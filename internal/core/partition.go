@@ -85,6 +85,20 @@ func (p *planner) noteHit() {
 
 // newPlanner validates the inputs and builds the shared search state.
 func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, error) {
+	p, err := plannerShape(net, opt)
+	if err != nil {
+		return nil, err
+	}
+	p.init(ctx)
+	return p, nil
+}
+
+// plannerShape validates the inputs and returns a planner holding only
+// what identifies its search — the network, its units and segment
+// structures, and the defaulted options — without the memo, level pool
+// and semaphore a search runs on (init adds those). ReplanEngines keys
+// engines by it, so a registry hit builds nothing more.
+func plannerShape(net *dnn.Network, opt Options) (*planner, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -101,29 +115,25 @@ func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, e
 		// so type vectors index both structures identically.
 		planSegs = indexSegments(net.Linearize())
 	}
-	units := net.Units()
-	rootDims := make([]tensor.LayerDims, len(units))
+	return &planner{net: net, units: net.Units(), segs: segs, planSegs: planSegs, opt: opt}, nil
+}
+
+// init gives a planner from plannerShape its search state.
+func (p *planner) init(ctx context.Context) {
+	units, segs, planSegs, opt := p.units, p.segs, p.planSegs, p.opt
+	p.rootDims = make([]tensor.LayerDims, len(units))
 	for i, u := range units {
-		rootDims[i] = u.Dims
+		p.rootDims[i] = u.Dims
 	}
-	p := &planner{
-		net:      net,
-		units:    units,
-		rootDims: rootDims,
-		segs:     segs,
-		planSegs: planSegs,
-		opt:      opt,
-		memo:     newPlanMemo(),
-		sem:      parallel.NewSem(opt.Parallelism),
-		levels: &sync.Pool{New: func() any {
-			return newLevelCtx(units, segs, planSegs, opt)
-		}},
-		ctx: ctx,
-	}
+	p.memo = newPlanMemo()
+	p.sem = parallel.NewSem(opt.Parallelism)
+	p.levels = &sync.Pool{New: func() any {
+		return newLevelCtx(units, segs, planSegs, opt)
+	}}
+	p.ctx = ctx
 	if ctx != nil {
 		p.done = ctx.Done()
 	}
-	return p, nil
 }
 
 // plan runs the hierarchical partitioning over one hardware tree.
@@ -201,11 +211,10 @@ func (p *planner) partitionChild(node *hardware.Tree, dims []tensor.LayerDims, t
 	return p.solve(node, scaleUnitDims(p.units, dims, types, ratio), key)
 }
 
-// lookup serves a subproblem from the memo. Hits are deep-cloned — plan
-// consumers key maps by *PlanNode identity, so parents must never share
-// subtree pointers — and relabeled to this node's level, since digests
-// are level-independent and the cached solution may have been computed
-// at a different depth.
+// lookup serves a subproblem from the memo. A hit links the stored node
+// itself — solved nodes are read-only and shared between every plan and
+// parent that reaches them — relabeled only when it was solved at a
+// different depth (atLevel), since digests are level-independent.
 func (p *planner) lookup(node *hardware.Tree, key subKey) (*PlanNode, bool) {
 	cached, prev, ok := p.memo.get(memoKey{sub: key}, p.epoch)
 	if !ok {
@@ -222,19 +231,22 @@ func (p *planner) lookup(node *hardware.Tree, key subKey) (*PlanNode, bool) {
 		provenance = ProvenanceCrossFleetHit
 	}
 	p.auditHit(node, key, provenance)
-	return clonePlanNodeAt(cached, node.Level), true
+	return atLevel(cached, node.Level), true
 }
 
 // solve answers a memo miss and stores the solution, recording the
-// subtree's spec-fingerprint set as the entry's dependencies.
+// subtree's spec-fingerprint set as the entry's dependencies. The stored
+// node is read-only from here on: later hits, in this search or (through
+// the SharedCache) in others, link it rather than copy it.
 func (p *planner) solve(node *hardware.Tree, dims []tensor.LayerDims, key subKey) (*PlanNode, error) {
 	if p.shared != nil {
 		// Cross-run path: the shared cache answers or computes under
 		// singleflight, so N concurrent identical searches — across
 		// planners and goroutines alike — run the subproblem once. The
 		// result lands in the per-search memo too, keeping the rest of
-		// this search off the shared shards, and is cloned on every use
-		// because plan consumers key maps by *PlanNode identity.
+		// this search off the shared shards. Hit or miss, the node is the
+		// cache's own read-only one, linked as is unless its depth
+		// differs; the memo keeps it at this node's depth.
 		sharedKey := p.searchFP + string(key[:])
 		for {
 			n, hit, err := p.shared.c.Do(sharedKey, func() (*PlanNode, error) {
@@ -255,8 +267,9 @@ func (p *planner) solve(node *hardware.Tree, dims []tensor.LayerDims, key subKey
 				obsSharedHits.Inc()
 				p.auditHit(node, key, ProvenanceSharedCacheHit)
 			}
+			n = atLevel(n, node.Level)
 			p.memo.put(memoKey{sub: key}, n, node.Identity().Specs, p.epoch)
-			return clonePlanNodeAt(n, node.Level), nil
+			return n, nil
 		}
 	}
 	n, err := p.computeNode(node, dims, key)

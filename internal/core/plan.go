@@ -14,6 +14,13 @@ import (
 // hierarchy. Non-leaf nodes carry the type assignment and ratio of the
 // bi-partition between their two child groups; leaf nodes carry the
 // modelled execution time of a single accelerator on its final shard.
+//
+// A PlanNode is read-only once built. The planner links a solved subtree
+// wherever its subproblem recurs — into both children of a symmetric
+// split, into later plans served from a memo or SharedCache — so one
+// node may sit under several parents and in several plans at once.
+// Consumers must not write to a node, and must not tell positions apart
+// by node pointer.
 type PlanNode struct {
 	// Level is the hierarchy level (root = 1).
 	Level int

@@ -28,3 +28,14 @@ func (s Spec) Fingerprint() uint64 {
 	wInt(int64(math.Float64bits(s.NetBandwidth)))
 	return h.Sum64()
 }
+
+// sameFingerprintInputs reports whether a and b agree bit for bit on
+// every field Fingerprint reads, so they fingerprint equally without
+// either being hashed. Floats compare by bits, as Fingerprint reads them
+// (0 and -0 differ there, NaN equals itself).
+func sameFingerprintInputs(a, b *Spec) bool {
+	return a.Name == b.Name && a.HBMBytes == b.HBMBytes &&
+		math.Float64bits(a.FLOPS) == math.Float64bits(b.FLOPS) &&
+		math.Float64bits(a.MemBandwidth) == math.Float64bits(b.MemBandwidth) &&
+		math.Float64bits(a.NetBandwidth) == math.Float64bits(b.NetBandwidth)
+}

@@ -98,6 +98,11 @@ func (g *Group) String() string {
 // splits evenly. The left half receives the slower (or first) spec so
 // splits are deterministic. Returns an error when the group cannot be
 // split (fewer than 2 members).
+//
+// A homogeneous group's halves are views of g's member slice, capped so
+// an append to one cannot reach the other: member lists are never
+// written in place, and a tree over n boards then holds one copy of its
+// specs rather than one per level.
 func (g *Group) Bisect() (left, right *Group, err error) {
 	if g.Size() < 2 {
 		return nil, nil, fmt.Errorf("hardware: cannot bisect group of size %d", g.Size())
@@ -116,10 +121,8 @@ func (g *Group) Bisect() (left, right *Group, err error) {
 		}
 		return l, r, nil
 	}
-	mid := g.Size() / 2
-	return &Group{Accel: append([]Spec(nil), g.Accel[:mid]...)},
-		&Group{Accel: append([]Spec(nil), g.Accel[mid:]...)},
-		nil
+	mid, n := g.Size()/2, g.Size()
+	return &Group{Accel: g.Accel[:mid:mid]}, &Group{Accel: g.Accel[mid:n:n]}, nil
 }
 
 // Tree is the recursive bi-partition hierarchy: each non-leaf node has two

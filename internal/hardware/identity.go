@@ -1,9 +1,9 @@
 package hardware
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
+
+	"accpar/internal/wordhash"
 )
 
 // Identity is the content identity of one hardware subtree: a
@@ -53,28 +53,31 @@ func (t *Tree) Identity() Identity {
 // the untouched subtrees of a pristine and a degraded hierarchy, or the
 // same procurement block hanging at different depths of two candidate
 // fleets — digest identically even across distinct tree objects.
+//
+// The spec list enters as its maximal runs of (fingerprint, count), and
+// each run is fingerprinted once (specRuns): a group is a few runs of
+// identical boards, so a node costs O(runs) hashing however many boards
+// it holds. The words go through wordhash: the member count, each run,
+// a leaf/split marker, then the children's digests. The member count
+// fixes where the runs end, so the encoding is unambiguous.
 func (t *Tree) computeIdentity() {
-	h := fnv.New128a()
-	var buf [8]byte
-	wInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	wInt(int64(t.Group.Size()))
-	for _, s := range t.Group.Accel {
-		wInt(int64(s.Fingerprint()))
-	}
+	h := wordhash.New()
+	h.Word(uint64(t.Group.Size()))
+	specRuns(t.Group.Accel, func(fp uint64, n int) {
+		h.Word(fp)
+		h.Word(uint64(n))
+	})
 	id := &t.ident
 	id.HBMBytes = t.Group.HBMBytes()
 	if t.IsLeaf() {
-		wInt(-1)
+		h.Word(leafMarker)
 		id.Specs = distinctSpecs(t.Group.Accel)
 		id.CapFloorHalf = id.HBMBytes
 	} else {
-		wInt(-2)
+		h.Word(splitMarker)
 		l, r := t.Left.Identity(), t.Right.Identity()
-		h.Write(l.Digest[:])
-		h.Write(r.Digest[:])
+		h.Digest(&l.Digest)
+		h.Digest(&r.Digest)
 		id.Specs = MergeSpecs(l.Specs, r.Specs)
 		floor := min(l.CapFloorHalf, r.CapFloorHalf)
 		if floor > math.MaxInt64/2 {
@@ -83,25 +86,47 @@ func (t *Tree) computeIdentity() {
 			id.CapFloorHalf = 2 * floor
 		}
 	}
-	h.Sum(id.Digest[:0])
+	id.Digest = h.Sum()
+}
+
+// leafMarker and splitMarker tell a leaf's digest words from a split's.
+const (
+	leafMarker  = ^uint64(0)
+	splitMarker = ^uint64(1)
+)
+
+// specRuns calls f once per maximal run of equal fingerprints in accel,
+// in order. A spec is fingerprinted only when it differs from its
+// predecessor in some field Fingerprint reads (sameFingerprintInputs),
+// so a run of identical boards costs one fingerprint.
+func specRuns(accel []Spec, f func(fp uint64, n int)) {
+	if len(accel) == 0 {
+		return
+	}
+	fp, n := accel[0].Fingerprint(), 1
+	for i := 1; i < len(accel); i++ {
+		if !sameFingerprintInputs(&accel[i], &accel[i-1]) {
+			if next := accel[i].Fingerprint(); next != fp {
+				f(fp, n)
+				fp, n = next, 0
+			}
+		}
+		n++
+	}
+	f(fp, n)
 }
 
 // distinctSpecs returns the sorted distinct fingerprints of a spec list.
 func distinctSpecs(accel []Spec) []uint64 {
 	out := make([]uint64, 0, 2)
-	for _, s := range accel {
-		fp := s.Fingerprint()
-		seen := false
+	specRuns(accel, func(fp uint64, _ int) {
 		for _, v := range out {
 			if v == fp {
-				seen = true
-				break
+				return
 			}
 		}
-		if !seen {
-			out = append(out, fp)
-		}
-	}
+		out = append(out, fp)
+	})
 	// Insertion sort: group spec lists hold a handful of distinct models.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && out[j-1] > out[j]; j-- {

@@ -2,6 +2,7 @@ package hardware
 
 import (
 	"encoding/hex"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -58,9 +59,11 @@ func nodes(t *Tree) []*Tree {
 	return out
 }
 
-// TestIdentityPinnedDigests pins digests recorded with the planner's
-// former side-map digester. Subproblem keys are built from these bytes,
-// so the pin makes any change to tree identity deliberate.
+// TestIdentityPinnedDigests pins the run-length wordhash digests of a
+// fixed pristine and degraded fleet. Digests live only in memory, so
+// they may change between versions; subproblem keys are built from these
+// bytes, so the pin guards that digesting is deterministic and that any
+// change to it is deliberate.
 func TestIdentityPinnedDigests(t *testing.T) {
 	pristine := v2v3Tree(t, 128, nil)
 	degraded := v2v3Tree(t, 128, slowV3)
@@ -69,12 +72,12 @@ func TestIdentityPinnedDigests(t *testing.T) {
 		node *Tree
 		want string
 	}{
-		{"pristine root", pristine, "2a418a2fa2e99de01da31ae3eeca14ac"},
-		{"pristine v2 leaf", leftmostLeaf(pristine), "293727a49ece40369641b01a941a80ca"},
-		{"pristine v3 leaf", rightmostLeaf(pristine), "bce97cabc6eaf7f097f2d1411c152162"},
-		{"degraded root", degraded, "e5b540328bc3cce5c17e106f4235e483"},
-		{"degraded v2 leaf", leftmostLeaf(degraded), "293727a49ece40369641b01a941a80ca"},
-		{"degraded v3 leaf", rightmostLeaf(degraded), "698542462be178a38cd222083cf82001"},
+		{"pristine root", pristine, "6212b39ca24d1d7394cbce8d0f358a4d"},
+		{"pristine v2 leaf", leftmostLeaf(pristine), "821101872be2095fd70238a920fbc3c5"},
+		{"pristine v3 leaf", rightmostLeaf(pristine), "72e0b42202f8856aa1bdfa6ef226e7b4"},
+		{"degraded root", degraded, "8b54367c3d4f4a7f849b3dc2f36bc426"},
+		{"degraded v2 leaf", leftmostLeaf(degraded), "821101872be2095fd70238a920fbc3c5"},
+		{"degraded v3 leaf", rightmostLeaf(degraded), "737fe2b6c155cde7bfd27311d7505d1f"},
 	} {
 		d := c.node.Identity().Digest
 		if got := hex.EncodeToString(d[:]); got != c.want {
@@ -110,6 +113,63 @@ func TestIdentitySameContent(t *testing.T) {
 	}
 	if a[0].Left.Identity().Digest == v3.Identity().Digest {
 		t.Error("the v2 and v3 groups digest equally")
+	}
+}
+
+// TestIdentitySpecRuns: a node's spec list is digested as its runs of
+// equal fingerprints, so member order and run lengths both count —
+// leaves [A,B,A], [A,A,B] and [A,B,B] digest apart — while a list
+// rebuilt from copies of the same specs digests the same. Specs that
+// differ only in a float's sign bit fingerprint apart, so they must not
+// be folded into one run.
+func TestIdentitySpecRuns(t *testing.T) {
+	a, b := TPUv2(), TPUv3()
+	leaf := func(accel ...Spec) [16]byte {
+		return (&Tree{Group: &Group{Accel: accel}, Level: 1}).Identity().Digest
+	}
+	aba, aab, abb := leaf(a, b, a), leaf(a, a, b), leaf(a, b, b)
+	if aba == aab || aab == abb || aba == abb {
+		t.Errorf("[A,B,A] %x, [A,A,B] %x, [A,B,B] %x: want three distinct digests", aba, aab, abb)
+	}
+	a2, b2 := TPUv2(), TPUv3()
+	if leaf(a2, a2, b2) != aab {
+		t.Error("copies of the same specs digest differently")
+	}
+	if leaf(a) == leaf(a, a) {
+		t.Error("one board and two boards of a spec digest equally")
+	}
+	pos, neg := a, a
+	pos.NetBandwidth, neg.NetBandwidth = 0, math.Copysign(0, -1)
+	if pos.Fingerprint() == neg.Fingerprint() {
+		t.Fatal("±0 bandwidths fingerprint equally; the sign case is moot")
+	}
+	if leaf(pos, neg) == leaf(pos, pos) {
+		t.Error("specs differing in a float's sign bit were folded into one run")
+	}
+}
+
+// TestIdentityAcrossBuilds: content-equal subtrees of two different
+// fleets, each from its own BuildTree call, digest equally — the 4×v3
+// block is the right half of one fleet and the left half of the other.
+func TestIdentityAcrossBuilds(t *testing.T) {
+	build := func(groups ...GroupSpec) *Tree {
+		arr, err := NewHeterogeneous(groups...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := BuildTree(arr, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	x := build(GroupSpec{Spec: TPUv2(), Count: 4}, GroupSpec{Spec: TPUv3(), Count: 4})
+	y := build(GroupSpec{Spec: TPUv3(), Count: 4}, GroupSpec{Spec: TPUv2(), Count: 8})
+	if !sameIdentity(x.Right.Identity(), y.Left.Identity()) {
+		t.Error("the 4×v3 block digests differently in two fleets")
+	}
+	if x.Identity().Digest == y.Identity().Digest {
+		t.Error("different fleets digest equally")
 	}
 }
 

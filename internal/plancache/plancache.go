@@ -12,9 +12,9 @@
 //
 // Concurrency model: each shard is guarded by its own mutex, so readers
 // and writers of different shards never contend. Values handed out by Get
-// and Do are the stored values themselves — callers that mutate results
-// must clone after retrieval (core does: memoized plan subtrees are
-// deep-cloned before linking into a plan).
+// and Do are the stored values themselves, shared by every caller, so
+// they must be treated as read-only. core stores plan subtrees that are
+// read-only once built and links a hit into a plan as is.
 package plancache
 
 import (
@@ -147,17 +147,16 @@ func (c *Cache[V]) shardFor(key string) *shard[V] {
 // the coalesced outcome decides hit or miss).
 func (c *Cache[V]) lookup(key string) (V, bool) {
 	s := c.shardFor(key)
+	var v V
 	s.mu.Lock()
 	e, ok := s.m[key]
 	if ok {
 		s.touch(e)
+		// Read under the lock: Put refreshes an entry's value in place.
+		v = e.val
 	}
 	s.mu.Unlock()
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	return e.val, true
+	return v, ok
 }
 
 // Get returns the value cached under key, marking it most recently used.
