@@ -125,8 +125,8 @@ func TuneDepth(net *dnn.Network, arr *hardware.Array, cache *core.SharedCache) (
 	return res, nil
 }
 
-// accParCached is the AccPar portfolio with every variant seeding from
-// and feeding cache.
+// accParCached is the AccPar portfolio with every variant searching
+// through cache.
 func accParCached(cache *core.SharedCache) []core.Options {
 	opts := core.StrategyAccPar.Variants()
 	for i := range opts {

@@ -24,13 +24,14 @@ import (
 const (
 	// ProvenanceCold marks a subproblem solved from scratch.
 	ProvenanceCold = "cold"
-	// ProvenanceMemoHit marks a subproblem answered by the per-search memo.
+	// ProvenanceMemoHit marks a subproblem answered by an entry this
+	// search (or engine call) solved or served.
 	ProvenanceMemoHit = "memo-hit"
 	// ProvenanceCrossFleetHit marks a memo hit on an entry last touched
 	// while planning a different batch candidate fleet.
 	ProvenanceCrossFleetHit = "cross-fleet-hit"
-	// ProvenanceSharedCacheHit marks a subproblem answered by the shared
-	// cross-run cache (Options.Cache).
+	// ProvenanceSharedCacheHit marks a subproblem answered by an entry of
+	// the cross-run cache (Options.Cache) another search solved or served.
 	ProvenanceSharedCacheHit = "shared-cache-hit"
 )
 

@@ -3,37 +3,53 @@ package core
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"accpar/internal/dnn"
-	"accpar/internal/plancache"
+	"accpar/internal/obs"
 )
 
-// This file connects the planner to the cross-run plan cache. The
-// per-search planMemo (memo.go) dies with each PartitionCtx call; SharedCache
-// outlives searches, but not the process that holds it. Only
-// one-shot searches (PartitionCtx) attach it: a ReplanEngine's retained
-// memo is that engine's one store, and mirroring its work here would only
-// churn the cache with subproblems of hardware that rarely recurs. Every
-// entry is a solved hierarchical subproblem, content-addressed by the
-// concatenation of two fingerprints:
+// This file connects one-shot searches to the cross-run plan cache. A
+// SharedCache is a set of planMemos (memo.go) retained across searches,
+// one per search fingerprint: everything fixed for one planner — the
+// network's unit/segment structure and every Options field that can
+// change a decision (the Fixed assignment function is fingerprinted by
+// its observable behaviour: its result on each unit). Within that memo a
+// solved subproblem is keyed, as in any planner, by its hardware subtree
+// and effective per-unit dims. A search with Options.Cache set plans on
+// its fingerprint's memo directly, so every solved subproblem is stored
+// once, in one place.
 //
-//   - the search fingerprint: everything fixed for one planner — the
-//     network's unit/segment structure and every Options field that can
-//     change a decision (the Fixed assignment function is fingerprinted by
-//     its observable behaviour: its result on each unit);
-//   - the subproblem key (memo.go): the hardware subtree and the
-//     effective per-unit dims at the node.
+// Only one-shot searches (PartitionCtx) attach a cache: a ReplanEngine's
+// or BatchEngine's retained memo is that engine's one store, and
+// mirroring its work here would only churn the cache with subproblems of
+// hardware that rarely recurs.
 //
 // Parallelism is deliberately absent from the fingerprint: plans are
 // byte-identical across worker counts (TestParallelismEquivalence), so a
 // plan solved serially may warm a parallel search and vice versa.
 
+// defaultCacheCapacity bounds a cache constructed with a non-positive
+// capacity. Hierarchical subproblems are small (a plan subtree over tens
+// of units), so a generous default favours hit rate over memory.
+const defaultCacheCapacity = 1 << 16
+
 // SharedCache is a concurrency-safe, bounded, in-memory cache of solved
 // hierarchical subproblems, shared across one-shot searches — PartitionCtx,
 // the AccPar portfolio, Compare, evaluation sweeps and autotuning — over
 // any mix of networks, hardware trees and options. Replanning never
-// touches it: replan engines keep their own dependency-tracked memo. The
-// zero capacity selects plancache.DefaultCapacity.
+// touches it: replan engines keep their own dependency-tracked memo.
+//
+// Every attached search draws a fresh epoch from the cache and stamps
+// the entries it stores or serves with it, so an entry's epoch says which
+// search used it last. A hit on an entry stamped by another search is a
+// cache hit; a hit on one this search stamped is an ordinary memo hit.
+// The capacity bounds the whole cache: after a search, while the cache
+// holds more entries than that, the entries of the oldest epochs go
+// first, so the searches least recently served lose their subproblems
+// first.
 //
 // A resident solution is a read-only PlanNode subtree shared by every
 // plan that reached it: a hit links the stored node into the new plan
@@ -42,36 +58,138 @@ import (
 // parents and plans link it. Plans built with a SharedCache may
 // therefore share nodes with each other and must never be mutated.
 type SharedCache struct {
-	c *plancache.Cache[*PlanNode]
+	capacity int
+	epoch    atomic.Int64
+
+	mu    sync.Mutex
+	memos map[[16]byte]*planMemo
+
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
+}
+
+// CacheStats is a point-in-time snapshot of a SharedCache's counters.
+type CacheStats struct {
+	// Hits counts subproblems served from entries another search solved
+	// or served last.
+	Hits int64
+	// Misses counts subproblems an attached search solved from scratch.
+	Misses int64
+	// Evictions counts entries dropped by the capacity bound.
+	Evictions int64
+	// Entries is the current resident entry count.
+	Entries int
+}
+
+// HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
+func (s CacheStats) HitRate() float64 {
+	total := s.Hits + s.Misses
+	if total == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(total)
 }
 
 // NewSharedCache returns a cache bounded to capacity resident subproblem
 // solutions (≤ 0 selects the default).
 func NewSharedCache(capacity int) *SharedCache {
-	return &SharedCache{c: plancache.New[*PlanNode](capacity)}
+	if capacity <= 0 {
+		capacity = defaultCacheCapacity
+	}
+	return &SharedCache{capacity: capacity, memos: make(map[[16]byte]*planMemo)}
 }
 
-// Stats returns the cache's hit/miss/eviction/coalesce counters.
-func (s *SharedCache) Stats() plancache.Stats {
-	if s == nil {
-		return plancache.Stats{}
+// Stats returns the cache's hit/miss/eviction counters.
+func (c *SharedCache) Stats() CacheStats {
+	if c == nil {
+		return CacheStats{}
 	}
-	return s.c.Stats()
+	return CacheStats{
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		Entries:   c.Len(),
+	}
 }
 
 // Len returns the resident entry count.
-func (s *SharedCache) Len() int {
-	if s == nil {
+func (c *SharedCache) Len() int {
+	if c == nil {
 		return 0
 	}
-	return s.c.Len()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lenLocked()
+}
+
+func (c *SharedCache) lenLocked() int {
+	n := 0
+	for _, m := range c.memos {
+		n += m.len()
+	}
+	return n
+}
+
+// attach returns the memo of the search fingerprint fp, creating it on
+// first use, and a fresh epoch for one search on it.
+func (c *SharedCache) attach(fp [16]byte) (*planMemo, int64) {
+	c.mu.Lock()
+	m := c.memos[fp]
+	if m == nil {
+		m = newPlanMemo()
+		c.memos[fp] = m
+	}
+	c.mu.Unlock()
+	return m, c.epoch.Add(1)
+}
+
+// trim enforces the capacity bound after a search: it evicts the entries
+// of the oldest epochs until at most capacity remain, and drops memos left
+// empty. A search still running on a dropped memo stays correct — content
+// addressing means an evicted entry can only be missed and re-solved,
+// never wrongly hit — and its later entries simply leave with it.
+func (c *SharedCache) trim() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	total := c.lenLocked()
+	if total <= c.capacity {
+		return
+	}
+	counts := make(map[int64]int)
+	for _, m := range c.memos {
+		m.epochCounts(counts)
+	}
+	epochs := make([]int64, 0, len(counts))
+	for ep := range counts {
+		epochs = append(epochs, ep)
+	}
+	slices.Sort(epochs)
+	var cutoff int64
+	for _, ep := range epochs {
+		if total <= c.capacity {
+			break
+		}
+		total -= counts[ep]
+		cutoff = ep + 1
+	}
+	var evicted int64
+	for fp, m := range c.memos {
+		evicted += int64(m.evictBefore(cutoff))
+		if m.len() == 0 {
+			delete(c.memos, fp)
+		}
+	}
+	c.evictions.Add(evicted)
+	obsCacheEvictions.Add(evicted)
+	obs.Log().Info("plancache.evict", "evicted", evicted, "total_evictions", c.evictions.Load())
 }
 
 // searchFingerprint hashes everything that is fixed across one planner's
 // subproblems but varies between planners sharing a cache: the network
 // structure and the decision-relevant options. Subproblem keys (subtree,
 // dims) are only unique within one fingerprint.
-func searchFingerprint(units []dnn.WeightedLayer, segs, planSegs []segRef, opt Options) string {
+func searchFingerprint(units []dnn.WeightedLayer, segs, planSegs []segRef, opt Options) [16]byte {
 	h := fnv.New128a()
 	var buf [8]byte
 	wInt := func(v int64) {
@@ -155,5 +273,7 @@ func searchFingerprint(units []dnn.WeightedLayer, segs, planSegs []segRef, opt O
 			}
 		}
 	}
-	return string(h.Sum(nil))
+	var fp [16]byte
+	h.Sum(fp[:0])
+	return fp
 }

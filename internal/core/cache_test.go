@@ -184,38 +184,62 @@ func TestCacheUntouchedByReplan(t *testing.T) {
 	}
 }
 
-// TestCacheBoundedEviction: a tiny cache must stay within its bound under
-// a workload far larger than it, and still produce correct plans.
+// TestCacheBoundedEviction: the capacity bounds the whole cache, across
+// every search fingerprint. A working set that fits stays fully resident
+// (a second pass computes nothing); a larger one is held to the bound
+// exactly, and every plan still matches its uncached reference.
 func TestCacheBoundedEviction(t *testing.T) {
 	net := buildNet(t, "vgg16", 64)
 	tree := paperTree(t, 4)
-	ref, err := PartitionCtx(context.Background(), net, tree, AccPar())
-	if err != nil {
-		t.Fatal(err)
+	variants := []Options{AccPar(), DataParallel(), OWT(), HyPar()}
+	refs := make([][]byte, len(variants))
+	for i := range variants {
+		// Serial searches solve each subproblem exactly once: parallel
+		// workers may both solve the identical halves of a symmetric split.
+		variants[i].Parallelism = 1
+		refs[i] = planJSON(t, mustPartition(t, net, tree, variants[i]))
 	}
-	want := planJSON(t, ref)
+	// pass plans every variant once through cache, checking each plan and
+	// the bound after each search.
+	pass := func(cache *SharedCache, capacity int) {
+		t.Helper()
+		for i, opt := range variants {
+			opt.Cache = cache
+			if got := planJSON(t, mustPartition(t, net, tree, opt)); !bytes.Equal(got, refs[i]) {
+				t.Errorf("capacity %d, variant %d: plan differs from its uncached reference", capacity, i)
+			}
+			if n := cache.Len(); n > capacity {
+				t.Errorf("capacity %d: cache holds %d entries", capacity, n)
+			}
+		}
+	}
 
-	cache := NewSharedCache(64)
-	opt := AccPar()
-	opt.Cache = cache
-	for pass := 0; pass < 2; pass++ {
-		plan, err := PartitionCtx(context.Background(), net, tree, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := planJSON(t, plan); !bytes.Equal(got, want) {
-			t.Errorf("pass %d: plan from evicting cache differs from reference", pass)
-		}
+	const fits = 64
+	cache := NewSharedCache(fits)
+	pass(cache, fits)
+	cold := cache.Stats()
+	if cold.Evictions != 0 || int64(cold.Entries) != cold.Misses {
+		t.Errorf("capacity %d: working set of %d subproblems not fully resident: %+v", fits, cold.Misses, cold)
 	}
-	// The bound is per shard; allow the rounding headroom New documents.
-	if n := cache.Len(); n > 64+96 {
-		t.Errorf("cache holds %d entries, far over its 64-entry bound", n)
+	pass(cache, fits)
+	if warm := cache.Stats(); warm.Misses != cold.Misses {
+		t.Errorf("capacity %d: second pass missed %d times; want 0", fits, warm.Misses-cold.Misses)
+	}
+
+	small := int(cold.Misses) / 2
+	cache = NewSharedCache(small)
+	pass(cache, small)
+	pass(cache, small)
+	if st := cache.Stats(); st.Evictions == 0 {
+		t.Errorf("capacity %d under a %d-entry working set evicted nothing: %+v", small, cold.Misses, st)
 	}
 }
 
 // TestCacheConcurrentSearches hammers one shared cache from concurrent
 // Partition and Replan calls across distinct option sets (run under
-// -race). Every resulting plan must match its serial uncached reference.
+// -race), once at the default capacity and once at a capacity so small
+// that eviction runs while other searches do. Every resulting plan must
+// match its serial uncached reference.
 func TestCacheConcurrentSearches(t *testing.T) {
 	net := buildNet(t, "alexnet", 64)
 	groups := v2v3Groups(4)
@@ -231,59 +255,64 @@ func TestCacheConcurrentSearches(t *testing.T) {
 	wantAccPar := planJSON(t, mustPartition(t, net, pristine, AccPar()))
 	wantDP := planJSON(t, mustPartition(t, net, pristine, DataParallel()))
 
-	cache := NewSharedCache(0)
 	workers := 2 * runtime.GOMAXPROCS(0)
 	if workers < 8 {
 		workers = 8
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			switch w % 3 {
-			case 0:
-				opt := AccPar()
-				opt.Cache = cache
-				opt.Parallelism = w%2 + 1
-				plan, err := PartitionCtx(context.Background(), net, pristine, opt)
-				if err != nil {
-					errs <- fmt.Errorf("worker %d Partition: %w", w, err)
-					return
+	for _, capacity := range []int{0, 4} {
+		cache := NewSharedCache(capacity)
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				switch w % 3 {
+				case 0:
+					opt := AccPar()
+					opt.Cache = cache
+					opt.Parallelism = w%2 + 1
+					plan, err := PartitionCtx(context.Background(), net, pristine, opt)
+					if err != nil {
+						errs <- fmt.Errorf("worker %d Partition: %w", w, err)
+						return
+					}
+					if !bytes.Equal(planJSON(t, plan), wantAccPar) {
+						errs <- fmt.Errorf("worker %d: AccPar plan differs from reference", w)
+					}
+				case 1:
+					opt := DataParallel()
+					opt.Cache = cache
+					plan, err := PartitionCtx(context.Background(), net, pristine, opt)
+					if err != nil {
+						errs <- fmt.Errorf("worker %d Partition(DP): %w", w, err)
+						return
+					}
+					if !bytes.Equal(planJSON(t, plan), wantDP) {
+						errs <- fmt.Errorf("worker %d: DP plan differs from reference", w)
+					}
+				default:
+					opt := AccPar()
+					opt.Cache = cache
+					if _, err := ReplanCtx(context.Background(), net, pristine, degraded, opt); err != nil {
+						errs <- fmt.Errorf("worker %d Replan: %w", w, err)
+					}
 				}
-				if !bytes.Equal(planJSON(t, plan), wantAccPar) {
-					errs <- fmt.Errorf("worker %d: AccPar plan differs from reference", w)
-				}
-			case 1:
-				opt := DataParallel()
-				opt.Cache = cache
-				plan, err := PartitionCtx(context.Background(), net, pristine, opt)
-				if err != nil {
-					errs <- fmt.Errorf("worker %d Partition(DP): %w", w, err)
-					return
-				}
-				if !bytes.Equal(planJSON(t, plan), wantDP) {
-					errs <- fmt.Errorf("worker %d: DP plan differs from reference", w)
-				}
-			default:
-				opt := AccPar()
-				opt.Cache = cache
-				if _, err := ReplanCtx(context.Background(), net, pristine, degraded, opt); err != nil {
-					errs <- fmt.Errorf("worker %d Replan: %w", w, err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	st := cache.Stats()
-	if st.Hits == 0 {
-		t.Errorf("concurrent searches shared nothing: %+v", st)
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Errorf("capacity %d: %v", capacity, err)
+		}
+		st := cache.Stats()
+		if capacity == 0 && st.Hits == 0 {
+			t.Errorf("concurrent searches shared nothing: %+v", st)
+		}
+		if capacity > 0 && (st.Evictions == 0 || st.Entries > capacity) {
+			t.Errorf("capacity %d: want evictions and at most %d entries: %+v", capacity, capacity, st)
+		}
 	}
 }
 
@@ -296,8 +325,8 @@ func mustPartition(t *testing.T, net *dnn.Network, tree *hardware.Tree, opt Opti
 	return plan
 }
 
-// cachedVariants is the AccPar portfolio with every variant seeding from
-// and feeding cache.
+// cachedVariants is the AccPar portfolio with every variant searching
+// through cache.
 func cachedVariants(cache *SharedCache) []Options {
 	opts := StrategyAccPar.Variants()
 	for i := range opts {

@@ -13,12 +13,11 @@ import (
 // support at all.
 //
 // Abort consistency: a canceled search returns ErrCanceled or
-// ErrDeadlineExceeded and never publishes partial results. The
-// per-search memo and the shared cross-run cache only store successfully
-// solved subproblems (errors are never cached), so an aborted search
-// leaves both exactly as a never-started search would — any subproblems
-// it fully solved before the abort are valid, complete solutions and
-// remain reusable.
+// ErrDeadlineExceeded and never publishes partial results. A memo —
+// per-search, retained by an engine, or the cross-run cache's — only
+// stores successfully solved subproblems (errors are never cached), so
+// whatever an aborted search leaves behind is a valid, complete solution
+// that later searches may reuse.
 
 // ErrCanceled reports a search aborted by context cancellation (a client
 // disconnect, an explicit CancelFunc). It wraps context.Canceled, so
@@ -50,12 +49,6 @@ func WrapCtxErr(err error) error {
 	}
 }
 
-// isAbort reports whether err is a cancellation or deadline abort (of
-// this search or, through singleflight coalescing, another's).
-func isAbort(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // checkCtx is the periodic cancellation probe on the search's hot path:
 // a nil comparison when no context was supplied, one non-blocking channel
 // poll otherwise. Called once per subproblem visit and once per
@@ -71,11 +64,4 @@ func (p *planner) checkCtx() error {
 	default:
 		return nil
 	}
-}
-
-// ctxLive reports whether this planner's own context is still live (a
-// planner without a context always is). Distinguishes our abort from a
-// coalesced flight aborted by some other search's context.
-func (p *planner) ctxLive() bool {
-	return p.ctx == nil || p.ctx.Err() == nil
 }

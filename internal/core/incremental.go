@@ -569,7 +569,8 @@ func (s *ReplanEngines) Len() int {
 // its admitted root keys are bound to one batch geometry).
 func engineKey(p *planner) string {
 	h := fnv.New128a()
-	h.Write([]byte(searchFingerprint(p.units, p.segs, p.planSegs, p.opt)))
+	fp := searchFingerprint(p.units, p.segs, p.planSegs, p.opt)
+	h.Write(fp[:])
 	var buf [8]byte
 	wInt := func(v int64) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))

@@ -203,13 +203,13 @@ func TestMemoryLimitChangesFingerprint(t *testing.T) {
 	net := buildNet(t, "lenet", 32)
 	units := net.Units()
 	segs := indexSegments(net)
-	seen := map[string]MemoryMode{}
+	seen := map[[16]byte]MemoryMode{}
 	for _, mode := range []MemoryMode{MemoryOff, MemoryReject, MemoryPenalize} {
 		opt := AccPar().withDefaults()
 		opt.MemoryLimit = mode
 		fp := searchFingerprint(units, segs, segs, opt)
 		if prev, dup := seen[fp]; dup {
-			t.Errorf("modes %v and %v share fingerprint %q", prev, mode, fp)
+			t.Errorf("modes %v and %v share fingerprint %x", prev, mode, fp)
 		}
 		seen[fp] = mode
 	}

@@ -24,12 +24,13 @@ import (
 //
 // Each entry additionally records its dependency set — the distinct
 // hardware-spec fingerprints of the subtree it was solved against — and
-// the epoch (replan generation) it was last served in. A memo that dies
-// with one search never reads either; a memo retained across faults by a
-// ReplanEngine uses the dependency sets to invalidate exactly the
-// entries whose hardware has left the fleet, and the epochs to bound the
-// entries kept for hardware that is still present but whose dims no
-// future search will ask for. Invalidation is a liveness policy, never a
+// the epoch (engine call or cached search) it was last served in. A memo
+// that dies with one search never reads either; a memo retained across
+// faults by a ReplanEngine uses the dependency sets to invalidate exactly
+// the entries whose hardware has left the fleet, and the epochs to bound
+// the entries kept for hardware that is still present but whose dims no
+// future search will ask for. A SharedCache bounds its memos by epoch
+// alone. Invalidation is a liveness policy, never a
 // correctness mechanism: content addressing already guarantees a stale
 // entry can only be missed, not wrongly hit.
 //
@@ -64,7 +65,8 @@ type memoEntry struct {
 	// subtree this solution depends on (shared with the tree's cached
 	// Identity — read only).
 	deps []uint64
-	// epoch is the replan generation that last hit or stored the entry.
+	// epoch is the engine call or cached search that last hit or stored
+	// the entry.
 	epoch atomic.Int64
 }
 
@@ -149,9 +151,10 @@ func (p *planMemo) invalidate(gone map[uint64]bool) int {
 }
 
 // evictBefore removes entries whose last-served epoch predates cutoff
-// and returns the number removed — the size backstop for entries whose
-// hardware is still reachable but whose dims (a one-off fault ratio's
-// scaling chain) no future search will ask for.
+// and returns the number removed — a ReplanEngine's size backstop for
+// entries whose hardware is still reachable but whose dims (a one-off
+// fault ratio's scaling chain) no future search will ask for, and a
+// SharedCache's capacity bound.
 func (p *planMemo) evictBefore(cutoff int64) int {
 	removed := 0
 	for i := range p.shards {
@@ -167,6 +170,18 @@ func (p *planMemo) evictBefore(cutoff int64) int {
 	}
 	p.count.Add(int64(-removed))
 	return removed
+}
+
+// epochCounts adds to counts how many entries each epoch last served.
+func (p *planMemo) epochCounts(counts map[int64]int) {
+	for i := range p.shards {
+		s := &p.shards[i]
+		s.mu.RLock()
+		for _, e := range s.m {
+			counts[e.epoch.Load()]++
+		}
+		s.mu.RUnlock()
+	}
 }
 
 // subproblemKey hashes (hardware subtree, effective dims) into a memo

@@ -13,11 +13,15 @@ var (
 	// obsSubproblems counts hierarchy subproblems solved from scratch
 	// (computeNode runs — the work memoization and the shared cache avoid).
 	obsSubproblems = obs.NewCounter("core.subproblems_expanded")
-	// obsMemoHits counts per-search memo hits.
+	// obsMemoHits counts memo hits other than cross-run cache hits.
 	obsMemoHits = obs.NewCounter("core.memo_hits")
-	// obsSharedHits counts cross-run shared-cache hits (including
-	// singleflight coalescing onto another search's in-flight solve).
-	obsSharedHits = obs.NewCounter("core.shared_cache_hits")
+	// obsCacheHits, obsCacheMisses and obsCacheEvictions mirror every
+	// SharedCache's counters process-wide (CacheStats): hits on entries
+	// another search stamped, subproblems a cached search solved, and
+	// entries dropped by a cache's capacity bound.
+	obsCacheHits      = obs.NewCounter("plancache.hits")
+	obsCacheMisses    = obs.NewCounter("plancache.misses")
+	obsCacheEvictions = obs.NewCounter("plancache.evictions")
 	// obsBisectIters counts Eq. 10 bisection iterations.
 	obsBisectIters = obs.NewCounter("core.bisection_iterations")
 	// obsForks counts child subproblems forked onto pooled workers.

@@ -129,8 +129,9 @@ type Options struct {
 	// whenever the constraint is inactive or non-binding.
 	MemoryLimit MemoryMode
 	// Cache, when non-nil, is the cross-run subproblem cache a one-shot
-	// search (PartitionCtx and the sweep entry points built on it) seeds
-	// its per-search memo from and feeds its solutions into.
+	// search (PartitionCtx and the sweep entry points built on it) runs
+	// on: the search reads and stores its subproblems in the cache's memo
+	// for its fingerprint instead of a memo of its own.
 	// Retained and derived searches ignore it: ReplanEngine, ReplanEngines,
 	// ReplanCtx, BatchEngine and StalePlan keep their own memo as their only
 	// store. Plans are byte-identical with the cache disabled, cold or

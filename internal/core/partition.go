@@ -35,20 +35,21 @@ type planner struct {
 	// so a split reuses DP scratch and coefficient slices instead of
 	// allocating them; forCall copies share it.
 	levels *sync.Pool
-	// shared is the cross-run cache (Options.Cache), attached by
-	// PartitionCtx only: retained engines keep their memo as their one
-	// store. searchFP namespaces this planner's subproblem keys inside it.
-	shared   *SharedCache
-	searchFP string
+	// cache is the cross-run cache (Options.Cache) whose memo this
+	// planner searches on, attached by PartitionCtx only: retained
+	// engines keep their own memo as their one store.
+	cache *SharedCache
 	// ctx aborts the search; done caches its Done channel so the
 	// per-subproblem cancellation probe (checkCtx) is one nil comparison
 	// when no context was supplied.
 	ctx  context.Context
 	done <-chan struct{}
-	// epoch and rs are per-call replan bookkeeping, set by forCall when a
-	// ReplanEngine drives the search: epoch stamps memo entries for the
-	// retention backstop, rs collects this call's incremental-hit and
-	// expansion counts. Both are inert (zero/nil) for one-shot searches.
+	// epoch and rs are per-call bookkeeping. epoch stamps memo entries:
+	// forCall sets it when an engine drives the search (the retention
+	// backstop's clock) and partitionOne when a cache is attached (the
+	// eviction clock); it is zero for an uncached one-shot search. rs,
+	// set only by a ReplanEngine, collects the call's incremental-hit and
+	// expansion counts.
 	epoch int64
 	rs    *replanStats
 	// batch marks a call driven by a BatchEngine, whose per-candidate
@@ -125,7 +126,9 @@ func (p *planner) init(ctx context.Context) {
 	for i, u := range units {
 		p.rootDims[i] = u.Dims
 	}
-	p.memo = newPlanMemo()
+	if p.memo == nil {
+		p.memo = newPlanMemo()
+	}
 	p.sem = parallel.NewSem(opt.Parallelism)
 	p.levels = &sync.Pool{New: func() any {
 		return newLevelCtx(units, segs, planSegs, opt)
@@ -162,15 +165,20 @@ func (p *planner) planKeyed(tree *hardware.Tree, key subKey) (*Plan, error) {
 }
 
 // partitionOne is PartitionCtx's single search: one option set, one
-// planner, attached to the shared cache when opt.Cache is set.
+// planner. With opt.Cache set, the planner searches on the cache's memo
+// for its fingerprint under a fresh epoch, and the cache is trimmed to
+// its bound afterwards.
 func partitionOne(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opt Options) (*Plan, error) {
-	p, err := newPlanner(ctx, net, opt)
+	p, err := plannerShape(net, opt)
 	if err != nil {
 		return nil, err
 	}
 	if opt.Cache != nil {
-		p.shared, p.searchFP = opt.Cache, searchFingerprint(p.units, p.segs, p.planSegs, p.opt)
+		p.cache = opt.Cache
+		p.memo, p.epoch = opt.Cache.attach(searchFingerprint(p.units, p.segs, p.planSegs, p.opt))
+		defer opt.Cache.trim()
 	}
+	p.init(ctx)
 	return p.plan(tree)
 }
 
@@ -215,21 +223,29 @@ func (p *planner) partitionChild(node *hardware.Tree, dims []tensor.LayerDims, t
 // itself — solved nodes are read-only and shared between every plan and
 // parent that reaches them — relabeled only when it was solved at a
 // different depth (atLevel), since digests are level-independent.
+//
+// The entry's previous epoch classifies the hit. On a batch call, an
+// entry last solved or served under another candidate's epoch amortized
+// work across fleets, not within one hierarchy; on a cached search, an
+// entry another search stamped is a cross-run cache hit.
 func (p *planner) lookup(node *hardware.Tree, key subKey) (*PlanNode, bool) {
 	cached, prev, ok := p.memo.get(memoKey{sub: key}, p.epoch)
 	if !ok {
 		return nil, false
 	}
-	obsMemoHits.Inc()
-	p.noteHit()
 	provenance := ProvenanceMemoHit
-	if p.batch && prev != p.epoch {
-		// The entry was last solved or served under another candidate's
-		// epoch: this hit amortized work across fleets, not within one
-		// hierarchy.
-		obsCrossFleetHits.Inc()
-		provenance = ProvenanceCrossFleetHit
+	if p.cache != nil && prev != p.epoch {
+		p.cache.hits.Add(1)
+		obsCacheHits.Inc()
+		provenance = ProvenanceSharedCacheHit
+	} else {
+		obsMemoHits.Inc()
+		if p.batch && prev != p.epoch {
+			obsCrossFleetHits.Inc()
+			provenance = ProvenanceCrossFleetHit
+		}
 	}
+	p.noteHit()
 	p.auditHit(node, key, provenance)
 	return atLevel(cached, node.Level), true
 }
@@ -239,39 +255,6 @@ func (p *planner) lookup(node *hardware.Tree, key subKey) (*PlanNode, bool) {
 // node is read-only from here on: later hits, in this search or (through
 // the SharedCache) in others, link it rather than copy it.
 func (p *planner) solve(node *hardware.Tree, dims []tensor.LayerDims, key subKey) (*PlanNode, error) {
-	if p.shared != nil {
-		// Cross-run path: the shared cache answers or computes under
-		// singleflight, so N concurrent identical searches — across
-		// planners and goroutines alike — run the subproblem once. The
-		// result lands in the per-search memo too, keeping the rest of
-		// this search off the shared shards. Hit or miss, the node is the
-		// cache's own read-only one, linked as is unless its depth
-		// differs; the memo keeps it at this node's depth.
-		sharedKey := p.searchFP + string(key[:])
-		for {
-			n, hit, err := p.shared.c.Do(sharedKey, func() (*PlanNode, error) {
-				return p.computeNode(node, dims, key)
-			})
-			if err != nil {
-				// A coalesced waiter shares its flight's outcome — including
-				// an abort caused by the *computing* search's context. An
-				// abort is never this subproblem's answer (aborts are not
-				// cached for the same reason), so a waiter whose own context
-				// is still live retries and computes the subproblem itself.
-				if isAbort(err) && p.ctxLive() {
-					continue
-				}
-				return nil, err
-			}
-			if hit {
-				obsSharedHits.Inc()
-				p.auditHit(node, key, ProvenanceSharedCacheHit)
-			}
-			n = atLevel(n, node.Level)
-			p.memo.put(memoKey{sub: key}, n, node.Identity().Specs, p.epoch)
-			return n, nil
-		}
-	}
 	n, err := p.computeNode(node, dims, key)
 	if err != nil {
 		// Errors are not cached: they are rare, cheap to rediscover, and
@@ -288,6 +271,10 @@ func (p *planner) computeNode(node *hardware.Tree, dims []tensor.LayerDims, key 
 	obsSubproblems.Inc()
 	if p.rs != nil {
 		p.rs.expanded.Add(1)
+	}
+	if p.cache != nil {
+		p.cache.misses.Add(1)
+		obsCacheMisses.Inc()
 	}
 	if obs.TracingCtx(p.ctx) {
 		// Span names render a Sprintf; the TracingCtx guard keeps the

@@ -21,7 +21,7 @@ import (
 )
 
 // partition plans net on tree under s — AccPar as its full portfolio —
-// seeding from and feeding cache (nil for the uncached search). Plans
+// searching through cache (nil for the uncached search). Plans
 // are byte-identical either way.
 func partition(ctx context.Context, s core.Strategy, net *dnn.Network, tree *hardware.Tree, cache *core.SharedCache) (*core.Plan, error) {
 	opts := s.Variants()

@@ -14,7 +14,7 @@
 //     feeds back into the planner or simulator; the core equivalence tests
 //     hold plans byte-identical with tracing enabled and disabled.
 //   - No dependencies. The package imports only the standard library and
-//     is imported by leaf packages (core, sim, plancache), so it must
+//     is imported by leaf packages (core, sim, admission), so it must
 //     never import anything above them.
 //
 // Instrumented packages declare their metrics once as package-level vars

@@ -12,9 +12,9 @@ import (
 )
 
 // MetricsSnapshot is a point-in-time copy of the process-wide metrics
-// registry: planner search counters (subproblems expanded, memo and
-// shared-cache hits, bisection iterations, parallel forks), plan-cache
-// accounting, and simulator totals (tasks, retries, per-group busy time,
+// registry: planner search counters (subproblems expanded, memo hits,
+// bisection iterations, parallel forks), plan-cache hits, misses and
+// evictions, and simulator totals (tasks, retries, per-group busy time,
 // injected fault events).
 type MetricsSnapshot = obs.Snapshot
 

@@ -9,19 +9,19 @@ import (
 	"accpar/internal/diag"
 	"accpar/internal/hardware"
 	"accpar/internal/parallel"
-	"accpar/internal/plancache"
 )
 
 // PlanCache is the shared cross-run plan cache: a concurrency-safe,
-// bounded LRU of solved hierarchical subproblems, content-addressed so
+// bounded store of solved hierarchical subproblems, content-addressed so
 // that any number of searches — over any mix of networks, arrays and
-// options — can share one instance without cross-contamination. Caching
-// never changes decisions: plans are byte-identical with the cache
-// disabled, cold or warm.
+// options — can share one instance without cross-contamination. When it
+// outgrows its bound, the subproblems of the least recently served
+// searches go first. Caching never changes decisions: plans are
+// byte-identical with the cache disabled, cold or warm.
 type PlanCache = core.SharedCache
 
-// CacheStats is the cache's hit/miss/eviction/coalesce counters.
-type CacheStats = plancache.Stats
+// CacheStats is the cache's hit/miss/eviction counters.
+type CacheStats = core.CacheStats
 
 // NewPlanCache returns a cache bounded to capacity resident subproblem
 // solutions (≤ 0 selects the default).
@@ -125,7 +125,7 @@ func (s *Session) PartitionWithOptionsCtx(ctx context.Context, net *Network, arr
 }
 
 // Compare partitions the network with all four strategies concurrently,
-// every strategy seeding from and feeding the session cache. Plans are
+// every strategy searching through the session cache. Plans are
 // identical to four serial Partition calls.
 func (s *Session) Compare(net *Network, arr *Array) (*Comparison, error) {
 	return s.CompareCtx(context.Background(), net, arr)
