@@ -73,7 +73,9 @@ type (
 	Plan = core.Plan
 	// PlanNode is one hierarchy node's decision. Nodes are read-only:
 	// plans share solved subtrees with each other and between a split's
-	// two children.
+	// two children, at any depth. A node stores neither its depth nor its
+	// effective dims; walk from the root to know them (Plan.Levels()[i]
+	// is level i+1).
 	PlanNode = core.PlanNode
 	// Options is the advanced partitioner configuration.
 	Options = core.Options

@@ -10,11 +10,12 @@ import (
 // run of a never-seen fault through a Session whose replan engines'
 // working sets are full: inception/512 on 64+64 boards, AccPar portfolio,
 // pristine and degraded searches plus three simulations. Measured at
-// 5.3k; 10.2k when every memo hit deep-copied the solved subtree, 12.2k
-// with per-split level contexts and heap-built memo keys, and 18.6k when
-// every subproblem a replan engine expanded was also written into the
-// session's plan cache.
-const sessionResilienceAllocBudget = 6_500
+// 3.0k; 5.0k when every trace record slice grew by appends and every
+// simulated phase copied out its trace records, 10.2k when every memo hit
+// deep-copied the solved subtree, 12.2k with per-split level contexts
+// and heap-built memo keys, and 18.6k when every subproblem a replan
+// engine expanded was also written into the session's plan cache.
+const sessionResilienceAllocBudget = 3_600
 
 // TestSessionResilienceAllocBudget fails when the replan path picks up a
 // second store again, such as mirroring each subproblem an engine expands

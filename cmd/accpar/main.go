@@ -175,8 +175,8 @@ func run(model string, batch, v2, v3 int, fleet, strategy string, levels int, sh
 	fmt.Printf("%s\n", plan.Memory())
 	fmt.Println()
 	fmt.Printf("%-6s %-24s %-8s %-12s\n", "level", "group", "alpha", "comm time")
-	for _, lvl := range plan.Levels() {
-		fmt.Printf("%-6d %-24s %-8.3f %-12.4g\n", lvl.Level, lvl.GroupDesc, lvl.Alpha, lvl.Eval.CommTime)
+	for i, lvl := range plan.Levels() {
+		fmt.Printf("%-6d %-24s %-8.3f %-12.4g\n", i+1, lvl.GroupDesc, lvl.Alpha, lvl.Eval.CommTime)
 	}
 	if showMap {
 		fmt.Println()

@@ -22,6 +22,7 @@ import (
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
 	"accpar/internal/hardware"
+	"accpar/internal/tensor"
 )
 
 // Config tunes the array simulation.
@@ -122,19 +123,21 @@ type builder struct {
 	grad [][]*task
 }
 
-// leafPlan pairs a plan leaf with its hardware group.
+// leafPlan pairs a plan leaf's effective per-unit dims with its hardware
+// group.
 type leafPlan struct {
-	node *core.PlanNode
+	dims []tensor.LayerDims
 	hw   *hardware.Tree
 }
 
-// linkInfo pairs a split node with its hardware node and the span of
-// leaves (indices into builder.leaves) under it. The span is positional:
-// plan nodes are shared between parents, so one *PlanNode may stand at
-// several links.
+// linkInfo pairs a split node with its hardware node, its effective
+// per-unit dims and the span of leaves (indices into builder.leaves)
+// under it. Dims and span are positional: plan nodes are shared between
+// parents and store neither, so one *PlanNode may stand at several links.
 type linkInfo struct {
 	node   *core.PlanNode
 	hw     *hardware.Tree
+	dims   []tensor.LayerDims
 	leaves [2]int
 }
 
@@ -150,31 +153,36 @@ func Simulate(plan *core.Plan, tree *hardware.Tree, cfg Config) (*Result, error)
 		b.out[e[0]] = append(b.out[e[0]], e[1])
 	}
 
-	// Collect leaves and links by walking plan and hardware trees in step.
-	// A node-level exchange for unit u depends on that phase's tasks on
-	// every leaf under the node, and gates the dependents on those leaves,
-	// so each link records its leaf span.
-	var walk func(p *core.PlanNode, h *hardware.Tree) error
-	walk = func(p *core.PlanNode, h *hardware.Tree) error {
+	// Collect leaves and links by walking plan and hardware trees in step,
+	// deriving each node's effective dims from its parent's as the search
+	// did. A node-level exchange for unit u depends on that phase's tasks
+	// on every leaf under the node, and gates the dependents on those
+	// leaves, so each link records its leaf span.
+	var walk func(p *core.PlanNode, h *hardware.Tree, dims []tensor.LayerDims) error
+	walk = func(p *core.PlanNode, h *hardware.Tree, dims []tensor.LayerDims) error {
 		if p.IsLeaf() != h.IsLeaf() {
-			return fmt.Errorf("arraysim: plan and hardware trees have different shapes at level %d", p.Level)
+			return fmt.Errorf("arraysim: plan and hardware trees have different shapes at level %d", h.Level)
 		}
 		if p.IsLeaf() {
-			b.leaves = append(b.leaves, leafPlan{node: p, hw: h})
+			b.leaves = append(b.leaves, leafPlan{dims: dims, hw: h})
 			return nil
 		}
 		li, start := len(b.links), len(b.leaves)
-		b.links = append(b.links, linkInfo{node: p, hw: h})
-		if err := walk(p.Left, h.Left); err != nil {
+		b.links = append(b.links, linkInfo{node: p, hw: h, dims: dims})
+		if err := walk(p.Left, h.Left, core.ScaleUnitDims(b.units, dims, p.Types, p.Alpha)); err != nil {
 			return err
 		}
-		if err := walk(p.Right, h.Right); err != nil {
+		if err := walk(p.Right, h.Right, core.ScaleUnitDims(b.units, dims, p.Types, 1-p.Alpha)); err != nil {
 			return err
 		}
 		b.links[li].leaves = [2]int{start, len(b.leaves)}
 		return nil
 	}
-	if err := walk(plan.Root, tree); err != nil {
+	rootDims := make([]tensor.LayerDims, len(b.units))
+	for i, u := range b.units {
+		rootDims[i] = u.Dims
+	}
+	if err := walk(plan.Root, tree, rootDims); err != nil {
 		return nil, err
 	}
 	if len(b.leaves) > cfg.MaxLeaves {

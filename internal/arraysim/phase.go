@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"accpar/internal/core"
 	"accpar/internal/cost"
 	"accpar/internal/tensor"
 )
@@ -123,7 +122,7 @@ func (b *builder) phase(ph cost.Phase, u int) {
 		for _, p := range b.in[u] {
 			for li, lk := range b.links {
 				tt, t := lk.node.Types[p], lk.node.Types[u]
-				boundary := boundaryAt(lk.node, p, u)
+				boundary := boundaryAt(lk.dims, p, u)
 				fb, _ := interSplit(tt, t, boundary, lk.node.Alpha)
 				addForLink(li, fb)
 			}
@@ -132,7 +131,7 @@ func (b *builder) phase(ph cost.Phase, u int) {
 		for _, c := range b.out[u] {
 			for li, lk := range b.links {
 				tt, t := lk.node.Types[u], lk.node.Types[c]
-				boundary := boundaryAt(lk.node, u, c)
+				boundary := boundaryAt(lk.dims, u, c)
 				_, eb := interSplit(tt, t, boundary, lk.node.Alpha)
 				addForLink(li, eb)
 			}
@@ -144,7 +143,7 @@ func (b *builder) phase(ph cost.Phase, u int) {
 		deps := append(depsFor(leaf), convByLeaf[leaf]...)
 		var dur float64
 		if !unit.Virtual {
-			d := b.leaves[leaf].node.Dims[u]
+			d := b.leaves[leaf].dims[u]
 			dur = math.Max(phaseFLOPs(ph, d)/b.leafCompute[leaf], phaseBytes(ph, d)/b.leafMem[leaf])
 		}
 		computeTasks[leaf] = b.newTask(task{
@@ -162,7 +161,7 @@ func (b *builder) phase(ph cost.Phase, u int) {
 			if t.PsumPhase() != ph {
 				continue
 			}
-			bytes := float64(cost.IntraCommElements(t, lk.node.Dims[u])) * tensor.BytesPerElement
+			bytes := float64(cost.IntraCommElements(t, lk.dims[u])) * tensor.BytesPerElement
 			r := lk.leaves
 			var deps []*task
 			for i := r[0]; i < r[1]; i++ {
@@ -185,10 +184,11 @@ func (b *builder) phase(ph cost.Phase, u int) {
 }
 
 // boundaryAt returns the effective boundary tensor size on the edge p→u at
-// a plan node: the smaller of the producer's output and consumer's input.
-func boundaryAt(n *core.PlanNode, p, u int) int64 {
-	out := n.Dims[p].AFNext()
-	in := n.Dims[u].AF()
+// a plan node with the given dims: the smaller of the producer's output
+// and consumer's input.
+func boundaryAt(dims []tensor.LayerDims, p, u int) int64 {
+	out := dims[p].AFNext()
+	in := dims[u].AF()
 	if out < in {
 		return out
 	}

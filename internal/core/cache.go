@@ -52,11 +52,11 @@ const defaultCacheCapacity = 1 << 16
 // first.
 //
 // A resident solution is a read-only PlanNode subtree shared by every
-// plan that reached it: a hit links the stored node into the new plan
-// rather than copying it (a copy is made only to relabel a hit solved at
-// a different depth), so the cache holds each subtree once however many
-// parents and plans link it. Plans built with a SharedCache may
-// therefore share nodes with each other and must never be mutated.
+// plan that reached it: a hit links the stored node into the new plan,
+// at whatever depth, rather than copying it, so the cache holds each
+// subtree once however many parents and plans link it. Plans built with
+// a SharedCache may therefore share nodes with each other and must never
+// be mutated.
 type SharedCache struct {
 	capacity int
 	epoch    atomic.Int64
@@ -137,7 +137,7 @@ func (c *SharedCache) attach(fp [16]byte) (*planMemo, int64) {
 	c.mu.Lock()
 	m := c.memos[fp]
 	if m == nil {
-		m = newPlanMemo()
+		m = &planMemo{}
 		c.memos[fp] = m
 	}
 	c.mu.Unlock()

@@ -81,14 +81,14 @@ func TestDataParallelAllTypeI(t *testing.T) {
 		t.Fatal(err)
 	}
 	units := net.Units()
-	for _, lvl := range plan.Levels() {
+	for li, lvl := range plan.Levels() {
 		for i, ty := range lvl.Types {
 			if !units[i].Virtual && ty != cost.TypeI {
-				t.Fatalf("level %d unit %s: type %v, want Type-I", lvl.Level, units[i].Name, ty)
+				t.Fatalf("level %d unit %s: type %v, want Type-I", li+1, units[i].Name, ty)
 			}
 		}
 		if lvl.Alpha != 0.5 {
-			t.Errorf("level %d alpha = %g, want 0.5 (equal ratio)", lvl.Level, lvl.Alpha)
+			t.Errorf("level %d alpha = %g, want 0.5 (equal ratio)", li+1, lvl.Alpha)
 		}
 	}
 }
@@ -477,9 +477,9 @@ func TestSpines(t *testing.T) {
 		t.Error("spines must share the root")
 	}
 	for _, spine := range [][]*PlanNode{left, right} {
-		for _, n := range spine {
+		for i, n := range spine {
 			if len(n.Types) != len(net.Units()) {
-				t.Fatalf("spine node at level %d has %d types", n.Level, len(n.Types))
+				t.Fatalf("spine node at level %d has %d types", i+1, len(n.Types))
 			}
 		}
 	}

@@ -27,9 +27,11 @@ type LayerExplanation struct {
 	InEdgeCost, OutEdgeCost float64
 }
 
-// ctxForNode reconstructs the level context of a non-leaf plan node under
-// the options the plan was searched with.
-func (p *Plan) ctxForNode(n *PlanNode) *levelCtx {
+// rootCtx reconstructs the level context of the plan's root split under
+// the options the plan was searched with; the root sees the units' own
+// dims.
+func (p *Plan) rootCtx() *levelCtx {
+	n := p.Root
 	units := p.Network.Units()
 	ctx := &levelCtx{
 		units: make([]unitInfo, len(units)),
@@ -41,7 +43,7 @@ func (p *Plan) ctxForNode(n *PlanNode) *levelCtx {
 	}
 	ctx.planSegs = ctx.segs
 	for i := range units {
-		ctx.units[i] = unitInfo{layer: units[i], dims: n.Dims[i]}
+		ctx.units[i] = unitInfo{layer: units[i], dims: units[i].Dims}
 	}
 	ctx.prepare()
 	return ctx
@@ -54,7 +56,7 @@ func (p *Plan) Explain() ([]LayerExplanation, error) {
 	if n.IsLeaf() {
 		return nil, fmt.Errorf("core: single-accelerator plan has no split to explain")
 	}
-	ctx := p.ctxForNode(n)
+	ctx := p.rootCtx()
 	units := p.Network.Units()
 	var out []LayerExplanation
 	edges := edgeList(ctx.segs)

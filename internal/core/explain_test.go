@@ -112,7 +112,7 @@ func TestExplainUsesSearchOptions(t *testing.T) {
 			rep := rec.Report()
 			for i := range rep.Subproblems {
 				s := &rep.Subproblems[i]
-				if s.Level == plan.Root.Level && s.Group == plan.Root.GroupDesc && s.Provenance == ProvenanceCold && !s.Leaf {
+				if s.Level == 1 && s.Group == plan.Root.GroupDesc && s.Provenance == ProvenanceCold && !s.Leaf {
 					root = s
 					break
 				}

@@ -332,9 +332,9 @@ func (e *ReplanEngine) ReplanCtx(ctx context.Context, pristine, degraded *hardwa
 // zero key to hash it here).
 //
 // The memo key is sound by an invariant of the stale walk: at every node
-// where the degraded structure still aligns with the plan's, the
-// effective dims equal old.Dims exactly, because they are computed by the
-// same scaleUnitDims chain from the same root dims with the same
+// where the degraded structure still aligns with the plan's, dims are
+// exactly the dims the search solved old at, because both come from the
+// same ScaleUnitDims chain from the same root dims with the same
 // (α, types) decisions (ClampRatio is idempotent on stored ratios). So
 // old is this engine's own solution for (pristine subtree, dims) — a pure
 // function of the pristine digest and the dims the key already carries —
@@ -356,7 +356,7 @@ func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, di
 		// plan's own decisions on the plan's own hardware reproduces the
 		// plan, so the stale plan links the pristine subtree itself.
 		p.noteStaleReuse()
-		return atLevel(old, node.Level), nil
+		return old, nil
 	}
 	if key == (subKey{}) {
 		key = p.subproblemKey(node, dims)
@@ -364,7 +364,7 @@ func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, di
 	mk := memoKey{sub: key, stale: pid.Digest}
 	if cached, _, ok := p.memo.get(mk, p.epoch); ok {
 		p.noteHit()
-		return atLevel(cached, node.Level), nil
+		return cached, nil
 	}
 	// The re-costing depends on both subtrees' hardware.
 	deps := hardware.MergeSpecs(nid.Specs, pid.Specs)
@@ -388,23 +388,21 @@ func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, di
 	types := old.Types
 	ev := p.evalSplit(dims, sideI, sideJ, types, alpha)
 
-	left, err := p.staleNodeInc(node.Left, pristNode.Left, old.Left, scaleUnitDims(p.units, dims, types, alpha), subKey{})
+	left, err := p.staleNodeInc(node.Left, pristNode.Left, old.Left, ScaleUnitDims(p.units, dims, types, alpha), subKey{})
 	if err != nil {
 		return nil, err
 	}
-	right, err := p.staleNodeInc(node.Right, pristNode.Right, old.Right, scaleUnitDims(p.units, dims, types, 1-alpha), subKey{})
+	right, err := p.staleNodeInc(node.Right, pristNode.Right, old.Right, ScaleUnitDims(p.units, dims, types, 1-alpha), subKey{})
 	if err != nil {
 		return nil, err
 	}
 	n := &PlanNode{
-		Level:     node.Level,
 		GroupDesc: node.Group.String(),
 		Alpha:     alpha,
 		Types:     types,
 		Eval:      ev,
 		SideI:     sideI,
 		SideJ:     sideJ,
-		Dims:      dims,
 		Left:      left,
 		Right:     right,
 	}

@@ -54,13 +54,13 @@ func (p *Plan) ToJSON() *PlanJSON {
 	for i, u := range units {
 		names[i] = u.Name
 	}
-	var conv func(n *PlanNode) *PlanNodeJSON
-	conv = func(n *PlanNode) *PlanNodeJSON {
+	var conv func(n *PlanNode, level int) *PlanNodeJSON
+	conv = func(n *PlanNode, level int) *PlanNodeJSON {
 		if n == nil {
 			return nil
 		}
 		out := &PlanNodeJSON{
-			Level: n.Level,
+			Level: level,
 			Group: n.GroupDesc,
 		}
 		if n.IsLeaf() {
@@ -78,8 +78,8 @@ func (p *Plan) ToJSON() *PlanJSON {
 		}
 		out.CommTimeSec = n.Eval.CommTime
 		out.CommBytes = n.Eval.CommBytes
-		out.Left = conv(n.Left)
-		out.Right = conv(n.Right)
+		out.Left = conv(n.Left, level+1)
+		out.Right = conv(n.Right, level+1)
 		return out
 	}
 	return &PlanJSON{
@@ -88,7 +88,7 @@ func (p *Plan) ToJSON() *PlanJSON {
 		Strategy: p.Strategy,
 		Units:    names,
 		TimeSec:  p.Time(),
-		Root:     conv(p.Root),
+		Root:     conv(p.Root, 1),
 	}
 }
 
@@ -153,7 +153,7 @@ func (p *Plan) AppendJSON(dst []byte) ([]byte, error) {
 	e.key(1, "time_sec", false)
 	e.float(p.Time())
 	e.key(1, "root", false)
-	e.node(p.Root, 2)
+	e.node(p.Root, 1, 2)
 	e.b = append(e.b, "\n}\n"...)
 	if e.err != nil {
 		return dst, fmt.Errorf("core: encoding plan: %w", e.err)
@@ -168,12 +168,13 @@ type planEncoder struct {
 	err error
 }
 
-// node appends n as an object whose members sit at the given depth,
-// emitting the fields ToJSON sets for a leaf or a split.
-func (e *planEncoder) node(n *PlanNode, depth int) {
+// node appends n, the node at the given hierarchy level, as an object
+// whose members sit at the given indent depth, emitting the fields ToJSON
+// sets for a leaf or a split.
+func (e *planEncoder) node(n *PlanNode, level, depth int) {
 	e.b = append(e.b, '{')
 	e.key(depth, "level", true)
-	e.b = strconv.AppendInt(e.b, int64(n.Level), 10)
+	e.b = strconv.AppendInt(e.b, int64(level), 10)
 	e.key(depth, "group", false)
 	e.string(n.GroupDesc)
 	if n.IsLeaf() {
@@ -198,10 +199,10 @@ func (e *planEncoder) node(n *PlanNode, depth int) {
 		e.floatField(depth, "comm_time_sec", n.Eval.CommTime)
 		e.floatField(depth, "comm_bytes", n.Eval.CommBytes)
 		e.key(depth, "left", false)
-		e.node(n.Left, depth+1)
+		e.node(n.Left, level+1, depth+1)
 		if n.Right != nil {
 			e.key(depth, "right", false)
-			e.node(n.Right, depth+1)
+			e.node(n.Right, level+1, depth+1)
 		}
 	}
 	e.newline(depth - 1)

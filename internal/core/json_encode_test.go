@@ -277,7 +277,6 @@ func (d *fuzzPlan) types() []cost.Type {
 
 func (d *fuzzPlan) node(depth int) *core.PlanNode {
 	n := &core.PlanNode{
-		Level:     int(int16(d.u8()) - 8),
 		GroupDesc: d.str(),
 		Alpha:     d.f64(),
 		Types:     d.types(),

@@ -128,7 +128,7 @@ func (c *levelCtx) reset(dims []tensor.LayerDims, sideI, sideJ Side) *levelCtx {
 // level takes a context from the planner's pool, reset for one split.
 // Callers return it with p.levels.Put as soon as they have the split's
 // decisions and evaluation, before recursing into the children; nothing
-// a plan node keeps (Types, Dims) points into it.
+// a plan node keeps (Types) points into it.
 func (p *planner) level(dims []tensor.LayerDims, sideI, sideJ Side) *levelCtx {
 	return p.levels.Get().(*levelCtx).reset(dims, sideI, sideJ)
 }

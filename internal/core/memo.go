@@ -35,7 +35,9 @@ import (
 // entry can only be missed, not wrongly hit.
 //
 // The memo is sharded to keep concurrent planner workers from serializing
-// on one lock.
+// on one lock. A shard's map is made by the first put that lands in it, so
+// the zero planMemo is ready to use and a small memo (a SharedCache keeps
+// one per search fingerprint) holds only the shards it fills.
 type planMemo struct {
 	shards [memoShards]memoShard
 	count  atomic.Int64
@@ -70,14 +72,6 @@ type memoEntry struct {
 	epoch atomic.Int64
 }
 
-func newPlanMemo() *planMemo {
-	p := &planMemo{}
-	for i := range p.shards {
-		p.shards[i].m = make(map[memoKey]*memoEntry)
-	}
-	return p
-}
-
 func (p *planMemo) shard(key memoKey) *memoShard {
 	return &p.shards[key.sub[0]&(memoShards-1)]
 }
@@ -89,8 +83,8 @@ func (p *planMemo) shard(key memoKey) *memoShard {
 // from the serving epoch) from intra-tree reuse by exactly that value.
 // The lookup hashes nothing and allocates nothing: key is a fixed-size
 // value. The returned node is the stored one, shared with every plan
-// that already links it; it is read-only, so the caller links it as is
-// (through atLevel, which copies only on a depth mismatch).
+// that already links it; it is read-only and position-free, so the
+// caller links it as is at whatever depth it needs it.
 func (p *planMemo) get(key memoKey, epoch int64) (node *PlanNode, prev int64, ok bool) {
 	s := p.shard(key)
 	s.mu.RLock()
@@ -111,6 +105,9 @@ func (p *planMemo) put(key memoKey, n *PlanNode, deps []uint64, epoch int64) {
 	e.epoch.Store(epoch)
 	s := p.shard(key)
 	s.mu.Lock()
+	if s.m == nil {
+		s.m = make(map[memoKey]*memoEntry)
+	}
 	if _, exists := s.m[key]; !exists {
 		p.count.Add(1)
 	}
@@ -198,7 +195,7 @@ func (p *planner) subproblemKey(node *hardware.Tree, dims []tensor.LayerDims) su
 	return h.Sum()
 }
 
-// childKey is subproblemKey(node, scaleUnitDims(p.units, dims, types,
+// childKey is subproblemKey(node, ScaleUnitDims(p.units, dims, types,
 // ratio)) without building the scaled slice: each unit's child dims are
 // hashed as scaleUnit produces them, so a memo hit never materializes
 // dims it would throw away.
@@ -231,25 +228,4 @@ func hashDims(h *wordhash.Hash, d *tensor.LayerDims) {
 	h.Word(uint64(d.WOut))
 	h.Word(uint64(d.KH))
 	h.Word(uint64(d.KW))
-}
-
-// atLevel returns the solved subtree n as linked at depth level. A
-// solved PlanNode is read-only once built, so every parent that needs it
-// links the node itself: a memo or cache hit costs a pointer. Subtree
-// digests are level-independent (hardware.Identity), though, so a hit may
-// serve a solution first computed at a different depth — mostly a
-// cross-fleet DSE hit. Only then is the subtree copied, relabeling Level
-// to the new depth (children one deeper, mirroring BuildTree); every
-// other field of a solution is depth-invariant, so the relabel keeps
-// plans byte-identical to a standalone search. Types and Dims stay
-// aliased in the copy: they are never written after construction.
-func atLevel(n *PlanNode, level int) *PlanNode {
-	if n == nil || n.Level == level {
-		return n
-	}
-	c := *n
-	c.Level = level
-	c.Left = atLevel(n.Left, level+1)
-	c.Right = atLevel(n.Right, level+1)
-	return &c
 }

@@ -19,7 +19,8 @@ import (
 // every AccPar variant and checks that each distinct (subtree digest,
 // dims) pair the searches keyed has a distinct memo key. With memory
 // constraints off every keyed subproblem is a node of some variant's
-// plan, so walking the plans against their trees enumerates them all.
+// plan, so walking the plans against their trees, deriving each node's
+// dims from its parent's (core.ScaleUnitDims), enumerates them all.
 func TestSubproblemKeysDistinctOnSweepGrid(t *testing.T) {
 	space := &dse.Space{
 		Kinds: []dse.Kind{
@@ -62,20 +63,28 @@ func TestSubproblemKeysDistinctOnSweepGrid(t *testing.T) {
 		digest [16]byte
 		dims   []tensor.LayerDims
 	}
+	units := net.Units()
+	rootDims := make([]tensor.LayerDims, len(units))
+	for i, u := range units {
+		rootDims[i] = u.Dims
+	}
 	owner := map[[16]byte]subproblem{}
-	var walk func(n *core.PlanNode, hw *hardware.Tree)
-	walk = func(n *core.PlanNode, hw *hardware.Tree) {
+	var walk func(n *core.PlanNode, hw *hardware.Tree, dims []tensor.LayerDims)
+	walk = func(n *core.PlanNode, hw *hardware.Tree, dims []tensor.LayerDims) {
 		if n == nil {
 			return
 		}
-		key := core.SubproblemKey(hw, n.Dims)
-		sub := subproblem{hw.Identity().Digest, n.Dims}
+		key := core.SubproblemKey(hw, dims)
+		sub := subproblem{hw.Identity().Digest, dims}
 		if prev, ok := owner[key]; ok && (prev.digest != sub.digest || !slices.Equal(prev.dims, sub.dims)) {
 			t.Fatalf("key %x names two subproblems:\n%x %v\n%x %v", key, prev.digest, prev.dims, sub.digest, sub.dims)
 		}
 		owner[key] = sub
-		walk(n.Left, hw.Left)
-		walk(n.Right, hw.Right)
+		if n.IsLeaf() {
+			return
+		}
+		walk(n.Left, hw.Left, core.ScaleUnitDims(units, dims, n.Types, n.Alpha))
+		walk(n.Right, hw.Right, core.ScaleUnitDims(units, dims, n.Types, 1-n.Alpha))
 	}
 	for _, opt := range core.StrategyAccPar.Variants() {
 		e, err := core.NewBatchEngine(net, opt)
@@ -87,7 +96,7 @@ func TestSubproblemKeysDistinctOnSweepGrid(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			walk(plan.Root, tree)
+			walk(plan.Root, tree, rootDims)
 		}
 	}
 	if len(owner) < 500 {

@@ -25,7 +25,7 @@ func TestSubproblemKeyBytes(t *testing.T) {
 	for i := range types {
 		types[i] = cost.Types[i%len(cost.Types)]
 	}
-	childDims := scaleUnitDims(p.units, p.rootDims, types, 0.3)
+	childDims := ScaleUnitDims(p.units, p.rootDims, types, 0.3)
 	for _, c := range []struct {
 		name string
 		key  subKey
@@ -79,7 +79,7 @@ func TestChildKeyMatchesScaledDims(t *testing.T) {
 				if rnd.Intn(2) == 1 {
 					child = node.Right
 				}
-				scaled := scaleUnitDims(p.units, dims, types, r)
+				scaled := ScaleUnitDims(p.units, dims, types, r)
 				if got, want := p.childKey(child, dims, types, r), p.subproblemKey(child, scaled); got != want {
 					t.Fatalf("%s level %d ratio %g: childKey %x, subproblemKey %x", model, node.Level, r, got, want)
 				}

@@ -10,6 +10,7 @@ import (
 
 	"accpar/internal/cost"
 	"accpar/internal/hardware"
+	"accpar/internal/obs"
 	"accpar/internal/tensor"
 )
 
@@ -236,5 +237,32 @@ func TestPlannerMemoRace(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestEqualSiblingsSolvedOnce: the halves of a homogeneous split, which
+// pose one subproblem at α = 0.5 and whose children meet again when α is
+// a rounding step off 0.5, are solved once at any Parallelism, so an
+// uncached parallel search expands exactly the subproblems the serial
+// search does. Forking the right half would let two workers miss on the
+// same subproblem and both solve it. Run with -count=20 -cpu 4 to give a
+// scheduling-dependent count its chances.
+func TestEqualSiblingsSolvedOnce(t *testing.T) {
+	net := buildNet(t, "vgg16", 64)
+	tree := paperTree(t, 64)
+	expanded := func(par int) int64 {
+		opt := AccPar()
+		opt.Parallelism = par
+		before := obs.Default().Snapshot().Counters["core.subproblems_expanded"]
+		if _, err := PartitionCtx(context.Background(), net, tree, opt); err != nil {
+			t.Fatal(err)
+		}
+		return obs.Default().Snapshot().Counters["core.subproblems_expanded"] - before
+	}
+	want := expanded(1)
+	for i := 0; i < 10; i++ {
+		if got := expanded(4); got != want {
+			t.Fatalf("search %d at Parallelism 4 expanded %d subproblems, serial %d", i, got, want)
+		}
 	}
 }

@@ -23,8 +23,8 @@ import (
 type planner struct {
 	net   *dnn.Network
 	units []dnn.WeightedLayer
-	// rootDims are the network's unscaled per-unit dims, shared by every
-	// plan root (plan nodes never write their Dims).
+	// rootDims are the network's unscaled per-unit dims, the dims of
+	// every plan root.
 	rootDims []tensor.LayerDims
 	segs     []segRef
 	planSegs []segRef
@@ -127,7 +127,7 @@ func (p *planner) init(ctx context.Context) {
 		p.rootDims[i] = u.Dims
 	}
 	if p.memo == nil {
-		p.memo = newPlanMemo()
+		p.memo = &planMemo{}
 	}
 	p.sem = parallel.NewSem(opt.Parallelism)
 	p.levels = &sync.Pool{New: func() any {
@@ -206,23 +206,23 @@ func (p *planner) partitionKeyed(node *hardware.Tree, dims []tensor.LayerDims, k
 }
 
 // partitionChild handles the child node of a split at (dims, types,
-// ratio): it keys the child's scaled dims on the fly (childKey) and
-// materializes them only on a memo miss.
-func (p *planner) partitionChild(node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, ratio float64) (*PlanNode, error) {
+// ratio), whose subproblem key (childKey) the caller already has: it
+// materializes the child's scaled dims only on a memo miss, and only for
+// as long as the miss takes to solve.
+func (p *planner) partitionChild(node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, ratio float64, key subKey) (*PlanNode, error) {
 	if err := p.checkCtx(); err != nil {
 		return nil, err
 	}
-	key := p.childKey(node, dims, types, ratio)
 	if n, ok := p.lookup(node, key); ok {
 		return n, nil
 	}
-	return p.solve(node, scaleUnitDims(p.units, dims, types, ratio), key)
+	return p.solve(node, ScaleUnitDims(p.units, dims, types, ratio), key)
 }
 
 // lookup serves a subproblem from the memo. A hit links the stored node
-// itself — solved nodes are read-only and shared between every plan and
-// parent that reaches them — relabeled only when it was solved at a
-// different depth (atLevel), since digests are level-independent.
+// itself — solved nodes are read-only, position-free (neither depth nor
+// dims is stored), and shared between every plan and parent that
+// reaches them, at any depth.
 //
 // The entry's previous epoch classifies the hit. On a batch call, an
 // entry last solved or served under another candidate's epoch amortized
@@ -247,7 +247,7 @@ func (p *planner) lookup(node *hardware.Tree, key subKey) (*PlanNode, bool) {
 	}
 	p.noteHit()
 	p.auditHit(node, key, provenance)
-	return atLevel(cached, node.Level), true
+	return cached, true
 }
 
 // solve answers a memo miss and stores the solution, recording the
@@ -403,14 +403,12 @@ func (p *planner) assembleSplit(node *hardware.Tree, dims []tensor.LayerDims, si
 		return nil, err
 	}
 	return &PlanNode{
-		Level:     node.Level,
 		GroupDesc: node.Group.String(),
 		Alpha:     alpha,
 		Types:     types,
 		Eval:      ev,
 		SideI:     sideI,
 		SideJ:     sideJ,
-		Dims:      dims,
 		Left:      left,
 		Right:     right,
 	}, nil
@@ -422,8 +420,18 @@ func (p *planner) assembleSplit(node *hardware.Tree, dims []tensor.LayerDims, si
 // subproblems are pure functions of (subtree, dims), so the fork changes
 // wall-clock only, never results; on a double failure the left child's
 // error wins so error reporting matches the serial order.
+//
+// Children on identical hardware (the halves of a homogeneous split) are
+// never forked. At α = 0.5 they are one subproblem; at a ratio a rounding
+// step off 0.5 their dims differ only where an odd extent rounds up on
+// one side and down on the other, and their own children meet again one
+// level down. Solving left then right makes the right child and every
+// such cousin an ordinary memo hit, exactly as in a serial search,
+// instead of a second worker solving it again.
 func (p *planner) partitionChildren(node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, alpha float64) (left, right *PlanNode, err error) {
-	if p.sem.TryAcquire() {
+	lkey := p.childKey(node.Left, dims, types, alpha)
+	rkey := p.childKey(node.Right, dims, types, 1-alpha)
+	if node.Left.Identity().Digest != node.Right.Identity().Digest && p.sem.TryAcquire() {
 		obsForks.Inc()
 		var wg sync.WaitGroup
 		var rerr error
@@ -431,10 +439,10 @@ func (p *planner) partitionChildren(node *hardware.Tree, dims []tensor.LayerDims
 		go func() {
 			defer wg.Done()
 			defer p.sem.Release()
-			right, rerr = p.partitionChild(node.Right, dims, types, 1-alpha)
+			right, rerr = p.partitionChild(node.Right, dims, types, 1-alpha, rkey)
 		}()
 		var lerr error
-		left, lerr = p.partitionChild(node.Left, dims, types, alpha)
+		left, lerr = p.partitionChild(node.Left, dims, types, alpha, lkey)
 		wg.Wait()
 		if lerr != nil {
 			return nil, nil, lerr
@@ -444,22 +452,27 @@ func (p *planner) partitionChildren(node *hardware.Tree, dims []tensor.LayerDims
 		}
 		return left, right, nil
 	}
-	left, err = p.partitionChild(node.Left, dims, types, alpha)
+	left, err = p.partitionChild(node.Left, dims, types, alpha, lkey)
 	if err != nil {
 		return nil, nil, err
 	}
-	right, err = p.partitionChild(node.Right, dims, types, 1-alpha)
+	right, err = p.partitionChild(node.Right, dims, types, 1-alpha, rkey)
 	if err != nil {
 		return nil, nil, err
 	}
 	return left, right, nil
 }
 
-// scaleUnitDims scales each unit's dims by its partitioned dimension for
-// one child of a split. Virtual junction units represent an identity over
-// one tensor, so a channel partition (Type-II or Type-III) scales both Di
-// and Do to keep the identity consistent.
-func scaleUnitDims(units []dnn.WeightedLayer, dims []tensor.LayerDims, types []cost.Type, ratio float64) []tensor.LayerDims {
+// ScaleUnitDims returns the effective per-unit dims of one child of a
+// split at dims under the split's types, where ratio is the child's share
+// (a PlanNode's Alpha for the left child, 1 - Alpha for the right): each
+// unit's partitioned dimension (Table 3) is scaled by ratio. Virtual
+// junction units represent an identity over one tensor, so a channel
+// partition (Type-II or Type-III) scales both Di and Do to keep the
+// identity consistent. Plan nodes store no dims; a reader walking a plan
+// from its root, whose dims are the units' own, derives every node's dims
+// with this function, exactly as the search did.
+func ScaleUnitDims(units []dnn.WeightedLayer, dims []tensor.LayerDims, types []cost.Type, ratio float64) []tensor.LayerDims {
 	out := make([]tensor.LayerDims, len(dims))
 	for i, d := range dims {
 		out[i] = scaleUnit(units[i].Virtual, d, types[i], ratio)
@@ -468,7 +481,7 @@ func scaleUnitDims(units []dnn.WeightedLayer, dims []tensor.LayerDims, types []c
 }
 
 // scaleUnit scales one unit's dims for a child of a split under type t;
-// scaleUnitDims and childKey share it, so a key hashed on the fly always
+// ScaleUnitDims and childKey share it, so a key hashed on the fly always
 // names the dims a miss materializes.
 func scaleUnit(virtual bool, d tensor.LayerDims, t cost.Type, ratio float64) tensor.LayerDims {
 	if virtual && t != cost.TypeI {
@@ -535,9 +548,7 @@ func leafNode(node *hardware.Tree, units []dnn.WeightedLayer, dims []tensor.Laye
 		return nil, err
 	}
 	return &PlanNode{
-		Level:              node.Level,
 		GroupDesc:          node.Group.String(),
-		Dims:               dims,
 		LeafComputeTime:    flops / node.Group.ComputeDensity(),
 		LeafMemTime:        memBytes / node.Group.MemBandwidth(),
 		LeafCommTime:       fallback,

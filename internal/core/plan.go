@@ -7,7 +7,6 @@ import (
 
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
-	"accpar/internal/tensor"
 )
 
 // PlanNode is the partitioning decision at one node of the hardware
@@ -17,13 +16,18 @@ import (
 //
 // A PlanNode is read-only once built. The planner links a solved subtree
 // wherever its subproblem recurs — into both children of a symmetric
-// split, into later plans served from a memo or SharedCache — so one
-// node may sit under several parents and in several plans at once.
-// Consumers must not write to a node, and must not tell positions apart
-// by node pointer.
+// split, into later plans served from a memo or SharedCache, at any
+// depth — so one node may sit under several parents and in several plans
+// at once. Consumers must not write to a node, and must not tell
+// positions apart by node pointer.
+//
+// A node is position-free: it stores neither its depth nor the effective
+// per-unit dims it was solved at, both of which depend on where it hangs.
+// A reader walking from the plan root derives them: the root is level 1
+// and sees the units' own dims, and a child is one level deeper and sees
+// ScaleUnitDims of its parent's dims by the parent's Types and Alpha (the
+// left child) or 1 - Alpha (the right child).
 type PlanNode struct {
-	// Level is the hierarchy level (root = 1).
-	Level int
 	// GroupDesc describes the accelerator group this node covers.
 	GroupDesc string
 	// Alpha is the partitioning ratio given to the left child
@@ -37,8 +41,6 @@ type PlanNode struct {
 	// SideI and SideJ are the two child groups' cost-model resources at
 	// this split (non-leaf nodes), retained for plan explanation.
 	SideI, SideJ Side
-	// Dims are the effective per-unit dims seen at this node.
-	Dims []tensor.LayerDims
 	// Left and Right are the child plans (nil on leaves).
 	Left, Right *PlanNode
 	// LeafComputeTime is the computation time of the leaf accelerator on
@@ -116,7 +118,7 @@ func (p *Plan) CommBytes() float64 { return p.Root.CommBytes() }
 // Levels returns the plan nodes along the leftmost spine, one per hierarchy
 // level with a split decision — the view Figure 7 of the paper presents
 // (homogeneous lower levels are symmetric between siblings, so the leftmost
-// spine is representative).
+// spine is representative). Levels()[i] is the split at level i+1.
 func (p *Plan) Levels() []*PlanNode {
 	return p.Spine(false)
 }
@@ -142,10 +144,8 @@ func (p *Plan) Spine(right bool) []*PlanNode {
 // TypesAtLevel returns the per-unit types decided at the given hierarchy
 // level (1-based) along the leftmost spine.
 func (p *Plan) TypesAtLevel(level int) ([]cost.Type, error) {
-	for _, n := range p.Levels() {
-		if n.Level == level {
-			return n.Types, nil
-		}
+	if spine := p.Levels(); level >= 1 && level <= len(spine) {
+		return spine[level-1].Types, nil
 	}
 	return nil, fmt.Errorf("core: no split at level %d", level)
 }
@@ -164,8 +164,8 @@ func (p *Plan) TypeMap() string {
 		fmt.Fprintf(&b, "%-6s", u.Name)
 	}
 	b.WriteString("\n")
-	for _, n := range p.Levels() {
-		fmt.Fprintf(&b, "%-8d", n.Level)
+	for i, n := range p.Levels() {
+		fmt.Fprintf(&b, "%-8d", i+1)
 		for i, u := range units {
 			if u.Virtual {
 				continue
@@ -202,7 +202,7 @@ func (p *Plan) TypeHistogram() map[cost.Type]int {
 // Validate checks structural consistency of the plan tree, reporting the
 // first defect as an *InvalidPlanError.
 func (p *Plan) Validate() error {
-	return validateTree(p.Root, unitCount(p.Network))
+	return validateTree(p.Root, 1, unitCount(p.Network))
 }
 
 // InvalidPlanError reports a plan node no search could have produced: a
@@ -222,41 +222,38 @@ func (e *InvalidPlanError) Error() string {
 	return fmt.Sprintf("core: invalid plan node: %s", e.Detail)
 }
 
-// invalidNode reports a defect of node n as an *InvalidPlanError.
-func invalidNode(n *PlanNode, format string, args ...any) error {
-	return &InvalidPlanError{Level: n.Level, Detail: fmt.Sprintf(format, args...)}
+// invalidNode reports a defect of the node at the given level as an
+// *InvalidPlanError.
+func invalidNode(level int, format string, args ...any) error {
+	return &InvalidPlanError{Level: level, Detail: fmt.Sprintf(format, args...)}
 }
 
-// validateTree checks the structural invariants of a plan subtree over
-// nUnits units: no nil children or half-leaves, one dims entry per unit
-// at every node, non-negative leaf times, and one type per unit and an
-// in-range ratio at every split.
-func validateTree(n *PlanNode, nUnits int) error {
+// validateTree checks the structural invariants of a plan subtree at
+// level over nUnits units: no nil children or half-leaves, non-negative
+// leaf times, and one type per unit and an in-range ratio at every split.
+func validateTree(n *PlanNode, level, nUnits int) error {
 	if n == nil {
 		return &InvalidPlanError{Detail: "nil plan node"}
 	}
-	if len(n.Dims) != nUnits {
-		return invalidNode(n, "%d unit dims, want %d", len(n.Dims), nUnits)
-	}
 	if n.IsLeaf() {
 		if n.Right != nil {
-			return invalidNode(n, "half-leaf node")
+			return invalidNode(level, "half-leaf node")
 		}
 		if n.LeafComputeTime < 0 || n.LeafMemTime < 0 {
-			return invalidNode(n, "negative leaf time")
+			return invalidNode(level, "negative leaf time")
 		}
 		return nil
 	}
 	if len(n.Types) != nUnits {
-		return invalidNode(n, "%d types, want %d", len(n.Types), nUnits)
+		return invalidNode(level, "%d types, want %d", len(n.Types), nUnits)
 	}
 	if n.Alpha < cost.MinRatio || n.Alpha > 1-cost.MinRatio {
-		return invalidNode(n, "alpha %g out of range", n.Alpha)
+		return invalidNode(level, "alpha %g out of range", n.Alpha)
 	}
-	if err := validateTree(n.Left, nUnits); err != nil {
+	if err := validateTree(n.Left, level+1, nUnits); err != nil {
 		return err
 	}
-	return validateTree(n.Right, nUnits)
+	return validateTree(n.Right, level+1, nUnits)
 }
 
 // unitCount is len(net.Units()) without materializing the unit list.

@@ -71,23 +71,21 @@ func (p *planner) staleNode(node *hardware.Tree, old *PlanNode, dims []tensor.La
 	types := old.Types
 	ev := p.evalSplit(dims, sideI, sideJ, types, alpha)
 
-	left, err := p.staleNode(node.Left, old.Left, scaleUnitDims(p.units, dims, types, alpha))
+	left, err := p.staleNode(node.Left, old.Left, ScaleUnitDims(p.units, dims, types, alpha))
 	if err != nil {
 		return nil, err
 	}
-	right, err := p.staleNode(node.Right, old.Right, scaleUnitDims(p.units, dims, types, 1-alpha))
+	right, err := p.staleNode(node.Right, old.Right, ScaleUnitDims(p.units, dims, types, 1-alpha))
 	if err != nil {
 		return nil, err
 	}
 	return &PlanNode{
-		Level:     node.Level,
 		GroupDesc: node.Group.String(),
 		Alpha:     alpha,
 		Types:     types,
 		Eval:      ev,
 		SideI:     sideI,
 		SideJ:     sideJ,
-		Dims:      dims,
 		Left:      left,
 		Right:     right,
 	}, nil

@@ -436,7 +436,10 @@ func (b *builder) newTask(t task) *task {
 
 // phaseWork sums a trace phase's arithmetic and local traffic.
 func phaseWork(tr *trace.Trace, p cost.Phase) (flops, localBytes, remoteBytes float64) {
-	for _, r := range tr.PhaseRecords(p) {
+	for _, r := range tr.Records {
+		if r.Phase != p {
+			continue
+		}
 		switch r.Op {
 		case trace.OpMult, trace.OpAdd:
 			flops += float64(r.Elements())

@@ -58,6 +58,10 @@ func (a Assignment) Validate() error {
 	return nil
 }
 
+// recordsPerTrace is the most records Generate emits for one assignment
+// (18 for every type), so a trace is built in one allocation.
+const recordsPerTrace = 18
+
 // Generate derives the full training-iteration trace (forward, backward,
 // gradient) of one accelerator under the assignment. Feature-map and error
 // tensors are traced element-wise (granule 1); kernels kernel-wise (granule
@@ -77,10 +81,10 @@ func Generate(a Assignment) (*Trace, error) {
 	b, di, do := int64(d.B), int64(d.Di), int64(d.Do)
 	share := int64(a.Share)
 
-	tr := &Trace{}
 	if share == 0 {
-		return tr, nil
+		return &Trace{}, nil
 	}
+	tr := &Trace{Records: make([]Record, 0, recordsPerTrace)}
 
 	switch a.Type {
 	case cost.TypeI:
