@@ -327,7 +327,7 @@ func ParseStrategy(name string) (Strategy, error) { return core.ParseStrategy(na
 // loses to any baseline (the hierarchical search is greedy per level, so a
 // single pass lacks that guarantee).
 func Partition(net *Network, arr *Array, strategy Strategy) (*Plan, error) {
-	return partitionCachedCtx(context.Background(), net, arr, strategy, nil)
+	return partitionCachedCtx(context.Background(), net, arr, strategy, nil, nil)
 }
 
 // PartitionCtx is Partition bound to a context: the search polls ctx and
@@ -335,13 +335,16 @@ func Partition(net *Network, arr *Array, strategy Strategy) (*Plan, error) {
 // completion. For a live context the plan is byte-identical to
 // Partition's.
 func PartitionCtx(ctx context.Context, net *Network, arr *Array, strategy Strategy) (*Plan, error) {
-	return partitionCachedCtx(ctx, net, arr, strategy, nil)
+	return partitionCachedCtx(ctx, net, arr, strategy, nil, nil)
 }
 
 // partitionCachedCtx is Partition through an optional shared plan cache
-// and a context; it backs the package-level entry points and Session.
-func partitionCachedCtx(ctx context.Context, net *Network, arr *Array, strategy Strategy, cache *PlanCache) (*Plan, error) {
-	tree, err := hardware.BuildTree(arr, 64)
+// and a context; it backs the package-level entry points, Session and
+// the resilience pipeline. With a cache the tree is interned in it
+// (PlanCache.InternTree), so a recurrent array reuses a digested tree.
+// A non-nil stats accumulates what the search served and solved.
+func partitionCachedCtx(ctx context.Context, net *Network, arr *Array, strategy Strategy, cache *PlanCache, stats *ReplanStats) (*Plan, error) {
+	tree, err := cache.InternTree(arr, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +352,12 @@ func partitionCachedCtx(ctx context.Context, net *Network, arr *Array, strategy 
 	for i := range opts {
 		opts[i].Cache = cache
 	}
-	return core.PartitionCtx(ctx, net, tree, opts...)
+	if stats == nil {
+		return core.PartitionCtx(ctx, net, tree, opts...)
+	}
+	plan, st, err := core.PartitionStatsCtx(ctx, net, tree, opts...)
+	stats.Add(st)
+	return plan, err
 }
 
 // PartitionWithOptions is the advanced entry point: explicit partitioner

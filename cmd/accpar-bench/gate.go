@@ -14,8 +14,8 @@ import (
 
 // gatePrefixes selects the entries the gate compares: the planner and
 // simulator benchmarks plus the replan-after-fault paths (full search,
-// incremental, recurrent) — a regression in the engine's retained-state
-// reuse is exactly the kind of slowdown the gate exists to catch. Cache
+// incremental, recurrent) — a regression in the plan cache's reuse of
+// retained subproblems is exactly the kind of slowdown the gate exists to catch. Cache
 // cold/warm entries are excluded — their timings measure cache state,
 // not code speed, and the warm side is nanoseconds-scale noise.
 var gatePrefixes = []string{"PartitionHierarchical/", "PartitionConstrained/", "Simulate/", "ReplanAfterFault/", "DSESweep/"}

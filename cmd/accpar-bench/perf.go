@@ -50,13 +50,12 @@ type BenchReport struct {
 	// autotuning sweep.
 	SpeedupWarmTuneBatch float64 `json:"speedup_warm_tune_batch"`
 	// SpeedupReplanIncremental is replan-after-fault full ns/op over the
-	// incremental engine replan of a novel fault (engine warm on the
-	// pristine array only): the dependency-tracked memo's win when a
-	// never-seen degradation arrives.
+	// replan of a novel fault on a plan cache warm on the pristine array
+	// only: the retained memo's win when a never-seen degradation arrives.
 	SpeedupReplanIncremental float64 `json:"speedup_replan_incremental"`
 	// SpeedupReplanWarm is the same ratio against a recurrent fault (the
-	// degraded array already in the engine's working set) — the
-	// sub-millisecond fault-response path.
+	// degraded array's replan already in the cache) — the sub-millisecond
+	// fault-response path.
 	SpeedupReplanWarm float64 `json:"speedup_replan_warm"`
 	// SpeedupDSEShared is DSESweep cold ns/op over shared: the whole-sweep
 	// win of the batch engine's cross-fleet memo plus lower-bound pruning
@@ -174,11 +173,11 @@ func benchSimulate(model string, batch, perKind int) (testing.BenchmarkResult, e
 
 // benchReplanAfterFault measures the fault-response path three ways on
 // one model over the paper array: a full cold replan (fresh planner, no
-// retained state — the pre-engine baseline), an incremental replan of a
-// novel fault on an engine warm on the pristine array only (the
-// dependency-tracked memo reuses every subtree the fault left
-// untouched), and a recurrent replan of an already-seen fault (served
-// from the engine's working set — the sub-millisecond path).
+// retained state — the baseline), an incremental replan of a novel fault
+// on a plan cache warm on the pristine array only (the cache's memo
+// reuses every subtree the fault left untouched), and a recurrent replan
+// of an already-seen fault (served whole from the cache — the
+// sub-millisecond path).
 func benchReplanAfterFault(model string, batch, perKind int) (full, incremental, recurrent testing.BenchmarkResult, err error) {
 	net, err := models.BuildNetwork(model, batch)
 	if err != nil {
@@ -224,26 +223,28 @@ func benchReplanAfterFault(model string, batch, perKind int) (full, incremental,
 		return full, incremental, recurrent, benchErr
 	}
 
-	engine, err := core.NewReplanEngine(net, core.AccPar())
-	if err != nil {
+	cached := core.AccPar()
+	cached.Cache = core.NewSharedCache(0)
+	// Warm the cache on the pristine array only; each iteration then
+	// replans a degradation factor it has never seen. The count runs on
+	// across testing.Benchmark's rounds, since the cache retains every
+	// factor an earlier round replanned.
+	if _, err := core.PartitionCtx(context.Background(), net, pristine, cached); err != nil {
 		return full, incremental, recurrent, err
 	}
-	// Warm the engine on the pristine array only; each iteration then
-	// replans a degradation factor it has never seen.
-	if _, _, err := engine.PlanCtx(context.Background(), pristine); err != nil {
-		return full, incremental, recurrent, err
-	}
+	seen := 0
 	incremental = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			novel, err := degradedTree(1.5 + 0.001*float64(i%500))
+			seen++
+			novel, err := degradedTree(1.5 + 0.001*float64(seen))
 			if err != nil {
 				benchErr = err
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			if _, _, err := engine.ReplanCtx(context.Background(), pristine, novel); err != nil {
+			if _, err := core.ReplanCtx(context.Background(), net, pristine, novel, cached); err != nil {
 				benchErr = err
 				b.Fatal(err)
 			}
@@ -253,17 +254,15 @@ func benchReplanAfterFault(model string, batch, perKind int) (full, incremental,
 		return full, incremental, recurrent, benchErr
 	}
 
-	warmEngine, err := core.NewReplanEngine(net, core.AccPar())
-	if err != nil {
-		return full, incremental, recurrent, err
-	}
-	if _, _, err := warmEngine.ReplanCtx(context.Background(), pristine, degraded); err != nil {
+	warm := core.AccPar()
+	warm.Cache = core.NewSharedCache(0)
+	if _, err := core.ReplanCtx(context.Background(), net, pristine, degraded, warm); err != nil {
 		return full, incremental, recurrent, err
 	}
 	recurrent = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := warmEngine.ReplanCtx(context.Background(), pristine, degraded); err != nil {
+			if _, err := core.ReplanCtx(context.Background(), net, pristine, degraded, warm); err != nil {
 				benchErr = err
 				b.Fatal(err)
 			}
@@ -511,9 +510,9 @@ func runPerf(cfg eval.Config, jsonPath, cpuProfile, memProfile string) error {
 	}
 	report.Benchmarks = append(report.Benchmarks, entry("Simulate/vgg16", simr))
 
-	// Replan after fault: the full-search baseline vs the retained
-	// ReplanEngine, for both a never-seen degradation (incremental) and a
-	// recurrent one (warm working set).
+	// Replan after fault: the full-search baseline vs replans on a plan
+	// cache, for both a never-seen degradation (incremental) and a
+	// recurrent one (warm).
 	replanFull, replanInc, replanWarm, err := benchReplanAfterFault("resnet50", batch, perKind)
 	if err != nil {
 		return err

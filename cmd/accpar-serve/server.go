@@ -616,9 +616,9 @@ func (s *server) resilience(w http.ResponseWriter, r *http.Request) {
 		Adopted          bool      `json:"adopted"`
 		Retries          int       `json:"retries"`
 		// The incremental-replanning economics of this request's two
-		// partition searches: subproblems served from retained engine
-		// state, entries dropped by dependency invalidation, subproblems
-		// re-solved, and planning wall-clock seconds.
+		// partition searches: subproblems served from the memo or the
+		// session's plan cache, cache entries their trims evicted,
+		// subproblems re-solved, and planning wall-clock seconds.
 		ReplanIncrementalHits int64   `json:"replan_incremental_hits"`
 		ReplanInvalidated     int64   `json:"replan_invalidated"`
 		ReplanExpanded        int64   `json:"replan_expanded"`

@@ -147,8 +147,8 @@ func run(o opts) error {
 		return nil
 	}
 
-	// Planning runs through a session so -replan runs on its replan
-	// engines, where the degraded search reuses the pristine one's
+	// Planning runs through a session so -replan searches on its plan
+	// cache, where the degraded search reuses the pristine one's
 	// subtrees.
 	sess := accpar.NewSession(0)
 

@@ -48,18 +48,24 @@ func TestColdSearchAllocBudget(t *testing.T) {
 
 // replanAllocBudget bounds the allocations of one steady-state replan:
 // the nine-variant AccPar portfolio partitioning the pristine 16+16 fleet
-// (a recurrent root hit) and a never-seen degraded one, on a registry
-// whose working sets are full, so the new tree evicts one per engine.
-// Measured at 1.7k; 3.1k when every memo hit deep-copied the solved
-// subtree and every registry lookup built a throwaway engine, 4.5k with
-// per-split level contexts and heap-built memo keys, and 14.7k when
-// every eviction re-digested each engine's whole working set into a
-// per-engine index.
-const replanAllocBudget = 2_100
+// (a recurrent root hit) and a never-seen degraded one on a full shared
+// cache, so the measured replans trim it. Measured at 1.2k; 1.6k on
+// per-network replan engines that kept their own memos, each search
+// building one slice per multi-path segment path; 3.1k when every memo
+// hit deep-copied the solved subtree and every engine lookup built a
+// throwaway engine, 4.5k with per-split level contexts and heap-built
+// memo keys, and 14.7k when every eviction re-digested a whole working
+// set of trees into an index.
+const replanAllocBudget = 1_400
 
-// TestReplanSteadyStateAllocBudget fails when retention upkeep grows with
-// the working set again: a whole-index re-digest per engine, or one
-// index per variant, multiplies this figure.
+// replanBudgetCacheEntries bounds the steady-state replan's cache: the
+// warm-up overfills it, so the measured replans run on a full cache and
+// its trims.
+const replanBudgetCacheEntries = 2048
+
+// TestReplanSteadyStateAllocBudget fails when cache upkeep grows with the
+// retained state again: a per-search trim of a full cache, or a
+// whole-cache re-digest per eviction, multiplies this figure.
 func TestReplanSteadyStateAllocBudget(t *testing.T) {
 	net, err := models.BuildNetwork("inception", 64)
 	if err != nil {
@@ -67,29 +73,34 @@ func TestReplanSteadyStateAllocBudget(t *testing.T) {
 	}
 	groups := v2v3Groups(16)
 	pristine := treeFor(t, groups...)
+	cache := NewSharedCache(replanBudgetCacheEntries)
 	variants := StrategyAccPar.Variants()
 	for i := range variants {
 		variants[i].Parallelism = 1
+		variants[i].Cache = cache
 	}
-	reg := NewReplanEngines(0)
 	ctx := context.Background()
 	var planErr error
 	replan := func(degraded *hardware.Tree) {
 		for _, tree := range []*hardware.Tree{pristine, degraded} {
-			if _, _, err := reg.PartitionCtx(ctx, net, tree, variants...); err != nil {
+			if _, err := PartitionCtx(ctx, net, tree, variants...); err != nil {
 				planErr = err
 			}
 		}
 	}
-	const runs = 4
-	trees := make([]*hardware.Tree, defaultRecentTrees+runs+1)
+	const warmUp, runs = 32, 8
+	trees := make([]*hardware.Tree, warmUp+runs+1)
 	for i := range trees {
 		trees[i] = slowdownTree(t, groups, i%2, 1.1+0.05*float64(i))
 	}
-	for _, tree := range trees[:defaultRecentTrees] {
+	for _, tree := range trees[:warmUp] {
 		replan(tree)
 	}
-	next := defaultRecentTrees
+	if planErr != nil {
+		t.Fatal(planErr)
+	}
+	warm := cache.Stats()
+	next := warmUp
 	allocs := testing.AllocsPerRun(runs, func() {
 		replan(trees[next])
 		next++
@@ -97,7 +108,11 @@ func TestReplanSteadyStateAllocBudget(t *testing.T) {
 	if planErr != nil {
 		t.Fatal(planErr)
 	}
-	t.Logf("%.0f allocs per steady-state replan", allocs)
+	st := cache.Stats()
+	t.Logf("%.0f allocs per steady-state replan; %d evictions over the measured replans, %d entries", allocs, st.Evictions-warm.Evictions, st.Entries)
+	if warm.Evictions == 0 || st.Evictions == warm.Evictions {
+		t.Fatalf("cache did not trim during both warm-up and measurement: warm %+v, after %+v", warm, st)
+	}
 	if allocs > replanAllocBudget {
 		t.Errorf("steady-state replan of inception/64 on 16+16 boards: %.0f allocs, budget %d", allocs, replanAllocBudget)
 	}
@@ -105,11 +120,12 @@ func TestReplanSteadyStateAllocBudget(t *testing.T) {
 
 // warmHitAllocBudget bounds the allocations of one search answered whole
 // by a warm SharedCache: ResNet-50 (batch 512) on 64+64 boards, whose
-// root subproblem is a cache hit. Measured at 72 (the search runs on the
-// cache's own memo); 95 when it built a per-search memo and a string key
-// for a separate cache, 350 when every hit deep-copied the cached plan
-// of 255 nodes.
-const warmHitAllocBudget = 72
+// root subproblem is a cache hit. Measured at 12 (the search runs on the
+// cache's own memo, and its segment index shares two backing arrays);
+// 72 with one slice per multi-path segment path, 95 when it built a
+// per-search memo and a string key for a separate cache, 350 when every
+// hit deep-copied the cached plan of 255 nodes.
+const warmHitAllocBudget = 16
 
 // TestWarmHitAllocBudget fails when a cache hit copies the cached
 // subtree again instead of linking the shared, read-only node.

@@ -189,3 +189,33 @@ func TestAuditRejectShowsCapacityFloorPrune(t *testing.T) {
 		t.Errorf("error carries residency %d ≤ capacity %d", nfe.ResidencyBytes, nfe.CapacityBytes)
 	}
 }
+
+// TestAuditParallelismStable: the search audit explains a plan from the
+// captured artifact alone only if the artifact does not depend on
+// scheduling. The -explain-search document of ResNet-50 (batch 512) on
+// 32+32 boards must be byte-identical at Parallelism 1, 2 and 8. CI runs
+// it under -race with -count=10 -cpu 4, so worker interleavings vary.
+func TestAuditParallelismStable(t *testing.T) {
+	net := buildNet(t, "resnet50", 512)
+	tree := paperTree(t, 32)
+	var want []byte
+	for _, workers := range []int{1, 2, 8} {
+		opt := AccPar()
+		opt.Parallelism = workers
+		opt.Audit = NewAuditRecorder()
+		if _, err := PartitionCtx(context.Background(), net, tree, opt); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := opt.Audit.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = buf.Bytes()
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("audit at Parallelism %d differs from the serial audit (%d vs %d bytes)", workers, buf.Len(), len(want))
+		}
+	}
+}

@@ -22,13 +22,13 @@ import (
 // fleet, and each fleet's pristine subtrees untouched by a modelled
 // fault, recur across the whole candidate grid.
 //
-// Unlike ReplanEngine, which serves a long-lived process and therefore
+// Unlike a SharedCache, which serves a long-lived process and therefore
 // caps its retained state, a BatchEngine retains everything for the
-// duration of one sweep and is discarded with it. Every subproblem is
-// pure, so plans are byte-identical to a standalone PartitionCtx run
-// with the same options — caching and concurrency change wall-clock
-// only, never decisions — and the engine is safe for concurrent PlanCtx
-// calls across a worker pool.
+// duration of one sweep and is discarded with it; Options.Cache is
+// ignored. Every subproblem is pure, so plans are byte-identical to a
+// standalone PartitionCtx run with the same options — caching and
+// concurrency change wall-clock only, never decisions — and the engine
+// is safe for concurrent PlanCtx calls across a worker pool.
 type BatchEngine struct {
 	base  *planner
 	bound boundModel
@@ -40,6 +40,7 @@ type BatchEngine struct {
 
 // NewBatchEngine builds a batch engine for one option set.
 func NewBatchEngine(net *dnn.Network, opt Options) (*BatchEngine, error) {
+	opt.Cache = nil
 	p, err := newPlanner(context.Background(), net, opt)
 	if err != nil {
 		return nil, err
@@ -53,7 +54,7 @@ func NewBatchEngine(net *dnn.Network, opt Options) (*BatchEngine, error) {
 // forCandidate rebinds the retained planner to one candidate evaluation:
 // fresh epoch, per-call context, batch hit accounting.
 func (e *BatchEngine) forCandidate(ctx context.Context) *planner {
-	pc := e.base.forCall(ctx, e.epoch.Add(1), nil)
+	pc := e.base.forCall(ctx, e.epoch.Add(1))
 	pc.batch = true
 	return pc
 }

@@ -1,31 +1,31 @@
 package core
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"accpar/internal/dnn"
+	"accpar/internal/hardware"
 	"accpar/internal/obs"
+	"accpar/internal/wordhash"
 )
 
-// This file connects one-shot searches to the cross-run plan cache. A
+// This file connects searches to the cross-run plan cache. A
 // SharedCache is a set of planMemos (memo.go) retained across searches,
 // one per search fingerprint: everything fixed for one planner — the
 // network's unit/segment structure and every Options field that can
 // change a decision (the Fixed assignment function is fingerprinted by
 // its observable behaviour: its result on each unit). Within that memo a
 // solved subproblem is keyed, as in any planner, by its hardware subtree
-// and effective per-unit dims. A search with Options.Cache set plans on
-// its fingerprint's memo directly, so every solved subproblem is stored
-// once, in one place.
+// and effective per-unit dims. A search or replan with Options.Cache set
+// plans on its fingerprint's memo directly, so every solved subproblem is
+// stored once, in one place: a replan's pristine plan, its memoized stale
+// re-costings and the untouched subtrees of its degraded hierarchy are
+// entries of the same memo the one-shot searches fill.
 //
-// Only one-shot searches (PartitionCtx) attach a cache: a ReplanEngine's
-// or BatchEngine's retained memo is that engine's one store, and
-// mirroring its work here would only churn the cache with subproblems of
-// hardware that rarely recurs.
+// Only BatchEngine keeps a memo of its own: it retains everything for
+// the duration of one sweep and is discarded with it.
 //
 // Parallelism is deliberately absent from the fingerprint: plans are
 // byte-identical across worker counts (TestParallelismEquivalence), so a
@@ -37,19 +37,18 @@ import (
 const defaultCacheCapacity = 1 << 16
 
 // SharedCache is a concurrency-safe, bounded, in-memory cache of solved
-// hierarchical subproblems, shared across one-shot searches — PartitionCtx,
-// the AccPar portfolio, Compare, evaluation sweeps and autotuning — over
-// any mix of networks, hardware trees and options. Replanning never
-// touches it: replan engines keep their own dependency-tracked memo.
+// hierarchical subproblems, shared across searches — PartitionCtx, the
+// AccPar portfolio, Compare, evaluation sweeps, autotuning and ReplanCtx
+// — over any mix of networks, hardware trees and options.
 //
 // Every attached search draws a fresh epoch from the cache and stamps
 // the entries it stores or serves with it, so an entry's epoch says which
 // search used it last. A hit on an entry stamped by another search is a
 // cache hit; a hit on one this search stamped is an ordinary memo hit.
-// The capacity bounds the whole cache: after a search, while the cache
-// holds more entries than that, the entries of the oldest epochs go
-// first, so the searches least recently served lose their subproblems
-// first.
+// The capacity bounds the whole cache: after a search that leaves it
+// holding more entries than that, the entries of the oldest epochs go
+// first, down to three quarters of the capacity, so the searches least
+// recently served lose their subproblems first.
 //
 // A resident solution is a read-only PlanNode subtree shared by every
 // plan that reached it: a hit links the stored node into the new plan,
@@ -63,6 +62,10 @@ type SharedCache struct {
 
 	mu    sync.Mutex
 	memos map[[16]byte]*planMemo
+	// trees interns hardware trees by content (InternTree); treeMRU
+	// orders their keys most recently used first.
+	trees   map[[16]byte]*hardware.Tree
+	treeMRU [][16]byte
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -97,7 +100,7 @@ func NewSharedCache(capacity int) *SharedCache {
 	if capacity <= 0 {
 		capacity = defaultCacheCapacity
 	}
-	return &SharedCache{capacity: capacity, memos: make(map[[16]byte]*planMemo)}
+	return &SharedCache{capacity: capacity, memos: make(map[[16]byte]*planMemo), trees: make(map[[16]byte]*hardware.Tree)}
 }
 
 // Stats returns the cache's hit/miss/eviction counters.
@@ -144,18 +147,24 @@ func (c *SharedCache) attach(fp [16]byte) (*planMemo, int64) {
 	return m, c.epoch.Add(1)
 }
 
-// trim enforces the capacity bound after a search: it evicts the entries
-// of the oldest epochs until at most capacity remain, and drops memos left
-// empty. A search still running on a dropped memo stays correct — content
-// addressing means an evicted entry can only be missed and re-solved,
-// never wrongly hit — and its later entries simply leave with it.
-func (c *SharedCache) trim() {
+// trim enforces the capacity bound after a search and returns the number
+// of entries it evicted. Once the cache holds more than capacity entries,
+// it evicts the entries of the oldest epochs until at most three quarters
+// of capacity remain, and drops memos left empty. Trimming below the
+// bound leaves room for the next searches, so the scan and sort run once
+// per quarter of capacity filled rather than after every search of a
+// full cache. A search still running on a dropped memo stays correct —
+// content addressing means an evicted entry can only be missed and
+// re-solved, never wrongly hit — and its later entries simply leave with
+// it.
+func (c *SharedCache) trim() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := c.lenLocked()
 	if total <= c.capacity {
-		return
+		return 0
 	}
+	target := c.capacity * 3 / 4
 	counts := make(map[int64]int)
 	for _, m := range c.memos {
 		m.epochCounts(counts)
@@ -167,7 +176,7 @@ func (c *SharedCache) trim() {
 	slices.Sort(epochs)
 	var cutoff int64
 	for _, ep := range epochs {
-		if total <= c.capacity {
+		if total <= target {
 			break
 		}
 		total -= counts[ep]
@@ -183,6 +192,74 @@ func (c *SharedCache) trim() {
 	c.evictions.Add(evicted)
 	obsCacheEvictions.Add(evicted)
 	obs.Log().Info("plancache.evict", "evicted", evicted, "total_evictions", c.evictions.Load())
+	return evicted
+}
+
+// treeInternCap bounds the trees a cache interns: enough for a pristine
+// fleet plus a working set of recurrent degradations.
+const treeInternCap = 64
+
+// InternTree returns a hardware tree for the array, reusing the cache's
+// retained tree when one with identical content (same ordered spec list,
+// same level budget) exists; a nil cache builds a fresh tree. Servers
+// rebuild the array object on every request; without interning each
+// request pays for building a fresh tree and digesting its whole
+// hierarchy (O(fleet) hashing, hardware.Tree.Identity) before a single
+// cached entry can be consulted. With it, a recurrent request presents a
+// tree whose identity is already cached, one O(array) fingerprint away.
+// Interning never changes plans — trees with equal content plan
+// identically — it only makes the recurrent case cheap.
+func (c *SharedCache) InternTree(arr *hardware.Array, maxLevels int) (*hardware.Tree, error) {
+	if c == nil {
+		return hardware.BuildTree(arr, maxLevels)
+	}
+	key := arrayKey(arr, maxLevels)
+	c.mu.Lock()
+	if t, ok := c.trees[key]; ok {
+		c.treeTouch(key)
+		c.mu.Unlock()
+		return t, nil
+	}
+	c.mu.Unlock()
+	// Build outside the lock; a racing builder of the same content loses
+	// to whichever registered first, keeping the pointer stable.
+	t, err := hardware.BuildTree(arr, maxLevels)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if existing, ok := c.trees[key]; ok {
+		c.treeTouch(key)
+		return existing, nil
+	}
+	c.trees[key] = t
+	c.treeMRU = append([][16]byte{key}, c.treeMRU...)
+	for len(c.treeMRU) > treeInternCap {
+		last := c.treeMRU[len(c.treeMRU)-1]
+		c.treeMRU = c.treeMRU[:len(c.treeMRU)-1]
+		delete(c.trees, last)
+	}
+	return t, nil
+}
+
+// treeTouch moves key to the front of treeMRU. Caller holds c.mu.
+func (c *SharedCache) treeTouch(key [16]byte) {
+	i := slices.Index(c.treeMRU, key)
+	copy(c.treeMRU[1:i+1], c.treeMRU[:i])
+	c.treeMRU[0] = key
+}
+
+// arrayKey fingerprints an array's content plus the tree level budget.
+func arrayKey(arr *hardware.Array, maxLevels int) [16]byte {
+	h := wordhash.New()
+	h.Word(uint64(maxLevels))
+	h.String(arr.Name)
+	h.Word(uint64(len(arr.Accel)))
+	for _, s := range arr.Accel {
+		h.Word(s.Fingerprint())
+	}
+	return h.Sum()
 }
 
 // searchFingerprint hashes everything that is fixed across one planner's
@@ -190,16 +267,9 @@ func (c *SharedCache) trim() {
 // structure and the decision-relevant options. Subproblem keys (subtree,
 // dims) are only unique within one fingerprint.
 func searchFingerprint(units []dnn.WeightedLayer, segs, planSegs []segRef, opt Options) [16]byte {
-	h := fnv.New128a()
-	var buf [8]byte
-	wInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	wStr := func(s string) {
-		wInt(int64(len(s)))
-		h.Write([]byte(s))
-	}
+	h := wordhash.New()
+	wInt := func(v int64) { h.Word(uint64(v)) }
+	wStr := h.String
 
 	// Network structure: per-unit identity (dims travel in the subproblem
 	// key) and the series-parallel segment shape, both as searched and as
@@ -273,7 +343,5 @@ func searchFingerprint(units []dnn.WeightedLayer, segs, planSegs []segRef, opt O
 			}
 		}
 	}
-	var fp [16]byte
-	h.Sum(fp[:0])
-	return fp
+	return h.Sum()
 }

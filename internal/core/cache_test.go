@@ -125,12 +125,12 @@ func TestCacheOptionIsolation(t *testing.T) {
 	}
 }
 
-// TestCacheUntouchedByReplan: replanning runs on a ReplanEngine whose
-// memo is its only store, so a Replan handed a shared cache must neither
-// consult nor fill it — and still report exactly what an uncached Replan
-// reports — while a one-shot Partition through the same cache still
-// fills it and then hits it.
-func TestCacheUntouchedByReplan(t *testing.T) {
+// TestReplanSharesCache: a replan handed a shared cache plans on it.
+// It reports exactly what an uncached replan reports, fills the cache,
+// and a second replan of the same fault is served whole from it; a
+// one-shot Partition of the pristine hierarchy through the same cache is
+// then a cache hit, and a replan after it finds the pristine plan there.
+func TestReplanSharesCache(t *testing.T) {
 	net := buildNet(t, "alexnet", 64)
 	groups := v2v3Groups(4)
 	pristine := treeFor(t, groups...)
@@ -154,33 +154,67 @@ func TestCacheUntouchedByReplan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
-		if rep.Adopted != ref.Adopted {
-			t.Errorf("pass %d: adoption %v, reference %v", pass, rep.Adopted, ref.Adopted)
+		assertReportsEqual(t, fmt.Sprintf("pass %d", pass), rep, ref)
+		if pass == 0 && cache.Len() == 0 {
+			t.Error("replan left the shared cache empty")
 		}
-		for _, pair := range []struct {
-			name     string
-			got, ref *Plan
-		}{
-			{"fault-free", rep.FaultFree, ref.FaultFree},
-			{"stale", rep.Stale, ref.Stale},
-			{"fresh", rep.Fresh, ref.Fresh},
-		} {
-			if !bytes.Equal(planJSON(t, pair.got), planJSON(t, pair.ref)) {
-				t.Errorf("pass %d: %s plan differs from uncached reference", pass, pair.name)
-			}
+		if pass == 1 && rep.Stats.Expanded != 0 {
+			t.Errorf("second replan of the same fault expanded %d subproblems, want 0", rep.Stats.Expanded)
 		}
-	}
-	if st := cache.Stats(); st.Hits+st.Misses != 0 || st.Entries != 0 {
-		t.Errorf("Replan used the shared cache: %+v", st)
 	}
 
-	for pass := 0; pass < 2; pass++ {
-		if _, err := PartitionCtx(context.Background(), net, pristine, opt); err != nil {
-			t.Fatal(err)
-		}
+	before := cache.Stats()
+	if _, err := PartitionCtx(context.Background(), net, pristine, opt); err != nil {
+		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Entries == 0 || st.Hits == 0 {
-		t.Errorf("Partition through the same cache should fill it, then hit it: %+v", st)
+	if st := cache.Stats(); st.Hits == before.Hits || st.Misses != before.Misses {
+		t.Errorf("Partition of the replanned pristine tree should be a cache hit: before %+v, after %+v", before, st)
+	}
+
+	// A fresh cache warmed by a one-shot Partition hands the replan its
+	// pristine plan.
+	warm := NewSharedCache(0)
+	opt.Cache = warm
+	if _, err := PartitionCtx(context.Background(), net, pristine, opt); err != nil {
+		t.Fatal(err)
+	}
+	before = warm.Stats()
+	rep, err := ReplanCtx(context.Background(), net, pristine, degraded, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertReportsEqual(t, "after Partition", rep, ref)
+	if st := warm.Stats(); st.Hits == before.Hits {
+		t.Errorf("replan after Partition found nothing in the cache: %+v", st)
+	}
+}
+
+// TestCacheTrimsToThreeQuarters: once a search overflows the capacity,
+// the trim evicts down to three quarters of it, not just to the bound,
+// so the next searches run without another trim.
+func TestCacheTrimsToThreeQuarters(t *testing.T) {
+	net := buildNet(t, "vgg16", 64)
+	tree := paperTree(t, 4)
+	variants := []Options{AccPar(), DataParallel(), OWT(), HyPar()}
+	probe := NewSharedCache(0)
+	for _, opt := range variants {
+		opt.Parallelism = 1
+		opt.Cache = probe
+		mustPartition(t, net, tree, opt)
+	}
+	capacity := probe.Len() - 1
+	cache := NewSharedCache(capacity)
+	for _, opt := range variants {
+		opt.Parallelism = 1
+		opt.Cache = cache
+		mustPartition(t, net, tree, opt)
+	}
+	st := cache.Stats()
+	if st.Evictions == 0 {
+		t.Fatalf("working set of %d entries on a %d-entry cache evicted nothing: %+v", probe.Len(), capacity, st)
+	}
+	if limit := capacity * 3 / 4; st.Entries > limit {
+		t.Errorf("after a trim the cache holds %d entries, want at most %d (3/4 of %d)", st.Entries, limit, capacity)
 	}
 }
 

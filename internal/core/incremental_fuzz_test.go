@@ -32,12 +32,14 @@ func decodeFaults(data []byte) []faults.Fault {
 	return out
 }
 
-// FuzzReplanEngine drives one retained ReplanEngine through fuzzed fault
-// scenarios on the 4+4 TPU-v2/v3 fleet. The decoded specs build growing
-// compound scenarios (the first spec, the first two, all three); the
-// engine replans each twice, round-robin, and every report must be
-// byte-identical to the cold reference. The second sight of a scenario
-// must be served from the memo without expanding a single subproblem.
+// FuzzReplanEngine drives replans through fuzzed fault scenarios on the
+// 4+4 TPU-v2/v3 fleet, on two shared caches: a default-sized one that
+// retains everything and one so small that every call evicts. The
+// decoded specs build growing compound scenarios (the first spec, the
+// first two, all three); each cache replans each twice, round-robin, and
+// every report must be byte-identical to the cold reference. On the
+// large cache, the second sight of a scenario must be served from the
+// memo without expanding a single subproblem.
 func FuzzReplanEngine(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 32})                        // lenet, slowdown:0=2
 	f.Add([]byte{1, 4, 1, 1, 0, 1, 96})               // alexnet, loss:1=0.5 then slowdown:1=4
@@ -59,10 +61,6 @@ func FuzzReplanEngine(f *testing.F) {
 		groups := v2v3Groups(4)
 		pristine := treeFor(t, groups...)
 		opt := AccPar()
-		e, err := NewReplanEngine(net, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
 		trees := make([]*hardware.Tree, len(fs))
 		refs := make([]*ReplanReport, len(fs))
 		for i := range fs {
@@ -73,16 +71,25 @@ func FuzzReplanEngine(f *testing.F) {
 			trees[i] = degradedTreeFor(t, groups, sc)
 			refs[i] = coldReplanReference(t, net, pristine, trees[i], opt)
 		}
+		large, small := NewSharedCache(0), NewSharedCache(8)
 		for round := 0; round < 2; round++ {
 			for i := range trees {
-				rep, st, err := e.ReplanCtx(context.Background(), pristine, trees[i])
-				if err != nil {
-					t.Fatalf("round %d scenario %d: %v", round, i, err)
-				}
 				label := fmt.Sprintf("%s round %d scenario %d", model, round, i)
+				rep, err := cachedReplan(context.Background(), net, pristine, trees[i], opt, large)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
 				assertReportsEqual(t, label, rep, refs[i])
-				if round > 0 && st.Expanded != 0 {
-					t.Errorf("%s: recurrent scenario expanded %d subproblems, want 0", label, st.Expanded)
+				if round > 0 && rep.Stats.Expanded != 0 {
+					t.Errorf("%s: recurrent scenario expanded %d subproblems, want 0", label, rep.Stats.Expanded)
+				}
+				rep, err = cachedReplan(context.Background(), net, pristine, trees[i], opt, small)
+				if err != nil {
+					t.Fatalf("%s on the small cache: %v", label, err)
+				}
+				assertReportsEqual(t, label+" on the small cache", rep, refs[i])
+				if n := small.Len(); n > 8 {
+					t.Errorf("%s: small cache holds %d entries, capacity 8", label, n)
 				}
 			}
 		}

@@ -107,11 +107,17 @@ func assertReportsEqual(t *testing.T, label string, got, want *ReplanReport) {
 	}
 }
 
-// TestReplanEngineByteIdentical: across seeded fault scenarios, an
-// engine accumulating retained state produces replans byte-identical to
+// cachedReplan is ReplanCtx on cache with the given options.
+func cachedReplan(ctx context.Context, net *dnn.Network, pristine, degraded *hardware.Tree, opt Options, cache *SharedCache) (*ReplanReport, error) {
+	opt.Cache = cache
+	return ReplanCtx(ctx, net, pristine, degraded, opt)
+}
+
+// TestReplanEngineByteIdentical: across seeded fault scenarios, replans
+// on a shared cache accumulating retained state are byte-identical to
 // cold full searches — on first sight of each scenario (incremental
 // against pristine-only state), on second sight (retained-plan and
-// stale-memo hits), and after the whole matrix has churned the memo.
+// stale-memo hits), and after the whole matrix has filled the cache.
 func TestReplanEngineByteIdentical(t *testing.T) {
 	net, err := models.BuildNetwork("alexnet", 64)
 	if err != nil {
@@ -120,10 +126,7 @@ func TestReplanEngineByteIdentical(t *testing.T) {
 	groups := v2v3Groups(8)
 	pristine := treeFor(t, groups...)
 	opt := AccPar()
-	e, err := NewReplanEngine(net, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := NewSharedCache(0)
 	scenarios := faultScenarios(t)
 	refs := make([]*ReplanReport, len(scenarios))
 	trees := make([]*hardware.Tree, len(scenarios))
@@ -133,16 +136,16 @@ func TestReplanEngineByteIdentical(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ {
 		for i := range scenarios {
-			rep, st, err := e.ReplanCtx(context.Background(), pristine, trees[i])
+			rep, err := cachedReplan(context.Background(), net, pristine, trees[i], opt, cache)
 			if err != nil {
 				t.Fatalf("round %d scenario %d: %v", round, i, err)
 			}
 			label := fmt.Sprintf("round %d scenario %d", round, i)
 			assertReportsEqual(t, label, rep, refs[i])
-			if round > 0 && st.Expanded != 0 {
-				t.Errorf("%s: recurrent scenario expanded %d subproblems, want 0", label, st.Expanded)
+			if round > 0 && rep.Stats.Expanded != 0 {
+				t.Errorf("%s: recurrent scenario expanded %d subproblems, want 0", label, rep.Stats.Expanded)
 			}
-			if round > 0 && st.IncrementalHits == 0 {
+			if round > 0 && rep.Stats.IncrementalHits == 0 {
 				t.Errorf("%s: recurrent scenario reported no incremental hits", label)
 			}
 		}
@@ -150,10 +153,11 @@ func TestReplanEngineByteIdentical(t *testing.T) {
 }
 
 // TestReplanEngineInvalidation: churning more distinct degraded trees
-// than the working set holds triggers dependency invalidation (reported
-// via stats and the core.replan_invalidated counter), and replans stay
+// through a cache than its capacity holds evicts entries (reported via
+// Stats.Invalidated, which sums to the cache's eviction count), keeps
+// the cache within its bound after every call, and replans stay
 // byte-identical throughout — including for a scenario whose entries
-// were invalidated and must re-solve.
+// were evicted and must re-solve.
 func TestReplanEngineInvalidation(t *testing.T) {
 	net, err := models.BuildNetwork("lenet", 16)
 	if err != nil {
@@ -161,15 +165,19 @@ func TestReplanEngineInvalidation(t *testing.T) {
 	}
 	groups := v2v3Groups(4)
 	pristine := treeFor(t, groups...)
-	e, err := NewReplanEngine(net, AccPar())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.recentCap = 4 // shrink the working set so churn forces eviction
 	sc0 := faults.Scenario{Seed: 1, Faults: []faults.Fault{{Kind: faults.KindSlowdown, Group: 1, Factor: 2}}}
 	tree0 := degradedTreeFor(t, groups, sc0)
 	ref0 := coldReplanReference(t, net, pristine, tree0, AccPar())
-	rep, _, err := e.ReplanCtx(context.Background(), pristine, tree0)
+
+	// Size the cache to one replan's working set, so every further
+	// distinct fault overflows it.
+	probe := NewSharedCache(0)
+	if _, err := cachedReplan(context.Background(), net, pristine, tree0, AccPar(), probe); err != nil {
+		t.Fatal(err)
+	}
+	capacity := probe.Len()
+	cache := NewSharedCache(capacity)
+	rep, err := cachedReplan(context.Background(), net, pristine, tree0, AccPar(), cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,28 +190,37 @@ func TestReplanEngineInvalidation(t *testing.T) {
 		}}
 		tree := degradedTreeFor(t, groups, sc)
 		ref := coldReplanReference(t, net, pristine, tree, AccPar())
-		rep, st, err := e.ReplanCtx(context.Background(), pristine, tree)
+		rep, err := cachedReplan(context.Background(), net, pristine, tree, AccPar(), cache)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertReportsEqual(t, fmt.Sprintf("churn %d", i), rep, ref)
-		invalidated += st.Invalidated
+		invalidated += rep.Stats.Invalidated
+		if n := cache.Len(); n > capacity {
+			t.Errorf("churn %d: cache holds %d entries, capacity %d", i, n, capacity)
+		}
 	}
 	if invalidated == 0 {
-		t.Error("churn past the working-set capacity invalidated nothing")
+		t.Error("churn past the cache capacity evicted nothing")
+	}
+	if ev := cache.Stats().Evictions; ev != invalidated {
+		t.Errorf("replans reported %d invalidated entries, cache evicted %d", invalidated, ev)
 	}
 	// sc0's entries were churned out; the replan must silently re-solve.
-	rep, _, err = e.ReplanCtx(context.Background(), pristine, tree0)
+	rep, err = cachedReplan(context.Background(), net, pristine, tree0, AccPar(), cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertReportsEqual(t, "after churn", rep, ref0)
+	if rep.Stats.Expanded == 0 {
+		t.Error("replan of a churned-out scenario expanded nothing; its entries were not evicted")
+	}
 }
 
-// TestReplanEngineCancelConsistency: aborted incremental replans report
-// the typed sentinel, publish no report, and never leave
-// partially-invalidated or partially-solved state — a subsequent live
-// call is byte-identical to the cold reference.
+// TestReplanEngineCancelConsistency: aborted replans on a shared cache
+// report the typed sentinel, publish no report, and never leave
+// partially-solved state — a subsequent live call is byte-identical to
+// the cold reference.
 func TestReplanEngineCancelConsistency(t *testing.T) {
 	net, err := models.BuildNetwork("alexnet", 64)
 	if err != nil {
@@ -215,43 +232,43 @@ func TestReplanEngineCancelConsistency(t *testing.T) {
 	degraded := degradedTreeFor(t, groups, sc)
 	ref := coldReplanReference(t, net, pristine, degraded, AccPar())
 
-	e, err := NewReplanEngine(net, AccPar())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := NewSharedCache(0)
 	// Pre-canceled context: aborts at the first probe.
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := e.ReplanCtx(canceled, pristine, degraded); !errors.Is(err, ErrCanceled) {
+	if _, err := cachedReplan(canceled, net, pristine, degraded, AccPar(), cache); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled replan: got %v, want ErrCanceled", err)
 	}
 	// Mid-flight deadlines at increasing budgets abort at interior probes.
 	for _, budget := range []time.Duration{50 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond} {
 		ctx, cancel := context.WithTimeout(context.Background(), budget)
-		_, _, err := e.ReplanCtx(ctx, pristine, degraded)
+		_, err := cachedReplan(ctx, net, pristine, degraded, AccPar(), cache)
 		cancel()
 		if err != nil && !errors.Is(err, ErrDeadlineExceeded) {
 			t.Fatalf("deadline %v: got %v, want nil or ErrDeadlineExceeded", budget, err)
 		}
 	}
 	// Whatever the aborted calls left behind, a live call matches cold.
-	rep, _, err := e.ReplanCtx(context.Background(), pristine, degraded)
+	rep, err := cachedReplan(context.Background(), net, pristine, degraded, AccPar(), cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertReportsEqual(t, "after aborts", rep, ref)
 	// And recurrent replans (served from retained state) still match.
-	rep, _, err = e.ReplanCtx(context.Background(), pristine, degraded)
+	rep, err = cachedReplan(context.Background(), net, pristine, degraded, AccPar(), cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertReportsEqual(t, "retained after aborts", rep, ref)
 }
 
-// TestReplanEnginesRegistry: the registry hands back the same engine for
-// content-equal (network, options) pairs across distinct network
-// objects, bounds resident engines, and its portfolio partition is
-// byte-identical to the one-shot portfolio.
+// TestReplanEnginesRegistry: the cache keys retained work by content.
+// Content-equal (network, options) pairs from distinct network objects
+// share one fingerprint memo, so the second network's replan of the same
+// fault expands nothing, while a different batch does not; content-equal
+// arrays intern to one tree per level budget; many option sets on a
+// small cache stay within its bound; and the portfolio through the cache
+// is byte-identical to the one-shot portfolio.
 func TestReplanEnginesRegistry(t *testing.T) {
 	netA, err := models.BuildNetwork("lenet", 16)
 	if err != nil {
@@ -261,52 +278,89 @@ func TestReplanEnginesRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewReplanEngines(4)
-	e1, err := reg.Engine(netA, AccPar())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := reg.Engine(netB, AccPar())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e1 != e2 {
-		t.Error("content-equal networks resolved to distinct engines")
-	}
 	netC, err := models.BuildNetwork("lenet", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e3, err := reg.Engine(netC, AccPar())
+	groups := v2v3Groups(4)
+	pristine := treeFor(t, groups...)
+	degraded := slowdownTree(t, groups, 0, 2)
+	ctx := context.Background()
+	cache := NewSharedCache(0)
+	if _, err := cachedReplan(ctx, netA, pristine, degraded, AccPar(), cache); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := cachedReplan(ctx, netB, pristine, degraded, AccPar(), cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e3 == e1 {
-		t.Error("different batch resolved to the same engine")
+	if rep.Stats.Expanded != 0 {
+		t.Errorf("content-equal network expanded %d subproblems, want 0", rep.Stats.Expanded)
 	}
+	if rep, err = cachedReplan(ctx, netC, pristine, degraded, AccPar(), cache); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.Expanded == 0 {
+		t.Error("different batch was served from the first network's entries")
+	}
+
+	arr := func() *hardware.Array {
+		a, err := hardware.NewHeterogeneous(groups...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	t1, err := cache.InternTree(arr(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := cache.InternTree(arr(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t3, err := cache.InternTree(arr(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if t1 != t2 {
+		t.Error("content-equal arrays interned to distinct trees")
+	}
+	if t3 == t1 {
+		t.Error("different level budget interned to the same tree")
+	}
+
+	const capacity = 64
+	small := NewSharedCache(capacity)
 	for i := 0; i < 8; i++ {
 		opt := AccPar()
 		opt.MaxRatioIters = 4 + i
-		if _, err := reg.Engine(netA, opt); err != nil {
+		if _, err := cachedReplan(ctx, netA, pristine, degraded, opt, small); err != nil {
 			t.Fatal(err)
 		}
+		if n := small.Len(); n > capacity {
+			t.Errorf("option set %d: cache holds %d entries, capacity %d", i, n, capacity)
+		}
 	}
-	if n := reg.Len(); n > 4 {
-		t.Errorf("registry holds %d engines, capacity 4", n)
+	if small.Stats().Evictions == 0 {
+		t.Error("eight option sets on a 64-entry cache evicted nothing")
 	}
 
-	tree := treeFor(t, v2v3Groups(4)...)
-	want, err := PartitionCtx(context.Background(), netA, tree, StrategyAccPar.Variants()...)
+	want, err := PartitionCtx(ctx, netA, pristine, StrategyAccPar.Variants()...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	variants := StrategyAccPar.Variants()
+	for i := range variants {
+		variants[i].Cache = small
+	}
 	for round := 0; round < 2; round++ {
-		got, _, err := reg.PartitionCtx(context.Background(), netA, tree, StrategyAccPar.Variants()...)
+		got, err := PartitionCtx(ctx, netA, pristine, variants...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(planJSON(t, got), planJSON(t, want)) {
-			t.Errorf("round %d: registry portfolio plan diverged from one-shot portfolio", round)
+			t.Errorf("round %d: cached portfolio plan diverged from one-shot portfolio", round)
 		}
 	}
 }

@@ -30,9 +30,20 @@ type segRef struct {
 	paths [][]int // unit indices per path (parallel regions only)
 }
 
-// indexSegments resolves net.Segments against the Units() ordering.
+// indexSegments resolves net.Segments against the Units() ordering. Every
+// search builds it, so the paths share two backing arrays instead of
+// allocating one slice per path.
 func indexSegments(net *dnn.Network) []segRef {
-	var refs []segRef
+	paths, pathUnits := 0, 0
+	for _, s := range net.Segments {
+		paths += len(s.Paths)
+		for _, p := range s.Paths {
+			pathUnits += len(p)
+		}
+	}
+	lists := make([][]int, paths)
+	idxs := make([]int, pathUnits)
+	refs := make([]segRef, 0, len(net.Segments))
 	idx := 0
 	for _, s := range net.Segments {
 		if s.Unit != nil {
@@ -40,14 +51,16 @@ func indexSegments(net *dnn.Network) []segRef {
 			idx++
 			continue
 		}
-		r := segRef{unit: -1}
-		for _, p := range s.Paths {
-			path := make([]int, len(p))
-			for i := range p {
+		r := segRef{unit: -1, paths: lists[:len(s.Paths):len(s.Paths)]}
+		lists = lists[len(s.Paths):]
+		for j, p := range s.Paths {
+			path := idxs[:len(p):len(p)]
+			idxs = idxs[len(p):]
+			for i := range path {
 				path[i] = idx
 				idx++
 			}
-			r.paths = append(r.paths, path)
+			r.paths[j] = path
 		}
 		refs = append(refs, r)
 	}

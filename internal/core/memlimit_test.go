@@ -276,8 +276,8 @@ func TestMinResidencyBytes(t *testing.T) {
 }
 
 // TestPortfolioToleratesInfeasibleVariants: every portfolio path —
-// PartitionCtx, BatchSet.PlanBestCtx and ReplanEngines.PartitionCtx —
-// skips variants that cannot fit, returns the same fitting winner, and
+// PartitionCtx, BatchSet.PlanBestCtx and PartitionCtx on a shared cache,
+// cold and warm — skips variants that cannot fit, returns the same fitting winner, and
 // propagates the typed error only when every variant is infeasible.
 func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
 	net := buildNet(t, "alexnet", 128)
@@ -320,12 +320,19 @@ func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
 	if !bytes.Equal(planJSON(t, batch), want) {
 		t.Error("batch portfolio winner differs from PartitionCtx")
 	}
-	engines, _, err := NewReplanEngines(0).PartitionCtx(context.Background(), net, tree, variants...)
-	if err != nil {
-		t.Fatalf("engine portfolio with feasible variants: %v", err)
+	cached := append([]Options(nil), variants...)
+	cache := NewSharedCache(0)
+	for i := range cached {
+		cached[i].Cache = cache
 	}
-	if !bytes.Equal(planJSON(t, engines), want) {
-		t.Error("engine portfolio winner differs from PartitionCtx")
+	for pass := 0; pass < 2; pass++ {
+		got, err := PartitionCtx(context.Background(), net, tree, cached...)
+		if err != nil {
+			t.Fatalf("cached portfolio pass %d with feasible variants: %v", pass, err)
+		}
+		if !bytes.Equal(planJSON(t, got), want) {
+			t.Errorf("cached portfolio pass %d winner differs from PartitionCtx", pass)
+		}
 	}
 
 	// At an impossible capacity every variant fails and the sentinel

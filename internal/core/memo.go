@@ -22,17 +22,13 @@ import (
 // α = 0.5 hands both children identical (subtree, dims) subproblems, so a
 // depth-h homogeneous hierarchy costs O(h) DP runs instead of O(2^h).
 //
-// Each entry additionally records its dependency set — the distinct
-// hardware-spec fingerprints of the subtree it was solved against — and
-// the epoch (engine call or cached search) it was last served in. A memo
-// that dies with one search never reads either; a memo retained across
-// faults by a ReplanEngine uses the dependency sets to invalidate exactly
-// the entries whose hardware has left the fleet, and the epochs to bound
-// the entries kept for hardware that is still present but whose dims no
-// future search will ask for. A SharedCache bounds its memos by epoch
-// alone. Invalidation is a liveness policy, never a
-// correctness mechanism: content addressing already guarantees a stale
-// entry can only be missed, not wrongly hit.
+// Each entry also records the epoch (one search or replan call) that
+// last served it. A memo that dies with one search never reads it; a
+// SharedCache, which retains one memo per search fingerprint across
+// searches and replans, evicts the entries of the oldest epochs first.
+// Eviction is a liveness policy, never a correctness mechanism: content
+// addressing already guarantees an entry can only be missed, never
+// wrongly hit.
 //
 // The memo is sharded to keep concurrent planner workers from serializing
 // on one lock. A shard's map is made by the first put that lands in it, so
@@ -63,12 +59,8 @@ type memoKey struct {
 
 type memoEntry struct {
 	node *PlanNode
-	// deps holds the sorted distinct spec fingerprints of the hardware
-	// subtree this solution depends on (shared with the tree's cached
-	// Identity — read only).
-	deps []uint64
-	// epoch is the engine call or cached search that last hit or stored
-	// the entry.
+	// epoch is the search or replan call that last hit or stored the
+	// entry.
 	epoch atomic.Int64
 }
 
@@ -100,8 +92,8 @@ func (p *planMemo) get(key memoKey, epoch int64) (node *PlanNode, prev int64, ok
 	return e.node, prev, true
 }
 
-func (p *planMemo) put(key memoKey, n *PlanNode, deps []uint64, epoch int64) {
-	e := &memoEntry{node: n, deps: deps}
+func (p *planMemo) put(key memoKey, n *PlanNode, epoch int64) {
+	e := &memoEntry{node: n}
 	e.epoch.Store(epoch)
 	s := p.shard(key)
 	s.mu.Lock()
@@ -120,38 +112,8 @@ func (p *planMemo) len() int {
 	return int(p.count.Load())
 }
 
-// invalidate removes every entry depending on a spec fingerprint in gone
-// and returns the number removed. This is the dependency walk of
-// incremental replanning: after a Degrade/DegradeGroups the fingerprints
-// of the touched group change, so once the degraded hardware leaves the
-// working set precisely the subproblems whose hardware subtree contained
-// that group fall out, and everything else stays resident for the next
-// search.
-func (p *planMemo) invalidate(gone map[uint64]bool) int {
-	removed := 0
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		for k, e := range s.m {
-			for _, fp := range e.deps {
-				if gone[fp] {
-					delete(s.m, k)
-					removed++
-					break
-				}
-			}
-		}
-		s.mu.Unlock()
-	}
-	p.count.Add(int64(-removed))
-	return removed
-}
-
 // evictBefore removes entries whose last-served epoch predates cutoff
-// and returns the number removed — a ReplanEngine's size backstop for
-// entries whose hardware is still reachable but whose dims (a one-off
-// fault ratio's scaling chain) no future search will ask for, and a
-// SharedCache's capacity bound.
+// and returns the number removed: the SharedCache's capacity bound.
 func (p *planMemo) evictBefore(cutoff int64) int {
 	removed := 0
 	for i := range p.shards {

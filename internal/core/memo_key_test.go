@@ -89,20 +89,20 @@ func TestChildKeyMatchesScaledDims(t *testing.T) {
 	}
 }
 
-// TestStaleKeysDisjoint: a replan engine memoizes stale re-costings next
-// to plain subproblems in one memo. Every stale entry must carry a
-// pristine subtree digest in its stale half, so no stale key can equal a
-// plain one.
+// TestStaleKeysDisjoint: a replan memoizes stale re-costings next to
+// plain subproblems in one memo, the cache's memo for its fingerprint.
+// Every stale entry must carry a pristine subtree digest in its stale
+// half, so no stale key can equal a plain one.
 func TestStaleKeysDisjoint(t *testing.T) {
 	net := buildNet(t, "resnet18", 64)
-	e, err := NewReplanEngine(net, AccPar())
-	if err != nil {
-		t.Fatal(err)
-	}
 	groups := v2v3Groups(8)
 	pristine := treeFor(t, groups...)
-	if _, _, err := e.ReplanCtx(context.Background(), pristine, slowdownTree(t, groups, 0, 2)); err != nil {
+	cache := NewSharedCache(0)
+	if _, err := cachedReplan(context.Background(), net, pristine, slowdownTree(t, groups, 0, 2), AccPar(), cache); err != nil {
 		t.Fatal(err)
+	}
+	if len(cache.memos) != 1 {
+		t.Fatalf("one replan left %d memos in the cache, want 1", len(cache.memos))
 	}
 	digests := map[[16]byte]bool{}
 	var walk func(n *hardware.Tree)
@@ -117,8 +117,12 @@ func TestStaleKeysDisjoint(t *testing.T) {
 	walk(pristine)
 	plain := map[memoKey]bool{}
 	var stale []memoKey
-	for i := range e.base.memo.shards {
-		for k := range e.base.memo.shards[i].m {
+	var memo *planMemo
+	for _, m := range cache.memos {
+		memo = m
+	}
+	for i := range memo.shards {
+		for k := range memo.shards[i].m {
 			if k.stale == ([16]byte{}) {
 				plain[k] = true
 			} else {

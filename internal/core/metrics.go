@@ -26,19 +26,16 @@ var (
 	obsBisectIters = obs.NewCounter("core.bisection_iterations")
 	// obsForks counts child subproblems forked onto pooled workers.
 	obsForks = obs.NewCounter("core.parallel_forks")
-	// obsReplanHits counts subproblems an engine-driven incremental
-	// replan served from retained state instead of re-solving: hits on
-	// the engine's memo (plain subproblems, a recurrent tree's root and
-	// memoized stale re-costings alike), plus stale subtrees linked from
-	// the pristine plan.
+	// obsReplanHits counts subproblems a replan (ReplanCtx, or a
+	// resilience search through PartitionStatsCtx) served from the memo
+	// instead of re-solving: plain subproblems, a recurrent tree's root and
+	// memoized stale re-costings alike, plus stale subtrees linked from the
+	// pristine plan. Entries those calls evict are counted by
+	// plancache.evictions.
 	obsReplanHits = obs.NewCounter("core.replan_incremental_hits")
-	// obsReplanInvalidated counts retained memo entries dropped by
-	// dependency invalidation after degraded hardware left the recent
-	// working set, plus epoch-backstop evictions.
-	obsReplanInvalidated = obs.NewCounter("core.replan_invalidated")
 	// obsReplanTimer is the replan-latency histogram (p50/p95/p99 via the
-	// log2-bucketed obs.Timer): one observation per ReplanEngine.ReplanCtx
-	// and per resilience degraded-replanning phase.
+	// log2-bucketed obs.Timer): one observation per ReplanCtx and per
+	// resilience degraded-replanning phase.
 	obsReplanTimer = obs.NewTimer("core.replan.seconds")
 	// obsCrossFleetHits counts batch-engine memo hits on entries last
 	// touched while planning a *different* candidate fleet — the work a

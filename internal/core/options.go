@@ -128,17 +128,16 @@ type Options struct {
 	// first at every split, so plans are byte-identical to MemoryOff
 	// whenever the constraint is inactive or non-binding.
 	MemoryLimit MemoryMode
-	// Cache, when non-nil, is the cross-run subproblem cache a one-shot
-	// search (PartitionCtx and the sweep entry points built on it) runs
-	// on: the search reads and stores its subproblems in the cache's memo
-	// for its fingerprint instead of a memo of its own.
-	// Retained and derived searches ignore it: ReplanEngine, ReplanEngines,
-	// ReplanCtx, BatchEngine and StalePlan keep their own memo as their only
-	// store. Plans are byte-identical with the cache disabled, cold or
-	// warm — caching changes wall-clock only, never decisions — which the
-	// cache equivalence tests enforce. Cache is identity, not
-	// configuration: it never influences results, so it takes no part in
-	// the search fingerprint.
+	// Cache, when non-nil, is the cross-run subproblem cache a search
+	// runs on: PartitionCtx (and the sweep entry points built on it),
+	// ReplanCtx and StalePlan read and store their subproblems in the
+	// cache's memo for their fingerprint instead of a memo of their own,
+	// and trim the cache to its bound when they finish. Only BatchEngine,
+	// whose memo lives for one sweep, ignores it. Plans are byte-identical
+	// with the cache disabled, cold or warm — caching changes wall-clock
+	// only, never decisions — which the cache equivalence tests enforce.
+	// Cache is identity, not configuration: it never influences results,
+	// so it takes no part in the search fingerprint.
 	Cache *SharedCache
 	// Audit, when non-nil, records every subproblem decision the search
 	// makes — candidates, costs, winners, prune reasons, memo provenance —

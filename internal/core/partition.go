@@ -36,8 +36,7 @@ type planner struct {
 	// allocating them; forCall copies share it.
 	levels *sync.Pool
 	// cache is the cross-run cache (Options.Cache) whose memo this
-	// planner searches on, attached by PartitionCtx only: retained
-	// engines keep their own memo as their one store.
+	// planner searches on; nil when the planner has a private memo.
 	cache *SharedCache
 	// ctx aborts the search; done caches its Done channel so the
 	// per-subproblem cancellation probe (checkCtx) is one nil comparison
@@ -45,11 +44,10 @@ type planner struct {
 	ctx  context.Context
 	done <-chan struct{}
 	// epoch and rs are per-call bookkeeping. epoch stamps memo entries:
-	// forCall sets it when an engine drives the search (the retention
-	// backstop's clock) and partitionOne when a cache is attached (the
-	// eviction clock); it is zero for an uncached one-shot search. rs,
-	// set only by a ReplanEngine, collects the call's incremental-hit and
-	// expansion counts.
+	// newPlanner takes it from an attached cache (the eviction clock) and
+	// a BatchEngine sets one per candidate; it is zero for an uncached
+	// search. rs, set by ReplanCtx and PartitionStatsCtx, collects the
+	// call's hit, expansion and eviction counts.
 	epoch int64
 	rs    *replanStats
 	// batch marks a call driven by a BatchEngine, whose per-candidate
@@ -59,11 +57,11 @@ type planner struct {
 }
 
 // forCall returns a shallow copy of the planner rebound to one engine
-// call: same memo, semaphore and level pool — the retained state
-// incremental replanning exists for — but a per-call context, epoch and
-// stats collector. The copy is what lets one retained planner serve
-// concurrent calls with different deadlines.
-func (p *planner) forCall(ctx context.Context, epoch int64, rs *replanStats) *planner {
+// call: same memo, semaphore and level pool — the retained state a batch
+// engine exists for — but a per-call context and epoch. The copy is what
+// lets one retained planner serve concurrent calls with different
+// deadlines.
+func (p *planner) forCall(ctx context.Context, epoch int64) *planner {
 	pc := *p
 	pc.ctx = ctx
 	pc.done = nil
@@ -71,12 +69,11 @@ func (p *planner) forCall(ctx context.Context, epoch int64, rs *replanStats) *pl
 		pc.done = ctx.Done()
 	}
 	pc.epoch = epoch
-	pc.rs = rs
 	return &pc
 }
 
-// noteHit records an incremental replan hit when an engine drives the
-// search; one-shot searches skip the replan counters.
+// noteHit records a replan hit when the call collects stats; other
+// searches skip the replan counters.
 func (p *planner) noteHit() {
 	if p.rs != nil {
 		p.rs.hits.Add(1)
@@ -84,22 +81,11 @@ func (p *planner) noteHit() {
 	}
 }
 
-// newPlanner validates the inputs and builds the shared search state.
+// newPlanner validates the inputs and builds the search state. With
+// opt.Cache set the planner searches on the cache's memo for its search
+// fingerprint under a fresh epoch, and the caller ends the search with
+// release; otherwise it gets a private memo.
 func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, error) {
-	p, err := plannerShape(net, opt)
-	if err != nil {
-		return nil, err
-	}
-	p.init(ctx)
-	return p, nil
-}
-
-// plannerShape validates the inputs and returns a planner holding only
-// what identifies its search — the network, its units and segment
-// structures, and the defaulted options — without the memo, level pool
-// and semaphore a search runs on (init adds those). ReplanEngines keys
-// engines by it, so a registry hit builds nothing more.
-func plannerShape(net *dnn.Network, opt Options) (*planner, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -107,6 +93,7 @@ func plannerShape(net *dnn.Network, opt Options) (*planner, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
+	units := net.Units()
 	segs := indexSegments(net)
 	planSegs := segs
 	if opt.Linearize {
@@ -116,17 +103,15 @@ func plannerShape(net *dnn.Network, opt Options) (*planner, error) {
 		// so type vectors index both structures identically.
 		planSegs = indexSegments(net.Linearize())
 	}
-	return &planner{net: net, units: net.Units(), segs: segs, planSegs: planSegs, opt: opt}, nil
-}
-
-// init gives a planner from plannerShape its search state.
-func (p *planner) init(ctx context.Context) {
-	units, segs, planSegs, opt := p.units, p.segs, p.planSegs, p.opt
+	p := &planner{net: net, units: units, segs: segs, planSegs: planSegs, opt: opt}
 	p.rootDims = make([]tensor.LayerDims, len(units))
 	for i, u := range units {
 		p.rootDims[i] = u.Dims
 	}
-	if p.memo == nil {
+	if opt.Cache != nil {
+		p.cache = opt.Cache
+		p.memo, p.epoch = opt.Cache.attach(searchFingerprint(units, segs, planSegs, opt))
+	} else {
 		p.memo = &planMemo{}
 	}
 	p.sem = parallel.NewSem(opt.Parallelism)
@@ -137,6 +122,19 @@ func (p *planner) init(ctx context.Context) {
 	if ctx != nil {
 		p.done = ctx.Done()
 	}
+	return p, nil
+}
+
+// release ends a search on an attached cache: it trims the cache to its
+// bound and counts the evicted entries as the call's invalidations.
+func (p *planner) release() {
+	if p.cache == nil {
+		return
+	}
+	n := p.cache.trim()
+	if p.rs != nil {
+		p.rs.invalidated.Add(n)
+	}
 }
 
 // plan runs the hierarchical partitioning over one hardware tree.
@@ -144,9 +142,8 @@ func (p *planner) plan(tree *hardware.Tree) (*Plan, error) {
 	return p.planKeyed(tree, p.subproblemKey(tree, p.rootDims))
 }
 
-// planKeyed is plan with the root subproblem key already in hand; a
-// ReplanEngine keeps it per admitted tree, so a recurrent tree costs one
-// memo lookup and no dims hashing.
+// planKeyed is plan with the root subproblem key already in hand;
+// ReplanCtx hashes the degraded root once for its stale and fresh passes.
 func (p *planner) planKeyed(tree *hardware.Tree, key subKey) (*Plan, error) {
 	sp := obs.StartSpanCtx(p.ctx, "planner", "plan")
 	defer sp.End()
@@ -165,20 +162,15 @@ func (p *planner) planKeyed(tree *hardware.Tree, key subKey) (*Plan, error) {
 }
 
 // partitionOne is PartitionCtx's single search: one option set, one
-// planner. With opt.Cache set, the planner searches on the cache's memo
-// for its fingerprint under a fresh epoch, and the cache is trimmed to
-// its bound afterwards.
-func partitionOne(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opt Options) (*Plan, error) {
-	p, err := plannerShape(net, opt)
+// planner, trimming the cache (opt.Cache) to its bound afterwards. rs,
+// when set, collects the search's stats.
+func partitionOne(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opt Options, rs *replanStats) (*Plan, error) {
+	p, err := newPlanner(ctx, net, opt)
 	if err != nil {
 		return nil, err
 	}
-	if opt.Cache != nil {
-		p.cache = opt.Cache
-		p.memo, p.epoch = opt.Cache.attach(searchFingerprint(p.units, p.segs, p.planSegs, p.opt))
-		defer opt.Cache.trim()
-	}
-	p.init(ctx)
+	p.rs = rs
+	defer p.release()
 	return p.plan(tree)
 }
 
@@ -250,10 +242,9 @@ func (p *planner) lookup(node *hardware.Tree, key subKey) (*PlanNode, bool) {
 	return cached, true
 }
 
-// solve answers a memo miss and stores the solution, recording the
-// subtree's spec-fingerprint set as the entry's dependencies. The stored
-// node is read-only from here on: later hits, in this search or (through
-// the SharedCache) in others, link it rather than copy it.
+// solve answers a memo miss and stores the solution. The stored node is
+// read-only from here on: later hits, in this search or (through the
+// SharedCache) in others, link it rather than copy it.
 func (p *planner) solve(node *hardware.Tree, dims []tensor.LayerDims, key subKey) (*PlanNode, error) {
 	n, err := p.computeNode(node, dims, key)
 	if err != nil {
@@ -261,7 +252,7 @@ func (p *planner) solve(node *hardware.Tree, dims []tensor.LayerDims, key subKey
 		// usually carry tree-specific context (degenerate specs).
 		return nil, err
 	}
-	p.memo.put(memoKey{sub: key}, n, node.Identity().Specs, p.epoch)
+	p.memo.put(memoKey{sub: key}, n, p.epoch)
 	return n, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
@@ -137,11 +138,27 @@ func (s Strategy) Variants() []Options {
 // aborted search never publishes partial results — neither into its plan
 // nor into the shared cache (Options.Cache).
 func PartitionCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, error) {
+	return partition(ctx, net, tree, nil, opts)
+}
+
+// PartitionStatsCtx is PartitionCtx that also reports, summed over every
+// option set, how many subproblems the search served from the memo (or
+// the cache), how many it solved, and how many entries its cache trims
+// evicted. The resilience pipeline reports its two searches this way.
+func PartitionStatsCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, ReplanStats, error) {
+	start := time.Now()
+	rs := &replanStats{}
+	plan, err := partition(ctx, net, tree, rs, opts)
+	return plan, rs.snapshot(time.Since(start)), err
+}
+
+// partition is PartitionCtx with an optional stats collector.
+func partition(ctx context.Context, net *dnn.Network, tree *hardware.Tree, rs *replanStats, opts []Options) (*Plan, error) {
 	switch len(opts) {
 	case 0:
 		return nil, fmt.Errorf("core: PartitionCtx needs at least one option set")
 	case 1:
-		return partitionOne(ctx, net, tree, opts[0])
+		return partitionOne(ctx, net, tree, opts[0], rs)
 	}
 	// When the caller attached an audit recorder, each variant searches
 	// into a private recorder and only the winner's decisions are adopted
@@ -166,7 +183,7 @@ func PartitionCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, op
 		}
 	}
 	best, idx, err := bestOf(ctx, len(opts), portfolioWorkers(opts), func(i int) (*Plan, error) {
-		return partitionOne(ctx, net, tree, opts[i])
+		return partitionOne(ctx, net, tree, opts[i], rs)
 	})
 	if callerAudit == nil {
 		return best, err

@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
 	"accpar/internal/hardware"
+	"accpar/internal/obs"
+	"accpar/internal/parallel"
 	"accpar/internal/tensor"
 )
 
@@ -24,6 +27,7 @@ func StalePlan(net *dnn.Network, plan *Plan, tree *hardware.Tree, opt Options) (
 	if err != nil {
 		return nil, err
 	}
+	defer p.release()
 	return p.stalePlan(plan, tree)
 }
 
@@ -109,8 +113,8 @@ type ReplanReport struct {
 	Fresh *Plan
 	// Adopted reports whether the fresh plan improved on the stale one.
 	Adopted bool
-	// Stats reports how much of the replan was served incrementally from
-	// retained state versus re-solved; see ReplanStats.
+	// Stats reports how much of the replan was served from the memo
+	// versus re-solved; see ReplanStats.
 	Stats ReplanStats
 }
 
@@ -130,19 +134,83 @@ func (r *ReplanReport) Recovery() float64 {
 // (recomputing nothing — the stale view), partition the degraded
 // hierarchy from scratch (recomputing types and α against the post-fault
 // specs), and adopt whichever of the two post-fault plans is faster.
+//
 // One planner serves all three passes, so the memo carries every subtree
 // the degradation did not touch from the pristine partition straight into
 // the degraded one, and the stale and fresh passes run concurrently when
-// Options.Parallelism permits. All three passes poll ctx and the pipeline
-// aborts with ErrCanceled or ErrDeadlineExceeded without publishing a
-// report. It runs through a one-shot ReplanEngine, so its mechanics —
-// including the stale pass's untouched-subtree reuse — are exactly the
-// incremental path's, just without retained state from earlier calls.
+// Options.Parallelism permits. With Options.Cache set the memo is the
+// cache's memo for the search fingerprint, so earlier searches and
+// replans serve the pristine plan, recurrent degraded subtrees and
+// memoized stale re-costings, and the cache is trimmed to its bound
+// afterwards; without one the planner's memo is private to the call. The
+// report is byte-identical either way: the cache changes only how much
+// was re-computed, which Stats reports. All three passes poll ctx and the
+// pipeline aborts with ErrCanceled or ErrDeadlineExceeded without
+// publishing a report; only fully solved subproblems reach the memo.
 func ReplanCtx(ctx context.Context, net *dnn.Network, pristine, degraded *hardware.Tree, opt Options) (*ReplanReport, error) {
-	e, err := NewReplanEngine(net, opt)
+	start := time.Now()
+	p, err := newPlanner(ctx, net, opt)
 	if err != nil {
 		return nil, err
 	}
-	rep, _, err := e.ReplanCtx(ctx, pristine, degraded)
-	return rep, err
+	rs := &replanStats{}
+	p.rs = rs
+	rep, err := p.replan(pristine, degraded)
+	p.release()
+	if err != nil {
+		return nil, err
+	}
+	elapsed := time.Since(start)
+	obsReplanTimer.Observe(elapsed)
+	rep.Stats = rs.snapshot(elapsed)
+	obs.Log().Info("core.replan",
+		"adopted", rep.Adopted,
+		"fault_free_seconds", rep.FaultFree.Time(),
+		"stale_seconds", rep.Stale.Time(),
+		"fresh_seconds", rep.Fresh.Time())
+	return rep, nil
+}
+
+// replan runs ReplanCtx's three passes on the planner's memo.
+func (p *planner) replan(pristine, degraded *hardware.Tree) (*ReplanReport, error) {
+	faultFree, err := p.plan(pristine)
+	if err != nil {
+		return nil, err
+	}
+	// The stale re-costing and the fresh degraded partition are
+	// independent given the pristine plan; both consult the memo and share
+	// the degraded root's key.
+	dkey := p.subproblemKey(degraded, p.rootDims)
+	var stale, fresh *Plan
+	g := parallel.NewGroup(min(2, parallel.Workers(p.opt.Parallelism)))
+	g.Go(func() error {
+		root, serr := p.staleNodeInc(degraded, pristine, faultFree.Root, p.rootDims, dkey)
+		if serr != nil {
+			return serr
+		}
+		stale = &Plan{Network: p.net, Strategy: faultFree.Strategy + " (stale)", Root: root, opt: p.opt}
+		if serr := stale.Validate(); serr != nil {
+			return fmt.Errorf("core: internal stale-plan inconsistency: %w", serr)
+		}
+		return nil
+	})
+	g.Go(func() error {
+		var ferr error
+		fresh, ferr = p.planKeyed(degraded, dkey)
+		return ferr
+	})
+	if err := g.Wait(); err != nil {
+		return nil, err
+	}
+	rep := &ReplanReport{
+		FaultFree: faultFree,
+		Stale:     stale,
+		Fresh:     fresh,
+		Replanned: fresh,
+		Adopted:   fresh.Time() < stale.Time(),
+	}
+	if !rep.Adopted {
+		rep.Replanned = stale
+	}
+	return rep, nil
 }

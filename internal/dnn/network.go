@@ -60,7 +60,16 @@ type Network struct {
 // virtual junction units alike (paths of a parallel segment are concatenated
 // in path order). This is the sequence the partitioner assigns states to.
 func (n *Network) Units() []WeightedLayer {
-	var out []WeightedLayer
+	count := 0
+	for _, s := range n.Segments {
+		if s.Unit != nil {
+			count++
+		}
+		for _, p := range s.Paths {
+			count += len(p)
+		}
+	}
+	out := make([]WeightedLayer, 0, count)
 	for _, s := range n.Segments {
 		if s.Unit != nil {
 			out = append(out, *s.Unit)

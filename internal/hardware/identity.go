@@ -8,13 +8,10 @@ import (
 
 // Identity is the content identity of one hardware subtree: a
 // Merkle-style content digest (two subtrees digest equally iff their
-// spec lists and shapes are identical) and the sorted distinct spec
-// fingerprints the subtree is built from. The digest is what keys a
+// spec lists and shapes are identical) plus the capacity figures a
+// memory-constrained search prunes on. The digest is what keys a
 // planner's memoized subproblems in O(1) regardless of how much hardware
-// hangs below a node; the spec set is the dependency record a retained
-// memo tracks invalidation by — a cached subproblem is current exactly
-// as long as every spec it was solved against is still part of some
-// hierarchy the planner serves.
+// hangs below a node.
 //
 // The digest deliberately excludes the node's absolute level: no cost
 // the planner computes depends on depth-from-root (sides, bandwidths and
@@ -22,9 +19,6 @@ import (
 // one fleet answers the identical subtree hanging at depth 5 of another.
 type Identity struct {
 	Digest [16]byte
-	// Specs holds the sorted distinct spec fingerprints. It is shared
-	// with other nodes of the tree and must be treated as read-only.
-	Specs []uint64
 	// HBMBytes is the subtree's aggregate HBM capacity. The residency a
 	// workload needs can never exceed it in a feasible plan, so a
 	// memory-constrained search prunes on it in any ratio mode. The
@@ -71,14 +65,12 @@ func (t *Tree) computeIdentity() {
 	id.HBMBytes = t.Group.HBMBytes()
 	if t.IsLeaf() {
 		h.Word(leafMarker)
-		id.Specs = distinctSpecs(t.Group.Accel)
 		id.CapFloorHalf = id.HBMBytes
 	} else {
 		h.Word(splitMarker)
 		l, r := t.Left.Identity(), t.Right.Identity()
 		h.Digest(&l.Digest)
 		h.Digest(&r.Digest)
-		id.Specs = MergeSpecs(l.Specs, r.Specs)
 		floor := min(l.CapFloorHalf, r.CapFloorHalf)
 		if floor > math.MaxInt64/2 {
 			id.CapFloorHalf = math.MaxInt64
@@ -114,71 +106,4 @@ func specRuns(accel []Spec, f func(fp uint64, n int)) {
 		n++
 	}
 	f(fp, n)
-}
-
-// distinctSpecs returns the sorted distinct fingerprints of a spec list.
-func distinctSpecs(accel []Spec) []uint64 {
-	out := make([]uint64, 0, 2)
-	specRuns(accel, func(fp uint64, _ int) {
-		for _, v := range out {
-			if v == fp {
-				return
-			}
-		}
-		out = append(out, fp)
-	})
-	// Insertion sort: group spec lists hold a handful of distinct models.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
-}
-
-// MergeSpecs unions two sorted distinct fingerprint slices, such as two
-// Identity.Specs. When one side covers the other — the overwhelmingly
-// common case, since a parent's children usually share spec models — the
-// covering slice is returned as-is, so a whole subtree shares one
-// allocation.
-func MergeSpecs(a, b []uint64) []uint64 {
-	if covers(a, b) {
-		return a
-	}
-	if covers(b, a) {
-		return b
-	}
-	out := make([]uint64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// covers reports whether sorted slice a contains every element of b.
-func covers(a, b []uint64) bool {
-	i := 0
-	for _, v := range b {
-		for i < len(a) && a[i] < v {
-			i++
-		}
-		if i >= len(a) || a[i] != v {
-			return false
-		}
-	}
-	return true
 }

@@ -6,8 +6,8 @@
 // Feistel rounds of the same fold, a bijection of the 128-bit state that
 // spreads every input word into every output byte.
 //
-// Hardware subtree digests and the planner's subproblem keys are both
-// built with it. It hashes in-memory identities only: nothing persists
+// Hardware subtree digests, the planner's subproblem keys and its search
+// fingerprints are all built with it. It hashes in-memory identities only: nothing persists
 // its output, so it may change between versions.
 package wordhash
 
@@ -39,6 +39,21 @@ func fold(x, m uint64) uint64 {
 func (h *Hash) Word(v uint64) {
 	h.a = fold(h.a^v, m1)
 	h.b = fold(h.b+v, m2)
+}
+
+// String absorbs s as its length and then its bytes, eight at a time in
+// little-endian words (the last one zero-padded); the length keeps the
+// padding unambiguous.
+func (h *Hash) String(s string) {
+	h.Word(uint64(len(s)))
+	for ; len(s) >= 8; s = s[8:] {
+		h.Word(binary.LittleEndian.Uint64([]byte(s[:8])))
+	}
+	if len(s) > 0 {
+		var tail [8]byte
+		copy(tail[:], s)
+		h.Word(binary.LittleEndian.Uint64(tail[:]))
+	}
 }
 
 // Digest absorbs a 128-bit digest as its two little-endian halves.

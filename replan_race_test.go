@@ -25,7 +25,7 @@ func replanReportsEqual(t *testing.T, got, want *ReplanReport) error {
 		{"replanned", got.Replanned, want.Replanned},
 	} {
 		if !bytes.Equal(planBytes(t, pair.got), planBytes(t, pair.want)) {
-			return fmt.Errorf("%s plan differs from engineless reference", pair.name)
+			return fmt.Errorf("%s plan differs from cacheless reference", pair.name)
 		}
 	}
 	return nil
@@ -34,12 +34,11 @@ func replanReportsEqual(t *testing.T, got, want *ReplanReport) error {
 // TestSessionReplanHammerRace hammers one Session (run under -race) with
 // concurrent Degrade→Replan cycles over several fault scenarios,
 // interleaved with pristine Partition and Resilience calls. Every worker
-// shares the session's ReplanEngines registry — the AccPar replans all
-// land on one retained engine — so the hammer exercises the engine's
-// one store, its dependency-tracked memo (plain subproblems, recurrent
-// tree roots and stale re-costings alike), and the recent-tree working
-// set under contention. Every result must stay byte-identical to
-// its engineless fresh-computation reference, and after the hammer a
+// shares the session's one plan cache — the AccPar replans all land on
+// one fingerprint memo — so the hammer exercises that store (plain
+// subproblems, recurrent tree roots and stale re-costings alike) and its
+// tree interning under contention. Every result must stay byte-identical
+// to its cacheless fresh-computation reference, and after the hammer a
 // recurrent replan must be served entirely from retained state.
 func TestSessionReplanHammerRace(t *testing.T) {
 	net, err := BuildModel("alexnet", 64)
@@ -139,7 +138,7 @@ func TestSessionReplanHammerRace(t *testing.T) {
 		t.Error(err)
 	}
 
-	// The hammer left the engine's retained state consistent AND complete:
+	// The hammer left the session cache consistent AND complete:
 	// a recurrent replan of every scenario is served without expanding a
 	// single subproblem, and still matches its reference.
 	for i, sc := range scenarios {

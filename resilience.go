@@ -29,8 +29,8 @@ type (
 	Degradation = hardware.Degradation
 	// ReplanReport is the analytic three-way replanning comparison.
 	ReplanReport = core.ReplanReport
-	// ReplanStats reports how much of a replan was served incrementally
-	// from retained state versus re-solved.
+	// ReplanStats reports how much of a replan was served from the memo
+	// or plan cache versus re-solved.
 	ReplanStats = core.ReplanStats
 )
 
@@ -70,13 +70,12 @@ func ReplanAnalytic(net *Network, groups []ArrayGroup, strategy Strategy, sc *Fa
 
 // replanAnalyticCtx is the options-level replanning pipeline behind
 // ReplanAnalytic and Session.Replan, bound to a context and an optional
-// engine registry. With a registry (Session calls) the replan runs
-// through a retained ReplanEngine, so a recurrent fault — the same
-// (network, options, degraded hardware) seen again — is served from the
-// dependency-tracked memo in well under a millisecond instead of a full
-// search; without one (package-level calls) a one-shot engine gives the
-// same bytes with no retained state.
-func replanAnalyticCtx(ctx context.Context, engines *core.ReplanEngines, net *Network, groups []ArrayGroup, opt Options, sc *FaultScenario) (*ReplanReport, error) {
+// plan cache. With a cache (Session calls) the replan searches on it and
+// interns both trees in it, so a recurrent fault — the same (network,
+// options, degraded hardware) seen again — is a few memo lookups instead
+// of a full search; without one (package-level calls) the replan gives
+// the same bytes on a private memo.
+func replanAnalyticCtx(ctx context.Context, cache *PlanCache, net *Network, groups []ArrayGroup, opt Options, sc *FaultScenario) (*ReplanReport, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -92,29 +91,16 @@ func replanAnalyticCtx(ctx context.Context, engines *core.ReplanEngines, net *Ne
 	if err != nil {
 		return nil, err
 	}
-	// Session calls intern both trees so a recurrent scenario reuses trees
-	// whose content identity is already computed.
-	buildTree := hardware.BuildTree
-	if engines != nil {
-		buildTree = engines.InternTree
-	}
-	pristine, err := buildTree(arr, 64)
+	pristine, err := cache.InternTree(arr, 64)
 	if err != nil {
 		return nil, err
 	}
-	degraded, err := buildTree(darr, 64)
+	degraded, err := cache.InternTree(darr, 64)
 	if err != nil {
 		return nil, err
 	}
-	if engines == nil {
-		return core.ReplanCtx(ctx, net, pristine, degraded, opt)
-	}
-	eng, err := engines.Engine(net, opt)
-	if err != nil {
-		return nil, err
-	}
-	rep, _, err := eng.ReplanCtx(ctx, pristine, degraded)
-	return rep, err
+	opt.Cache = cache
+	return core.ReplanCtx(ctx, net, pristine, degraded, opt)
 }
 
 // ResilienceReport is the simulated three-way comparison of a fault
@@ -138,8 +124,8 @@ type ResilienceReport struct {
 	// MachineNames labels the two groups in reports.
 	MachineNames [2]string
 	// Replan reports how much of the experiment's two partition searches
-	// was served incrementally from retained engine state (Session runs;
-	// zero-valued for the engineless package-level entry point).
+	// was served from the memo or the session cache versus re-solved, and
+	// how many cache entries their trims evicted.
 	Replan ReplanStats
 }
 
@@ -195,32 +181,14 @@ func Resilience(net *Network, groups []ArrayGroup, strategy Strategy, sc FaultSc
 	return resilienceCtx(context.Background(), nil, net, groups, strategy, sc, cfg)
 }
 
-// partitionEnginesCtx is PartitionCtx through an optional ReplanEngines
-// registry: with a registry the search runs on a retained ReplanEngine's
-// dependency-tracked memo, so a hardware tree the engine has already
-// solved — the pristine array on every resilience call after the first,
-// or a recurrent degraded array — is one root memo hit. Plans are
-// byte-identical to the engineless path; only the work performed
-// differs.
-func partitionEnginesCtx(ctx context.Context, engines *core.ReplanEngines, net *Network, arr *Array, strategy Strategy) (*Plan, ReplanStats, error) {
-	if engines == nil {
-		plan, err := PartitionCtx(ctx, net, arr, strategy)
-		return plan, ReplanStats{}, err
-	}
-	tree, err := engines.InternTree(arr, 64)
-	if err != nil {
-		return nil, ReplanStats{}, err
-	}
-	return engines.PartitionCtx(ctx, net, tree, strategy.Variants()...)
-}
-
-// resilienceCtx is Resilience through an optional engine registry and a
-// context; it backs the package-level entry point (no registry,
-// background context) and Session. The partition searches poll ctx
-// themselves; the simulation phases are not cancellation-aware, so the
-// pipeline re-checks ctx between phases — an abort is observed within
-// one phase.
-func resilienceCtx(ctx context.Context, engines *core.ReplanEngines, net *Network, groups []ArrayGroup, strategy Strategy, sc FaultScenario, cfg SimConfig) (*ResilienceReport, error) {
+// resilienceCtx is Resilience through an optional plan cache and a
+// context; it backs the package-level entry point (no cache, background
+// context) and Session. With a cache the pristine array is one root hit
+// per variant on every call after the first. The partition searches
+// poll ctx themselves; the simulation phases are not cancellation-aware,
+// so the pipeline re-checks ctx between phases — an abort is observed
+// within one phase.
+func resilienceCtx(ctx context.Context, cache *PlanCache, net *Network, groups []ArrayGroup, strategy Strategy, sc FaultScenario, cfg SimConfig) (*ResilienceReport, error) {
 	if len(groups) != 2 {
 		return nil, fmt.Errorf("accpar: resilience needs exactly 2 accelerator groups, got %d", len(groups))
 	}
@@ -236,8 +204,9 @@ func resilienceCtx(ctx context.Context, engines *core.ReplanEngines, net *Networ
 	}
 	// The experiment's phases carry spans so a trace of a resilience run
 	// reads as its pipeline: plan, three simulations, replan.
+	var stats ReplanStats
 	sp := obs.StartSpanCtx(ctx, "resilience", "plan-pristine")
-	plan, pst, err := partitionEnginesCtx(ctx, engines, net, arr, strategy)
+	plan, err := partitionCachedCtx(ctx, net, arr, strategy, cache, &stats)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -284,7 +253,7 @@ func resilienceCtx(ctx context.Context, engines *core.ReplanEngines, net *Networ
 	// which entry point triggered it.
 	sp = obs.StartSpanCtx(ctx, "resilience", "plan-degraded")
 	replanStart := time.Now()
-	dplan, dst, err := partitionEnginesCtx(ctx, engines, net, darr, strategy)
+	dplan, err := partitionCachedCtx(ctx, net, darr, strategy, cache, &stats)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -309,9 +278,8 @@ func resilienceCtx(ctx context.Context, engines *core.ReplanEngines, net *Networ
 		Replanned:     replanned,
 		Adopted:       replanned.Time < stale.Time,
 		MachineNames:  [2]string{a.Name, b.Name},
+		Replan:        stats,
 	}
-	rep.Replan.Add(pst)
-	rep.Replan.Add(dst)
 	if !rep.Adopted {
 		rep.Replanned = stale
 		rep.ReplannedPlan = plan

@@ -17,7 +17,9 @@ import (
 // options — can share one instance without cross-contamination. When it
 // outgrows its bound, the subproblems of the least recently served
 // searches go first. Caching never changes decisions: plans are
-// byte-identical with the cache disabled, cold or warm.
+// byte-identical with the cache disabled, cold or warm. It also interns
+// hardware trees by content, so a recurrent array is not rebuilt or
+// re-digested.
 type PlanCache = core.SharedCache
 
 // CacheStats is the cache's hit/miss/eviction counters.
@@ -27,31 +29,27 @@ type CacheStats = core.CacheStats
 // solutions (≤ 0 selects the default).
 func NewPlanCache(capacity int) *PlanCache { return core.NewSharedCache(capacity) }
 
-// Session binds the package's entry points to two stores. One-shot
-// planning — Partition, PartitionWithOptions, Compare, TuneBatch,
-// TuneDepth — shares one PlanCache, so repeated and related searches
-// reuse each other's solved subproblems instead of recomputing them.
-// Fault work — Replan and Resilience — runs on retained replan engines
-// whose dependency-tracked memos are their only store; it never reads or
-// fills the PlanCache. A Session is safe for concurrent use; methods
-// mirror the package-level functions of the same name.
+// Session binds the package's entry points to one store, a PlanCache.
+// One-shot planning — Partition, PartitionWithOptions, Compare,
+// TuneBatch, TuneDepth — and fault work — Replan and Resilience — all
+// search on it, so repeated and related searches reuse each other's
+// solved subproblems instead of recomputing them: a replan finds the
+// pristine plan and every subtree its fault did not touch already
+// solved, and a recurrent fault is a few memo lookups. The cache's
+// capacity is the only bound on what the Session retains. A Session is
+// safe for concurrent use; methods mirror the package-level functions of
+// the same name.
 //
-// Both stores live only as long as the Session: a new Session starts
-// its PlanCache empty and its replan engines cold.
+// The store lives only as long as the Session: a new Session starts its
+// PlanCache empty.
 type Session struct {
 	cache *PlanCache
-	// engines retains per-(network, options) ReplanEngine instances so
-	// Session.ReplanCtx and Session.ResilienceCtx replan incrementally:
-	// each engine keeps a dependency-tracked subproblem memo and a
-	// recent-hardware working set, making a recurrent fault a few root
-	// memo lookups instead of a fresh search.
-	engines *core.ReplanEngines
 }
 
 // NewSession returns a Session with a fresh cache bounded to capacity
 // entries (≤ 0 selects the default).
 func NewSession(capacity int) *Session {
-	return &Session{cache: NewPlanCache(capacity), engines: core.NewReplanEngines(0)}
+	return &Session{cache: NewPlanCache(capacity)}
 }
 
 // Cache returns the session's shared plan cache, for callers who want to
@@ -64,9 +62,9 @@ func (s *Session) CacheStats() CacheStats { return s.cache.Stats() }
 // ServeDiagnostics starts a diagnostics HTTP server on addr (":0" picks
 // a free port; see DiagServer.Addr) with a "plan-cache" readiness probe
 // bound to this session: readiness fails until the session cache holds at
-// least one solved subproblem, that is, until a one-shot search has
-// completed (replan and resilience runs do not count). Metrics and events
-// are process-wide, so the server also reflects work done outside this
+// least one solved subproblem, that is, until a search — one-shot,
+// replan or resilience — has completed. Metrics and events are
+// process-wide, so the server also reflects work done outside this
 // session.
 func (s *Session) ServeDiagnostics(addr string) (*DiagServer, error) {
 	return diag.Start(addr, diag.Options{
@@ -74,7 +72,7 @@ func (s *Session) ServeDiagnostics(addr string) (*DiagServer, error) {
 			Name: "plan-cache",
 			Probe: func() error {
 				if s.cache.Stats().Entries == 0 {
-					return fmt.Errorf("empty (no completed one-shot search yet)")
+					return fmt.Errorf("empty (no completed search yet)")
 				}
 				return nil
 			},
@@ -93,13 +91,12 @@ func (s *Session) Partition(net *Network, arr *Array, strategy Strategy) (*Plan,
 // subproblems are ever published — so a subsequent uncanceled run is
 // byte-identical to one against a fresh session.
 func (s *Session) PartitionCtx(ctx context.Context, net *Network, arr *Array, strategy Strategy) (*Plan, error) {
-	return partitionCachedCtx(ctx, net, arr, strategy, s.cache)
+	return partitionCachedCtx(ctx, net, arr, strategy, s.cache, nil)
 }
 
 // Resilience is the package-level fault-injection experiment through the
-// session's replan engines: the pristine and degraded partition searches
-// share subproblems with each other and with prior replan and resilience
-// work of the session, never with its plan cache.
+// session cache: the pristine and degraded partition searches share
+// subproblems with each other and with all prior work of the session.
 func (s *Session) Resilience(net *Network, groups []ArrayGroup, strategy Strategy, sc FaultScenario, cfg SimConfig) (*ResilienceReport, error) {
 	return s.ResilienceCtx(context.Background(), net, groups, strategy, sc, cfg)
 }
@@ -108,7 +105,7 @@ func (s *Session) Resilience(net *Network, groups []ArrayGroup, strategy Strateg
 // searches poll ctx, and the pipeline re-checks it between its plan and
 // simulation phases, so an abort is observed within one phase.
 func (s *Session) ResilienceCtx(ctx context.Context, net *Network, groups []ArrayGroup, strategy Strategy, sc FaultScenario, cfg SimConfig) (*ResilienceReport, error) {
-	return resilienceCtx(ctx, s.engines, net, groups, strategy, sc, cfg)
+	return resilienceCtx(ctx, s.cache, net, groups, strategy, sc, cfg)
 }
 
 // PartitionWithOptions is the package-level PartitionWithOptions through
@@ -154,22 +151,21 @@ func (s *Session) CompareCtx(ctx context.Context, net *Network, arr *Array) (*Co
 	return c, nil
 }
 
-// Replan is ReplanAnalytic through the session's replan engines: the
-// pristine-array search, the degraded-array search, and earlier replan
-// and resilience work share subproblems (a fault touching one group
-// leaves the other group's subtrees memo-resident).
+// Replan is ReplanAnalytic through the session cache: the pristine-array
+// search, the degraded-array search, and earlier work of the session
+// share subproblems (a fault touching one group leaves the other group's
+// subtrees cache-resident).
 func (s *Session) Replan(net *Network, groups []ArrayGroup, strategy Strategy, sc *FaultScenario) (*ReplanReport, error) {
 	return s.ReplanCtx(context.Background(), net, groups, strategy, sc)
 }
 
 // ReplanCtx is Replan bound to a context; all three planning passes poll
-// ctx and abort with ErrCanceled or ErrDeadlineExceeded. The replan runs
-// on the session's retained ReplanEngine for (net, strategy): the
-// pristine plan and every untouched subtree come from retained state, and
-// a recurrent scenario is answered entirely from the dependency-tracked
-// memo. Reports stay byte-identical to a fresh session's.
+// ctx and abort with ErrCanceled or ErrDeadlineExceeded. The pristine
+// plan and every untouched subtree come from the session cache, and a
+// recurrent scenario is answered entirely from it. Reports stay
+// byte-identical to a fresh session's.
 func (s *Session) ReplanCtx(ctx context.Context, net *Network, groups []ArrayGroup, strategy Strategy, sc *FaultScenario) (*ReplanReport, error) {
-	return replanAnalyticCtx(ctx, s.engines, net, groups, strategy.Options(), sc)
+	return replanAnalyticCtx(ctx, s.cache, net, groups, strategy.Options(), sc)
 }
 
 // TuneBatch is the package-level TuneBatch through the session cache.

@@ -170,47 +170,72 @@ func TestSessionTuneDepthCached(t *testing.T) {
 	}
 }
 
-// TestSessionReplanLeavesCacheUntouched: a Session's replan and
-// resilience runs go through its retained replan engines, whose memos are
-// their only store, so they neither consult nor fill the session cache;
-// one-shot planning through the same session still fills it and then
-// hits it.
-func TestSessionReplanLeavesCacheUntouched(t *testing.T) {
+// TestSessionReplanBoundedByCapacity: a Session's replan and resilience
+// runs search on its one plan cache, so the cache's capacity bounds
+// everything the session retains. Under churn of distinct faults the
+// cache holds at most its capacity after every call (and has evicted),
+// and a repeated fault is served whole from the cache: the replan
+// expands no subproblem. One-shot planning through the same session then
+// hits the pristine plan the fault work left there.
+func TestSessionReplanBoundedByCapacity(t *testing.T) {
 	net, err := BuildModel("alexnet", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	groups := v2v3ResilienceGroups(4)
-	fl, err := ParseFaults("slowdown:0=2.0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := FaultScenario{Seed: 1, Faults: fl}
 	ctx := context.Background()
+	fault := func(i int) FaultScenario {
+		return FaultScenario{Seed: int64(i), Faults: []Fault{{Kind: FaultSlowdown, Group: i % 2, Factor: 1.1 + 0.05*float64(i)}}}
+	}
 
-	sess := NewSession(0)
-	for pass := 0; pass < 2; pass++ {
+	const capacity = 512
+	sess := NewSession(capacity)
+	for i := 0; i < 24; i++ {
+		sc := fault(i)
 		if _, err := sess.ReplanCtx(ctx, net, groups, StrategyAccPar, &sc); err != nil {
 			t.Fatal(err)
+		}
+		if n := sess.Cache().Len(); n > capacity {
+			t.Fatalf("replan %d: session cache holds %d entries, capacity %d", i, n, capacity)
 		}
 		if _, err := sess.ResilienceCtx(ctx, net, groups, StrategyAccPar, sc, SimConfig{}); err != nil {
 			t.Fatal(err)
 		}
+		if n := sess.Cache().Len(); n > capacity {
+			t.Fatalf("resilience %d: session cache holds %d entries, capacity %d", i, n, capacity)
+		}
 	}
-	if st := sess.CacheStats(); st.Hits+st.Misses != 0 || st.Entries != 0 {
-		t.Errorf("replan and resilience runs used the session cache: %+v", st)
+	if st := sess.CacheStats(); st.Evictions == 0 {
+		t.Errorf("24 distinct faults through a %d-entry session evicted nothing: %+v", capacity, st)
+	}
+
+	sc := fault(99)
+	for pass := 0; pass < 2; pass++ {
+		rep, err := sess.ReplanCtx(ctx, net, groups, StrategyAccPar, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pass == 1 && rep.Stats.Expanded != 0 {
+			t.Errorf("repeated fault expanded %d subproblems, want 0", rep.Stats.Expanded)
+		}
+		res, err := sess.ResilienceCtx(ctx, net, groups, StrategyAccPar, sc, SimConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pass == 1 && res.Replan.Expanded != 0 {
+			t.Errorf("repeated resilience run expanded %d subproblems, want 0", res.Replan.Expanded)
+		}
 	}
 
 	arr, err := HeterogeneousArray(groups...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pass := 0; pass < 2; pass++ {
-		if _, err := sess.Partition(net, arr, StrategyAccPar); err != nil {
-			t.Fatal(err)
-		}
+	before := sess.CacheStats()
+	if _, err := sess.Partition(net, arr, StrategyAccPar); err != nil {
+		t.Fatal(err)
 	}
-	if st := sess.CacheStats(); st.Entries == 0 || st.Hits == 0 {
-		t.Errorf("Session.Partition should fill the cache, then hit it: %+v", st)
+	if st := sess.CacheStats(); st.Hits == before.Hits || st.Misses != before.Misses {
+		t.Errorf("Session.Partition of the pristine array should hit the fault work's entries: before %+v, after %+v", before, st)
 	}
 }
