@@ -58,8 +58,8 @@ type BenchReport struct {
 	// fault-response path.
 	SpeedupReplanWarm float64 `json:"speedup_replan_warm"`
 	// SpeedupDSEShared is DSESweep cold ns/op over shared: the whole-sweep
-	// win of the batch engine's cross-fleet memo plus lower-bound pruning
-	// over independent per-candidate searches of the same fleet grid. The
+	// win of the batch engine's cross-fleet memo over independent
+	// per-candidate searches of the same fleet grid. The
 	// gate enforces a floor on it (dseMinSpeedup).
 	SpeedupDSEShared float64 `json:"speedup_dse_shared"`
 	// OverheadMemoryReject is the fractional ns/op cost of running the
@@ -322,10 +322,10 @@ const dseFault = "slowdown:0=2.0"
 // re-cost plus a fresh portfolio search of the degraded tree for the
 // resilience axis (without an engine there is no retained winner to
 // narrow the replan to). Shared is the shipped dse.Sweep: one
-// sweep-wide structural memo, duplicate-tree candidates evaluated once,
-// lower-bound pruning. Both fan out over the same worker pool and
-// produce the same frontier — pruning is proven safe and the memo never
-// changes decisions — so the ratio is pure amortization.
+// sweep-wide structural memo and duplicate-tree candidates evaluated
+// once. Both fan out over the same worker pool and produce the same
+// frontier — the memo never changes decisions — so the ratio is pure
+// amortization.
 func benchDSESweep(model string, batch, perKind int) (cold, shared testing.BenchmarkResult, err error) {
 	space := dseSpace(perKind)
 	net, err := models.BuildNetwork(model, batch)

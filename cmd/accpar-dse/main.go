@@ -39,7 +39,6 @@ func main() {
 		maxCand    = flag.Int("max-candidates", 0, "cap the enumeration after budget filtering; 0 = unlimited")
 		fault      = flag.String("fault", "slowdown:0=2.0", "resilience fault scenario (faults.Parse syntax; group indices name kinds); empty disables the resilience axis")
 		workers    = flag.Int("workers", 0, "candidate-level worker pool; 0 = GOMAXPROCS, 1 = serial")
-		noPrune    = flag.Bool("no-prune", false, "disable lower-bound pruning (frontier is identical; only wall-clock changes)")
 		memory     = flag.String("memory", "off", "HBM capacity constraint during candidate planning: off, reject, penalize; unfittable fleets are excluded from the frontier")
 		out        = flag.String("out", "", "write the deterministic frontier artifact (JSON) to this file")
 		metricsOut = flag.String("metrics-out", "", "write the metrics registry to this file (expvar-style text for .txt, JSON otherwise)")
@@ -54,7 +53,7 @@ func main() {
 		model: *model, batch: *batch,
 		kinds: *kinds, counts: *counts, levels: *levels, netScales: *netScales,
 		budget: *budget, maxCandidates: *maxCand,
-		fault: *fault, workers: *workers, noPrune: *noPrune, memory: *memory,
+		fault: *fault, workers: *workers, memory: *memory,
 		out: *out, metricsOut: *metricsOut,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "accpar-dse:", err)
@@ -75,7 +74,6 @@ type config struct {
 	maxCandidates int
 	fault         string
 	workers       int
-	noPrune       bool
 	memory        string
 	out           string
 	metricsOut    string
@@ -184,7 +182,6 @@ func run(w io.Writer, cfg config) error {
 		Batch:   cfg.batch,
 		Fault:   cfg.fault,
 		Workers: cfg.workers,
-		NoPrune: cfg.noPrune,
 		Memory:  mem,
 	})
 	if err != nil {
@@ -192,8 +189,8 @@ func run(w io.Writer, cfg config) error {
 	}
 
 	fmt.Fprintf(w, "model %s  batch %d  fault %q\n", rep.Model, rep.Batch, rep.Fault)
-	fmt.Fprintf(w, "candidates %d  evaluated %d  pruned %d  infeasible %d  frontier %d\n\n",
-		rep.Candidates, rep.Evaluated, rep.Pruned, rep.Infeasible, len(rep.Frontier))
+	fmt.Fprintf(w, "candidates %d  evaluated %d  infeasible %d  frontier %d\n\n",
+		rep.Candidates, rep.Evaluated, rep.Infeasible, len(rep.Frontier))
 	fmt.Fprintf(w, "%-36s %10s %14s %14s  %s\n", "fleet", "cost", "makespan (s)", "resilience (s)", "strategy")
 	for _, f := range rep.Frontier {
 		fmt.Fprintf(w, "%-36s %10.4g %14.6g %14.6g  %s\n", f.Name, f.Cost, f.Makespan, f.Resilience, f.Strategy)

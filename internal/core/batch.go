@@ -30,8 +30,7 @@ import (
 // concurrency change wall-clock only, never decisions — and the engine
 // is safe for concurrent PlanCtx calls across a worker pool.
 type BatchEngine struct {
-	base  *planner
-	bound boundModel
+	base *planner
 	// epoch numbers candidates: each engine call stamps the memo entries
 	// it touches, so a hit on an entry last touched under a different
 	// epoch is cross-fleet amortization (core.memo_cross_fleet_hits).
@@ -45,10 +44,7 @@ func NewBatchEngine(net *dnn.Network, opt Options) (*BatchEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &BatchEngine{
-		base:  p,
-		bound: newBoundModel(p.units, p.rootDims, p.opt),
-	}, nil
+	return &BatchEngine{base: p}, nil
 }
 
 // forCandidate rebinds the retained planner to one candidate evaluation:
@@ -67,31 +63,18 @@ func (e *BatchEngine) PlanCtx(ctx context.Context, tree *hardware.Tree) (*Plan, 
 	return e.forCandidate(ctx).plan(tree)
 }
 
-// ReplanTimeCtx models the candidate's post-fault operating point: plan's
-// decisions re-costed on the degraded tree (stale) and a fresh
-// degradation-aware partition, adopting the faster — exactly ReplanCtx's
-// adoption rule, but through the sweep-shared memo, so degraded subtrees
-// common to many candidates are also solved once.
-func (e *BatchEngine) ReplanTimeCtx(ctx context.Context, plan *Plan, degraded *hardware.Tree) (float64, error) {
-	pc := e.forCandidate(ctx)
-	stale, err := pc.stalePlan(plan, degraded)
+// ReplanTimeCtx models the candidate's post-fault operating point: the
+// adopted plan of ReplanCtx's pipeline — pristine plan, its decisions
+// re-costed on degraded (stale), a fresh degradation-aware partition,
+// the faster of the two — run through the sweep-shared memo. The
+// pristine plan is the root hit PlanCtx left behind, and degraded
+// subtrees common to many candidates are solved once.
+func (e *BatchEngine) ReplanTimeCtx(ctx context.Context, pristine, degraded *hardware.Tree) (float64, error) {
+	rep, err := e.forCandidate(ctx).replan(pristine, degraded)
 	if err != nil {
 		return 0, err
 	}
-	fresh, err := pc.plan(degraded)
-	if err != nil {
-		return 0, err
-	}
-	if fresh.Time() < stale.Time() {
-		return fresh.Time(), nil
-	}
-	return stale.Time(), nil
-}
-
-// LowerBound returns an admissible lower bound on the makespan of any
-// plan for tree under the engine's options; see boundModel.
-func (e *BatchEngine) LowerBound(tree *hardware.Tree) float64 {
-	return e.bound.lower(tree)
+	return rep.Replanned.Time(), nil
 }
 
 // BatchSet is the portfolio counterpart of BatchEngine: one engine per
@@ -131,25 +114,11 @@ func (s *BatchSet) PlanBestCtx(ctx context.Context, tree *hardware.Tree) (*Plan,
 }
 
 // ReplanTimeCtx models the post-fault makespan of the winning variant's
-// plan on the degraded tree; variant must be the index PlanBestCtx
-// returned for plan.
-func (s *BatchSet) ReplanTimeCtx(ctx context.Context, plan *Plan, variant int, degraded *hardware.Tree) (float64, error) {
+// plan for pristine on the degraded tree; variant must be the index
+// PlanBestCtx returned for pristine.
+func (s *BatchSet) ReplanTimeCtx(ctx context.Context, pristine *hardware.Tree, variant int, degraded *hardware.Tree) (float64, error) {
 	if variant < 0 || variant >= len(s.engines) {
 		return 0, fmt.Errorf("core: variant %d out of range [0,%d)", variant, len(s.engines))
 	}
-	return s.engines[variant].ReplanTimeCtx(ctx, plan, degraded)
-}
-
-// LowerBound returns an admissible lower bound on the best variant's
-// makespan for tree: the minimum of the per-variant bounds (every
-// variant's plan respects its own bound, so the portfolio winner
-// respects the smallest).
-func (s *BatchSet) LowerBound(tree *hardware.Tree) float64 {
-	lb := s.engines[0].LowerBound(tree)
-	for _, e := range s.engines[1:] {
-		if b := e.LowerBound(tree); b < lb {
-			lb = b
-		}
-	}
-	return lb
+	return s.engines[variant].ReplanTimeCtx(ctx, pristine, degraded)
 }

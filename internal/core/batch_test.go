@@ -140,96 +140,6 @@ func TestBatchCrossFleetHits(t *testing.T) {
 	}
 }
 
-// TestLowerBoundAdmissible exercises the pruning bound's defining
-// property over heterogeneous and homogeneous trees, shallow and deep
-// hierarchies, every portfolio variant, and the post-fault plans the
-// resilience axis is built from: no plan — fresh, best-of-portfolio, or
-// replanned-under-fault — may ever beat the bound.
-func TestLowerBoundAdmissible(t *testing.T) {
-	ctx := context.Background()
-	for _, model := range []string{"alexnet", "resnet18"} {
-		net := buildNet(t, model, 64)
-		set, err := NewBatchSet(net, StrategyAccPar.Variants()...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trees := []*hardware.Tree{
-			paperTree(t, 2),
-			paperTree(t, 8),
-			homTree(t, hardware.TPUv2(), 16, 64),
-			homTree(t, hardware.TPUv3(), 64, 64),
-			homTree(t, hardware.TPUv3(), 16, 2), // level-capped: leaf fallback path
-		}
-		for i, tree := range trees {
-			for v, e := range set.engines {
-				plan, err := e.PlanCtx(ctx, tree)
-				if err != nil {
-					t.Fatalf("%s tree %d variant %d: %v", model, i, v, err)
-				}
-				if lb := e.LowerBound(tree); plan.Time() < lb {
-					t.Errorf("%s tree %d variant %d: plan time %.9g beats lower bound %.9g",
-						model, i, v, plan.Time(), lb)
-				}
-			}
-			best, variant, err := set.PlanBestCtx(ctx, tree)
-			if err != nil {
-				t.Fatalf("%s tree %d: %v", model, i, err)
-			}
-			if lb := set.LowerBound(tree); best.Time() < lb {
-				t.Errorf("%s tree %d: best time %.9g beats portfolio bound %.9g", model, i, best.Time(), lb)
-			}
-			degraded := degradeTree(t, tree)
-			if degraded == nil {
-				continue
-			}
-			rt, err := set.ReplanTimeCtx(ctx, best, variant, degraded)
-			if err != nil {
-				t.Fatalf("%s tree %d replan: %v", model, i, err)
-			}
-			if lb := set.engines[variant].LowerBound(degraded); rt < lb {
-				t.Errorf("%s tree %d: replanned time %.9g beats degraded bound %.9g", model, i, rt, lb)
-			}
-		}
-	}
-}
-
-// groupSpecsOf reconstructs the GroupSpec list of a tree's root group:
-// contiguous runs of identical specs (NewHeterogeneous concatenates the
-// groups in order, so runs recover the original list).
-func groupSpecsOf(g *hardware.Group) []hardware.GroupSpec {
-	var out []hardware.GroupSpec
-	for _, s := range g.Accel {
-		if n := len(out); n > 0 && out[n-1].Spec == s {
-			out[n-1].Count++
-			continue
-		}
-		out = append(out, hardware.GroupSpec{Spec: s, Count: 1})
-	}
-	return out
-}
-
-// degradeTree halves group 0's compute and removes a quarter of its
-// accelerators — the standard sweep fault shape. Returns nil when the
-// tree cannot be rebuilt (never expected for the test fixtures).
-func degradeTree(t *testing.T, tree *hardware.Tree) *hardware.Tree {
-	t.Helper()
-	groups := groupSpecsOf(tree.Group)
-	degs := map[int]hardware.Degradation{0: {Compute: 2, MemBW: 1, NetBW: 1, LostFraction: 0.25}}
-	out, err := hardware.DegradeGroups(groups, degs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr, err := hardware.NewHeterogeneous(out...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dt, err := hardware.BuildTree(arr, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dt
-}
-
 // TestBatchCancellation covers the batch API mid-sweep abort contract:
 // typed ErrCanceled, no goroutine leaks, and a memo left consistent —
 // the same engine must afterwards produce plans byte-identical to a

@@ -95,7 +95,8 @@ func TestPlanSurvivesLaterSearches(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	first, err := e.PlanCtx(ctx, paperTree(t, 4))
+	pristine := paperTree(t, 4)
+	first, err := e.PlanCtx(ctx, pristine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestPlanSurvivesLaterSearches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.ReplanTimeCtx(ctx, first, homTree(t, hardware.TPUv3(), 8, 64)); err != nil {
+	if _, err := e.ReplanTimeCtx(ctx, pristine, homTree(t, hardware.TPUv3(), 8, 64)); err != nil {
 		t.Fatal(err)
 	}
 	if after := planBytes(t, first); !bytes.Equal(before, after) {

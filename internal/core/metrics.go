@@ -38,33 +38,26 @@ var (
 	// resilience degraded-replanning phase.
 	obsReplanTimer = obs.NewTimer("core.replan.seconds")
 	// obsCrossFleetHits counts batch-engine memo hits on entries last
-	// touched while planning a *different* candidate fleet — the work a
-	// design-space sweep amortizes across candidates rather than within
-	// one hierarchy.
+	// touched by another engine call: another candidate fleet's, or, in a
+	// resilience replan, the candidate's own plan call. This is the work a
+	// design-space sweep amortizes across calls rather than within one
+	// hierarchy.
 	obsCrossFleetHits = obs.NewCounter("core.memo_cross_fleet_hits")
-	// obsDSEPruned counts sweep candidates discarded by the admissible
-	// lower bound before a full hierarchical search ran.
-	obsDSEPruned = obs.NewCounter("core.dse_pruned_candidates")
 	// obsMemoryPruned counts subtrees the constrained search proved
 	// infeasible via the capacity floors inside the DP recursion —
 	// candidate ladders it never had to run.
 	obsMemoryPruned = obs.NewCounter("core.memory_pruned_subtrees")
 	// obsDSEMemoryPruned counts sweep candidates discarded because their
 	// aggregate HBM cannot hold the workload's minimum residency, before
-	// any search or bound evaluation ran.
+	// any search ran.
 	obsDSEMemoryPruned = obs.NewCounter("core.dse_memory_pruned_candidates")
 )
 
-// NoteDSEPruned records candidates a design-space sweep pruned via the
-// admissible lower bound without running a full search. The sweep driver
-// lives outside internal/core, but the counter belongs to the planner's
-// metric family so Session.Metrics and Prometheus export it alongside
-// memo statistics.
-func NoteDSEPruned(n int) { obsDSEPruned.Add(int64(n)) }
-
 // NoteDSEMemoryPruned records candidates a design-space sweep discarded
 // on the aggregate-capacity floor (MinResidencyBytes) without costing
-// them; same export rationale as NoteDSEPruned.
+// them. The sweep lives outside internal/core, but the counter
+// belongs to the planner's metric family so Session.Metrics and
+// Prometheus export it alongside memo statistics.
 func NoteDSEMemoryPruned(n int) { obsDSEMemoryPruned.Add(int64(n)) }
 
 // ObserveReplanLatency records one replan-latency observation in the

@@ -28,12 +28,6 @@ func StalePlan(net *dnn.Network, plan *Plan, tree *hardware.Tree, opt Options) (
 		return nil, err
 	}
 	defer p.release()
-	return p.stalePlan(plan, tree)
-}
-
-// stalePlan re-costs plan's decisions on tree using the planner's memo
-// for any fresh subtrees the divergence fallback has to partition.
-func (p *planner) stalePlan(plan *Plan, tree *hardware.Tree) (*Plan, error) {
 	if plan == nil || plan.Root == nil {
 		return nil, fmt.Errorf("core: stale evaluation needs a plan")
 	}

@@ -7,24 +7,23 @@
 // and resilience (the post-fault makespan after degradation-aware
 // replanning under a fixed fault scenario).
 //
-// Two mechanisms make a sweep much cheaper than independent per-fleet
-// searches. The batch engine's content-addressed memo amortizes
-// structurally shared subproblems across candidates — duplicate
-// compositions (distinct level caps that truncate to the same tree)
-// cost one root-digest hit, fixed-type variants re-use whole per-kind
-// sides between fleets, and each candidate's degraded-tree search
-// re-uses everything its fault did not touch. And an admissible lower
-// bound (core.BatchSet.LowerBound) prunes candidates that provably
-// cannot reach the frontier: a candidate is skipped only when some
-// already-evaluated fleet's actual metrics dominate the candidate's
-// optimistic bounds, which — since actuals never beat bounds — implies
-// the candidate's actual metrics would have been dominated too. The
-// frontier is therefore byte-identical with pruning on or off and
-// across worker counts; only wall-clock changes.
+// The batch engine's content-addressed memo makes a sweep much cheaper
+// than independent per-fleet searches: it amortizes structurally shared
+// subproblems across candidates. Candidates whose level caps truncate to
+// the same tree are evaluated once, fixed-type variants re-use whole
+// per-kind sides between fleets, and each candidate's resilience replan
+// (core.ReplanCtx's pipeline on the shared memo) starts from its
+// pristine plan and re-solves only what its fault touched. Under a
+// memory constraint, fleets whose aggregate HBM cannot hold the
+// workload are discarded before any search. Every candidate that passes
+// that filter is planned in full, and memo hits never change a decision,
+// so the frontier is byte-identical across worker counts; only
+// wall-clock changes.
 package dse
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -163,12 +162,12 @@ func (s *Space) Validate() error {
 		return fmt.Errorf("dse: space needs at least one net scale")
 	}
 	for _, n := range s.NetScales {
-		if !(n > 0) {
-			return fmt.Errorf("dse: net scale %g not positive", n)
+		if !(n > 0) || math.IsInf(n, 1) {
+			return fmt.Errorf("dse: net scale %g is not a positive finite number", n)
 		}
 	}
-	if s.Budget < 0 {
-		return fmt.Errorf("dse: negative budget %g", s.Budget)
+	if !(s.Budget >= 0) {
+		return fmt.Errorf("dse: budget %g is not a non-negative number", s.Budget)
 	}
 	if s.MaxCandidates < 0 {
 		return fmt.Errorf("dse: negative candidate cap %d", s.MaxCandidates)

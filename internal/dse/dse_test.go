@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"accpar/internal/core"
@@ -117,154 +118,75 @@ func TestNetScaleRenamesSpecs(t *testing.T) {
 	}
 }
 
-// TestDSEPlanEquivalence is the acceptance check: every unpruned
-// candidate's plan, produced through the sweep-shared batch memos, is
-// byte-identical to a standalone AccPar portfolio search of the same
-// tree, and every candidate the fault afflicts reports the resilience a
-// standalone core.Replan of its winning variant adopts. The whole grid
-// is swept without pruning so the faulted kind is always present.
+// TestDSEPlanEquivalence is the acceptance check: every candidate's
+// plan, produced through the sweep-shared batch memos, is byte-identical
+// to a standalone AccPar portfolio search of the same tree, and every
+// candidate the fault afflicts reports the resilience a standalone
+// core.ReplanCtx of its winning variant adopts. The fault rows cover a
+// slowdown (the degraded tree keeps the plan's structure), a group loss
+// (fewer boards, so the stale walk falls back to fresh partitions where
+// the structure diverges) and both at once.
 func TestDSEPlanEquivalence(t *testing.T) {
-	space := smallSpace()
-	cfg := Config{Model: "resnet18", Batch: 64, Fault: "slowdown:0=2.0", Workers: 4, NoPrune: true, KeepPlans: true}
-	rep, err := Sweep(context.Background(), space, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := faults.Parse(cfg.Fault)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scenario := &faults.Scenario{Faults: fs}
-	net := buildNet(t, cfg.Model, cfg.Batch)
-	variants := core.StrategyAccPar.Variants()
-	checked, faulted := 0, 0
-	for _, r := range rep.Results {
-		if r.Pruned {
-			continue
-		}
-		tree, err := r.Tree()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := core.PartitionCtx(context.Background(), net, tree, core.StrategyAccPar.Variants()...)
-		if err != nil {
-			t.Fatalf("%s standalone: %v", r.Name, err)
-		}
-		var buf bytes.Buffer
-		if err := want.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(r.PlanJSON, buf.Bytes()) {
-			t.Errorf("%s: sweep plan diverges from standalone AccPar portfolio search", r.Name)
-		}
-		if r.Makespan != want.Time() {
-			t.Errorf("%s: sweep makespan %v != standalone %v", r.Name, r.Makespan, want.Time())
-		}
-		checked++
-
-		degraded, err := space.DegradedTree(&r.Candidate, scenario)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if degraded == nil {
-			continue // the candidate does not procure the faulted kind
-		}
-		replan, err := core.ReplanCtx(context.Background(), net, tree, degraded, variants[r.Variant])
-		if err != nil {
-			t.Fatalf("%s standalone replan: %v", r.Name, err)
-		}
-		if got := replan.Replanned.Time(); r.Resilience != got {
-			t.Errorf("%s: sweep resilience %v != standalone replan %v", r.Name, r.Resilience, got)
-		}
-		faulted++
-	}
-	if checked == 0 {
-		t.Fatal("no unpruned candidates to check")
-	}
-	if faulted == 0 {
-		t.Fatal("no candidate carries the faulted kind")
-	}
-	t.Logf("%d candidates checked, %d of them under the fault", checked, faulted)
-}
-
-// pruneSpace mixes a cheap fast kind with an expensive slow one so the
-// lower bound provably dominates the slow fleets once a fast one is
-// evaluated. The fast kind is enumerated first (first kind varies
-// slowest, and its zero-count combinations lead), so serial sweeps
-// evaluate a dominator before meeting the prunable candidates.
-func pruneSpace() *Space {
-	return &Space{
-		Kinds: []Kind{
-			{Name: "edge-npu", Spec: hardware.EdgeNPU(), Price: 20},
-			{Name: "tpu-v3", Spec: hardware.TPUv3(), Price: 1},
-		},
-		Counts:    []int{0, 2, 4, 16},
-		Levels:    []int{8},
-		NetScales: []float64{1},
-	}
-}
-
-// TestPruningSafety proves the acceptance property: pruning changes
-// wall-clock only. The frontier artifact is byte-identical with
-// pruning on and off, pruning actually fires, and every pruned
-// candidate's full evaluation (from the unpruned run) is dominated by
-// some evaluated candidate — it could never have entered the frontier.
-func TestPruningSafety(t *testing.T) {
-	space := pruneSpace()
-	cfg := Config{Model: "alexnet", Batch: 64, Fault: "slowdown:0=2.0", Workers: 1}
-	pruned, err := Sweep(context.Background(), space, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.NoPrune = true
-	full, err := Sweep(context.Background(), space, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned.Pruned == 0 {
-		t.Fatal("pruning never fired on the adversarial space")
-	}
-	if full.Pruned != 0 {
-		t.Fatalf("NoPrune run pruned %d candidates", full.Pruned)
-	}
-	var a, b bytes.Buffer
-	if err := pruned.WriteFrontierJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := full.WriteFrontierJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("frontier differs with pruning on/off:\n%s\nvs\n%s", a.String(), b.String())
-	}
-
-	// Every pruned candidate is dominated in its *actual* metrics.
-	for i, r := range pruned.Results {
-		if !r.Pruned {
-			continue
-		}
-		actual := full.Results[i]
-		if actual.Name != r.Name {
-			t.Fatalf("result order diverged at %d: %s vs %s", i, actual.Name, r.Name)
-		}
-		if actual.Makespan < r.MakespanBound || actual.Resilience < r.ResilienceBound {
-			t.Errorf("%s: actuals (%g, %g) beat the bounds (%g, %g) — bound not admissible",
-				r.Name, actual.Makespan, actual.Resilience, r.MakespanBound, r.ResilienceBound)
-		}
-		witnessed := false
-		for _, o := range full.Results {
-			if o.Pruned || o.Name == r.Name {
-				continue
+	for _, fault := range []string{"slowdown:0=2.0", "loss:1=0.25", "slowdown:0=1.5,membw:1=2.0,loss:1=0.25"} {
+		t.Run(fault, func(t *testing.T) {
+			space := smallSpace()
+			cfg := Config{Model: "resnet18", Batch: 64, Fault: fault, Workers: 4, KeepPlans: true}
+			rep, err := Sweep(context.Background(), space, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if o.Makespan <= actual.Makespan && o.Cost <= actual.Cost && o.Resilience <= actual.Resilience &&
-				(o.Makespan < actual.Makespan || o.Cost < actual.Cost || o.Resilience < actual.Resilience) {
-				witnessed = true
-				break
+			fs, err := faults.Parse(cfg.Fault)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !witnessed {
-			t.Errorf("pruned candidate %s is not dominated by any evaluated candidate", r.Name)
-		}
+			scenario := &faults.Scenario{Faults: fs}
+			net := buildNet(t, cfg.Model, cfg.Batch)
+			variants := core.StrategyAccPar.Variants()
+			faulted := 0
+			for _, r := range rep.Results {
+				tree, err := r.Tree()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := core.PartitionCtx(context.Background(), net, tree, variants...)
+				if err != nil {
+					t.Fatalf("%s standalone: %v", r.Name, err)
+				}
+				var buf bytes.Buffer
+				if err := want.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(r.PlanJSON, buf.Bytes()) {
+					t.Errorf("%s: sweep plan diverges from standalone AccPar portfolio search", r.Name)
+				}
+				if r.Makespan != want.Time() {
+					t.Errorf("%s: sweep makespan %v != standalone %v", r.Name, r.Makespan, want.Time())
+				}
+
+				degraded, err := space.DegradedTree(&r.Candidate, scenario)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if degraded == nil {
+					if r.Resilience != r.Makespan {
+						t.Errorf("%s: unfaulted resilience %v != makespan %v", r.Name, r.Resilience, r.Makespan)
+					}
+					continue
+				}
+				replan, err := core.ReplanCtx(context.Background(), net, tree, degraded, variants[r.Variant])
+				if err != nil {
+					t.Fatalf("%s standalone replan: %v", r.Name, err)
+				}
+				if got := replan.Replanned.Time(); r.Resilience != got {
+					t.Errorf("%s: sweep resilience %v != standalone replan %v", r.Name, r.Resilience, got)
+				}
+				faulted++
+			}
+			if faulted == 0 {
+				t.Fatal("no candidate carries a faulted kind")
+			}
+			t.Logf("%d candidates checked, %d of them under the fault", len(rep.Results), faulted)
+		})
 	}
 }
 
@@ -315,5 +237,15 @@ func TestSweepRejectsBadInputs(t *testing.T) {
 	tight.Budget = 0.001
 	if _, err := Sweep(ctx, tight, Config{Model: "alexnet", Batch: 64}); err == nil {
 		t.Error("budget excluding every candidate must be rejected")
+	}
+	nan := smallSpace()
+	nan.Budget = math.NaN()
+	if _, err := Sweep(ctx, nan, Config{Model: "alexnet", Batch: 64}); err == nil {
+		t.Error("NaN budget must be rejected")
+	}
+	inf := smallSpace()
+	inf.NetScales = []float64{1, math.Inf(1)}
+	if _, err := Sweep(ctx, inf, Config{Model: "alexnet", Batch: 64}); err == nil {
+		t.Error("infinite net scale must be rejected")
 	}
 }

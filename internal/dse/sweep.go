@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"accpar/internal/core"
@@ -35,9 +34,10 @@ type Config struct {
 	// Workers bounds the candidate-level worker pool; 0 = GOMAXPROCS,
 	// 1 = serial.
 	Workers int
-	// NoPrune disables lower-bound pruning, evaluating every candidate
-	// in full. The frontier is identical either way — pruning is proven
-	// safe — so this exists for verification and timing comparisons.
+	// NoPrune has no effect: every candidate that passes the memory
+	// pre-prune is planned in full.
+	//
+	// Deprecated: the sweep no longer prunes on a lower bound.
 	NoPrune bool
 	// Memory selects the planner's HBM-capacity constraint for every
 	// candidate. Any mode but MemoryOff also pre-prunes candidates whose
@@ -53,8 +53,7 @@ type Config struct {
 	KeepPlans bool
 }
 
-// Result is one candidate's sweep outcome. Pruned candidates carry
-// their bounds but no actual metrics.
+// Result is one candidate's sweep outcome.
 type Result struct {
 	Candidate
 	// Makespan is the best variant's modelled iteration time (s).
@@ -66,34 +65,31 @@ type Result struct {
 	Strategy string `json:"strategy,omitempty"`
 	// Variant is the winning variant's index in core.StrategyAccPar.Variants().
 	Variant int `json:"variant"`
-	// Pruned marks candidates skipped via the admissible lower bound.
-	Pruned bool `json:"pruned,omitempty"`
 	// Infeasible marks candidates the workload cannot fit under
 	// Config.Memory: pre-pruned on the aggregate-capacity floor (no
 	// metrics) or searched without finding a fitting plan. Infeasible
 	// candidates never join the frontier.
 	Infeasible bool `json:"infeasible,omitempty"`
-	// MakespanBound and ResilienceBound are the admissible lower bounds
-	// the pruning decision used.
-	MakespanBound   float64 `json:"makespan_bound_s"`
-	ResilienceBound float64 `json:"resilience_bound_s"`
 	// PlanJSON is the winning plan's canonical rendering, retained only
 	// under Config.KeepPlans.
 	PlanJSON []byte `json:"-"`
 }
 
-// Report is a completed sweep. Frontier membership, ordering and every
-// per-entry field are deterministic across worker counts and pruning
-// settings; Evaluated/Pruned totals and per-candidate Pruned flags
-// depend on evaluation timing and are excluded from the frontier
-// artifact (WriteFrontierJSON) for that reason.
+// Report is a completed sweep. Every field is deterministic across
+// worker counts; the frontier artifact (WriteFrontierJSON) carries the
+// frontier and its inputs only.
 type Report struct {
 	Model      string `json:"model"`
 	Batch      int    `json:"batch"`
 	Fault      string `json:"fault"`
 	Candidates int    `json:"candidates"`
-	Evaluated  int    `json:"-"`
-	Pruned     int    `json:"-"`
+	// Evaluated counts candidates planned in full and not Infeasible.
+	Evaluated int `json:"-"`
+	// Pruned is always 0.
+	//
+	// Deprecated: the sweep no longer prunes on a lower bound; memory
+	// pre-pruned candidates count as Infeasible.
+	Pruned int `json:"-"`
 	// Infeasible counts candidates the workload cannot fit under
 	// Config.Memory (pre-pruned or searched without a fitting plan).
 	Infeasible int `json:"-"`
@@ -101,7 +97,7 @@ type Report struct {
 	// resilience), sorted cheapest-first.
 	Frontier []Result `json:"frontier"`
 	// Results holds every candidate in enumeration order, including
-	// pruned ones.
+	// infeasible ones.
 	Results []Result `json:"-"`
 }
 
@@ -119,7 +115,7 @@ type frontierEntry struct {
 
 // WriteFrontierJSON writes the deterministic frontier artifact: two
 // sweeps over the same space and workload produce byte-identical
-// output regardless of worker count or pruning, which CI asserts.
+// output regardless of worker count, which CI asserts.
 func (r *Report) WriteFrontierJSON(w io.Writer) error {
 	out := struct {
 		Model      string          `json:"model"`
@@ -144,18 +140,13 @@ func (r *Report) WriteFrontierJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// point is an evaluated candidate's actual metric vector, shared
-// across workers for pruning decisions.
-type point struct{ mk, cost, res float64 }
-
 // Sweep enumerates the space and evaluates every candidate through one
 // shared core.BatchSet: plan with the full AccPar portfolio, model the
-// post-fault replanned makespan, prune candidates whose admissible
-// bounds are dominated by an already-evaluated fleet, and evaluate
-// candidates whose level caps truncate to identical hardware exactly
-// once. Evaluations fan out over a deterministic worker pool; every
-// plan is byte-identical to a standalone AccPar portfolio search, so the
-// frontier is a pure function of (space, config).
+// post-fault replanned makespan, and evaluate candidates whose level
+// caps truncate to identical hardware exactly once. Evaluations fan out
+// over a deterministic worker pool; every plan is byte-identical to a
+// standalone AccPar portfolio search, so the frontier is a pure function
+// of (space, config).
 func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 	start := time.Now()
 	defer func() { obsSweep.Observe(time.Since(start)) }()
@@ -246,18 +237,9 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 	}
 
 	results := make([]Result, len(cands))
-	var mu sync.Mutex
-	var evaluated []point
-
 	err = parallel.ForEachCtx(ctx, len(jobs), cfg.Workers, func(ji int) error {
 		j := jobs[ji]
-		c := &cands[j.members[0]]
-		lbMk := set.LowerBound(j.tree)
-		lbRes := lbMk
-		if j.degraded != nil {
-			lbRes = set.LowerBound(j.degraded)
-		}
-		r := Result{Variant: -1, MakespanBound: lbMk, ResilienceBound: lbRes}
+		r := Result{Variant: -1}
 		finish := func() {
 			for _, i := range j.members {
 				out := r
@@ -268,28 +250,11 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 		if cfg.Memory != core.MemoryOff && minResidency > j.tree.Group.HBMBytes() {
 			// The fleet's total HBM cannot hold the workload under any
 			// plan (residency is superadditive under splits): discard
-			// before any bound evaluation or search runs.
+			// before any search runs.
 			core.NoteDSEMemoryPruned(len(j.members))
 			r.Infeasible = true
 			finish()
 			return nil
-		}
-		if !cfg.NoPrune {
-			mu.Lock()
-			skip := false
-			for _, p := range evaluated {
-				if dominates(p.mk, p.cost, p.res, lbMk, c.Cost, lbRes) {
-					skip = true
-					break
-				}
-			}
-			mu.Unlock()
-			if skip {
-				core.NoteDSEPruned(len(j.members))
-				r.Pruned = true
-				finish()
-				return nil
-			}
 		}
 		plan, variant, err := set.PlanBestCtx(ctx, j.tree)
 		if err != nil {
@@ -308,7 +273,7 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 		r.Makespan = plan.Time()
 		r.Resilience = r.Makespan
 		if j.degraded != nil {
-			r.Resilience, err = set.ReplanTimeCtx(ctx, plan, variant, j.degraded)
+			r.Resilience, err = set.ReplanTimeCtx(ctx, j.tree, variant, j.degraded)
 			if err != nil {
 				if errors.Is(err, core.ErrNoFeasiblePlan) {
 					r.Infeasible = true
@@ -325,13 +290,6 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 				return err
 			}
 		}
-		if !r.Infeasible {
-			// Infeasible candidates are off the frontier, so they cannot
-			// witness another candidate's exclusion from it.
-			mu.Lock()
-			evaluated = append(evaluated, point{mk: r.Makespan, cost: c.Cost, res: r.Resilience})
-			mu.Unlock()
-		}
 		finish()
 		return nil
 	})
@@ -347,12 +305,9 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 		Results:    results,
 	}
 	for _, r := range results {
-		switch {
-		case r.Pruned:
-			rep.Pruned++
-		case r.Infeasible:
+		if r.Infeasible {
 			rep.Infeasible++
-		default:
+		} else {
 			rep.Evaluated++
 		}
 	}
@@ -401,21 +356,17 @@ func degradedTree(c *Candidate, scenario *faults.Scenario, kindIndex map[string]
 	return hardware.BuildTree(arr, c.Levels)
 }
 
-// frontierOf extracts the Pareto-optimal evaluated results and sorts
-// them deterministically. Pruning never removes a frontier member: a
-// candidate is pruned only when an evaluated point dominates its
-// admissible bounds, and actual metrics are never below their bounds,
-// so the dominator (or something dominating it) witnesses the pruned
-// candidate's exclusion from any frontier.
+// frontierOf extracts the Pareto-optimal feasible results and sorts
+// them deterministically.
 func frontierOf(results []Result) []Result {
 	var front []Result
 	for i, r := range results {
-		if r.Pruned || r.Infeasible {
+		if r.Infeasible {
 			continue
 		}
 		dominated := false
 		for j, o := range results {
-			if i == j || o.Pruned || o.Infeasible {
+			if i == j || o.Infeasible {
 				continue
 			}
 			if dominates(o.Makespan, o.Cost, o.Resilience, r.Makespan, r.Cost, r.Resilience) {

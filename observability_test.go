@@ -283,8 +283,8 @@ func TestDSECountersExposed(t *testing.T) {
 	if d := after.Counters["core.memo_cross_fleet_hits"] - before.Counters["core.memo_cross_fleet_hits"]; d <= 0 {
 		t.Errorf("sweep recorded %d cross-fleet memo hits; want > 0", d)
 	}
-	if _, ok := after.Counters["core.dse_pruned_candidates"]; !ok {
-		t.Error("core.dse_pruned_candidates missing from session metrics")
+	if _, ok := after.Counters["core.dse_memory_pruned_candidates"]; !ok {
+		t.Error("core.dse_memory_pruned_candidates missing from session metrics")
 	}
 
 	var buf bytes.Buffer
@@ -292,7 +292,7 @@ func TestDSECountersExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := buf.String()
-	for _, want := range []string{"core_memo_cross_fleet_hits", "core_dse_pruned_candidates"} {
+	for _, want := range []string{"core_memo_cross_fleet_hits", "core_dse_memory_pruned_candidates"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("prometheus exposition missing %q", want)
 		}
