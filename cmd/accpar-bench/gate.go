@@ -49,8 +49,9 @@ const allocSlack = 16
 // dseMinSpeedup is the amortization floor the shared design-space sweep
 // must hold over independent cold per-candidate searches. Unlike the
 // relative ns/op comparisons, this gates the fresh report against an
-// absolute target: losing the batch engine's cross-fleet memo is a
-// regression even if both sweep entries slow down in proportion.
+// absolute target: losing the sweep's plan cache, shared across
+// candidate fleets, is a regression even if both sweep entries slow down
+// in proportion.
 const dseMinSpeedup = 5.0
 
 // memMaxOverhead is the design ceiling on the non-binding reject-mode

@@ -58,8 +58,8 @@ type BenchReport struct {
 	// fault-response path.
 	SpeedupReplanWarm float64 `json:"speedup_replan_warm"`
 	// SpeedupDSEShared is DSESweep cold ns/op over shared: the whole-sweep
-	// win of the batch engine's cross-fleet memo over independent
-	// per-candidate searches of the same fleet grid. The
+	// win of the sweep's plan cache, shared by every candidate fleet, over
+	// independent per-candidate searches of the same fleet grid. The
 	// gate enforces a floor on it (dseMinSpeedup).
 	SpeedupDSEShared float64 `json:"speedup_dse_shared"`
 	// OverheadMemoryReject is the fractional ns/op cost of running the
@@ -316,16 +316,15 @@ func dedupCounts(counts ...int) []int {
 const dseFault = "slowdown:0=2.0"
 
 // benchDSESweep times the fleet design-space sweep two ways on one
-// model. Cold is the pre-batch-engine baseline of independent
-// per-candidate searches — the production entry points run per fleet
-// with no retained state: the AccPar portfolio for the makespan, a stale
-// re-cost plus a fresh portfolio search of the degraded tree for the
-// resilience axis (without an engine there is no retained winner to
-// narrow the replan to). Shared is the shipped dse.Sweep: one
-// sweep-wide structural memo and duplicate-tree candidates evaluated
-// once. Both fan out over the same worker pool and produce the same
-// frontier — the memo never changes decisions — so the ratio is pure
-// amortization.
+// model. Cold is the baseline of independent per-candidate searches —
+// the production entry points run per fleet with no retained state: the
+// AccPar portfolio for the makespan, a stale re-cost plus a fresh
+// portfolio search of the degraded tree for the resilience axis. Shared
+// is the shipped dse.Sweep: one sweep-wide plan cache, the replan
+// narrowed to the winning variant, and duplicate-tree candidates
+// evaluated once. Both fan out over the same worker pool and produce the
+// same frontier — the memo never changes decisions — so the ratio is
+// pure amortization.
 func benchDSESweep(model string, batch, perKind int) (cold, shared testing.BenchmarkResult, err error) {
 	space := dseSpace(perKind)
 	net, err := models.BuildNetwork(model, batch)
@@ -530,7 +529,7 @@ func runPerf(cfg eval.Config, jsonPath, cpuProfile, memProfile string) error {
 	}
 
 	// Fleet design-space sweep: independent cold per-candidate searches vs
-	// one shared batch sweep over the same grid.
+	// one sweep on a shared plan cache over the same grid.
 	dseCold, dseShared, err := benchDSESweep("resnet50", batch, perKind)
 	if err != nil {
 		return err

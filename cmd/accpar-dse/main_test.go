@@ -29,6 +29,9 @@ func smokeConfig(dir string, workers int) config {
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	cfg := smokeConfig(dir, 4)
+	// Fault-free, so the sweep runs no replans and every plan-cache hit
+	// below is one candidate's search served from another's.
+	cfg.fault = ""
 	var buf bytes.Buffer
 	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
@@ -59,9 +62,8 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Errorf("frontier artifact incomplete: %+v", artifact)
 	}
 
-	// The metrics snapshot carries the cross-fleet amortization counter CI
-	// asserts on; this sweep has duplicate compositions (level caps 2 and 8
-	// truncate small fleets identically), so it must be nonzero.
+	// The metrics snapshot carries the plan-cache hits CI asserts on: the
+	// candidates share subproblems, so the count must be nonzero.
 	mraw, err := os.ReadFile(cfg.metricsOut)
 	if err != nil {
 		t.Fatal(err)
@@ -72,8 +74,8 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(mraw, &metrics); err != nil {
 		t.Fatalf("metrics snapshot is not JSON: %v", err)
 	}
-	if hits, ok := metrics.Counters["core.memo_cross_fleet_hits"]; !ok || hits <= 0 {
-		t.Errorf("core.memo_cross_fleet_hits = %d (present=%v), want > 0", hits, ok)
+	if hits, ok := metrics.Counters["plancache.hits"]; !ok || hits <= 0 {
+		t.Errorf("plancache.hits = %d (present=%v), want > 0", hits, ok)
 	}
 }
 

@@ -182,8 +182,8 @@ func printAudit(w io.Writer, raw json.RawMessage) error {
 		return fmt.Errorf("audit report does not parse: %w", err)
 	}
 	t := rep.Totals
-	fmt.Fprintf(w, "\nsearch audit: %d subproblems (cold %d, memo %d, cross-fleet %d, shared %d, pruned %d)\n",
-		t.Subproblems, t.Cold, t.MemoHits, t.CrossFleetHits, t.SharedCacheHits, t.CapacityFloorPruned)
+	fmt.Fprintf(w, "\nsearch audit: %d subproblems (cold %d, memo %d, shared %d, pruned %d)\n",
+		t.Subproblems, t.Cold, t.MemoHits, t.SharedCacheHits, t.CapacityFloorPruned)
 	for _, s := range rep.Subproblems {
 		fmt.Fprintln(w, auditLine(s))
 	}

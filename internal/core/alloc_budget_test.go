@@ -49,14 +49,16 @@ func TestColdSearchAllocBudget(t *testing.T) {
 // replanAllocBudget bounds the allocations of one steady-state replan:
 // the nine-variant AccPar portfolio partitioning the pristine 16+16 fleet
 // (a recurrent root hit) and a never-seen degraded one on a full shared
-// cache, so the measured replans trim it. Measured at 1.2k; 1.6k on
+// cache, so the measured replans trim it. Measured at 799; 1.2k when
+// every search rebuilt its units, segment index and level-context pool
+// instead of reusing its cache entry's search shape, 1.6k on
 // per-network replan engines that kept their own memos, each search
 // building one slice per multi-path segment path; 3.1k when every memo
 // hit deep-copied the solved subtree and every engine lookup built a
 // throwaway engine, 4.5k with per-split level contexts and heap-built
 // memo keys, and 14.7k when every eviction re-digested a whole working
 // set of trees into an index.
-const replanAllocBudget = 1_400
+const replanAllocBudget = 1_000
 
 // replanBudgetCacheEntries bounds the steady-state replan's cache: the
 // warm-up overfills it, so the measured replans run on a full cache and
@@ -120,12 +122,13 @@ func TestReplanSteadyStateAllocBudget(t *testing.T) {
 
 // warmHitAllocBudget bounds the allocations of one search answered whole
 // by a warm SharedCache: ResNet-50 (batch 512) on 64+64 boards, whose
-// root subproblem is a cache hit. Measured at 12 (the search runs on the
-// cache's own memo, and its segment index shares two backing arrays);
-// 72 with one slice per multi-path segment path, 95 when it built a
+// root subproblem is a cache hit. Measured at 5 (the search runs on the
+// cache's own memo and search shape); 12 when every search rebuilt its
+// units, segment index and level-context pool, 72 with one slice per
+// multi-path segment path, 95 when it built a
 // per-search memo and a string key for a separate cache, 350 when every
 // hit deep-copied the cached plan of 255 nodes.
-const warmHitAllocBudget = 16
+const warmHitAllocBudget = 8
 
 // TestWarmHitAllocBudget fails when a cache hit copies the cached
 // subtree again instead of linking the shared, read-only node.

@@ -15,7 +15,7 @@ import (
 // (Options.Audit) that captures, per subproblem the hierarchical search
 // visits, the candidate types it weighed with their modelled costs, the
 // winner, why the losers died, and where the solution came from (cold
-// compute, per-search memo, cross-fleet reuse, shared cache). Like the
+// compute, per-search memo, shared cache). Like the
 // tracer, the audit observes and never decides: plans are byte-identical
 // with the recorder attached or not, which TestAuditEquivalence enforces
 // the same way TestObservationEquivalence does for spans.
@@ -25,11 +25,8 @@ const (
 	// ProvenanceCold marks a subproblem solved from scratch.
 	ProvenanceCold = "cold"
 	// ProvenanceMemoHit marks a subproblem answered by an entry this
-	// search (or engine call) solved or served.
+	// search solved or served.
 	ProvenanceMemoHit = "memo-hit"
-	// ProvenanceCrossFleetHit marks a memo hit on an entry last touched
-	// while planning a different batch candidate fleet.
-	ProvenanceCrossFleetHit = "cross-fleet-hit"
 	// ProvenanceSharedCacheHit marks a subproblem answered by an entry of
 	// the cross-run cache (Options.Cache) another search solved or served.
 	ProvenanceSharedCacheHit = "shared-cache-hit"
@@ -127,7 +124,6 @@ type AuditTotals struct {
 	Subproblems         int `json:"subproblems"`
 	Cold                int `json:"cold"`
 	MemoHits            int `json:"memo_hits"`
-	CrossFleetHits      int `json:"cross_fleet_hits"`
 	SharedCacheHits     int `json:"shared_cache_hits"`
 	CapacityFloorPruned int `json:"capacity_floor_pruned"`
 }
@@ -212,8 +208,6 @@ func (r *AuditRecorder) Report() AuditReport {
 			rep.Totals.Cold++
 		case ProvenanceMemoHit:
 			rep.Totals.MemoHits++
-		case ProvenanceCrossFleetHit:
-			rep.Totals.CrossFleetHits++
 		case ProvenanceSharedCacheHit:
 			rep.Totals.SharedCacheHits++
 		}

@@ -12,20 +12,20 @@ import (
 )
 
 // This file connects searches to the cross-run plan cache. A
-// SharedCache is a set of planMemos (memo.go) retained across searches,
-// one per search fingerprint: everything fixed for one planner — the
-// network's unit/segment structure and every Options field that can
-// change a decision (the Fixed assignment function is fingerprinted by
-// its observable behaviour: its result on each unit). Within that memo a
+// SharedCache keeps one entry per search fingerprint: everything fixed
+// for one planner — the network's unit/segment structure and every
+// Options field that can change a decision (the Fixed assignment function
+// is fingerprinted by its observable behaviour: its result on each unit).
+// An entry holds the fingerprint's planMemo (memo.go) and its search
+// shape (partition.go: units, segment index, pooled level contexts),
+// built once, by the first search that attaches. Within the memo a
 // solved subproblem is keyed, as in any planner, by its hardware subtree
 // and effective per-unit dims. A search or replan with Options.Cache set
-// plans on its fingerprint's memo directly, so every solved subproblem is
-// stored once, in one place: a replan's pristine plan, its memoized stale
-// re-costings and the untouched subtrees of its degraded hierarchy are
+// plans on its fingerprint's entry directly, so every solved subproblem
+// is stored once, in one place: a replan's pristine plan, its memoized
+// stale re-costings, the untouched subtrees of its degraded hierarchy and
+// a design-space sweep's subtrees shared between candidate fleets are
 // entries of the same memo the one-shot searches fill.
-//
-// Only BatchEngine keeps a memo of its own: it retains everything for
-// the duration of one sweep and is discarded with it.
 //
 // Parallelism is deliberately absent from the fingerprint: plans are
 // byte-identical across worker counts (TestParallelismEquivalence), so a
@@ -38,8 +38,9 @@ const defaultCacheCapacity = 1 << 16
 
 // SharedCache is a concurrency-safe, bounded, in-memory cache of solved
 // hierarchical subproblems, shared across searches — PartitionCtx, the
-// AccPar portfolio, Compare, evaluation sweeps, autotuning and ReplanCtx
-// — over any mix of networks, hardware trees and options.
+// AccPar portfolio, Compare, evaluation and design-space sweeps,
+// autotuning and ReplanCtx — over any mix of networks, hardware trees and
+// options.
 //
 // Every attached search draws a fresh epoch from the cache and stamps
 // the entries it stores or serves with it, so an entry's epoch says which
@@ -60,8 +61,8 @@ type SharedCache struct {
 	capacity int
 	epoch    atomic.Int64
 
-	mu    sync.Mutex
-	memos map[[16]byte]*planMemo
+	mu      sync.Mutex
+	entries map[[16]byte]*cacheEntry
 	// trees interns hardware trees by content (InternTree); treeMRU
 	// orders their keys most recently used first.
 	trees   map[[16]byte]*hardware.Tree
@@ -70,6 +71,12 @@ type SharedCache struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
+}
+
+// cacheEntry is one search fingerprint's retained state.
+type cacheEntry struct {
+	memo  planMemo
+	shape *searchShape
 }
 
 // CacheStats is a point-in-time snapshot of a SharedCache's counters.
@@ -100,7 +107,7 @@ func NewSharedCache(capacity int) *SharedCache {
 	if capacity <= 0 {
 		capacity = defaultCacheCapacity
 	}
-	return &SharedCache{capacity: capacity, memos: make(map[[16]byte]*planMemo), trees: make(map[[16]byte]*hardware.Tree)}
+	return &SharedCache{capacity: capacity, entries: make(map[[16]byte]*cacheEntry), trees: make(map[[16]byte]*hardware.Tree)}
 }
 
 // Stats returns the cache's hit/miss/eviction counters.
@@ -128,32 +135,34 @@ func (c *SharedCache) Len() int {
 
 func (c *SharedCache) lenLocked() int {
 	n := 0
-	for _, m := range c.memos {
-		n += m.len()
+	for _, e := range c.entries {
+		n += e.memo.len()
 	}
 	return n
 }
 
-// attach returns the memo of the search fingerprint fp, creating it on
-// first use, and a fresh epoch for one search on it.
-func (c *SharedCache) attach(fp [16]byte) (*planMemo, int64) {
+// attach returns the memo and search shape of net's fingerprint under
+// opt, creating the entry on first use, and a fresh epoch for one search
+// on it.
+func (c *SharedCache) attach(net *dnn.Network, opt Options) (*planMemo, *searchShape, int64) {
+	fp := searchFingerprint(net, opt)
 	c.mu.Lock()
-	m := c.memos[fp]
-	if m == nil {
-		m = &planMemo{}
-		c.memos[fp] = m
+	e := c.entries[fp]
+	if e == nil {
+		e = &cacheEntry{shape: newSearchShape(net, opt)}
+		c.entries[fp] = e
 	}
 	c.mu.Unlock()
-	return m, c.epoch.Add(1)
+	return &e.memo, e.shape, c.epoch.Add(1)
 }
 
 // trim enforces the capacity bound after a search and returns the number
 // of entries it evicted. Once the cache holds more than capacity entries,
 // it evicts the entries of the oldest epochs until at most three quarters
-// of capacity remain, and drops memos left empty. Trimming below the
+// of capacity remain, and drops entries left empty. Trimming below the
 // bound leaves room for the next searches, so the scan and sort run once
 // per quarter of capacity filled rather than after every search of a
-// full cache. A search still running on a dropped memo stays correct —
+// full cache. A search still running on a dropped entry stays correct —
 // content addressing means an evicted entry can only be missed and
 // re-solved, never wrongly hit — and its later entries simply leave with
 // it.
@@ -166,8 +175,8 @@ func (c *SharedCache) trim() int64 {
 	}
 	target := c.capacity * 3 / 4
 	counts := make(map[int64]int)
-	for _, m := range c.memos {
-		m.epochCounts(counts)
+	for _, e := range c.entries {
+		e.memo.epochCounts(counts)
 	}
 	epochs := make([]int64, 0, len(counts))
 	for ep := range counts {
@@ -183,10 +192,10 @@ func (c *SharedCache) trim() int64 {
 		cutoff = ep + 1
 	}
 	var evicted int64
-	for fp, m := range c.memos {
-		evicted += int64(m.evictBefore(cutoff))
-		if m.len() == 0 {
-			delete(c.memos, fp)
+	for fp, e := range c.entries {
+		evicted += int64(e.memo.evictBefore(cutoff))
+		if e.memo.len() == 0 {
+			delete(c.entries, fp)
 		}
 	}
 	c.evictions.Add(evicted)
@@ -266,39 +275,52 @@ func arrayKey(arr *hardware.Array, maxLevels int) [16]byte {
 // subproblems but varies between planners sharing a cache: the network
 // structure and the decision-relevant options. Subproblem keys (subtree,
 // dims) are only unique within one fingerprint.
-func searchFingerprint(units []dnn.WeightedLayer, segs, planSegs []segRef, opt Options) [16]byte {
+func searchFingerprint(net *dnn.Network, opt Options) [16]byte {
 	h := wordhash.New()
 	wInt := func(v int64) { h.Word(uint64(v)) }
-	wStr := h.String
-
-	// Network structure: per-unit identity (dims travel in the subproblem
-	// key) and the series-parallel segment shape, both as searched and as
-	// planned (they differ under Linearize).
-	wInt(int64(len(units)))
-	for _, u := range units {
-		wStr(u.Name)
-		wInt(int64(u.Kind))
-		if u.Virtual {
+	wBool := func(b bool) {
+		if b {
 			wInt(1)
 		} else {
 			wInt(0)
 		}
 	}
-	wSegs := func(refs []segRef) {
-		wInt(int64(len(refs)))
-		for _, r := range refs {
-			wInt(int64(r.unit))
-			wInt(int64(len(r.paths)))
-			for _, p := range r.paths {
-				wInt(int64(len(p)))
-				for _, u := range p {
-					wInt(int64(u))
-				}
+
+	// Network structure: per-unit identity (dims travel in the subproblem
+	// key) and the series-parallel segment shape, which also fixes the
+	// planned structure under Linearize. The Fixed assignment is a
+	// function — unhashable by value — but its only observable effect is
+	// its result on each of this network's units, so that result vector IS
+	// its fingerprint here.
+	wBool(opt.Fixed != nil)
+	wUnit := func(u *dnn.WeightedLayer) {
+		h.String(u.Name)
+		wInt(int64(u.Kind))
+		wBool(u.Virtual)
+		if opt.Fixed == nil {
+			return
+		}
+		if t, ok := opt.Fixed(*u); ok {
+			wInt(int64(t) + 1)
+		} else {
+			wInt(0)
+		}
+	}
+	wInt(int64(len(net.Segments)))
+	for _, s := range net.Segments {
+		if s.Unit != nil {
+			wInt(-1)
+			wUnit(s.Unit)
+			continue
+		}
+		wInt(int64(len(s.Paths)))
+		for _, path := range s.Paths {
+			wInt(int64(len(path)))
+			for i := range path {
+				wUnit(&path[i])
 			}
 		}
 	}
-	wSegs(segs)
-	wSegs(planSegs)
 
 	// Options, field by field. Types order matters to DP tie-breaking, so
 	// the set is hashed in its configured order.
@@ -309,18 +331,10 @@ func searchFingerprint(units []dnn.WeightedLayer, segs, planSegs []segRef, opt O
 	wInt(int64(opt.Objective))
 	wInt(int64(opt.Ratio))
 	wInt(int64(opt.MaxRatioIters))
-	if opt.Linearize {
-		wInt(1)
-	} else {
-		wInt(0)
-	}
+	wBool(opt.Linearize)
 	wInt(int64(opt.Optimizer))
 	wInt(int64(opt.Topology))
-	if opt.Exhaustive {
-		wInt(1)
-	} else {
-		wInt(0)
-	}
+	wBool(opt.Exhaustive)
 	wInt(int64(opt.Mode))
 	// The memory constraint changes decisions (constrained searches may
 	// pick different types or ratios), so it namespaces cache entries;
@@ -328,20 +342,5 @@ func searchFingerprint(units []dnn.WeightedLayer, segs, planSegs []segRef, opt O
 	// subtree digests (hardware.Tree.Identity) fold in every spec's
 	// HBMBytes fingerprint.
 	wInt(int64(opt.MemoryLimit))
-
-	// The Fixed assignment is a function — unhashable by value — but its
-	// only observable effect is its result on each of this network's
-	// units, so that result vector IS its fingerprint here.
-	if opt.Fixed == nil {
-		wInt(-1)
-	} else {
-		for _, u := range units {
-			if t, ok := opt.Fixed(u); ok {
-				wInt(int64(t) + 1)
-			} else {
-				wInt(0)
-			}
-		}
-	}
 	return h.Sum()
 }

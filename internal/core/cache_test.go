@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"accpar/internal/cost"
 	"accpar/internal/dnn"
 	"accpar/internal/hardware"
 )
@@ -53,6 +56,140 @@ func TestCacheEquivalence(t *testing.T) {
 				t.Errorf("warm run recorded no hits: %+v", st)
 			}
 		})
+	}
+	// A sweep's use of the cache: the AccPar portfolio over a sequence of
+	// fleets, each plan (and its winner index) byte-identical to a
+	// standalone portfolio search however much state the earlier fleets
+	// left behind.
+	t.Run("portfolio-trees", func(t *testing.T) {
+		net := buildNet(t, "resnet18", 64)
+		variants := cachedVariants(NewSharedCache(0))
+		for i, tree := range []*hardware.Tree{
+			paperTree(t, 4),
+			homTree(t, hardware.TPUv3(), 8, 64),
+			paperTree(t, 8),
+			homTree(t, hardware.TPUv2(), 16, 64),
+			paperTree(t, 4), // revisit: served almost entirely from the cache
+		} {
+			got, variant, err := PartitionBestCtx(context.Background(), net, tree, variants...)
+			if err != nil {
+				t.Fatalf("tree %d: %v", i, err)
+			}
+			want, wantVariant, err := PartitionBestCtx(context.Background(), net, tree, StrategyAccPar.Variants()...)
+			if err != nil {
+				t.Fatalf("tree %d standalone: %v", i, err)
+			}
+			if variant != wantVariant {
+				t.Errorf("tree %d: cached portfolio won with variant %d, standalone with %d", i, variant, wantVariant)
+			}
+			if !bytes.Equal(planJSON(t, got), planJSON(t, want)) {
+				t.Errorf("tree %d: cached plan diverges from standalone AccPar portfolio search", i)
+			}
+		}
+	})
+}
+
+// TestCacheShapeSoundness: a cache entry's search shape is built from the
+// first network that attaches, then serves every search of the same
+// fingerprint. Networks that differ only in batch share a fingerprint, and
+// so do two distinct Fixed closures with equal results; alternating them
+// on one cache must give plans byte-equal to private-memo searches, with
+// one entry per fingerprint.
+func TestCacheShapeSoundness(t *testing.T) {
+	tree := paperTree(t, 4)
+	nets := []*dnn.Network{buildNet(t, "resnet18", 32), buildNet(t, "resnet18", 64)}
+	fcNames := map[string]bool{}
+	for _, u := range nets[0].Units() {
+		if u.Kind == dnn.KindFC {
+			fcNames[u.Name] = true
+		}
+	}
+	byName := OWT()
+	byName.Fixed = func(l dnn.WeightedLayer) (cost.Type, bool) {
+		if fcNames[l.Name] {
+			return cost.TypeII, true
+		}
+		return cost.TypeI, true
+	}
+	options := []Options{AccPar(), OWT(), byName}
+	cache := NewSharedCache(0)
+	for pass := 0; pass < 2; pass++ {
+		for ni, net := range nets {
+			for oi, opt := range options {
+				want := planJSON(t, mustPartition(t, net, tree, opt))
+				opt.Cache = cache
+				if got := planJSON(t, mustPartition(t, net, tree, opt)); !bytes.Equal(got, want) {
+					t.Errorf("pass %d, batch %d, options %d: cached plan differs from its private-memo search", pass, net.Batch, oi)
+				}
+				if pass == 0 && ni == 0 && oi == 0 {
+					if n := len(cache.entries); n != 1 {
+						t.Fatalf("first search created %d cache entries, want 1", n)
+					}
+				}
+			}
+		}
+	}
+	// AccPar and the two equal Fixed assignments: two fingerprints, shared
+	// by both batches.
+	if n := len(cache.entries); n != 2 {
+		t.Errorf("cache holds %d entries, want 2 (one per fingerprint, shared across batches and equal Fixed closures)", n)
+	}
+}
+
+// TestCacheCancellation covers the mid-sweep abort contract of cached
+// portfolio searches: typed ErrCanceled, no goroutine leaks, and a cache
+// left consistent — the same cache must afterwards produce plans
+// byte-identical to a standalone search.
+func TestCacheCancellation(t *testing.T) {
+	net := buildNet(t, "resnet18", 64)
+	variants := cachedVariants(NewSharedCache(0))
+	tree := paperTree(t, 8)
+
+	baseline := runtime.NumGoroutine()
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := PartitionCtx(canceled, net, tree, variants...); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("pre-canceled cached plan: got %v, want ErrCanceled", err)
+	}
+	if !errors.Is(WrapCtxErr(canceled.Err()), ErrCanceled) {
+		t.Fatal("sanity: WrapCtxErr must map context.Canceled to ErrCanceled")
+	}
+
+	// Mid-search abort: cancel from a watcher goroutine while the search
+	// runs. Whichever subproblem observes it first wins; either way the
+	// typed sentinel must surface.
+	midCtx, midCancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(200 * time.Microsecond)
+		midCancel()
+	}()
+	if _, err := PartitionCtx(midCtx, net, tree, variants...); err != nil && !errors.Is(err, ErrCanceled) {
+		t.Fatalf("mid-search cancel: got %v, want nil or ErrCanceled", err)
+	}
+	midCancel()
+
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("goroutines leaked across canceled searches: %d > baseline %d", n, baseline)
+	}
+
+	// Cache consistency: the aborted searches published only completed
+	// subproblems, so a subsequent plan through the same cache must be
+	// byte-identical to a cold standalone search.
+	got, err := PartitionCtx(context.Background(), net, tree, variants...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := PartitionCtx(context.Background(), net, tree, StrategyAccPar.Variants()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(planJSON(t, got), planJSON(t, want)) {
+		t.Error("post-cancel cached plan diverges from standalone search")
 	}
 }
 

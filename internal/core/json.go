@@ -11,6 +11,7 @@ import (
 	"unicode/utf8"
 
 	"accpar/internal/cost"
+	"accpar/internal/dnn"
 )
 
 // This file serializes plans so downstream tooling (schedulers, runtime
@@ -130,25 +131,12 @@ func (p *Plan) AppendJSON(dst []byte) ([]byte, error) {
 	e.string(p.Strategy)
 	e.key(1, "units", false)
 	e.b = append(e.b, '[')
-	// The segments are walked in Network.Units() order without copying
-	// the units.
 	units := 0
-	unit := func(name string) {
+	eachUnit(p.Network, func(u *dnn.WeightedLayer) {
 		e.item(2, units)
-		e.string(name)
+		e.string(u.Name)
 		units++
-	}
-	for _, s := range p.Network.Segments {
-		if s.Unit != nil {
-			unit(s.Unit.Name)
-			continue
-		}
-		for _, path := range s.Paths {
-			for i := range path {
-				unit(path[i].Name)
-			}
-		}
-	}
+	})
 	e.closeArray(1, units)
 	e.key(1, "time_sec", false)
 	e.float(p.Time())

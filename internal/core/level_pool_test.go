@@ -9,20 +9,31 @@ import (
 	"accpar/internal/hardware"
 )
 
-// TestPooledLevelsConcurrentBatch runs concurrent PlanBestCtx calls, each
-// forking its own recursion (Parallelism 4), on one BatchSet, so many
-// goroutines take and return the same engines' pooled level contexts at
-// once. Every plan must be byte-identical to a serial one-shot search;
-// under -race this also checks that no context is shared while in use.
-func TestPooledLevelsConcurrentBatch(t *testing.T) {
-	net := buildNet(t, "inception", 64)
-	variants := StrategyAccPar.Variants()
-	for i := range variants {
-		variants[i].Parallelism = 4
-	}
-	set, err := NewBatchSet(net, variants...)
+func homTree(t *testing.T, spec hardware.Spec, n, levels int) *hardware.Tree {
+	t.Helper()
+	arr, err := hardware.NewHomogeneous(spec, n)
 	if err != nil {
 		t.Fatal(err)
+	}
+	tree, err := hardware.BuildTree(arr, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// TestPooledLevelsConcurrentCache runs concurrent portfolio searches,
+// each forking its own recursion (Parallelism 4), on one SharedCache, so
+// every caller of a fingerprint takes and returns the same retained
+// shape's pooled level contexts at once. Every plan must be
+// byte-identical to a serial one-shot search; under -race this also
+// checks that no context is shared while in use.
+func TestPooledLevelsConcurrentCache(t *testing.T) {
+	net := buildNet(t, "inception", 64)
+	cache := NewSharedCache(0)
+	variants := cachedVariants(cache)
+	for i := range variants {
+		variants[i].Parallelism = 4
 	}
 	trees := []*hardware.Tree{
 		paperTree(t, 4),
@@ -40,7 +51,7 @@ func TestPooledLevelsConcurrentBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = planBytes(t, plan)
+		want[i] = planJSON(t, plan)
 	}
 	const callers = 6
 	var wg sync.WaitGroup
@@ -50,9 +61,10 @@ func TestPooledLevelsConcurrentBatch(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			got[c] = make([][]byte, len(trees))
 			for k := range trees {
 				i := (c + k) % len(trees)
-				plan, _, err := set.PlanBestCtx(context.Background(), trees[i])
+				plan, err := PartitionCtx(context.Background(), net, trees[i], variants...)
 				if err != nil {
 					errs <- err
 					return
@@ -61,9 +73,6 @@ func TestPooledLevelsConcurrentBatch(t *testing.T) {
 				if err := plan.WriteJSON(&buf); err != nil {
 					errs <- err
 					return
-				}
-				if got[c] == nil {
-					got[c] = make([][]byte, len(trees))
 				}
 				got[c][i] = buf.Bytes()
 			}
@@ -77,7 +86,7 @@ func TestPooledLevelsConcurrentBatch(t *testing.T) {
 	for c := range got {
 		for i := range trees {
 			if !bytes.Equal(got[c][i], want[i]) {
-				t.Errorf("caller %d tree %d: concurrent batch plan diverges from the serial one-shot search", c, i)
+				t.Errorf("caller %d tree %d: concurrent cached plan diverges from the serial one-shot search", c, i)
 			}
 		}
 	}
@@ -85,35 +94,33 @@ func TestPooledLevelsConcurrentBatch(t *testing.T) {
 
 // TestPlanSurvivesLaterSearches: pooled level contexts are reused by
 // every later split, so a finished plan must not alias them. The plan's
-// bytes are taken, the same retained planner runs more searches on other
-// trees (rewriting every pooled context), and the plan must encode to
-// the same bytes again.
+// bytes are taken, more searches and a replan run on other trees through
+// the same cache entry (rewriting every pooled context of its retained
+// shape), and the plan must encode to the same bytes again.
 func TestPlanSurvivesLaterSearches(t *testing.T) {
 	net := buildNet(t, "resnet18", 64)
-	e, err := NewBatchEngine(net, AccPar())
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := AccPar()
+	opt.Cache = NewSharedCache(0)
 	ctx := context.Background()
 	pristine := paperTree(t, 4)
-	first, err := e.PlanCtx(ctx, pristine)
+	first, err := PartitionCtx(ctx, net, pristine, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := planBytes(t, first)
+	before := planJSON(t, first)
 	for _, tree := range []*hardware.Tree{
 		paperTree(t, 8),
 		homTree(t, hardware.TPUv2(), 16, 64),
 		treeFor(t, hardware.GroupSpec{Spec: hardware.TPUv2(), Count: 12}, hardware.GroupSpec{Spec: hardware.TPUv3(), Count: 4}),
 	} {
-		if _, err := e.PlanCtx(ctx, tree); err != nil {
+		if _, err := PartitionCtx(ctx, net, tree, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.ReplanTimeCtx(ctx, pristine, homTree(t, hardware.TPUv3(), 8, 64)); err != nil {
+	if _, err := ReplanCtx(ctx, net, pristine, homTree(t, hardware.TPUv3(), 8, 64), opt); err != nil {
 		t.Fatal(err)
 	}
-	if after := planBytes(t, first); !bytes.Equal(before, after) {
-		t.Error("plan bytes changed after later searches on the same planner: a node aliases pooled scratch")
+	if after := planJSON(t, first); !bytes.Equal(before, after) {
+		t.Error("plan bytes changed after later searches on the same cache entry: a node aliases pooled scratch")
 	}
 }

@@ -201,13 +201,11 @@ func TestMemoryRejectIffBruteForce(t *testing.T) {
 // constrained and unconstrained searches can never exchange plan nodes.
 func TestMemoryLimitChangesFingerprint(t *testing.T) {
 	net := buildNet(t, "lenet", 32)
-	units := net.Units()
-	segs := indexSegments(net)
 	seen := map[[16]byte]MemoryMode{}
 	for _, mode := range []MemoryMode{MemoryOff, MemoryReject, MemoryPenalize} {
 		opt := AccPar().withDefaults()
 		opt.MemoryLimit = mode
-		fp := searchFingerprint(units, segs, segs, opt)
+		fp := searchFingerprint(net, opt)
 		if prev, dup := seen[fp]; dup {
 			t.Errorf("modes %v and %v share fingerprint %x", prev, mode, fp)
 		}
@@ -276,8 +274,8 @@ func TestMinResidencyBytes(t *testing.T) {
 }
 
 // TestPortfolioToleratesInfeasibleVariants: every portfolio path —
-// PartitionCtx, BatchSet.PlanBestCtx and PartitionCtx on a shared cache,
-// cold and warm — skips variants that cannot fit, returns the same fitting winner, and
+// PartitionCtx, and PartitionBestCtx on a shared cache cold and warm —
+// skips variants that cannot fit, returns the same fitting winner, and
 // propagates the typed error only when every variant is infeasible.
 func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
 	net := buildNet(t, "alexnet", 128)
@@ -309,16 +307,9 @@ func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
 		t.Error("portfolio winner overflows")
 	}
 	want := planJSON(t, plan)
-	set, err := NewBatchSet(net, variants...)
+	_, wantVariant, err := PartitionBestCtx(context.Background(), net, tree, variants...)
 	if err != nil {
 		t.Fatal(err)
-	}
-	batch, _, err := set.PlanBestCtx(context.Background(), tree)
-	if err != nil {
-		t.Fatalf("batch portfolio with feasible variants: %v", err)
-	}
-	if !bytes.Equal(planJSON(t, batch), want) {
-		t.Error("batch portfolio winner differs from PartitionCtx")
 	}
 	cached := append([]Options(nil), variants...)
 	cache := NewSharedCache(0)
@@ -326,12 +317,12 @@ func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
 		cached[i].Cache = cache
 	}
 	for pass := 0; pass < 2; pass++ {
-		got, err := PartitionCtx(context.Background(), net, tree, cached...)
+		got, variant, err := PartitionBestCtx(context.Background(), net, tree, cached...)
 		if err != nil {
 			t.Fatalf("cached portfolio pass %d with feasible variants: %v", pass, err)
 		}
-		if !bytes.Equal(planJSON(t, got), want) {
-			t.Errorf("cached portfolio pass %d winner differs from PartitionCtx", pass)
+		if !bytes.Equal(planJSON(t, got), want) || variant != wantVariant {
+			t.Errorf("cached portfolio pass %d winner (variant %d) differs from PartitionCtx (variant %d)", pass, variant, wantVariant)
 		}
 	}
 

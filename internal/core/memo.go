@@ -70,9 +70,9 @@ func (p *planMemo) shard(key memoKey) *memoShard {
 
 // get returns the cached solution for key, stamping the entry with the
 // serving epoch and reporting the epoch that last touched it before this
-// call — a batch engine distinguishes cross-fleet hits (the entry was
-// solved or served while planning a different candidate, so prev differs
-// from the serving epoch) from intra-tree reuse by exactly that value.
+// call — a cached search tells a cross-run cache hit (another search
+// solved or served the entry, so prev differs from the serving epoch)
+// from reuse within its own search by exactly that value.
 // The lookup hashes nothing and allocates nothing: key is a fixed-size
 // value. The returned node is the stored one, shared with every plan
 // that already links it; it is read-only and position-free, so the

@@ -16,7 +16,7 @@ import (
 // TestSubproblemKeysDistinctOnSweepGrid searches every candidate of the
 // dse-sweep grid (ResNet-50/512; TPU-v2/v3 counts 0/4/8, five level
 // caps, two link tiers; pristine and with the v2 kind slowed 2×) under
-// every AccPar variant and checks that each distinct (subtree digest,
+// every AccPar variant on one SharedCache, as a sweep does, and checks that each distinct (subtree digest,
 // dims) pair the searches keyed has a distinct memo key. With memory
 // constraints off every keyed subproblem is a node of some variant's
 // plan, so walking the plans against their trees, deriving each node's
@@ -86,13 +86,11 @@ func TestSubproblemKeysDistinctOnSweepGrid(t *testing.T) {
 		walk(n.Left, hw.Left, core.ScaleUnitDims(units, dims, n.Types, n.Alpha))
 		walk(n.Right, hw.Right, core.ScaleUnitDims(units, dims, n.Types, 1-n.Alpha))
 	}
+	cache := core.NewSharedCache(0)
 	for _, opt := range core.StrategyAccPar.Variants() {
-		e, err := core.NewBatchEngine(net, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		opt.Cache = cache
 		for _, tree := range trees {
-			plan, err := e.PlanCtx(context.Background(), tree)
+			plan, err := core.PartitionCtx(context.Background(), net, tree, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

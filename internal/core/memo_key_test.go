@@ -101,8 +101,8 @@ func TestStaleKeysDisjoint(t *testing.T) {
 	if _, err := cachedReplan(context.Background(), net, pristine, slowdownTree(t, groups, 0, 2), AccPar(), cache); err != nil {
 		t.Fatal(err)
 	}
-	if len(cache.memos) != 1 {
-		t.Fatalf("one replan left %d memos in the cache, want 1", len(cache.memos))
+	if len(cache.entries) != 1 {
+		t.Fatalf("one replan left %d entries in the cache, want 1", len(cache.entries))
 	}
 	digests := map[[16]byte]bool{}
 	var walk func(n *hardware.Tree)
@@ -118,8 +118,8 @@ func TestStaleKeysDisjoint(t *testing.T) {
 	plain := map[memoKey]bool{}
 	var stale []memoKey
 	var memo *planMemo
-	for _, m := range cache.memos {
-		memo = m
+	for _, e := range cache.entries {
+		memo = &e.memo
 	}
 	for i := range memo.shards {
 		for k := range memo.shards[i].m {

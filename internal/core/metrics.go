@@ -34,15 +34,9 @@ var (
 	// plancache.evictions.
 	obsReplanHits = obs.NewCounter("core.replan_incremental_hits")
 	// obsReplanTimer is the replan-latency histogram (p50/p95/p99 via the
-	// log2-bucketed obs.Timer): one observation per ReplanCtx and per
-	// resilience degraded-replanning phase.
+	// log2-bucketed obs.Timer): one observation per served replan and per
+	// resilience degraded-replanning phase (ObserveReplanLatency).
 	obsReplanTimer = obs.NewTimer("core.replan.seconds")
-	// obsCrossFleetHits counts batch-engine memo hits on entries last
-	// touched by another engine call: another candidate fleet's, or, in a
-	// resilience replan, the candidate's own plan call. This is the work a
-	// design-space sweep amortizes across calls rather than within one
-	// hierarchy.
-	obsCrossFleetHits = obs.NewCounter("core.memo_cross_fleet_hits")
 	// obsMemoryPruned counts subtrees the constrained search proved
 	// infeasible via the capacity floors inside the DP recursion —
 	// candidate ladders it never had to run.
@@ -61,7 +55,10 @@ var (
 func NoteDSEMemoryPruned(n int) { obsDSEMemoryPruned.Add(int64(n)) }
 
 // ObserveReplanLatency records one replan-latency observation in the
-// core.replan.seconds histogram. The facade's resilience pipeline calls
-// it around its degraded-replanning phase so serving metrics report one
-// latency distribution no matter which entry point triggered the replan.
+// core.replan.seconds histogram. The facade calls it around its replans
+// and its resilience pipeline's degraded-replanning phase, so serving
+// metrics report one latency distribution no matter which entry point
+// triggered the replan. ReplanCtx itself records nothing: a design-space
+// sweep replans every faulted candidate, and those are not served
+// replans.
 func ObserveReplanLatency(d time.Duration) { obsReplanTimer.Observe(d) }

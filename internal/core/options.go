@@ -131,11 +131,11 @@ type Options struct {
 	// Cache, when non-nil, is the cross-run subproblem cache a search
 	// runs on: PartitionCtx (and the sweep entry points built on it),
 	// ReplanCtx and StalePlan read and store their subproblems in the
-	// cache's memo for their fingerprint instead of a memo of their own,
-	// and trim the cache to its bound when they finish. Only BatchEngine,
-	// whose memo lives for one sweep, ignores it. Plans are byte-identical
-	// with the cache disabled, cold or warm — caching changes wall-clock
-	// only, never decisions — which the cache equivalence tests enforce.
+	// cache's memo for their fingerprint, and reuse its search shape,
+	// instead of building their own, and trim the cache to its bound when
+	// they finish. Plans are byte-identical with the cache disabled, cold
+	// or warm — caching changes wall-clock only, never decisions — which
+	// the cache equivalence tests enforce.
 	// Cache is identity, not configuration: it never influences results,
 	// so it takes no part in the search fingerprint.
 	Cache *SharedCache

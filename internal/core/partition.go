@@ -14,27 +14,22 @@ import (
 	"accpar/internal/tensor"
 )
 
-// planner carries the per-search state of one hierarchical partitioning:
-// the network view (units, segment structures), the fixed options, the
-// subproblem memo, and the worker-pool semaphore bounding the fan-out of
-// the recursion over hardware-tree children. A planner may be reused
-// across several trees of the same network and options — ReplanCtx does
-// exactly that, so subtrees untouched by a degradation are solved once.
+// planner carries the per-call state of one hierarchical partitioning:
+// the network, its root dims, the options, the subproblem memo, the
+// worker-pool semaphore bounding the fan-out of the recursion over
+// hardware-tree children, and the search shape it solves splits with. A
+// planner may be reused across several trees of the same network and
+// options — ReplanCtx does exactly that, so subtrees untouched by a
+// degradation are solved once.
 type planner struct {
-	net   *dnn.Network
-	units []dnn.WeightedLayer
+	*searchShape
+	net *dnn.Network
 	// rootDims are the network's unscaled per-unit dims, the dims of
 	// every plan root.
 	rootDims []tensor.LayerDims
-	segs     []segRef
-	planSegs []segRef
 	opt      Options
 	memo     *planMemo
 	sem      *parallel.Sem
-	// levels recycles this network's prepared level contexts (level.go),
-	// so a split reuses DP scratch and coefficient slices instead of
-	// allocating them; forCall copies share it.
-	levels *sync.Pool
 	// cache is the cross-run cache (Options.Cache) whose memo this
 	// planner searches on; nil when the planner has a private memo.
 	cache *SharedCache
@@ -44,32 +39,56 @@ type planner struct {
 	ctx  context.Context
 	done <-chan struct{}
 	// epoch and rs are per-call bookkeeping. epoch stamps memo entries:
-	// newPlanner takes it from an attached cache (the eviction clock) and
-	// a BatchEngine sets one per candidate; it is zero for an uncached
-	// search. rs, set by ReplanCtx and PartitionStatsCtx, collects the
-	// call's hit, expansion and eviction counts.
+	// newPlanner takes it from an attached cache (the eviction clock); it
+	// is zero for an uncached search. rs, set by ReplanCtx and
+	// PartitionStatsCtx, collects the call's hit, expansion and eviction
+	// counts.
 	epoch int64
 	rs    *replanStats
-	// batch marks a call driven by a BatchEngine, whose per-candidate
-	// epochs turn memo hits on entries last touched by a different
-	// candidate into the cross-fleet hit metric.
-	batch bool
 }
 
-// forCall returns a shallow copy of the planner rebound to one engine
-// call: same memo, semaphore and level pool — the retained state a batch
-// engine exists for — but a per-call context and epoch. The copy is what
-// lets one retained planner serve concurrent calls with different
-// deadlines.
-func (p *planner) forCall(ctx context.Context, epoch int64) *planner {
-	pc := *p
-	pc.ctx = ctx
-	pc.done = nil
-	if ctx != nil {
-		pc.done = ctx.Done()
+// searchShape is the part of a search's state fixed by its fingerprint
+// (searchFingerprint): the network's units and segment index, both as
+// searched and as planned (they differ under Linearize), and a pool of
+// prepared level contexts (level.go), so a split reuses DP scratch and
+// coefficient slices instead of allocating them. A SharedCache keeps one
+// shape per fingerprint beside its memo and hands it to every search on
+// that memo; an uncached planner builds a private one.
+//
+// Networks that differ only in batch size share a fingerprint, so a
+// shape may be built from another call's network: nothing read through
+// it may depend on units' Dims, which each call supplies as its own
+// rootDims and the subproblem keys carry. The shape keeps its builder's
+// dims only to lend them, read-only, to calls whose dims are equal
+// (rootDimsOf).
+type searchShape struct {
+	units    []dnn.WeightedLayer
+	segs     []segRef
+	planSegs []segRef
+	levels   sync.Pool
+	rootDims []tensor.LayerDims
+}
+
+// newSearchShape builds the shape of a search over net under opt.
+func newSearchShape(net *dnn.Network, opt Options) *searchShape {
+	s := &searchShape{units: net.Units(), segs: indexSegments(net)}
+	s.rootDims = make([]tensor.LayerDims, len(s.units))
+	for i := range s.units {
+		s.rootDims[i] = s.units[i].Dims
 	}
-	pc.epoch = epoch
-	return &pc
+	s.planSegs = s.segs
+	if opt.Linearize {
+		// The search sees a flattened chain (HyPar's linear-structure
+		// restriction), but plans are evaluated — and paid for — on the
+		// true multi-path structure. Linearize preserves the Units() order,
+		// so type vectors index both structures identically.
+		s.planSegs = indexSegments(net.Linearize())
+	}
+	// A cached shape outlives the call that built it: its contexts keep
+	// only the fingerprinted options, never a caller's cache or recorder.
+	opt.Cache, opt.Audit, opt.Parallelism = nil, nil, 0
+	s.levels.New = func() any { return newLevelCtx(s.units, s.segs, s.planSegs, opt) }
+	return s
 }
 
 // noteHit records a replan hit when the call collects stats; other
@@ -81,10 +100,10 @@ func (p *planner) noteHit() {
 	}
 }
 
-// newPlanner validates the inputs and builds the search state. With
-// opt.Cache set the planner searches on the cache's memo for its search
-// fingerprint under a fresh epoch, and the caller ends the search with
-// release; otherwise it gets a private memo.
+// newPlanner validates the inputs and builds the per-call search state.
+// With opt.Cache set the planner searches on the cache's memo and shape
+// for its search fingerprint under a fresh epoch, and the caller ends the
+// search with release; otherwise it gets a private memo and shape.
 func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
@@ -93,36 +112,51 @@ func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, e
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	units := net.Units()
-	segs := indexSegments(net)
-	planSegs := segs
-	if opt.Linearize {
-		// The search sees a flattened chain (HyPar's linear-structure
-		// restriction), but plans are evaluated — and paid for — on the
-		// true multi-path structure. Linearize preserves the Units() order,
-		// so type vectors index both structures identically.
-		planSegs = indexSegments(net.Linearize())
-	}
-	p := &planner{net: net, units: units, segs: segs, planSegs: planSegs, opt: opt}
-	p.rootDims = make([]tensor.LayerDims, len(units))
-	for i, u := range units {
-		p.rootDims[i] = u.Dims
-	}
+	p := &planner{net: net, opt: opt, sem: parallel.NewSem(opt.Parallelism), ctx: ctx}
 	if opt.Cache != nil {
 		p.cache = opt.Cache
-		p.memo, p.epoch = opt.Cache.attach(searchFingerprint(units, segs, planSegs, opt))
+		p.memo, p.searchShape, p.epoch = opt.Cache.attach(net, opt)
 	} else {
-		p.memo = &planMemo{}
+		p.memo, p.searchShape = &planMemo{}, newSearchShape(net, opt)
 	}
-	p.sem = parallel.NewSem(opt.Parallelism)
-	p.levels = &sync.Pool{New: func() any {
-		return newLevelCtx(units, segs, planSegs, opt)
-	}}
-	p.ctx = ctx
+	p.rootDims = p.rootDimsOf(net)
 	if ctx != nil {
 		p.done = ctx.Done()
 	}
 	return p, nil
+}
+
+// rootDimsOf returns net's per-unit dims, the dims of every plan root:
+// the shape's own slice when they equal its builder's (every search of a
+// sweep, and a server's repeated requests), a fresh one otherwise.
+func (s *searchShape) rootDimsOf(net *dnn.Network) []tensor.LayerDims {
+	i, same := 0, true
+	eachUnit(net, func(u *dnn.WeightedLayer) {
+		same = same && u.Dims == s.rootDims[i]
+		i++
+	})
+	if same {
+		return s.rootDims
+	}
+	dims := make([]tensor.LayerDims, 0, len(s.units))
+	eachUnit(net, func(u *dnn.WeightedLayer) { dims = append(dims, u.Dims) })
+	return dims
+}
+
+// eachUnit calls fn on every unit of net in Units() order, without
+// copying the units.
+func eachUnit(net *dnn.Network, fn func(u *dnn.WeightedLayer)) {
+	for _, s := range net.Segments {
+		if s.Unit != nil {
+			fn(s.Unit)
+			continue
+		}
+		for _, path := range s.Paths {
+			for i := range path {
+				fn(&path[i])
+			}
+		}
+	}
 }
 
 // release ends a search on an attached cache: it trims the cache to its
@@ -214,12 +248,9 @@ func (p *planner) partitionChild(node *hardware.Tree, dims []tensor.LayerDims, t
 // lookup serves a subproblem from the memo. A hit links the stored node
 // itself — solved nodes are read-only, position-free (neither depth nor
 // dims is stored), and shared between every plan and parent that
-// reaches them, at any depth.
-//
-// The entry's previous epoch classifies the hit. On a batch call, an
-// entry last solved or served under another candidate's epoch amortized
-// work across fleets, not within one hierarchy; on a cached search, an
-// entry another search stamped is a cross-run cache hit.
+// reaches them, at any depth. On a cached search, a hit on an entry
+// another search stamped (the entry's previous epoch differs) is a
+// cross-run cache hit.
 func (p *planner) lookup(node *hardware.Tree, key subKey) (*PlanNode, bool) {
 	cached, prev, ok := p.memo.get(memoKey{sub: key}, p.epoch)
 	if !ok {
@@ -232,10 +263,6 @@ func (p *planner) lookup(node *hardware.Tree, key subKey) (*PlanNode, bool) {
 		provenance = ProvenanceSharedCacheHit
 	} else {
 		obsMemoHits.Inc()
-		if p.batch && prev != p.epoch {
-			obsCrossFleetHits.Inc()
-			provenance = ProvenanceCrossFleetHit
-		}
 	}
 	p.noteHit()
 	p.auditHit(node, key, provenance)

@@ -138,6 +138,14 @@ func (s Strategy) Variants() []Options {
 // aborted search never publishes partial results — neither into its plan
 // nor into the shared cache (Options.Cache).
 func PartitionCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, error) {
+	plan, _, err := PartitionBestCtx(ctx, net, tree, opts...)
+	return plan, err
+}
+
+// PartitionBestCtx is PartitionCtx that also returns the index of the
+// winning option set, so a caller can continue with the winner's options
+// (a design-space sweep replans each faulted candidate that way).
+func PartitionBestCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, int, error) {
 	return partition(ctx, net, tree, nil, opts)
 }
 
@@ -148,17 +156,18 @@ func PartitionCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, op
 func PartitionStatsCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, ReplanStats, error) {
 	start := time.Now()
 	rs := &replanStats{}
-	plan, err := partition(ctx, net, tree, rs, opts)
+	plan, _, err := partition(ctx, net, tree, rs, opts)
 	return plan, rs.snapshot(time.Since(start)), err
 }
 
-// partition is PartitionCtx with an optional stats collector.
-func partition(ctx context.Context, net *dnn.Network, tree *hardware.Tree, rs *replanStats, opts []Options) (*Plan, error) {
+// partition is PartitionBestCtx with an optional stats collector.
+func partition(ctx context.Context, net *dnn.Network, tree *hardware.Tree, rs *replanStats, opts []Options) (*Plan, int, error) {
 	switch len(opts) {
 	case 0:
-		return nil, fmt.Errorf("core: PartitionCtx needs at least one option set")
+		return nil, -1, fmt.Errorf("core: PartitionCtx needs at least one option set")
 	case 1:
-		return partitionOne(ctx, net, tree, opts[0], rs)
+		plan, err := partitionOne(ctx, net, tree, opts[0], rs)
+		return plan, 0, err
 	}
 	// When the caller attached an audit recorder, each variant searches
 	// into a private recorder and only the winner's decisions are adopted
@@ -186,7 +195,7 @@ func partition(ctx context.Context, net *dnn.Network, tree *hardware.Tree, rs *r
 		return partitionOne(ctx, net, tree, opts[i], rs)
 	})
 	if callerAudit == nil {
-		return best, err
+		return best, idx, err
 	}
 	if err != nil {
 		if errors.Is(err, ErrNoFeasiblePlan) {
@@ -199,11 +208,11 @@ func partition(ctx context.Context, net *dnn.Network, tree *hardware.Tree, rs *r
 				}
 			}
 		}
-		return nil, err
+		return nil, -1, err
 	}
 	callerAudit.adopt(variantAudits[idx])
 	best.audit = callerAudit
-	return best, nil
+	return best, idx, nil
 }
 
 // portfolioWorkers sizes a portfolio's worker pool: serial when every

@@ -8,7 +8,6 @@ import (
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
 	"accpar/internal/hardware"
-	"accpar/internal/obs"
 	"accpar/internal/parallel"
 	"accpar/internal/tensor"
 )
@@ -141,6 +140,9 @@ func (r *ReplanReport) Recovery() float64 {
 // was re-computed, which Stats reports. All three passes poll ctx and the
 // pipeline aborts with ErrCanceled or ErrDeadlineExceeded without
 // publishing a report; only fully solved subproblems reach the memo.
+//
+// ReplanCtx records no latency observation and no event; the serving
+// entry points that replan after a fault do (ObserveReplanLatency).
 func ReplanCtx(ctx context.Context, net *dnn.Network, pristine, degraded *hardware.Tree, opt Options) (*ReplanReport, error) {
 	start := time.Now()
 	p, err := newPlanner(ctx, net, opt)
@@ -154,14 +156,7 @@ func ReplanCtx(ctx context.Context, net *dnn.Network, pristine, degraded *hardwa
 	if err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(start)
-	obsReplanTimer.Observe(elapsed)
-	rep.Stats = rs.snapshot(elapsed)
-	obs.Log().Info("core.replan",
-		"adopted", rep.Adopted,
-		"fault_free_seconds", rep.FaultFree.Time(),
-		"stale_seconds", rep.Stale.Time(),
-		"fresh_seconds", rep.Fresh.Time())
+	rep.Stats = rs.snapshot(time.Since(start))
 	return rep, nil
 }
 

@@ -8,15 +8,16 @@ import (
 )
 
 // sweepAllocBudget bounds the allocations of one fresh sweep of the
-// dse-sweep grid (benchSpace, benchConfig). Measured at 24.8k; 25.0k
+// dse-sweep grid (benchSpace, benchConfig). Measured at 23.5k (23.2k on
+// the per-variant batch engines the sweep's plan cache replaced); 25.0k
 // when a memo hit solved at another depth was copied to relabel its
 // level, 29.5k when every memo hit deep-copied the solved subtree, and
 // 48.3k when every split built its own level context and every memo key
 // and child-dims slice was allocated.
 const sweepAllocBudget = 30_000
 
-// TestSweepAllocBudget fails on an allocation regression of the batch
-// search a sweep runs: thousands of splits, most of them memo hits. The
+// TestSweepAllocBudget fails on an allocation regression of the cached
+// searches a sweep runs: thousands of splits, most of them memo hits. The
 // race detector's instrumentation allocates on its own, so the budget
 // holds only in normal builds.
 func TestSweepAllocBudget(t *testing.T) {

@@ -1,18 +1,18 @@
 // Package dse implements fleet design-space exploration (co-design
 // autotuning): given one workload, enumerate candidate accelerator
 // fleets — kind mixes, counts, hierarchy depths, link-bandwidth tiers —
-// under a budget constraint, plan every candidate through a shared
-// batch planning engine (core.BatchSet), and report the Pareto frontier
+// under a budget constraint, plan every candidate on one shared plan
+// cache (core.SharedCache), and report the Pareto frontier
 // over three minimized axes: modelled iteration makespan, fleet cost,
 // and resilience (the post-fault makespan after degradation-aware
 // replanning under a fixed fault scenario).
 //
-// The batch engine's content-addressed memo makes a sweep much cheaper
-// than independent per-fleet searches: it amortizes structurally shared
+// The cache's content-addressed memos make a sweep much cheaper than
+// independent per-fleet searches: they amortize structurally shared
 // subproblems across candidates. Candidates whose level caps truncate to
 // the same tree are evaluated once, fixed-type variants re-use whole
 // per-kind sides between fleets, and each candidate's resilience replan
-// (core.ReplanCtx's pipeline on the shared memo) starts from its
+// (core.ReplanCtx on the same cache) starts from its
 // pristine plan and re-solves only what its fault touched. Under a
 // memory constraint, fleets whose aggregate HBM cannot hold the
 // workload are discarded before any search. Every candidate that passes
@@ -138,8 +138,8 @@ func (s *Space) Validate() error {
 			return fmt.Errorf("dse: duplicate kind %q", k.Name)
 		}
 		seen[k.Name] = true
-		if !(k.Price >= 0) {
-			return fmt.Errorf("dse: kind %q has invalid price %g", k.Name, k.Price)
+		if !(k.Price >= 0) || math.IsInf(k.Price, 1) {
+			return fmt.Errorf("dse: kind %q has invalid price %g (want a finite number ≥ 0)", k.Name, k.Price)
 		}
 	}
 	if len(s.Counts) == 0 {

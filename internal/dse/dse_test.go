@@ -248,4 +248,11 @@ func TestSweepRejectsBadInputs(t *testing.T) {
 	if _, err := Sweep(ctx, inf, Config{Model: "alexnet", Batch: 64}); err == nil {
 		t.Error("infinite net scale must be rejected")
 	}
+	// An infinite price costs every candidate that procures the kind at
+	// +Inf, which the frontier artifact cannot encode.
+	infPrice := smallSpace()
+	infPrice.Kinds[0].Price = math.Inf(1)
+	if _, err := Sweep(ctx, infPrice, Config{Model: "alexnet", Batch: 64}); err == nil {
+		t.Error("infinite kind price must be rejected")
+	}
 }

@@ -140,10 +140,11 @@ func (r *Report) WriteFrontierJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// Sweep enumerates the space and evaluates every candidate through one
-// shared core.BatchSet: plan with the full AccPar portfolio, model the
-// post-fault replanned makespan, and evaluate candidates whose level
-// caps truncate to identical hardware exactly once. Evaluations fan out
+// Sweep enumerates the space and evaluates every candidate on one
+// sweep-lifetime plan cache (core.SharedCache): plan with the full AccPar
+// portfolio, model the post-fault replanned makespan with the winning
+// variant's options, and evaluate candidates whose level caps truncate to
+// identical hardware exactly once. Evaluations fan out
 // over a deterministic worker pool; every plan is byte-identical to a
 // standalone AccPar portfolio search, so the frontier is a pure function
 // of (space, config).
@@ -162,13 +163,14 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The default capacity holds a sweep's whole working set (the
+	// plannerbench grid stores 1,348 entries), so the cache lives and dies
+	// with the sweep without trimming.
+	cache := core.NewSharedCache(0)
 	variants := core.StrategyAccPar.Variants()
 	for i := range variants {
 		variants[i].MemoryLimit = cfg.Memory
-	}
-	set, err := core.NewBatchSet(net, variants...)
-	if err != nil {
-		return nil, err
+		variants[i].Cache = cache
 	}
 	// The workload's minimum residency is fleet-independent; one
 	// computation serves every capacity pre-prune below.
@@ -256,7 +258,7 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 			finish()
 			return nil
 		}
-		plan, variant, err := set.PlanBestCtx(ctx, j.tree)
+		plan, variant, err := core.PartitionBestCtx(ctx, net, j.tree, variants...)
 		if err != nil {
 			if errors.Is(err, core.ErrNoFeasiblePlan) {
 				r.Infeasible = true
@@ -273,7 +275,10 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 		r.Makespan = plan.Time()
 		r.Resilience = r.Makespan
 		if j.degraded != nil {
-			r.Resilience, err = set.ReplanTimeCtx(ctx, j.tree, variant, j.degraded)
+			// The pristine plan is the root hit the portfolio left behind,
+			// and degraded subtrees common to many candidates are solved
+			// once.
+			rep, err := core.ReplanCtx(ctx, net, j.tree, j.degraded, variants[variant])
 			if err != nil {
 				if errors.Is(err, core.ErrNoFeasiblePlan) {
 					r.Infeasible = true
@@ -282,6 +287,7 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 				}
 				return err
 			}
+			r.Resilience = rep.Replanned.Time()
 		}
 		r.Variant = variant
 		r.Strategy = plan.Strategy

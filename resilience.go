@@ -74,7 +74,8 @@ func ReplanAnalytic(net *Network, groups []ArrayGroup, strategy Strategy, sc *Fa
 // interns both trees in it, so a recurrent fault — the same (network,
 // options, degraded hardware) seen again — is a few memo lookups instead
 // of a full search; without one (package-level calls) the replan gives
-// the same bytes on a private memo.
+// the same bytes on a private memo. Each replan is one observation of the
+// core.replan.seconds histogram and one core.replan event.
 func replanAnalyticCtx(ctx context.Context, cache *PlanCache, net *Network, groups []ArrayGroup, opt Options, sc *FaultScenario) (*ReplanReport, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -100,7 +101,18 @@ func replanAnalyticCtx(ctx context.Context, cache *PlanCache, net *Network, grou
 		return nil, err
 	}
 	opt.Cache = cache
-	return core.ReplanCtx(ctx, net, pristine, degraded, opt)
+	start := time.Now()
+	rep, err := core.ReplanCtx(ctx, net, pristine, degraded, opt)
+	if err != nil {
+		return nil, err
+	}
+	core.ObserveReplanLatency(time.Since(start))
+	obs.Log().Info("core.replan",
+		"adopted", rep.Adopted,
+		"fault_free_seconds", rep.FaultFree.Time(),
+		"stale_seconds", rep.Stale.Time(),
+		"fresh_seconds", rep.Fresh.Time())
+	return rep, nil
 }
 
 // ResilienceReport is the simulated three-way comparison of a fault
