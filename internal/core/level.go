@@ -68,7 +68,7 @@ func indexSegments(net *dnn.Network) []segRef {
 }
 
 // levelCtx bundles everything the DP needs at one hierarchy node. A
-// planner recycles its contexts through a pool (planner.level): the
+// search shape recycles its contexts through a pool (planner.level): the
 // per-unit slices and the DP scratch are sized once for the network, and
 // each split only rewrites their contents.
 type levelCtx struct {
@@ -138,7 +138,8 @@ func (c *levelCtx) reset(dims []tensor.LayerDims, sideI, sideJ Side) *levelCtx {
 	return c
 }
 
-// level takes a context from the planner's pool, reset for one split.
+// level takes a context from the search shape's pool, reset for one
+// split; every search of the shape's fingerprint shares the pool.
 // Callers return it with p.levels.Put as soon as they have the split's
 // decisions and evaluation, before recursing into the children; nothing
 // a plan node keeps (Types) points into it.
