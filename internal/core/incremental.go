@@ -81,7 +81,6 @@ func (rs *replanStats) snapshot(d time.Duration) ReplanStats {
 func (p *planner) noteStaleReuse() {
 	if p.rs != nil {
 		p.rs.staleReused.Add(1)
-		obsReplanHits.Inc()
 	}
 }
 

@@ -158,7 +158,12 @@ type planEncoder struct {
 
 // node appends n, the node at the given hierarchy level, as an object
 // whose members sit at the given indent depth, emitting the fields ToJSON
-// sets for a leaf or a split.
+// sets for a leaf or a split. A split whose two children are one shared
+// node (the equal halves of a homogeneous group) copies the left child's
+// bytes for the right child: both sit at the same level and indent, so
+// the bytes are equal, and a shared subtree is formatted once per split
+// rather than once per position. The offsets are absolute, so the copy
+// holds however much precedes the document in b.
 func (e *planEncoder) node(n *PlanNode, level, depth int) {
 	e.b = append(e.b, '{')
 	e.key(depth, "level", true)
@@ -187,8 +192,14 @@ func (e *planEncoder) node(n *PlanNode, level, depth int) {
 		e.floatField(depth, "comm_time_sec", n.Eval.CommTime)
 		e.floatField(depth, "comm_bytes", n.Eval.CommBytes)
 		e.key(depth, "left", false)
+		start := len(e.b)
 		e.node(n.Left, level+1, depth+1)
-		if n.Right != nil {
+		end := len(e.b)
+		switch {
+		case n.Right == n.Left:
+			e.key(depth, "right", false)
+			e.b = append(e.b, e.b[start:end]...)
+		case n.Right != nil:
 			e.key(depth, "right", false)
 			e.node(n.Right, level+1, depth+1)
 		}

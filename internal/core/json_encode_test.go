@@ -77,9 +77,11 @@ func clip(a, b []byte) []byte {
 }
 
 // TestWriteJSONMatchesEncodingJSON pins the hand-streamed encoder to
-// encoding/json on real plans: every model, three fleets, every
+// encoding/json on real plans: every model, four fleets, every
 // strategy, plus inference, memory-penalize and Adam variants. The
-// decoded document must also equal the typed wire view.
+// decoded document must also equal the typed wire view. The 256-board
+// homogeneous fleet's root split has one shared child, so its plans take
+// the encoder's sibling-copy path from the root down.
 func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 	sess := accpar.NewSession(0)
 	type variant struct {
@@ -106,16 +108,14 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 			o.Optimizer = accpar.OptimizerAdam
 			return o
 		}})
-	fleets := [][2]int{{64, 64}, {32, 96}, {128, 128}}
+	fleets := [][2]int{{64, 64}, {32, 96}, {128, 128}, {0, 256}}
 	for _, model := range models.Names() {
 		net, err := accpar.BuildModel(model, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range fleets {
-			arr, err := accpar.HeterogeneousArray(
-				accpar.ArrayGroup{Spec: accpar.TPUv2(), Count: f[0]},
-				accpar.ArrayGroup{Spec: accpar.TPUv3(), Count: f[1]})
+			arr, err := accpar.TPUFleet(f[0], f[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,6 +124,9 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 				p, err := sess.PartitionWithOptions(net, arr, v.opt(), 64)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
+				}
+				if f[0] == 0 && p.Root.Left != p.Root.Right {
+					t.Fatalf("%s: the homogeneous root split does not share its child", name)
 				}
 				checkMatchesReference(t, name, p)
 				var buf bytes.Buffer
@@ -198,9 +201,20 @@ func BenchmarkPlanWriteJSON(b *testing.B) {
 
 // fuzzPlan decodes an arbitrary byte string into a plan. Every split
 // consumes input and exhausted input reads as zeros (a leaf), so a tree
-// is no larger than its input; depth is capped past the indent that
-// needs more than one run of indentSpaces.
-type fuzzPlan struct{ data []byte }
+// holds no more nodes than its input has bytes; depth is capped past the
+// indent that needs more than one run of indentSpaces. A split may link
+// one child on both sides, as the planner does for the equal halves of a
+// homogeneous group, so the document repeats that subtree. Each shared
+// split doubles the positions below it, so a node splits only while the
+// positions placed so far stay under maxFuzzPositions.
+type fuzzPlan struct {
+	data      []byte
+	positions int
+}
+
+// maxFuzzPositions caps the node positions a fuzzed document expands to:
+// a chain of 40 shared splits would otherwise expand to 2^40.
+const maxFuzzPositions = 4096
 
 func (d *fuzzPlan) u8() byte {
 	if len(d.data) == 0 {
@@ -275,17 +289,24 @@ func (d *fuzzPlan) types() []cost.Type {
 	}
 }
 
-func (d *fuzzPlan) node(depth int) *core.PlanNode {
+// node decodes a node that the document writes at copies positions.
+func (d *fuzzPlan) node(depth, copies int) *core.PlanNode {
+	d.positions += copies
 	n := &core.PlanNode{
 		GroupDesc: d.str(),
 		Alpha:     d.f64(),
 		Types:     d.types(),
 	}
-	if depth < 40 && d.u8()&1 == 1 {
+	if split := d.u8(); depth < 40 && d.positions < maxFuzzPositions && split&1 == 1 {
 		n.Eval.CommTime = d.f64()
 		n.Eval.CommBytes = d.f64()
-		n.Left = d.node(depth + 1)
-		n.Right = d.node(depth + 1)
+		if split&2 == 2 {
+			n.Left = d.node(depth+1, 2*copies)
+			n.Right = n.Left
+			return n
+		}
+		n.Left = d.node(depth+1, copies)
+		n.Right = d.node(depth+1, copies)
 		return n
 	}
 	n.LeafComputeTime = d.f64()
@@ -313,7 +334,7 @@ func (d *fuzzPlan) plan() *core.Plan {
 		}
 		net.Segments = append(net.Segments, dnn.Segment{Paths: paths})
 	}
-	return &core.Plan{Network: net, Strategy: d.str(), Root: d.node(0)}
+	return &core.Plan{Network: net, Strategy: d.str(), Root: d.node(0, 1)}
 }
 
 // FuzzPlanJSONEncode: on any plan tree WriteJSON and AppendJSON match
@@ -327,6 +348,8 @@ func FuzzPlanJSONEncode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xC1, 0xFF, 0x3F, 0x01, 0x80, 0x7F}, 40))
 	f.Add(bytes.Repeat([]byte{0x81, 0x90, 0xA0, 0x01, 0x05, 0x09, 0x0D}, 60))
 	f.Add(bytes.Repeat([]byte{0x01}, 600)) // a split chain deeper than 32 levels
+	f.Add(bytes.Repeat([]byte{0x03}, 600)) // shared splits until the position cap
+	f.Add(bytes.Repeat([]byte{0x01, 0x03, 0x41, 0x07}, 150))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &fuzzPlan{data: data}
 		checkMatchesReference(t, "fuzz", d.plan())

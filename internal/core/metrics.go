@@ -26,16 +26,16 @@ var (
 	obsBisectIters = obs.NewCounter("core.bisection_iterations")
 	// obsForks counts child subproblems forked onto pooled workers.
 	obsForks = obs.NewCounter("core.parallel_forks")
-	// obsReplanHits counts subproblems a replan (ReplanCtx, or a
-	// resilience search through PartitionStatsCtx) served from the memo
-	// instead of re-solving: plain subproblems, a recurrent tree's root and
-	// memoized stale re-costings alike, plus stale subtrees linked from the
-	// pristine plan. Entries those calls evict are counted by
-	// plancache.evictions.
+	// obsReplanHits counts subproblems a served replan (Session.Replan,
+	// or a resilience run's searches) served from the memo instead of
+	// re-solving: plain subproblems, a recurrent tree's root and memoized
+	// stale re-costings alike, plus stale subtrees linked from the
+	// pristine plan (ObserveReplan). Entries those calls evict are
+	// counted by plancache.evictions.
 	obsReplanHits = obs.NewCounter("core.replan_incremental_hits")
 	// obsReplanTimer is the replan-latency histogram (p50/p95/p99 via the
 	// log2-bucketed obs.Timer): one observation per served replan and per
-	// resilience degraded-replanning phase (ObserveReplanLatency).
+	// resilience degraded-replanning phase (ObserveReplan).
 	obsReplanTimer = obs.NewTimer("core.replan.seconds")
 	// obsMemoryPruned counts subtrees the constrained search proved
 	// infeasible via the capacity floors inside the DP recursion —
@@ -54,11 +54,15 @@ var (
 // Prometheus export it alongside memo statistics.
 func NoteDSEMemoryPruned(n int) { obsDSEMemoryPruned.Add(int64(n)) }
 
-// ObserveReplanLatency records one replan-latency observation in the
-// core.replan.seconds histogram. The facade calls it around its replans
-// and its resilience pipeline's degraded-replanning phase, so serving
-// metrics report one latency distribution no matter which entry point
-// triggered the replan. ReplanCtx itself records nothing: a design-space
-// sweep replans every faulted candidate, and those are not served
-// replans.
-func ObserveReplanLatency(d time.Duration) { obsReplanTimer.Observe(d) }
+// ObserveReplan records one served replan: its latency d in the
+// core.replan.seconds histogram and its memo reuse (st.IncrementalHits
+// plus st.StaleReused) in core.replan_incremental_hits. The facade calls
+// it after its replans and its resilience pipeline's degraded-replanning
+// phase, so serving metrics report one distribution no matter which
+// entry point triggered the replan. ReplanCtx and PartitionStatsCtx
+// themselves record nothing: a design-space sweep replans every faulted
+// candidate, and those are not served replans.
+func ObserveReplan(d time.Duration, st ReplanStats) {
+	obsReplanTimer.Observe(d)
+	obsReplanHits.Add(st.IncrementalHits + st.StaleReused)
+}

@@ -96,7 +96,6 @@ func newSearchShape(net *dnn.Network, opt Options) *searchShape {
 func (p *planner) noteHit() {
 	if p.rs != nil {
 		p.rs.hits.Add(1)
-		obsReplanHits.Inc()
 	}
 }
 

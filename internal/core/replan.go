@@ -141,8 +141,8 @@ func (r *ReplanReport) Recovery() float64 {
 // pipeline aborts with ErrCanceled or ErrDeadlineExceeded without
 // publishing a report; only fully solved subproblems reach the memo.
 //
-// ReplanCtx records no latency observation and no event; the serving
-// entry points that replan after a fault do (ObserveReplanLatency).
+// ReplanCtx records no latency observation, no hit count and no event;
+// the serving entry points that replan after a fault do (ObserveReplan).
 func ReplanCtx(ctx context.Context, net *dnn.Network, pristine, degraded *hardware.Tree, opt Options) (*ReplanReport, error) {
 	start := time.Now()
 	p, err := newPlanner(ctx, net, opt)

@@ -54,12 +54,24 @@ func (t *Tree) Identity() Identity {
 // it holds. The words go through wordhash: the member count, each run,
 // a leaf/split marker, then the children's digests. The member count
 // fixes where the runs end, so the encoding is unambiguous.
+//
+// Twin halves are digested once. When the node's group is one run of
+// equal boards, it splits in place (splitsInPlace) and its halves have
+// the same shape (sameShape), every node of the right subtree holds the
+// same boards and stands in the same shape as its counterpart on the
+// left, so the right half's identity is the left half's; it is stored on
+// the right node without hashing that subtree. The checks matter because
+// Tree fields are exported: a hand-built tree may split equal boards into
+// differently shaped halves, or hang boards under a node that its parent
+// does not hold, and those must digest exactly as a full walk would.
 func (t *Tree) computeIdentity() {
 	h := wordhash.New()
 	h.Word(uint64(t.Group.Size()))
+	runs := 0
 	specRuns(t.Group.Accel, func(fp uint64, n int) {
 		h.Word(fp)
 		h.Word(uint64(n))
+		runs++
 	})
 	id := &t.ident
 	id.HBMBytes = t.Group.HBMBytes()
@@ -68,7 +80,11 @@ func (t *Tree) computeIdentity() {
 		id.CapFloorHalf = id.HBMBytes
 	} else {
 		h.Word(splitMarker)
-		l, r := t.Left.Identity(), t.Right.Identity()
+		l := t.Left.Identity()
+		if runs == 1 && splitsInPlace(t) && sameShape(t.Left, t.Right) {
+			t.Right.identOnce.Do(func() { t.Right.ident = l })
+		}
+		r := t.Right.Identity()
 		h.Digest(&l.Digest)
 		h.Digest(&r.Digest)
 		floor := min(l.CapFloorHalf, r.CapFloorHalf)
@@ -79,6 +95,31 @@ func (t *Tree) computeIdentity() {
 		}
 	}
 	id.Digest = h.Sum()
+}
+
+// sameShape reports whether subtrees a and b match node for node in
+// leafness and group size, with every split in either dividing its
+// members in place (splitsInPlace). Under a parent group of one run
+// every node of either subtree then holds only that run's boards, so the
+// two digest equally. The walk compares pointers and lengths only.
+func sameShape(a, b *Tree) bool {
+	if a.Group.Size() != b.Group.Size() || a.IsLeaf() != b.IsLeaf() {
+		return false
+	}
+	return a.IsLeaf() || splitsInPlace(a) && splitsInPlace(b) &&
+		sameShape(a.Left, b.Left) && sameShape(a.Right, b.Right)
+}
+
+// splitsInPlace reports whether t's children hold, left then right,
+// exactly t's own members as views of its member slice, the way Bisect
+// halves a homogeneous group.
+func splitsInPlace(t *Tree) bool {
+	if t.Right == nil {
+		return false
+	}
+	m, l, r := t.Group.Accel, t.Left.Group.Accel, t.Right.Group.Accel
+	return len(l) > 0 && len(r) > 0 && len(l)+len(r) == len(m) &&
+		&l[0] == &m[0] && &r[0] == &m[len(l)]
 }
 
 // leafMarker and splitMarker tell a leaf's digest words from a split's.

@@ -2,6 +2,7 @@ package hardware
 
 import (
 	"encoding/hex"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -258,5 +259,125 @@ func TestIdentityConcurrentFirstCalls(t *testing.T) {
 	close(errs)
 	for i := range errs {
 		t.Fatalf("node %d identity differs from the serial reference", i)
+	}
+}
+
+// shape is a hand-built hierarchy: a leaf of n boards, or a split into
+// two shapes.
+type shape struct {
+	n    int
+	l, r *shape
+}
+
+func leafOf(n int) *shape        { return &shape{n: n} }
+func splitOf(l, r *shape) *shape { return &shape{l: l, r: r} }
+
+func (s *shape) size() int {
+	if s.l == nil {
+		return s.n
+	}
+	return s.l.size() + s.r.size()
+}
+
+// handTree builds s over accel. With views every child's group is a view
+// of its parent's members, the way Bisect halves a homogeneous group;
+// otherwise every group is a fresh copy, which the twin-half shortcut
+// never takes, so the copy tree's identities are the full walk's.
+func handTree(accel []Spec, s *shape, views bool, level int) *Tree {
+	g := accel
+	if !views {
+		g = append([]Spec(nil), accel...)
+	}
+	t := &Tree{Group: &Group{Accel: g}, Level: level}
+	if s.l != nil {
+		k := s.l.size()
+		t.Left = handTree(g[:k:k], s.l, views, level+1)
+		t.Right = handTree(g[k:], s.r, views, level+1)
+	}
+	return t
+}
+
+// TestIdentityTwinHalves: a group of equal boards split into halves of
+// equal size digests its halves once only when they also have the same
+// shape. Hand-built halves of one size but different shapes digest
+// exactly as the full walk over copied groups digests them, node for
+// node, and apart from each other.
+func TestIdentityTwinHalves(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		s     *shape
+		twins bool
+	}{
+		{"twins", splitOf(splitOf(leafOf(2), leafOf(2)), splitOf(leafOf(2), leafOf(2))), true},
+		{"split vs leaf", splitOf(splitOf(leafOf(2), leafOf(2)), leafOf(4)), false},
+		{"deeper mismatch", splitOf(
+			splitOf(leafOf(2), splitOf(leafOf(1), leafOf(1))),
+			splitOf(splitOf(leafOf(1), leafOf(1)), leafOf(2))), false},
+		{"uneven below", splitOf(
+			splitOf(leafOf(1), leafOf(3)),
+			splitOf(leafOf(3), leafOf(1))), false},
+	} {
+		accel := make([]Spec, c.s.size())
+		for i := range accel {
+			accel[i] = TPUv3()
+		}
+		view, full := handTree(accel, c.s, true, 1), handTree(accel, c.s, false, 1)
+		view.Identity() // from the root down, as a planner asks
+		vn, fn := nodes(view), nodes(full)
+		for i := range vn {
+			if !sameIdentity(vn[i].Identity(), fn[i].Identity()) {
+				t.Errorf("%s: node %d (level %d, %s) differs from the full walk's", c.name, i, vn[i].Level, vn[i].Group)
+			}
+		}
+		if got := view.Left.Identity().Digest == view.Right.Identity().Digest; got != c.twins {
+			t.Errorf("%s: halves digest equally = %v, want %v", c.name, got, c.twins)
+		}
+	}
+}
+
+// TestIdentityTwinNeedsMembers: halves of equal size and shape whose
+// right half does not hold its parent's boards keep their own identity.
+func TestIdentityTwinNeedsMembers(t *testing.T) {
+	v3 := []Spec{TPUv3(), TPUv3()}
+	other := &Tree{Group: &Group{Accel: []Spec{TPUv2()}}, Level: 2}
+	hand := &Tree{
+		Group: &Group{Accel: v3},
+		Level: 1,
+		Left:  &Tree{Group: &Group{Accel: v3[:1:1]}, Level: 2},
+		Right: other,
+	}
+	hand.Identity()
+	lone := &Tree{Group: &Group{Accel: []Spec{TPUv2()}}, Level: 1}
+	if !sameIdentity(other.Identity(), lone.Identity()) {
+		t.Error("a right half holding other boards took its sibling's identity")
+	}
+}
+
+// BenchmarkTreeIdentity times BuildTree alone and BuildTree plus the
+// root's Identity on two fleets; the difference is the digest walk.
+func BenchmarkTreeIdentity(b *testing.B) {
+	for _, n := range []int{64, 128} {
+		arr, err := NewHeterogeneous(GroupSpec{Spec: TPUv2(), Count: n}, GroupSpec{Spec: TPUv3(), Count: n})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, digest := range []bool{false, true} {
+			name := fmt.Sprintf("%d+%d/build", n, n)
+			if digest {
+				name += "+identity"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					tree, err := BuildTree(arr, 64)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if digest {
+						tree.Identity()
+					}
+				}
+			})
+		}
 	}
 }

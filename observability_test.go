@@ -300,3 +300,53 @@ func TestDSECountersExposed(t *testing.T) {
 		}
 	}
 }
+
+// TestReplanHitsCountServedReplansOnly: core.replan_incremental_hits
+// counts the memo reuse of served replans only. A faulted design-space
+// sweep replans every candidate that procures the faulted kind on the
+// sweep's own cache and leaves the counter unchanged; a Session's
+// replans raise it by exactly the hits and stale reuses they report.
+func TestReplanHitsCountServedReplansOnly(t *testing.T) {
+	hits := func() int64 { return Metrics().Counters["core.replan_incremental_hits"] }
+	space := &dse.Space{
+		Kinds: []dse.Kind{
+			{Name: "tpu-v2", Spec: hardware.TPUv2(), Price: 1.0},
+			{Name: "tpu-v3", Spec: hardware.TPUv3(), Price: 2.2},
+		},
+		Counts:    []int{0, 4, 8},
+		Levels:    []int{8},
+		NetScales: []float64{1},
+	}
+	before := hits()
+	if _, err := dse.Sweep(context.Background(), space, dse.Config{
+		Model: "alexnet", Batch: 64, Fault: "slowdown:0=2.0", Workers: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if d := hits() - before; d != 0 {
+		t.Errorf("faulted sweep added %d replan hits; want 0", d)
+	}
+
+	net, err := BuildModel("lenet", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := []ArrayGroup{{Spec: TPUv2(), Count: 4}, {Spec: TPUv3(), Count: 4}}
+	fl, err := ParseFaults("slowdown:0=2.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(0)
+	before = hits()
+	var want int64
+	for i := 0; i < 2; i++ {
+		rep, err := sess.Replan(net, groups, StrategyAccPar, &FaultScenario{Seed: 1, Faults: fl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += rep.Stats.IncrementalHits + rep.Stats.StaleReused
+	}
+	if d := hits() - before; d != want || d <= 0 {
+		t.Errorf("two session replans added %d replan hits; want %d, above 0", d, want)
+	}
+}

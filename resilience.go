@@ -75,7 +75,8 @@ func ReplanAnalytic(net *Network, groups []ArrayGroup, strategy Strategy, sc *Fa
 // options, degraded hardware) seen again — is a few memo lookups instead
 // of a full search; without one (package-level calls) the replan gives
 // the same bytes on a private memo. Each replan is one observation of the
-// core.replan.seconds histogram and one core.replan event.
+// core.replan.seconds histogram, adds its memo reuse to
+// core.replan_incremental_hits, and logs one core.replan event.
 func replanAnalyticCtx(ctx context.Context, cache *PlanCache, net *Network, groups []ArrayGroup, opt Options, sc *FaultScenario) (*ReplanReport, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -106,7 +107,7 @@ func replanAnalyticCtx(ctx context.Context, cache *PlanCache, net *Network, grou
 	if err != nil {
 		return nil, err
 	}
-	core.ObserveReplanLatency(time.Since(start))
+	core.ObserveReplan(time.Since(start), rep.Stats)
 	obs.Log().Info("core.replan",
 		"adopted", rep.Adopted,
 		"fault_free_seconds", rep.FaultFree.Time(),
@@ -260,9 +261,10 @@ func resilienceCtx(ctx context.Context, cache *PlanCache, net *Network, groups [
 		return nil, err
 	}
 	// The degraded search is the fault-response path: its wall-clock time
-	// feeds the process-wide replan-latency histogram so serving metrics
-	// report one latency distribution for replan-after-fault no matter
-	// which entry point triggered it.
+	// feeds the process-wide replan-latency histogram, and the run's memo
+	// reuse the replan hit counter, so serving metrics report one
+	// distribution for replan-after-fault no matter which entry point
+	// triggered it.
 	sp = obs.StartSpanCtx(ctx, "resilience", "plan-degraded")
 	replanStart := time.Now()
 	dplan, err := partitionCachedCtx(ctx, net, darr, strategy, cache, &stats)
@@ -270,7 +272,7 @@ func resilienceCtx(ctx context.Context, cache *PlanCache, net *Network, groups [
 	if err != nil {
 		return nil, err
 	}
-	core.ObserveReplanLatency(time.Since(replanStart))
+	core.ObserveReplan(time.Since(replanStart), stats)
 	if err := core.WrapCtxErr(ctx.Err()); err != nil {
 		return nil, err
 	}
