@@ -327,7 +327,7 @@ func ParseStrategy(name string) (Strategy, error) { return core.ParseStrategy(na
 // loses to any baseline (the hierarchical search is greedy per level, so a
 // single pass lacks that guarantee).
 func Partition(net *Network, arr *Array, strategy Strategy) (*Plan, error) {
-	return partitionCachedCtx(context.Background(), net, arr, strategy, nil, nil)
+	return PartitionCtx(context.Background(), net, arr, strategy)
 }
 
 // PartitionCtx is Partition bound to a context: the search polls ctx and
@@ -335,29 +335,7 @@ func Partition(net *Network, arr *Array, strategy Strategy) (*Plan, error) {
 // completion. For a live context the plan is byte-identical to
 // Partition's.
 func PartitionCtx(ctx context.Context, net *Network, arr *Array, strategy Strategy) (*Plan, error) {
-	return partitionCachedCtx(ctx, net, arr, strategy, nil, nil)
-}
-
-// partitionCachedCtx is Partition through an optional shared plan cache
-// and a context; it backs the package-level entry points, Session and
-// the resilience pipeline. With a cache the tree is interned in it
-// (PlanCache.InternTree), so a recurrent array reuses a digested tree.
-// A non-nil stats accumulates what the search served and solved.
-func partitionCachedCtx(ctx context.Context, net *Network, arr *Array, strategy Strategy, cache *PlanCache, stats *ReplanStats) (*Plan, error) {
-	tree, err := cache.InternTree(arr, 64)
-	if err != nil {
-		return nil, err
-	}
-	opts := strategy.Variants()
-	for i := range opts {
-		opts[i].Cache = cache
-	}
-	if stats == nil {
-		return core.PartitionCtx(ctx, net, tree, opts...)
-	}
-	plan, st, err := core.PartitionStatsCtx(ctx, net, tree, opts...)
-	stats.Add(st)
-	return plan, err
+	return partitionCtx(ctx, net, arr, 64, nil, nil, strategy.Variants()...)
 }
 
 // PartitionWithOptions is the advanced entry point: explicit partitioner
@@ -370,11 +348,35 @@ func PartitionWithOptions(net *Network, arr *Array, opt Options, maxLevels int) 
 // PartitionWithOptionsCtx is PartitionWithOptions bound to a context;
 // see PartitionCtx for the abort semantics.
 func PartitionWithOptionsCtx(ctx context.Context, net *Network, arr *Array, opt Options, maxLevels int) (*Plan, error) {
+	return partitionCtx(ctx, net, arr, maxLevels, opt.Cache, nil, opt)
+}
+
+// partitionCtx is the facade's one path from an array to a plan, behind
+// the package-level and Session Partition* calls and both searches of
+// the resilience pipeline. It builds the array's hierarchy down to
+// maxLevels levels and searches it with searchTree.
+func partitionCtx(ctx context.Context, net *Network, arr *Array, maxLevels int, cache *PlanCache, stats *ReplanStats, opts ...Options) (*Plan, error) {
 	tree, err := hardware.BuildTree(arr, maxLevels)
 	if err != nil {
 		return nil, err
 	}
-	return core.PartitionCtx(ctx, net, tree, opt)
+	return searchTree(ctx, net, tree, cache, stats, opts)
+}
+
+// searchTree runs the portfolio search over opts (one option set, or a
+// strategy's variants) on a built tree, every variant searching on cache
+// (nil: a private memo). A non-nil stats accumulates what the search
+// served and solved.
+func searchTree(ctx context.Context, net *Network, tree *hardware.Tree, cache *PlanCache, stats *ReplanStats, opts []Options) (*Plan, error) {
+	for i := range opts {
+		opts[i].Cache = cache
+	}
+	if stats == nil {
+		return core.PartitionCtx(ctx, net, tree, opts...)
+	}
+	plan, st, err := core.PartitionStatsCtx(ctx, net, tree, opts...)
+	stats.Add(st)
+	return plan, err
 }
 
 // Comparison is the outcome of comparing all strategies on one workload.
@@ -415,11 +417,8 @@ func MachineFor(spec Spec) SimMachine {
 // built-in model on the array, partitions each with AccPar, and returns
 // the highest-throughput batch whose plan fits every accelerator's HBM.
 func TuneBatch(model string, arr *Array, minBatch, maxBatch int) (*autotune.BatchResult, error) {
-	tree, err := hardware.BuildTree(arr, 64)
-	if err != nil {
-		return nil, err
-	}
-	return autotune.TuneBatch(model, tree, minBatch, maxBatch, nil)
+	// A zero Session searches without a cache.
+	return (&Session{}).TuneBatch(model, arr, minBatch, maxBatch)
 }
 
 // TuneDepth sweeps hierarchy-level budgets on the array and returns the

@@ -9,8 +9,10 @@ import (
 // sessionResilienceAllocBudget bounds the allocations of one resilience
 // run of a never-seen fault through a Session whose plan cache is full:
 // inception/512 on 64+64 boards, AccPar portfolio, pristine and degraded
-// searches plus three simulations. Measured at 2.0k; 2.3k when every
-// search rebuilt its units, segment index and level-context pool, 3.0k on
+// searches plus three simulations. Measured at 1.45k; 2.0k when the
+// plan cache interned hardware trees built with one allocation per node
+// and per group (2.5k with no interner), 2.3k when every search rebuilt
+// its units, segment index and level-context pool, 3.0k on
 // per-network replan engines, each search building one slice per multi-path segment
 // path; 5.0k when every trace record slice grew by appends and every
 // simulated phase copied out its trace records, 10.2k when every memo hit
@@ -18,7 +20,7 @@ import (
 // and heap-built memo keys, and 18.6k when every subproblem a replan
 // expanded was written both into a per-network replan memo and into the
 // session's plan cache.
-const sessionResilienceAllocBudget = 2_400
+const sessionResilienceAllocBudget = 1_750
 
 // resilienceBudgetCacheEntries bounds the budget session's cache: the
 // warm-up overfills it, so the measured runs trim it.

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"accpar/internal/dnn"
-	"accpar/internal/hardware"
 	"accpar/internal/obs"
 	"accpar/internal/wordhash"
 )
@@ -63,10 +62,6 @@ type SharedCache struct {
 
 	mu      sync.Mutex
 	entries map[[16]byte]*cacheEntry
-	// trees interns hardware trees by content (InternTree); treeMRU
-	// orders their keys most recently used first.
-	trees   map[[16]byte]*hardware.Tree
-	treeMRU [][16]byte
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -107,7 +102,7 @@ func NewSharedCache(capacity int) *SharedCache {
 	if capacity <= 0 {
 		capacity = defaultCacheCapacity
 	}
-	return &SharedCache{capacity: capacity, entries: make(map[[16]byte]*cacheEntry), trees: make(map[[16]byte]*hardware.Tree)}
+	return &SharedCache{capacity: capacity, entries: make(map[[16]byte]*cacheEntry)}
 }
 
 // Stats returns the cache's hit/miss/eviction counters.
@@ -202,73 +197,6 @@ func (c *SharedCache) trim() int64 {
 	obsCacheEvictions.Add(evicted)
 	obs.Log().Info("plancache.evict", "evicted", evicted, "total_evictions", c.evictions.Load())
 	return evicted
-}
-
-// treeInternCap bounds the trees a cache interns: enough for a pristine
-// fleet plus a working set of recurrent degradations.
-const treeInternCap = 64
-
-// InternTree returns a hardware tree for the array, reusing the cache's
-// retained tree when one with identical content (same ordered spec list,
-// same level budget) exists; a nil cache builds a fresh tree. Servers
-// rebuild the array object on every request; without interning each
-// request pays for building a fresh tree and digesting its whole
-// hierarchy (O(fleet) hashing, hardware.Tree.Identity) before a single
-// cached entry can be consulted. With it, a recurrent request presents a
-// tree whose identity is already cached, one O(array) fingerprint away.
-// Interning never changes plans — trees with equal content plan
-// identically — it only makes the recurrent case cheap.
-func (c *SharedCache) InternTree(arr *hardware.Array, maxLevels int) (*hardware.Tree, error) {
-	if c == nil {
-		return hardware.BuildTree(arr, maxLevels)
-	}
-	key := arrayKey(arr, maxLevels)
-	c.mu.Lock()
-	if t, ok := c.trees[key]; ok {
-		c.treeTouch(key)
-		c.mu.Unlock()
-		return t, nil
-	}
-	c.mu.Unlock()
-	// Build outside the lock; a racing builder of the same content loses
-	// to whichever registered first, keeping the pointer stable.
-	t, err := hardware.BuildTree(arr, maxLevels)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if existing, ok := c.trees[key]; ok {
-		c.treeTouch(key)
-		return existing, nil
-	}
-	c.trees[key] = t
-	c.treeMRU = append([][16]byte{key}, c.treeMRU...)
-	for len(c.treeMRU) > treeInternCap {
-		last := c.treeMRU[len(c.treeMRU)-1]
-		c.treeMRU = c.treeMRU[:len(c.treeMRU)-1]
-		delete(c.trees, last)
-	}
-	return t, nil
-}
-
-// treeTouch moves key to the front of treeMRU. Caller holds c.mu.
-func (c *SharedCache) treeTouch(key [16]byte) {
-	i := slices.Index(c.treeMRU, key)
-	copy(c.treeMRU[1:i+1], c.treeMRU[:i])
-	c.treeMRU[0] = key
-}
-
-// arrayKey fingerprints an array's content plus the tree level budget.
-func arrayKey(arr *hardware.Array, maxLevels int) [16]byte {
-	h := wordhash.New()
-	h.Word(uint64(maxLevels))
-	h.String(arr.Name)
-	h.Word(uint64(len(arr.Accel)))
-	for _, s := range arr.Accel {
-		h.Word(s.Fingerprint())
-	}
-	return h.Sum()
 }
 
 // searchFingerprint hashes everything that is fixed across one planner's

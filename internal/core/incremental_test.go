@@ -113,12 +113,12 @@ func cachedReplan(ctx context.Context, net *dnn.Network, pristine, degraded *har
 	return ReplanCtx(ctx, net, pristine, degraded, opt)
 }
 
-// TestReplanEngineByteIdentical: across seeded fault scenarios, replans
+// TestCachedReplanByteIdentical: across seeded fault scenarios, replans
 // on a shared cache accumulating retained state are byte-identical to
 // cold full searches — on first sight of each scenario (incremental
 // against pristine-only state), on second sight (retained-plan and
 // stale-memo hits), and after the whole matrix has filled the cache.
-func TestReplanEngineByteIdentical(t *testing.T) {
+func TestCachedReplanByteIdentical(t *testing.T) {
 	net, err := models.BuildNetwork("alexnet", 64)
 	if err != nil {
 		t.Fatal(err)
@@ -152,13 +152,13 @@ func TestReplanEngineByteIdentical(t *testing.T) {
 	}
 }
 
-// TestReplanEngineInvalidation: churning more distinct degraded trees
+// TestCachedReplanEviction: churning more distinct degraded trees
 // through a cache than its capacity holds evicts entries (reported via
 // Stats.Invalidated, which sums to the cache's eviction count), keeps
 // the cache within its bound after every call, and replans stay
 // byte-identical throughout — including for a scenario whose entries
 // were evicted and must re-solve.
-func TestReplanEngineInvalidation(t *testing.T) {
+func TestCachedReplanEviction(t *testing.T) {
 	net, err := models.BuildNetwork("lenet", 16)
 	if err != nil {
 		t.Fatal(err)
@@ -217,11 +217,11 @@ func TestReplanEngineInvalidation(t *testing.T) {
 	}
 }
 
-// TestReplanEngineCancelConsistency: aborted replans on a shared cache
+// TestCachedReplanCancelConsistency: aborted replans on a shared cache
 // report the typed sentinel, publish no report, and never leave
 // partially-solved state — a subsequent live call is byte-identical to
 // the cold reference.
-func TestReplanEngineCancelConsistency(t *testing.T) {
+func TestCachedReplanCancelConsistency(t *testing.T) {
 	net, err := models.BuildNetwork("alexnet", 64)
 	if err != nil {
 		t.Fatal(err)
@@ -262,14 +262,13 @@ func TestReplanEngineCancelConsistency(t *testing.T) {
 	assertReportsEqual(t, "retained after aborts", rep, ref)
 }
 
-// TestReplanEnginesRegistry: the cache keys retained work by content.
+// TestCacheKeysByContent: the cache keys retained work by content.
 // Content-equal (network, options) pairs from distinct network objects
 // share one fingerprint memo, so the second network's replan of the same
-// fault expands nothing, while a different batch does not; content-equal
-// arrays intern to one tree per level budget; many option sets on a
-// small cache stay within its bound; and the portfolio through the cache
-// is byte-identical to the one-shot portfolio.
-func TestReplanEnginesRegistry(t *testing.T) {
+// fault expands nothing, while a different batch does not; many option
+// sets on a small cache stay within its bound; and the portfolio through
+// the cache is byte-identical to the one-shot portfolio.
+func TestCacheKeysByContent(t *testing.T) {
 	netA, err := models.BuildNetwork("lenet", 16)
 	if err != nil {
 		t.Fatal(err)
@@ -302,32 +301,6 @@ func TestReplanEnginesRegistry(t *testing.T) {
 	}
 	if rep.Stats.Expanded == 0 {
 		t.Error("different batch was served from the first network's entries")
-	}
-
-	arr := func() *hardware.Array {
-		a, err := hardware.NewHeterogeneous(groups...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	t1, err := cache.InternTree(arr(), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := cache.InternTree(arr(), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t3, err := cache.InternTree(arr(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1 != t2 {
-		t.Error("content-equal arrays interned to distinct trees")
-	}
-	if t3 == t1 {
-		t.Error("different level budget interned to the same tree")
 	}
 
 	const capacity = 64

@@ -17,7 +17,7 @@ func slowdownTree(t *testing.T, groups []hardware.GroupSpec, g int, factor float
 	return degradedTreeFor(t, groups, sc)
 }
 
-// TestReplanEnginesChurn pushes 96 distinct degraded trees through the
+// TestCacheChurn pushes 96 distinct degraded trees through the
 // AccPar portfolio on a small shared cache, from two callers at once,
 // while a third replans under extra option sets (more search
 // fingerprints in the same cache), so trims race in-flight searches.
@@ -26,7 +26,7 @@ func slowdownTree(t *testing.T, groups []hardware.GroupSpec, g int, factor float
 // content-identical new tree object must be served as the retained one
 // (a replan that expands nothing); and a search whose entries were
 // evicted must still plan byte-identically to a cold search.
-func TestReplanEnginesChurn(t *testing.T) {
+func TestCacheChurn(t *testing.T) {
 	net := buildNet(t, "lenet", 16)
 	groups := v2v3Groups(4)
 	pristine := treeFor(t, groups...)

@@ -7,12 +7,13 @@ import (
 )
 
 // Fingerprint returns a content hash of the spec: two specs fingerprint
-// equally iff every field the cost model reads is identical. Degradation
-// renames the spec (see Degrade), so a degraded group's fingerprint never
-// collides with its pristine ancestor's — which is exactly what lets a
-// dependency-tracked planner memo tell "this cached subproblem was solved
-// against hardware that no longer exists" apart from "this subproblem is
-// still current".
+// equally iff every field the cost model reads is identical. It is what
+// a subtree's digest (Tree.Identity) hashes for each run of equal
+// boards, so a planner memo keyed by digests can only hit a subproblem
+// solved on the same hardware. A degraded spec differs from its pristine
+// ancestor in a rate and is renamed too (see Degrade), so the subtrees a
+// fault touched digest apart from their pristine versions, while the
+// untouched ones keep their digests and stay memo hits.
 func (s Spec) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

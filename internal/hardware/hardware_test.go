@@ -160,10 +160,10 @@ func TestBisectHeterogeneousSplitsBySpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !l.Homogeneous() || l.Accel[0].Name != "tpu-v2" || l.Size() != 4 {
-		t.Errorf("left = %v", l)
+		t.Errorf("left = %v", &l)
 	}
 	if !r.Homogeneous() || r.Accel[0].Name != "tpu-v3" || r.Size() != 4 {
-		t.Errorf("right = %v", r)
+		t.Errorf("right = %v", &r)
 	}
 }
 

@@ -35,7 +35,8 @@ type Identity struct {
 // Identity returns the node's content identity, computing it (and its
 // descendants') on the first call and caching it on the node. Concurrent
 // first calls are safe. A tree must not change after its first Identity
-// call; trees from BuildTree never change.
+// call. BuildTree computes the identities of the trees it returns, which
+// never change; only a hand-built tree computes them on first use.
 func (t *Tree) Identity() Identity {
 	t.identOnce.Do(t.computeIdentity)
 	return t.ident

@@ -36,8 +36,8 @@ func replanReportsEqual(t *testing.T, got, want *ReplanReport) error {
 // interleaved with pristine Partition and Resilience calls. Every worker
 // shares the session's one plan cache — the AccPar replans all land on
 // one fingerprint memo — so the hammer exercises that store (plain
-// subproblems, recurrent tree roots and stale re-costings alike) and its
-// tree interning under contention. Every result must stay byte-identical
+// subproblems, recurrent tree roots and stale re-costings alike) under
+// contention. Every result must stay byte-identical
 // to its cacheless fresh-computation reference, and after the hammer a
 // recurrent replan must be served entirely from retained state.
 func TestSessionReplanHammerRace(t *testing.T) {

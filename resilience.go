@@ -70,13 +70,13 @@ func ReplanAnalytic(net *Network, groups []ArrayGroup, strategy Strategy, sc *Fa
 
 // replanAnalyticCtx is the options-level replanning pipeline behind
 // ReplanAnalytic and Session.Replan, bound to a context and an optional
-// plan cache. With a cache (Session calls) the replan searches on it and
-// interns both trees in it, so a recurrent fault — the same (network,
-// options, degraded hardware) seen again — is a few memo lookups instead
-// of a full search; without one (package-level calls) the replan gives
-// the same bytes on a private memo. Each replan is one observation of the
-// core.replan.seconds histogram, adds its memo reuse to
-// core.replan_incremental_hits, and logs one core.replan event.
+// plan cache. With a cache (Session calls) the replan searches on it, so
+// a recurrent fault — the same (network, options, degraded hardware) seen
+// again — is a few memo lookups instead of a full search; without one
+// (package-level calls) the replan gives the same bytes on a private
+// memo. Each replan is one observation of the core.replan.seconds
+// histogram, adds its memo reuse to core.replan_incremental_hits, and
+// logs one core.replan event.
 func replanAnalyticCtx(ctx context.Context, cache *PlanCache, net *Network, groups []ArrayGroup, opt Options, sc *FaultScenario) (*ReplanReport, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -93,11 +93,11 @@ func replanAnalyticCtx(ctx context.Context, cache *PlanCache, net *Network, grou
 	if err != nil {
 		return nil, err
 	}
-	pristine, err := cache.InternTree(arr, 64)
+	pristine, err := hardware.BuildTree(arr, 64)
 	if err != nil {
 		return nil, err
 	}
-	degraded, err := cache.InternTree(darr, 64)
+	degraded, err := hardware.BuildTree(darr, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +219,7 @@ func resilienceCtx(ctx context.Context, cache *PlanCache, net *Network, groups [
 	// reads as its pipeline: plan, three simulations, replan.
 	var stats ReplanStats
 	sp := obs.StartSpanCtx(ctx, "resilience", "plan-pristine")
-	plan, err := partitionCachedCtx(ctx, net, arr, strategy, cache, &stats)
+	plan, err := partitionCtx(ctx, net, arr, 64, cache, &stats, strategy.Variants()...)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -267,7 +267,7 @@ func resilienceCtx(ctx context.Context, cache *PlanCache, net *Network, groups [
 	// triggered it.
 	sp = obs.StartSpanCtx(ctx, "resilience", "plan-degraded")
 	replanStart := time.Now()
-	dplan, err := partitionCachedCtx(ctx, net, darr, strategy, cache, &stats)
+	dplan, err := partitionCtx(ctx, net, darr, 64, cache, &stats, strategy.Variants()...)
 	sp.End()
 	if err != nil {
 		return nil, err

@@ -17,9 +17,8 @@ import (
 // options — can share one instance without cross-contamination. When it
 // outgrows its bound, the subproblems of the least recently served
 // searches go first. Caching never changes decisions: plans are
-// byte-identical with the cache disabled, cold or warm. It also interns
-// hardware trees by content, so a recurrent array is not rebuilt or
-// re-digested.
+// byte-identical with the cache disabled, cold or warm. It holds solved
+// subproblems only: every call builds its hardware tree from the array.
 type PlanCache = core.SharedCache
 
 // CacheStats is the cache's hit/miss/eviction counters.
@@ -91,7 +90,7 @@ func (s *Session) Partition(net *Network, arr *Array, strategy Strategy) (*Plan,
 // subproblems are ever published — so a subsequent uncanceled run is
 // byte-identical to one against a fresh session.
 func (s *Session) PartitionCtx(ctx context.Context, net *Network, arr *Array, strategy Strategy) (*Plan, error) {
-	return partitionCachedCtx(ctx, net, arr, strategy, s.cache, nil)
+	return partitionCtx(ctx, net, arr, 64, s.cache, nil, strategy.Variants()...)
 }
 
 // Resilience is the package-level fault-injection experiment through the
@@ -117,13 +116,12 @@ func (s *Session) PartitionWithOptions(net *Network, arr *Array, opt Options, ma
 // PartitionWithOptionsCtx is PartitionWithOptions bound to a context;
 // see PartitionCtx for the abort and cache-consistency semantics.
 func (s *Session) PartitionWithOptionsCtx(ctx context.Context, net *Network, arr *Array, opt Options, maxLevels int) (*Plan, error) {
-	opt.Cache = s.cache
-	return PartitionWithOptionsCtx(ctx, net, arr, opt, maxLevels)
+	return partitionCtx(ctx, net, arr, maxLevels, s.cache, nil, opt)
 }
 
-// Compare partitions the network with all four strategies concurrently,
-// every strategy searching through the session cache. Plans are
-// identical to four serial Partition calls.
+// Compare partitions the network with all four strategies concurrently
+// over one hardware tree, every strategy searching through the session
+// cache. Plans are identical to four serial Partition calls.
 func (s *Session) Compare(net *Network, arr *Array) (*Comparison, error) {
 	return s.CompareCtx(context.Background(), net, arr)
 }
@@ -132,9 +130,13 @@ func (s *Session) Compare(net *Network, arr *Array) (*Comparison, error) {
 // when ctx is done are never dispatched, and running ones abort at their
 // next cancellation probe.
 func (s *Session) CompareCtx(ctx context.Context, net *Network, arr *Array) (*Comparison, error) {
+	tree, err := hardware.BuildTree(arr, 64)
+	if err != nil {
+		return nil, err
+	}
 	plans := make([]*Plan, len(Strategies))
-	err := parallel.ForEachCtx(ctx, len(Strategies), 0, func(i int) error {
-		plan, err := s.PartitionCtx(ctx, net, arr, Strategies[i])
+	err = parallel.ForEachCtx(ctx, len(Strategies), 0, func(i int) error {
+		plan, err := searchTree(ctx, net, tree, s.cache, nil, Strategies[i].Variants())
 		if err != nil {
 			return fmt.Errorf("accpar: %v: %w", Strategies[i], err)
 		}

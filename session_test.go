@@ -7,6 +7,9 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"accpar/internal/core"
+	"accpar/internal/hardware"
 )
 
 func planBytes(t *testing.T, p *Plan) []byte {
@@ -18,41 +21,47 @@ func planBytes(t *testing.T, p *Plan) []byte {
 	return b.Bytes()
 }
 
-// TestSessionCompareMatchesSerial: the parallel, cache-sharing Compare
-// must produce plans byte-identical to four independent Partition calls.
+// TestSessionCompareMatchesSerial: the parallel, cache-sharing Compare,
+// whose four strategies search one shared hardware tree, must produce
+// plans byte-identical to four independent Partition calls, on the
+// two-kind paper fleet and on a fleet of three board kinds.
 func TestSessionCompareMatchesSerial(t *testing.T) {
 	net, err := BuildModel("alexnet", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr := paperArray(t, 4)
-
-	want := map[Strategy][]byte{}
-	for _, s := range Strategies {
-		plan, err := Partition(net, arr, s)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		want[s] = planBytes(t, plan)
+	mixed, err := ParseFleet("edge-npu:3,tpu-v2:2,tpu-v3:3")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	sess := NewSession(0)
-	for pass := 0; pass < 2; pass++ {
-		cmp, err := sess.Compare(net, arr)
-		if err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
-		}
+	for _, arr := range []*Array{paperArray(t, 4), mixed} {
+		want := map[Strategy][]byte{}
 		for _, s := range Strategies {
-			if got := planBytes(t, cmp.Plans[s]); !bytes.Equal(got, want[s]) {
-				t.Errorf("pass %d: %v plan differs from serial Partition", pass, s)
+			plan, err := Partition(net, arr, s)
+			if err != nil {
+				t.Fatalf("%s, %v: %v", arr.Name, s, err)
+			}
+			want[s] = planBytes(t, plan)
+		}
+
+		sess := NewSession(0)
+		for pass := 0; pass < 2; pass++ {
+			cmp, err := sess.Compare(net, arr)
+			if err != nil {
+				t.Fatalf("%s, pass %d: %v", arr.Name, pass, err)
+			}
+			for _, s := range Strategies {
+				if got := planBytes(t, cmp.Plans[s]); !bytes.Equal(got, want[s]) {
+					t.Errorf("%s, pass %d: %v plan differs from serial Partition", arr.Name, pass, s)
+				}
+			}
+			if sp := cmp.Speedup(StrategyAccPar); sp < 1 {
+				t.Errorf("%s, pass %d: AccPar speedup %.3f < 1", arr.Name, pass, sp)
 			}
 		}
-		if sp := cmp.Speedup(StrategyAccPar); sp < 1 {
-			t.Errorf("pass %d: AccPar speedup %.3f < 1", pass, sp)
+		if st := sess.CacheStats(); st.Hits == 0 {
+			t.Errorf("%s: two Compare passes shared nothing: %+v", arr.Name, st)
 		}
-	}
-	if st := sess.CacheStats(); st.Hits == 0 {
-		t.Errorf("two Compare passes shared nothing: %+v", st)
 	}
 }
 
@@ -237,5 +246,69 @@ func TestSessionReplanBoundedByCapacity(t *testing.T) {
 	}
 	if st := sess.CacheStats(); st.Hits == before.Hits || st.Misses != before.Misses {
 		t.Errorf("Session.Partition of the pristine array should hit the fault work's entries: before %+v, after %+v", before, st)
+	}
+}
+
+// shrunkArray is 2×TPU-v2 + 2×TPU-v3 with every board's HBM divided by
+// div.
+func shrunkArray(t *testing.T, div int64) *Array {
+	t.Helper()
+	a, b := TPUv2(), TPUv3()
+	a.HBMBytes /= div
+	b.HBMBytes /= div
+	arr, err := HeterogeneousArray(ArrayGroup{Spec: a, Count: 2}, ArrayGroup{Spec: b, Count: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arr
+}
+
+// TestFacadePathsAgree: every way the facade turns an array into a plan
+// agrees byte for byte with the core search on a freshly built tree —
+// package-level PartitionWithOptions, Session.PartitionWithOptionsCtx on
+// a cold session and again warm — across level budgets and memory
+// modes, on a fleet of three board kinds, on shrunk boards where the
+// memory bound binds at every budget and on boards where nothing fits
+// (every path must fail alike).
+func TestFacadePathsAgree(t *testing.T) {
+	net, err := BuildModel("alexnet", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := ParseFleet("edge-npu:3,tpu-v2:2,tpu-v3:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrays := map[string]*Array{"mixed": mixed, "binding": shrunkArray(t, 512), "infeasible": shrunkArray(t, 1024)}
+	ctx := context.Background()
+	outcome := func(p *Plan, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return string(planBytes(t, p))
+	}
+	for name, arr := range arrays {
+		for _, levels := range []int{1, 2, 64} {
+			for _, mode := range []MemoryMode{MemoryOff, MemoryReject} {
+				label := fmt.Sprintf("%s fleet, levels %d, memory mode %d", name, levels, mode)
+				opt := core.AccPar()
+				opt.Optimizer = OptimizerAdam
+				opt.MemoryLimit = mode
+				tree, err := hardware.BuildTree(arr, levels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := outcome(core.PartitionCtx(ctx, net, tree, opt))
+				if got := outcome(PartitionWithOptions(net, arr, opt, levels)); got != want {
+					t.Errorf("%s: package-level PartitionWithOptions differs from the core search", label)
+				}
+				sess := NewSession(0)
+				for _, pass := range []string{"cold", "warm"} {
+					if got := outcome(sess.PartitionWithOptionsCtx(ctx, net, arr, opt, levels)); got != want {
+						t.Errorf("%s: %s Session.PartitionWithOptionsCtx differs from the core search", label, pass)
+					}
+				}
+			}
+		}
 	}
 }
