@@ -59,8 +59,10 @@ func (c *capture) noteAudit(audit json.RawMessage) {
 }
 
 // record wraps h so the request runs under its own scoped tracer and,
-// once finished, is offered to the flight recorder as endpoint.
-func (s *server) record(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+// once finished, is offered to the flight recorder as endpoint. A capture
+// the recorder keeps becomes timer's exemplar, so the endpoint's latency
+// histogram links to the latest retained trace.
+func (s *server) record(endpoint string, timer *obs.Timer, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		tr := obs.NewBoundedTracer(maxRequestTraceEvents)
@@ -68,18 +70,21 @@ func (s *server) record(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 		ctx := obs.WithTracer(context.WithValue(r.Context(), captureKey{}, c), tr)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r.WithContext(ctx))
+		dur := time.Since(start)
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		s.flight.Offer(diag.Capture{
+		if id, kept := s.flight.Offer(diag.Capture{
 			Endpoint:        endpoint,
 			Status:          sw.code,
 			Start:           start,
-			DurationSeconds: time.Since(start).Seconds(),
+			DurationSeconds: dur.Seconds(),
 			Tag:             c.tag,
 			Request:         c.request,
 			DroppedEvents:   tr.Dropped(),
 			TraceEvents:     tr.Events(),
 			Audit:           c.audit,
-		})
+		}); kept {
+			timer.SetExemplar(id, dur)
+		}
 	}
 }

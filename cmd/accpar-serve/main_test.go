@@ -256,6 +256,29 @@ func TestMetricsAfterRequest(t *testing.T) {
 	}
 }
 
+// TestPlanExemplarLinksCapture asserts the serve_plan_seconds histogram
+// carries the flight-recorder id of a retained request as its exemplar,
+// and that the id resolves on /debug/slowest.
+func TestPlanExemplarLinksCapture(t *testing.T) {
+	_, mux := newTestMux(t)
+	if w := post(t, mux, "/v1/plan", `{"model":"lenet","batch":32,"v2":2,"v3":2,"levels":4}`); w.Code != http.StatusOK {
+		t.Fatalf("plan: %d: %s", w.Code, w.Body)
+	}
+	body := get(t, mux, "/metrics").Body.String()
+	const prefix = `serve_plan_seconds_exemplar{trace_id="`
+	at := strings.Index(body, prefix)
+	if at < 0 {
+		t.Fatalf("metrics carry no plan exemplar:\n%s", body)
+	}
+	id, _, _ := strings.Cut(body[at+len(prefix):], `"`)
+	if !strings.HasPrefix(id, "r") {
+		t.Fatalf("exemplar trace id %q; want a capture id rN", id)
+	}
+	if w := get(t, mux, "/debug/slowest/"+id); w.Code != http.StatusOK {
+		t.Errorf("/debug/slowest/%s: %d; want 200", id, w.Code)
+	}
+}
+
 // TestReadinessFlip asserts /readyz turns 503 when draining starts.
 func TestReadinessFlip(t *testing.T) {
 	srv, mux := newTestMux(t)

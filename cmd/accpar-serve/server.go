@@ -103,7 +103,7 @@ func newServer(sess *accpar.Session, cfg serveConfig) *server {
 func (s *server) routes(mux *http.ServeMux) {
 	wrap := func(name string, weight int64, m *endpointMetrics, h http.HandlerFunc) http.HandlerFunc {
 		guarded := s.adm.Guard(weight, m.shed, h)
-		recorded := s.record("/v1/"+name, guarded)
+		recorded := s.record("/v1/"+name, m.timer, guarded)
 		return admission.Recover(instrument(m, s.coal.coalesce(name, s.cfg.MaxBodyBytes, recorded)))
 	}
 	mux.HandleFunc("POST /v1/plan", wrap("plan", weightPlan, planMetrics, s.plan))

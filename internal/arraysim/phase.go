@@ -22,21 +22,6 @@ func phaseFLOPs(ph cost.Phase, d tensor.LayerDims) float64 {
 	}
 }
 
-// phaseBytes returns the local memory traffic of one phase: operands
-// streamed in, result streamed out.
-func phaseBytes(ph cost.Phase, d tensor.LayerDims) float64 {
-	var elems int64
-	switch ph {
-	case cost.PhaseForward:
-		elems = d.AF() + d.AW() + d.AFNext()
-	case cost.PhaseBackward:
-		elems = d.AFNext() + d.AW() + d.AF()
-	case cost.PhaseGradient:
-		elems = d.AF() + d.AFNext() + d.AW()
-	}
-	return float64(elems) * tensor.BytesPerElement
-}
-
 // phaseDone returns the per-leaf completion slot of a phase.
 func (b *builder) phaseDone(ph cost.Phase) [][]*task {
 	switch ph {
@@ -144,7 +129,7 @@ func (b *builder) phase(ph cost.Phase, u int) {
 		var dur float64
 		if !unit.Virtual {
 			d := b.leaves[leaf].dims[u]
-			dur = math.Max(phaseFLOPs(ph, d)/b.leafCompute[leaf], phaseBytes(ph, d)/b.leafMem[leaf])
+			dur = math.Max(phaseFLOPs(ph, d)/b.leafCompute[leaf], cost.PhaseStreamBytes(d)/b.leafMem[leaf])
 		}
 		computeTasks[leaf] = b.newTask(task{
 			machine: leaf, link: -1, duration: dur, deps: compact(deps),

@@ -258,7 +258,6 @@ func searchFingerprint(net *dnn.Network, opt Options) [16]byte {
 	}
 	wInt(int64(opt.Objective))
 	wInt(int64(opt.Ratio))
-	wInt(int64(opt.MaxRatioIters))
 	wBool(opt.Linearize)
 	wInt(int64(opt.Optimizer))
 	wInt(int64(opt.Topology))

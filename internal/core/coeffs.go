@@ -32,26 +32,42 @@ const (
 )
 
 // patTrain[prev][next] classifies the training-mode transition (the sum
-// of both tensor components, matching cost.InterCommElements).
-var patTrain = [3][3]patKind{
-	cost.TypeI:   {cost.TypeI: patZero, cost.TypeII: patAB2, cost.TypeIII: patBeta},
-	cost.TypeII:  {cost.TypeI: patBeta, cost.TypeII: patBeta, cost.TypeIII: patZero},
-	cost.TypeIII: {cost.TypeI: patAB2, cost.TypeII: patZero, cost.TypeIII: patBeta},
+// of both tensor components, matching cost.InterCommElements) and
+// patInfer[prev][next] the inference-mode one (the F component only,
+// matching the fwd return of cost.InterCommSplit: inference never
+// produces errors). Both are read off cost.Conversion once.
+var patTrain, patInfer = patTables()
+
+func patTables() (train, infer [3][3]patKind) {
+	for prev, row := range cost.Conversion {
+		for next, c := range row {
+			train[prev][next] = patOf(c.F, c.E)
+			infer[prev][next] = patOf(c.F, cost.NoConversion)
+		}
+	}
+	return train, infer
 }
 
-// patInfer[prev][next] classifies the inference-mode transition (the
-// F-tensor component only, matching the fwd return of
-// cost.InterCommSplit: II→I and II→II move errors only, which inference
-// never produces).
-var patInfer = [3][3]patKind{
-	cost.TypeI:   {cost.TypeI: patZero, cost.TypeII: patAB1, cost.TypeIII: patBeta},
-	cost.TypeII:  {cost.TypeI: patZero, cost.TypeII: patZero, cost.TypeIII: patZero},
-	cost.TypeIII: {cost.TypeI: patAB1, cost.TypeII: patZero, cost.TypeIII: patBeta},
+// patOf classifies a transition's combined F and E components.
+func patOf(f, e cost.Component) patKind {
+	type fe = [2]cost.Component
+	switch (fe{f, e}) {
+	case fe{cost.NoConversion, cost.NoConversion}:
+		return patZero
+	case fe{cost.AlphaBeta, cost.AlphaBeta}:
+		return patAB2
+	case fe{cost.AlphaBeta, cost.NoConversion}, fe{cost.NoConversion, cost.AlphaBeta}:
+		return patAB1
+	case fe{cost.BetaSlab, cost.NoConversion}, fe{cost.NoConversion, cost.BetaSlab}:
+		return patBeta
+	}
+	panic("core: Table 5 transition without a closed form")
 }
 
 // patElems evaluates a classified pattern for the side whose ratio is
-// alpha. The expressions mirror cost.InterCommElements operation for
-// operation so the cached path is bit-identical to the direct one.
+// alpha. The expressions round as cost.InterCommElements does (its αβ
+// sum of two equal components is αβ·(b+b) exactly), so the cached path
+// is bit-identical to the direct one.
 func patElems(k patKind, boundary, alpha, beta float64) float64 {
 	switch k {
 	case patAB2:

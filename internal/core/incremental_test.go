@@ -305,9 +305,7 @@ func TestCacheKeysByContent(t *testing.T) {
 
 	const capacity = 64
 	small := NewSharedCache(capacity)
-	for i := 0; i < 8; i++ {
-		opt := AccPar()
-		opt.MaxRatioIters = 4 + i
+	for i, opt := range extraOptionSets(8) {
 		if _, err := cachedReplan(ctx, netA, pristine, degraded, opt, small); err != nil {
 			t.Fatal(err)
 		}

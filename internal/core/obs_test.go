@@ -18,7 +18,6 @@ func TestObservationEquivalence(t *testing.T) {
 	net := buildNet(t, "resnet50", 64)
 	tree := paperTree(t, 4)
 
-	obs.SetTracer(nil)
 	plain, err := PartitionCtx(context.Background(), net, tree, AccPar())
 	if err != nil {
 		t.Fatal(err)
@@ -26,8 +25,8 @@ func TestObservationEquivalence(t *testing.T) {
 	want := planJSON(t, plain)
 
 	tr := obs.NewTracer()
-	obs.SetTracer(tr)
-	defer obs.SetTracer(nil)
+	obs.AttachTracer(tr)
+	defer obs.DetachTracer(tr)
 	traced, err := PartitionCtx(context.Background(), net, tree, AccPar())
 	if err != nil {
 		t.Fatal(err)

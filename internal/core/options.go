@@ -89,10 +89,6 @@ type Options struct {
 	// Fixed, when non-nil, statically assigns types (for the DP and OWT
 	// baselines).
 	Fixed FixedAssignment
-	// MaxRatioIters bounds the alternation between type search and ratio
-	// solving at one hierarchy node (the two are mutually dependent:
-	// Eq. 10 needs the partitioning p, Eq. 9 needs α). Default 4.
-	MaxRatioIters int
 	// Linearize flattens multi-path segments into a chain before
 	// searching, modelling HyPar's linear-structure restriction.
 	Linearize bool
@@ -206,9 +202,6 @@ func (m Mode) String() string {
 func (o Options) withDefaults() Options {
 	if len(o.Types) == 0 {
 		o.Types = cost.Types
-	}
-	if o.MaxRatioIters == 0 {
-		o.MaxRatioIters = 4
 	}
 	return o
 }

@@ -342,6 +342,11 @@ func (p *planner) solveSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI
 	return p.assembleSplit(node, dims, sideI, sideJ, types, alpha, ev)
 }
 
+// maxRatioIters bounds the alternation between type search and ratio
+// solving at one split (the two are mutually dependent: Eq. 10 needs the
+// partitioning p, Eq. 9 needs α).
+const maxRatioIters = 4
+
 // decideSplit is solveSplit's alternation on a pooled level context,
 // which goes back to the pool before the caller recurses: runDP returns
 // a freshly allocated types slice, so nothing after it reads the context.
@@ -368,7 +373,7 @@ func (p *planner) decideSplit(node *hardware.Tree, dims []tensor.LayerDims, side
 	if p.opt.Exhaustive {
 		search = ctx.runExhaustive
 	}
-	for iter := 0; iter < p.opt.MaxRatioIters; iter++ {
+	for iter := 0; iter < maxRatioIters; iter++ {
 		if err := p.checkCtx(); err != nil {
 			return nil, 0, LevelEval{}, err
 		}
@@ -534,7 +539,7 @@ func leafNode(node *hardware.Tree, units []dnn.WeightedLayer, dims []tensor.Laye
 			continue
 		}
 		d := dims[i]
-		perPhase := float64(d.AF()+d.AW()+d.AFNext()) * tensor.BytesPerElement
+		perPhase := cost.PhaseStreamBytes(d)
 		if opt.Mode == ModeInference {
 			flops += float64(tensor.InferenceFLOPs(d))
 			memBytes += perPhase // forward only

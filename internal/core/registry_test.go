@@ -8,6 +8,7 @@ import (
 
 	"accpar/internal/faults"
 	"accpar/internal/hardware"
+	"accpar/internal/optimizer"
 )
 
 // slowdownTree returns the fleet with group g slowed down by factor.
@@ -15,6 +16,28 @@ func slowdownTree(t *testing.T, groups []hardware.GroupSpec, g int, factor float
 	t.Helper()
 	sc := faults.Scenario{Faults: []faults.Fault{{Kind: faults.KindSlowdown, Group: g, Factor: factor}}}
 	return degradedTreeFor(t, groups, sc)
+}
+
+// extraOptionSets returns n option sets whose search fingerprints differ
+// from each other and from the AccPar portfolio's: the portfolio's
+// variants under every other optimizer, then under every other
+// interconnect.
+func extraOptionSets(n int) []Options {
+	var out []Options
+	for _, top := range hardware.Topologies {
+		for _, k := range optimizer.Kinds {
+			for _, v := range StrategyAccPar.Variants() {
+				if k == v.Optimizer && top == v.Topology {
+					continue
+				}
+				v.Optimizer, v.Topology = k, top
+				if out = append(out, v); len(out) == n {
+					return out
+				}
+			}
+		}
+	}
+	panic("extraOptionSets: too few option sets")
 }
 
 // TestCacheChurn pushes 96 distinct degraded trees through the
@@ -66,9 +89,7 @@ func TestCacheChurn(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < len(trees)/4; i++ {
-			opt := AccPar()
-			opt.MaxRatioIters = 20 + i
+		for i, opt := range extraOptionSets(len(trees) / 4) {
 			if _, err := cachedReplan(ctx, net, pristine, trees[i], opt, cache); err != nil {
 				errs <- err
 				return
@@ -105,9 +126,7 @@ func TestCacheChurn(t *testing.T) {
 	// A serial tail under new option sets stays within the bound after
 	// every call, and the first tree's entries are long evicted: its plan
 	// must re-solve to the cold bytes.
-	for i := 0; i < 4; i++ {
-		opt := AccPar()
-		opt.MaxRatioIters = 5 + i
+	for i, opt := range extraOptionSets(len(trees)/4 + 4)[len(trees)/4:] {
 		if _, err := cachedReplan(ctx, net, pristine, twin, opt, cache); err != nil {
 			t.Fatal(err)
 		}

@@ -171,8 +171,16 @@ func (p *planner) replan(pristine, degraded *hardware.Tree) (*ReplanReport, erro
 	// the degraded root's key.
 	dkey := p.subproblemKey(degraded, p.rootDims)
 	var stale, fresh *Plan
-	g := parallel.NewGroup(min(2, parallel.Workers(p.opt.Parallelism)))
-	g.Go(func() error {
+	ctx := p.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	err = parallel.ForEachCtx(ctx, 2, p.opt.Parallelism, func(i int) error {
+		if i == 1 {
+			var ferr error
+			fresh, ferr = p.planKeyed(degraded, dkey)
+			return ferr
+		}
 		root, serr := p.staleNodeInc(degraded, pristine, faultFree.Root, p.rootDims, dkey)
 		if serr != nil {
 			return serr
@@ -183,13 +191,8 @@ func (p *planner) replan(pristine, degraded *hardware.Tree) (*ReplanReport, erro
 		}
 		return nil
 	})
-	g.Go(func() error {
-		var ferr error
-		fresh, ferr = p.planKeyed(degraded, dkey)
-		return ferr
-	})
-	if err := g.Wait(); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, WrapCtxErr(err)
 	}
 	rep := &ReplanReport{
 		FaultFree: faultFree,

@@ -28,42 +28,94 @@ func IntraCommElements(t Type, d tensor.LayerDims) int64 {
 	}
 }
 
-// InterCommElements returns the inter-layer communication amount, in tensor
-// elements, remotely accessed by the accelerator whose partitioning ratio
-// is alpha, when layer l uses type prev and layer l+1 uses type next
-// (Table 5 of the paper). boundary is A(F_{l+1}) = A(E_{l+1}), the size of
-// the feature-map/error tensor crossing the layer boundary.
-//
-// The cost for the peer accelerator (ratio beta = 1−alpha) is obtained by
-// calling InterCommElements with alpha and beta swapped; for the αβ
-// patterns the two directions coincide, since (1−α)(1−β) = βα when
-// α+β = 1 (Section 4.1.2).
-func InterCommElements(prev, next Type, boundary int64, alpha, beta float64) float64 {
-	b := float64(boundary)
-	switch {
-	// Same partitioning on both sides of the boundary — no conversion.
-	// Patterns (a) I→I, (f) II→III, (h) III→II.
-	case prev == next && prev == TypeI,
-		prev == TypeII && next == TypeIII,
-		prev == TypeIII && next == TypeII:
+// IntraCommElementsInference returns the intra-layer exchange of the
+// forward phase only — what DNN inference (data forward only, Section 1)
+// incurs: the Table 4 amount of a type whose partial sums fall in the
+// forward phase (Type-II's F_{l+1}), and nothing for the types whose
+// partial sums belong to the backward or gradient phase, which inference
+// never runs.
+func IntraCommElementsInference(t Type, d tensor.LayerDims) int64 {
+	if t.PsumPhase() != PhaseForward {
 		return 0
-	// One side partitions the batch, the other partitions channels, and
-	// the conversion tensor is the αβ-sized corner block. Patterns
-	// (b) I→II and (g) III→I transfer both F_{l+1} and E_{l+1}.
-	case prev == TypeI && next == TypeII,
-		prev == TypeIII && next == TypeI:
-		return alpha * beta * (b + b)
-	// The remaining patterns transfer a β-sized slab of one tensor:
-	// (c) I→III and (i) III→III transfer F_{l+1};
-	// (d) II→I and (e) II→II transfer E_{l+1}.
-	case prev == TypeI && next == TypeIII,
-		prev == TypeIII && next == TypeIII:
-		return beta * b
-	case prev == TypeII && (next == TypeI || next == TypeII):
-		return beta * b
-	default:
-		panic("cost: unhandled inter-layer pattern")
 	}
+	return IntraCommElements(t, d)
+}
+
+// PhaseStreamBytes returns the local memory traffic of one phase of a
+// layer with dims d: two operands streamed in and the result streamed
+// out. Every phase touches tensors of the same three sizes — forward
+// reads F_l and W_l and writes F_{l+1}, backward reads E_{l+1} and W_l
+// and writes E_l, gradient reads F_l and E_{l+1} and writes ΔW_l — so one
+// sum serves all three.
+func PhaseStreamBytes(d tensor.LayerDims) float64 {
+	return float64(d.AF()+d.AW()+d.AFNext()) * tensor.BytesPerElement
+}
+
+// Component is one tensor's share of a Table 5 conversion across a
+// boundary of A elements, for the accelerator whose ratio is α (its peer
+// has β = 1−α).
+type Component uint8
+
+const (
+	// NoConversion: the tensor is already laid out as the consumer needs.
+	NoConversion Component = iota
+	// AlphaBeta: the αβ·A corner block converts.
+	AlphaBeta
+	// BetaSlab: a β·A slab converts.
+	BetaSlab
+)
+
+// elements evaluates the component for a boundary of a elements.
+func (c Component) elements(a, alpha, beta float64) float64 {
+	switch c {
+	case AlphaBeta:
+		return alpha * beta * a
+	case BetaSlab:
+		return beta * a
+	default:
+		return 0
+	}
+}
+
+// Transition is one Table 5 entry: the feature-map conversion F_{l+1}
+// (paid during the forward phase) and the error conversion E_{l+1} (paid
+// during the backward phase).
+type Transition struct{ F, E Component }
+
+// Conversion is Table 5 of the paper, the inter-layer conversion when
+// layer l uses type prev and layer l+1 uses type next, indexed
+// Conversion[prev][next]. Patterns (a) I→I, (f) II→III and (h) III→II
+// keep the same partitioning across the boundary; (b) I→II and (g) III→I
+// convert the αβ corner block of both tensors; (c) I→III and (i)
+// III→III convert a β slab of the feature map, (d) II→I and (e) II→II a
+// β slab of the error. For the αβ patterns both directions cost the
+// same, since (1−α)(1−β) = βα when α+β = 1 (Section 4.1.2).
+var Conversion = [3][3]Transition{
+	TypeI:   {TypeI: {}, TypeII: {AlphaBeta, AlphaBeta}, TypeIII: {BetaSlab, NoConversion}},
+	TypeII:  {TypeI: {NoConversion, BetaSlab}, TypeII: {NoConversion, BetaSlab}, TypeIII: {}},
+	TypeIII: {TypeI: {AlphaBeta, AlphaBeta}, TypeII: {}, TypeIII: {BetaSlab, NoConversion}},
+}
+
+// InterCommSplit returns the two Table 5 components, in tensor elements,
+// remotely accessed by the accelerator whose partitioning ratio is alpha
+// when layer l uses type prev and layer l+1 uses type next: the
+// feature-map conversion (forward phase) and the error conversion
+// (backward phase). boundary is A(F_{l+1}) = A(E_{l+1}), the size of the
+// tensor crossing the layer boundary. Phase-aware consumers (the
+// simulators, inference-mode costing) need the split; the peer's cost
+// (ratio beta) comes from swapping alpha and beta.
+func InterCommSplit(prev, next Type, boundary int64, alpha, beta float64) (fwd, bwd float64) {
+	c := Conversion[prev][next]
+	a := float64(boundary)
+	return c.F.elements(a, alpha, beta), c.E.elements(a, alpha, beta)
+}
+
+// InterCommElements returns the inter-layer communication amount of
+// InterCommSplit's accelerator: the sum of both components. For the αβ
+// patterns that sum is αβ·(A+A) to the bit, since doubling is exact.
+func InterCommElements(prev, next Type, boundary int64, alpha, beta float64) float64 {
+	fwd, bwd := InterCommSplit(prev, next, boundary, alpha, beta)
+	return fwd + bwd
 }
 
 // InterCommTotalElements returns the combined inter-layer traffic of both

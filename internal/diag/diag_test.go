@@ -152,7 +152,7 @@ func TestDebugTraceCapture(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			sp := obs.StartSpan("planner", "windowed-work")
+			sp := obs.StartSpanCtx(context.Background(), "planner", "windowed-work")
 			time.Sleep(time.Millisecond)
 			sp.End()
 		}
@@ -185,18 +185,18 @@ func TestDebugTraceCapture(t *testing.T) {
 		t.Error("window tracer still attached after capture")
 	}
 
-	// A pre-attached process-wide tracer (CLI -trace-out) no longer blocks
-	// the capture: the window records alongside it, and the process-wide
-	// tracer stays attached and keeps receiving spans.
+	// A pre-attached tracer (CLI -trace-out) does not block the capture:
+	// the window records alongside it, and the pre-attached tracer stays
+	// attached and keeps receiving spans.
 	tr := obs.NewTracer()
-	obs.SetTracer(tr)
-	defer obs.SetTracer(nil)
+	obs.AttachTracer(tr)
+	defer obs.DetachTracer(tr)
 	before := tr.Len()
 	done = make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 20; i++ {
-			sp := obs.StartSpan("planner", "shared-work")
+			sp := obs.StartSpanCtx(context.Background(), "planner", "shared-work")
 			time.Sleep(time.Millisecond)
 			sp.End()
 		}
@@ -207,11 +207,13 @@ func TestDebugTraceCapture(t *testing.T) {
 	if rec.Result().StatusCode != http.StatusOK {
 		t.Errorf("capture with attached tracer status %d; want 200", rec.Result().StatusCode)
 	}
-	if obs.CurrentTracer() != tr {
-		t.Error("capture detached the pre-existing process-wide tracer")
+	n := tr.Len()
+	obs.StartSpanCtx(context.Background(), "planner", "after-capture").End()
+	if tr.Len() == n {
+		t.Error("capture detached the pre-existing tracer")
 	}
 	if tr.Len() <= before {
-		t.Error("process-wide tracer received no spans during the capture window")
+		t.Error("pre-attached tracer received no spans during the capture window")
 	}
 
 	rec = httptest.NewRecorder()

@@ -1,6 +1,7 @@
 package diag
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -29,7 +30,7 @@ func TestConcurrentTraceWindows(t *testing.T) {
 				return
 			default:
 			}
-			sp := obs.StartSpan("planner", "overlapped-work")
+			sp := obs.StartSpanCtx(context.Background(), "planner", "overlapped-work")
 			time.Sleep(time.Millisecond)
 			sp.End()
 		}

@@ -205,7 +205,8 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 	// depth (for both the pristine and the degraded tree). Each group is
 	// planned once and the outcome copied to every member — the memo would
 	// serve the duplicates from their root digest anyway, but skipping
-	// them avoids even the plan-clone and stale-re-cost work, and a DSE
+	// them avoids the portfolio's nine root-hit searches with their
+	// Validate walks and, under a fault, the replan's three passes; a DSE
 	// grid's level axis makes such duplicates common (every cap deeper
 	// than the fleet needs yields the same tree).
 	type job struct {

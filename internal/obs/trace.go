@@ -23,18 +23,17 @@ import (
 //     arbitrary overlap, so concurrent planner workers can emit spans
 //     without coordinating lane ownership. Every Span gets a fresh id.
 //
-// Spans can be recorded into three kinds of sinks simultaneously:
+// Spans can be recorded into two kinds of sinks simultaneously:
 //
-//   - the process-wide tracer (SetTracer), the original single-capture
-//     path kept as a fallback for CLI runs;
-//   - any number of attached window tracers (AttachTracer/DetachTracer),
-//     used by diag's /debug/trace so concurrent capture windows no longer
-//     conflict;
+//   - any number of attached tracers (AttachTracer/DetachTracer), which
+//     receive every span in the process: a CLI -trace-out run and each
+//     of diag's /debug/trace capture windows attach one, and overlapping
+//     attachments all record;
 //   - a context-scoped tracer (WithTracer/StartSpanCtx), so each serve
 //     request or sweep records into its own isolated trace.
 //
-// When no sink exists anywhere, StartSpan/StartSpanCtx return a zero Span
-// without allocating or taking a lock — BenchmarkObsDisabled enforces it.
+// When no sink exists anywhere, StartSpanCtx returns a zero Span without
+// allocating or taking a lock — BenchmarkObsDisabled enforces it.
 
 // Trace process ids, used to group lanes in the Perfetto UI.
 const (
@@ -167,32 +166,21 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	return WriteTraceJSON(w, t.Events())
 }
 
-// active is the process-wide tracer instrumented code reports to, nil
-// when process-wide tracing is disabled.
-var active atomic.Pointer[Tracer]
-
-// attached is the copy-on-write set of window tracers; nil when empty so
-// the disabled fast path is a single pointer load. Mutated only under
-// attachMu; read lock-free by startSpan.
+// attached is the copy-on-write set of attached tracers; nil when empty
+// so the disabled fast path is a single pointer load. Mutated only under
+// attachMu; read lock-free by StartSpanCtx and Tracing.
 var (
 	attachMu sync.Mutex
 	attached atomic.Pointer[[]*Tracer]
 )
 
-// SetTracer attaches t as the process-wide tracer (nil detaches). The
-// planner and simulator pick it up on their next span; attaching mid-run
-// simply truncates the trace, it never affects results.
-func SetTracer(t *Tracer) {
-	active.Store(t)
-}
-
-// CurrentTracer returns the process-wide tracer, nil when none is set.
-func CurrentTracer() *Tracer { return active.Load() }
-
-// AttachTracer adds t as a window tracer: it receives every span recorded
-// anywhere in the process until DetachTracer, alongside (never displacing)
-// the process-wide tracer, other windows, and context-scoped tracers.
-// Attaching an already-attached or nil tracer is a no-op.
+// AttachTracer adds t to the process's attached tracers: it receives
+// every span recorded anywhere in the process until DetachTracer,
+// alongside (never displacing) the other attached tracers and any
+// context-scoped tracer. The planner and simulator pick it up on their
+// next span; attaching mid-run simply truncates the trace, it never
+// affects results. Attaching an already-attached or nil tracer is a
+// no-op.
 func AttachTracer(t *Tracer) {
 	if t == nil {
 		return
@@ -213,7 +201,8 @@ func AttachTracer(t *Tracer) {
 	attached.Store(&next)
 }
 
-// DetachTracer removes a window tracer attached with AttachTracer.
+// DetachTracer removes a tracer attached with AttachTracer; detaching a
+// tracer that is not attached is a no-op.
 func DetachTracer(t *Tracer) {
 	attachMu.Lock()
 	defer attachMu.Unlock()
@@ -237,16 +226,12 @@ func DetachTracer(t *Tracer) {
 	}
 }
 
-// Tracing reports whether any process-visible tracer (process-wide or
-// attached window) would receive spans. Instrumented code checks it
-// before building span names that would otherwise allocate; code with a
-// context in hand should use TracingCtx instead.
+// Tracing reports whether any attached tracer would receive spans.
+// Instrumented code checks it before building span names that would
+// otherwise allocate; code with a context in hand should use TracingCtx
+// instead.
 func Tracing() bool {
-	if active.Load() != nil {
-		return true
-	}
-	p := attached.Load()
-	return p != nil && len(*p) > 0
+	return attached.Load() != nil
 }
 
 // tracerKey carries a request-scoped tracer in a context. An empty struct
@@ -254,9 +239,8 @@ func Tracing() bool {
 type tracerKey struct{}
 
 // WithTracer returns a context carrying t. Spans opened with StartSpanCtx
-// under the returned context record into t in addition to any
-// process-wide or attached tracers, so concurrent requests each get an
-// isolated trace.
+// under the returned context record into t in addition to any attached
+// tracers, so concurrent requests each get an isolated trace.
 func WithTracer(ctx context.Context, t *Tracer) context.Context {
 	return context.WithValue(ctx, tracerKey{}, t)
 }
@@ -271,7 +255,7 @@ func TracerFrom(ctx context.Context) *Tracer {
 }
 
 // TracingCtx reports whether a span started with this context would be
-// recorded anywhere: context-scoped, process-wide, or attached window.
+// recorded anywhere: context-scoped or attached.
 func TracingCtx(ctx context.Context) bool {
 	return Tracing() || TracerFrom(ctx) != nil
 }
@@ -292,43 +276,27 @@ type Span struct {
 	cat   string
 }
 
-// StartSpan opens a span on the process-wide and attached tracers. With
-// no tracer attached anywhere it returns the zero Span without
-// allocating.
-func StartSpan(cat, name string) Span {
-	return startSpan(nil, cat, name)
-}
-
 // StartSpanCtx opens a span on the context-scoped tracer plus any
-// process-wide and attached tracers. A nil context is treated as
-// carrying no tracer; with no sink anywhere the zero Span is returned
-// without allocating.
+// attached tracers. A nil context is treated as carrying no tracer; with
+// no sink anywhere the zero Span is returned without allocating.
 func StartSpanCtx(ctx context.Context, cat, name string) Span {
-	return startSpan(TracerFrom(ctx), cat, name)
-}
-
-func startSpan(scoped *Tracer, cat, name string) Span {
-	prim := active.Load()
+	scoped := TracerFrom(ctx)
 	att := attached.Load()
-	if scoped == nil && prim == nil && att == nil {
+	if scoped == nil && att == nil {
 		return Span{}
 	}
 	s := Span{start: time.Now(), id: spanIDs.Add(1), name: name, cat: cat}
 	s.addSink(scoped)
-	s.addSink(prim)
 	if att != nil {
 		for _, t := range *att {
 			s.addSink(t)
 		}
 	}
-	if s.t == nil {
-		return Span{}
-	}
 	return s
 }
 
 // addSink records t as a destination for the span, deduplicating so a
-// tracer that is both context-scoped and process-wide gets the span once.
+// tracer that is both context-scoped and attached gets the span once.
 func (s *Span) addSink(t *Tracer) {
 	if t == nil || t == s.t {
 		return

@@ -10,10 +10,10 @@ import (
 
 func TestSpanEmitsPairedAsyncEvents(t *testing.T) {
 	tr := NewTracer()
-	SetTracer(tr)
-	defer SetTracer(nil)
+	AttachTracer(tr)
+	defer DetachTracer(tr)
 
-	sp := StartSpan("planner", "partition")
+	sp := StartSpanCtx(context.Background(), "planner", "partition")
 	sp.End()
 
 	events := tr.Events()
@@ -36,8 +36,7 @@ func TestSpanEmitsPairedAsyncEvents(t *testing.T) {
 }
 
 func TestSpanDisabledIsInert(t *testing.T) {
-	SetTracer(nil)
-	sp := StartSpan("planner", "nope")
+	sp := StartSpanCtx(context.Background(), "planner", "nope")
 	sp.End() // must not panic, must not record anywhere
 	if Tracing() {
 		t.Error("Tracing() true with no tracer attached")
@@ -46,15 +45,15 @@ func TestSpanDisabledIsInert(t *testing.T) {
 
 func TestConcurrentSpansGetDistinctIDs(t *testing.T) {
 	tr := NewTracer()
-	SetTracer(tr)
-	defer SetTracer(nil)
+	AttachTracer(tr)
+	defer DetachTracer(tr)
 	const n = 64
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sp := StartSpan("c", "s")
+			sp := StartSpanCtx(context.Background(), "c", "s")
 			sp.End()
 		}()
 	}
@@ -78,7 +77,6 @@ func TestConcurrentSpansGetDistinctIDs(t *testing.T) {
 }
 
 func TestScopedTracersIsolateConcurrentRequests(t *testing.T) {
-	SetTracer(nil)
 	const n = 8
 	tracers := make([]*Tracer, n)
 	var wg sync.WaitGroup
@@ -104,11 +102,11 @@ func TestScopedTracersIsolateConcurrentRequests(t *testing.T) {
 }
 
 func TestStartSpanCtxFansOutToAllSinks(t *testing.T) {
-	global := NewTracer()
+	cli := NewTracer()
 	window := NewTracer()
 	scoped := NewTracer()
-	SetTracer(global)
-	defer SetTracer(nil)
+	AttachTracer(cli)
+	defer DetachTracer(cli)
 	AttachTracer(window)
 	defer DetachTracer(window)
 
@@ -119,15 +117,16 @@ func TestStartSpanCtxFansOutToAllSinks(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		tr   *Tracer
-	}{{"global", global}, {"window", window}, {"scoped", scoped}} {
+	}{{"cli", cli}, {"window", window}, {"scoped", scoped}} {
 		if got := len(tc.tr.Events()); got != 2 {
 			t.Errorf("%s tracer has %d events; want 2", tc.name, got)
 		}
 	}
 
-	// A tracer that is both context-scoped and process-wide records the
-	// span exactly once.
-	SetTracer(scoped)
+	// A tracer that is both context-scoped and attached records the span
+	// exactly once.
+	AttachTracer(scoped)
+	defer DetachTracer(scoped)
 	sp = StartSpanCtx(ctx, "planner", "plan")
 	sp.End()
 	if got := len(scoped.Events()); got != 4 {
@@ -136,19 +135,19 @@ func TestStartSpanCtxFansOutToAllSinks(t *testing.T) {
 }
 
 func TestAttachedWindowsCaptureGlobalPathSpans(t *testing.T) {
-	SetTracer(nil)
+	ctx := context.Background()
 	w1, w2 := NewTracer(), NewTracer()
 	AttachTracer(w1)
 	if !Tracing() {
 		t.Fatal("Tracing() false with a window attached")
 	}
-	sp := StartSpan("cap", "one-window")
+	sp := StartSpanCtx(ctx, "cap", "one-window")
 	sp.End()
 	AttachTracer(w2)
-	sp = StartSpan("cap", "two-windows")
+	sp = StartSpanCtx(ctx, "cap", "two-windows")
 	sp.End()
 	DetachTracer(w1)
-	sp = StartSpan("cap", "after-detach")
+	sp = StartSpanCtx(ctx, "cap", "after-detach")
 	sp.End()
 	DetachTracer(w2)
 	if Tracing() {
@@ -164,7 +163,6 @@ func TestAttachedWindowsCaptureGlobalPathSpans(t *testing.T) {
 }
 
 func TestStartSpanCtxNilContext(t *testing.T) {
-	SetTracer(nil)
 	sp := StartSpanCtx(nil, "x", "y") //nolint:staticcheck // nil ctx is part of the contract
 	sp.End()
 	if TracingCtx(nil) {

@@ -1,6 +1,6 @@
 // Package parallel provides the bounded-concurrency primitives the
-// planning and evaluation engines share: an errgroup-style Group with a
-// worker cap, a deterministic slot-indexed ForEach, and a semaphore for
+// planning and evaluation engines share: a deterministic slot-indexed
+// ForEach (every fan-out, with or without a context) and a semaphore for
 // structured fork/join recursion. The module deliberately avoids external
 // dependencies (golang.org/x/sync is not vendored), so these are small
 // self-contained equivalents.
@@ -25,105 +25,6 @@ func Workers(n int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return n
-}
-
-// Group runs tasks with at most limit goroutines in flight, collecting
-// the first error. A limit of 1 degenerates to calling each function
-// inline, preserving submission order exactly. A Group built with
-// NewGroupCtx additionally stops admitting new tasks once its context is
-// done: Go records the context's error instead of running the function.
-type Group struct {
-	limit int
-	sem   chan struct{}
-	ctx   context.Context
-	done  <-chan struct{}
-	wg    sync.WaitGroup
-	mu    sync.Mutex
-	err   error
-}
-
-// NewGroup returns a Group running at most Workers(limit) tasks
-// concurrently.
-func NewGroup(limit int) *Group {
-	return NewGroupCtx(context.Background(), limit)
-}
-
-// NewGroupCtx returns a Group running at most Workers(limit) tasks
-// concurrently that refuses new work once ctx is done. Tasks already
-// running are not interrupted — cancellation-aware tasks observe ctx
-// themselves — but Go calls after cancellation record ctx.Err() and
-// return without running the function, so a canceled fan-out drains
-// quickly instead of submitting its whole backlog.
-func NewGroupCtx(ctx context.Context, limit int) *Group {
-	w := Workers(limit)
-	g := &Group{limit: w, ctx: ctx, done: ctx.Done()}
-	if w > 1 {
-		g.sem = make(chan struct{}, w)
-	}
-	return g
-}
-
-// Go schedules fn. With limit 1 it runs fn on the calling goroutine
-// before returning; otherwise it blocks until a worker slot frees up and
-// runs fn on its own goroutine. When the group's context is done, fn is
-// not run and the context's error is recorded instead.
-func (g *Group) Go(fn func() error) {
-	if g.canceled() {
-		return
-	}
-	if g.sem == nil {
-		g.record(fn())
-		return
-	}
-	select {
-	case g.sem <- struct{}{}:
-	case <-g.done:
-		g.record(g.ctx.Err())
-		return
-	}
-	g.wg.Add(1)
-	go func() {
-		defer func() {
-			<-g.sem
-			g.wg.Done()
-		}()
-		g.record(fn())
-	}()
-}
-
-// canceled records and reports the context error once the group's
-// context is done.
-func (g *Group) canceled() bool {
-	if g.done == nil {
-		return false
-	}
-	select {
-	case <-g.done:
-		g.record(g.ctx.Err())
-		return true
-	default:
-		return false
-	}
-}
-
-// Wait blocks until every scheduled task finished and returns the first
-// recorded error.
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.err
-}
-
-func (g *Group) record(err error) {
-	if err == nil {
-		return
-	}
-	g.mu.Lock()
-	if g.err == nil {
-		g.err = err
-	}
-	g.mu.Unlock()
 }
 
 // ForEach runs fn(i) for i in [0, n) using at most Workers(workers)

@@ -7,55 +7,6 @@ import (
 	"testing"
 )
 
-func TestGroupCtxCanceledSkipsWork(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	g := NewGroupCtx(ctx, 4)
-	var ran atomic.Int64
-	for i := 0; i < 8; i++ {
-		g.Go(func() error { ran.Add(1); return nil })
-	}
-	if err := g.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait = %v, want context.Canceled", err)
-	}
-	if n := ran.Load(); n != 0 {
-		t.Fatalf("%d tasks ran under a canceled context, want 0", n)
-	}
-}
-
-func TestGroupCtxCancelMidFlight(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	g := NewGroupCtx(ctx, 2)
-	block := make(chan struct{})
-	started := make(chan struct{}, 2)
-	for i := 0; i < 2; i++ {
-		g.Go(func() error {
-			started <- struct{}{}
-			<-block
-			return nil
-		})
-	}
-	<-started
-	<-started
-	// A third Go blocks on a worker slot; cancellation must release it
-	// without running fn.
-	var ran atomic.Int64
-	unblocked := make(chan struct{})
-	go func() {
-		defer close(unblocked)
-		g.Go(func() error { ran.Add(1); return nil })
-	}()
-	cancel()
-	<-unblocked
-	close(block)
-	if err := g.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait = %v, want context.Canceled", err)
-	}
-	if n := ran.Load(); n != 0 {
-		t.Fatalf("queued task ran %d times despite cancel, want 0", n)
-	}
-}
-
 func TestForEachCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -15,38 +15,6 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-func TestGroupRunsEverything(t *testing.T) {
-	for _, limit := range []int{1, 2, 8} {
-		g := NewGroup(limit)
-		var n atomic.Int64
-		for i := 0; i < 100; i++ {
-			g.Go(func() error { n.Add(1); return nil })
-		}
-		if err := g.Wait(); err != nil {
-			t.Fatalf("limit %d: %v", limit, err)
-		}
-		if n.Load() != 100 {
-			t.Fatalf("limit %d: ran %d of 100 tasks", limit, n.Load())
-		}
-	}
-}
-
-func TestGroupFirstError(t *testing.T) {
-	g := NewGroup(4)
-	for i := 0; i < 10; i++ {
-		i := i
-		g.Go(func() error {
-			if i%2 == 1 {
-				return fmt.Errorf("task %d", i)
-			}
-			return nil
-		})
-	}
-	if err := g.Wait(); err == nil {
-		t.Fatal("expected an error")
-	}
-}
-
 func TestForEachDeterministicError(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		err := ForEach(50, workers, func(i int) error {

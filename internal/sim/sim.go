@@ -929,12 +929,6 @@ func TaskOrderCheck(s Split, machines [2]Machine) error {
 	return nil
 }
 
-// MachineFromSpecs aggregates a homogeneous or mixed set of accelerator
-// resources into one Machine.
-func MachineFromSpecs(name string, compute, memBW, netBW float64, hbm int64) Machine {
-	return Machine{Name: name, Compute: compute, MemBW: memBW, NetBW: netBW, HBMBytes: hbm}
-}
-
 // SortedTaskNames returns the task names in schedule order (test helper).
 func SortedTaskNames(s Split, machines [2]Machine) ([]string, error) {
 	if err := validateSplit(s, machines); err != nil {

@@ -98,15 +98,17 @@ type TraceRecorder struct {
 	nextPid int
 }
 
-// StartTrace attaches a fresh process-wide tracer and returns its
-// recorder. Tracing changes no decisions — plans are byte-identical with
-// and without a recorder attached — but planner spans do render their
-// names, so leave tracing off on hot paths that don't need it. Stop the
-// recorder before writing its document.
+// StartTrace attaches a fresh tracer to the process and returns its
+// recorder: it receives every span recorded anywhere until Stop. Several
+// recorders (and /debug/trace windows) may overlap; each records every
+// span of its own window. Tracing changes no decisions — plans are
+// byte-identical with and without a recorder attached — but planner
+// spans do render their names, so leave tracing off on hot paths that
+// don't need it. Stop the recorder before writing its document.
 func StartTrace() *TraceRecorder {
 	tr := obs.NewTracer()
 	tr.Append(obs.ProcessNameEvent(obs.PidPlanner, "planner"))
-	obs.SetTracer(tr)
+	obs.AttachTracer(tr)
 	return &TraceRecorder{tr: tr, nextPid: obs.PidSim}
 }
 
@@ -115,7 +117,7 @@ func StartTrace() *TraceRecorder {
 // under that context (PartitionCtx, Session calls, Resilience) record
 // into this recorder only, so concurrent scoped traces never interleave
 // — the mechanism behind accpar-serve's per-request tracing. Stop is a
-// no-op for scoped recorders (nothing process-wide to detach).
+// no-op for scoped recorders (nothing attached to detach).
 func StartTraceCtx(ctx context.Context) (context.Context, *TraceRecorder) {
 	tr := obs.NewTracer()
 	tr.Append(obs.ProcessNameEvent(obs.PidPlanner, "planner"))
@@ -124,13 +126,9 @@ func StartTraceCtx(ctx context.Context) (context.Context, *TraceRecorder) {
 
 // Stop detaches the recorder from the process; recorded events remain
 // available for export. Only the recorder's own tracer is detached —
-// stopping a stale or scoped recorder never tears down a capture someone
-// else started.
-func (t *TraceRecorder) Stop() {
-	if obs.CurrentTracer() == t.tr {
-		obs.SetTracer(nil)
-	}
-}
+// stopping a recorder never tears down a capture someone else started,
+// and stopping a scoped or already-stopped one does nothing.
+func (t *TraceRecorder) Stop() { obs.DetachTracer(t.tr) }
 
 // AddSimTimeline merges a simulated run's per-task timeline (recorded
 // with SimConfig.RecordTimeline) into the trace as its own process group,
