@@ -21,11 +21,12 @@ import (
 type patKind uint8
 
 const (
-	// patZero: no conversion (I→I, II→III, III→II).
+	// patZero: no conversion.
 	patZero patKind = iota
-	// patAB2: αβ·(b+b) — both F and E tensors convert (I→II, III→I).
+	// patAB2: αβ·(b+b) — both F and E tensors convert.
 	patAB2
-	// patAB1: αβ·b — the inference-mode remnant of patAB2 (F only).
+	// patAB1: αβ·b — one tensor's αβ corner block (the F half of an
+	// αβ pattern, all inference keeps of it).
 	patAB1
 	// patBeta: β·b — a β-sized slab of one tensor.
 	patBeta
