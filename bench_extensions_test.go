@@ -92,27 +92,6 @@ func BenchmarkDistributedRuntime(b *testing.B) {
 	}
 }
 
-// BenchmarkExhaustiveSearch measures the O(3^N) validator on AlexNet
-// (8 weighted layers + junctions) against which the DP is certified.
-func BenchmarkExhaustiveSearch(b *testing.B) {
-	net, err := models.BuildNetwork("alexnet", 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, err := eval.HeterogeneousTree(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := core.AccPar()
-	opt.Exhaustive = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.PartitionCtx(context.Background(), net, tree, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTraceGeneration measures aggregated trace derivation for every
 // layer of VGG-16 under all three types.
 func BenchmarkTraceGeneration(b *testing.B) {

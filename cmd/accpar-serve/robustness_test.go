@@ -94,9 +94,11 @@ func TestRequestDeadline504(t *testing.T) {
 }
 
 // TestDefaultDeadline504 asserts the server-wide -default-deadline
-// applies when the request carries no timeout_ms.
+// applies when the request carries no timeout_ms. The deadline is one
+// nanosecond, so it has passed before planning starts however fast the
+// search runs; a deadline a fast machine can beat makes the test race.
 func TestDefaultDeadline504(t *testing.T) {
-	_, mux := newTestMuxCfg(t, serveConfig{DefaultDeadline: time.Millisecond})
+	_, mux := newTestMuxCfg(t, serveConfig{DefaultDeadline: time.Nanosecond})
 	w := post(t, mux, "/v1/compare", `{"model":"vgg16","batch":512,"v2":128,"v3":128}`)
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("code %d, want 504: %s", w.Code, w.Body)

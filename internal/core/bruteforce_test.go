@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
+	"accpar/internal/hardware"
 	"accpar/internal/tensor"
+	"accpar/internal/workload"
 )
 
 // bruteForce exhaustively enumerates all 3^N unit-type assignments and
@@ -83,24 +86,32 @@ func residualNet() *dnn.Network {
 	}}
 }
 
-// ctxFor builds a level context over the network with asymmetric sides.
+// ctxFor builds a level context over the network with asymmetric sides,
+// the way the search builds one: newLevelCtx, reset, then the ratio.
 func ctxFor(net *dnn.Network, opt Options, alpha float64) *levelCtx {
-	opt = opt.withDefaults()
 	units := net.Units()
-	ctx := &levelCtx{
-		units:    make([]unitInfo, len(units)),
-		sideI:    Side{Compute: 180e12, Net: 1e9},
-		sideJ:    Side{Compute: 420e12, Net: 2e9},
-		alpha:    alpha,
-		opt:      opt,
-		segs:     indexSegments(net),
-		planSegs: indexSegments(net),
-	}
+	dims := make([]tensor.LayerDims, len(units))
 	for i := range units {
-		ctx.units[i] = unitInfo{layer: units[i], dims: units[i].Dims}
+		dims[i] = units[i].Dims
 	}
-	ctx.prepare()
+	segs := indexSegments(net)
+	ctx := newLevelCtx(units, segs, segs, opt.withDefaults()).reset(dims,
+		Side{Compute: 180e12, Net: 1e9}, Side{Compute: 420e12, Net: 2e9})
+	ctx.alpha = alpha
 	return ctx
+}
+
+// objectiveOf prices an assignment with the raw unit and edge cost
+// functions over the structure the search sees.
+func objectiveOf(ctx *levelCtx, types []cost.Type) float64 {
+	total := 0.0
+	for i := range ctx.units {
+		total += ctx.unitCost(i, types[i])
+	}
+	for _, e := range edgeList(ctx.planSegs) {
+		total += ctx.edgeCost(e[0], e[1], types[e[0]], types[e[1]])
+	}
+	return total
 }
 
 // TestDPOptimalChain: the DP matches brute force on linear chains under
@@ -201,13 +212,7 @@ func TestDPBacktrackCostConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0.0
-	for i := range ctx.units {
-		total += ctx.unitCost(i, types[i])
-	}
-	for _, e := range edgeList(ctx.planSegs) {
-		total += ctx.edgeCost(e[0], e[1], types[e[0]], types[e[1]])
-	}
+	total := objectiveOf(ctx, types)
 	if math.Abs(total-objective) > 1e-12*(1+objective) {
 		t.Errorf("backtracked assignment costs %.12g, DP claimed %.12g", total, objective)
 	}
@@ -231,6 +236,85 @@ func TestInceptionPartitioning(t *testing.T) {
 		}
 		if plan.Time() > base.Time()*(1+1e-9) {
 			t.Errorf("AccPar %.6g slower than a baseline %.6g on inception", plan.Time(), base.Time())
+		}
+	}
+}
+
+// certifySplits checks Eq. 9's optimality at every split of a searched
+// plan. Each split's level context is rebuilt the way the search built
+// it: from the plan's search shape under the plan's options, at the dims
+// ScaleUnitDims derives from the root, between the node's sides and at
+// its ratio. There runDP's objective, and the objective its assignment
+// actually pays, must both equal the brute-force minimum. It returns the
+// number of splits checked.
+func certifySplits(t *testing.T, name string, plan *Plan) int {
+	t.Helper()
+	shape := newSearchShape(plan.Network, plan.opt)
+	checked := 0
+	var walk func(n *PlanNode, dims []tensor.LayerDims, pos string)
+	walk = func(n *PlanNode, dims []tensor.LayerDims, pos string) {
+		if n.IsLeaf() {
+			return
+		}
+		ctx := shape.splitCtx(dims, n)
+		types, got, err := ctx.runDP()
+		if err != nil {
+			t.Fatalf("%s split %s: %v", name, pos, err)
+		}
+		paid := objectiveOf(ctx, types)
+		want := bruteForce(ctx)
+		shape.levels.Put(ctx)
+		tol := 1e-12 * (1 + math.Abs(want))
+		if math.Abs(got-want) > tol || math.Abs(paid-want) > tol {
+			t.Errorf("%s split %s (%s, α=%g): DP objective %.12g, its assignment pays %.12g, brute force %.12g",
+				name, pos, n.GroupDesc, n.Alpha, got, paid, want)
+		}
+		checked++
+		walk(n.Left, ScaleUnitDims(shape.units, dims, n.Types, n.Alpha), pos+"L")
+		walk(n.Right, ScaleUnitDims(shape.units, dims, n.Types, 1-n.Alpha), pos+"R")
+	}
+	walk(plan.Root, shape.rootDims, "root")
+	return checked
+}
+
+// TestExhaustiveMatchesDPFullHierarchy: at every split of real plans —
+// LeNet and AlexNet on 4+4 boards and small synthetic workloads on 2+2,
+// under single AccPar, the portfolio and HyPar — the per-level DP reaches
+// the exhaustive enumeration's optimum. HyPar's linearized search runs
+// its DP on the flattened structure, so its plans certify planSegs.
+func TestExhaustiveMatchesDPFullHierarchy(t *testing.T) {
+	type input struct {
+		name string
+		net  *dnn.Network
+		tree *hardware.Tree
+	}
+	var inputs []input
+	for _, model := range []string{"lenet", "alexnet"} {
+		inputs = append(inputs, input{model, buildNet(t, model, 32), paperTree(t, 4)})
+	}
+	for seed := int64(100); seed < 110; seed++ {
+		net, err := workload.GenerateNetwork(seed, workload.Config{MinLayers: 3, MaxLayers: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{fmt.Sprintf("seed%d", seed), net, paperTree(t, 2)})
+	}
+	for _, in := range inputs {
+		for _, run := range []struct {
+			name string
+			opts []Options
+		}{
+			{"accpar", []Options{AccPar()}},
+			{"portfolio", StrategyAccPar.Variants()},
+			{"hypar", []Options{HyPar()}},
+		} {
+			plan, err := PartitionCtx(context.Background(), in.net, in.tree, run.opts...)
+			if err != nil {
+				t.Fatalf("%s %s: %v", in.name, run.name, err)
+			}
+			if certifySplits(t, in.name+" "+run.name, plan) == 0 {
+				t.Errorf("%s %s: plan has no split to certify", in.name, run.name)
+			}
 		}
 	}
 }

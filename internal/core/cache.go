@@ -261,7 +261,6 @@ func searchFingerprint(net *dnn.Network, opt Options) [16]byte {
 	wBool(opt.Linearize)
 	wInt(int64(opt.Optimizer))
 	wInt(int64(opt.Topology))
-	wBool(opt.Exhaustive)
 	wInt(int64(opt.Mode))
 	// The memory constraint changes decisions (constrained searches may
 	// pick different types or ratios), so it namespaces cache entries;

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"accpar/internal/cost"
+	"accpar/internal/tensor"
 )
 
 // LayerExplanation breaks down, for one weighted layer at one split, what
@@ -27,25 +28,13 @@ type LayerExplanation struct {
 	InEdgeCost, OutEdgeCost float64
 }
 
-// rootCtx reconstructs the level context of the plan's root split under
-// the options the plan was searched with; the root sees the units' own
-// dims.
-func (p *Plan) rootCtx() *levelCtx {
-	n := p.Root
-	units := p.Network.Units()
-	ctx := &levelCtx{
-		units: make([]unitInfo, len(units)),
-		segs:  indexSegments(p.Network),
-		sideI: n.SideI,
-		sideJ: n.SideJ,
-		alpha: n.Alpha,
-		opt:   p.opt.withDefaults(),
-	}
-	ctx.planSegs = ctx.segs
-	for i := range units {
-		ctx.units[i] = unitInfo{layer: units[i], dims: units[i].Dims}
-	}
-	ctx.prepare()
+// splitCtx readies one of the shape's level contexts for split n solved
+// at dims: reset to the split's sides, at its ratio. A context built on
+// the shape of the search that produced n is the one that search solved
+// n on, linearized planSegs included.
+func (s *searchShape) splitCtx(dims []tensor.LayerDims, n *PlanNode) *levelCtx {
+	ctx := s.levels.Get().(*levelCtx).reset(dims, n.SideI, n.SideJ)
+	ctx.alpha = n.Alpha
 	return ctx
 }
 
@@ -56,10 +45,11 @@ func (p *Plan) Explain() ([]LayerExplanation, error) {
 	if n.IsLeaf() {
 		return nil, fmt.Errorf("core: single-accelerator plan has no split to explain")
 	}
-	ctx := p.rootCtx()
-	units := p.Network.Units()
+	shape := newSearchShape(p.Network, p.opt.withDefaults())
+	ctx := shape.splitCtx(shape.rootDims, n)
+	units := shape.units
 	var out []LayerExplanation
-	edges := edgeList(ctx.segs)
+	edges := ctx.edges()
 	for u, l := range units {
 		if l.Virtual {
 			continue

@@ -50,7 +50,7 @@ var (
 // NoteDSEMemoryPruned records candidates a design-space sweep discarded
 // on the aggregate-capacity floor (MinResidencyBytes) without costing
 // them. The sweep lives outside internal/core, but the counter
-// belongs to the planner's metric family so Session.Metrics and
+// belongs to the planner's metric family so accpar.Metrics and
 // Prometheus export it alongside memo statistics.
 func NoteDSEMemoryPruned(n int) { obsDSEMemoryPruned.Add(int64(n)) }
 

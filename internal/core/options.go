@@ -100,11 +100,6 @@ type Options struct {
 	// group's effective cross-split bandwidth. Default FullBisection (every
 	// member link contributes).
 	Topology hardware.Topology
-	// Exhaustive replaces the dynamic programming with a full O(3^N)
-	// enumeration at every hierarchy node — the brute force Section 5.1
-	// dismisses at scale. Errors for networks above MaxExhaustiveUnits
-	// units; intended for validating the search on small models.
-	Exhaustive bool
 	// Mode selects training (all three phases, the paper's problem) or
 	// inference (forward only — Section 1: inference performs only data
 	// forward). Default ModeTraining.

@@ -369,15 +369,11 @@ func (p *planner) decideSplit(node *hardware.Tree, dims []tensor.LayerDims, side
 
 	// Alternate type search (Eq. 9) and ratio balance (Eq. 10).
 	var types []cost.Type
-	search := ctx.runDP
-	if p.opt.Exhaustive {
-		search = ctx.runExhaustive
-	}
 	for iter := 0; iter < maxRatioIters; iter++ {
 		if err := p.checkCtx(); err != nil {
 			return nil, 0, LevelEval{}, err
 		}
-		newTypes, _, dpErr := search()
+		newTypes, _, dpErr := ctx.runDP()
 		if dpErr != nil {
 			return nil, 0, LevelEval{}, dpErr
 		}

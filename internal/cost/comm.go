@@ -118,39 +118,10 @@ func InterCommElements(prev, next Type, boundary int64, alpha, beta float64) flo
 	return fwd + bwd
 }
 
-// InterCommTotalElements returns the combined inter-layer traffic of both
-// accelerators for the transition, i.e. the sum over the two directions.
-// This is the quantity a communication-only objective (HyPar's proxy)
-// minimizes.
-func InterCommTotalElements(prev, next Type, boundary int64, alpha float64) float64 {
-	beta := 1 - alpha
-	return InterCommElements(prev, next, boundary, alpha, beta) +
-		InterCommElements(prev, next, boundary, beta, alpha)
-}
-
 // ComputeFLOPs returns the total FLOPs of one training iteration of a layer
 // (forward + backward + gradient, Table 6). An accelerator with
 // partitioning ratio α performs α·ComputeFLOPs of them (Eq. 8).
 func ComputeFLOPs(d tensor.LayerDims) int64 { return tensor.TrainingFLOPs(d) }
-
-// SolveRatio solves the generalized Eq. 10 for the partitioning ratio α of
-// accelerator group i: it balances
-//
-//	constI + slopeI·α  =  constJ + slopeJ·(1−α)
-//
-// where slope terms are the ratio-proportional costs (computation, Eq. 8)
-// and const terms are the ratio-independent costs (intra-layer partial-sum
-// transfers, Table 4 note). With zero const terms this reduces exactly to
-// the paper's α·E_i = β·E_j. The result is clamped to [MinRatio, 1−MinRatio]
-// so that neither group is starved.
-func SolveRatio(constI, slopeI, constJ, slopeJ float64) float64 {
-	den := slopeI + slopeJ
-	if den <= 0 {
-		return 0.5
-	}
-	alpha := (constJ + slopeJ - constI) / den
-	return ClampRatio(alpha)
-}
 
 // MinRatio bounds the partitioning ratio away from 0 and 1: a zero ratio
 // would mean a group holds no shard at all, which the hierarchy cannot

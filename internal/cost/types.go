@@ -125,19 +125,3 @@ func (t Type) PsumPhase() Phase {
 		panic(fmt.Sprintf("cost: invalid type %d", int(t)))
 	}
 }
-
-// ReplicatedTensor identifies which tensor a type replicates on both
-// accelerators (Section 3.2): W_l for Type-I, E_{l+1} for Type-II, F_l for
-// Type-III.
-func (t Type) ReplicatedTensor() string {
-	switch t {
-	case TypeI:
-		return "W_l"
-	case TypeII:
-		return "E_{l+1}"
-	case TypeIII:
-		return "F_l"
-	default:
-		panic(fmt.Sprintf("cost: invalid type %d", int(t)))
-	}
-}

@@ -102,23 +102,6 @@ func (g *Graph) Consumers() map[NodeID][]NodeID {
 	return out
 }
 
-// Outputs returns the IDs of sink nodes (nodes with no consumers).
-func (g *Graph) Outputs() []NodeID {
-	consumed := make([]bool, len(g.nodes))
-	for _, n := range g.nodes {
-		for _, in := range n.Inputs {
-			consumed[in] = true
-		}
-	}
-	var outs []NodeID
-	for _, n := range g.nodes {
-		if !consumed[n.ID] {
-			outs = append(outs, n.ID)
-		}
-	}
-	return outs
-}
-
 // Infer runs shape inference over the whole graph in topological order and
 // validates operator compatibility. It must be called (once) after
 // construction; the partitioner and simulator require inferred shapes.
@@ -157,17 +140,6 @@ func (g *Graph) BatchSize() int {
 		}
 	}
 	panic(fmt.Sprintf("dnn: graph %q has no input node", g.Name))
-}
-
-// WeightedLayerCount returns the number of CONV and FC layers.
-func (g *Graph) WeightedLayerCount() int {
-	c := 0
-	for _, n := range g.nodes {
-		if n.Layer.Op.Kind().Weighted() {
-			c++
-		}
-	}
-	return c
 }
 
 // ParameterCount returns the total number of trainable kernel/weight
@@ -217,17 +189,4 @@ func (g *Graph) layerDims(n *Node) (tensor.LayerDims, bool) {
 	default:
 		return tensor.LayerDims{}, false
 	}
-}
-
-// LayerDimsOf returns the cost-model dims for the named weighted layer.
-func (g *Graph) LayerDimsOf(name string) (tensor.LayerDims, error) {
-	n, ok := g.ByName(name)
-	if !ok {
-		return tensor.LayerDims{}, fmt.Errorf("dnn: graph %q has no layer %q", g.Name, name)
-	}
-	d, ok := g.layerDims(n)
-	if !ok {
-		return tensor.LayerDims{}, fmt.Errorf("dnn: layer %q is not a weighted layer", name)
-	}
-	return d, nil
 }

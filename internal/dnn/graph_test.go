@@ -61,8 +61,12 @@ func TestShapeInferenceLinear(t *testing.T) {
 	if got := g.BatchSize(); got != 2 {
 		t.Errorf("BatchSize = %d, want 2", got)
 	}
-	if got := g.WeightedLayerCount(); got != 2 {
-		t.Errorf("WeightedLayerCount = %d, want 2", got)
+	net, err := ExtractNetwork(g)
+	if err != nil {
+		t.Fatalf("ExtractNetwork: %v", err)
+	}
+	if got := len(net.Layers()); got != 2 {
+		t.Errorf("weighted layers = %d, want 2", got)
 	}
 }
 
@@ -149,28 +153,22 @@ func TestAddPanics(t *testing.T) {
 	})
 }
 
+// TestLayerDimsOf: the extracted network carries each weighted layer's
+// cost-model dims, derived from the inferred shapes.
 func TestLayerDimsOf(t *testing.T) {
-	g := tinyLinear(t, 2)
-	d, err := g.LayerDimsOf("cv1")
+	net, err := ExtractNetwork(tinyLinear(t, 2))
 	if err != nil {
-		t.Fatalf("LayerDimsOf(cv1): %v", err)
+		t.Fatalf("ExtractNetwork: %v", err)
 	}
-	want := tensor.Conv(2, 3, 4, 8, 8, 8, 8, 3, 3)
-	if d != want {
-		t.Errorf("cv1 dims = %+v, want %+v", d, want)
+	layers := net.Layers()
+	if len(layers) != 2 {
+		t.Fatalf("Layers = %+v, want [cv1 fc1]", layers)
 	}
-	d, err = g.LayerDimsOf("fc1")
-	if err != nil {
-		t.Fatalf("LayerDimsOf(fc1): %v", err)
+	if want := tensor.Conv(2, 3, 4, 8, 8, 8, 8, 3, 3); layers[0].Dims != want {
+		t.Errorf("cv1 dims = %+v, want %+v", layers[0].Dims, want)
 	}
-	if d != tensor.FC(2, 64, 10) {
-		t.Errorf("fc1 dims = %+v", d)
-	}
-	if _, err := g.LayerDimsOf("relu1"); err == nil {
-		t.Error("LayerDimsOf on non-weighted layer must error")
-	}
-	if _, err := g.LayerDimsOf("nope"); err == nil {
-		t.Error("LayerDimsOf on missing layer must error")
+	if want := tensor.FC(2, 64, 10); layers[1].Dims != want {
+		t.Errorf("fc1 dims = %+v, want %+v", layers[1].Dims, want)
 	}
 }
 
@@ -189,11 +187,16 @@ func TestParameterAndFLOPCounts(t *testing.T) {
 
 func TestOutputsAndConsumers(t *testing.T) {
 	g := tinyResidual(t)
-	outs := g.Outputs()
-	if len(outs) != 1 || g.Node(outs[0]).Layer.Name != "cv4" {
-		t.Errorf("Outputs = %v, want [cv4]", outs)
-	}
 	cons := g.Consumers()
+	var sinks []string
+	for id := 0; id < g.Len(); id++ {
+		if len(cons[NodeID(id)]) == 0 {
+			sinks = append(sinks, g.Node(NodeID(id)).Layer.Name)
+		}
+	}
+	if len(sinks) != 1 || sinks[0] != "cv4" {
+		t.Errorf("sink nodes = %v, want [cv4]", sinks)
+	}
 	cv1, _ := g.ByName("cv1")
 	if len(cons[cv1.ID]) != 2 {
 		t.Errorf("cv1 must have 2 consumers (cv2 and add), got %v", cons[cv1.ID])
@@ -306,8 +309,8 @@ func TestLinearize(t *testing.T) {
 	if lin.HasParallel() {
 		t.Error("linearized network must not contain parallel segments")
 	}
-	if lin.LayerCount() != net.LayerCount() {
-		t.Errorf("linearize changed layer count: %d vs %d", lin.LayerCount(), net.LayerCount())
+	if len(lin.Layers()) != len(net.Layers()) {
+		t.Errorf("linearize changed layer count: %d vs %d", len(lin.Layers()), len(net.Layers()))
 	}
 	if lin.TrainingFLOPs() != net.TrainingFLOPs() {
 		t.Error("linearize must preserve total FLOPs")

@@ -95,9 +95,6 @@ func (n *Network) Layers() []WeightedLayer {
 	return out
 }
 
-// LayerCount returns the total number of weighted layers.
-func (n *Network) LayerCount() int { return len(n.Layers()) }
-
 // TrainingFLOPs returns the total per-iteration FLOPs across all weighted
 // layers.
 func (n *Network) TrainingFLOPs() int64 {

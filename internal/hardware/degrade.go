@@ -8,7 +8,7 @@ import (
 // Degradation describes the post-fault state of one accelerator group:
 // each rate divided by a divisor ≥ 1, plus a fraction of the group's
 // members permanently lost. The zero value is not pristine (divisors
-// must be ≥ 1); use PristineDegradation or construct explicitly.
+// must be ≥ 1): the identity is {Compute: 1, MemBW: 1, NetBW: 1}.
 type Degradation struct {
 	// Compute divides the group's FLOPS (1 = pristine, 2 = half speed).
 	Compute float64
@@ -19,11 +19,6 @@ type Degradation struct {
 	// LostFraction is the share of the group's accelerators permanently
 	// lost, in [0, 1). At least one accelerator always survives.
 	LostFraction float64
-}
-
-// PristineDegradation returns the identity transform.
-func PristineDegradation() Degradation {
-	return Degradation{Compute: 1, MemBW: 1, NetBW: 1}
 }
 
 // Pristine reports whether the transform changes nothing.

@@ -25,7 +25,7 @@ func TestSpecDegrade(t *testing.T) {
 
 func TestSpecDegradePristineIdentity(t *testing.T) {
 	s := TPUv3()
-	out, err := s.Degrade(PristineDegradation())
+	out, err := s.Degrade(Degradation{Compute: 1, MemBW: 1, NetBW: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestDegradationValidate(t *testing.T) {
 			t.Errorf("%+v: want error", d)
 		}
 	}
-	if err := PristineDegradation().Validate(); err != nil {
+	if err := (Degradation{Compute: 1, MemBW: 1, NetBW: 1}).Validate(); err != nil {
 		t.Errorf("pristine: %v", err)
 	}
 }
@@ -88,7 +88,7 @@ func TestDegradeGroupsKeepsSurvivor(t *testing.T) {
 
 func TestDegradeGroupsRejectsUnknownGroup(t *testing.T) {
 	groups := []GroupSpec{{Spec: TPUv2(), Count: 2}}
-	if _, err := DegradeGroups(groups, map[int]Degradation{3: PristineDegradation()}); err == nil {
+	if _, err := DegradeGroups(groups, map[int]Degradation{3: Degradation{Compute: 1, MemBW: 1, NetBW: 1}}); err == nil {
 		t.Fatal("want error for out-of-range group")
 	}
 }

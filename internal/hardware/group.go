@@ -211,14 +211,6 @@ func (t *Tree) Depth() int {
 	return 1 + rd
 }
 
-// SplitCount returns the number of non-leaf nodes (partitioning decisions).
-func (t *Tree) SplitCount() int {
-	if t.IsLeaf() {
-		return 0
-	}
-	return 1 + t.Left.SplitCount() + t.Right.SplitCount()
-}
-
 // Walk visits every node pre-order.
 func (t *Tree) Walk(visit func(*Tree)) {
 	visit(t)

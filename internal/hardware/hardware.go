@@ -8,7 +8,6 @@ package hardware
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 )
 
@@ -156,15 +155,6 @@ type GroupSpec struct {
 // Size returns the number of accelerators.
 func (a *Array) Size() int { return len(a.Accel) }
 
-// TotalFLOPS returns the aggregate peak FLOPS.
-func (a *Array) TotalFLOPS() float64 {
-	var t float64
-	for _, s := range a.Accel {
-		t += s.FLOPS
-	}
-	return t
-}
-
 // Heterogeneous reports whether the array mixes accelerator models.
 func (a *Array) Heterogeneous() bool {
 	for _, s := range a.Accel[1:] {
@@ -173,18 +163,4 @@ func (a *Array) Heterogeneous() bool {
 		}
 	}
 	return false
-}
-
-// SpecNames returns the distinct accelerator model names, sorted.
-func (a *Array) SpecNames() []string {
-	set := map[string]bool{}
-	for _, s := range a.Accel {
-		set[s.Name] = true
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -95,9 +95,6 @@ func TestHomogeneousArray(t *testing.T) {
 	if a.Heterogeneous() {
 		t.Error("homogeneous array must not report heterogeneous")
 	}
-	if got, want := a.TotalFLOPS(), 128*420e12; got != want {
-		t.Errorf("TotalFLOPS = %g, want %g", got, want)
-	}
 	if a.Name != "128×tpu-v3" {
 		t.Errorf("Name = %q", a.Name)
 	}
@@ -117,10 +114,6 @@ func TestHeterogeneousArray(t *testing.T) {
 	}
 	if !a.Heterogeneous() {
 		t.Error("mixed array must report heterogeneous")
-	}
-	names := a.SpecNames()
-	if len(names) != 2 || names[0] != "tpu-v2" || names[1] != "tpu-v3" {
-		t.Errorf("SpecNames = %v", names)
 	}
 	if _, err := NewHeterogeneous(); err == nil {
 		t.Error("empty group list must be rejected")
@@ -193,10 +186,6 @@ func TestBuildTreeFull(t *testing.T) {
 	// 8 = 2^3 accelerators → depth 4 (root level 1 + 3 splits per path).
 	if got := tree.Depth(); got != 4 {
 		t.Errorf("Depth = %d, want 4", got)
-	}
-	// A full binary tree over 8 leaves has 7 internal nodes.
-	if got := tree.SplitCount(); got != 7 {
-		t.Errorf("SplitCount = %d, want 7", got)
 	}
 	leaves := 0
 	tree.Walk(func(n *Tree) {

@@ -49,16 +49,6 @@ func (t Topology) String() string {
 	}
 }
 
-// ParseTopology converts a name to a Topology.
-func ParseTopology(name string) (Topology, error) {
-	for _, t := range Topologies {
-		if t.String() == name {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("hardware: unknown topology %q", name)
-}
-
 // BisectionBandwidth returns the effective cross-split byte rate of a
 // group wired with this topology.
 func (t Topology) BisectionBandwidth(g *Group) float64 {

@@ -61,11 +61,11 @@ func TestWeightedLayerCounts(t *testing.T) {
 		"resnet50": 54,
 	}
 	for name, wantN := range want {
-		g, err := Build(name, 2)
+		net, err := BuildNetwork(name, 2)
 		if err != nil {
-			t.Fatalf("Build(%q): %v", name, err)
+			t.Fatalf("BuildNetwork(%q): %v", name, err)
 		}
-		if got := g.WeightedLayerCount(); got != wantN {
+		if got := len(net.Layers()); got != wantN {
 			t.Errorf("%s: weighted layers = %d, want %d", name, got, wantN)
 		}
 	}

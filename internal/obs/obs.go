@@ -272,7 +272,7 @@ func (t *Timer) HistStats() HistStats {
 }
 
 // Snapshot is a point-in-time copy of a registry's metrics, the JSON dump
-// format of the -metrics-out CLI flags and Session.Metrics.
+// format of the -metrics-out CLI flags and accpar.Metrics.
 type Snapshot struct {
 	// Meta identifies the producing process: build, runtime and start
 	// time metadata.

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
 
 	"accpar/internal/obs"
 )
@@ -57,14 +56,4 @@ func (r *Result) ChromeTraceEvents(pid int, procName string, names [2]string) ([
 		})
 	}
 	return events, nil
-}
-
-// WriteChromeTrace writes the timeline as a standalone Chrome Trace Event
-// Format JSON document, loadable in Perfetto or chrome://tracing.
-func (r *Result) WriteChromeTrace(w io.Writer, names [2]string) error {
-	events, err := r.ChromeTraceEvents(obs.PidSim, "simulator", names)
-	if err != nil {
-		return err
-	}
-	return obs.WriteTraceJSON(w, events)
 }

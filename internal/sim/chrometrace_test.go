@@ -11,6 +11,7 @@ import (
 
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
+	"accpar/internal/obs"
 	"accpar/internal/tensor"
 )
 
@@ -75,8 +76,12 @@ func TestChromeTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	events, err := res.ChromeTraceEvents(obs.PidSim, "simulator", [2]string{"big", "small"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := res.WriteChromeTrace(&buf, [2]string{"big", "small"}); err != nil {
+	if err := obs.WriteTraceJSON(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 
@@ -134,9 +139,8 @@ func TestChromeTraceGolden(t *testing.T) {
 }
 
 func TestChromeTraceRequiresTimeline(t *testing.T) {
-	var buf bytes.Buffer
 	res := &Result{}
-	if err := res.WriteChromeTrace(&buf, [2]string{"a", "b"}); err == nil {
+	if _, err := res.ChromeTraceEvents(obs.PidSim, "simulator", [2]string{"a", "b"}); err == nil {
 		t.Fatal("exporting an empty timeline must error")
 	}
 }

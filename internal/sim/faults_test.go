@@ -194,11 +194,11 @@ func TestEntryPathsValidateMachines(t *testing.T) {
 	if _, err := Simulate(s, bad, Config{}); err == nil {
 		t.Error("Simulate accepted a NaN machine")
 	}
-	if err := TaskOrderCheck(s, bad); err == nil {
-		t.Error("TaskOrderCheck accepted a NaN machine")
+	if err := taskOrderCheck(s, bad); err == nil {
+		t.Error("taskOrderCheck accepted a NaN machine")
 	}
-	if _, err := SortedTaskNames(s, bad); err == nil {
-		t.Error("SortedTaskNames accepted a NaN machine")
+	if _, err := sortedTaskNames(s, bad); err == nil {
+		t.Error("sortedTaskNames accepted a NaN machine")
 	}
 	inf := twoV3()
 	inf[1].NetBW = math.Inf(1)

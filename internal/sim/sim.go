@@ -261,8 +261,9 @@ func Simulate(s Split, machines [2]Machine, cfg Config) (*Result, error) {
 }
 
 // validateSplit is the single validation gate shared by every entry path
-// that constructs a builder (Simulate, TaskOrderCheck, SortedTaskNames) —
-// newBuilder itself must never be reachable with unchecked inputs.
+// that constructs a builder (Simulate, and the task-order helpers in the
+// package's tests) — newBuilder itself must never be reachable with
+// unchecked inputs.
 func validateSplit(s Split, machines [2]Machine) error {
 	if err := s.Net.Validate(); err != nil {
 		return err
@@ -899,49 +900,4 @@ func (b *builder) residency(m int) int64 {
 		total += (2*w+2*f)*tensor.BytesPerElement + b.optimizer.StateBytes(w)
 	}
 	return total
-}
-
-// TaskOrderCheck verifies (for tests) that builder task order is
-// topological: every dependency precedes its dependent.
-func TaskOrderCheck(s Split, machines [2]Machine) error {
-	if err := validateSplit(s, machines); err != nil {
-		return err
-	}
-	b := newBuilder(s, machines)
-	if err := b.build(); err != nil {
-		return err
-	}
-	pos := map[*task]int{}
-	for i, t := range b.tasks {
-		pos[t] = i
-	}
-	for i, t := range b.tasks {
-		for _, d := range t.deps {
-			j, ok := pos[d]
-			if !ok {
-				return fmt.Errorf("task %s depends on unknown task", b.taskName(t))
-			}
-			if j >= i {
-				return fmt.Errorf("task %s (pos %d) depends on later task %s (pos %d)", b.taskName(t), i, b.taskName(d), j)
-			}
-		}
-	}
-	return nil
-}
-
-// SortedTaskNames returns the task names in schedule order (test helper).
-func SortedTaskNames(s Split, machines [2]Machine) ([]string, error) {
-	if err := validateSplit(s, machines); err != nil {
-		return nil, err
-	}
-	b := newBuilder(s, machines)
-	if err := b.build(); err != nil {
-		return nil, err
-	}
-	names := make([]string, len(b.tasks))
-	for i, t := range b.tasks {
-		names[i] = b.taskName(t)
-	}
-	slices.Sort(names)
-	return names, nil
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"accpar/internal/cost"
@@ -167,7 +169,7 @@ func TestMultiPathSimulation(t *testing.T) {
 	net := netFor(t, "resnet18", 4)
 	for _, ty := range cost.Types {
 		s := Split{Net: net, Types: allTypes(net, ty), Alpha: 0.5}
-		if err := TaskOrderCheck(s, twoV3()); err != nil {
+		if err := taskOrderCheck(s, twoV3()); err != nil {
 			t.Fatalf("%v: %v", ty, err)
 		}
 		res, err := Simulate(s, twoV3(), Config{})
@@ -262,11 +264,11 @@ func TestDeterministicSchedule(t *testing.T) {
 	if a.Time != b.Time || a.Tasks != b.Tasks {
 		t.Errorf("nondeterministic simulation: %+v vs %+v", a, b)
 	}
-	n1, err := SortedTaskNames(s, twoV3())
+	n1, err := sortedTaskNames(s, twoV3())
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := SortedTaskNames(s, twoV3())
+	n2, err := sortedTaskNames(s, twoV3())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,4 +302,49 @@ func TestFasterMachinesFinishSooner(t *testing.T) {
 	if rf.Time >= rs.Time {
 		t.Errorf("4× compute not faster: %g vs %g", rf.Time, rs.Time)
 	}
+}
+
+// taskOrderCheck verifies that builder task order is topological: every
+// dependency precedes its dependent.
+func taskOrderCheck(s Split, machines [2]Machine) error {
+	if err := validateSplit(s, machines); err != nil {
+		return err
+	}
+	b := newBuilder(s, machines)
+	if err := b.build(); err != nil {
+		return err
+	}
+	pos := map[*task]int{}
+	for i, t := range b.tasks {
+		pos[t] = i
+	}
+	for i, t := range b.tasks {
+		for _, d := range t.deps {
+			j, ok := pos[d]
+			if !ok {
+				return fmt.Errorf("task %s depends on unknown task", b.taskName(t))
+			}
+			if j >= i {
+				return fmt.Errorf("task %s (pos %d) depends on later task %s (pos %d)", b.taskName(t), i, b.taskName(d), j)
+			}
+		}
+	}
+	return nil
+}
+
+// sortedTaskNames returns the task names in schedule order.
+func sortedTaskNames(s Split, machines [2]Machine) ([]string, error) {
+	if err := validateSplit(s, machines); err != nil {
+		return nil, err
+	}
+	b := newBuilder(s, machines)
+	if err := b.build(); err != nil {
+		return nil, err
+	}
+	names := make([]string, len(b.tasks))
+	for i, t := range b.tasks {
+		names[i] = b.taskName(t)
+	}
+	slices.Sort(names)
+	return names, nil
 }

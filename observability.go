@@ -20,23 +20,10 @@ type MetricsSnapshot = obs.Snapshot
 
 // Metrics returns the current process-wide metrics snapshot. The registry
 // is process-global (cheap atomics updated by every search and
-// simulation), so the snapshot covers all work since process start — or
-// since ResetMetrics.
-func (s *Session) Metrics() MetricsSnapshot { return obs.Default().Snapshot() }
-
-// Metrics is the sessionless form of Session.Metrics.
+// simulation, whichever Session ran it), so the snapshot covers all work
+// since process start; callers scope a report to one run by differencing
+// two snapshots.
 func Metrics() MetricsSnapshot { return obs.Default().Snapshot() }
-
-// ResetMetrics zeroes every metric, scoping subsequent snapshots to the
-// work that follows (per-run CLI reports, tests).
-func ResetMetrics() { obs.Default().Reset() }
-
-// WriteMetricsJSON writes the metrics snapshot as indented JSON.
-func WriteMetricsJSON(w io.Writer) error { return obs.Default().WriteJSON(w) }
-
-// WriteMetricsText writes the metrics snapshot as expvar-style "name
-// value" lines, sorted by name.
-func WriteMetricsText(w io.Writer) error { return obs.Default().WriteText(w) }
 
 // WriteMetricsPrometheus writes the metrics snapshot in Prometheus text
 // exposition format v0.0.4 — the rendering behind GET /metrics on the
@@ -69,18 +56,19 @@ func StartDiagServer(addr string) (*DiagServer, error) {
 	return diag.Start(addr, diag.Options{})
 }
 
-// SaveMetricsFile writes the metrics snapshot to path: expvar-style text
-// when the path ends in ".txt", indented JSON otherwise. This is the
-// implementation behind the CLI -metrics-out flags.
+// SaveMetricsFile writes the metrics snapshot to path: expvar-style
+// "name value" lines sorted by name when the path ends in ".txt",
+// indented JSON otherwise. This is the implementation behind the CLI
+// -metrics-out flags.
 func SaveMetricsFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	if strings.HasSuffix(path, ".txt") {
-		err = WriteMetricsText(f)
+		err = obs.Default().WriteText(f)
 	} else {
-		err = WriteMetricsJSON(f)
+		err = obs.Default().WriteJSON(f)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr

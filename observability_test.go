@@ -35,12 +35,12 @@ func TestSessionMetricsAndTrace(t *testing.T) {
 
 	rec := StartTrace()
 	sess := NewSession(0)
-	before := sess.Metrics()
+	before := Metrics()
 	traced, err := sess.Partition(net, arr, StrategyAccPar)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := sess.Metrics()
+	after := Metrics()
 	rec.Stop()
 
 	if got := planBytes(t, traced); !bytes.Equal(got, want) {
@@ -259,7 +259,7 @@ func TestTraceRecorderStacksSimRuns(t *testing.T) {
 
 // TestDSECountersExposed: the design-space-exploration counters ride the
 // same registry as every other metric — a sweep's amortization across
-// candidate fleets shows up in Session.Metrics as plan-cache hits, and the
+// candidate fleets shows up in Metrics as plan-cache hits, and the
 // counters are present in the Prometheus exposition. The sweep is
 // fault-free, so it runs no replans: every cache hit is a subproblem one
 // candidate's search served from another candidate's.
@@ -273,14 +273,13 @@ func TestDSECountersExposed(t *testing.T) {
 		Levels:    []int{2, 8},
 		NetScales: []float64{1},
 	}
-	sess := NewSession(0)
-	before := sess.Metrics()
+	before := Metrics()
 	if _, err := dse.Sweep(context.Background(), space, dse.Config{
 		Model: "alexnet", Batch: 64, Workers: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	after := sess.Metrics()
+	after := Metrics()
 
 	if d := after.Counters["plancache.hits"] - before.Counters["plancache.hits"]; d <= 0 {
 		t.Errorf("sweep recorded %d plan-cache hits; want > 0", d)
