@@ -29,8 +29,8 @@ func TestSimulateGolden(t *testing.T) {
 	}{
 		{"vgg16", true, false, "time=3fa221051c763464 compute=3f5d7329898b750f link=3f8e20850e4fd78d tasks=1451"},
 		{"vgg16", true, true, "time=3f90f345285eefeb compute=3f5d7329898b750f link=3f8e20850e4fd78d tasks=1451"},
-		{"inception", true, false, "time=3f70ce2a52c8c1bc compute=3f216917a95a9c4d link=3f56f3ae57b91be1 tasks=1992"},
-		{"inception", true, true, "time=3f59d2b972c13f9f compute=3f216917a95a9c4d link=3f56f3ae57b91be1 tasks=1992"},
+		{"inception", true, false, "time=3f6b4a6fd5e19b8e compute=3f216917a95a9c4d link=3f5555b8d55a4b35 tasks=1948"},
+		{"inception", true, true, "time=3f5bb5f1d27ccd74 compute=3f216917a95a9c4d link=3f5555b8d55a4b35 tasks=1948"},
 		{"vgg16", false, false, "time=3f9a99b93120b7ee compute=3f4d74a184b5790c link=3f87b9964a6aee72 tasks=1422"},
 		{"vgg16", false, true, "time=3f90610bb9ffb2ef compute=3f4d74a184b5790c link=3f87b9964a6aee72 tasks=1422"},
 	} {

@@ -192,30 +192,45 @@ func TestAuditRejectShowsCapacityFloorPrune(t *testing.T) {
 
 // TestAuditParallelismStable: the search audit explains a plan from the
 // captured artifact alone only if the artifact does not depend on
-// scheduling. The -explain-search document of ResNet-50 (batch 512) on
-// 32+32 boards must be byte-identical at Parallelism 1, 2 and 8. CI runs
-// it under -race with -count=10 -cpu 4, so worker interleavings vary.
+// scheduling. The -explain-search document of ResNet-50 (batch 512) must
+// be byte-identical at Parallelism 1, 2 and 8, on 32+32 boards and on
+// v2:32,v3:32,v2:32,v3:32. The second fleet's unequal halves, 64 TPU-v2
+// and 64 TPU-v3 boards, fork, and each holds identical halves linked as
+// one node. CI runs each fleet under -race with -cpu 4 and a -count of 10
+// or 20, so worker interleavings vary.
 func TestAuditParallelismStable(t *testing.T) {
 	net := buildNet(t, "resnet50", 512)
-	tree := paperTree(t, 32)
-	var want []byte
-	for _, workers := range []int{1, 2, 8} {
-		opt := AccPar()
-		opt.Parallelism = workers
-		opt.Audit = NewAuditRecorder()
-		if _, err := PartitionCtx(context.Background(), net, tree, opt); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := opt.Audit.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("audit at Parallelism %d differs from the serial audit (%d vs %d bytes)", workers, buf.Len(), len(want))
-		}
+	v2, v3 := hardware.TPUv2(), hardware.TPUv3()
+	for _, fleet := range []struct {
+		name string
+		tree *hardware.Tree
+	}{
+		{"32+32", paperTree(t, 32)},
+		{"v2:32,v3:32,v2:32,v3:32", treeFor(t,
+			hardware.GroupSpec{Spec: v2, Count: 32}, hardware.GroupSpec{Spec: v3, Count: 32},
+			hardware.GroupSpec{Spec: v2, Count: 32}, hardware.GroupSpec{Spec: v3, Count: 32})},
+	} {
+		t.Run(fleet.name, func(t *testing.T) {
+			var want []byte
+			for _, workers := range []int{1, 2, 8} {
+				opt := AccPar()
+				opt.Parallelism = workers
+				opt.Audit = NewAuditRecorder()
+				if _, err := PartitionCtx(context.Background(), net, fleet.tree, opt); err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := opt.Audit.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = buf.Bytes()
+					continue
+				}
+				if !bytes.Equal(buf.Bytes(), want) {
+					t.Errorf("audit at Parallelism %d differs from the serial audit (%d vs %d bytes)", workers, buf.Len(), len(want))
+				}
+			}
+		})
 	}
 }

@@ -40,11 +40,23 @@ var goldenFleets = []goldenFleet{{8, 8, 1}, {32, 96, 1}, {128, 128, 1}, {8, 8, 6
 // lines, the digest being the SHA-256 of the plan's canonical JSON.
 func goldenPlanDigests(t *testing.T) []string {
 	t.Helper()
+	var lines []string
+	forEachGoldenPlan(t, func(name string, _ Options, _ *hardware.Tree, plan *Plan) {
+		sum := sha256.Sum256(planJSON(t, plan))
+		lines = append(lines, name+" "+hex.EncodeToString(sum[:]))
+	})
+	return lines
+}
+
+// forEachGoldenPlan plans every golden case serially, in digest-file
+// order, and hands each plan to visit with its case name, options and
+// hardware tree.
+func forEachGoldenPlan(t *testing.T, visit func(name string, opt Options, tree *hardware.Tree, plan *Plan)) {
+	t.Helper()
 	variants := StrategyAccPar.Variants()
 	if len(variants) != len(goldenVariantNames) {
 		t.Fatalf("StrategyAccPar.Variants has %d entries, golden names %d", len(variants), len(goldenVariantNames))
 	}
-	var lines []string
 	for _, model := range append(models.EvaluationOrder(), "inception") {
 		net := buildNet(t, model, 512)
 		for _, fl := range goldenFleets {
@@ -61,14 +73,12 @@ func goldenPlanDigests(t *testing.T) []string {
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						sum := sha256.Sum256(planJSON(t, plan))
-						lines = append(lines, name+" "+hex.EncodeToString(sum[:]))
+						visit(name, opt, tree, plan)
 					}
 				}
 			}
 		}
 	}
-	return lines
 }
 
 // fleetTree builds the hierarchy over v2 TPU-v2 and v3 TPU-v3 boards,
@@ -94,11 +104,11 @@ func fleetTree(t *testing.T, v2, v3, hbmDiv int) *hardware.Tree {
 // TestGoldenPlanDigests pins the plan bytes of every evaluation model
 // (plus inception) on three fleets, under every portfolio variant, both
 // memory modes that return a plan for every input, and both workload
-// modes, against digests recorded before the Eq. 9 path DP was
-// restructured. The equivalence suites compare search paths that all
-// share the current runDP; this is the check that catches drift of the
-// DP itself. Regenerate with -update-digests only for an intended change
-// of plans.
+// modes, against recorded digests (last regenerated when the Eq. 10
+// bisection learned to find a falling balance). The equivalence suites
+// compare search paths that all share the current runDP; this is the
+// check that catches drift of the DP itself. Regenerate with
+// -update-digests only for an intended change of plans.
 func TestGoldenPlanDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plans 1800 cold searches")

@@ -677,37 +677,45 @@ func checkSides(level int, si, sj Side) error {
 
 // solveRatio finds the α balancing the two groups' level costs for fixed
 // types (the Eq. 10 balance condition), by bisection on
-// g(α) = TimeI(α) − TimeJ(α), which is increasing in α (the compute terms
-// dominate monotonicity; the αβ conversion terms are symmetric in the two
-// groups and cancel in g up to bandwidth asymmetry). The result is always
-// clamped into (0, 1) — [MinRatio, 1−MinRatio] — and a non-finite balance
-// function (zero or NaN resources from a degraded spec) yields a typed
-// *DegenerateHardwareError instead of a NaN ratio.
+// g(α) = TimeI(α) − TimeJ(α). g may run either way: the compute terms make
+// it rise in α and the β-slab conversion terms make it fall, so for two
+// identical halves it is (α − β)(C − B), falling when the β-scaled
+// communication B exceeds the compute C. Whenever g changes sign between
+// the extreme shares the bisection finds the balance point; identical
+// halves hit an exact root at the first midpoint and get α = 0.5 exactly,
+// hence one child key for both. The result is always clamped into (0, 1) —
+// [MinRatio, 1−MinRatio] — and a non-finite balance function (zero or NaN
+// resources from a degraded spec) yields a typed *DegenerateHardwareError
+// instead of a NaN ratio.
 //
 // Because the assignment is fixed throughout the bisection, the balance
 // function collapses to the ratioCoeffs closed form: the O(units + edges)
-// aggregation happens once, and each of the 60 bisection steps costs a
-// handful of multiplications.
+// aggregation happens once, and each of the at most 60 bisection steps
+// costs a handful of multiplications.
 func (c *levelCtx) solveRatio(types []cost.Type) (float64, error) {
 	rc := c.ratioCoeffs(types)
 	return bisectRatio(rc.g)
 }
 
-// bisectRatio runs the Eq. 10 bisection on a balance function g.
+// bisectRatio runs the Eq. 10 bisection on a balance function g, following
+// g's direction between the extreme shares.
 func bisectRatio(g func(alpha float64) float64) (float64, error) {
 	lo, hi := cost.MinRatio, 1-cost.MinRatio
 	glo, ghi := g(lo), g(hi)
 	if math.IsNaN(glo) || math.IsNaN(ghi) {
 		return 0, &DegenerateHardwareError{Detail: fmt.Sprintf("non-finite level cost balance (g(%g)=%g, g(%g)=%g)", lo, glo, hi, ghi)}
 	}
-	if glo > 0 || ghi < 0 {
-		// No interior balance point: the cheaper side should take the
-		// extreme share.
-		if glo > 0 {
-			return lo, nil
-		}
+	switch {
+	case glo > 0 && ghi > 0:
+		// No balance point: side I is the slower at every share, so it
+		// takes the smallest.
+		return lo, nil
+	case glo < 0 && ghi < 0:
 		return hi, nil
 	}
+	// g changes sign (or is zero at an endpoint). The direction comes from
+	// the endpoints, so a zero at either end still picks one side.
+	rising := glo < ghi
 	for iter := 0; iter < 60; iter++ {
 		mid := (lo + hi) / 2
 		gm := g(mid)
@@ -715,7 +723,11 @@ func bisectRatio(g func(alpha float64) float64) (float64, error) {
 			obsBisectIters.Add(int64(iter + 1))
 			return 0, &DegenerateHardwareError{Detail: fmt.Sprintf("non-finite level cost at alpha %g", mid)}
 		}
-		if gm > 0 {
+		if gm == 0 {
+			obsBisectIters.Add(int64(iter + 1))
+			return mid, nil
+		}
+		if (gm > 0) == rising {
 			hi = mid
 		} else {
 			lo = mid

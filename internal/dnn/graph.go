@@ -2,7 +2,6 @@ package dnn
 
 import (
 	"fmt"
-	"slices"
 
 	"accpar/internal/tensor"
 )
@@ -24,16 +23,16 @@ type Node struct {
 // the partitioner.
 type Graph struct {
 	// Name labels the model (e.g. "vgg16").
-	Name   string
-	nodes  []*Node
-	byName map[string]NodeID
+	Name  string
+	nodes []*Node
+	names map[string]struct{}
 	// inferred records whether Infer has completed successfully.
 	inferred bool
 }
 
 // NewGraph returns an empty graph with the given model name.
 func NewGraph(name string) *Graph {
-	return &Graph{Name: name, byName: make(map[string]NodeID)}
+	return &Graph{Name: name, names: make(map[string]struct{})}
 }
 
 // Add appends a node computing layer from the given input nodes and returns
@@ -43,7 +42,7 @@ func (g *Graph) Add(layer Layer, inputs ...NodeID) NodeID {
 	if layer.Name == "" {
 		panic("dnn: layer with empty name")
 	}
-	if _, dup := g.byName[layer.Name]; dup {
+	if _, dup := g.names[layer.Name]; dup {
 		panic(fmt.Sprintf("dnn: duplicate layer name %q", layer.Name))
 	}
 	for _, in := range inputs {
@@ -53,7 +52,7 @@ func (g *Graph) Add(layer Layer, inputs ...NodeID) NodeID {
 	}
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, &Node{ID: id, Layer: layer, Inputs: append([]NodeID(nil), inputs...)})
-	g.byName[layer.Name] = id
+	g.names[layer.Name] = struct{}{}
 	g.inferred = false
 	return id
 }
@@ -74,33 +73,9 @@ func (g *Graph) Node(id NodeID) *Node {
 	return g.nodes[id]
 }
 
-// ByName returns the node with the given layer name.
-func (g *Graph) ByName(name string) (*Node, bool) {
-	id, ok := g.byName[name]
-	if !ok {
-		return nil, false
-	}
-	return g.nodes[id], true
-}
-
 // Nodes returns the nodes in insertion order (which is a topological order,
 // since Add only accepts already-present inputs).
 func (g *Graph) Nodes() []*Node { return g.nodes }
-
-// Consumers returns, for every node, the IDs of the nodes that consume its
-// output, in ascending order.
-func (g *Graph) Consumers() map[NodeID][]NodeID {
-	out := make(map[NodeID][]NodeID, len(g.nodes))
-	for _, n := range g.nodes {
-		for _, in := range n.Inputs {
-			out[in] = append(out[in], n.ID)
-		}
-	}
-	for _, c := range out {
-		slices.Sort(c)
-	}
-	return out
-}
 
 // Infer runs shape inference over the whole graph in topological order and
 // validates operator compatibility. It must be called (once) after

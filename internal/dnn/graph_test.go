@@ -24,6 +24,18 @@ func tinyLinear(t *testing.T, batch int) *Graph {
 	return g
 }
 
+// nodeNamed returns g's node with the given layer name.
+func nodeNamed(t *testing.T, g *Graph, name string) *Node {
+	t.Helper()
+	for _, n := range g.Nodes() {
+		if n.Layer.Name == name {
+			return n
+		}
+	}
+	t.Fatalf("missing node %q", name)
+	return nil
+}
+
 // tinyResidual builds a two-path block: cv1 → {identity, cv2→cv3} → add → cv4.
 func tinyResidual(t *testing.T) *Graph {
 	t.Helper()
@@ -50,10 +62,7 @@ func TestShapeInferenceLinear(t *testing.T) {
 		"prob":  tensor.NewShape(2, 10),
 	}
 	for name, want := range checks {
-		n, ok := g.ByName(name)
-		if !ok {
-			t.Fatalf("missing node %q", name)
-		}
+		n := nodeNamed(t, g, name)
 		if !n.Out.Equal(want) {
 			t.Errorf("%s shape = %v, want %v", name, n.Out, want)
 		}
@@ -78,7 +87,7 @@ func TestConvStrideAndPadding(t *testing.T) {
 	if err := g.Infer(); err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	n, _ := g.ByName("cv1")
+	n := nodeNamed(t, g, "cv1")
 	if !n.Out.Equal(tensor.NewShape(1, 64, 55, 55)) {
 		t.Errorf("cv1 out = %v, want (1, 64, 55, 55)", n.Out)
 	}
@@ -91,7 +100,7 @@ func TestGlobalPool(t *testing.T) {
 	if err := g.Infer(); err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	n, _ := g.ByName("gap")
+	n := nodeNamed(t, g, "gap")
 	if !n.Out.Equal(tensor.NewShape(1, 16, 1, 1)) {
 		t.Errorf("gap out = %v", n.Out)
 	}
@@ -182,24 +191,6 @@ func TestParameterAndFLOPCounts(t *testing.T) {
 	fc := tensor.FC(2, 64, 10)
 	if got, want := g.TrainingFLOPs(), tensor.TrainingFLOPs(cv)+tensor.TrainingFLOPs(fc); got != want {
 		t.Errorf("TrainingFLOPs = %d, want %d", got, want)
-	}
-}
-
-func TestOutputsAndConsumers(t *testing.T) {
-	g := tinyResidual(t)
-	cons := g.Consumers()
-	var sinks []string
-	for id := 0; id < g.Len(); id++ {
-		if len(cons[NodeID(id)]) == 0 {
-			sinks = append(sinks, g.Node(NodeID(id)).Layer.Name)
-		}
-	}
-	if len(sinks) != 1 || sinks[0] != "cv4" {
-		t.Errorf("sink nodes = %v, want [cv4]", sinks)
-	}
-	cv1, _ := g.ByName("cv1")
-	if len(cons[cv1.ID]) != 2 {
-		t.Errorf("cv1 must have 2 consumers (cv2 and add), got %v", cons[cv1.ID])
 	}
 }
 

@@ -14,10 +14,7 @@ func TestInceptionShapes(t *testing.T) {
 	}
 	check := func(name string, want tensor.Shape) {
 		t.Helper()
-		n, ok := g.ByName(name)
-		if !ok {
-			t.Fatalf("missing %s", name)
-		}
+		n := nodeNamed(t, g, name)
 		if !n.Out.Equal(want) {
 			t.Errorf("%s out = %v, want %v", name, n.Out, want)
 		}

@@ -6,6 +6,18 @@ import (
 	"accpar/internal/dnn"
 )
 
+// nodeNamed returns g's node with the given layer name.
+func nodeNamed(t *testing.T, g *dnn.Graph, name string) *dnn.Node {
+	t.Helper()
+	for _, n := range g.Nodes() {
+		if n.Layer.Name == name {
+			return n
+		}
+	}
+	t.Fatalf("missing node %q", name)
+	return nil
+}
+
 func TestNamesAndEvaluationOrder(t *testing.T) {
 	// Nine evaluation DNNs plus the inception and mlp extension models.
 	if got := len(Names()); got != 11 {
@@ -261,10 +273,7 @@ func TestVGGConvShapes(t *testing.T) {
 	}
 	check := func(name string, c, h int) {
 		t.Helper()
-		n, ok := g.ByName(name)
-		if !ok {
-			t.Fatalf("missing %s", name)
-		}
+		n := nodeNamed(t, g, name)
 		if n.Out[1] != c || n.Out[2] != h {
 			t.Errorf("%s out = %v, want channels %d spatial %d", name, n.Out, c, h)
 		}
@@ -272,7 +281,7 @@ func TestVGGConvShapes(t *testing.T) {
 	check("cv1", 64, 224)
 	check("cv3", 128, 112)
 	check("cv13", 512, 14)
-	n, _ := g.ByName("flat")
+	n := nodeNamed(t, g, "flat")
 	if n.Out[1] != 25088 {
 		t.Errorf("flatten out = %v, want 25088 features", n.Out)
 	}
@@ -286,10 +295,7 @@ func TestResNet50Shapes(t *testing.T) {
 	}
 	check := func(name string, c, h int) {
 		t.Helper()
-		n, ok := g.ByName(name)
-		if !ok {
-			t.Fatalf("missing %s", name)
-		}
+		n := nodeNamed(t, g, name)
 		if n.Out[1] != c || n.Out[2] != h {
 			t.Errorf("%s out = %v, want channels %d spatial %d", name, n.Out, c, h)
 		}

@@ -75,17 +75,6 @@ func TestTimerEmptyAndEdgeObservations(t *testing.T) {
 	}
 }
 
-func TestTimerRegistryResetClearsHistogram(t *testing.T) {
-	r := NewRegistry()
-	tm := r.NewTimer("t")
-	tm.Observe(time.Millisecond)
-	r.Reset()
-	h := tm.HistStats()
-	if h.Count != 0 || h.MinSeconds != 0 || h.MaxSeconds != 0 || len(h.Buckets) != 0 {
-		t.Errorf("post-reset snapshot %+v; want empty", h)
-	}
-}
-
 func TestBucketIndexBounds(t *testing.T) {
 	cases := []struct {
 		ns   int64

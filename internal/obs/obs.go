@@ -411,31 +411,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Reset zeroes every registered metric (tests and per-run CLI reports).
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, f := range r.floats {
-		f.bits.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.bits.Store(0)
-	}
-	for _, t := range r.timers {
-		t.count.Store(0)
-		t.ns.Store(0)
-		t.minp1.Store(0)
-		t.maxp1.Store(0)
-		for i := range t.buckets {
-			t.buckets[i].Store(0)
-		}
-		t.exemplar.Store(nil)
-	}
-}
-
 // WriteJSON writes the snapshot as indented JSON.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	b, err := json.MarshalIndent(r.Snapshot(), "", "  ")
