@@ -18,6 +18,7 @@ import (
 	"math"
 	"testing"
 
+	"accpar/internal/autotune"
 	"accpar/internal/core"
 	"accpar/internal/eval"
 	"accpar/internal/models"
@@ -207,6 +208,82 @@ func BenchmarkSimulatorVGG(b *testing.B) {
 		}
 	}
 	b.ReportMetric(res.Time*1e3, "sim_ms_per_iter")
+}
+
+// cachedSweep is a parameter study that plans on a caller's plan cache.
+type cachedSweep struct {
+	name string
+	run  func(cache *core.SharedCache) error
+}
+
+// cachedSweeps are the repeated studies a plan cache kept across runs
+// exists for, on the paper array: the ResNet-50 row of Figure 5 (four
+// strategies) and the ResNet-50 batch-size tuning sweep from 64 to 512.
+func cachedSweeps(tb testing.TB) []cachedSweep {
+	tb.Helper()
+	tree, err := eval.HeterogeneousTree(128)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []cachedSweep{
+		{"speedup-sweep", func(cache *core.SharedCache) error {
+			_, err := eval.SpeedupSweep(context.Background(), tree, []string{"resnet50"}, 512, cache)
+			return err
+		}},
+		{"tune-batch", func(cache *core.SharedCache) error {
+			_, err := autotune.TuneBatch("resnet50", tree, 64, 512, cache)
+			return err
+		}},
+	}
+}
+
+// TestWarmSweepsSolveNothing: a study repeated on the cache its first run
+// filled is served whole from it, with no subproblem solved again.
+func TestWarmSweepsSolveNothing(t *testing.T) {
+	for _, s := range cachedSweeps(t) {
+		cache := core.NewSharedCache(0)
+		if err := s.run(cache); err != nil {
+			t.Fatal(err)
+		}
+		cold := cache.Stats()
+		if err := s.run(cache); err != nil {
+			t.Fatal(err)
+		}
+		warm := cache.Stats()
+		t.Logf("%s: cold run %d misses; warm run %d hits, %d misses", s.name, cold.Misses, warm.Hits-cold.Hits, warm.Misses-cold.Misses)
+		if cold.Misses == 0 {
+			t.Errorf("%s: the first run solved nothing on the cache", s.name)
+		}
+		if warm.Misses != cold.Misses || warm.Hits == cold.Hits {
+			t.Errorf("%s: warm run solved %d subproblems and hit %d; want 0 solved", s.name, warm.Misses-cold.Misses, warm.Hits-cold.Hits)
+		}
+	}
+}
+
+// BenchmarkCachedSweeps times each cached study cold, on a fresh cache
+// per op, and warm, on the cache a first run filled.
+func BenchmarkCachedSweeps(b *testing.B) {
+	for _, s := range cachedSweeps(b) {
+		b.Run(s.name+"/cold", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := s.run(core.NewSharedCache(0)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(s.name+"/warm", func(b *testing.B) {
+			cache := core.NewSharedCache(0)
+			if err := s.run(cache); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.run(cache); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkModelZoo measures model construction + extraction for the whole

@@ -32,16 +32,9 @@ func main() {
 		bars       = flag.Bool("bars", false, "render bar charts next to the tables")
 		extensions = flag.Bool("extensions", false, "also run the extension studies (topology, batch, fleet-composition sweeps)")
 		csvDir     = flag.String("csv", "", "also export figures 5/6/8 as CSV files into this directory")
-		jsonOut    = flag.Bool("json", false, "measure planner/simulator benchmarks and write BENCH_PLANNER.json instead of the tables")
-		jsonPath   = flag.String("json-out", "BENCH_PLANNER.json", "output path of the -json report")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of hierarchical planning to this file (with -json)")
-		memProfile = flag.String("memprofile", "", "write a heap profile of hierarchical planning to this file (with -json)")
 		cache      = flag.Bool("cache", false, "share one plan cache across every figure and table run")
 		metricsOut = flag.String("metrics-out", "", "write the metrics registry to this file (expvar-style text for .txt, JSON otherwise)")
 		traceOut   = flag.String("trace-out", "", "write a Chrome Trace Event Format JSON trace of the planner spans to this file")
-		gatePath   = flag.String("gate", "", "regression-gate this fresh -json report against -baseline and exit")
-		baseline   = flag.String("baseline", "BENCH_PLANNER_SMALL.json", "committed baseline report the -gate run compares against")
-		gateTol    = flag.Float64("gate-tolerance", 0.25, "relative ns/op (and allocs/op) slowdown the -gate run tolerates")
 		version    = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -50,50 +43,15 @@ func main() {
 		return
 	}
 
-	if *gatePath != "" {
-		if err := runGate(*gatePath, *baseline, *gateTol); err != nil {
-			fmt.Fprintln(os.Stderr, "accpar-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	var rec *accpar.TraceRecorder
 	if *traceOut != "" {
 		rec = accpar.StartTrace()
-	}
-	flushObs := func() {
-		if rec != nil {
-			rec.Stop()
-			if err := rec.SaveFile(*traceOut); err != nil {
-				fmt.Fprintln(os.Stderr, "accpar-bench:", err)
-				os.Exit(1)
-			}
-			fmt.Println("trace written to", *traceOut)
-		}
-		if *metricsOut != "" {
-			if err := accpar.SaveMetricsFile(*metricsOut); err != nil {
-				fmt.Fprintln(os.Stderr, "accpar-bench:", err)
-				os.Exit(1)
-			}
-			fmt.Println("metrics written to", *metricsOut)
-		}
 	}
 
 	cfg := eval.Config{}
 	if *small {
 		cfg = eval.Config{Batch: 64, PerKind: 8, HomSize: 16}
 	}
-
-	if *jsonOut {
-		if err := runPerf(cfg, *jsonPath, *cpuProfile, *memProfile); err != nil {
-			fmt.Fprintln(os.Stderr, "accpar-bench:", err)
-			os.Exit(1)
-		}
-		flushObs()
-		return
-	}
-
 	if *cache {
 		cfg.Cache = core.NewSharedCache(0)
 	}
@@ -121,7 +79,21 @@ func main() {
 		fmt.Printf("plan cache: %d hits / %d misses (%.1f%% hit rate), %d resident\n",
 			st.Hits, st.Misses, 100*st.HitRate(), cfg.Cache.Len())
 	}
-	flushObs()
+	if rec != nil {
+		rec.Stop()
+		if err := rec.SaveFile(*traceOut); err != nil {
+			fmt.Fprintln(os.Stderr, "accpar-bench:", err)
+			os.Exit(1)
+		}
+		fmt.Println("trace written to", *traceOut)
+	}
+	if *metricsOut != "" {
+		if err := accpar.SaveMetricsFile(*metricsOut); err != nil {
+			fmt.Fprintln(os.Stderr, "accpar-bench:", err)
+			os.Exit(1)
+		}
+		fmt.Println("metrics written to", *metricsOut)
+	}
 }
 
 // runExtensions prints the extension studies.

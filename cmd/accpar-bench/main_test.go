@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"accpar/internal/eval"
@@ -52,62 +49,6 @@ func TestExportAllSmall(t *testing.T) {
 	}
 	if len(paths) != 3 {
 		t.Errorf("paths = %v", paths)
-	}
-}
-
-func TestRunPerfJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark report in -short mode")
-	}
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "BENCH_PLANNER.json")
-	cpu := filepath.Join(dir, "cpu.prof")
-	mem := filepath.Join(dir, "mem.prof")
-	cfg := eval.Config{Batch: 32, PerKind: 2, HomSize: 8}
-	if err := runPerf(cfg, jsonPath, cpu, mem); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report BenchReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatal(err)
-	}
-	if report.GoMaxProcs < 1 {
-		t.Errorf("gomaxprocs = %d", report.GoMaxProcs)
-	}
-	if len(report.Benchmarks) != 15 {
-		t.Fatalf("benchmarks = %d, want 15", len(report.Benchmarks))
-	}
-	if report.OverheadMemoryReject <= -1 {
-		t.Errorf("memory-reject overhead = %g", report.OverheadMemoryReject)
-	}
-	for _, e := range report.Benchmarks {
-		if e.NsPerOp <= 0 || e.Iterations <= 0 {
-			t.Errorf("%s: degenerate measurement %+v", e.Name, e)
-		}
-	}
-	if report.SpeedupParallelVsSerial <= 0 {
-		t.Errorf("parallel speedup = %g", report.SpeedupParallelVsSerial)
-	}
-	if report.SpeedupWarmSweep <= 1 {
-		t.Errorf("warm sweep speedup = %g, want > 1", report.SpeedupWarmSweep)
-	}
-	if report.SpeedupWarmTuneBatch <= 1 {
-		t.Errorf("warm tune-batch speedup = %g, want > 1", report.SpeedupWarmTuneBatch)
-	}
-	if report.SpeedupReplanIncremental <= 1 {
-		t.Errorf("incremental replan speedup = %g, want > 1", report.SpeedupReplanIncremental)
-	}
-	if report.SpeedupReplanWarm <= 1 {
-		t.Errorf("warm replan speedup = %g, want > 1", report.SpeedupReplanWarm)
-	}
-	for _, p := range []string{cpu, mem} {
-		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
-			t.Errorf("profile %s missing or empty (err=%v)", p, err)
-		}
 	}
 }
 

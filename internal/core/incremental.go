@@ -85,14 +85,14 @@ func (p *planner) noteStaleReuse() {
 }
 
 // staleNodeInc applies one stale decision to one (possibly degraded)
-// hierarchy node, mirroring staleNode byte-for-byte with two memo
-// shortcuts: a subtree whose hardware digest matches its pristine
-// counterpart pristNode (the node old was solved for) is the pristine
-// plan verbatim, and every other re-costing is memoized under the memo
-// key (degraded subproblem key, pristine subtree digest) — the stale half
-// of memoKey, which keeps these entries apart from plain subproblems. key
-// is node's subproblem key at dims when the caller already has it (the
-// zero key to hash it here).
+// hierarchy node, mirroring the tests' cold reference (staleNode)
+// byte-for-byte with two memo shortcuts: a subtree whose hardware digest
+// matches its pristine counterpart pristNode (the node old was solved
+// for) is the pristine plan verbatim, and every other re-costing is
+// memoized under the memo key (degraded subproblem key, pristine subtree
+// digest) — the stale half of memoKey, which keeps these entries apart
+// from plain subproblems. key is node's subproblem key at dims when the
+// caller already has it (the zero key to hash it here).
 //
 // The memo key is sound by an invariant of the stale walk: at every node
 // where the degraded structure still aligns with the plan's, dims are

@@ -46,7 +46,7 @@ func faultScenarios(t *testing.T) []faults.Scenario {
 	return out
 }
 
-func degradedTreeFor(t *testing.T, groups []hardware.GroupSpec, sc faults.Scenario) *hardware.Tree {
+func degradedTreeFor(t testing.TB, groups []hardware.GroupSpec, sc faults.Scenario) *hardware.Tree {
 	t.Helper()
 	dgroups, err := hardware.DegradeGroups(groups, sc.Degradations())
 	if err != nil {
@@ -64,7 +64,7 @@ func coldReplanReference(t *testing.T, net *dnn.Network, pristine, degraded *har
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale, err := StalePlan(net, faultFree, degraded, opt)
+	stale, err := stalePlan(net, faultFree, degraded, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +111,47 @@ func assertReportsEqual(t *testing.T, label string, got, want *ReplanReport) {
 func cachedReplan(ctx context.Context, net *dnn.Network, pristine, degraded *hardware.Tree, opt Options, cache *SharedCache) (*ReplanReport, error) {
 	opt.Cache = cache
 	return ReplanCtx(ctx, net, pristine, degraded, opt)
+}
+
+// TestReplanExpansionOrdering counts the subproblems each replan path
+// solves for ResNet-50/512 on 128+128 boards with the TPU-v3 group's
+// compute slowed 4×. A cold replan solves the pristine and the degraded
+// tree (measured at 34), a novel fault on a cache warmed by the pristine
+// search only what the fault touched (17), and a recurrent fault nothing.
+// It fails when a replan stops reusing the cache; counts, unlike times,
+// are exact on any machine.
+func TestReplanExpansionOrdering(t *testing.T) {
+	net, err := models.BuildNetwork("resnet50", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := v2v3Groups(128)
+	pristine := treeFor(t, groups...)
+	degraded := slowdownTree(t, groups, 1, 4)
+	ctx := context.Background()
+	opt := AccPar()
+	opt.Parallelism = 1
+	cold, err := ReplanCtx(ctx, net, pristine, degraded, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Cache = NewSharedCache(0)
+	if _, err := PartitionCtx(ctx, net, pristine, opt); err != nil {
+		t.Fatal(err)
+	}
+	novel, err := ReplanCtx(ctx, net, pristine, degraded, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recurrent, err := ReplanCtx(ctx, net, pristine, degraded, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, n, r := cold.Stats.Expanded, novel.Stats.Expanded, recurrent.Stats.Expanded
+	t.Logf("subproblems expanded: cold %d, novel fault %d, recurrent fault %d", c, n, r)
+	if !(c > n && n > r && r == 0) {
+		t.Errorf("replan expansions cold %d, novel %d, recurrent %d: want cold > novel > recurrent = 0", c, n, r)
+	}
 }
 
 // TestCachedReplanByteIdentical: across seeded fault scenarios, replans

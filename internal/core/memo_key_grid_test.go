@@ -39,21 +39,37 @@ func TestSubproblemKeysDistinctOnSweepGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scenario := &faults.Scenario{Faults: fs}
+	slow := (&faults.Scenario{Faults: fs}).Degradations()[0]
 	var trees []*hardware.Tree
 	for i := range cands {
-		tree, err := cands[i].Tree()
+		c := &cands[i]
+		tree, err := c.Tree()
 		if err != nil {
 			t.Fatal(err)
 		}
 		trees = append(trees, tree)
-		degraded, err := space.DegradedTree(&cands[i], scenario)
+		degs := map[int]hardware.Degradation{}
+		for gi, kind := range c.Kinds {
+			if kind == "tpu-v2" {
+				degs[gi] = slow
+			}
+		}
+		if len(degs) == 0 {
+			continue
+		}
+		groups, err := hardware.DegradeGroups(c.Groups(), degs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if degraded != nil {
-			trees = append(trees, degraded)
+		arr, err := hardware.NewHeterogeneous(groups...)
+		if err != nil {
+			t.Fatal(err)
 		}
+		degraded, err := hardware.BuildTree(arr, c.Levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, degraded)
 	}
 	net, err := models.BuildNetwork("resnet50", 512)
 	if err != nil {

@@ -120,8 +120,8 @@ type Options struct {
 	// whenever the constraint is inactive or non-binding.
 	MemoryLimit MemoryMode
 	// Cache, when non-nil, is the cross-run subproblem cache a search
-	// runs on: PartitionCtx (and the sweep entry points built on it),
-	// ReplanCtx and StalePlan read and store their subproblems in the
+	// runs on: PartitionCtx (and the sweep entry points built on it) and
+	// ReplanCtx read and store their subproblems in the
 	// cache's memo for their fingerprint, and reuse its search shape,
 	// instead of building their own, and trim the cache to its bound when
 	// they finish. Plans are byte-identical with the cache disabled, cold

@@ -96,6 +96,9 @@ func benchTree(b *testing.B, perKind int) *hardware.Tree {
 // BenchmarkPartitionHierarchical measures the full hierarchical planner —
 // memoized subtree reuse plus bounded fork/join recursion — on ResNet-50
 // over the 128+128 paper array, against the serial reference path.
+// serial-reject is the serial search under MemoryReject, which the paper
+// array's capacities never bind: its cost over serial is the constrained
+// search's bookkeeping.
 func BenchmarkPartitionHierarchical(b *testing.B) {
 	net, err := models.BuildNetwork("resnet50", 512)
 	if err != nil {
@@ -105,13 +108,16 @@ func BenchmarkPartitionHierarchical(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		par  int
+		mem  MemoryMode
 	}{
 		{name: "serial", par: 1},
 		{name: "parallel", par: 0},
+		{name: "serial-reject", par: 1, mem: MemoryReject},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			opt := AccPar()
 			opt.Parallelism = bc.par
+			opt.MemoryLimit = bc.mem
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := PartitionCtx(context.Background(), net, tree, opt); err != nil {
@@ -120,4 +126,56 @@ func BenchmarkPartitionHierarchical(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkReplanAfterFault measures the three replan paths on ResNet-50
+// over the 128+128 paper array with the TPU-v3 group slowed: full, a
+// replan with no retained state; novel, a never-seen slowdown on a cache
+// warmed by the pristine search; recurrent, a slowdown the cache has
+// already replanned.
+func BenchmarkReplanAfterFault(b *testing.B) {
+	net, err := models.BuildNetwork("resnet50", 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	groups := v2v3Groups(128)
+	pristine := treeFor(b, groups...)
+	degraded := slowdownTree(b, groups, 1, 2)
+	ctx := context.Background()
+	b.Run("full", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ReplanCtx(ctx, net, pristine, degraded, AccPar()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("novel", func(b *testing.B) {
+		opt := AccPar()
+		opt.Cache = NewSharedCache(0)
+		if _, err := PartitionCtx(ctx, net, pristine, opt); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			novel := slowdownTree(b, groups, 1, 1.5+0.001*float64(i))
+			b.StartTimer()
+			if _, err := ReplanCtx(ctx, net, pristine, novel, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("recurrent", func(b *testing.B) {
+		opt := AccPar()
+		opt.Cache = NewSharedCache(0)
+		if _, err := ReplanCtx(ctx, net, pristine, degraded, opt); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ReplanCtx(ctx, net, pristine, degraded, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

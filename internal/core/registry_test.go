@@ -12,7 +12,7 @@ import (
 )
 
 // slowdownTree returns the fleet with group g slowed down by factor.
-func slowdownTree(t *testing.T, groups []hardware.GroupSpec, g int, factor float64) *hardware.Tree {
+func slowdownTree(t testing.TB, groups []hardware.GroupSpec, g int, factor float64) *hardware.Tree {
 	t.Helper()
 	sc := faults.Scenario{Faults: []faults.Fault{{Kind: faults.KindSlowdown, Group: g, Factor: factor}}}
 	return degradedTreeFor(t, groups, sc)

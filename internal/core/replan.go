@@ -5,88 +5,10 @@ import (
 	"fmt"
 	"time"
 
-	"accpar/internal/cost"
 	"accpar/internal/dnn"
 	"accpar/internal/hardware"
 	"accpar/internal/parallel"
-	"accpar/internal/tensor"
 )
-
-// StalePlan re-costs an existing plan's decisions — the per-node type
-// assignments and ratios chosen for pristine hardware — against a
-// different (typically degraded) hardware tree. This is what actually
-// happens when accelerators degrade under a plan that is not re-derived:
-// the work distribution stays fixed while the resources it was balanced
-// for no longer exist. Where the degraded tree's structure diverges from
-// the plan's (a group loss pruned whole subtrees), no stale decision
-// applies and the subtree is partitioned fresh — the honest model of a
-// runtime that must improvise placement for orphaned shards.
-func StalePlan(net *dnn.Network, plan *Plan, tree *hardware.Tree, opt Options) (*Plan, error) {
-	p, err := newPlanner(context.Background(), net, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer p.release()
-	if plan == nil || plan.Root == nil {
-		return nil, fmt.Errorf("core: stale evaluation needs a plan")
-	}
-	root, err := p.staleNode(tree, plan.Root, p.rootDims)
-	if err != nil {
-		return nil, err
-	}
-	out := &Plan{Network: p.net, Strategy: plan.Strategy + " (stale)", Root: root, opt: p.opt}
-	if err := out.Validate(); err != nil {
-		return nil, fmt.Errorf("core: internal stale-plan inconsistency: %w", err)
-	}
-	return out, nil
-}
-
-// staleNode applies one stale decision to one (possibly degraded)
-// hierarchy node.
-func (p *planner) staleNode(node *hardware.Tree, old *PlanNode, dims []tensor.LayerDims) (*PlanNode, error) {
-	if err := p.checkCtx(); err != nil {
-		return nil, err
-	}
-	if old == nil || node.IsLeaf() != old.IsLeaf() {
-		// Structure diverged: no stale decision for this subtree. The fresh
-		// partition goes through the memo, so a subtree already solved for
-		// the fresh replanning pass (or a symmetric sibling) is reused.
-		return p.partitionNode(node, dims)
-	}
-	if node.IsLeaf() {
-		return leafNode(node, p.units, dims, p.opt)
-	}
-	sideI := Side{Compute: node.Left.Group.ComputeDensity(), Net: p.opt.Topology.BisectionBandwidth(node.Left.Group)}
-	sideJ := Side{Compute: node.Right.Group.ComputeDensity(), Net: p.opt.Topology.BisectionBandwidth(node.Right.Group)}
-	if err := checkSides(node.Level, sideI, sideJ); err != nil {
-		return nil, err
-	}
-	if len(old.Types) != len(p.units) {
-		return nil, fmt.Errorf("core: stale plan has %d types for %d units", len(old.Types), len(p.units))
-	}
-	alpha := cost.ClampRatio(old.Alpha)
-	types := old.Types
-	ev := p.evalSplit(dims, sideI, sideJ, types, alpha)
-
-	left, err := p.staleNode(node.Left, old.Left, ScaleUnitDims(p.units, dims, types, alpha))
-	if err != nil {
-		return nil, err
-	}
-	right, err := p.staleNode(node.Right, old.Right, ScaleUnitDims(p.units, dims, types, 1-alpha))
-	if err != nil {
-		return nil, err
-	}
-	return &PlanNode{
-		GroupDesc: node.Group.String(),
-		Alpha:     alpha,
-		Types:     types,
-		Eval:      ev,
-		SideI:     sideI,
-		SideJ:     sideJ,
-		Left:      left,
-		Right:     right,
-	}, nil
-}
 
 // ReplanReport compares the three relevant operating points after a
 // degradation: the original plan on pristine hardware, the same

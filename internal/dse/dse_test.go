@@ -23,6 +23,16 @@ func buildNet(t *testing.T, name string, batch int) *dnn.Network {
 	return net
 }
 
+// kindIndexOf maps each kind name of the space to its index, as Sweep
+// does before it calls degradedTree.
+func kindIndexOf(s *Space) map[string]int {
+	idx := make(map[string]int, len(s.Kinds))
+	for i, k := range s.Kinds {
+		idx[k.Name] = i
+	}
+	return idx
+}
+
 // smallSpace is the test grid: two kinds, modest counts, two level
 // caps, two link tiers — 54 candidates, seconds to sweep in full.
 func smallSpace() *Space {
@@ -163,7 +173,7 @@ func TestDSEPlanEquivalence(t *testing.T) {
 					t.Errorf("%s: sweep makespan %v != standalone %v", r.Name, r.Makespan, want.Time())
 				}
 
-				degraded, err := space.DegradedTree(&r.Candidate, scenario)
+				degraded, err := degradedTree(&r.Candidate, scenario, kindIndexOf(space))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -322,17 +322,6 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// DegradedTree builds the candidate's post-fault hierarchy under
-// scenario, or nil when no fault afflicts it. Scenario group indices
-// name kinds of the space; see Config.Fault.
-func (s *Space) DegradedTree(c *Candidate, scenario *faults.Scenario) (*hardware.Tree, error) {
-	kindIndex := make(map[string]int, len(s.Kinds))
-	for i, k := range s.Kinds {
-		kindIndex[k.Name] = i
-	}
-	return degradedTree(c, scenario, kindIndex)
-}
-
 // degradedTree builds the candidate's post-fault hierarchy, or nil for
 // an empty scenario. Scenario group indices name kinds of the space
 // (kindIndex maps kind name → space index); they are remapped onto the
