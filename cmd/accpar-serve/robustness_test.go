@@ -60,10 +60,14 @@ func TestRequestDeadline504(t *testing.T) {
 	expanded := func() int64 {
 		return obs.Default().Snapshot().Counters["core.subproblems_expanded"]
 	}
-	// resnet50 at the paper's 128+128 point has hundreds of subproblems,
-	// so "the deadline stopped the expansion" is visible with a wide
-	// margin in the counter.
-	const workload = `"model":"resnet50","batch":256,"v2":128,"v3":128`
+	// A two-type fleet splits into identical halves that are solved once,
+	// so resnet50 on 128+128 expands only 17 subproblems and can finish
+	// inside the 1 ms deadline. Five accelerator types in uneven counts
+	// split into distinct halves at every level: 222 subproblems, some
+	// 25 ms to plan on two cores, so "the deadline stopped the expansion"
+	// is visible with a wide margin in the counter.
+	const workload = `"model":"resnet50","batch":256,` +
+		`"fleet":"tpu-v2:127,tpu-v3:113,gpu-class-a:97,gpu-class-b:89,edge-npu:83"`
 	before := expanded()
 	w := post(t, mux, "/v1/plan", `{`+workload+`,"timeout_ms":1}`)
 	aborted := expanded() - before

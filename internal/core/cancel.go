@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 )
 
 // Cancellation support for the hierarchical search. Every search entry
@@ -51,9 +52,13 @@ func WrapCtxErr(err error) error {
 
 // checkCtx is the periodic cancellation probe on the search's hot path:
 // a nil comparison when no context was supplied, one non-blocking channel
-// poll otherwise. Called once per subproblem visit and once per
-// type/ratio alternation — granular enough to abort a ResNet-50-scale
-// search within a fraction of a millisecond, far off any profile.
+// poll otherwise, plus a clock read when the context has a deadline.
+// Called once per subproblem visit and once per type/ratio alternation —
+// granular enough to abort a ResNet-50-scale search within a fraction of
+// a millisecond, far off any profile. The clock read is what makes that
+// hold for deadlines: ctx's Done channel closes only once the runtime
+// runs the deadline timer's goroutine, which waits for a preemption
+// (some 10 ms) while the search keeps every P busy.
 func (p *planner) checkCtx() error {
 	if p.done == nil {
 		return nil
@@ -62,6 +67,9 @@ func (p *planner) checkCtx() error {
 	case <-p.done:
 		return WrapCtxErr(p.ctx.Err())
 	default:
-		return nil
 	}
+	if !p.deadline.IsZero() && !time.Now().Before(p.deadline) {
+		return ErrDeadlineExceeded
+	}
+	return nil
 }

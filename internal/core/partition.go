@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
@@ -35,9 +36,11 @@ type planner struct {
 	cache *SharedCache
 	// ctx aborts the search; done caches its Done channel so the
 	// per-subproblem cancellation probe (checkCtx) is one nil comparison
-	// when no context was supplied.
-	ctx  context.Context
-	done <-chan struct{}
+	// when no context was supplied. deadline is ctx's deadline, zero when
+	// it has none.
+	ctx      context.Context
+	done     <-chan struct{}
+	deadline time.Time
 	// epoch and rs are per-call bookkeeping. epoch stamps memo entries:
 	// newPlanner takes it from an attached cache (the eviction clock); it
 	// is zero for an uncached search. rs, set by ReplanCtx and
@@ -121,6 +124,7 @@ func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, e
 	p.rootDims = p.rootDimsOf(net)
 	if ctx != nil {
 		p.done = ctx.Done()
+		p.deadline, _ = ctx.Deadline()
 	}
 	return p, nil
 }

@@ -106,6 +106,33 @@ func TestPartitionBestCtxPreCanceled(t *testing.T) {
 	}
 }
 
+// lateTimerCtx is a context whose deadline has passed but whose Done
+// channel has not closed: the state a context.WithDeadline is in until
+// the runtime gets round to running its timer.
+type lateTimerCtx struct {
+	context.Context
+	deadline time.Time
+	done     chan struct{}
+}
+
+func (c lateTimerCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+func (c lateTimerCtx) Done() <-chan struct{}       { return c.done }
+func (c lateTimerCtx) Err() error                  { return nil }
+
+// TestSearchReadsDeadlineClock: a search stops at a passed deadline even
+// before the context's Done channel closes, so a search that keeps every
+// P busy cannot outrun the timer that would close it.
+func TestSearchReadsDeadlineClock(t *testing.T) {
+	net := buildNet(t, "alexnet", 64)
+	tree := paperTree(t, 4)
+	ctx := lateTimerCtx{Context: context.Background(), deadline: time.Now().Add(-time.Second), done: make(chan struct{})}
+	opt := AccPar()
+	opt.Parallelism = 1
+	if _, err := PartitionCtx(ctx, net, tree, opt); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Errorf("passed deadline, open Done channel: got %v, want ErrDeadlineExceeded", err)
+	}
+}
+
 // TestPartitionBestCtxMidSearchCancel aborts the portfolio while its
 // variant searches run: the typed sentinel surfaces (or the search wins
 // the race and completes), no goroutines leak, and a subsequent
