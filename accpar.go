@@ -209,9 +209,12 @@ func ExtractNetwork(g *Graph) (*Network, error) { return dnn.ExtractNetwork(g) }
 // Models returns the names of the nine built-in evaluation DNNs.
 func Models() []string { return models.EvaluationOrder() }
 
-// BuildModel constructs a built-in model ("lenet", "alexnet", "vgg11",
-// "vgg13", "vgg16", "vgg19", "resnet18", "resnet34", "resnet50") for the
-// given mini-batch size and returns its extracted network.
+// BuildModel returns the extracted network of a built-in model at the
+// given mini-batch size: one of the nine evaluation DNNs ("lenet",
+// "alexnet", "vgg11", "vgg13", "vgg16", "vgg19", "resnet18", "resnet34",
+// "resnet50") or one of the two extension models ("inception", "mlp").
+// Each call returns a fresh network, cloned from a per-model template
+// and stamped with the batch, which the caller may change freely.
 func BuildModel(name string, batch int) (*Network, error) {
 	return models.BuildNetwork(name, batch)
 }

@@ -20,6 +20,7 @@ import (
 
 	"accpar/internal/autotune"
 	"accpar/internal/core"
+	"accpar/internal/dnn"
 	"accpar/internal/eval"
 	"accpar/internal/models"
 )
@@ -286,16 +287,34 @@ func BenchmarkCachedSweeps(b *testing.B) {
 	}
 }
 
-// BenchmarkModelZoo measures model construction + extraction for the whole
-// zoo (substrate throughput).
+// BenchmarkModelZoo measures building the networks of the nine evaluation
+// models at batch 512. "network" times models.BuildNetwork, which clones
+// a per-model template; "graph" times the construction path the template
+// is built by once, graph build plus dnn.ExtractNetwork.
 func BenchmarkModelZoo(b *testing.B) {
 	names := models.EvaluationOrder()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, n := range names {
-			if _, err := models.BuildNetwork(n, 512); err != nil {
-				b.Fatal(err)
+	b.Run("network", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, n := range names {
+				if _, err := models.BuildNetwork(n, 512); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	}
+	})
+	b.Run("graph", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, n := range names {
+				g, err := models.Build(n, 512)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := dnn.ExtractNetwork(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

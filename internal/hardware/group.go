@@ -2,6 +2,7 @@ package hardware
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -100,35 +101,54 @@ func (g *Group) String() string {
 // split (fewer than 2 members).
 //
 // The halves are values, so a caller decides where they live (BuildTree
-// keeps them in its node slab). A homogeneous group's halves are views of
-// g's member slice, capped so an append to one cannot reach the other:
-// member lists are never written in place, and a tree over n boards then
-// holds one copy of its specs rather than one per level. A heterogeneous
-// group's halves share one new member slice, left then right.
+// keeps them in its node slab). Where they can be, the halves are views
+// of g's member slice, capped so an append to one cannot reach the
+// other: member lists are never written in place, and a tree over n
+// boards then holds one copy of its specs rather than one per level. A
+// homogeneous group's halves always are views, and so are a
+// heterogeneous group's when its first spec's boards already come first,
+// as NewHeterogeneous lays out a fleet. Otherwise the two halves share
+// one new member slice, left then right.
 func (g *Group) Bisect() (left, right Group, err error) {
 	if g.Size() < 2 {
 		return Group{}, Group{}, fmt.Errorf("hardware: cannot bisect group of size %d", g.Size())
 	}
-	if !g.Homogeneous() {
-		// Split along the first spec-name boundary. Members with the first
-		// spec go left, everything else right.
-		first := g.Accel[0].Name
-		accel := make([]Spec, 0, len(g.Accel))
-		for _, s := range g.Accel {
-			if s.Name == first {
-				accel = append(accel, s)
-			}
-		}
-		k := len(accel)
-		for _, s := range g.Accel {
-			if s.Name != first {
-				accel = append(accel, s)
-			}
-		}
-		return Group{Accel: accel[:k:k]}, Group{Accel: accel[k:]}, nil
+	left, right = g.bisect(g.Homogeneous())
+	return left, right, nil
+}
+
+// bisect is Bisect on a group of two or more members, told whether they
+// share one spec name (Homogeneous), which BuildTree knows without
+// scanning.
+func (g *Group) bisect(homogeneous bool) (left, right Group) {
+	n := g.Size()
+	if homogeneous {
+		mid := n / 2
+		return Group{Accel: g.Accel[:mid:mid]}, Group{Accel: g.Accel[mid:n:n]}
 	}
-	mid, n := g.Size()/2, g.Size()
-	return Group{Accel: g.Accel[:mid:mid]}, Group{Accel: g.Accel[mid:n:n]}, nil
+	// Split along the first spec-name boundary. Members with the first
+	// spec go left, everything else right.
+	first := g.Accel[0].Name
+	k := 1
+	for k < n && g.Accel[k].Name == first {
+		k++
+	}
+	if !slices.ContainsFunc(g.Accel[k:], func(s Spec) bool { return s.Name == first }) {
+		return Group{Accel: g.Accel[:k:k]}, Group{Accel: g.Accel[k:n:n]}
+	}
+	accel := make([]Spec, 0, n)
+	for _, s := range g.Accel {
+		if s.Name == first {
+			accel = append(accel, s)
+		}
+	}
+	k = len(accel)
+	for _, s := range g.Accel {
+		if s.Name != first {
+			accel = append(accel, s)
+		}
+	}
+	return Group{Accel: accel[:k:k]}, Group{Accel: accel[k:]}
 }
 
 // Tree is the recursive bi-partition hierarchy: each non-leaf node has two
@@ -181,17 +201,21 @@ func BuildTree(a *Array, maxLevels int) (*Tree, error) {
 		return &n.tree
 	}
 	root := node(Group{Accel: append([]Spec(nil), a.Accel...)}, 1)
-	var grow func(t *Tree)
-	grow = func(t *Tree) {
+	// grow is told whether t's members share one spec name. The halves
+	// of such a group do too, and so does the left half of any split,
+	// which holds the first spec's boards only: only the right half of a
+	// heterogeneous split needs scanning.
+	var grow func(t *Tree, homogeneous bool)
+	grow = func(t *Tree, homogeneous bool) {
 		if t.Level > maxLevels || t.Group.Size() < 2 {
 			return
 		}
-		l, r, _ := t.Group.Bisect() // a group of two or more always splits
+		l, r := t.Group.bisect(homogeneous)
 		t.Left, t.Right = node(l, t.Level+1), node(r, t.Level+1)
-		grow(t.Left)
-		grow(t.Right)
+		grow(t.Left, true)
+		grow(t.Right, homogeneous || t.Right.Group.Homogeneous())
 	}
-	grow(root)
+	grow(root, root.Group.Homogeneous())
 	root.Identity()
 	return root, nil
 }

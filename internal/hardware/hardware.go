@@ -115,9 +115,9 @@ func NewHomogeneous(spec Spec, n int) (*Array, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("hardware: array needs at least 1 accelerator, got %d", n)
 	}
-	a := &Array{Name: fmt.Sprintf("%d×%s", n, spec.Name)}
-	for i := 0; i < n; i++ {
-		a.Accel = append(a.Accel, spec)
+	a := &Array{Name: fmt.Sprintf("%d×%s", n, spec.Name), Accel: make([]Spec, n)}
+	for i := range a.Accel {
+		a.Accel[i] = spec
 	}
 	return a, nil
 }
@@ -128,21 +128,24 @@ func NewHeterogeneous(groups ...GroupSpec) (*Array, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("hardware: heterogeneous array needs at least one group")
 	}
-	var names []string
-	a := &Array{}
-	for _, g := range groups {
+	names := make([]string, len(groups))
+	n := 0
+	for i, g := range groups {
 		if err := g.Spec.Validate(); err != nil {
 			return nil, err
 		}
 		if g.Count < 1 {
 			return nil, fmt.Errorf("hardware: group %q has count %d", g.Spec.Name, g.Count)
 		}
-		names = append(names, fmt.Sprintf("%d×%s", g.Count, g.Spec.Name))
-		for i := 0; i < g.Count; i++ {
+		names[i] = fmt.Sprintf("%d×%s", g.Count, g.Spec.Name)
+		n += g.Count
+	}
+	a := &Array{Name: strings.Join(names, " + "), Accel: make([]Spec, 0, n)}
+	for _, g := range groups {
+		for range g.Count {
 			a.Accel = append(a.Accel, g.Spec)
 		}
 	}
-	a.Name = strings.Join(names, " + ")
 	return a, nil
 }
 

@@ -3,6 +3,7 @@ package hardware
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -157,6 +158,70 @@ func TestBisectHeterogeneousSplitsBySpec(t *testing.T) {
 	}
 	if !r.Homogeneous() || r.Accel[0].Name != "tpu-v3" || r.Size() != 4 {
 		t.Errorf("right = %v", &r)
+	}
+}
+
+// TestBisectHeterogeneousViews: a heterogeneous split whose first
+// spec's boards come first returns views of the group's members, each
+// capped at its own length; one whose boards are interleaved returns
+// the halves in a new slice and leaves the group as it was.
+func TestBisectHeterogeneousViews(t *testing.T) {
+	v2, v3 := TPUv2(), TPUv3()
+	g := &Group{Accel: []Spec{v2, v2, v3, v3, v3}}
+	l, r, err := g.Bisect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Size() != 2 || r.Size() != 3 || &l.Accel[0] != &g.Accel[0] || &r.Accel[0] != &g.Accel[2] {
+		t.Errorf("grouped split: left %v, right %v, want views of 2 and 3 members", &l, &r)
+	}
+	if cap(l.Accel) != 2 || cap(r.Accel) != 3 {
+		t.Errorf("grouped split: caps %d, %d, want 2, 3", cap(l.Accel), cap(r.Accel))
+	}
+
+	mixed := []Spec{v2, v3, v2}
+	g = &Group{Accel: slices.Clone(mixed)}
+	l, r, err = g.Bisect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.String() != "2×tpu-v2" || r.String() != "1×tpu-v3" {
+		t.Errorf("interleaved split: left %v, right %v", &l, &r)
+	}
+	if &l.Accel[0] == &g.Accel[0] || !slices.Equal(g.Accel, mixed) {
+		t.Error("interleaved split must copy, not reorder the group in place")
+	}
+}
+
+// TestBuildTreeMatchesBisect: BuildTree, which skips the homogeneity
+// scan where it already knows the answer, splits every node exactly as
+// Bisect does, on random fleets of three kinds in any order.
+func TestBuildTreeMatchesBisect(t *testing.T) {
+	kinds := []Spec{TPUv2(), TPUv3(), GPUClassA()}
+	var same func(t *Tree, g *Group, level, maxLevels int) bool
+	same = func(t *Tree, g *Group, level, maxLevels int) bool {
+		if !slices.Equal(t.Group.Accel, g.Accel) || t.Level != level {
+			return false
+		}
+		if level > maxLevels || g.Size() < 2 {
+			return t.IsLeaf()
+		}
+		l, r, err := g.Bisect()
+		return err == nil && !t.IsLeaf() &&
+			same(t.Left, &l, level+1, maxLevels) && same(t.Right, &r, level+1, maxLevels)
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a := &Array{}
+		for range 1 + r.Intn(40) {
+			a.Accel = append(a.Accel, kinds[r.Intn(len(kinds))])
+		}
+		levels := 1 + r.Intn(8)
+		tree, err := BuildTree(a, levels)
+		return err == nil && same(tree, &Group{Accel: a.Accel}, 1, levels)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -56,5 +56,5 @@ func Inception(batch int) (*dnn.Graph, error) {
 }
 
 func init() {
-	registry["inception"] = Inception
+	registry["inception"] = &model{build: Inception}
 }

@@ -29,5 +29,5 @@ func MLP(batch int) (*dnn.Graph, error) {
 }
 
 func init() {
-	registry["mlp"] = MLP
+	registry["mlp"] = &model{build: MLP}
 }

@@ -7,6 +7,7 @@ package models
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"accpar/internal/dnn"
 	"accpar/internal/tensor"
@@ -15,17 +16,28 @@ import (
 // Builder constructs a model graph for a given mini-batch size.
 type Builder func(batch int) (*dnn.Graph, error)
 
-// registry maps model names to builders.
-var registry = map[string]Builder{
-	"lenet":    LeNet,
-	"alexnet":  AlexNet,
-	"vgg11":    VGG11,
-	"vgg13":    VGG13,
-	"vgg16":    VGG16,
-	"vgg19":    VGG19,
-	"resnet18": ResNet18,
-	"resnet34": ResNet34,
-	"resnet50": ResNet50,
+// model is one registry entry: the builder of its graph and the network
+// template BuildNetwork clones, built from the graph on first use.
+type model struct {
+	build Builder
+
+	once sync.Once
+	tmpl *dnn.Network
+	err  error
+}
+
+// registry maps model names to their entries. It holds one template per
+// name at most, so it needs no bound.
+var registry = map[string]*model{
+	"lenet":    {build: LeNet},
+	"alexnet":  {build: AlexNet},
+	"vgg11":    {build: VGG11},
+	"vgg13":    {build: VGG13},
+	"vgg16":    {build: VGG16},
+	"vgg19":    {build: VGG19},
+	"resnet18": {build: ResNet18},
+	"resnet34": {build: ResNet34},
+	"resnet50": {build: ResNet50},
 }
 
 // Names returns the registered model names in sorted order.
@@ -44,26 +56,104 @@ func EvaluationOrder() []string {
 	return []string{"lenet", "alexnet", "vgg11", "vgg13", "vgg16", "vgg19", "resnet18", "resnet34", "resnet50"}
 }
 
-// Build constructs the named model with the given batch size.
-func Build(name string, batch int) (*dnn.Graph, error) {
-	b, ok := registry[name]
+// lookup returns the named entry, or the input error Build reports.
+func lookup(name string, batch int) (*model, error) {
+	m, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("models: unknown model %q (have %v)", name, Names())
 	}
 	if batch < 1 {
 		return nil, fmt.Errorf("models: batch %d must be at least 1", batch)
 	}
-	return b(batch)
+	return m, nil
 }
 
-// BuildNetwork constructs the named model and extracts its series-parallel
-// weighted-layer network in one step.
-func BuildNetwork(name string, batch int) (*dnn.Network, error) {
-	g, err := Build(name, batch)
+// Build constructs the named model with the given batch size.
+func Build(name string, batch int) (*dnn.Graph, error) {
+	m, err := lookup(name, batch)
 	if err != nil {
 		return nil, err
 	}
-	return dnn.ExtractNetwork(g)
+	return m.build(batch)
+}
+
+// BuildNetwork returns the named model's series-parallel weighted-layer
+// network at the given batch size: the network dnn.ExtractNetwork takes
+// from Build(name, batch), as a fresh copy the caller owns.
+//
+// The graph is built and extracted once per model, at batch 1, and kept
+// as a template; each call clones it and stamps the batch. That is exact
+// because the batch enters shape inference only as dimension 0, which
+// every operator passes through, and reaches a weighted layer only as
+// its LayerDims.B (virtual junction units take it from their output's
+// dimension 0 too).
+func BuildNetwork(name string, batch int) (*dnn.Network, error) {
+	m, err := lookup(name, batch)
+	if err != nil {
+		return nil, err
+	}
+	return m.network(batch)
+}
+
+// network clones m's template at batch, building the template on the
+// first call. Concurrent first calls build it once.
+func (m *model) network(batch int) (*dnn.Network, error) {
+	m.once.Do(func() {
+		g, err := m.build(1)
+		if err != nil {
+			m.err = err
+			return
+		}
+		net, err := dnn.ExtractNetwork(g)
+		if err != nil {
+			m.err = err
+			return
+		}
+		m.tmpl = withBatch(net, 1) // compact: one unit slab, no graph
+	})
+	if m.err != nil {
+		return nil, m.err
+	}
+	return withBatch(m.tmpl, batch), nil
+}
+
+// withBatch deep-copies net with every unit's batch set to batch. All
+// units live in one slab, the parallel segments' paths in another, and
+// each chain is a view of the unit slab capped at its own length, so an
+// append to one chain cannot reach its neighbour. An identity shortcut
+// stays an empty, non-nil chain, as ExtractNetwork makes it.
+func withBatch(net *dnn.Network, batch int) *dnn.Network {
+	units, paths := 0, 0
+	for _, s := range net.Segments {
+		if s.Unit != nil {
+			units++
+		}
+		paths += len(s.Paths)
+		for _, p := range s.Paths {
+			units += len(p)
+		}
+	}
+	slab := make([]dnn.WeightedLayer, 0, units)
+	chains := make([]dnn.Chain, 0, paths)
+	out := &dnn.Network{Name: net.Name, Batch: batch, Segments: make([]dnn.Segment, len(net.Segments))}
+	for i, s := range net.Segments {
+		if s.Unit != nil {
+			slab = append(slab, *s.Unit)
+			out.Segments[i].Unit = &slab[len(slab)-1]
+			continue
+		}
+		first := len(chains)
+		for _, p := range s.Paths {
+			lo := len(slab)
+			slab = append(slab, p...)
+			chains = append(chains, slab[lo:len(slab):len(slab)])
+		}
+		out.Segments[i].Paths = chains[first:len(chains):len(chains)]
+	}
+	for i := range slab {
+		slab[i].Dims.B = batch
+	}
+	return out
 }
 
 // conv is a builder-local shorthand adding conv+ReLU.

@@ -1,7 +1,10 @@
 package models
 
 import (
+	"reflect"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"accpar/internal/dnn"
 )
@@ -306,28 +309,138 @@ func TestResNet50Shapes(t *testing.T) {
 	check("res5c_c", 2048, 7)
 }
 
-// TestExtractAllNetworksDeterministic: extracting twice yields identical
-// layer sequences (guards against map-iteration nondeterminism).
+// TestExtractAllNetworksDeterministic: two independent extractions of
+// every registered model yield identical networks (guards against
+// map-iteration nondeterminism in dnn.ExtractNetwork). It extracts from
+// fresh graphs rather than calling BuildNetwork twice, which would only
+// compare two clones of one template.
 func TestExtractAllNetworksDeterministic(t *testing.T) {
-	for _, name := range EvaluationOrder() {
-		a, err := BuildNetwork(name, 8)
-		if err != nil {
-			t.Fatal(err)
+	for _, name := range Names() {
+		a, b := extract(t, name, 8), extract(t, name, 8)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: two extractions differ", name)
 		}
-		b, err := BuildNetwork(name, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		la, lb := a.Layers(), b.Layers()
-		if len(la) != len(lb) {
-			t.Fatalf("%s: nondeterministic layer count", name)
-		}
-		for i := range la {
-			if la[i] != lb[i] {
-				t.Errorf("%s: layer %d differs between extractions: %v vs %v", name, i, la[i], lb[i])
+	}
+}
+
+// extract builds the named model's graph and extracts its network, the
+// path BuildNetwork's template stands in for.
+func extract(t testing.TB, name string, batch int) *dnn.Network {
+	t.Helper()
+	g, err := Build(name, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := dnn.ExtractNetwork(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// TestBuildNetworkMatchesExtraction: the clone of a model's template,
+// stamped with a batch, equals the network extracted from the graph
+// built at that batch, for every registered model, small, odd and large
+// batches alike.
+func TestBuildNetworkMatchesExtraction(t *testing.T) {
+	for _, name := range Names() {
+		for _, batch := range []int{1, 2, 3, 7, 64, 127, 512, 4099} {
+			got, err := BuildNetwork(name, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := extract(t, name, batch); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s batch %d: BuildNetwork differs from ExtractNetwork(Build)", name, batch)
 			}
 		}
 	}
 }
 
-var _ = dnn.KindConv // keep the import for documentation-style references
+// TestBuildNetworkReturnsFreshCopies: a caller may change the network it
+// got, its segments, units and chains, without changing what the next
+// caller gets.
+func TestBuildNetworkReturnsFreshCopies(t *testing.T) {
+	for _, name := range []string{"resnet50", "inception", "vgg16"} {
+		net, err := BuildNetwork(name, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Name, net.Batch = "changed", 3
+		for _, s := range net.Segments {
+			if s.Unit != nil {
+				s.Unit.Dims.Di, s.Unit.Name = 1, "changed"
+				continue
+			}
+			for i, p := range s.Paths {
+				for j := range p {
+					p[j].Dims.Do = 1
+				}
+				s.Paths[i] = append(p, dnn.WeightedLayer{Name: "appended"})
+			}
+		}
+		net.Segments[0].Unit.Dims.B = 5
+		net.Segments = append(net.Segments[:1], dnn.Segment{})
+		again, err := BuildNetwork(name, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := extract(t, name, 16); !reflect.DeepEqual(again, want) {
+			t.Errorf("%s: changing one returned network changed the next", name)
+		}
+	}
+}
+
+// TestTemplateConcurrentFirstCalls: callers racing to a model's first
+// network build it once and each get the network extraction gives. Run
+// under -race, it also checks that cloning reads the template only.
+func TestTemplateConcurrentFirstCalls(t *testing.T) {
+	m := &model{build: ResNet18}
+	want := extract(t, "resnet18", 32)
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := m.network(32)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("a concurrent first call got another network")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// templateBytesBudget bounds the memory every registered model's
+// template keeps resident once built: units, segments, chains and the
+// names they hold. Measured at 36,237 bytes for the eleven models.
+const templateBytesBudget = 40 << 10
+
+// TestTemplateFootprint fails when the templates grow, for instance by
+// keeping a graph or a unit per allocation again. It counts bytes from
+// the templates' lengths.
+func TestTemplateFootprint(t *testing.T) {
+	total := 0
+	for _, name := range Names() {
+		if _, err := BuildNetwork(name, 1); err != nil {
+			t.Fatal(err)
+		}
+		tmpl := registry[name].tmpl
+		n := int(unsafe.Sizeof(*tmpl)) + len(tmpl.Name) + len(tmpl.Segments)*int(unsafe.Sizeof(dnn.Segment{}))
+		for _, s := range tmpl.Segments {
+			n += len(s.Paths) * int(unsafe.Sizeof(dnn.Chain{}))
+		}
+		for _, u := range tmpl.Units() {
+			n += int(unsafe.Sizeof(u)) + len(u.Name)
+		}
+		t.Logf("%s: %d bytes", name, n)
+		total += n
+	}
+	t.Logf("templates hold %d bytes", total)
+	if total > templateBytesBudget {
+		t.Errorf("templates hold %d bytes, budget %d", total, templateBytesBudget)
+	}
+}
