@@ -9,7 +9,9 @@ import (
 // sessionResilienceAllocBudget bounds the allocations of one resilience
 // run of a never-seen fault through a Session whose plan cache is full:
 // inception/512 on 64+64 boards, AccPar portfolio, pristine and degraded
-// searches plus three simulations. Measured at 1.33k; 1.45k when
+// searches plus three simulations. Measured at 1.10k; 1.31k when
+// every fleet's tree held one node per position and every solved
+// subproblem formatted its group's description anew; 1.45k when
 // identical halves were split off 0.5 and solved twice, 2.0k when the
 // plan cache interned hardware trees built with one allocation per node
 // and per group (2.5k with no interner), 2.3k when every search rebuilt
@@ -21,7 +23,7 @@ import (
 // and heap-built memo keys, and 18.6k when every subproblem a replan
 // expanded was written both into a per-network replan memo and into the
 // session's plan cache.
-const sessionResilienceAllocBudget = 1_600
+const sessionResilienceAllocBudget = 1_300
 
 // resilienceBudgetCacheEntries bounds the budget session's cache: the
 // warm-up overfills it, so the measured runs trim it.

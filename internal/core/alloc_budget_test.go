@@ -13,18 +13,19 @@ import (
 // coldSearchAllocBudget bounds the allocations of one serial cold search
 // of ResNet-50 (batch 512) on the 128+128 paper array — the
 // BenchmarkPartitionHierarchical/serial setup — and of VGG-16 (batch 512)
-// on the same array. Measured at 183 for both; ResNet-50 took 1.6k when
+// on the same array. Measured at 143 for both; 183 when every solved
+// subproblem formatted its group's description anew; ResNet-50 took 1.6k when
 // the Eq. 10 bisection missed a falling balance and split identical
 // halves at 1/4096 or a few ulps off 0.5, so they were solved twice; 2.0k
 // when every memo hit deep-copied the solved subtree, and 4.1k when
 // every split built its own level context and every memo key and
 // child-dims slice was allocated.
-const coldSearchAllocBudget = 220
+const coldSearchAllocBudget = 175
 
 // memoryRejectAllocOverhead and memoryRejectAllocSlack bound a serial
 // ResNet-50 search under MemoryReject, which the paper array's
 // capacities never bind, against the same search with MemoryOff: at most
-// 3% more allocations plus a few. Measured at 183 for both. The
+// 3% more allocations plus a few. Measured at 143 for both. The
 // constrained search tries the exact unconstrained solve first at every
 // split, so it also expands exactly the same subproblems.
 const (
@@ -92,7 +93,9 @@ func TestColdSearchAllocBudget(t *testing.T) {
 // replanAllocBudget bounds the allocations of one steady-state replan:
 // the nine-variant AccPar portfolio partitioning the pristine 16+16 fleet
 // (a recurrent root hit) and a never-seen degraded one on a full shared
-// cache, so the measured replans trim it. Measured at 615; 797 when
+// cache, so the measured replans trim it. Measured at 456; 613 when
+// every fleet's tree held one node per position and every solved
+// subproblem formatted its group's description anew; 797 when
 // identical halves were split off 0.5 and solved twice, 1.2k when
 // every search rebuilt its units, segment index and level-context pool
 // instead of reusing its cache entry's search shape, 1.6k on
@@ -102,7 +105,7 @@ func TestColdSearchAllocBudget(t *testing.T) {
 // throwaway engine, 4.5k with per-split level contexts and heap-built
 // memo keys, and 14.7k when every eviction re-digested a whole working
 // set of trees into an index.
-const replanAllocBudget = 750
+const replanAllocBudget = 550
 
 // replanBudgetCacheEntries bounds the steady-state replan's cache: the
 // warm-up overfills it, so the measured replans run on a full cache and

@@ -13,25 +13,25 @@ import (
 func TestLeafFallbackCommTime(t *testing.T) {
 	const weightBytes = 1e9
 	// Singleton: free.
-	single := &hardware.Group{Accel: []hardware.Spec{hardware.TPUv3()}}
+	single := hardware.NewGroup(hardware.TPUv3())
 	if got, err := leafFallbackCommTime(single, weightBytes, hardware.FullBisection); err != nil || got != 0 {
 		t.Errorf("singleton fallback = %g, %v", got, err)
 	}
 	// Pair of v3: one level at one link's bandwidth each side.
-	pair := &hardware.Group{Accel: []hardware.Spec{hardware.TPUv3(), hardware.TPUv3()}}
+	pair := hardware.NewGroup(hardware.TPUv3(), hardware.TPUv3())
 	want := weightBytes / hardware.TPUv3().NetBandwidth
 	if got, err := leafFallbackCommTime(pair, weightBytes, hardware.FullBisection); err != nil || math.Abs(got-want) > 1e-12*want {
 		t.Errorf("pair fallback = %g, want %g (%v)", got, want, err)
 	}
 	// Four v3: two levels; level 1 at 2-link halves, level 2 at 1-link
 	// halves.
-	quad := &hardware.Group{Accel: []hardware.Spec{hardware.TPUv3(), hardware.TPUv3(), hardware.TPUv3(), hardware.TPUv3()}}
+	quad := hardware.NewGroup(hardware.TPUv3(), hardware.TPUv3(), hardware.TPUv3(), hardware.TPUv3())
 	want = weightBytes/(2*hardware.TPUv3().NetBandwidth) + weightBytes/hardware.TPUv3().NetBandwidth
 	if got, err := leafFallbackCommTime(quad, weightBytes, hardware.FullBisection); err != nil || math.Abs(got-want) > 1e-12*want {
 		t.Errorf("quad fallback = %g, want %g (%v)", got, want, err)
 	}
 	// Heterogeneous leaf group: the slower (v2) half bounds each level.
-	mixed := &hardware.Group{Accel: []hardware.Spec{hardware.TPUv2(), hardware.TPUv2(), hardware.TPUv3(), hardware.TPUv3()}}
+	mixed := hardware.NewGroup(hardware.TPUv2(), hardware.TPUv2(), hardware.TPUv3(), hardware.TPUv3())
 	got, err := leafFallbackCommTime(mixed, weightBytes, hardware.FullBisection)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestLeafFallbackCommTime(t *testing.T) {
 		t.Errorf("mixed fallback %g must exceed the first level alone %g", got, wantMin)
 	}
 	// Uneven split (3 members): the larger half recursion dominates.
-	odd := &hardware.Group{Accel: []hardware.Spec{hardware.TPUv3(), hardware.TPUv3(), hardware.TPUv3()}}
+	odd := hardware.NewGroup(hardware.TPUv3(), hardware.TPUv3(), hardware.TPUv3())
 	gotOdd, err := leafFallbackCommTime(odd, weightBytes, hardware.FullBisection)
 	if err != nil {
 		t.Fatal(err)

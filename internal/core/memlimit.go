@@ -107,6 +107,9 @@ func worstLeaf(n *PlanNode) (*PlanNode, float64) {
 		return n, float64(n.LeafResidencyBytes) / float64(n.LeafHBMBytes)
 	}
 	l, lr := worstLeaf(n.Left)
+	if n.Right == n.Left { // a shared child holds the same leaves at both positions
+		return l, lr
+	}
 	r, rr := worstLeaf(n.Right)
 	if lr >= rr {
 		return l, lr

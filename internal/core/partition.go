@@ -591,17 +591,17 @@ func leafFallbackCommTime(g *hardware.Group, weightBytes float64, topo hardware.
 	if err != nil {
 		return 0, err
 	}
-	level := weightBytes / topo.BisectionBandwidth(&l)
-	if t := weightBytes / topo.BisectionBandwidth(&r); t > level {
+	level := weightBytes / topo.BisectionBandwidth(l)
+	if t := weightBytes / topo.BisectionBandwidth(r); t > level {
 		level = t
 	}
-	sub, err := leafFallbackCommTime(&l, weightBytes, topo)
+	sub, err := leafFallbackCommTime(l, weightBytes, topo)
 	if err != nil {
 		return 0, err
 	}
 	if r.Size() > l.Size() {
 		// The larger half dominates the recursive cost.
-		if sub2, err2 := leafFallbackCommTime(&r, weightBytes, topo); err2 != nil {
+		if sub2, err2 := leafFallbackCommTime(r, weightBytes, topo); err2 != nil {
 			return 0, err2
 		} else if sub2 > sub {
 			sub = sub2

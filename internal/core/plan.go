@@ -72,7 +72,11 @@ func (n *PlanNode) Time() float64 {
 	if n.IsLeaf() {
 		return n.LeafComputeTime + n.LeafMemTime + n.LeafCommTime
 	}
-	return n.Eval.CommTime + math.Max(n.Left.Time(), n.Right.Time())
+	t := n.Left.Time()
+	if n.Right != n.Left { // a shared child is timed once: max(x, x) = x
+		t = math.Max(t, n.Right.Time())
+	}
+	return n.Eval.CommTime + t
 }
 
 // CommBytes returns the total bytes communicated across all splits of the
@@ -81,7 +85,12 @@ func (n *PlanNode) CommBytes() float64 {
 	if n.IsLeaf() {
 		return 0
 	}
-	return n.Eval.CommBytes + n.Left.CommBytes() + n.Right.CommBytes()
+	l := n.Left.CommBytes()
+	r := l // a shared child is walked once and counted at both positions
+	if n.Right != n.Left {
+		r = n.Right.CommBytes()
+	}
+	return n.Eval.CommBytes + l + r
 }
 
 // Plan is a complete hierarchical partitioning of a network onto an
@@ -250,8 +259,8 @@ func validateTree(n *PlanNode, level, nUnits int) error {
 	if n.Alpha < cost.MinRatio || n.Alpha > 1-cost.MinRatio {
 		return invalidNode(level, "alpha %g out of range", n.Alpha)
 	}
-	if err := validateTree(n.Left, level+1, nUnits); err != nil {
-		return err
+	if err := validateTree(n.Left, level+1, nUnits); err != nil || n.Right == n.Left {
+		return err // a shared child is valid at both positions or at neither
 	}
 	return validateTree(n.Right, level+1, nUnits)
 }

@@ -225,11 +225,11 @@ func TestDegenerateHardwareTypedError(t *testing.T) {
 	// Build the tree by hand: Spec.Validate would (rightly) refuse the
 	// NaN spec, but a planner must still fail typed, not propagate NaN.
 	mk := func(s hardware.Spec, n int) *hardware.Group {
-		g := &hardware.Group{}
-		for i := 0; i < n; i++ {
-			g.Accel = append(g.Accel, s)
+		accel := make([]hardware.Spec, n)
+		for i := range accel {
+			accel[i] = s
 		}
-		return g
+		return hardware.NewGroup(accel...)
 	}
 	tree := &hardware.Tree{
 		Group: mk(poison, 2),

@@ -6,6 +6,21 @@ import (
 	"sync"
 )
 
+// run is a maximal stretch of identical boards in a member list: their
+// spec and its fingerprint, held by boards start to end-1.
+type run struct {
+	spec       Spec
+	fp         uint64
+	start, end int
+}
+
+// span is the boards lo to hi-1 of a run list: runs are the runs that
+// hold them, the first and last perhaps only in part.
+type span struct {
+	runs   []run
+	lo, hi int
+}
+
 // Group is a contiguous set of accelerators acting as one side of a
 // bi-partition at some hierarchy level. The cost model treats a group as a
 // virtual accelerator whose computation density is the sum of its members'
@@ -13,147 +28,174 @@ import (
 // link rates: each member transfers its own shard of a remotely-accessed
 // tensor in parallel (the shards are disjoint because deeper levels
 // partition the tensors further).
+//
+// A group is stored as its maximal runs of identical boards, so each
+// method costs O(runs) however many boards it holds. Its aggregates are
+// summed once, board by board in member order (see set).
+// A Group must not be copied: it caches its String.
 type Group struct {
-	// Accel are the member specs.
-	Accel []Spec
+	span
+	flops, netBW, memBW float64
+	hbm                 int64
+	describeOnce        sync.Once
+	desc                string
+}
+
+// NewGroup returns the group of the given boards, in order.
+func NewGroup(accel ...Spec) *Group { return new(Group).set(spanOf(accel)) }
+
+// spanOf run-length encodes accel into a run list of its own. Boards are
+// identical when they agree on every field Fingerprint reads.
+func spanOf(accel []Spec) span {
+	runs := make([]run, 0, 4) // a fleet's few kinds, in one allocation
+	for i, j := 0, 0; i < len(accel); i = j {
+		for j = i + 1; j < len(accel) && sameFingerprintInputs(&accel[j], &accel[i]); j++ {
+		}
+		if len(runs) == cap(runs) { // more kinds: room for a run per board left
+			runs = slices.Grow(runs, len(accel)-i)
+		}
+		runs = append(runs, run{spec: accel[i], fp: accel[i].Fingerprint(), start: i, end: j})
+	}
+	return span{runs, 0, len(accel)}
+}
+
+// set makes the zero group g the group of s and returns it, summing its
+// aggregates board by board in member order, so each equals the
+// member-order sum bit for bit (a run's n·x can round differently).
+func (g *Group) set(s span) *Group {
+	g.span = s
+	var flops, netBW, memBW float64
+	for i := range s.runs {
+		spec, n := &s.runs[i].spec, s.count(i)
+		f, nb, mb := spec.FLOPS, spec.NetBandwidth, spec.MemBandwidth
+		for range n {
+			flops += f
+			netBW += nb
+			memBW += mb
+		}
+		g.hbm += int64(n) * spec.HBMBytes // integers add in any order
+	}
+	g.flops, g.netBW, g.memBW = flops, netBW, memBW
+	return g
+}
+
+// count returns how many boards of runs[i] the span holds.
+func (s *span) count(i int) int { return min(s.runs[i].end, s.hi) - max(s.runs[i].start, s.lo) }
+
+// cut returns the spans of s's boards before mid and from mid on.
+func (s *span) cut(mid int) (left, right span) {
+	// runs[i] holds board mid, and ends the left half's runs if it starts before.
+	i := 0
+	for s.runs[i].end <= mid {
+		i++
+	}
+	j := i
+	if s.runs[i].start < mid {
+		j++
+	}
+	return span{s.runs[:j], s.lo, mid}, span{s.runs[i:], mid, s.hi}
 }
 
 // Size returns the member count.
-func (g *Group) Size() int { return len(g.Accel) }
+func (g *Group) Size() int { return g.hi - g.lo }
 
 // ComputeDensity returns c_i for the group: aggregate peak FLOPS.
-func (g *Group) ComputeDensity() float64 {
-	var c float64
-	for _, s := range g.Accel {
-		c += s.FLOPS
-	}
-	return c
-}
+func (g *Group) ComputeDensity() float64 { return g.flops }
 
 // NetBandwidth returns b_i for the group: aggregate network byte rate.
-func (g *Group) NetBandwidth() float64 {
-	var b float64
-	for _, s := range g.Accel {
-		b += s.NetBandwidth
-	}
-	return b
-}
+func (g *Group) NetBandwidth() float64 { return g.netBW }
 
 // MemBandwidth returns the aggregate HBM byte rate.
-func (g *Group) MemBandwidth() float64 {
-	var b float64
-	for _, s := range g.Accel {
-		b += s.MemBandwidth
-	}
-	return b
-}
+func (g *Group) MemBandwidth() float64 { return g.memBW }
 
 // HBMBytes returns the aggregate memory capacity.
-func (g *Group) HBMBytes() int64 {
-	var b int64
-	for _, s := range g.Accel {
-		b += s.HBMBytes
-	}
-	return b
-}
+func (g *Group) HBMBytes() int64 { return g.hbm }
 
 // Homogeneous reports whether all members share one spec name.
 func (g *Group) Homogeneous() bool {
-	for _, s := range g.Accel[1:] {
-		if s.Name != g.Accel[0].Name {
-			return false
-		}
-	}
-	return true
+	return !slices.ContainsFunc(g.runs, func(r run) bool { return r.spec.Name != g.runs[0].spec.Name })
 }
 
-// String summarizes the group.
+// String summarizes the group: each spec name's member count, names in
+// order of first appearance, so [A,B,A] prints 2×A+1×B. It is formatted
+// on the first call and cached.
 func (g *Group) String() string {
-	if g.Size() == 0 {
-		return "group{}"
-	}
-	if g.Homogeneous() {
-		return fmt.Sprintf("%d×%s", g.Size(), g.Accel[0].Name)
-	}
-	counts := map[string]int{}
-	order := []string{}
-	for _, s := range g.Accel {
-		if counts[s.Name] == 0 {
-			order = append(order, s.Name)
+	g.describeOnce.Do(func() {
+		var b []byte
+		for i, r := range g.runs {
+			named := func(o run) bool { return o.spec.Name == r.spec.Name }
+			if slices.ContainsFunc(g.runs[:i], named) {
+				continue // counted at its first run
+			}
+			n := 0
+			for j := i; j < len(g.runs); j++ {
+				if named(g.runs[j]) {
+					n += g.count(j)
+				}
+			}
+			b = fmt.Appendf(b, "+%d×%s", n, r.spec.Name)
 		}
-		counts[s.Name]++
-	}
-	out := ""
-	for i, n := range order {
-		if i > 0 {
-			out += "+"
+		g.desc = "group{}"
+		if len(b) > 0 {
+			g.desc = string(b[1:])
 		}
-		out += fmt.Sprintf("%d×%s", counts[n], n)
-	}
-	return out
+	})
+	return g.desc
 }
 
 // Bisect splits the group into two halves for the next hierarchy level.
 // A heterogeneous group splits along the spec boundary (the paper's top
 // split separates the 128 TPU-v2 from the 128 TPU-v3); a homogeneous group
-// splits evenly. The left half receives the slower (or first) spec so
+// splits evenly. The left half receives the first spec's boards so
 // splits are deterministic. Returns an error when the group cannot be
 // split (fewer than 2 members).
-//
-// The halves are values, so a caller decides where they live (BuildTree
-// keeps them in its node slab). Where they can be, the halves are views
-// of g's member slice, capped so an append to one cannot reach the
-// other: member lists are never written in place, and a tree over n
-// boards then holds one copy of its specs rather than one per level. A
-// homogeneous group's halves always are views, and so are a
-// heterogeneous group's when its first spec's boards already come first,
-// as NewHeterogeneous lays out a fleet. Otherwise the two halves share
-// one new member slice, left then right.
-func (g *Group) Bisect() (left, right Group, err error) {
+func (g *Group) Bisect() (left, right *Group, err error) {
 	if g.Size() < 2 {
-		return Group{}, Group{}, fmt.Errorf("hardware: cannot bisect group of size %d", g.Size())
+		return nil, nil, fmt.Errorf("hardware: cannot bisect group of size %d", g.Size())
 	}
-	left, right = g.bisect(g.Homogeneous())
-	return left, right, nil
+	l, r := g.halves()
+	return new(Group).set(l), new(Group).set(r), nil
 }
 
-// bisect is Bisect on a group of two or more members, told whether they
-// share one spec name (Homogeneous), which BuildTree knows without
-// scanning.
-func (g *Group) bisect(homogeneous bool) (left, right Group) {
-	n := g.Size()
-	if homogeneous {
-		mid := n / 2
-		return Group{Accel: g.Accel[:mid:mid]}, Group{Accel: g.Accel[mid:n:n]}
-	}
-	// Split along the first spec-name boundary. Members with the first
-	// spec go left, everything else right.
-	first := g.Accel[0].Name
-	k := 1
-	for k < n && g.Accel[k].Name == first {
+// halves returns Bisect's halves of s's boards as views of its runs, or
+// of one new run list when a heterogeneous group's first spec is
+// interleaved with others.
+func (s *span) halves() (left, right span) {
+	name := s.runs[0].spec.Name
+	k := 1 // the first run of another name
+	for k < len(s.runs) && s.runs[k].spec.Name == name {
 		k++
 	}
-	if !slices.ContainsFunc(g.Accel[k:], func(s Spec) bool { return s.Name == first }) {
-		return Group{Accel: g.Accel[:k:k]}, Group{Accel: g.Accel[k:n:n]}
+	switch {
+	case k == len(s.runs):
+		return s.cut(s.lo + (s.hi-s.lo)/2)
+	case !slices.ContainsFunc(s.runs[k+1:], func(r run) bool { return r.spec.Name == name }):
+		return s.cut(s.runs[k].start)
 	}
-	accel := make([]Spec, 0, n)
-	for _, s := range g.Accel {
-		if s.Name == first {
-			accel = append(accel, s)
+	m := span{runs: make([]run, 0, len(s.runs))}
+	for _, named := range [2]bool{true, false} {
+		k = m.hi // on the second pass, the left half's boards
+		for i, r := range s.runs {
+			n, last := s.count(i), len(m.runs)-1
+			switch {
+			case (r.spec.Name == name) != named:
+				continue
+			case last >= 0 && sameFingerprintInputs(&m.runs[last].spec, &r.spec):
+				m.runs[last].end += n
+			default:
+				r.start, r.end = m.hi, m.hi+n
+				m.runs = append(m.runs, r)
+			}
+			m.hi += n
 		}
 	}
-	k = len(accel)
-	for _, s := range g.Accel {
-		if s.Name != first {
-			accel = append(accel, s)
-		}
-	}
-	return Group{Accel: accel[:k:k]}, Group{Accel: accel[k:]}
+	return m.cut(k)
 }
 
 // Tree is the recursive bi-partition hierarchy: each non-leaf node has two
 // child groups; the layer-wise partitioning runs once per node, deciding
-// partition types and the ratio between the node's two children.
+// partition types and the ratio between the node's two children. Left and
+// Right may be one node (see BuildTree): tell positions apart by path.
 type Tree struct {
 	Group       *Group
 	Left, Right *Tree
@@ -162,8 +204,10 @@ type Tree struct {
 	Level int
 
 	// identOnce guards ident, the node's content identity, computed on
-	// the first Identity call. A Tree must therefore not be copied.
+	// the first Identity call, unless built says BuildTree computed it
+	// before it returned the tree. A Tree must therefore not be copied.
 	identOnce sync.Once
+	built     bool
 	ident     Identity
 }
 
@@ -173,10 +217,10 @@ type Tree struct {
 // has h levels. The returned tree's identities are already computed (see
 // Identity), so building a tree includes digesting it.
 //
-// A split never leaves a half empty, so the hierarchy has at most one
-// leaf per accelerator, 2n−1 nodes over n accelerators, and at most
-// 2^(maxLevels+1)−1 within the level budget. Every node and its group
-// come from one slab of that size, allocated once.
+// Equal halves, of a group of one run with an even count, are one node:
+// they hold the same boards and split alike all the way down, so the 511
+// positions over 128×TPU-v2 + 128×TPU-v3 are 17 nodes. A first walk
+// counts the nodes, so they come from one slab of exactly that size.
 func BuildTree(a *Array, maxLevels int) (*Tree, error) {
 	if a.Size() == 0 {
 		return nil, fmt.Errorf("hardware: empty array")
@@ -184,40 +228,45 @@ func BuildTree(a *Array, maxLevels int) (*Tree, error) {
 	if maxLevels < 1 {
 		return nil, fmt.Errorf("hardware: maxLevels %d < 1", maxLevels)
 	}
-	size := 2*a.Size() - 1
-	if maxLevels < 30 { // deeper budgets bound nothing an array can reach
-		size = min(size, 1<<(maxLevels+1)-1)
-	}
-	slab := make([]struct {
+	type entry struct {
 		tree  Tree
 		group Group
-	}, size)
-	next := 0
-	node := func(g Group, level int) *Tree {
-		n := &slab[next]
-		next++
-		n.group = g
-		n.tree.Group, n.tree.Level = &n.group, level
-		return &n.tree
 	}
-	root := node(Group{Accel: append([]Spec(nil), a.Accel...)}, 1)
-	// grow is told whether t's members share one spec name. The halves
-	// of such a group do too, and so does the left half of any split,
-	// which holds the first spec's boards only: only the right half of a
-	// heterogeneous split needs scanning.
-	var grow func(t *Tree, homogeneous bool)
-	grow = func(t *Tree, homogeneous bool) {
-		if t.Level > maxLevels || t.Group.Size() < 2 {
-			return
+	var slab []entry
+	nodes := 0
+	// grow returns the node of s and its subtree, or only counts their
+	// nodes while the slab is nil.
+	var grow func(s span, level int) *Tree
+	grow = func(s span, level int) *Tree {
+		var t *Tree
+		if slab != nil {
+			n := &slab[nodes]
+			n.group.set(s)
+			n.tree.Group, n.tree.Level = &n.group, level
+			t = &n.tree
 		}
-		l, r := t.Group.bisect(homogeneous)
-		t.Left, t.Right = node(l, t.Level+1), node(r, t.Level+1)
-		grow(t.Left, true)
-		grow(t.Right, homogeneous || t.Right.Group.Homogeneous())
+		nodes++
+		var left, right *Tree
+		if level <= maxLevels && s.hi-s.lo >= 2 {
+			l, r := s.halves()
+			left = grow(l, level+1)
+			right = left
+			if len(s.runs) > 1 || (s.hi-s.lo)%2 == 1 {
+				right = grow(r, level+1)
+			}
+		}
+		if t != nil {
+			t.Left, t.Right = left, right
+			t.computeIdentity() // after its children's, each computed once
+			t.built = true
+		}
+		return t
 	}
-	grow(root, root.Group.Homogeneous())
-	root.Identity()
-	return root, nil
+	root := spanOf(a.Accel)
+	grow(root, 1)
+	slab = make([]entry, nodes)
+	nodes = 0
+	return grow(root, 1), nil
 }
 
 // IsLeaf reports whether the node has no children.
@@ -228,14 +277,15 @@ func (t *Tree) Depth() int {
 	if t.IsLeaf() {
 		return 1
 	}
-	ld, rd := t.Left.Depth(), t.Right.Depth()
-	if ld > rd {
-		return 1 + ld
+	d := t.Left.Depth()
+	if t.Right != t.Left {
+		d = max(d, t.Right.Depth())
 	}
-	return 1 + rd
+	return 1 + d
 }
 
-// Walk visits every node pre-order.
+// Walk visits every position of the hierarchy pre-order, so a node
+// shared by twin halves is visited once per position it stands at.
 func (t *Tree) Walk(visit func(*Tree)) {
 	visit(t)
 	if t.Left != nil {

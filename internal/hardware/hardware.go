@@ -160,7 +160,7 @@ func (a *Array) Size() int { return len(a.Accel) }
 
 // Heterogeneous reports whether the array mixes accelerator models.
 func (a *Array) Heterogeneous() bool {
-	for _, s := range a.Accel[1:] {
+	for _, s := range a.Accel {
 		if s.Name != a.Accel[0].Name {
 			return true
 		}

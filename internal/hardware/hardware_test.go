@@ -2,11 +2,15 @@ package hardware
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"accpar/internal/wordhash"
 )
 
 // TestTPUSpecs pins the Table 7 numbers.
@@ -124,8 +128,26 @@ func TestHeterogeneousArray(t *testing.T) {
 	}
 }
 
+// TestFewBoardsNeverMix: an array or a group of fewer than two boards
+// mixes nothing, and asking does not panic.
+func TestFewBoardsNeverMix(t *testing.T) {
+	for _, a := range []*Array{{}, {Accel: []Spec{TPUv2()}}} {
+		if a.Heterogeneous() {
+			t.Errorf("array of %d boards reports heterogeneous", a.Size())
+		}
+	}
+	for _, g := range []*Group{NewGroup(), NewGroup(TPUv3())} {
+		if !g.Homogeneous() {
+			t.Errorf("group of %d boards reports mixed", g.Size())
+		}
+	}
+	if g := NewGroup(); g.Size() != 0 || g.String() != "group{}" || g.ComputeDensity() != 0 {
+		t.Errorf("empty group: size %d, %q, %g FLOPS", g.Size(), g, g.ComputeDensity())
+	}
+}
+
 func TestGroupAggregates(t *testing.T) {
-	g := &Group{Accel: []Spec{TPUv2(), TPUv2(), TPUv3()}}
+	g := NewGroup(TPUv2(), TPUv2(), TPUv3())
 	if got := g.ComputeDensity(); got != 2*180e12+420e12 {
 		t.Errorf("ComputeDensity = %g", got)
 	}
@@ -148,88 +170,232 @@ func TestGroupAggregates(t *testing.T) {
 
 func TestBisectHeterogeneousSplitsBySpec(t *testing.T) {
 	a, _ := NewHeterogeneous(GroupSpec{TPUv2(), 4}, GroupSpec{TPUv3(), 4})
-	g := &Group{Accel: a.Accel}
+	g := NewGroup(a.Accel...)
 	l, r, err := g.Bisect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !l.Homogeneous() || l.Accel[0].Name != "tpu-v2" || l.Size() != 4 {
-		t.Errorf("left = %v", &l)
+	if !l.Homogeneous() || l.String() != "4×tpu-v2" {
+		t.Errorf("left = %v", l)
 	}
-	if !r.Homogeneous() || r.Accel[0].Name != "tpu-v3" || r.Size() != 4 {
-		t.Errorf("right = %v", &r)
+	if !r.Homogeneous() || r.String() != "4×tpu-v3" {
+		t.Errorf("right = %v", r)
 	}
 }
 
 // TestBisectHeterogeneousViews: a heterogeneous split whose first
-// spec's boards come first returns views of the group's members, each
-// capped at its own length; one whose boards are interleaved returns
-// the halves in a new slice and leaves the group as it was.
+// spec's boards come first returns views of the group's runs; one whose
+// boards are interleaved returns the halves in a new run list, each
+// side's equal boards merged into one run, and leaves the group as it
+// was.
 func TestBisectHeterogeneousViews(t *testing.T) {
 	v2, v3 := TPUv2(), TPUv3()
-	g := &Group{Accel: []Spec{v2, v2, v3, v3, v3}}
+	g := NewGroup(v2, v2, v3, v3, v3)
 	l, r, err := g.Bisect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Size() != 2 || r.Size() != 3 || &l.Accel[0] != &g.Accel[0] || &r.Accel[0] != &g.Accel[2] {
-		t.Errorf("grouped split: left %v, right %v, want views of 2 and 3 members", &l, &r)
-	}
-	if cap(l.Accel) != 2 || cap(r.Accel) != 3 {
-		t.Errorf("grouped split: caps %d, %d, want 2, 3", cap(l.Accel), cap(r.Accel))
+	if l.Size() != 2 || r.Size() != 3 || &l.runs[0] != &g.runs[0] || &r.runs[0] != &g.runs[1] {
+		t.Errorf("grouped split: left %v, right %v, want views of 2 and 3 members", l, r)
 	}
 
-	mixed := []Spec{v2, v3, v2}
-	g = &Group{Accel: slices.Clone(mixed)}
+	g = NewGroup(v2, v3, v2)
 	l, r, err = g.Bisect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.String() != "2×tpu-v2" || r.String() != "1×tpu-v3" {
-		t.Errorf("interleaved split: left %v, right %v", &l, &r)
+	if l.String() != "2×tpu-v2" || r.String() != "1×tpu-v3" || len(l.runs) != 1 {
+		t.Errorf("interleaved split: left %v in %d runs, right %v", l, len(l.runs), r)
 	}
-	if &l.Accel[0] == &g.Accel[0] || !slices.Equal(g.Accel, mixed) {
+	if &l.runs[0] == &g.runs[0] || len(g.runs) != 3 || g.count(0) != 1 || g.String() != "2×tpu-v2+1×tpu-v3" {
 		t.Error("interleaved split must copy, not reorder the group in place")
 	}
 }
 
-// TestBuildTreeMatchesBisect: BuildTree, which skips the homogeneity
-// scan where it already knows the answer, splits every node exactly as
-// Bisect does, on random fleets of three kinds in any order.
+// refBisect is Bisect on a plain member list: a group of one spec name
+// halves at its middle board; otherwise the boards named like the first
+// go left and the rest right, each side in member order.
+func refBisect(accel []Spec) (left, right []Spec) {
+	name := accel[0].Name
+	if !slices.ContainsFunc(accel, func(s Spec) bool { return s.Name != name }) {
+		mid := len(accel) / 2
+		return accel[:mid], accel[mid:]
+	}
+	for _, s := range accel {
+		if s.Name == name {
+			left = append(left, s)
+		} else {
+			right = append(right, s)
+		}
+	}
+	return left, right
+}
+
+// refString is Group.String on a plain member list.
+func refString(accel []Spec) string {
+	counts := map[string]int{}
+	var order []string
+	for _, s := range accel {
+		if counts[s.Name] == 0 {
+			order = append(order, s.Name)
+		}
+		counts[s.Name]++
+	}
+	parts := make([]string, len(order))
+	for i, n := range order {
+		parts[i] = fmt.Sprintf("%d×%s", counts[n], n)
+	}
+	return strings.Join(parts, "+")
+}
+
+// refIdentity digests a plain member list board by board, given its
+// children's identities (none for a leaf): the member count, each
+// maximal run of equal fingerprints and its length, the marker, then
+// the children.
+func refIdentity(accel []Spec, children ...Identity) Identity {
+	h := wordhash.New()
+	h.Word(uint64(len(accel)))
+	var id Identity
+	for i := 0; i < len(accel); {
+		fp, j := accel[i].Fingerprint(), i+1
+		for j < len(accel) && accel[j].Fingerprint() == fp {
+			j++
+		}
+		h.Word(fp)
+		h.Word(uint64(j - i))
+		i = j
+	}
+	for _, s := range accel {
+		id.HBMBytes += s.HBMBytes
+	}
+	if len(children) == 0 {
+		h.Word(leafMarker)
+		id.CapFloorHalf = id.HBMBytes
+	} else {
+		h.Word(splitMarker)
+		for _, c := range children {
+			h.Digest(&c.Digest)
+		}
+		id.CapFloorHalf = 2 * min(children[0].CapFloorHalf, children[1].CapFloorHalf)
+	}
+	id.Digest = h.Sum()
+	return id
+}
+
+// randomArray mixes equal boards in long runs, boards of one name with
+// different specs (one at an arbitrary degraded rate), and interleaved
+// kinds.
+func randomArray(r *rand.Rand) *Array {
+	slowV2 := TPUv2()
+	slowV2.FLOPS /= 3
+	slowV3 := TPUv3()
+	slowV3.FLOPS /= 1.7
+	slowV3.NetBandwidth /= 2.9
+	kinds := []Spec{TPUv2(), TPUv3(), GPUClassA(), slowV2, slowV3}
+	kinds = kinds[:1+r.Intn(len(kinds))]
+	a := &Array{}
+	for range 1 + r.Intn(6) {
+		a.Accel = append(a.Accel, boards(kinds[r.Intn(len(kinds))], 1+r.Intn(40))...)
+	}
+	return a
+}
+
+// TestBuildTreeMatchesBisect: on random arrays under random level
+// budgets, BuildTree's tree, expanded position by position, matches a
+// reference expansion of plain member lists: level, size, String, the
+// four aggregates bit for bit, and the identity. Twin halves are one
+// node exactly when the group is one run of identical boards of even
+// count.
 func TestBuildTreeMatchesBisect(t *testing.T) {
-	kinds := []Spec{TPUv2(), TPUv3(), GPUClassA()}
-	var same func(t *Tree, g *Group, level, maxLevels int) bool
-	same = func(t *Tree, g *Group, level, maxLevels int) bool {
-		if !slices.Equal(t.Group.Accel, g.Accel) || t.Level != level {
-			return false
+	var match func(t *Tree, accel []Spec, level, maxLevels int) (Identity, error)
+	match = func(t *Tree, accel []Spec, level, maxLevels int) (Identity, error) {
+		g := t.Group
+		var flops, netBW, memBW float64
+		var hbm int64
+		for _, s := range accel {
+			flops += s.FLOPS
+			netBW += s.NetBandwidth
+			memBW += s.MemBandwidth
+			hbm += s.HBMBytes
 		}
-		if level > maxLevels || g.Size() < 2 {
-			return t.IsLeaf()
+		bits := math.Float64bits
+		switch {
+		case t.Level != level || g.Size() != len(accel) || g.String() != refString(accel):
+			return Identity{}, fmt.Errorf("level %d: node level %d, %v, want %s", level, t.Level, g, refString(accel))
+		case bits(g.ComputeDensity()) != bits(flops) || bits(g.NetBandwidth()) != bits(netBW) ||
+			bits(g.MemBandwidth()) != bits(memBW) || g.HBMBytes() != hbm:
+			return Identity{}, fmt.Errorf("level %d %v: aggregates differ from the member-order sums", level, g)
 		}
-		l, r, err := g.Bisect()
-		return err == nil && !t.IsLeaf() &&
-			same(t.Left, &l, level+1, maxLevels) && same(t.Right, &r, level+1, maxLevels)
+		var want Identity
+		if level > maxLevels || len(accel) < 2 {
+			if !t.IsLeaf() {
+				return Identity{}, fmt.Errorf("level %d %v: split past the budget", level, g)
+			}
+			want = refIdentity(accel)
+		} else {
+			if t.IsLeaf() {
+				return Identity{}, fmt.Errorf("level %d %v: not split", level, g)
+			}
+			oneRun := !slices.ContainsFunc(accel, func(s Spec) bool { return !sameFingerprintInputs(&s, &accel[0]) })
+			if twins := oneRun && len(accel)%2 == 0; (t.Left == t.Right) != twins {
+				return Identity{}, fmt.Errorf("level %d %v: halves shared = %v, want %v", level, g, t.Left == t.Right, twins)
+			}
+			l, r := refBisect(accel)
+			lid, err := match(t.Left, l, level+1, maxLevels)
+			if err != nil {
+				return Identity{}, err
+			}
+			rid, err := match(t.Right, r, level+1, maxLevels)
+			if err != nil {
+				return Identity{}, err
+			}
+			want = refIdentity(accel, lid, rid)
+		}
+		if got := t.Identity(); !sameIdentity(got, want) {
+			return Identity{}, fmt.Errorf("level %d %v: identity %+v, want %+v", level, g, got, want)
+		}
+		return want, nil
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a := &Array{}
-		for range 1 + r.Intn(40) {
-			a.Accel = append(a.Accel, kinds[r.Intn(len(kinds))])
-		}
-		levels := 1 + r.Intn(8)
+		a := randomArray(r)
+		levels := 1 + r.Intn(10)
 		tree, err := BuildTree(a, levels)
-		return err == nil && same(tree, &Group{Accel: a.Accel}, 1, levels)
+		if err == nil {
+			_, err = match(tree, a.Accel, 1, levels)
+		}
+		if err != nil {
+			t.Logf("seed %d, %d boards, %d levels: %v", seed, a.Size(), levels, err)
+			return false
+		}
+		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestBisectHomogeneousSplitsEvenly(t *testing.T) {
-	g := &Group{}
-	for i := 0; i < 8; i++ {
-		g.Accel = append(g.Accel, TPUv3())
+// TestBuildTreeSharesEqualHalves: twin halves are one node, so the 511
+// positions of the 128×TPU-v2 + 128×TPU-v3 hierarchy take 17 nodes: the
+// root, and one per level of each kind's chain.
+func TestBuildTreeSharesEqualHalves(t *testing.T) {
+	a, _ := NewHeterogeneous(GroupSpec{TPUv2(), 128}, GroupSpec{TPUv3(), 128})
+	tree, err := BuildTree(a, 64)
+	if err != nil {
+		t.Fatal(err)
 	}
+	positions, distinct := 0, map[*Tree]bool{}
+	tree.Walk(func(n *Tree) {
+		positions++
+		distinct[n] = true
+	})
+	if positions != 511 || len(distinct) > 17 {
+		t.Errorf("%d positions in %d nodes, want 511 in at most 17", positions, len(distinct))
+	}
+}
+
+func TestBisectHomogeneousSplitsEvenly(t *testing.T) {
+	g := groupOf(TPUv3(), 8)
 	l, r, err := g.Bisect()
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +403,7 @@ func TestBisectHomogeneousSplitsEvenly(t *testing.T) {
 	if l.Size() != 4 || r.Size() != 4 {
 		t.Errorf("sizes = %d, %d", l.Size(), r.Size())
 	}
-	if _, _, err := (&Group{Accel: []Spec{TPUv2()}}).Bisect(); err == nil {
+	if _, _, err := NewGroup(TPUv2()).Bisect(); err == nil {
 		t.Error("singleton bisect must error")
 	}
 }
@@ -304,7 +470,7 @@ func TestBuildTreePaperArray(t *testing.T) {
 	if !tree.Left.Group.Homogeneous() || !tree.Right.Group.Homogeneous() {
 		t.Error("top split of the paper array must be homogeneous per side")
 	}
-	if tree.Left.Group.Accel[0].Name == tree.Right.Group.Accel[0].Name {
+	if tree.Left.Group.String() != "128×tpu-v2" || tree.Right.Group.String() != "128×tpu-v3" {
 		t.Error("top split must separate the TPU generations")
 	}
 }
@@ -314,15 +480,15 @@ func TestBuildTreePaperArray(t *testing.T) {
 func TestPropertyBisectConserves(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := &Group{}
-		n := 2 + r.Intn(30)
-		for i := 0; i < n; i++ {
+		accel := make([]Spec, 2+r.Intn(30))
+		for i := range accel {
 			if r.Intn(2) == 0 {
-				g.Accel = append(g.Accel, TPUv2())
+				accel[i] = TPUv2()
 			} else {
-				g.Accel = append(g.Accel, TPUv3())
+				accel[i] = TPUv3()
 			}
 		}
+		g := NewGroup(accel...)
 		l, rr, err := g.Bisect()
 		if err != nil {
 			// Only possible if one spec dominates entirely and the group is

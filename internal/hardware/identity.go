@@ -38,7 +38,9 @@ type Identity struct {
 // call. BuildTree computes the identities of the trees it returns, which
 // never change; only a hand-built tree computes them on first use.
 func (t *Tree) Identity() Identity {
-	t.identOnce.Do(t.computeIdentity)
+	if !t.built {
+		t.identOnce.Do(t.computeIdentity)
+	}
 	return t.ident
 }
 
@@ -49,43 +51,27 @@ func (t *Tree) Identity() Identity {
 // same procurement block hanging at different depths of two candidate
 // fleets — digest identically even across distinct tree objects.
 //
-// The spec list enters as its maximal runs of (fingerprint, count), and
-// each run is fingerprinted once (specRuns): a group is a few runs of
-// identical boards, so a node costs O(runs) hashing however many boards
-// it holds. The words go through wordhash: the member count, each run,
-// a leaf/split marker, then the children's digests. The member count
-// fixes where the runs end, so the encoding is unambiguous.
-//
-// Twin halves are digested once. When the node's group is one run of
-// equal boards, it splits in place (splitsInPlace) and its halves have
-// the same shape (sameShape), every node of the right subtree holds the
-// same boards and stands in the same shape as its counterpart on the
-// left, so the right half's identity is the left half's; it is stored on
-// the right node without hashing that subtree. The checks matter because
-// Tree fields are exported: a hand-built tree may split equal boards into
-// differently shaped halves, or hang boards under a node that its parent
-// does not hold, and those must digest exactly as a full walk would.
+// The spec list enters as the group's maximal runs of (fingerprint,
+// count), so a node costs O(runs) hashing however many boards it holds.
+// The words go through wordhash: the member count (which fixes where the
+// runs end), each run, a leaf/split marker, then the children's digests.
+// Twins (see BuildTree) are one node, digested once.
 func (t *Tree) computeIdentity() {
+	g := t.Group
 	h := wordhash.New()
-	h.Word(uint64(t.Group.Size()))
-	runs := 0
-	specRuns(t.Group.Accel, func(fp uint64, n int) {
-		h.Word(fp)
-		h.Word(uint64(n))
-		runs++
-	})
+	h.Word(uint64(g.Size()))
+	for i := range g.runs {
+		h.Word(g.runs[i].fp)
+		h.Word(uint64(g.count(i)))
+	}
 	id := &t.ident
-	id.HBMBytes = t.Group.HBMBytes()
+	id.HBMBytes = g.hbm
 	if t.IsLeaf() {
 		h.Word(leafMarker)
 		id.CapFloorHalf = id.HBMBytes
 	} else {
 		h.Word(splitMarker)
-		l := t.Left.Identity()
-		if runs == 1 && splitsInPlace(t) && sameShape(t.Left, t.Right) {
-			t.Right.identOnce.Do(func() { t.Right.ident = l })
-		}
-		r := t.Right.Identity()
+		l, r := t.Left.Identity(), t.Right.Identity()
 		h.Digest(&l.Digest)
 		h.Digest(&r.Digest)
 		floor := min(l.CapFloorHalf, r.CapFloorHalf)
@@ -98,54 +84,8 @@ func (t *Tree) computeIdentity() {
 	id.Digest = h.Sum()
 }
 
-// sameShape reports whether subtrees a and b match node for node in
-// leafness and group size, with every split in either dividing its
-// members in place (splitsInPlace). Under a parent group of one run
-// every node of either subtree then holds only that run's boards, so the
-// two digest equally. The walk compares pointers and lengths only.
-func sameShape(a, b *Tree) bool {
-	if a.Group.Size() != b.Group.Size() || a.IsLeaf() != b.IsLeaf() {
-		return false
-	}
-	return a.IsLeaf() || splitsInPlace(a) && splitsInPlace(b) &&
-		sameShape(a.Left, b.Left) && sameShape(a.Right, b.Right)
-}
-
-// splitsInPlace reports whether t's children hold, left then right,
-// exactly t's own members as views of its member slice, the way Bisect
-// halves a homogeneous group.
-func splitsInPlace(t *Tree) bool {
-	if t.Right == nil {
-		return false
-	}
-	m, l, r := t.Group.Accel, t.Left.Group.Accel, t.Right.Group.Accel
-	return len(l) > 0 && len(r) > 0 && len(l)+len(r) == len(m) &&
-		&l[0] == &m[0] && &r[0] == &m[len(l)]
-}
-
 // leafMarker and splitMarker tell a leaf's digest words from a split's.
 const (
 	leafMarker  = ^uint64(0)
 	splitMarker = ^uint64(1)
 )
-
-// specRuns calls f once per maximal run of equal fingerprints in accel,
-// in order. A spec is fingerprinted only when it differs from its
-// predecessor in some field Fingerprint reads (sameFingerprintInputs),
-// so a run of identical boards costs one fingerprint.
-func specRuns(accel []Spec, f func(fp uint64, n int)) {
-	if len(accel) == 0 {
-		return
-	}
-	fp, n := accel[0].Fingerprint(), 1
-	for i := 1; i < len(accel); i++ {
-		if !sameFingerprintInputs(&accel[i], &accel[i-1]) {
-			if next := accel[i].Fingerprint(); next != fp {
-				f(fp, n)
-				fp, n = next, 0
-			}
-		}
-		n++
-	}
-	f(fp, n)
-}

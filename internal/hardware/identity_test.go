@@ -125,7 +125,7 @@ func TestIdentitySameContent(t *testing.T) {
 func TestIdentitySpecRuns(t *testing.T) {
 	a, b := TPUv2(), TPUv3()
 	leaf := func(accel ...Spec) [16]byte {
-		return (&Tree{Group: &Group{Accel: accel}, Level: 1}).Identity().Digest
+		return (&Tree{Group: NewGroup(accel...), Level: 1}).Identity().Digest
 	}
 	aba, aab, abb := leaf(a, b, a), leaf(a, a, b), leaf(a, b, b)
 	if aba == aab || aab == abb || aba == abb {
@@ -214,10 +214,10 @@ func TestIdentityDegradedSpec(t *testing.T) {
 func TestIdentityHandBuilt(t *testing.T) {
 	v2, v3 := TPUv2(), TPUv3()
 	hand := &Tree{
-		Group: &Group{Accel: []Spec{v2, v3}},
+		Group: NewGroup(v2, v3),
 		Level: 1,
-		Left:  &Tree{Group: &Group{Accel: []Spec{v2}}, Level: 2},
-		Right: &Tree{Group: &Group{Accel: []Spec{v3}}, Level: 2},
+		Left:  &Tree{Group: NewGroup(v2), Level: 2},
+		Right: &Tree{Group: NewGroup(v3), Level: 2},
 	}
 	built := v2v3Tree(t, 1, nil)
 	got := hand.Identity()
@@ -290,29 +290,21 @@ func (s *shape) size() int {
 	return s.l.size() + s.r.size()
 }
 
-// handTree builds s over accel. With views every child's group is a view
-// of its parent's members, the way Bisect halves a homogeneous group;
-// otherwise every group is a fresh copy, which the twin-half shortcut
-// never takes, so the copy tree's identities are the full walk's.
-func handTree(accel []Spec, s *shape, views bool, level int) *Tree {
-	g := accel
-	if !views {
-		g = append([]Spec(nil), accel...)
-	}
-	t := &Tree{Group: &Group{Accel: g}, Level: level}
+// handTree builds s over accel, every node its own group.
+func handTree(accel []Spec, s *shape, level int) *Tree {
+	t := &Tree{Group: NewGroup(accel...), Level: level}
 	if s.l != nil {
 		k := s.l.size()
-		t.Left = handTree(g[:k:k], s.l, views, level+1)
-		t.Right = handTree(g[k:], s.r, views, level+1)
+		t.Left = handTree(accel[:k], s.l, level+1)
+		t.Right = handTree(accel[k:], s.r, level+1)
 	}
 	return t
 }
 
 // TestIdentityTwinHalves: a group of equal boards split into halves of
-// equal size digests its halves once only when they also have the same
-// shape. Hand-built halves of one size but different shapes digest
-// exactly as the full walk over copied groups digests them, node for
-// node, and apart from each other.
+// equal size digests its halves equally only when they also have the
+// same shape. BuildTree, which makes twin halves one node, digests the
+// twins' tree as the hand-built one.
 func TestIdentityTwinHalves(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -332,16 +324,19 @@ func TestIdentityTwinHalves(t *testing.T) {
 		for i := range accel {
 			accel[i] = TPUv3()
 		}
-		view, full := handTree(accel, c.s, true, 1), handTree(accel, c.s, false, 1)
-		view.Identity() // from the root down, as a planner asks
-		vn, fn := nodes(view), nodes(full)
-		for i := range vn {
-			if !sameIdentity(vn[i].Identity(), fn[i].Identity()) {
-				t.Errorf("%s: node %d (level %d, %s) differs from the full walk's", c.name, i, vn[i].Level, vn[i].Group)
-			}
-		}
-		if got := view.Left.Identity().Digest == view.Right.Identity().Digest; got != c.twins {
+		hand := handTree(accel, c.s, 1)
+		if got := hand.Left.Identity().Digest == hand.Right.Identity().Digest; got != c.twins {
 			t.Errorf("%s: halves digest equally = %v, want %v", c.name, got, c.twins)
+		}
+		if !c.twins {
+			continue
+		}
+		built, err := BuildTree(&Array{Accel: accel}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if built.Left != built.Right || !sameIdentity(built.Identity(), hand.Identity()) {
+			t.Errorf("%s: BuildTree's shared halves digest apart from the hand-built tree", c.name)
 		}
 	}
 }
@@ -350,15 +345,15 @@ func TestIdentityTwinHalves(t *testing.T) {
 // right half does not hold its parent's boards keep their own identity.
 func TestIdentityTwinNeedsMembers(t *testing.T) {
 	v3 := []Spec{TPUv3(), TPUv3()}
-	other := &Tree{Group: &Group{Accel: []Spec{TPUv2()}}, Level: 2}
+	other := &Tree{Group: NewGroup(TPUv2()), Level: 2}
 	hand := &Tree{
-		Group: &Group{Accel: v3},
+		Group: NewGroup(v3...),
 		Level: 1,
-		Left:  &Tree{Group: &Group{Accel: v3[:1:1]}, Level: 2},
+		Left:  &Tree{Group: NewGroup(v3[0]), Level: 2},
 		Right: other,
 	}
 	hand.Identity()
-	lone := &Tree{Group: &Group{Accel: []Spec{TPUv2()}}, Level: 1}
+	lone := &Tree{Group: NewGroup(TPUv2()), Level: 1}
 	if !sameIdentity(other.Identity(), lone.Identity()) {
 		t.Error("a right half holding other boards took its sibling's identity")
 	}

@@ -64,7 +64,11 @@ func (t Topology) BisectionBandwidth(g *Group) float64 {
 		if g.Size() == 1 {
 			return perLink
 		}
-		return 2 * minLinkRate(g)
+		slowest := math.Inf(1)
+		for i := range g.runs {
+			slowest = min(slowest, g.runs[i].spec.NetBandwidth)
+		}
+		return 2 * slowest
 	case Torus2D:
 		side := math.Sqrt(float64(g.Size()))
 		links := 2 * side
@@ -81,13 +85,4 @@ func (t Topology) BisectionBandwidth(g *Group) float64 {
 	default:
 		panic(fmt.Sprintf("hardware: invalid topology %d", int(t)))
 	}
-}
-
-// minLinkRate returns the slowest member link rate.
-func minLinkRate(g *Group) float64 {
-	slowest := math.Inf(1)
-	for _, s := range g.Accel {
-		slowest = min(slowest, s.NetBandwidth)
-	}
-	return slowest
 }

@@ -6,13 +6,16 @@ import (
 	"testing"
 )
 
-func groupOf(spec Spec, n int) *Group {
-	g := &Group{}
-	for i := 0; i < n; i++ {
-		g.Accel = append(g.Accel, spec)
+// boards returns n copies of spec.
+func boards(spec Spec, n int) []Spec {
+	accel := make([]Spec, n)
+	for i := range accel {
+		accel[i] = spec
 	}
-	return g
+	return accel
 }
+
+func groupOf(spec Spec, n int) *Group { return NewGroup(boards(spec, n)...) }
 
 // TestTopologyNamesAndParse: every supported topology has its own name
 // (the label of the topology sweep's rows), never the fallback
@@ -47,7 +50,7 @@ func TestRingBisectionScaleIndependent(t *testing.T) {
 		t.Errorf("ring bisection = %g, want 2 links", bs)
 	}
 	// Mixed group: the slowest link bounds the ring.
-	mixed := &Group{Accel: []Spec{TPUv2(), TPUv3(), TPUv3(), TPUv3()}}
+	mixed := NewGroup(TPUv2(), TPUv3(), TPUv3(), TPUv3())
 	if got := Ring.BisectionBandwidth(mixed); got != 2*TPUv2().NetBandwidth {
 		t.Errorf("mixed ring = %g, want 2× slowest link", got)
 	}
