@@ -63,7 +63,7 @@ func run(model string, batch int, layer, typeName string, alpha float64, timelin
 	}
 
 	if timeline {
-		types := make([]cost.Type, len(net.Units()))
+		types := make([]cost.Type, net.NumUnits())
 		ty, err := parseType(typeName)
 		if err != nil {
 			return err

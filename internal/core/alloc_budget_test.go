@@ -13,19 +13,21 @@ import (
 // coldSearchAllocBudget bounds the allocations of one serial cold search
 // of ResNet-50 (batch 512) on the 128+128 paper array — the
 // BenchmarkPartitionHierarchical/serial setup — and of VGG-16 (batch 512)
-// on the same array. Measured at 143 for both; 183 when every solved
-// subproblem formatted its group's description anew; ResNet-50 took 1.6k when
-// the Eq. 10 bisection missed a falling balance and split identical
-// halves at 1/4096 or a few ulps off 0.5, so they were solved twice; 2.0k
-// when every memo hit deep-copied the solved subtree, and 4.1k when
-// every split built its own level context and every memo key and
-// child-dims slice was allocated.
-const coldSearchAllocBudget = 175
+// on the same array. Measured at 129 for both (up to 131 over repeated
+// runs); 143 when every split ran its DP twice, the second run confirming
+// types whose ratio had not moved; 183 when every solved subproblem
+// formatted its group's description anew; ResNet-50 took 1.6k when the
+// Eq. 10 bisection missed a falling balance and split identical halves at
+// 1/4096 or a few ulps off 0.5, so they were solved twice; 2.0k when
+// every memo hit deep-copied the solved subtree, and 4.1k when every
+// split built its own level context and every memo key and child-dims
+// slice was allocated.
+const coldSearchAllocBudget = 136
 
 // memoryRejectAllocOverhead and memoryRejectAllocSlack bound a serial
 // ResNet-50 search under MemoryReject, which the paper array's
 // capacities never bind, against the same search with MemoryOff: at most
-// 3% more allocations plus a few. Measured at 143 for both. The
+// 3% more allocations plus a few. Measured at 129 for both. The
 // constrained search tries the exact unconstrained solve first at every
 // split, so it also expands exactly the same subproblems.
 const (

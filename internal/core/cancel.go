@@ -53,9 +53,10 @@ func WrapCtxErr(err error) error {
 // checkCtx is the periodic cancellation probe on the search's hot path:
 // a nil comparison when no context was supplied, one non-blocking channel
 // poll otherwise, plus a clock read when the context has a deadline.
-// Called once per subproblem visit and once per type/ratio alternation —
-// granular enough to abort a ResNet-50-scale search within a fraction of
-// a millisecond, far off any profile. The clock read is what makes that
+// Called once per subproblem visit and before every DP run of a split's
+// type/ratio alternation (at most maxRatioIters per split) — granular
+// enough to abort a ResNet-50-scale search within a fraction of a
+// millisecond, far off any profile. The clock read is what makes that
 // hold for deadlines: ctx's Done channel closes only once the runtime
 // runs the deadline timer's goroutine, which waits for a preemption
 // (some 10 ms) while the search keeps every P busy.

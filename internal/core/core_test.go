@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math"
 	"testing"
 
@@ -127,6 +128,29 @@ func TestHyParNeverTypeIII(t *testing.T) {
 	}
 	if h := plan.TypeHistogram(); h[cost.TypeIII] != 0 {
 		t.Errorf("HyPar used Type-III %d times", h[cost.TypeIII])
+	}
+}
+
+// TestTypeHistogramPinned pins TypeHistogram on three AccPar plans: every
+// visit of a split counts its weighted layers' types (a shared subtree once
+// per parent that links it), and junction units are never counted.
+func TestTypeHistogramPinned(t *testing.T) {
+	for _, c := range []struct {
+		model  string
+		v2, v3 int
+		want   map[cost.Type]int
+	}{
+		{"resnet50", 8, 8, map[cost.Type]int{cost.TypeI: 784, cost.TypeII: 9, cost.TypeIII: 17}},
+		{"inception", 32, 96, map[cost.Type]int{cost.TypeI: 2535, cost.TypeII: 87, cost.TypeIII: 45}},
+		{"vgg16", 128, 128, map[cost.Type]int{cost.TypeI: 2699, cost.TypeII: 717, cost.TypeIII: 664}},
+	} {
+		plan, err := PartitionCtx(context.Background(), buildNet(t, c.model, 512), fleetTree(t, c.v2, c.v3, 1), AccPar())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := plan.TypeHistogram(); !maps.Equal(h, c.want) {
+			t.Errorf("%s on %d+%d: TypeHistogram %v, want %v", c.model, c.v2, c.v3, h, c.want)
+		}
 	}
 }
 

@@ -59,12 +59,15 @@ func (s *ReplanStats) Add(other ReplanStats) {
 }
 
 // replanStats is the per-call atomic collector behind ReplanStats;
-// concurrent search workers of one call share it.
+// concurrent search workers of one call share it. dpRuns, the call's
+// Eq. 9 DP runs (decideSplit), is not reported: the work-count tests
+// read it to pin the type/ratio alternation's cost.
 type replanStats struct {
 	hits        atomic.Int64
 	expanded    atomic.Int64
 	staleReused atomic.Int64
 	invalidated atomic.Int64
+	dpRuns      atomic.Int64
 }
 
 func (rs *replanStats) snapshot(d time.Duration) ReplanStats {

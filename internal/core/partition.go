@@ -348,12 +348,21 @@ func (p *planner) solveSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI
 
 // maxRatioIters bounds the alternation between type search and ratio
 // solving at one split (the two are mutually dependent: Eq. 10 needs the
-// partitioning p, Eq. 9 needs α).
+// partitioning p, Eq. 9 needs α): at most this many DP runs, each
+// followed by at most one bisection.
 const maxRatioIters = 4
 
 // decideSplit is solveSplit's alternation on a pooled level context,
 // which goes back to the pool before the caller recurses: runDP returns
 // a freshly allocated types slice, so nothing after it reads the context.
+//
+// The alternation is a fixed-point iteration. At one split runDP is a
+// pure function of α and solveRatio a pure function of the types, so the
+// loop stops as soon as either input repeats: a bisection that returns
+// the α its types were solved at (the next DP would return the same
+// types), or a DP that returns the types α was balanced for (the next
+// bisection would return the same α). Either way the result is the one a
+// further round would confirm, bit for bit.
 func (p *planner) decideSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI, sideJ Side, memLambda float64) ([]cost.Type, float64, LevelEval, error) {
 	ctx := p.level(dims, sideI, sideJ)
 	defer p.levels.Put(ctx)
@@ -373,28 +382,33 @@ func (p *planner) decideSplit(node *hardware.Tree, dims []tensor.LayerDims, side
 
 	// Alternate type search (Eq. 9) and ratio balance (Eq. 10).
 	var types []cost.Type
-	for iter := 0; iter < maxRatioIters; iter++ {
+	for iter := 1; ; iter++ {
 		if err := p.checkCtx(); err != nil {
 			return nil, 0, LevelEval{}, err
 		}
-		newTypes, _, dpErr := ctx.runDP()
-		if dpErr != nil {
-			return nil, 0, LevelEval{}, dpErr
+		if p.rs != nil {
+			p.rs.dpRuns.Add(1)
 		}
-		stable := types != nil && equalTypes(types, newTypes)
+		newTypes, _, err := ctx.runDP()
+		if err != nil {
+			return nil, 0, LevelEval{}, err
+		}
+		if types != nil && equalTypes(types, newTypes) {
+			break // ctx.alpha is already solveRatio(types)
+		}
 		types = newTypes
 		if p.opt.Ratio == RatioEqual {
 			break
 		}
-		newAlpha, ratioErr := ctx.solveRatio(types)
-		if ratioErr != nil {
-			return nil, 0, LevelEval{}, ratioErr
+		alpha, err := ctx.solveRatio(types)
+		if err != nil {
+			return nil, 0, LevelEval{}, err
 		}
-		if stable && math.Abs(newAlpha-ctx.alpha) < 1e-6 {
-			ctx.alpha = newAlpha
+		stable := alpha == ctx.alpha // α is never NaN or zero: == compares bits
+		ctx.alpha = alpha
+		if stable || iter == maxRatioIters {
 			break
 		}
-		ctx.alpha = newAlpha
 	}
 	return types, ctx.alpha, ctx.evalLevel(types), nil
 }

@@ -190,12 +190,12 @@ func (p *Plan) TypeMap() string {
 // type across the whole plan tree.
 func (p *Plan) TypeHistogram() map[cost.Type]int {
 	h := map[cost.Type]int{}
+	units := p.Network.Units()
 	var walk func(n *PlanNode)
 	walk = func(n *PlanNode) {
 		if n == nil || n.IsLeaf() {
 			return
 		}
-		units := p.Network.Units()
 		for i, t := range n.Types {
 			if !units[i].Virtual {
 				h[t]++
@@ -211,7 +211,7 @@ func (p *Plan) TypeHistogram() map[cost.Type]int {
 // Validate checks structural consistency of the plan tree, reporting the
 // first defect as an *InvalidPlanError.
 func (p *Plan) Validate() error {
-	return validateTree(p.Root, 1, unitCount(p.Network))
+	return validateTree(p.Root, 1, p.Network.NumUnits())
 }
 
 // InvalidPlanError reports a plan node no search could have produced: a
@@ -263,19 +263,4 @@ func validateTree(n *PlanNode, level, nUnits int) error {
 		return err // a shared child is valid at both positions or at neither
 	}
 	return validateTree(n.Right, level+1, nUnits)
-}
-
-// unitCount is len(net.Units()) without materializing the unit list.
-func unitCount(net *dnn.Network) int {
-	n := 0
-	for _, s := range net.Segments {
-		if s.Unit != nil {
-			n++
-			continue
-		}
-		for _, path := range s.Paths {
-			n += len(path)
-		}
-	}
-	return n
 }

@@ -132,11 +132,11 @@ func (s Strategy) Variants() []Options {
 // when every option set asks for the serial reference path
 // (Parallelism 1).
 //
-// The search polls ctx at every subproblem visit and every type/ratio
-// alternation, and option sets not yet started when ctx is done are never
-// dispatched; aborts report ErrCanceled or ErrDeadlineExceeded. An
-// aborted search never publishes partial results — neither into its plan
-// nor into the shared cache (Options.Cache).
+// The search polls ctx at every subproblem visit and before every DP run
+// of a split's type/ratio alternation, and option sets not yet started
+// when ctx is done are never dispatched; aborts report ErrCanceled or
+// ErrDeadlineExceeded. An aborted search never publishes partial results
+// — neither into its plan nor into the shared cache (Options.Cache).
 func PartitionCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, error) {
 	plan, _, err := PartitionBestCtx(ctx, net, tree, opts...)
 	return plan, err

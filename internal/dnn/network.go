@@ -60,26 +60,37 @@ type Network struct {
 // virtual junction units alike (paths of a parallel segment are concatenated
 // in path order). This is the sequence the partitioner assigns states to.
 func (n *Network) Units() []WeightedLayer {
+	return n.AppendUnits(make([]WeightedLayer, 0, n.NumUnits()))
+}
+
+// AppendUnits appends Units() to dst and returns the extended slice, so a
+// caller with a reusable buffer copies the units without allocating.
+func (n *Network) AppendUnits(dst []WeightedLayer) []WeightedLayer {
+	for _, s := range n.Segments {
+		if s.Unit != nil {
+			dst = append(dst, *s.Unit)
+			continue
+		}
+		for _, p := range s.Paths {
+			dst = append(dst, p...)
+		}
+	}
+	return dst
+}
+
+// NumUnits returns len(n.Units()) without copying the units.
+func (n *Network) NumUnits() int {
 	count := 0
 	for _, s := range n.Segments {
 		if s.Unit != nil {
 			count++
+			continue
 		}
 		for _, p := range s.Paths {
 			count += len(p)
 		}
 	}
-	out := make([]WeightedLayer, 0, count)
-	for _, s := range n.Segments {
-		if s.Unit != nil {
-			out = append(out, *s.Unit)
-			continue
-		}
-		for _, p := range s.Paths {
-			out = append(out, p...)
-		}
-	}
-	return out
+	return count
 }
 
 // Layers returns the real weighted layers (CONV and FC) in execution order,

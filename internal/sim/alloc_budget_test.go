@@ -13,8 +13,9 @@ import (
 // simulateAllocBudget bounds the allocations of one simulated iteration
 // of VGG-16 (batch 512) split between 128 TPU-v2 and 128 TPU-v3 boards at
 // the root of its AccPar plan — the BenchmarkSimulatorVGG setup. Measured
-// at 77: the task graph comes from pooled arenas and task names render
-// only on errors.
+// at 75: the task graph and the unit list come from the pooled builder,
+// and task names render only on errors; 77 when validation and the
+// builder each copied the network's unit list.
 const simulateAllocBudget = 92
 
 // TestSimulateAllocBudget fails on an allocation regression of the

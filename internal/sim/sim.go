@@ -273,9 +273,8 @@ func validateSplit(s Split, machines [2]Machine) error {
 			return err
 		}
 	}
-	units := s.Net.Units()
-	if len(s.Types) != len(units) {
-		return fmt.Errorf("sim: %d types for %d units", len(s.Types), len(units))
+	if n := s.Net.NumUnits(); len(s.Types) != n {
+		return fmt.Errorf("sim: %d types for %d units", len(s.Types), n)
 	}
 	if math.IsNaN(s.Alpha) || s.Alpha <= 0 || s.Alpha >= 1 {
 		return fmt.Errorf("sim: alpha %g out of (0,1)", s.Alpha)
@@ -405,7 +404,7 @@ func getBuilder(s Split, machines [2]Machine) *builder {
 	b.split = s
 	b.machines = machines
 	b.optimizer = 0
-	b.units = s.Net.Units()
+	b.units = s.Net.AppendUnits(b.units[:0])
 	b.tasks = b.tasks[:0]
 	b.arena.reset()
 	b.deps.reset()
@@ -416,7 +415,8 @@ func putBuilder(b *builder) {
 	// Drop references into the caller's network so the pool retains only
 	// the reusable scratch capacity.
 	b.split = Split{}
-	b.units = nil
+	clear(b.units)
+	b.units = b.units[:0]
 	b.edges = nil
 	builderPool.Put(b)
 }
