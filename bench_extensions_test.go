@@ -2,8 +2,7 @@ package accpar
 
 // Benchmarks for the extension experiments and substrates beyond the
 // paper's figures: interconnect-topology sensitivity, batch-size scaling,
-// the distributed reference runtime, the exhaustive search validator, and
-// the trace generator.
+// the exhaustive search validator, and the trace generator.
 
 import (
 	"context"
@@ -14,9 +13,7 @@ import (
 	"accpar/internal/core"
 	"accpar/internal/cost"
 	"accpar/internal/eval"
-	"accpar/internal/exec"
 	"accpar/internal/models"
-	"accpar/internal/runtime"
 	"accpar/internal/trace"
 )
 
@@ -66,28 +63,6 @@ func BenchmarkBatchSweep(b *testing.B) {
 		}
 		if r.Scheme == StrategyAccPar && r.Batch == 1024 {
 			b.ReportMetric(r.Speedup, "accpar_b1024")
-		}
-	}
-}
-
-// BenchmarkDistributedRuntime measures the reference two-worker executor
-// on a mixed-type FC chain, including all fabric exchanges.
-func BenchmarkDistributedRuntime(b *testing.B) {
-	c := &runtime.Chain{B: 64, Layers: []runtime.Layer{
-		{Di: 256, Do: 512, Type: cost.TypeI, Share0: 32},
-		{Di: 512, Do: 512, Type: cost.TypeII, Share0: 256},
-		{Di: 512, Do: 128, Type: cost.TypeIII, Share0: 64},
-	}}
-	f0 := exec.NewMatrix(64, 256)
-	var weights []*exec.Matrix
-	for _, l := range c.Layers {
-		weights = append(weights, exec.NewMatrix(l.Di, l.Do))
-	}
-	eLast := exec.NewMatrix(64, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := runtime.Run(c, f0, weights, eLast); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

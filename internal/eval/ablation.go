@@ -6,7 +6,6 @@ import (
 
 	"accpar/internal/core"
 	"accpar/internal/cost"
-	"accpar/internal/hardware"
 	"accpar/internal/models"
 	"accpar/internal/report"
 )
@@ -82,12 +81,6 @@ func RunAblations(cfg Config) ([]AblationResult, *report.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return RunAblationsOn(tree, cfg)
-}
-
-// RunAblationsOn evaluates every ablation on the given hierarchy.
-func RunAblationsOn(tree *hardware.Tree, cfg Config) ([]AblationResult, *report.Table, error) {
-	cfg = cfg.withDefaults()
 	var out []AblationResult
 	tbl := report.NewTable("AccPar ablations (slowdown vs full AccPar)", "model", "comm-only", "no Type-III", "equal ratio", "linearized")
 	for _, name := range cfg.Models {

@@ -73,15 +73,6 @@ func HeterogeneousTree(perKind int) (*hardware.Tree, error) {
 	return hardware.BuildTree(arr, 64)
 }
 
-// HomogeneousTree builds the Section 6.3 array: n TPU-v3, fully split.
-func HomogeneousTree(n int) (*hardware.Tree, error) {
-	arr, err := hardware.NewHomogeneous(hardware.TPUv3(), n)
-	if err != nil {
-		return nil, err
-	}
-	return hardware.BuildTree(arr, 64)
-}
-
 // ModelResult is one model's outcome across the four schemes.
 type ModelResult struct {
 	Model string
@@ -190,7 +181,11 @@ func Figure5(cfg Config) (*FigureResult, error) {
 // DNNs on 256 TPU-v3.
 func Figure6(cfg Config) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
-	tree, err := HomogeneousTree(cfg.HomSize)
+	arr, err := hardware.NewHomogeneous(hardware.TPUv3(), cfg.HomSize)
+	if err != nil {
+		return nil, err
+	}
+	tree, err := hardware.BuildTree(arr, 64)
 	if err != nil {
 		return nil, err
 	}

@@ -8,16 +8,17 @@ import (
 )
 
 // buildTreeAllocBudget pins the allocations of BuildTree on the
-// 128×TPU-v2 + 128×TPU-v3 paper array, digest included: the node slab
-// (each node holding its group) and the array's run list, of which every
-// group is a view. Measured at 2; 1,039 when every node and every group
-// was its own allocation and the split grew its halves by appends.
-const buildTreeAllocBudget = 2
+// 128×TPU-v2 + 128×TPU-v3 paper array, digest included: the node slab,
+// each node holding its group, a view of the array's own run list.
+// Measured at 1; 2 when every build run-length encoded the array's
+// boards again, and 1,039 when every node and every group was its own
+// allocation and the split grew its halves by appends.
+const buildTreeAllocBudget = 1
 
 // buildTreeBytesBudget bounds the bytes BuildTree allocates on the same
 // array. Twin halves are one node, so the 511 positions take 17 slab
-// entries: measured at 3,488 bytes (Go 1.24, amd64), where one entry per
-// position took 70,912.
+// entries: measured at 3,200 bytes (Go 1.24, amd64), 3,488 with a run
+// list of its own, and 70,912 with one entry per position.
 const buildTreeBytesBudget = 4 << 10
 
 // TestBuildTreeAllocBudget fails when building a tree allocates per node
@@ -46,23 +47,28 @@ func TestBuildTreeAllocBudget(t *testing.T) {
 // interleavedBytesPerBoard bounds the bytes per board BuildTree
 // allocates on 512 TPU-v2 and 512 TPU-v3 boards that alternate, so the
 // array is 1,024 runs of one board. Its first split gathers each kind
-// into one run, and the tree has 21 nodes. Measured at 216 and 220
-// bytes per board at 1 and 64 levels, almost all of it run lists (Go
-// 1.24, amd64); one slab entry per position took 304 at 64 levels, and
-// a slab sized by the root's run count times the depth took 2,265.
-const interleavedBytesPerBoard = 256
+// into one run, and the tree has 21 nodes. Measured at 144 and 148
+// bytes per board at 1 and 64 levels, almost all of it the first
+// split's run list (Go 1.24, amd64); 216 and 220 when every build
+// run-length encoded the array's boards again, 304 at 64 levels with one
+// slab entry per position, and 2,265 with a slab sized by the root's run
+// count times the depth.
+const interleavedBytesPerBoard = 160
 
 // TestBuildTreeInterleavedBytes fails when the node slab of a fleet of
 // many short runs is sized by its runs rather than its nodes, whatever
 // the level budget.
 func TestBuildTreeInterleavedBytes(t *testing.T) {
-	accel := make([]Spec, 1024)
-	for i := range accel {
-		accel[i] = []Spec{TPUv2(), TPUv3()}[i%2]
+	groups := make([]GroupSpec, 1024)
+	for i := range groups {
+		groups[i] = GroupSpec{[]Spec{TPUv2(), TPUv3()}[i%2], 1}
 	}
-	arr := &Array{Accel: accel}
+	arr, err := NewHeterogeneous(groups...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, levels := range []int{1, 64} {
-		perBoard := buildTreeBytes(t, arr, levels) / uint64(len(accel))
+		perBoard := buildTreeBytes(t, arr, levels) / uint64(len(groups))
 		t.Logf("%d levels: %d bytes per board", levels, perBoard)
 		if perBoard > interleavedBytesPerBoard {
 			t.Errorf("BuildTree of 512+512 interleaved boards, %d levels: %d bytes per board, budget %d", levels, perBoard, interleavedBytesPerBoard)
@@ -86,15 +92,16 @@ func buildTreeBytes(t *testing.T, arr *Array, levels int) uint64 {
 }
 
 // newHeterogeneousAllocBudget pins the allocations of NewHeterogeneous
-// on the 128×TPU-v2 + 128×TPU-v3 paper array: the array, its one member
-// slice, and its name (the list of group names, each group's formatted
-// count and name, and their join). Measured at 8; 17 when the member
-// slice grew board by board. The budget is the measure, so a member
-// slice that grows by even one append again fails it.
+// on the 128×TPU-v2 + 128×TPU-v3 paper array: the array, its run list
+// (one run per group), and its name (the list of group names, each
+// group's formatted count and name, and their join). Measured at 8, as
+// with one member slice of 256 boards; 17 when that slice grew board by
+// board. The budget is the measure, so a run list that grows by even one
+// append fails it.
 const newHeterogeneousAllocBudget = 8
 
-// TestNewHeterogeneousAllocBudget fails when the member slice grows by
-// appends again, whose allocations scale with the board count.
+// TestNewHeterogeneousAllocBudget fails when building an array allocates
+// per board.
 func TestNewHeterogeneousAllocBudget(t *testing.T) {
 	var buildErr error
 	allocs := testing.AllocsPerRun(10, func() {

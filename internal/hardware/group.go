@@ -42,21 +42,25 @@ type Group struct {
 }
 
 // NewGroup returns the group of the given boards, in order.
-func NewGroup(accel ...Spec) *Group { return new(Group).set(spanOf(accel)) }
-
-// spanOf run-length encodes accel into a run list of its own. Boards are
-// identical when they agree on every field Fingerprint reads.
-func spanOf(accel []Spec) span {
-	runs := make([]run, 0, 4) // a fleet's few kinds, in one allocation
-	for i, j := 0, 0; i < len(accel); i = j {
-		for j = i + 1; j < len(accel) && sameFingerprintInputs(&accel[j], &accel[i]); j++ {
-		}
-		if len(runs) == cap(runs) { // more kinds: room for a run per board left
-			runs = slices.Grow(runs, len(accel)-i)
-		}
-		runs = append(runs, run{spec: accel[i], fp: accel[i].Fingerprint(), start: i, end: j})
+func NewGroup(accel ...Spec) *Group {
+	var s span
+	for _, spec := range accel {
+		s.add(run{spec: spec, fp: spec.Fingerprint()}, 1)
 	}
-	return span{runs, 0, len(accel)}
+	return new(Group).set(s)
+}
+
+// add appends n boards of r's spec to s: to its last run when they are
+// identical to its boards, else as the new run r. Boards are identical
+// when they agree on every field Fingerprint reads.
+func (s *span) add(r run, n int) {
+	if last := len(s.runs) - 1; last >= 0 && sameFingerprintInputs(&s.runs[last].spec, &r.spec) {
+		s.runs[last].end += n
+	} else {
+		r.start, r.end = s.hi, s.hi+n
+		s.runs = append(s.runs, r)
+	}
+	s.hi += n
 }
 
 // set makes the zero group g the group of s and returns it, summing its
@@ -112,8 +116,10 @@ func (g *Group) MemBandwidth() float64 { return g.memBW }
 func (g *Group) HBMBytes() int64 { return g.hbm }
 
 // Homogeneous reports whether all members share one spec name.
-func (g *Group) Homogeneous() bool {
-	return !slices.ContainsFunc(g.runs, func(r run) bool { return r.spec.Name != g.runs[0].spec.Name })
+func (g *Group) Homogeneous() bool { return g.homogeneous() }
+
+func (s *span) homogeneous() bool {
+	return !slices.ContainsFunc(s.runs, func(r run) bool { return r.spec.Name != s.runs[0].spec.Name })
 }
 
 // String summarizes the group: each spec name's member count, names in
@@ -176,17 +182,9 @@ func (s *span) halves() (left, right span) {
 	for _, named := range [2]bool{true, false} {
 		k = m.hi // on the second pass, the left half's boards
 		for i, r := range s.runs {
-			n, last := s.count(i), len(m.runs)-1
-			switch {
-			case (r.spec.Name == name) != named:
-				continue
-			case last >= 0 && sameFingerprintInputs(&m.runs[last].spec, &r.spec):
-				m.runs[last].end += n
-			default:
-				r.start, r.end = m.hi, m.hi+n
-				m.runs = append(m.runs, r)
+			if (r.spec.Name == name) == named {
+				m.add(r, s.count(i))
 			}
-			m.hi += n
 		}
 	}
 	return m.cut(k)
@@ -262,11 +260,10 @@ func BuildTree(a *Array, maxLevels int) (*Tree, error) {
 		}
 		return t
 	}
-	root := spanOf(a.Accel)
-	grow(root, 1)
+	grow(a.members, 1)
 	slab = make([]entry, nodes)
 	nodes = 0
-	return grow(root, 1), nil
+	return grow(a.members, 1), nil
 }
 
 // IsLeaf reports whether the node has no children.

@@ -100,11 +100,12 @@ func TPUv3() Spec {
 	}
 }
 
-// Array is an ordered collection of accelerators.
+// Array is an ordered collection of accelerators, held as its maximal
+// runs of identical boards.
 type Array struct {
 	// Name labels the array, e.g. "128×tpu-v2 + 128×tpu-v3".
-	Name  string
-	Accel []Spec
+	Name    string
+	members span
 }
 
 // NewHomogeneous returns an array of n identical accelerators.
@@ -115,11 +116,7 @@ func NewHomogeneous(spec Spec, n int) (*Array, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("hardware: array needs at least 1 accelerator, got %d", n)
 	}
-	a := &Array{Name: fmt.Sprintf("%d×%s", n, spec.Name), Accel: make([]Spec, n)}
-	for i := range a.Accel {
-		a.Accel[i] = spec
-	}
-	return a, nil
+	return newArray(fmt.Sprintf("%d×%s", n, spec.Name), GroupSpec{spec, n})
 }
 
 // NewHeterogeneous returns an array mixing the given accelerator groups.
@@ -129,22 +126,24 @@ func NewHeterogeneous(groups ...GroupSpec) (*Array, error) {
 		return nil, fmt.Errorf("hardware: heterogeneous array needs at least one group")
 	}
 	names := make([]string, len(groups))
-	n := 0
 	for i, g := range groups {
+		names[i] = fmt.Sprintf("%d×%s", g.Count, g.Spec.Name)
+	}
+	return newArray(strings.Join(names, " + "), groups...)
+}
+
+// newArray returns the array of the groups' boards in order. Adjacent
+// groups of identical boards share one run.
+func newArray(name string, groups ...GroupSpec) (*Array, error) {
+	a := &Array{Name: name, members: span{runs: make([]run, 0, len(groups))}}
+	for _, g := range groups {
 		if err := g.Spec.Validate(); err != nil {
 			return nil, err
 		}
 		if g.Count < 1 {
 			return nil, fmt.Errorf("hardware: group %q has count %d", g.Spec.Name, g.Count)
 		}
-		names[i] = fmt.Sprintf("%d×%s", g.Count, g.Spec.Name)
-		n += g.Count
-	}
-	a := &Array{Name: strings.Join(names, " + "), Accel: make([]Spec, 0, n)}
-	for _, g := range groups {
-		for range g.Count {
-			a.Accel = append(a.Accel, g.Spec)
-		}
+		a.members.add(run{spec: g.Spec, fp: g.Spec.Fingerprint()}, g.Count)
 	}
 	return a, nil
 }
@@ -156,14 +155,7 @@ type GroupSpec struct {
 }
 
 // Size returns the number of accelerators.
-func (a *Array) Size() int { return len(a.Accel) }
+func (a *Array) Size() int { return a.members.hi }
 
 // Heterogeneous reports whether the array mixes accelerator models.
-func (a *Array) Heterogeneous() bool {
-	for _, s := range a.Accel {
-		if s.Name != a.Accel[0].Name {
-			return true
-		}
-	}
-	return false
-}
+func (a *Array) Heterogeneous() bool { return !a.members.homogeneous() }

@@ -131,7 +131,11 @@ func TestHeterogeneousArray(t *testing.T) {
 // TestFewBoardsNeverMix: an array or a group of fewer than two boards
 // mixes nothing, and asking does not panic.
 func TestFewBoardsNeverMix(t *testing.T) {
-	for _, a := range []*Array{{}, {Accel: []Spec{TPUv2()}}} {
+	one, err := NewHomogeneous(TPUv2(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []*Array{{}, one} {
 		if a.Heterogeneous() {
 			t.Errorf("array of %d boards reports heterogeneous", a.Size())
 		}
@@ -169,8 +173,7 @@ func TestGroupAggregates(t *testing.T) {
 }
 
 func TestBisectHeterogeneousSplitsBySpec(t *testing.T) {
-	a, _ := NewHeterogeneous(GroupSpec{TPUv2(), 4}, GroupSpec{TPUv3(), 4})
-	g := NewGroup(a.Accel...)
+	g := NewGroup(append(boards(TPUv2(), 4), boards(TPUv3(), 4)...)...)
 	l, r, err := g.Bisect()
 	if err != nil {
 		t.Fatal(err)
@@ -284,8 +287,8 @@ func refIdentity(accel []Spec, children ...Identity) Identity {
 
 // randomArray mixes equal boards in long runs, boards of one name with
 // different specs (one at an arbitrary degraded rate), and interleaved
-// kinds.
-func randomArray(r *rand.Rand) *Array {
+// kinds. It returns the array and its member list.
+func randomArray(r *rand.Rand) (*Array, []Spec) {
 	slowV2 := TPUv2()
 	slowV2.FLOPS /= 3
 	slowV3 := TPUv3()
@@ -293,11 +296,18 @@ func randomArray(r *rand.Rand) *Array {
 	slowV3.NetBandwidth /= 2.9
 	kinds := []Spec{TPUv2(), TPUv3(), GPUClassA(), slowV2, slowV3}
 	kinds = kinds[:1+r.Intn(len(kinds))]
-	a := &Array{}
+	var groups []GroupSpec
+	var accel []Spec
 	for range 1 + r.Intn(6) {
-		a.Accel = append(a.Accel, boards(kinds[r.Intn(len(kinds))], 1+r.Intn(40))...)
+		g := GroupSpec{kinds[r.Intn(len(kinds))], 1 + r.Intn(40)}
+		groups = append(groups, g)
+		accel = append(accel, boards(g.Spec, g.Count)...)
 	}
-	return a
+	a, err := NewHeterogeneous(groups...)
+	if err != nil {
+		panic(err)
+	}
+	return a, accel
 }
 
 // TestBuildTreeMatchesBisect: on random arrays under random level
@@ -358,11 +368,11 @@ func TestBuildTreeMatchesBisect(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a := randomArray(r)
+		a, accel := randomArray(r)
 		levels := 1 + r.Intn(10)
 		tree, err := BuildTree(a, levels)
 		if err == nil {
-			_, err = match(tree, a.Accel, 1, levels)
+			_, err = match(tree, accel, 1, levels)
 		}
 		if err != nil {
 			t.Logf("seed %d, %d boards, %d levels: %v", seed, a.Size(), levels, err)

@@ -331,7 +331,11 @@ func TestIdentityTwinHalves(t *testing.T) {
 		if !c.twins {
 			continue
 		}
-		built, err := BuildTree(&Array{Accel: accel}, 2)
+		arr, err := NewHomogeneous(TPUv3(), len(accel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := BuildTree(arr, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
