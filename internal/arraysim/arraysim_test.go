@@ -3,6 +3,7 @@ package arraysim
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"accpar/internal/core"
@@ -122,11 +123,20 @@ func TestMultiPathArraySim(t *testing.T) {
 	}
 }
 
-// TestLeafCapEnforced: oversized arrays are refused.
+// TestLeafCapEnforced: a plan over more than maxLeaves leaves is refused
+// before any of its graph is built, so the refusal costs next to nothing
+// however large the tree.
 func TestLeafCapEnforced(t *testing.T) {
-	plan, tree := planAndTree(t, "lenet", 16, 8, core.DataParallel())
-	if _, err := Simulate(plan, tree, Config{MaxLeaves: 4}); err == nil {
-		t.Error("leaf cap must be enforced")
+	plan, tree := planAndTree(t, "resnet50", 16, maxLeaves/2+1, core.DataParallel())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Simulate(plan, tree, Config{})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("leaf cap must be enforced")
+	}
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= 1<<20 {
+		t.Errorf("refusing %d+ leaves allocated %d bytes, want < 1 MB", maxLeaves+2, bytes)
 	}
 }
 

@@ -213,11 +213,8 @@ func (c *levelCtx) memPressure(u int, t cost.Type) float64 {
 }
 
 // boundary returns the size of the tensor actually converted on the edge
-// from unit p to unit n: the smaller of the producer's output and the
-// consumer's input. They differ when a non-weighted operator sits between
-// the units (pooling shrinks the map — the post-pool tensor is what
-// crosses the boundary) or when the consumer is a concatenation junction
-// (each incoming edge carries only the producer's channel slice).
+// from unit p to unit n — cost.EdgeBoundary's rule, the smaller of the
+// producer's output and the consumer's input, over the cached sizes.
 func (c *levelCtx) boundary(p, n int) int64 {
 	out := c.afNextU[p]
 	in := c.afU[n]

@@ -96,6 +96,17 @@ var Conversion = [3][3]Transition{
 	TypeIII: {TypeI: {AlphaBeta, AlphaBeta}, TypeII: {}, TypeIII: {BetaSlab, NoConversion}},
 }
 
+// EdgeBoundary returns the size of the tensor converted on the edge from
+// a producer layer to a consumer layer: the smaller of the producer's
+// output and the consumer's input. They differ when a non-weighted
+// operator sits between the layers (pooling shrinks the map — the
+// post-pool tensor is what crosses the boundary) or when the consumer is
+// a concatenation junction (each incoming edge carries only the
+// producer's channel slice).
+func EdgeBoundary(producer, consumer tensor.LayerDims) int64 {
+	return min(producer.AFNext(), consumer.AF())
+}
+
 // InterCommSplit returns the two Table 5 components, in tensor elements,
 // remotely accessed by the accelerator whose partitioning ratio is alpha
 // when layer l uses type prev and layer l+1 uses type next: the

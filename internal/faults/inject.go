@@ -1,10 +1,11 @@
 package faults
 
 // Injector draws per-task fault events from a scenario's seeded stream.
-// The discrete-event scheduler creates one injector per simulation run and
-// calls TaskFault once per scheduled task, in schedule order; since the
-// schedule order is deterministic, the whole injection sequence replays
-// identically for a given (seed, workload, machine) triple.
+// The two-machine simulator creates one injector per run and calls
+// TaskFault once per task as it creates the task, so the draws happen in
+// task-creation order. Creation order is deterministic (and is also the
+// schedule order), so the whole injection sequence replays identically
+// for a given (seed, workload, machine) triple.
 type Injector struct {
 	sc  Scenario
 	rng splitmix
@@ -22,9 +23,9 @@ func NewInjector(sc Scenario) (*Injector, error) {
 	return &Injector{sc: sc, rng: newSplitmix(uint64(sc.Seed))}, nil
 }
 
-// TaskFault draws the transient-fault outcome of one scheduled task on
-// the given group: the number of failed attempts to charge (each failed
-// attempt re-executes the task in full) and the total backoff delay.
+// TaskFault draws the transient-fault outcome of one task on the given
+// group: the number of failed attempts to charge (each failed attempt
+// re-executes the task in full) and the total backoff delay.
 func (in *Injector) TaskFault(group int) (retries int, backoff float64) {
 	for _, f := range in.sc.Faults {
 		if f.Kind != KindTransient || f.Group != group || f.Rate == 0 {

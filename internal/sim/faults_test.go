@@ -194,9 +194,6 @@ func TestEntryPathsValidateMachines(t *testing.T) {
 	if _, err := Simulate(s, bad, Config{}); err == nil {
 		t.Error("Simulate accepted a NaN machine")
 	}
-	if err := taskOrderCheck(s, bad); err == nil {
-		t.Error("taskOrderCheck accepted a NaN machine")
-	}
 	if _, err := sortedTaskNames(s, bad); err == nil {
 		t.Error("sortedTaskNames accepted a NaN machine")
 	}

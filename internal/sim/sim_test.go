@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -163,15 +162,26 @@ func TestHeterogeneousBalancedAlphaFaster(t *testing.T) {
 	}
 }
 
+// TestEveryModelBuilds: every built-in model's graph, under every
+// uniform type, is built in an order the scheduler accepts — each task's
+// dependencies added before it (des.Graph.Add rejects the rest).
+func TestEveryModelBuilds(t *testing.T) {
+	for _, model := range models.Names() {
+		net := netFor(t, model, 4)
+		for _, ty := range cost.Types {
+			if _, err := sortedTaskNames(Split{Net: net, Types: allTypes(net, ty), Alpha: 0.5}, twoV3()); err != nil {
+				t.Errorf("%s %v: %v", model, ty, err)
+			}
+		}
+	}
+}
+
 // TestMultiPathSimulation: ResNet networks with identity shortcuts
 // simulate without dependency errors.
 func TestMultiPathSimulation(t *testing.T) {
 	net := netFor(t, "resnet18", 4)
 	for _, ty := range cost.Types {
 		s := Split{Net: net, Types: allTypes(net, ty), Alpha: 0.5}
-		if err := taskOrderCheck(s, twoV3()); err != nil {
-			t.Fatalf("%v: %v", ty, err)
-		}
 		res, err := Simulate(s, twoV3(), Config{})
 		if err != nil {
 			t.Fatalf("%v: %v", ty, err)
@@ -304,46 +314,18 @@ func TestFasterMachinesFinishSooner(t *testing.T) {
 	}
 }
 
-// taskOrderCheck verifies that builder task order is topological: every
-// dependency precedes its dependent.
-func taskOrderCheck(s Split, machines [2]Machine) error {
-	if err := validateSplit(s, machines); err != nil {
-		return err
-	}
-	b := newBuilder(s, machines)
-	if err := b.build(); err != nil {
-		return err
-	}
-	pos := map[*task]int{}
-	for i, t := range b.tasks {
-		pos[t] = i
-	}
-	for i, t := range b.tasks {
-		for _, d := range t.deps {
-			j, ok := pos[d]
-			if !ok {
-				return fmt.Errorf("task %s depends on unknown task", b.taskName(t))
-			}
-			if j >= i {
-				return fmt.Errorf("task %s (pos %d) depends on later task %s (pos %d)", b.taskName(t), i, b.taskName(d), j)
-			}
-		}
-	}
-	return nil
-}
-
-// sortedTaskNames returns the task names in schedule order.
+// sortedTaskNames builds the graph and returns its task names, sorted.
 func sortedTaskNames(s Split, machines [2]Machine) ([]string, error) {
 	if err := validateSplit(s, machines); err != nil {
 		return nil, err
 	}
 	b := newBuilder(s, machines)
-	if err := b.build(); err != nil {
+	if err := b.build(Config{}, nil); err != nil {
 		return nil, err
 	}
 	names := make([]string, len(b.tasks))
-	for i, t := range b.tasks {
-		names[i] = b.taskName(t)
+	for i := range b.tasks {
+		names[i] = b.taskName(&b.tasks[i])
 	}
 	slices.Sort(names)
 	return names, nil
