@@ -13,8 +13,10 @@ import (
 // coldSearchAllocBudget bounds the allocations of one serial cold search
 // of ResNet-50 (batch 512) on the 128+128 paper array — the
 // BenchmarkPartitionHierarchical/serial setup — and of VGG-16 (batch 512)
-// on the same array. Measured at 129 for both (up to 131 over repeated
-// runs); 143 when every split ran its DP twice, the second run confirming
+// on the same array. Measured at 118 for both; 129 (up to 131 over
+// repeated runs) when every serial split moved its results to the heap
+// for a fork it did not take and every missed child scaled its dims into
+// a fresh slice; 143 when every split ran its DP twice, the second run confirming
 // types whose ratio had not moved; 183 when every solved subproblem
 // formatted its group's description anew; ResNet-50 took 1.6k when the
 // Eq. 10 bisection missed a falling balance and split identical halves at
@@ -22,12 +24,12 @@ import (
 // every memo hit deep-copied the solved subtree, and 4.1k when every
 // split built its own level context and every memo key and child-dims
 // slice was allocated.
-const coldSearchAllocBudget = 136
+const coldSearchAllocBudget = 124
 
 // memoryRejectAllocOverhead and memoryRejectAllocSlack bound a serial
 // ResNet-50 search under MemoryReject, which the paper array's
 // capacities never bind, against the same search with MemoryOff: at most
-// 3% more allocations plus a few. Measured at 129 for both. The
+// 3% more allocations plus a few. Measured at 118 for both. The
 // constrained search tries the exact unconstrained solve first at every
 // split, so it also expands exactly the same subproblems.
 const (
@@ -95,7 +97,9 @@ func TestColdSearchAllocBudget(t *testing.T) {
 // replanAllocBudget bounds the allocations of one steady-state replan:
 // the nine-variant AccPar portfolio partitioning the pristine 16+16 fleet
 // (a recurrent root hit) and a never-seen degraded one on a full shared
-// cache, so the measured replans trim it. Measured at 456; 613 when
+// cache, so the measured replans trim it. Measured at 309; 425 when every
+// missed child scaled its dims into a fresh slice and every serial split
+// moved its results to the heap for a fork it did not take; 613 when
 // every fleet's tree held one node per position and every solved
 // subproblem formatted its group's description anew; 797 when
 // identical halves were split off 0.5 and solved twice, 1.2k when
@@ -107,7 +111,7 @@ func TestColdSearchAllocBudget(t *testing.T) {
 // throwaway engine, 4.5k with per-split level contexts and heap-built
 // memo keys, and 14.7k when every eviction re-digested a whole working
 // set of trees into an index.
-const replanAllocBudget = 550
+const replanAllocBudget = 350
 
 // replanBudgetCacheEntries bounds the steady-state replan's cache: the
 // warm-up overfills it, so the measured replans run on a full cache and

@@ -20,7 +20,7 @@ import (
 // against ground truth on small networks.
 func bruteForce(ctx *levelCtx) float64 {
 	n := len(ctx.units)
-	edges := edgeList(ctx.planSegs)
+	edges := ctx.edges
 	assignment := make([]cost.Type, n)
 	best := math.Inf(1)
 	var recur func(u int)
@@ -94,8 +94,7 @@ func ctxFor(net *dnn.Network, opt Options, alpha float64) *levelCtx {
 	for i := range units {
 		dims[i] = units[i].Dims
 	}
-	segs := indexSegments(net)
-	ctx := newLevelCtx(units, segs, segs, opt.withDefaults()).reset(dims,
+	ctx := newLevelCtx(units, indexSegments(net), net.Edges(), opt.withDefaults()).reset(dims,
 		Side{Compute: 180e12, Net: 1e9}, Side{Compute: 420e12, Net: 2e9})
 	ctx.alpha = alpha
 	return ctx
@@ -108,7 +107,7 @@ func objectiveOf(ctx *levelCtx, types []cost.Type) float64 {
 	for i := range ctx.units {
 		total += ctx.unitCost(i, types[i])
 	}
-	for _, e := range edgeList(ctx.planSegs) {
+	for _, e := range ctx.edges {
 		total += ctx.edgeCost(e[0], e[1], types[e[0]], types[e[1]])
 	}
 	return total

@@ -157,7 +157,7 @@ func (c *levelCtx) ratioCoeffs(types []cost.Type) ratioCoeffs {
 	rc.constJ = intraBytes / c.sideJ.Net
 	pat := c.pat()
 	var betaBytes, abBytes float64
-	for _, e := range c.edges() {
+	for _, e := range c.edges {
 		b := float64(c.boundary(e[0], e[1]))
 		switch pat[types[e[0]]][types[e[1]]] {
 		case patAB2:

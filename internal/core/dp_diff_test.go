@@ -241,14 +241,13 @@ func diffCtx(rnd *rand.Rand, net *dnn.Network) *levelCtx {
 	for i, u := range units {
 		dims[i] = u.Dims
 	}
-	segs := indexSegments(net)
-	planSegs := segs
+	planSegs := indexSegments(net)
 	if opt.Linearize {
 		planSegs = indexSegments(net.Linearize())
 	}
 	sideI := Side{Compute: 1e12 * (1 + 400*rnd.Float64()), Net: 1e9 * (1 + 100*rnd.Float64())}
 	sideJ := Side{Compute: 1e12 * (1 + 400*rnd.Float64()), Net: 1e9 * (1 + 100*rnd.Float64())}
-	c := newLevelCtx(units, segs, planSegs, opt).reset(dims, sideI, sideJ)
+	c := newLevelCtx(units, planSegs, net.Edges(), opt).reset(dims, sideI, sideJ)
 	c.alpha = cost.ClampRatio(rnd.Float64())
 	if rnd.Intn(3) == 0 {
 		c.memLambda = 10 * rnd.Float64()

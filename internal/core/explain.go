@@ -49,7 +49,7 @@ func (p *Plan) Explain() ([]LayerExplanation, error) {
 	ctx := shape.splitCtx(shape.rootDims, n)
 	units := shape.units
 	var out []LayerExplanation
-	edges := ctx.edges()
+	edges := ctx.edges
 	for u, l := range units {
 		if l.Virtual {
 			continue

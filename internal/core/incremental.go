@@ -100,7 +100,7 @@ func (p *planner) noteStaleReuse() {
 // The memo key is sound by an invariant of the stale walk: at every node
 // where the degraded structure still aligns with the plan's, dims are
 // exactly the dims the search solved old at, because both come from the
-// same ScaleUnitDims chain from the same root dims with the same
+// same scaleUnit chain from the same root dims with the same
 // (α, types) decisions (ClampRatio is idempotent on stored ratios). So
 // old is this fingerprint's own solution for (pristine subtree, dims) — a pure
 // function of the pristine digest and the dims the key already carries —
@@ -152,11 +152,18 @@ func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, di
 	types := old.Types
 	ev := p.evalSplit(dims, sideI, sideJ, types, alpha)
 
-	left, err := p.staleNodeInc(node.Left, pristNode.Left, old.Left, ScaleUnitDims(p.units, dims, types, alpha), subKey{})
+	// The children are re-costed one after the other, so they take turns
+	// on one pooled dims buffer.
+	buf := p.getDims()
+	defer p.dims.Put(buf)
+	child := *buf
+	scaleInto(child, p.units, dims, types, alpha)
+	left, err := p.staleNodeInc(node.Left, pristNode.Left, old.Left, child, subKey{})
 	if err != nil {
 		return nil, err
 	}
-	right, err := p.staleNodeInc(node.Right, pristNode.Right, old.Right, ScaleUnitDims(p.units, dims, types, 1-alpha), subKey{})
+	scaleInto(child, p.units, dims, types, 1-alpha)
+	right, err := p.staleNodeInc(node.Right, pristNode.Right, old.Right, child, subKey{})
 	if err != nil {
 		return nil, err
 	}

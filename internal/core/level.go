@@ -73,10 +73,11 @@ func indexSegments(net *dnn.Network) []segRef {
 // each split only rewrites their contents.
 type levelCtx struct {
 	units []unitInfo
-	// segs is the true series-parallel structure, used to evaluate what a
-	// plan actually costs.
-	segs []segRef
-	// planSegs is the structure the search sees. It equals segs except for
+	// edges is the Table 5 edge enumeration of the true series-parallel
+	// structure (dnn.Network.Edges), used to evaluate what a plan actually
+	// costs.
+	edges [][2]int
+	// planSegs is the structure the search sees: the true one except for
 	// the HyPar baseline, which "can only handle DNN architectures with
 	// linear structure" (Section 1): HyPar decides on a flattened chain and
 	// then pays the real multi-path conversion costs it never modelled.
@@ -103,9 +104,6 @@ type levelCtx struct {
 	intraU  [][3]float64
 	afU     []int64
 	afNextU []int64
-	// edgesCache is the Table 5 edge enumeration over segs, computed once
-	// per context instead of per evalLevel call.
-	edgesCache [][2]int
 	// dp is runDP's working memory, allocated on the first call and
 	// reused by every later split the context serves.
 	dp dpScratch
@@ -113,10 +111,10 @@ type levelCtx struct {
 
 // newLevelCtx builds an unprepared context for one network's splits;
 // reset readies it for a particular split.
-func newLevelCtx(units []dnn.WeightedLayer, segs, planSegs []segRef, opt Options) *levelCtx {
+func newLevelCtx(units []dnn.WeightedLayer, planSegs []segRef, edges [][2]int, opt Options) *levelCtx {
 	c := &levelCtx{
 		units:    make([]unitInfo, len(units)),
-		segs:     segs,
+		edges:    edges,
 		planSegs: planSegs,
 		opt:      opt,
 	}
@@ -145,15 +143,6 @@ func (c *levelCtx) reset(dims []tensor.LayerDims, sideI, sideJ Side) *levelCtx {
 // a plan node keeps (Types) points into it.
 func (p *planner) level(dims []tensor.LayerDims, sideI, sideJ Side) *levelCtx {
 	return p.levels.Get().(*levelCtx).reset(dims, sideI, sideJ)
-}
-
-// edges returns the cached Table 5 edge enumeration over the true
-// structure.
-func (c *levelCtx) edges() [][2]int {
-	if c.edgesCache == nil {
-		c.edgesCache = edgeList(c.segs)
-	}
-	return c.edgesCache
 }
 
 func (c *levelCtx) beta() float64 { return 1 - c.alpha }
@@ -550,48 +539,6 @@ func (c *levelCtx) runDP() ([]cost.Type, float64, error) {
 	return types, bestCost, nil
 }
 
-// edgeList enumerates every inter-layer boundary (producer unit, consumer
-// unit) implied by the segment structure, including the edges into, inside
-// and out of parallel paths.
-func edgeList(segs []segRef) [][2]int {
-	n := 0
-	for i, seg := range segs[1:] {
-		if seg.unit >= 0 && segs[i].unit >= 0 {
-			n++ // series edge; a merge unit's edges are its paths' last
-		}
-		for _, path := range seg.paths {
-			n += len(path) + 1
-		}
-	}
-	edges := make([][2]int, 0, n)
-	prev := segs[0].unit
-	i := 1
-	for i < len(segs) {
-		seg := segs[i]
-		if seg.unit >= 0 {
-			edges = append(edges, [2]int{prev, seg.unit})
-			prev = seg.unit
-			i++
-			continue
-		}
-		merge := segs[i+1].unit
-		for _, path := range seg.paths {
-			if len(path) == 0 {
-				edges = append(edges, [2]int{prev, merge})
-				continue
-			}
-			edges = append(edges, [2]int{prev, path[0]})
-			for k := 1; k < len(path); k++ {
-				edges = append(edges, [2]int{path[k-1], path[k]})
-			}
-			edges = append(edges, [2]int{path[len(path)-1], merge})
-		}
-		prev = merge
-		i += 2
-	}
-	return edges
-}
-
 // LevelEval is the cost breakdown of a type assignment at one hierarchy
 // node, for a given ratio α.
 type LevelEval struct {
@@ -621,7 +568,7 @@ func (c *levelCtx) evalLevel(types []cost.Type) LevelEval {
 		ev.CommTime += math.Max(intraBytes/c.sideI.Net, intraBytes/c.sideJ.Net)
 		ev.CommBytes += 2 * intraBytes
 	}
-	for _, e := range c.edges() {
+	for _, e := range c.edges {
 		boundary := float64(c.boundary(e[0], e[1]))
 		k := pat[types[e[0]]][types[e[1]]]
 		bi := patElems(k, boundary, c.alpha, c.beta()) * tensor.BytesPerElement

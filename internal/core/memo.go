@@ -157,15 +157,16 @@ func (p *planner) subproblemKey(node *hardware.Tree, dims []tensor.LayerDims) su
 	return h.Sum()
 }
 
-// childKey is subproblemKey(node, ScaleUnitDims(p.units, dims, types,
-// ratio)) without building the scaled slice: each unit's child dims are
-// hashed as scaleUnit produces them, so a memo hit never materializes
-// dims it would throw away.
-func (p *planner) childKey(node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, ratio float64) subKey {
+// childKey scales the dims of one child of a split at (dims, types,
+// ratio) into dst, a buffer of len(dims) units, and returns the child's
+// subproblem key, subproblemKey(node, dst), in the same pass: each unit
+// is hashed as scaleUnit writes it, so a miss solves from dst without
+// scaling again.
+func (p *planner) childKey(dst []tensor.LayerDims, node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, ratio float64) subKey {
 	h := newKeyHash(node, len(dims))
 	for i := range dims {
-		d := scaleUnit(p.units[i].Virtual, dims[i], types[i], ratio)
-		hashDims(&h, &d)
+		dst[i] = scaleUnit(p.units[i].Virtual, dims[i], types[i], ratio)
+		hashDims(&h, &dst[i])
 	}
 	return h.Sum()
 }

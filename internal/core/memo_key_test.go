@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/hex"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"accpar/internal/cost"
 	"accpar/internal/hardware"
+	"accpar/internal/tensor"
 )
 
 // TestSubproblemKeyBytes pins the memo keys of two fixed (subtree, dims)
@@ -40,10 +42,12 @@ func TestSubproblemKeyBytes(t *testing.T) {
 	}
 }
 
-// TestChildKeyMatchesScaledDims: a split keys each child on the fly
-// (childKey) while the root, replan and stale paths key materialized dims
-// (subproblemKey). The two must agree exactly, or a child solved on one
-// path would silently miss on the other. Random type vectors and ratios
+// TestChildKeyMatchesScaledDims: a split keys each child as it scales
+// the child's dims into a buffer (childKey), while the root, replan and
+// stale paths key dims they already hold (subproblemKey). The two must
+// agree exactly, or a child solved on one path would silently miss on the
+// other, and the buffer a miss solves from must hold ScaleUnitDims's
+// dims. Random type vectors and ratios
 // at both clamps are walked several levels down on ResNet-18 and
 // inception, whose virtual junction units (residual adds, concatenations)
 // scale both channel extents.
@@ -80,8 +84,13 @@ func TestChildKeyMatchesScaledDims(t *testing.T) {
 					child = node.Right
 				}
 				scaled := ScaleUnitDims(p.units, dims, types, r)
-				if got, want := p.childKey(child, dims, types, r), p.subproblemKey(child, scaled); got != want {
+				buf := make([]tensor.LayerDims, len(dims))
+				got := p.childKey(buf, child, dims, types, r)
+				if want := p.subproblemKey(child, scaled); got != want {
 					t.Fatalf("%s level %d ratio %g: childKey %x, subproblemKey %x", model, node.Level, r, got, want)
+				}
+				if !slices.Equal(buf, scaled) {
+					t.Fatalf("%s level %d ratio %g: childKey wrote %v, ScaleUnitDims %v", model, node.Level, r, buf, scaled)
 				}
 				node, dims = child, scaled
 			}

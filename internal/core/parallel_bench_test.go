@@ -40,8 +40,7 @@ func benchCtx(tb testing.TB) (*levelCtx, []cost.Type) {
 	for i := range units {
 		dims[i] = units[i].Dims
 	}
-	segs := indexSegments(net)
-	ctx := newLevelCtx(units, segs, segs, opt).reset(dims, sideI, sideJ)
+	ctx := newLevelCtx(units, indexSegments(net), net.Edges(), opt).reset(dims, sideI, sideJ)
 	ctx.alpha = 0.5
 	types := make([]cost.Type, len(ctx.units))
 	for i := range types {

@@ -51,12 +51,14 @@ type planner struct {
 }
 
 // searchShape is the part of a search's state fixed by its fingerprint
-// (searchFingerprint): the network's units and segment index, both as
-// searched and as planned (they differ under Linearize), and a pool of
-// prepared level contexts (level.go), so a split reuses DP scratch and
-// coefficient slices instead of allocating them. A SharedCache keeps one
-// shape per fingerprint beside its memo and hands it to every search on
-// that memo; an uncached planner builds a private one.
+// (searchFingerprint): the network's units, the segment index the search
+// sees (flattened under Linearize), the edges of the true structure that
+// plans are priced on, a pool of prepared level contexts (level.go), so a
+// split reuses DP scratch and coefficient slices instead of allocating
+// them, and a pool of child-dims buffers (getDims), so a split's children
+// are scaled without allocating. A SharedCache keeps one shape per
+// fingerprint beside its memo and hands it to every search on that memo;
+// an uncached planner builds a private one.
 //
 // Networks that differ only in batch size share a fingerprint, so a
 // shape may be built from another call's network: nothing read through
@@ -66,20 +68,20 @@ type planner struct {
 // (rootDimsOf).
 type searchShape struct {
 	units    []dnn.WeightedLayer
-	segs     []segRef
 	planSegs []segRef
+	edges    [][2]int
 	levels   sync.Pool
+	dims     sync.Pool
 	rootDims []tensor.LayerDims
 }
 
 // newSearchShape builds the shape of a search over net under opt.
 func newSearchShape(net *dnn.Network, opt Options) *searchShape {
-	s := &searchShape{units: net.Units(), segs: indexSegments(net)}
+	s := &searchShape{units: net.Units(), planSegs: indexSegments(net), edges: net.Edges()}
 	s.rootDims = make([]tensor.LayerDims, len(s.units))
 	for i := range s.units {
 		s.rootDims[i] = s.units[i].Dims
 	}
-	s.planSegs = s.segs
 	if opt.Linearize {
 		// The search sees a flattened chain (HyPar's linear-structure
 		// restriction), but plans are evaluated — and paid for — on the
@@ -90,8 +92,23 @@ func newSearchShape(net *dnn.Network, opt Options) *searchShape {
 	// A cached shape outlives the call that built it: its contexts keep
 	// only the fingerprinted options, never a caller's cache or recorder.
 	opt.Cache, opt.Audit, opt.Parallelism = nil, nil, 0
-	s.levels.New = func() any { return newLevelCtx(s.units, s.segs, s.planSegs, opt) }
+	s.levels.New = func() any { return newLevelCtx(s.units, s.planSegs, s.edges, opt) }
+	s.dims.New = func() any {
+		buf := make([]tensor.LayerDims, len(s.units))
+		return &buf
+	}
 	return s
+}
+
+// getDims takes a per-unit dims buffer from the shape's pool. A split
+// scales a child's dims into one (childKey, scaleInto) and solves the
+// child from it; the caller puts it back once the child is solved.
+// Nothing a plan node keeps points into a buffer: plan nodes store no
+// dims, and level contexts copy theirs. Pooling on the shape keeps
+// forked workers, and concurrent searches on one SharedCache, on buffers
+// of their own.
+func (s *searchShape) getDims() *[]tensor.LayerDims {
+	return s.dims.Get().(*[]tensor.LayerDims)
 }
 
 // noteHit records a replan hit when the call collects stats; other
@@ -232,20 +249,6 @@ func (p *planner) partitionKeyed(node *hardware.Tree, dims []tensor.LayerDims, k
 		return n, nil
 	}
 	return p.solve(node, dims, key)
-}
-
-// partitionChild handles the child node of a split at (dims, types,
-// ratio), whose subproblem key (childKey) the caller already has: it
-// materializes the child's scaled dims only on a memo miss, and only for
-// as long as the miss takes to solve.
-func (p *planner) partitionChild(node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, ratio float64, key subKey) (*PlanNode, error) {
-	if err := p.checkCtx(); err != nil {
-		return nil, err
-	}
-	if n, ok := p.lookup(node, key); ok {
-		return n, nil
-	}
-	return p.solve(node, ScaleUnitDims(p.units, dims, types, ratio), key)
 }
 
 // lookup serves a subproblem from the memo. A hit links the stored node
@@ -464,39 +467,57 @@ func (p *planner) assembleSplit(node *hardware.Tree, dims []tensor.LayerDims, si
 // level down. Solving left then right makes the right child and every
 // such cousin an ordinary memo hit, exactly as in a serial search,
 // instead of a second worker solving it again.
+//
+// The serial recursion solves the children one after the other, so they
+// take turns on one pooled dims buffer; a fork takes one per child.
 func (p *planner) partitionChildren(node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, alpha float64) (left, right *PlanNode, err error) {
-	lkey := p.childKey(node.Left, dims, types, alpha)
-	rkey := p.childKey(node.Right, dims, types, 1-alpha)
 	if node.Left.Identity().Digest != node.Right.Identity().Digest && p.sem.TryAcquire() {
-		obsForks.Inc()
-		var wg sync.WaitGroup
-		var rerr error
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer p.sem.Release()
-			right, rerr = p.partitionChild(node.Right, dims, types, 1-alpha, rkey)
-		}()
-		var lerr error
-		left, lerr = p.partitionChild(node.Left, dims, types, alpha, lkey)
-		wg.Wait()
-		if lerr != nil {
-			return nil, nil, lerr
-		}
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		return left, right, nil
+		return p.forkChildren(node, dims, types, alpha)
 	}
-	left, err = p.partitionChild(node.Left, dims, types, alpha, lkey)
-	if err != nil {
+	buf := p.getDims()
+	defer p.dims.Put(buf)
+	if left, err = p.partitionChild(*buf, node.Left, dims, types, alpha); err != nil {
 		return nil, nil, err
 	}
-	right, err = p.partitionChild(node.Right, dims, types, 1-alpha, rkey)
-	if err != nil {
+	if right, err = p.partitionChild(*buf, node.Right, dims, types, 1-alpha); err != nil {
 		return nil, nil, err
 	}
 	return left, right, nil
+}
+
+// forkChildren solves the right child on a goroutine, holding the worker
+// slot the caller acquired, and the left child on the calling one. It is
+// its own function so that the serial path never moves the results the
+// goroutine writes to the heap.
+func (p *planner) forkChildren(node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, alpha float64) (left, right *PlanNode, err error) {
+	obsForks.Inc()
+	lbuf, rbuf := p.getDims(), p.getDims()
+	defer p.dims.Put(lbuf)
+	defer p.dims.Put(rbuf)
+	var wg sync.WaitGroup
+	var rerr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer p.sem.Release()
+		right, rerr = p.partitionChild(*rbuf, node.Right, dims, types, 1-alpha)
+	}()
+	left, err = p.partitionChild(*lbuf, node.Left, dims, types, alpha)
+	wg.Wait()
+	if err != nil {
+		return nil, nil, err
+	}
+	if rerr != nil {
+		return nil, nil, rerr
+	}
+	return left, right, nil
+}
+
+// partitionChild handles one child of a split at (dims, types, ratio):
+// it scales the child's dims into buf as it keys them (childKey), and a
+// memo miss solves from buf.
+func (p *planner) partitionChild(buf []tensor.LayerDims, node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, ratio float64) (*PlanNode, error) {
+	return p.partitionKeyed(node, buf, p.childKey(buf, node, dims, types, ratio))
 }
 
 // ScaleUnitDims returns the effective per-unit dims of one child of a
@@ -510,15 +531,20 @@ func (p *planner) partitionChildren(node *hardware.Tree, dims []tensor.LayerDims
 // with this function, exactly as the search did.
 func ScaleUnitDims(units []dnn.WeightedLayer, dims []tensor.LayerDims, types []cost.Type, ratio float64) []tensor.LayerDims {
 	out := make([]tensor.LayerDims, len(dims))
-	for i, d := range dims {
-		out[i] = scaleUnit(units[i].Virtual, d, types[i], ratio)
-	}
+	scaleInto(out, units, dims, types, ratio)
 	return out
 }
 
+// scaleInto is ScaleUnitDims into dst, a buffer of len(dims) units.
+func scaleInto(dst []tensor.LayerDims, units []dnn.WeightedLayer, dims []tensor.LayerDims, types []cost.Type, ratio float64) {
+	for i, d := range dims {
+		dst[i] = scaleUnit(units[i].Virtual, d, types[i], ratio)
+	}
+}
+
 // scaleUnit scales one unit's dims for a child of a split under type t;
-// ScaleUnitDims and childKey share it, so a key hashed on the fly always
-// names the dims a miss materializes.
+// scaleInto and childKey share it, so a key always names the dims it was
+// hashed from.
 func scaleUnit(virtual bool, d tensor.LayerDims, t cost.Type, ratio float64) tensor.LayerDims {
 	if virtual && t != cost.TypeI {
 		return d.Scale(tensor.DimDi, ratio).Scale(tensor.DimDo, ratio)

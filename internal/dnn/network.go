@@ -190,57 +190,48 @@ func (n *Network) Linearize() *Network {
 // Edges returns every inter-layer boundary of the network as (producer,
 // consumer) pairs of Units() indices, including the edges into, inside and
 // out of parallel paths. An identity shortcut contributes a direct edge
-// from the unit before the region to the merge unit.
+// from the unit before the region to the merge unit. The edges are
+// counted first, so the result is one allocation.
 func (n *Network) Edges() [][2]int {
-	// Resolve unit indices per segment in Units() order.
-	type seg struct {
-		unit  int
-		paths [][]int
+	count := 0
+	for i, s := range n.Segments[1:] {
+		if s.Unit != nil && n.Segments[i].Unit != nil {
+			count++ // series edge; a merge unit's edges are its paths' last
+		}
+		for _, p := range s.Paths {
+			count += len(p) + 1
+		}
 	}
-	var segs []seg
-	idx := 0
-	for _, s := range n.Segments {
+	edges := make([][2]int, 0, count)
+	prev, idx := 0, 1 // the first segment is unit 0
+	for i := 1; i < len(n.Segments); i++ {
+		s := n.Segments[i]
 		if s.Unit != nil {
-			segs = append(segs, seg{unit: idx})
+			edges = append(edges, [2]int{prev, idx})
+			prev = idx
 			idx++
 			continue
 		}
-		sp := seg{unit: -1}
+		// The merge unit follows every unit of the region's paths.
+		merge := idx
 		for _, p := range s.Paths {
-			path := make([]int, len(p))
-			for i := range p {
-				path[i] = idx
-				idx++
-			}
-			sp.paths = append(sp.paths, path)
+			merge += len(p)
 		}
-		segs = append(segs, sp)
-	}
-	var edges [][2]int
-	prev := segs[0].unit
-	i := 1
-	for i < len(segs) {
-		s := segs[i]
-		if s.unit >= 0 {
-			edges = append(edges, [2]int{prev, s.unit})
-			prev = s.unit
-			i++
-			continue
-		}
-		merge := segs[i+1].unit
-		for _, path := range s.paths {
-			if len(path) == 0 {
+		for _, p := range s.Paths {
+			if len(p) == 0 {
 				edges = append(edges, [2]int{prev, merge})
 				continue
 			}
-			edges = append(edges, [2]int{prev, path[0]})
-			for k := 1; k < len(path); k++ {
-				edges = append(edges, [2]int{path[k-1], path[k]})
+			edges = append(edges, [2]int{prev, idx})
+			for k := 1; k < len(p); k++ {
+				edges = append(edges, [2]int{idx, idx + 1})
+				idx++
 			}
-			edges = append(edges, [2]int{path[len(path)-1], merge})
+			edges = append(edges, [2]int{idx, merge})
+			idx++
 		}
-		prev = merge
-		i += 2
+		prev, idx = merge, merge+1
+		i++ // the merge unit's edges are its paths' last
 	}
 	return edges
 }

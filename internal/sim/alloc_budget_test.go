@@ -13,10 +13,12 @@ import (
 // simulateAllocBudget bounds the allocations of one simulated iteration
 // of VGG-16 (batch 512) split between 128 TPU-v2 and 128 TPU-v3 boards at
 // the root of its AccPar plan — the BenchmarkSimulatorVGG setup. Measured
-// at 75: the task graph and the unit list come from the pooled builder,
-// and task names render only on errors; 77 when validation and the
-// builder each copied the network's unit list.
-const simulateAllocBudget = 92
+// at 2, the result and the edge list: the task graph, the unit list and
+// the work tables come from the pooled builder, and task names render
+// only on errors; 75 when every layer's trace records were generated to
+// be summed and the edge list was built one slice per path, 77 when
+// validation and the builder each copied the network's unit list.
+const simulateAllocBudget = 4
 
 // TestSimulateAllocBudget fails on an allocation regression of the
 // simulator's pooled builder. The race detector's instrumentation

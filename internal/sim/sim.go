@@ -1,10 +1,14 @@
 // Package sim is the trace-driven performance simulator (Section 6.1 of
-// the paper): it derives per-layer, per-phase tensor access and computation
-// traces with package trace, builds the dependency graph of one training
-// iteration (forward chain → backward chain → gradient computations, with
-// partial-sum exchanges and inter-layer conversion transfers), and
-// schedules it over the compute, HBM and network resources of the two
-// accelerator groups of a bi-partition.
+// the paper): it prices every layer's per-phase tensor access and
+// computation on each accelerator group with package trace's work tables,
+// builds the dependency graph of one training iteration (forward chain →
+// backward chain → gradient computations, with partial-sum exchanges and
+// inter-layer conversion transfers), and schedules it over the compute,
+// HBM and network resources of the two accelerator groups of a
+// bi-partition. A work table is the per-phase sum of the records of the
+// trace package trace derives for the same assignment, bit for bit, so a
+// simulation prices exactly that trace without materializing it; traces
+// themselves are generated only for export (accpar-trace and its CSV).
 //
 // The simulator cross-validates the analytic hierarchical cost model in
 // internal/core at the granularity the paper's cost tables are derived
@@ -296,7 +300,7 @@ type builder struct {
 	inj      *faults.Injector
 	res      *Result
 	units    []dnn.WeightedLayer
-	traces   [2][]*trace.Trace // per machine, per unit
+	work     [2][]trace.Work // per machine, per unit
 	edges    [][2]int
 	incoming [][]int // consumer unit -> producer units
 	outgoing [][]int // producer unit -> consumer units
@@ -311,7 +315,7 @@ type builder struct {
 }
 
 // builderPool recycles builders — and with them the task lists, schedule,
-// trace tables and adjacency indexes — across Simulate calls, so sweeps
+// work tables and adjacency indexes — across Simulate calls, so sweeps
 // that simulate hundreds of configurations stop churning the GC.
 var builderPool = sync.Pool{New: func() any { return new(builder) }}
 
@@ -368,24 +372,6 @@ func (b *builder) add(t task, deps ...int) int {
 	return b.sched.Add(des.Task{On: on, Hold: hold, Dur: t.dur}, deps...)
 }
 
-// phaseWork sums a trace phase's arithmetic and local traffic.
-func phaseWork(tr *trace.Trace, p cost.Phase) (flops, localBytes, remoteBytes float64) {
-	for _, r := range tr.Records {
-		if r.Phase != p {
-			continue
-		}
-		switch r.Op {
-		case trace.OpMult, trace.OpAdd:
-			flops += float64(r.Elements())
-		case trace.OpLoad, trace.OpStore:
-			localBytes += float64(r.Elements()) * tensor.BytesPerElement
-		case trace.OpRemoteLoad:
-			remoteBytes += float64(r.Elements()) * tensor.BytesPerElement
-		}
-	}
-	return
-}
-
 // convBytes returns the Table 5 conversion bytes machine m moves on the
 // edge p→u: the feature map forward and the error backward.
 func (b *builder) convBytes(p, u, m int) (fwd, bwd float64) {
@@ -430,19 +416,19 @@ func growDone(done [][2]int, n int) [][2]int {
 	return done[:n]
 }
 
-// phase adds unit u's main tasks of one phase on both machines, each
-// after the dependencies depsOf appends for its machine, then the
-// partial-sum exchange of each machine whose trace reads the peer's
-// partials — both partials must exist first. It returns each machine's
+// phase adds unit u's main tasks of one phase on both machines, priced
+// from their work tables, each after the dependencies depsOf appends for
+// its machine, then the partial-sum exchange of each machine whose trace
+// reads the peer's partials — both partials must exist first. It returns each machine's
 // last task of the phase.
 func (b *builder) phase(ph cost.Phase, u int, main, psum taskKind, depsOf func(m int, deps []int) []int) [2]int {
 	var last [2]int
 	var rbs [2]float64
 	for m := 0; m < 2; m++ {
 		b.deps = depsOf(m, b.deps[:0])
-		fl, lb, rb := phaseWork(b.traces[m][u], ph)
-		last[m] = b.add(task{kind: main, unit: u, unit2: -1, machine: m, flops: fl, localBytes: lb}, b.deps...)
-		rbs[m] = rb
+		w := &b.work[m][u][ph]
+		last[m] = b.add(task{kind: main, unit: u, unit2: -1, machine: m, flops: w.FLOPs, localBytes: w.LocalBytes}, b.deps...)
+		rbs[m] = w.RemoteBytes
 	}
 	mains := last
 	for m := 0; m < 2; m++ {
@@ -464,23 +450,21 @@ func (b *builder) build(cfg Config, inj *faults.Injector) error {
 	b.edges = b.split.Net.Edges()
 	b.indexEdges()
 
-	// Derive traces.
+	// Price every unit's trace on both machines; a virtual unit does no
+	// work.
 	for m := 0; m < 2; m++ {
-		if cap(b.traces[m]) < n {
-			b.traces[m] = make([]*trace.Trace, n)
-		}
-		b.traces[m] = b.traces[m][:n]
+		b.work[m] = slices.Grow(b.work[m][:0], n)[:n]
 	}
 	for u := 0; u < n; u++ {
 		if b.units[u].Virtual {
-			b.traces[0][u], b.traces[1][u] = &trace.Trace{}, &trace.Trace{}
+			b.work[0][u], b.work[1][u] = trace.Work{}, trace.Work{}
 			continue
 		}
-		ti, tj, err := trace.GeneratePair(b.units[u].Dims, b.split.Types[u], b.split.Alpha)
+		wi, wj, err := trace.WorkPair(b.units[u].Dims, b.split.Types[u], b.split.Alpha)
 		if err != nil {
 			return err
 		}
-		b.traces[0][u], b.traces[1][u] = ti, tj
+		b.work[0][u], b.work[1][u] = wi, wj
 	}
 
 	b.fwdDone = growDone(b.fwdDone, n)

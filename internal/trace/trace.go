@@ -83,14 +83,6 @@ type Trace struct {
 	Records []Record
 }
 
-// add appends a record, dropping empty ones.
-func (t *Trace) add(phase cost.Phase, op Op, tensorName string, count, granule int64) {
-	if count <= 0 {
-		return
-	}
-	t.Records = append(t.Records, Record{Phase: phase, Op: op, Tensor: tensorName, Count: count, Granule: granule})
-}
-
 // Totals sums elements (or scalar ops) by op kind.
 func (t *Trace) Totals() map[Op]int64 {
 	m := map[Op]int64{}
