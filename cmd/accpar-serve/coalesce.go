@@ -163,10 +163,12 @@ func (c *coalescer) coalesce(endpoint string, maxBody int64, h http.HandlerFunc)
 			case <-r.Context().Done():
 				// The follower's client went away while waiting; there is
 				// nobody left to answer.
+				captureFrom(r.Context()).noteCoalesced()
 				return
 			}
 			if f.code < http.StatusBadRequest {
 				obsCoalesced.Inc()
+				captureFrom(r.Context()).noteCoalesced()
 				replay(w, f)
 				return
 			}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"accpar"
 	"accpar/internal/obs"
 )
 
@@ -220,5 +221,46 @@ func TestCoalesceEndToEnd(t *testing.T) {
 		if !bytes.Equal(resp.Body.Bytes(), want) {
 			t.Errorf("request %d: response differs across the herd", i)
 		}
+	}
+}
+
+// TestObserveCountsFollowersCapturesLeader: through observe, a coalesced
+// follower is counted and timed in the endpoint's metrics like any
+// request, but only the leader, which ran the handler, is offered to the
+// flight recorder.
+func TestObserveCountsFollowersCapturesLeader(t *testing.T) {
+	srv := newServer(accpar.NewSession(0), serveConfig{})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	h := srv.observe("/v1/plan", planMetrics, srv.coal.coalesce("plan", 1<<20, func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+		fmt.Fprint(w, "{}")
+	}))
+	const body = `{"model":"lenet","tag":"observe"}`
+	key, _ := canonicalKey("plan", []byte(body))
+	requests := func() int64 { return obs.Default().Snapshot().Counters["serve.plan.requests"] }
+	before := requests()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if w := postHandler(h, body); w.Code != http.StatusOK {
+				t.Errorf("code %d, want 200", w.Code)
+			}
+		}()
+		if i == 0 {
+			<-entered
+		}
+	}
+	awaitWaiters(t, srv.coal, key, 1)
+	close(release)
+	wg.Wait()
+	if d := requests() - before; d != 2 {
+		t.Errorf("serve.plan.requests rose by %d, want 2", d)
+	}
+	if n := srv.flight.Seen(); n != 1 {
+		t.Errorf("flight recorder saw %d requests, want 1 (the leader)", n)
 	}
 }

@@ -33,7 +33,8 @@
 // concurrent requests never interleave; a request can ask for its own
 // trace ("trace": true) or search-decision audit ("explain": true) in
 // the response, and the always-on flight recorder retains the -slowest N
-// requests — trace, audit and metadata — behind GET /debug/slowest.
+// requests — trace, audit, effective request and metadata — behind GET
+// /debug/slowest.
 //
 // Usage:
 //

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"accpar"
+	"accpar/cmd/internal/spec"
 	"accpar/internal/diag"
 )
 
@@ -77,15 +78,58 @@ func TestPlanByteIdenticalToLibrary(t *testing.T) {
 	}
 }
 
-// TestPlanDefaultsMirrorCLI asserts an empty body selects the CLI's
-// default workload rather than erroring.
+// TestPlanDefaultsMirrorCLI asserts an empty body selects the paper's
+// evaluation point. The CLIs' flag defaults read the same single copy,
+// spec.Default.
 func TestPlanDefaultsMirrorCLI(t *testing.T) {
 	var req planRequest
-	req.defaults()
-	want := planRequest{Model: "alexnet", Batch: 512, V2: 128, V3: 128,
-		Strategy: "accpar", Levels: 64, Optimizer: "sgd"}
+	req.FillZero()
+	want := spec.Workload{Model: "alexnet", Batch: 512, V2: 128, V3: 128,
+		Strategy: "accpar", Levels: 64, Optimizer: "sgd", MemoryLimit: "off"}
+	if req.Workload != want {
+		t.Errorf("defaults = %+v, want %+v", req.Workload, want)
+	}
+	if d := spec.Default(); d.Workload != want || d.Seed != 1 {
+		t.Errorf("spec.Default() = %+v, want %+v and seed 1", d, want)
+	}
+}
+
+// TestCaptureCarriesEffectiveRequest asserts a flight-recorder capture
+// holds the request the server planned, defaults filled in, and that
+// posting that request again plans the same bytes.
+func TestCaptureCarriesEffectiveRequest(t *testing.T) {
+	_, mux := newTestMux(t)
+	first := post(t, mux, "/v1/plan", `{"model":"lenet","batch":32,"v2":2,"v3":2,"levels":4,"tag":"effective"}`)
+	if first.Code != http.StatusOK {
+		t.Fatalf("plan: %d: %s", first.Code, first.Body)
+	}
+	var idx struct {
+		Captures []struct {
+			Tag     string          `json:"tag"`
+			Request json.RawMessage `json:"request"`
+		} `json:"captures"`
+	}
+	if err := json.Unmarshal(get(t, mux, "/debug/slowest").Body.Bytes(), &idx); err != nil {
+		t.Fatal(err)
+	}
+	var got json.RawMessage
+	for _, c := range idx.Captures {
+		if c.Tag == "effective" {
+			got = c.Request
+		}
+	}
+	var req spec.Workload
+	if err := json.Unmarshal(got, &req); err != nil {
+		t.Fatalf("capture request %s: %v", got, err)
+	}
+	want := spec.Default().Workload
+	want.Model, want.Batch, want.V2, want.V3, want.Levels = "lenet", 32, 2, 2, 4
 	if req != want {
-		t.Errorf("defaults = %+v, want %+v", req, want)
+		t.Errorf("captured request %+v, want %+v", req, want)
+	}
+	again := post(t, mux, "/v1/plan", string(got))
+	if again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), first.Body.Bytes()) {
+		t.Errorf("replaying the captured request: %d, bytes equal %v", again.Code, bytes.Equal(again.Body.Bytes(), first.Body.Bytes()))
 	}
 }
 
@@ -195,6 +239,56 @@ func TestCompare(t *testing.T) {
 		if row.TimeSeconds <= 0 || row.Speedup <= 0 {
 			t.Errorf("%s: non-positive time %g or speedup %g", row.Strategy, row.TimeSeconds, row.Speedup)
 		}
+	}
+}
+
+// TestCompareAccParIsThePortfolio pins the portfolio meaning of AccPar
+// (package spec, "Two meanings of AccPar"): /v1/compare's AccPar row is
+// accpar.Partition's time. On inception at batch 64 that portfolio beats
+// the one configuration /v1/plan searches, as TestPlanByteIdenticalToLibrary
+// pins the other meaning.
+func TestCompareAccParIsThePortfolio(t *testing.T) {
+	_, mux := newTestMux(t)
+	w := post(t, mux, "/v1/compare", `{"model":"inception","batch":64}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("compare: %d: %s", w.Code, w.Body)
+	}
+	var doc struct {
+		Strategies []compareRow `json:"strategies"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	net, err := accpar.BuildModel("inception", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := accpar.TPUFleet(128, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	portfolio, err := accpar.Partition(net, arr, accpar.StrategyAccPar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := accpar.PartitionWithOptions(net, arr, accpar.StrategyAccPar.Options(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row *compareRow
+	for i := range doc.Strategies {
+		if doc.Strategies[i].Strategy == accpar.StrategyAccPar.String() {
+			row = &doc.Strategies[i]
+		}
+	}
+	if row == nil {
+		t.Fatalf("no AccPar row: %s", w.Body)
+	}
+	if row.TimeSeconds != portfolio.Time() {
+		t.Errorf("compare AccPar row %g s, Partition %g s", row.TimeSeconds, portfolio.Time())
+	}
+	if !(portfolio.Time() < one.Time()) {
+		t.Errorf("portfolio %g s does not beat the one configuration %g s on inception/64", portfolio.Time(), one.Time())
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"accpar"
+	"accpar/cmd/internal/spec"
 	"accpar/internal/admission"
 	"accpar/internal/diag"
 	"accpar/internal/obs"
@@ -91,20 +92,17 @@ func newServer(sess *accpar.Session, cfg serveConfig) *server {
 }
 
 // routes registers the /v1 planning endpoints. Each handler is wrapped
-// inside-out as guard → record → coalesce → instrument → recover: the
-// admission guard sheds or queues, record gives each executed request
-// its own scoped tracer and offers the finished capture to the flight
-// recorder, the coalescer lets byte-equivalent concurrent requests share
-// one execution (followers never enter admission or tracing, so a
-// thundering herd holds one weight unit and one trace), instrument times
-// the work and counts 429s as errors, and the panic recovery is
-// outermost so a panic anywhere in the stack still becomes a 500 instead
-// of a torn connection.
+// inside-out as guard → coalesce → observe → recover: the admission guard
+// sheds or queues, the coalescer lets byte-equivalent concurrent requests
+// share one execution (followers never enter admission, so a thundering
+// herd holds one weight unit and one trace), observe gives each request
+// its metrics, its own scoped tracer and its flight-recorder offer, and
+// the panic recovery is outermost so a panic anywhere in the stack still
+// becomes a 500 instead of a torn connection.
 func (s *server) routes(mux *http.ServeMux) {
 	wrap := func(name string, weight int64, m *endpointMetrics, h http.HandlerFunc) http.HandlerFunc {
 		guarded := s.adm.Guard(weight, m.shed, h)
-		recorded := s.record("/v1/"+name, m.timer, guarded)
-		return admission.Recover(instrument(m, s.coal.coalesce(name, s.cfg.MaxBodyBytes, recorded)))
+		return admission.Recover(s.observe("/v1/"+name, m, s.coal.coalesce(name, s.cfg.MaxBodyBytes, guarded)))
 	}
 	mux.HandleFunc("POST /v1/plan", wrap("plan", weightPlan, planMetrics, s.plan))
 	mux.HandleFunc("POST /v1/compare", wrap("compare", weightCompare, compareMetrics, s.compare))
@@ -124,18 +122,6 @@ func (s *server) readyChecks() []accpar.DiagCheck {
 			return nil
 		},
 	}}
-}
-
-// statusWriter captures the response code so the instrumentation can
-// count errors.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
 }
 
 // endpointMetrics is one endpoint's observability set: a log-bucketed
@@ -174,49 +160,14 @@ var (
 	resilienceMetrics = newEndpointMetrics("resilience")
 )
 
-// instrument wraps a handler with the endpoint's metrics.
-func instrument(m *endpointMetrics, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		m.requests.Inc()
-		m.inflight.Add(1)
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		m.timer.Observe(time.Since(start))
-		m.inflight.Add(-1)
-		if sw.code >= 400 {
-			m.errors.Inc()
-		}
-	}
-}
-
-// planRequest is the JSON workload+fleet spec the /v1 endpoints accept.
-// Zero-valued fields take the accpar CLI's defaults, so an empty body
-// plans the paper's AlexNet-on-128+128 evaluation point.
+// planRequest is the /v1/plan and /v1/compare body: the workload spec
+// (package spec) beside the service's own fields. Zero-valued spec fields
+// take the spec's defaults, so an empty body plans the paper's
+// AlexNet-on-128+128 evaluation point, as the accpar CLI does without
+// flags. A reject-mode "memory_limit" whose workload fits no reachable
+// plan answers a structured 422 with the tightest-leaf diagnostic.
 type planRequest struct {
-	// Model is a built-in model name (accpar.Models).
-	Model string `json:"model"`
-	// Batch is the mini-batch size.
-	Batch int `json:"batch"`
-	// V2 and V3 size the default TPU-v2 + TPU-v3 fleet.
-	V2 int `json:"v2"`
-	V3 int `json:"v3"`
-	// Fleet is an explicit "name:count,name:count" preset spec overriding
-	// V2/V3 (accpar.ParseFleet).
-	Fleet string `json:"fleet"`
-	// Strategy selects the partitioning scheme: dp, owt, hypar, accpar.
-	Strategy string `json:"strategy"`
-	// Levels is the hierarchy level budget.
-	Levels int `json:"levels"`
-	// Optimizer is the weight-update rule: sgd, momentum, adam.
-	Optimizer string `json:"optimizer"`
-	// Inference costs the forward phase only.
-	Inference bool `json:"inference"`
-	// MemoryLimit selects the HBM-capacity constraint mode: "off" (or
-	// empty — the default), "reject" or "penalize". A reject-mode request
-	// whose workload fits no reachable plan answers a structured 422 with
-	// the tightest-leaf diagnostic.
-	MemoryLimit string `json:"memory_limit"`
+	spec.Workload
 	// TimeoutMs bounds this request's planning work in milliseconds,
 	// overriding the server's -default-deadline. An expired deadline
 	// aborts the search mid-recursion and answers 504.
@@ -236,57 +187,11 @@ type planRequest struct {
 	Trace bool `json:"trace"`
 }
 
-// summary renders the request's workload one-line, for flight-recorder
-// captures.
-func (q *planRequest) summary() string {
-	fleet := q.Fleet
-	if fleet == "" {
-		fleet = fmt.Sprintf("v2:%d,v3:%d", q.V2, q.V3)
-	}
-	return fmt.Sprintf("%s batch=%d fleet=%s strategy=%s levels=%d", q.Model, q.Batch, fleet, q.Strategy, q.Levels)
-}
-
-// defaults fills zero-valued fields with the accpar CLI's flag defaults,
-// keeping serve plans byte-identical to CLI plans for the same inputs.
-func (q *planRequest) defaults() {
-	if q.Model == "" {
-		q.Model = "alexnet"
-	}
-	if q.Batch == 0 {
-		q.Batch = 512
-	}
-	if q.V2 == 0 && q.V3 == 0 && q.Fleet == "" {
-		q.V2, q.V3 = 128, 128
-	}
-	if q.Strategy == "" {
-		q.Strategy = "accpar"
-	}
-	if q.Levels == 0 {
-		q.Levels = 64
-	}
-	if q.Optimizer == "" {
-		q.Optimizer = "sgd"
-	}
-}
-
-// checkFleet rejects negative v2/v3 counts and a v2/v3 fleet larger
-// than accpar.MaxAccelerators before any array is built (ParseFleet
-// bounds "fleet" specs itself).
-func (q *planRequest) checkFleet() error {
-	if q.V2 < 0 || q.V3 < 0 {
-		return fmt.Errorf("fleet v2=%d v3=%d: negative accelerator count", q.V2, q.V3)
-	}
-	if q.V2 > accpar.MaxAccelerators || q.V3 > accpar.MaxAccelerators || q.V2+q.V3 > accpar.MaxAccelerators {
-		return fmt.Errorf("fleet v2=%d v3=%d: more than %d accelerators", q.V2, q.V3, accpar.MaxAccelerators)
-	}
-	return nil
-}
-
-// decodeBody parses the request body into v with the server's body
-// bound applied: oversize bodies answer 413, malformed ones — including
-// any data after the JSON object — 400. An empty body is valid and
-// leaves v zero-valued (all defaults).
-func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// decode parses the request body into v with the server's body bound
+// applied: oversize bodies answer 413, malformed ones — including any
+// data after the JSON object — 400. An empty body is valid and leaves v
+// zero-valued (all defaults).
+func (s *server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -303,20 +208,6 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 			return false
 		}
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-// decode parses the request body into v, whose workload spec is req,
-// applies the defaults and bounds the fleet.
-func (s *server) decode(w http.ResponseWriter, r *http.Request, v any, req *planRequest) bool {
-	if !s.decodeBody(w, r, v) {
-		return false
-	}
-	req.defaults()
-	if err := req.checkFleet(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
 		return false
 	}
 	return true
@@ -355,24 +246,6 @@ func planStatus(err error) int {
 	}
 }
 
-// workload builds the network and array a request describes.
-func workload(req *planRequest) (*accpar.Network, *accpar.Array, error) {
-	net, err := accpar.BuildModel(req.Model, req.Batch)
-	if err != nil {
-		return nil, nil, err
-	}
-	var arr *accpar.Array
-	if req.Fleet != "" {
-		arr, err = accpar.ParseFleet(req.Fleet)
-	} else {
-		arr, err = accpar.TPUFleet(req.V2, req.V3)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return net, arr, nil
-}
-
 // plan serves POST /v1/plan: the partition plan as JSON, byte-identical
 // to `accpar -json` for the same workload (the response is the
 // Plan.AppendJSON document the CLI's Plan.WriteJSON writes, and caching
@@ -381,30 +254,17 @@ func workload(req *planRequest) (*accpar.Network, *accpar.Array, error) {
 // trace beside it.
 func (s *server) plan(w http.ResponseWriter, r *http.Request) {
 	var req planRequest
-	if !s.decode(w, r, &req, &req) {
+	if !s.decode(w, r, &req) {
 		return
 	}
-	captureFrom(r.Context()).note(req.Tag, req.summary())
-	net, arr, err := workload(&req)
+	req.FillZero()
+	captureFrom(r.Context()).note(req.Tag, req.Workload)
+	net, arr, err := req.Build()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	st, err := accpar.ParseStrategy(req.Strategy)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	opt := st.Options()
-	opt.Optimizer, err = accpar.ParseOptimizer(req.Optimizer)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.Inference {
-		opt.Mode = accpar.ModeInference
-	}
-	opt.MemoryLimit, err = accpar.ParseMemoryMode(req.MemoryLimit)
+	_, opt, err := req.Options()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -510,11 +370,12 @@ type compareRow struct {
 // with times, throughputs and speedups over the DP baseline.
 func (s *server) compare(w http.ResponseWriter, r *http.Request) {
 	var req planRequest
-	if !s.decode(w, r, &req, &req) {
+	if !s.decode(w, r, &req) {
 		return
 	}
-	captureFrom(r.Context()).note(req.Tag, req.summary())
-	net, arr, err := workload(&req)
+	req.FillZero()
+	captureFrom(r.Context()).note(req.Tag, req.Workload)
+	net, arr, err := req.Build()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -536,7 +397,7 @@ func (s *server) compare(w http.ResponseWriter, r *http.Request) {
 			Speedup:          c.Speedup(st),
 		})
 	}
-	writeJSON(w, struct {
+	writeJSON(w, http.StatusOK, struct {
 		Model      string       `json:"model"`
 		Batch      int          `json:"batch"`
 		Array      string       `json:"array"`
@@ -544,67 +405,40 @@ func (s *server) compare(w http.ResponseWriter, r *http.Request) {
 	}{req.Model, req.Batch, arr.Name, rows})
 }
 
-// resilienceRequest extends the workload spec with a fault scenario.
+// resilienceRequest is the /v1/resilience body: a plan request with the
+// spec's fault-experiment fields.
 type resilienceRequest struct {
 	planRequest
-	// Faults is the accpar-sim fault spec, e.g.
-	// "slowdown:0=2.0,transient:1=0.05@0.001".
-	Faults string `json:"faults"`
-	// Seed makes the injection stream deterministic.
-	Seed int64 `json:"seed"`
-	// Ckpt is the checkpoint-restart overhead charged on group loss.
-	Ckpt float64 `json:"ckpt"`
-	// Overlap allows communication/computation overlap in the simulation.
-	Overlap bool `json:"overlap"`
+	spec.Sim
 }
 
 // resilience serves POST /v1/resilience: the simulated three-way
 // fault-free / stale / replanned experiment on a two-group array.
 func (s *server) resilience(w http.ResponseWriter, r *http.Request) {
 	var req resilienceRequest
-	if !s.decode(w, r, &req, &req.planRequest) {
+	if !s.decode(w, r, &req) {
 		return
 	}
-	captureFrom(r.Context()).note(req.Tag, req.summary())
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
-	if req.Fleet != "" {
-		http.Error(w, "resilience runs on the two-group v2/v3 array; fleet is not supported", http.StatusBadRequest)
-		return
-	}
-	if req.Faults == "" {
+	eff := spec.Request{Workload: req.Workload, Sim: req.Sim}
+	eff.FillZero()
+	captureFrom(r.Context()).note(req.Tag, eff)
+	if eff.Faults == "" {
 		http.Error(w, "resilience needs a fault scenario (faults)", http.StatusBadRequest)
 		return
 	}
-	net, err := accpar.BuildModel(req.Model, req.Batch)
+	net, groups, st, sc, err := eff.Experiment()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	st, err := accpar.ParseStrategy(req.Strategy)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	fl, err := accpar.ParseFaults(req.Faults)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	sc := accpar.FaultScenario{Seed: req.Seed, Faults: fl, CheckpointOverhead: req.Ckpt}
-	groups := []accpar.ArrayGroup{
-		{Spec: accpar.TPUv2(), Count: req.V2},
-		{Spec: accpar.TPUv3(), Count: req.V3},
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
 	defer cancel()
-	rep, err := s.sess.ResilienceCtx(ctx, net, groups, st, sc, accpar.SimConfig{OverlapComm: req.Overlap})
+	rep, err := s.sess.ResilienceCtx(ctx, net, groups, st, *sc, accpar.SimConfig{OverlapComm: eff.Overlap})
 	if err != nil {
 		http.Error(w, err.Error(), planStatus(err))
 		return
 	}
-	writeJSON(w, struct {
+	writeJSON(w, http.StatusOK, struct {
 		Faults           string    `json:"faults"`
 		Seed             int64     `json:"seed"`
 		Machines         [2]string `json:"machines"`
@@ -655,27 +489,22 @@ func init() {
 // a structured body carrying the tightest-leaf diagnostic, so clients can
 // size fleets from the response instead of parsing an error string.
 func writeInfeasible(w http.ResponseWriter, nfe *accpar.NoFeasiblePlanError) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusUnprocessableEntity)
 	type tightest struct {
 		Group          string `json:"group"`
 		ResidencyBytes int64  `json:"residency_bytes"`
 		CapacityBytes  int64  `json:"capacity_bytes"`
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
+	writeJSON(w, http.StatusUnprocessableEntity, struct {
 		Error    string   `json:"error"`
 		Tightest tightest `json:"tightest"`
-	}{nfe.Error(), tightest{nfe.TightestGroup, nfe.ResidencyBytes, nfe.CapacityBytes}}); err != nil {
-		obsEncodeErrors.Inc()
-		obs.Log().Warn("serve.response_write_failed", "err", err.Error())
-	}
+	}{nfe.Error(), tightest{nfe.TightestGroup, nfe.ResidencyBytes, nfe.CapacityBytes}})
 }
 
-// writeJSON writes v as indented JSON, counting and logging failures.
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON answers code with v as indented JSON, counting and logging
+// failures.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {

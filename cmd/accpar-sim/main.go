@@ -26,22 +26,17 @@ import (
 	"strings"
 
 	"accpar"
+	"accpar/cmd/internal/spec"
 	"accpar/internal/arraysim"
 	"accpar/internal/hardware"
 	"accpar/internal/obs"
 )
 
-// opts collects the command's knobs.
+// opts collects the command's knobs: the request and its run modes and
+// outputs.
 type opts struct {
-	model      string
-	batch      int
-	v2, v3     int
-	strategy   string
-	overlap    bool
+	spec.Request
 	array      bool
-	faults     string
-	seed       int64
-	ckpt       float64
 	replan     bool
 	metricsOut string
 	traceOut   string
@@ -53,11 +48,11 @@ func runArray(plan *accpar.Plan, arr *accpar.Array, o opts, st accpar.Strategy) 
 	if err != nil {
 		return err
 	}
-	res, err := arraysim.Simulate(plan, tree, arraysim.Config{OverlapComm: o.overlap})
+	res, err := arraysim.Simulate(plan, tree, arraysim.Config{OverlapComm: o.Overlap})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("model: %s  batch: %d  strategy: %v  overlap: %v\n\n", o.model, o.batch, st, o.overlap)
+	fmt.Printf("model: %s  batch: %d  strategy: %v  overlap: %v\n\n", o.Model, o.Batch, st, o.Overlap)
 	fmt.Printf("array-level simulated time: %.6g s (%d leaves, %d links, %d tasks)\n",
 		res.Time, res.Leaves, res.Links, res.Tasks)
 	fmt.Printf("analytic model:             %.6g s (ratio %.2f)\n", res.AnalyticTime, res.Time/res.AnalyticTime)
@@ -66,17 +61,17 @@ func runArray(plan *accpar.Plan, arr *accpar.Array, o opts, st accpar.Strategy) 
 }
 
 func main() {
-	var o opts
-	flag.StringVar(&o.model, "model", "alexnet", "model name: "+strings.Join(accpar.Models(), ", "))
-	flag.IntVar(&o.batch, "batch", 512, "mini-batch size")
-	flag.IntVar(&o.v2, "v2", 128, "TPU-v2 count (group A)")
-	flag.IntVar(&o.v3, "v3", 128, "TPU-v3 count (group B)")
-	flag.StringVar(&o.strategy, "strategy", "accpar", "plan source: dp, owt, hypar, accpar")
-	flag.BoolVar(&o.overlap, "overlap", false, "allow communication/computation overlap")
+	o := opts{Request: spec.Default()}
+	flag.StringVar(&o.Model, "model", o.Model, "model name: "+strings.Join(accpar.Models(), ", "))
+	flag.IntVar(&o.Batch, "batch", o.Batch, "mini-batch size")
+	flag.IntVar(&o.V2, "v2", o.V2, "TPU-v2 count (group A)")
+	flag.IntVar(&o.V3, "v3", o.V3, "TPU-v3 count (group B)")
+	flag.StringVar(&o.Strategy, "strategy", o.Strategy, "plan source: dp, owt, hypar, accpar (accpar is the nine-variant portfolio, as in accpar -compare)")
+	flag.BoolVar(&o.Overlap, "overlap", o.Overlap, "allow communication/computation overlap")
 	flag.BoolVar(&o.array, "array", false, "run the array-level simulation over all leaves instead of the two-group DES")
-	flag.StringVar(&o.faults, "faults", "", "fault scenario, e.g. slowdown:0=2.0,transient:1=0.05@0.001,loss:1=0.25")
-	flag.Int64Var(&o.seed, "seed", 1, "fault injection seed")
-	flag.Float64Var(&o.ckpt, "ckpt", 0, "checkpoint-restart overhead in seconds charged on group loss")
+	flag.StringVar(&o.Faults, "faults", o.Faults, "fault scenario, e.g. slowdown:0=2.0,transient:1=0.05@0.001,loss:1=0.25")
+	flag.Int64Var(&o.Seed, "seed", o.Seed, "fault injection seed")
+	flag.Float64Var(&o.Ckpt, "ckpt", o.Ckpt, "checkpoint-restart overhead in seconds charged on group loss")
 	flag.BoolVar(&o.replan, "replan", false, "replan against the degraded specs and print the resilience report (needs -faults)")
 	flag.StringVar(&o.metricsOut, "metrics-out", "", "write the metrics registry to this file (expvar-style text for .txt, JSON otherwise)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write a Chrome Trace Event Format JSON trace (planner spans + simulated timelines) to this file, loadable in Perfetto or chrome://tracing")
@@ -93,34 +88,17 @@ func main() {
 }
 
 func run(o opts) error {
-	net, err := accpar.BuildModel(o.model, o.batch)
-	if err != nil {
-		return err
-	}
-	st, err := accpar.ParseStrategy(o.strategy)
-	if err != nil {
-		return err
-	}
-	if o.replan && o.faults == "" {
+	if o.replan && o.Faults == "" {
 		return fmt.Errorf("-replan needs a -faults scenario to replan against")
 	}
-	if o.faults != "" && o.array {
+	if o.Faults != "" && o.array {
 		return fmt.Errorf("-faults applies to the two-group DES, not the -array simulation")
 	}
-	var scenario *accpar.FaultScenario
-	if o.faults != "" {
-		fl, err := accpar.ParseFaults(o.faults)
-		if err != nil {
-			return err
-		}
-		scenario = &accpar.FaultScenario{Seed: o.seed, Faults: fl, CheckpointOverhead: o.ckpt}
+	net, groups, st, scenario, err := o.Experiment()
+	if err != nil {
+		return err
 	}
-
-	groups := []accpar.ArrayGroup{
-		{Spec: accpar.TPUv2(), Count: o.v2},
-		{Spec: accpar.TPUv3(), Count: o.v3},
-	}
-	cfg := accpar.SimConfig{OverlapComm: o.overlap}
+	cfg := accpar.SimConfig{OverlapComm: o.Overlap}
 
 	// -trace-out attaches the process tracer (planner spans) and records
 	// the simulated timelines to merge into the same document. Neither
@@ -158,7 +136,7 @@ func run(o opts) error {
 			return err
 		}
 		fmt.Printf("model: %s  batch: %d  strategy: %v  array: %s + %s\n\n",
-			o.model, o.batch, st, rep.MachineNames[0], rep.MachineNames[1])
+			o.Model, o.Batch, st, rep.MachineNames[0], rep.MachineNames[1])
 		fmt.Print(rep.String())
 		if rec != nil {
 			for _, r := range []struct {
@@ -192,15 +170,15 @@ func run(o opts) error {
 	types := plan.Root.Types
 	alpha := plan.Root.Alpha
 
-	a := accpar.GroupMachine(accpar.TPUv2(), o.v2)
-	b := accpar.GroupMachine(accpar.TPUv3(), o.v3)
+	a := accpar.GroupMachine(groups[0].Spec, groups[0].Count)
+	b := accpar.GroupMachine(groups[1].Spec, groups[1].Count)
 	cfg.Faults = scenario
 	res, err := accpar.Simulate(net, types, alpha, a, b, cfg)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("model: %s  batch: %d  strategy: %v  alpha: %.3f  overlap: %v\n\n", o.model, o.batch, st, alpha, o.overlap)
+	fmt.Printf("model: %s  batch: %d  strategy: %v  alpha: %.3f  overlap: %v\n\n", o.Model, o.Batch, st, alpha, o.Overlap)
 	if scenario != nil {
 		fmt.Printf("faults: %s (seed %d)\n\n", scenario.String(), scenario.Seed)
 	}

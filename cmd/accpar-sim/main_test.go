@@ -6,17 +6,21 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"accpar/cmd/internal/spec"
 )
 
 // base returns the small default options used across the tests.
 func base() opts {
-	return opts{model: "lenet", batch: 16, v2: 2, v3: 2, strategy: "accpar", seed: 1}
+	o := opts{Request: spec.Default()}
+	o.Model, o.Batch, o.V2, o.V3 = "lenet", 16, 2, 2
+	return o
 }
 
 func TestRunStrategies(t *testing.T) {
 	for _, s := range []string{"dp", "owt", "hypar", "accpar"} {
 		o := base()
-		o.strategy = s
+		o.Strategy = s
 		if err := run(o); err != nil {
 			t.Errorf("%s: %v", s, err)
 		}
@@ -25,7 +29,7 @@ func TestRunStrategies(t *testing.T) {
 
 func TestRunOverlap(t *testing.T) {
 	o := base()
-	o.model, o.batch, o.overlap = "alexnet", 8, true
+	o.Model, o.Batch, o.Overlap = "alexnet", 8, true
 	if err := run(o); err != nil {
 		t.Errorf("overlap: %v", err)
 	}
@@ -38,7 +42,7 @@ func TestRunArrayMode(t *testing.T) {
 		t.Errorf("array mode: %v", err)
 	}
 	o = base()
-	o.model, o.batch, o.strategy, o.overlap, o.array = "alexnet", 8, "dp", true, true
+	o.Model, o.Batch, o.Strategy, o.Overlap, o.array = "alexnet", 8, "dp", true, true
 	if err := run(o); err != nil {
 		t.Errorf("array overlap mode: %v", err)
 	}
@@ -46,7 +50,7 @@ func TestRunArrayMode(t *testing.T) {
 
 func TestRunFaults(t *testing.T) {
 	o := base()
-	o.faults = "slowdown:0=2.0,transient:1=0.1@0.0001"
+	o.Faults = "slowdown:0=2.0,transient:1=0.1@0.0001"
 	if err := run(o); err != nil {
 		t.Errorf("faulted run: %v", err)
 	}
@@ -55,7 +59,7 @@ func TestRunFaults(t *testing.T) {
 		t.Errorf("replan run: %v", err)
 	}
 	o = base()
-	o.faults, o.ckpt = "loss:1=0.5", 0.25
+	o.Faults, o.Ckpt = "loss:1=0.5", 0.25
 	if err := run(o); err != nil {
 		t.Errorf("loss run: %v", err)
 	}
@@ -120,7 +124,7 @@ func TestRunObservabilityOutputs(t *testing.T) {
 func TestRunObservabilityReplanAndText(t *testing.T) {
 	dir := t.TempDir()
 	o := base()
-	o.faults, o.replan = "slowdown:0=2.0", true
+	o.Faults, o.replan = "slowdown:0=2.0", true
 	o.metricsOut = filepath.Join(dir, "metrics.txt")
 	o.traceOut = filepath.Join(dir, "trace.json")
 	if err := run(o); err != nil {
@@ -152,17 +156,17 @@ func TestRunObservabilityReplanAndText(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	o := base()
-	o.model = "nope"
+	o.Model = "nope"
 	if err := run(o); err == nil {
 		t.Error("unknown model must error")
 	}
 	o = base()
-	o.strategy = "alpa"
+	o.Strategy = "alpa"
 	if err := run(o); err == nil {
 		t.Error("unknown strategy must error")
 	}
 	o = base()
-	o.faults = "meltdown:0=2"
+	o.Faults = "meltdown:0=2"
 	if err := run(o); err == nil {
 		t.Error("unknown fault kind must error")
 	}
@@ -172,7 +176,7 @@ func TestRunErrors(t *testing.T) {
 		t.Error("-replan without -faults must error")
 	}
 	o = base()
-	o.faults, o.array = "slowdown:0=2", true
+	o.Faults, o.array = "slowdown:0=2", true
 	if err := run(o); err == nil {
 		t.Error("-faults with -array must error")
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -52,8 +53,9 @@ func printCaptureHeader(w io.Writer, c diag.Capture) {
 	if c.Tag != "" {
 		fmt.Fprintf(w, "tag:     %s\n", c.Tag)
 	}
-	if c.Request != "" {
-		fmt.Fprintf(w, "request: %s\n", c.Request)
+	var req bytes.Buffer
+	if json.Compact(&req, c.Request) == nil && req.Len() > 0 {
+		fmt.Fprintf(w, "request: %s\n", req.Bytes())
 	}
 	if !c.Start.IsZero() {
 		fmt.Fprintf(w, "start:   %s\n", c.Start.Format("2006-01-02T15:04:05.000Z07:00"))

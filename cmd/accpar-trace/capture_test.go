@@ -29,7 +29,10 @@ const sampleCapture = `{
   "start": "2026-08-08T12:00:00Z",
   "duration_seconds": 0.0021,
   "tag": "slow",
-  "request": "lenet batch=32 fleet=v2:4,v3:4 strategy=accpar levels=8",
+  "request": {
+   "model": "lenet", "batch": 32, "v2": 4, "v3": 4, "fleet": "", "strategy": "accpar",
+   "levels": 8, "optimizer": "sgd", "inference": false, "memory_limit": "off"
+  },
   "events": 6,
   "dropped_events": 2
  },
@@ -65,7 +68,7 @@ func TestRunCapturePrettyPrint(t *testing.T) {
 	for _, want := range []string{
 		"capture r7  /v1/plan  status 200  2.10ms",
 		"tag:     slow",
-		"request: lenet batch=32",
+		`request: {"model":"lenet","batch":32,"v2":4,"v3":4,"fleet":"",`,
 		"dropped: 2 events",
 		"span tree (3 spans",
 		"plan [planner]  2.00ms  model=lenet",

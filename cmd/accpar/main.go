@@ -17,28 +17,36 @@ import (
 	"strings"
 
 	"accpar"
+	"accpar/cmd/internal/spec"
 	"accpar/internal/obs"
 )
 
-func main() {
-	var (
-		model         = flag.String("model", "alexnet", "model name: "+strings.Join(accpar.Models(), ", "))
-		batch         = flag.Int("batch", 512, "mini-batch size")
-		v2            = flag.Int("v2", 128, "number of TPU-v2 accelerators")
-		v3            = flag.Int("v3", 128, "number of TPU-v3 accelerators")
-		fleet         = flag.String("fleet", "", "explicit fleet spec overriding -v2/-v3, e.g. \"tpu-v2:64,gpu-class-b:32\" (presets: tpu-v2, tpu-v3, gpu-class-a, gpu-class-b, edge-npu)")
-		strategy      = flag.String("strategy", "accpar", "partitioning strategy: dp, owt, hypar, accpar")
-		levels        = flag.Int("levels", 64, "hierarchy level budget (64 = split to single accelerators)")
-		showMap       = flag.Bool("map", false, "print the per-level partition type map (Figure 7 style)")
-		compare       = flag.Bool("compare", false, "compare all four strategies")
-		jsonOut       = flag.String("json", "", "write the plan as JSON to this file ('-' for stdout)")
-		dotOut        = flag.String("dot", "", "write the network structure as Graphviz DOT to this file ('-' for stdout)")
-		optName       = flag.String("optimizer", "sgd", "weight-update rule: sgd, momentum, adam")
-		explain       = flag.Bool("explain", false, "print the per-layer cost breakdown of the root split")
-		explainSearch = flag.Bool("explain-search", false, "print the search-decision audit as JSON: per-subproblem candidates, costs, winners, prune reasons and memo provenance (single-strategy runs; stderr when combined with -json)")
-		infer         = flag.Bool("inference", false, "cost the forward phase only (inference) instead of training")
-		memory        = flag.String("memory", "off", "HBM capacity constraint: off, reject (error when nothing fits), penalize (prefer fitting plans, best effort)")
+// outputs are the command's output choices, beside the workload.
+type outputs struct {
+	showMap, compare, explain, explainSearch bool
+	jsonOut, dotOut                          string
+}
 
+func main() {
+	w := spec.Default().Workload
+	var o outputs
+	flag.StringVar(&w.Model, "model", w.Model, "model name: "+strings.Join(accpar.Models(), ", "))
+	flag.IntVar(&w.Batch, "batch", w.Batch, "mini-batch size")
+	flag.IntVar(&w.V2, "v2", w.V2, "number of TPU-v2 accelerators")
+	flag.IntVar(&w.V3, "v3", w.V3, "number of TPU-v3 accelerators")
+	flag.StringVar(&w.Fleet, "fleet", w.Fleet, "explicit fleet spec overriding -v2/-v3, e.g. \"tpu-v2:64,gpu-class-b:32\" (presets: tpu-v2, tpu-v3, gpu-class-a, gpu-class-b, edge-npu)")
+	flag.StringVar(&w.Strategy, "strategy", w.Strategy, "partitioning strategy: dp, owt, hypar, accpar (accpar plans one configuration; the AccPar row of -compare is the nine-variant portfolio)")
+	flag.IntVar(&w.Levels, "levels", w.Levels, "hierarchy level budget (64 = split to single accelerators)")
+	flag.BoolVar(&o.showMap, "map", false, "print the per-level partition type map (Figure 7 style)")
+	flag.BoolVar(&o.compare, "compare", false, "compare all four strategies")
+	flag.StringVar(&o.jsonOut, "json", "", "write the plan as JSON to this file ('-' for stdout)")
+	flag.StringVar(&o.dotOut, "dot", "", "write the network structure as Graphviz DOT to this file ('-' for stdout)")
+	flag.StringVar(&w.Optimizer, "optimizer", w.Optimizer, "weight-update rule: sgd, momentum, adam")
+	flag.BoolVar(&o.explain, "explain", false, "print the per-layer cost breakdown of the root split")
+	flag.BoolVar(&o.explainSearch, "explain-search", false, "print the search-decision audit as JSON: per-subproblem candidates, costs, winners, prune reasons and memo provenance (single-strategy runs; stderr when combined with -json)")
+	flag.BoolVar(&w.Inference, "inference", w.Inference, "cost the forward phase only (inference) instead of training")
+	flag.StringVar(&w.MemoryLimit, "memory", w.MemoryLimit, "HBM capacity constraint: off, reject (error when nothing fits), penalize (prefer fitting plans, best effort)")
+	var (
 		metricsOut = flag.String("metrics-out", "", "write the metrics registry to this file (expvar-style text for .txt, JSON otherwise)")
 		traceOut   = flag.String("trace-out", "", "write a Chrome Trace Event Format JSON trace of the planner spans to this file")
 		version    = flag.Bool("version", false, "print version and exit")
@@ -53,7 +61,7 @@ func main() {
 	if *traceOut != "" {
 		rec = accpar.StartTrace()
 	}
-	if err := run(*model, *batch, *v2, *v3, *fleet, *strategy, *levels, *showMap, *compare, *explain, *explainSearch, *infer, *jsonOut, *dotOut, *optName, *memory); err != nil {
+	if err := run(w, o); err != nil {
 		fmt.Fprintln(os.Stderr, "accpar:", err)
 		os.Exit(1)
 	}
@@ -82,37 +90,32 @@ func flushObs(rec *accpar.TraceRecorder, traceOut, metricsOut string) error {
 	return nil
 }
 
-func run(model string, batch, v2, v3 int, fleet, strategy string, levels int, showMap, compare, explain, explainSearch, infer bool, jsonOut, dotOut, optName, memory string) error {
-	net, err := accpar.BuildModel(model, batch)
+func run(w spec.Workload, o outputs) error {
+	net, err := w.Network()
 	if err != nil {
 		return err
 	}
-	if dotOut != "" {
-		w := os.Stdout
-		if dotOut != "-" {
-			f, err := os.Create(dotOut)
+	if o.dotOut != "" {
+		out := os.Stdout
+		if o.dotOut != "-" {
+			f, err := os.Create(o.dotOut)
 			if err != nil {
 				return err
 			}
 			defer f.Close()
-			w = f
+			out = f
 		}
-		return net.WriteDOT(w)
+		return net.WriteDOT(out)
 	}
-	var arr *accpar.Array
-	if fleet != "" {
-		arr, err = accpar.ParseFleet(fleet)
-	} else {
-		arr, err = accpar.TPUFleet(v2, v3)
-	}
+	arr, err := w.Array()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("model: %s  batch: %d  weighted layers: %d  parameters: %d\n",
-		model, batch, len(net.Layers()), net.ParameterCount())
+		w.Model, w.Batch, len(net.Layers()), net.ParameterCount())
 	fmt.Printf("array: %s\n\n", arr.Name)
 
-	if compare {
+	if o.compare {
 		c, err := accpar.Compare(net, arr)
 		if err != nil {
 			return err
@@ -125,44 +128,32 @@ func run(model string, batch, v2, v3 int, fleet, strategy string, levels int, sh
 		return nil
 	}
 
-	st, err := accpar.ParseStrategy(strategy)
+	st, opt, err := w.Options()
 	if err != nil {
 		return err
 	}
-	opt := st.Options()
-	opt.Optimizer, err = accpar.ParseOptimizer(optName)
-	if err != nil {
-		return err
-	}
-	if infer {
-		opt.Mode = accpar.ModeInference
-	}
-	opt.MemoryLimit, err = accpar.ParseMemoryMode(memory)
-	if err != nil {
-		return err
-	}
-	if explainSearch {
+	if o.explainSearch {
 		opt.Audit = accpar.NewAuditRecorder()
 	}
-	plan, err := accpar.PartitionWithOptions(net, arr, opt, levels)
+	plan, err := accpar.PartitionWithOptions(net, arr, opt, w.Levels)
 	if err != nil {
 		var nfe *accpar.NoFeasiblePlanError
 		if errors.As(err, &nfe) {
-			return fmt.Errorf("no plan fits under -memory %s: group %s needs %d bytes of HBM but has %d", memory, nfe.TightestGroup, nfe.ResidencyBytes, nfe.CapacityBytes)
+			return fmt.Errorf("no plan fits under -memory %s: group %s needs %d bytes of HBM but has %d", w.MemoryLimit, nfe.TightestGroup, nfe.ResidencyBytes, nfe.CapacityBytes)
 		}
 		return err
 	}
-	if jsonOut != "" {
-		w := os.Stdout
-		if jsonOut != "-" {
-			f, err := os.Create(jsonOut)
+	if o.jsonOut != "" {
+		out := os.Stdout
+		if o.jsonOut != "-" {
+			f, err := os.Create(o.jsonOut)
 			if err != nil {
 				return err
 			}
 			defer f.Close()
-			w = f
+			out = f
 		}
-		if err := plan.WriteJSON(w); err != nil {
+		if err := plan.WriteJSON(out); err != nil {
 			return err
 		}
 		// The audit goes to stderr so the plan document stays clean.
@@ -178,11 +169,11 @@ func run(model string, batch, v2, v3 int, fleet, strategy string, levels int, sh
 	for i, lvl := range plan.Levels() {
 		fmt.Printf("%-6d %-24s %-8.3f %-12.4g\n", i+1, lvl.GroupDesc, lvl.Alpha, lvl.Eval.CommTime)
 	}
-	if showMap {
+	if o.showMap {
 		fmt.Println()
 		fmt.Println(plan.TypeMap())
 	}
-	if explain {
+	if o.explain {
 		rendered, err := plan.ExplainString()
 		if err != nil {
 			return err
@@ -190,7 +181,7 @@ func run(model string, batch, v2, v3 int, fleet, strategy string, levels int, sh
 		fmt.Println()
 		fmt.Println(rendered)
 	}
-	if explainSearch {
+	if o.explainSearch {
 		fmt.Println()
 		fmt.Println("search audit (per-subproblem decisions, sorted by level):")
 		return writeSearchAudit(opt.Audit, os.Stdout)

@@ -7,7 +7,16 @@ import (
 	"testing"
 
 	"accpar"
+	"accpar/cmd/internal/spec"
 )
+
+// small is the default workload on a small model and fleet, with an
+// 8-level budget.
+func small(model string, batch, v2, v3 int) spec.Workload {
+	w := spec.Default().Workload
+	w.Model, w.Batch, w.V2, w.V3, w.Levels = model, batch, v2, v3, 8
+	return w
+}
 
 func TestParseStrategy(t *testing.T) {
 	cases := map[string]accpar.Strategy{
@@ -47,25 +56,31 @@ func TestBuildArray(t *testing.T) {
 		}
 	}
 	// The CLI must not plan the v3 group alone when -v2 is negative.
-	if err := run("lenet", 16, -5, 4, "", "accpar", 8, false, false, false, false, false, "", "", "sgd", "off"); err == nil {
+	if err := run(small("lenet", 16, -5, 4), outputs{}); err == nil {
 		t.Error("accpar -v2 -5 -v3 4 must error")
 	}
 }
 
 func TestRunModes(t *testing.T) {
-	if err := run("lenet", 16, 2, 2, "", "accpar", 8, true, false, true, false, false, "", "", "sgd", "off"); err != nil {
+	if err := run(small("lenet", 16, 2, 2), outputs{showMap: true, explain: true}); err != nil {
 		t.Errorf("plan mode: %v", err)
 	}
-	if err := run("lenet", 16, 2, 2, "", "", 8, false, true, false, false, false, "", "", "sgd", "off"); err != nil {
+	w := small("lenet", 16, 2, 2)
+	w.Strategy = ""
+	if err := run(w, outputs{compare: true}); err != nil {
 		t.Errorf("compare mode: %v", err)
 	}
-	if err := run("nope", 16, 2, 2, "", "accpar", 8, false, false, false, false, false, "", "", "sgd", "off"); err == nil {
+	if err := run(small("nope", 16, 2, 2), outputs{}); err == nil {
 		t.Error("unknown model must error")
 	}
-	if err := run("lenet", 16, 2, 2, "", "alpa", 8, false, false, false, false, false, "", "", "sgd", "off"); err == nil {
+	w = small("lenet", 16, 2, 2)
+	w.Strategy = "alpa"
+	if err := run(w, outputs{}); err == nil {
 		t.Error("unknown strategy must error")
 	}
-	if err := run("lenet", 16, 2, 2, "", "accpar", 8, false, false, false, false, false, "", "", "lion", "off"); err == nil {
+	w = small("lenet", 16, 2, 2)
+	w.Optimizer = "lion"
+	if err := run(w, outputs{}); err == nil {
 		t.Error("unknown optimizer must error")
 	}
 }
@@ -80,20 +95,24 @@ func TestParseFleet(t *testing.T) {
 			t.Errorf("ParseFleet(%q) must error", bad)
 		}
 	}
-	if err := run("lenet", 16, 0, 0, "edge-npu:2,gpu-class-a:2", "accpar", 8, false, false, false, false, false, "", "", "sgd", "off"); err != nil {
+	w := small("lenet", 16, 0, 0)
+	w.Fleet = "edge-npu:2,gpu-class-a:2"
+	if err := run(w, outputs{}); err != nil {
 		t.Errorf("fleet run: %v", err)
 	}
 }
 
 func TestRunInferenceMode(t *testing.T) {
-	if err := run("alexnet", 16, 2, 2, "", "accpar", 8, false, false, false, false, true, "", "", "sgd", "off"); err != nil {
+	w := small("alexnet", 16, 2, 2)
+	w.Inference = true
+	if err := run(w, outputs{}); err != nil {
 		t.Errorf("inference mode: %v", err)
 	}
 }
 
 func TestRunDOTOutput(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "net.dot")
-	if err := run("resnet18", 8, 2, 2, "", "accpar", 8, false, false, false, false, false, "", path, "sgd", "off"); err != nil {
+	if err := run(small("resnet18", 8, 2, 2), outputs{dotOut: path}); err != nil {
 		t.Fatalf("dot mode: %v", err)
 	}
 	data, err := os.ReadFile(path)
@@ -107,7 +126,9 @@ func TestRunDOTOutput(t *testing.T) {
 
 func TestRunJSONOutput(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "plan.json")
-	if err := run("lenet", 16, 2, 2, "", "accpar", 8, false, false, false, false, false, path, "", "adam", "off"); err != nil {
+	w := small("lenet", 16, 2, 2)
+	w.Optimizer = "adam"
+	if err := run(w, outputs{jsonOut: path}); err != nil {
 		t.Fatalf("json mode: %v", err)
 	}
 	f, err := os.Open(path)

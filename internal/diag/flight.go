@@ -39,8 +39,9 @@ type Capture struct {
 	DurationSeconds float64 `json:"duration_seconds"`
 	// Tag is the caller-supplied request tag, when the request carried one.
 	Tag string `json:"tag,omitempty"`
-	// Request is a compact request summary (model, fleet, strategy …).
-	Request string `json:"request,omitempty"`
+	// Request is the effective request as JSON: what the server planned,
+	// with the defaults filled in.
+	Request json.RawMessage `json:"request,omitempty"`
 	// Events counts the retained trace events; DroppedEvents counts those
 	// the bounded per-request tracer discarded past its cap.
 	Events        int   `json:"events"`

@@ -87,7 +87,7 @@ func TestFlightRecorderKeepsSlowest(t *testing.T) {
 			Endpoint:        "/v1/plan",
 			Status:          200,
 			DurationSeconds: d,
-			Request:         "model " + strings.Repeat("x", i),
+			Request:         json.RawMessage(`{"model":"` + strings.Repeat("x", i) + `"}`),
 		})
 		ids = append(ids, id)
 		kept = append(kept, k)
@@ -150,7 +150,7 @@ func TestDebugSlowestEndpoints(t *testing.T) {
 		Start:           time.Now(),
 		DurationSeconds: 0.25,
 		Tag:             "smoke-a",
-		Request:         "mlp batch=64 fleet=paper strategy=accpar",
+		Request:         json.RawMessage(`{"model":"mlp","batch":64,"strategy":"accpar"}`),
 		DroppedEvents:   tr.Dropped(),
 		TraceEvents:     tr.Events(),
 		Audit:           json.RawMessage(`{"totals":{"cold":1}}`),
@@ -193,7 +193,7 @@ func TestDebugSlowestEndpoints(t *testing.T) {
 	if len(doc.TraceEvents) != 2 || doc.TraceEvents[0].Name != "plan/mlp" {
 		t.Errorf("capture trace %+v; want the request's two span events", doc.TraceEvents)
 	}
-	if doc.Capture.Endpoint != "/v1/plan" || doc.Capture.Request == "" {
+	if doc.Capture.Endpoint != "/v1/plan" || !strings.Contains(string(doc.Capture.Request), `"mlp"`) {
 		t.Errorf("capture metadata %+v", doc.Capture)
 	}
 	if !strings.Contains(string(doc.Audit), `"cold"`) {
