@@ -93,7 +93,10 @@ func (w *statusWriter) WriteHeader(code int) {
 // note. The finished request is offered to the flight recorder as
 // endpoint unless the coalescer answered it, and a capture the recorder
 // keeps becomes the histogram's exemplar, so the endpoint's latency
-// links to the latest retained trace.
+// links to the latest retained trace. The bookkeeping runs deferred, so
+// a handler panic, which admission.Recover outside turns into a 500, is
+// still timed, counted as a 500 error and offered, and the request
+// leaves the in-flight gauge.
 func (s *server) observe(endpoint string, m *endpointMetrics, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		m.requests.Inc()
@@ -103,30 +106,37 @@ func (s *server) observe(endpoint string, m *endpointMetrics, h http.HandlerFunc
 		c := &capture{}
 		ctx := obs.WithTracer(context.WithValue(r.Context(), captureKey{}, c), tr)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		returned := false
+		defer func() {
+			if !returned {
+				sw.code = http.StatusInternalServerError
+			}
+			dur := time.Since(start)
+			m.timer.Observe(dur)
+			m.inflight.Add(-1)
+			if sw.code >= 400 {
+				m.errors.Inc()
+			}
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if c.coalesced {
+				return
+			}
+			if id, kept := s.flight.Offer(diag.Capture{
+				Endpoint:        endpoint,
+				Status:          sw.code,
+				Start:           start,
+				DurationSeconds: dur.Seconds(),
+				Tag:             c.tag,
+				Request:         c.request,
+				DroppedEvents:   tr.Dropped(),
+				TraceEvents:     tr.Events(),
+				Audit:           c.audit,
+			}); kept {
+				m.timer.SetExemplar(id, dur)
+			}
+		}()
 		h(sw, r.WithContext(ctx))
-		dur := time.Since(start)
-		m.timer.Observe(dur)
-		m.inflight.Add(-1)
-		if sw.code >= 400 {
-			m.errors.Inc()
-		}
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.coalesced {
-			return
-		}
-		if id, kept := s.flight.Offer(diag.Capture{
-			Endpoint:        endpoint,
-			Status:          sw.code,
-			Start:           start,
-			DurationSeconds: dur.Seconds(),
-			Tag:             c.tag,
-			Request:         c.request,
-			DroppedEvents:   tr.Dropped(),
-			TraceEvents:     tr.Events(),
-			Audit:           c.audit,
-		}); kept {
-			m.timer.SetExemplar(id, dur)
-		}
+		returned = true
 	}
 }

@@ -264,3 +264,41 @@ func TestObserveCountsFollowersCapturesLeader(t *testing.T) {
 		t.Errorf("flight recorder saw %d requests, want 1 (the leader)", n)
 	}
 }
+
+// TestObserveAfterPanic: a handler panic unwinds through observe to the
+// recovery outside it, which answers 500. The request must still leave
+// the in-flight gauge, count as an error, land in the latency histogram
+// and reach the flight recorder. The recovery here answers as
+// admission.Recover does without moving the process-wide serve_panics
+// counter, which TestOverloadHammer expects to read 0.
+func TestObserveAfterPanic(t *testing.T) {
+	srv := newServer(accpar.NewSession(0), serveConfig{})
+	observed := srv.observe("/v1/plan", planMetrics, func(http.ResponseWriter, *http.Request) {
+		panic("handler bug")
+	})
+	h := func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			if recover() != nil {
+				http.Error(w, "internal error", http.StatusInternalServerError)
+			}
+		}()
+		observed(w, r)
+	}
+	inflight, errs := planMetrics.inflight.Value(), planMetrics.errors.Value()
+	count, _ := planMetrics.timer.Stats()
+	if w := postHandler(h, `{"model":"lenet"}`); w.Code != http.StatusInternalServerError {
+		t.Fatalf("code %d, want 500", w.Code)
+	}
+	if got := planMetrics.inflight.Value(); got != inflight {
+		t.Errorf("serve_plan_inflight %g after a recovered panic, want %g", got, inflight)
+	}
+	if d := planMetrics.errors.Value() - errs; d != 1 {
+		t.Errorf("serve_plan_errors rose by %d, want 1", d)
+	}
+	if c, _ := planMetrics.timer.Stats(); c-count != 1 {
+		t.Errorf("serve_plan_seconds count rose by %d, want 1", c-count)
+	}
+	if n := srv.flight.Seen(); n != 1 {
+		t.Errorf("flight recorder saw %d requests, want 1", n)
+	}
+}

@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"accpar"
 	"accpar/cmd/internal/spec"
@@ -62,7 +61,7 @@ func runArray(plan *accpar.Plan, arr *accpar.Array, o opts, st accpar.Strategy) 
 
 func main() {
 	o := opts{Request: spec.Default()}
-	flag.StringVar(&o.Model, "model", o.Model, "model name: "+strings.Join(accpar.Models(), ", "))
+	flag.StringVar(&o.Model, "model", o.Model, spec.ModelUsage())
 	flag.IntVar(&o.Batch, "batch", o.Batch, "mini-batch size")
 	flag.IntVar(&o.V2, "v2", o.V2, "TPU-v2 count (group A)")
 	flag.IntVar(&o.V3, "v3", o.V3, "TPU-v3 count (group B)")

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"accpar"
 	"accpar/cmd/internal/spec"
@@ -30,7 +29,7 @@ type outputs struct {
 func main() {
 	w := spec.Default().Workload
 	var o outputs
-	flag.StringVar(&w.Model, "model", w.Model, "model name: "+strings.Join(accpar.Models(), ", "))
+	flag.StringVar(&w.Model, "model", w.Model, spec.ModelUsage())
 	flag.IntVar(&w.Batch, "batch", w.Batch, "mini-batch size")
 	flag.IntVar(&w.V2, "v2", w.V2, "number of TPU-v2 accelerators")
 	flag.IntVar(&w.V3, "v3", w.V3, "number of TPU-v3 accelerators")

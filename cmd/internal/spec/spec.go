@@ -28,15 +28,18 @@ package spec
 
 import (
 	"errors"
+	"slices"
+	"strings"
 
 	"accpar"
+	"accpar/internal/models"
 )
 
 // Workload is one planning request: a built-in model at a batch size, a
 // fleet and the search configuration. The JSON names are the /v1 field
 // names.
 type Workload struct {
-	// Model is a built-in model name (accpar.Models).
+	// Model is a built-in model name (ModelUsage lists them).
 	Model string `json:"model"`
 	// Batch is the mini-batch size.
 	Batch int `json:"batch"`
@@ -126,6 +129,19 @@ func (r *Request) FillZero() {
 	if r.Seed == 0 {
 		r.Seed = defaults.Seed
 	}
+}
+
+// ModelUsage is the help text of the CLIs' -model flag: every model
+// name Network accepts, the nine evaluation DNNs in the paper's order
+// (accpar.Models), then the extension models.
+func ModelUsage() string {
+	names := accpar.Models()
+	for _, n := range models.Names() {
+		if !slices.Contains(names, n) {
+			names = append(names, n)
+		}
+	}
+	return "model name: " + strings.Join(names, ", ")
 }
 
 // Network builds the model at the batch size.

@@ -1,6 +1,12 @@
 package spec
 
-import "testing"
+import (
+	"slices"
+	"strings"
+	"testing"
+
+	"accpar/internal/models"
+)
 
 // TestFillZero checks the zero-field rules a decoded body relies on:
 // every zero field takes its default, but v2 and v3 only together and
@@ -55,5 +61,27 @@ func TestExperiment(t *testing.T) {
 		if _, _, _, _, err := r.Experiment(); err == nil {
 			t.Errorf("%s: Experiment() accepted %+v", name, r)
 		}
+	}
+}
+
+// TestModelUsageBuilds: the -model help of accpar and accpar-sim names
+// every model the registry accepts, extension models included, and every
+// name it lists builds.
+func TestModelUsageBuilds(t *testing.T) {
+	list, ok := strings.CutPrefix(ModelUsage(), "model name: ")
+	if !ok {
+		t.Fatalf("usage %q lacks its prefix", ModelUsage())
+	}
+	names := strings.Split(list, ", ")
+	for _, name := range names {
+		w := Workload{Model: name, Batch: 1}
+		if _, err := w.Network(); err != nil {
+			t.Errorf("-model %s: %v", name, err)
+		}
+	}
+	sorted := slices.Clone(names)
+	slices.Sort(sorted)
+	if want := models.Names(); !slices.Equal(sorted, want) {
+		t.Errorf("-model help lists %v, the registry accepts %v", sorted, want)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"accpar/internal/hardware"
-	"accpar/internal/tensor"
 )
 
 // This file is the search decision audit: an opt-in recorder
@@ -268,7 +267,7 @@ func (p *planner) auditHit(node *hardware.Tree, key subKey, provenance string) {
 // ratio (the same reconstruction Plan.Explain performs), the winner, and
 // why each loser died. mem carries the constrained ladder's outcome, nil
 // when the memory constraint was off or non-binding.
-func (p *planner) auditCompute(node *hardware.Tree, dims []tensor.LayerDims, key subKey, n *PlanNode, mem *AuditMemory) {
+func (p *planner) auditCompute(node *hardware.Tree, dims []extents, key subKey, n *PlanNode, mem *AuditMemory) {
 	rec := p.opt.Audit
 	if rec == nil {
 		return

@@ -89,13 +89,7 @@ func residualNet() *dnn.Network {
 // ctxFor builds a level context over the network with asymmetric sides,
 // the way the search builds one: newLevelCtx, reset, then the ratio.
 func ctxFor(net *dnn.Network, opt Options, alpha float64) *levelCtx {
-	units := net.Units()
-	dims := make([]tensor.LayerDims, len(units))
-	for i := range units {
-		dims[i] = units[i].Dims
-	}
-	ctx := newLevelCtx(units, indexSegments(net), net.Edges(), opt.withDefaults()).reset(dims,
-		Side{Compute: 180e12, Net: 1e9}, Side{Compute: 420e12, Net: 2e9})
+	ctx := rootCtx(net, opt.withDefaults(), Side{Compute: 180e12, Net: 1e9}, Side{Compute: 420e12, Net: 2e9})
 	ctx.alpha = alpha
 	return ctx
 }
@@ -241,8 +235,8 @@ func TestInceptionPartitioning(t *testing.T) {
 
 // certifySplits checks Eq. 9's optimality at every split of a searched
 // plan. Each split's level context is rebuilt the way the search built
-// it: from the plan's search shape under the plan's options, at the dims
-// ScaleUnitDims derives from the root, between the node's sides and at
+// it: from the plan's search shape under the plan's options, at the
+// extents scaleInto derives from the root, between the node's sides and at
 // its ratio. There runDP's objective, and the objective its assignment
 // actually pays, must both equal the brute-force minimum. It returns the
 // number of splits checked.
@@ -250,8 +244,8 @@ func certifySplits(t *testing.T, name string, plan *Plan) int {
 	t.Helper()
 	shape := newSearchShape(plan.Network, plan.opt)
 	checked := 0
-	var walk func(n *PlanNode, dims []tensor.LayerDims, pos string)
-	walk = func(n *PlanNode, dims []tensor.LayerDims, pos string) {
+	var walk func(n *PlanNode, dims []extents, pos string)
+	walk = func(n *PlanNode, dims []extents, pos string) {
 		if n.IsLeaf() {
 			return
 		}
@@ -269,8 +263,8 @@ func certifySplits(t *testing.T, name string, plan *Plan) int {
 				name, pos, n.GroupDesc, n.Alpha, got, paid, want)
 		}
 		checked++
-		walk(n.Left, ScaleUnitDims(shape.units, dims, n.Types, n.Alpha), pos+"L")
-		walk(n.Right, ScaleUnitDims(shape.units, dims, n.Types, 1-n.Alpha), pos+"R")
+		walk(n.Left, shape.scaled(dims, n.Types, n.Alpha), pos+"L")
+		walk(n.Right, shape.scaled(dims, n.Types, 1-n.Alpha), pos+"R")
 	}
 	walk(plan.Root, shape.rootDims, "root")
 	return checked

@@ -16,11 +16,12 @@ import (
 // Options field that can change a decision (the Fixed assignment function
 // is fingerprinted by its observable behaviour: its result on each unit).
 // An entry holds the fingerprint's planMemo (memo.go) and its search
-// shape (partition.go: units, segment index, pooled level contexts),
-// built once, by the first search that attaches. Within the memo a
-// solved subproblem is keyed, as in any planner, by its hardware subtree
-// and effective per-unit dims. A search or replan with Options.Cache set
-// plans on its fingerprint's entry directly, so every solved subproblem
+// shape (partition.go: units and their constants, segment index, pooled
+// level contexts), built once, by the first search that attaches. Within
+// the memo a solved subproblem is keyed, as in any planner, by its
+// hardware subtree and effective per-unit extents (B, D_i, D_o). A
+// search or replan with Options.Cache set plans on its fingerprint's
+// entry directly, so every solved subproblem
 // is stored once, in one place: a replan's pristine plan, its memoized
 // stale re-costings, the untouched subtrees of its degraded hierarchy and
 // a design-space sweep's subtrees shared between candidate fleets are
@@ -201,8 +202,9 @@ func (c *SharedCache) trim() int64 {
 
 // searchFingerprint hashes everything that is fixed across one planner's
 // subproblems but varies between planners sharing a cache: the network
-// structure and the decision-relevant options. Subproblem keys (subtree,
-// dims) are only unique within one fingerprint.
+// structure, every unit's constants and the decision-relevant options.
+// Subproblem keys (subtree, extents) are only unique within one
+// fingerprint.
 func searchFingerprint(net *dnn.Network, opt Options) [16]byte {
 	h := wordhash.New()
 	wInt := func(v int64) { h.Word(uint64(v)) }
@@ -214,17 +216,23 @@ func searchFingerprint(net *dnn.Network, opt Options) [16]byte {
 		}
 	}
 
-	// Network structure: per-unit identity (dims travel in the subproblem
-	// key) and the series-parallel segment shape, which also fixes the
-	// planned structure under Linearize. The Fixed assignment is a
-	// function — unhashable by value — but its only observable effect is
-	// its result on each of this network's units, so that result vector IS
-	// its fingerprint here.
+	// Network structure: per-unit identity and constants (unitConst: the
+	// feature-map areas and kernel window no split changes; the three
+	// extents a split changes travel in the subproblem key) and the
+	// series-parallel segment shape, which also fixes the planned
+	// structure under Linearize. The Fixed assignment is a function —
+	// unhashable by value — but its only observable effect is its result
+	// on each of this network's units, so that result vector IS its
+	// fingerprint here.
 	wBool(opt.Fixed != nil)
 	wUnit := func(u *dnn.WeightedLayer) {
 		h.String(u.Name)
 		wInt(int64(u.Kind))
-		wBool(u.Virtual)
+		k := constOf(u)
+		wBool(k.virtual)
+		wInt(k.sIn)
+		wInt(k.sOut)
+		wInt(k.k)
 		if opt.Fixed == nil {
 			return
 		}

@@ -8,10 +8,8 @@ import (
 	"testing"
 
 	"accpar/internal/cost"
-	"accpar/internal/dnn"
 	"accpar/internal/hardware"
 	"accpar/internal/models"
-	"accpar/internal/tensor"
 	"accpar/internal/workload"
 )
 
@@ -19,7 +17,7 @@ import (
 // to maxRatioIters full rounds of a DP and a bisection, stopping only
 // after a round whose types repeat the previous round's and whose ratio
 // moved by less than 1e-6. capped reports that the round cap ended it.
-func (p *planner) refDecideSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI, sideJ Side, memLambda float64) (types []cost.Type, alpha float64, ev LevelEval, capped bool, err error) {
+func (p *planner) refDecideSplit(node *hardware.Tree, dims []extents, sideI, sideJ Side, memLambda float64) (types []cost.Type, alpha float64, ev LevelEval, capped bool, err error) {
 	ctx := p.level(dims, sideI, sideJ)
 	defer p.levels.Put(ctx)
 	if memLambda > 0 {
@@ -67,7 +65,7 @@ type splitCoverage struct {
 // checkDecideSplit fails the test unless decideSplit and refDecideSplit
 // return the same types, bit-identical ratio and evaluation, and the same
 // error at one split.
-func checkDecideSplit(t *testing.T, cov *splitCoverage, name string, p *planner, node *hardware.Tree, dims []tensor.LayerDims, sideI, sideJ Side, memLambda float64) {
+func checkDecideSplit(t *testing.T, cov *splitCoverage, name string, p *planner, node *hardware.Tree, dims []extents, sideI, sideJ Side, memLambda float64) {
 	t.Helper()
 	wantTypes, wantAlpha, wantEv, capped, wantErr := p.refDecideSplit(node, dims, sideI, sideJ, memLambda)
 	gotTypes, gotAlpha, gotEv, gotErr := p.decideSplit(node, dims, sideI, sideJ, memLambda)
@@ -104,17 +102,17 @@ func sameEvalBits(a, b LevelEval) bool {
 // eachSplit calls visit on every distinct split of plan, with the split's
 // hardware node and dims, walking the plan from its root as the search
 // did.
-func eachSplit(p *planner, plan *Plan, tree *hardware.Tree, visit func(n *PlanNode, node *hardware.Tree, dims []tensor.LayerDims)) {
+func eachSplit(p *planner, plan *Plan, tree *hardware.Tree, visit func(n *PlanNode, node *hardware.Tree, dims []extents)) {
 	seen := map[*PlanNode]bool{}
-	var walk func(n *PlanNode, node *hardware.Tree, dims []tensor.LayerDims)
-	walk = func(n *PlanNode, node *hardware.Tree, dims []tensor.LayerDims) {
+	var walk func(n *PlanNode, node *hardware.Tree, dims []extents)
+	walk = func(n *PlanNode, node *hardware.Tree, dims []extents) {
 		if n.IsLeaf() || seen[n] {
 			return
 		}
 		seen[n] = true
 		visit(n, node, dims)
-		walk(n.Left, node.Left, ScaleUnitDims(p.units, dims, n.Types, n.Alpha))
-		walk(n.Right, node.Right, ScaleUnitDims(p.units, dims, n.Types, 1-n.Alpha))
+		walk(n.Left, node.Left, p.scaled(dims, n.Types, n.Alpha))
+		walk(n.Right, node.Right, p.scaled(dims, n.Types, 1-n.Alpha))
 	}
 	walk(plan.Root, tree, p.rootDims)
 }
@@ -135,7 +133,7 @@ func TestDecideSplitMatchesAlternation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eachSplit(p, plan, tree, func(n *PlanNode, node *hardware.Tree, dims []tensor.LayerDims) {
+			eachSplit(p, plan, tree, func(n *PlanNode, node *hardware.Tree, dims []extents) {
 				checkDecideSplit(t, &cov, name, p, node, dims, n.SideI, n.SideJ, 0)
 				if opt.MemoryLimit == MemoryOff {
 					return
@@ -169,7 +167,7 @@ func TestDecideSplitMatchesAlternation(t *testing.T) {
 			for rep := 0; rep < 6; rep++ {
 				dims := p.rootDims
 				if rep%2 == 1 {
-					dims = randomChildDims(rnd, p.units, dims)
+					dims = randomChildDims(rnd, p.searchShape, dims)
 				}
 				sideI, sideJ := randomSides(rnd)
 				lambda := 0.0
@@ -208,12 +206,12 @@ func randomSplitOptions(rnd *rand.Rand) Options {
 
 // randomChildDims scales dims as a random split would hand them to one
 // child, so small extents round down to zero at times.
-func randomChildDims(rnd *rand.Rand, units []dnn.WeightedLayer, dims []tensor.LayerDims) []tensor.LayerDims {
+func randomChildDims(rnd *rand.Rand, s *searchShape, dims []extents) []extents {
 	types := make([]cost.Type, len(dims))
 	for i := range types {
 		types[i] = cost.Types[rnd.Intn(len(cost.Types))]
 	}
-	return ScaleUnitDims(units, dims, types, cost.ClampRatio(rnd.Float64()))
+	return s.scaled(dims, types, cost.ClampRatio(rnd.Float64()))
 }
 
 // randomSides draws the two sides of a split: plausible random groups
@@ -307,7 +305,7 @@ func TestSplitAlternationWork(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eachSplit(p, plan, tree, func(*PlanNode, *hardware.Tree, []tensor.LayerDims) { splits++ })
+				eachSplit(p, plan, tree, func(*PlanNode, *hardware.Tree, []extents) { splits++ })
 				dpRuns += rs.dpRuns.Load()
 			}
 		}

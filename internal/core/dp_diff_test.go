@@ -9,7 +9,6 @@ import (
 
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
-	"accpar/internal/tensor"
 	"accpar/internal/workload"
 )
 
@@ -236,18 +235,9 @@ func diffCtx(rnd *rand.Rand, net *dnn.Network) *levelCtx {
 		opt.Fixed = randomFixed(rnd.Int63(), rnd.Float64())
 	}
 	opt = opt.withDefaults()
-	units := net.Units()
-	dims := make([]tensor.LayerDims, len(units))
-	for i, u := range units {
-		dims[i] = u.Dims
-	}
-	planSegs := indexSegments(net)
-	if opt.Linearize {
-		planSegs = indexSegments(net.Linearize())
-	}
 	sideI := Side{Compute: 1e12 * (1 + 400*rnd.Float64()), Net: 1e9 * (1 + 100*rnd.Float64())}
 	sideJ := Side{Compute: 1e12 * (1 + 400*rnd.Float64()), Net: 1e9 * (1 + 100*rnd.Float64())}
-	c := newLevelCtx(units, planSegs, net.Edges(), opt).reset(dims, sideI, sideJ)
+	c := rootCtx(net, opt, sideI, sideJ)
 	c.alpha = cost.ClampRatio(rnd.Float64())
 	if rnd.Intn(3) == 0 {
 		c.memLambda = 10 * rnd.Float64()
@@ -258,7 +248,7 @@ func diffCtx(rnd *rand.Rand, net *dnn.Network) *levelCtx {
 		share := 0.3 * rnd.Float64()
 		for u := range c.intraU {
 			for t := range c.intraU[u] {
-				if !c.units[u].layer.Virtual && rnd.Float64() < share {
+				if !c.units[u].Virtual && rnd.Float64() < share {
 					c.intraU[u][t] = math.Inf(1)
 				}
 			}

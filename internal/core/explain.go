@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"accpar/internal/cost"
-	"accpar/internal/tensor"
 )
 
 // LayerExplanation breaks down, for one weighted layer at one split, what
@@ -32,7 +31,7 @@ type LayerExplanation struct {
 // at dims: reset to the split's sides, at its ratio. A context built on
 // the shape of the search that produced n is the one that search solved
 // n on, linearized planSegs included.
-func (s *searchShape) splitCtx(dims []tensor.LayerDims, n *PlanNode) *levelCtx {
+func (s *searchShape) splitCtx(dims []extents, n *PlanNode) *levelCtx {
 	ctx := s.levels.Get().(*levelCtx).reset(dims, n.SideI, n.SideJ)
 	ctx.alpha = n.Alpha
 	return ctx
@@ -60,9 +59,12 @@ func (p *Plan) Explain() ([]LayerExplanation, error) {
 			UnitCost:   map[cost.Type]float64{},
 			IntraBytes: map[cost.Type]float64{},
 		}
+		sizes := ctx.consts[u].sizes(ctx.dims[u], false)
+		var intra [3]float64
+		sizes.intra(&intra, false)
 		for _, t := range cost.Types {
 			ex.UnitCost[t] = ctx.unitCost(u, t)
-			ex.IntraBytes[t] = float64(cost.IntraCommElements(t, ctx.units[u].dims)) * 2
+			ex.IntraBytes[t] = intra[t] * 2
 		}
 		for _, e := range edges {
 			c := ctx.edgeCost(e[0], e[1], n.Types[e[0]], n.Types[e[1]])

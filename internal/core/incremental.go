@@ -7,7 +7,6 @@ import (
 
 	"accpar/internal/cost"
 	"accpar/internal/hardware"
-	"accpar/internal/tensor"
 )
 
 // This file implements incremental replanning. ReplanCtx runs its
@@ -106,7 +105,7 @@ func (p *planner) noteStaleReuse() {
 // function of the pristine digest and the dims the key already carries —
 // and (degraded subtree, dims, pristine subtree) fully addresses the
 // re-costing.
-func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, dims []tensor.LayerDims, key subKey) (*PlanNode, error) {
+func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, dims []extents, key subKey) (*PlanNode, error) {
 	if err := p.checkCtx(); err != nil {
 		return nil, err
 	}
@@ -133,7 +132,7 @@ func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, di
 		return cached, nil
 	}
 	if node.IsLeaf() {
-		n, err := leafNode(node, p.units, dims, p.opt)
+		n, err := leafNode(node, p.consts, dims, p.opt)
 		if err != nil {
 			return nil, err
 		}
@@ -157,12 +156,12 @@ func (p *planner) staleNodeInc(node, pristNode *hardware.Tree, old *PlanNode, di
 	buf := p.getDims()
 	defer p.dims.Put(buf)
 	child := *buf
-	scaleInto(child, p.units, dims, types, alpha)
+	p.scaleInto(child, dims, types, alpha)
 	left, err := p.staleNodeInc(node.Left, pristNode.Left, old.Left, child, subKey{})
 	if err != nil {
 		return nil, err
 	}
-	scaleInto(child, p.units, dims, types, 1-alpha)
+	p.scaleInto(child, dims, types, 1-alpha)
 	right, err := p.staleNodeInc(node.Right, pristNode.Right, old.Right, child, subKey{})
 	if err != nil {
 		return nil, err

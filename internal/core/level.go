@@ -17,13 +17,6 @@ type Side struct {
 	Net     float64
 }
 
-// unitInfo is a unit of the network with its effective dims at the current
-// hierarchy node.
-type unitInfo struct {
-	layer dnn.WeightedLayer
-	dims  tensor.LayerDims
-}
-
 // segRef is a segment with unit indices resolved against the units slice.
 type segRef struct {
 	unit  int     // unit index, or -1 for a parallel region
@@ -72,7 +65,14 @@ func indexSegments(net *dnn.Network) []segRef {
 // per-unit slices and the DP scratch are sized once for the network, and
 // each split only rewrites their contents.
 type levelCtx struct {
-	units []unitInfo
+	// units and consts are the search shape's: the network's units (names
+	// and fixed types) and their constants (coeffs.go).
+	units  []dnn.WeightedLayer
+	consts []unitConst
+	// dims are the split's per-unit extents: the caller's slice, read
+	// while the context serves the split. Every context goes back to the
+	// pool before its split returns, so the slice outlives it.
+	dims []extents
 	// edges is the Table 5 edge enumeration of the true series-parallel
 	// structure (dnn.Network.Edges), used to evaluate what a plan actually
 	// costs.
@@ -109,27 +109,22 @@ type levelCtx struct {
 	dp dpScratch
 }
 
-// newLevelCtx builds an unprepared context for one network's splits;
-// reset readies it for a particular split.
-func newLevelCtx(units []dnn.WeightedLayer, planSegs []segRef, edges [][2]int, opt Options) *levelCtx {
-	c := &levelCtx{
-		units:    make([]unitInfo, len(units)),
-		edges:    edges,
-		planSegs: planSegs,
+// newLevelCtx builds an unprepared context for splits of shape s's
+// network under opt; reset readies it for a particular split.
+func newLevelCtx(s *searchShape, opt Options) *levelCtx {
+	return &levelCtx{
+		units:    s.units,
+		consts:   s.consts,
+		edges:    s.edges,
+		planSegs: s.planSegs,
 		opt:      opt,
 	}
-	for i := range units {
-		c.units[i].layer = units[i]
-	}
-	return c
 }
 
 // reset readies the context for one split at dims between sides sideI
 // and sideJ: ratio and memory penalty cleared, coefficients recomputed.
-func (c *levelCtx) reset(dims []tensor.LayerDims, sideI, sideJ Side) *levelCtx {
-	for i := range c.units {
-		c.units[i].dims = dims[i]
-	}
+func (c *levelCtx) reset(dims []extents, sideI, sideJ Side) *levelCtx {
+	c.dims = dims
 	c.sideI, c.sideJ = sideI, sideJ
 	c.alpha, c.memLambda, c.capI, c.capJ = 0, 0, 0, 0
 	c.prepare()
@@ -141,7 +136,7 @@ func (c *levelCtx) reset(dims []tensor.LayerDims, sideI, sideJ Side) *levelCtx {
 // Callers return it with p.levels.Put as soon as they have the split's
 // decisions and evaluation, before recursing into the children; nothing
 // a plan node keeps (Types) points into it.
-func (p *planner) level(dims []tensor.LayerDims, sideI, sideJ Side) *levelCtx {
+func (p *planner) level(dims []extents, sideI, sideJ Side) *levelCtx {
 	return p.levels.Get().(*levelCtx).reset(dims, sideI, sideJ)
 }
 
@@ -150,7 +145,7 @@ func (c *levelCtx) beta() float64 { return 1 - c.alpha }
 // allowedTypes returns the candidate types for a unit: the fixed assignment
 // if one applies (never for virtual junctions), otherwise the option set.
 func (c *levelCtx) allowedTypes(u int) []cost.Type {
-	l := c.units[u].layer
+	l := c.units[u]
 	if c.opt.Fixed != nil && !l.Virtual {
 		if t, ok := c.opt.Fixed(l); ok {
 			// A one-element window of cost.Types: no allocation.
@@ -166,7 +161,7 @@ func (c *levelCtx) allowedTypes(u int) []cost.Type {
 // nothing here — they only induce inter-layer conversions at their
 // boundaries.
 func (c *levelCtx) unitCost(u int, t cost.Type) float64 {
-	if c.units[u].layer.Virtual {
+	if c.consts[u].virtual {
 		return 0
 	}
 	flops := c.flopsU[u]
@@ -193,11 +188,11 @@ func (c *levelCtx) unitCost(u int, t cost.Type) float64 {
 // and Type-III shard it — exactly the distinction the constrained ladder
 // needs the DP to feel.
 func (c *levelCtx) memPressure(u int, t cost.Type) float64 {
-	d := c.units[u].dims
-	di := d.Scale(t.Dim(), c.alpha)
-	dj := d.Scale(t.Dim(), c.beta())
-	resI := float64((2*di.AW()+di.AF()+di.AFNext())*tensor.BytesPerElement + c.opt.Optimizer.StateBytes(di.AW()))
-	resJ := float64((2*dj.AW()+dj.AF()+dj.AFNext())*tensor.BytesPerElement + c.opt.Optimizer.StateBytes(dj.AW()))
+	k, inference := &c.consts[u], c.opt.Mode == ModeInference
+	si := k.sizes(c.dims[u].scale(k.virtual, t, c.alpha), inference)
+	sj := k.sizes(c.dims[u].scale(k.virtual, t, c.beta()), inference)
+	resI := float64(si.residentBytes() + c.opt.Optimizer.StateBytes(si.aw))
+	resJ := float64(sj.residentBytes() + c.opt.Optimizer.StateBytes(sj.aw))
 	return resI/c.capI + resJ/c.capJ
 }
 
@@ -557,8 +552,8 @@ type LevelEval struct {
 func (c *levelCtx) evalLevel(types []cost.Type) LevelEval {
 	var ev LevelEval
 	pat := c.pat()
-	for u := range c.units {
-		if c.units[u].layer.Virtual {
+	for u := range c.consts {
+		if c.consts[u].virtual {
 			continue
 		}
 		flops := c.flopsU[u]

@@ -7,7 +7,6 @@ import (
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
 	"accpar/internal/hardware"
-	"accpar/internal/tensor"
 )
 
 // This file promotes the per-leaf residency accounting from report
@@ -64,17 +63,19 @@ func (e *NoFeasiblePlanError) Error() string {
 func (e *NoFeasiblePlanError) Unwrap() error { return ErrNoFeasiblePlan }
 
 // residencyAtDims mirrors leafNode's resident-footprint accounting at the
-// given effective dims: kernel shards and their gradients, retained
+// given effective extents: kernel shards and their gradients, retained
 // activations and one error tensor per layer, plus optimizer state.
-func residencyAtDims(units []dnn.WeightedLayer, dims []tensor.LayerDims, opt Options) int64 {
+func residencyAtDims(consts []unitConst, dims []extents, opt Options) int64 {
 	var residency, weightElems int64
-	for i, u := range units {
-		if u.Virtual {
+	inference := opt.Mode == ModeInference
+	for i := range consts {
+		k := &consts[i]
+		if k.virtual {
 			continue
 		}
-		d := dims[i]
-		residency += (2*d.AW() + d.AF() + d.AFNext()) * tensor.BytesPerElement
-		weightElems += d.AW()
+		s := k.sizes(dims[i], inference)
+		residency += s.residentBytes()
+		weightElems += s.aw
 	}
 	return residency + opt.Optimizer.StateBytes(weightElems)
 }
@@ -92,11 +93,12 @@ func MinResidencyBytes(net *dnn.Network, opt Options) (int64, error) {
 		return 0, err
 	}
 	units := net.Units()
-	dims := make([]tensor.LayerDims, len(units))
-	for i, u := range units {
-		dims[i] = u.Dims
+	consts := make([]unitConst, len(units))
+	dims := make([]extents, len(units))
+	for i := range units {
+		consts[i], dims[i] = constOf(&units[i]), extentsOf(units[i].Dims)
 	}
-	return residencyAtDims(units, dims, opt), nil
+	return residencyAtDims(consts, dims, opt), nil
 }
 
 // worstLeaf returns the leaf with the largest residency-to-capacity ratio
@@ -138,7 +140,7 @@ const memDFSMaxTries = 729
 // The returned AuditMemory describes the ladder's outcome for the search
 // audit (nil when the base solution already fits); it is built only when
 // Options.Audit is attached and never influences the chosen plan.
-func (p *planner) constrainSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI, sideJ Side, base *PlanNode) (*PlanNode, *AuditMemory, error) {
+func (p *planner) constrainSplit(node *hardware.Tree, dims []extents, sideI, sideJ Side, base *PlanNode) (*PlanNode, *AuditMemory, error) {
 	audit := p.opt.Audit != nil
 	memNote := func(outcome string, mult float64) *AuditMemory {
 		if !audit {
@@ -152,7 +154,7 @@ func (p *planner) constrainSplit(node *hardware.Tree, dims []tensor.LayerDims, s
 	// Admissible capacity floors: when the workload provably cannot fit
 	// this subtree under any reachable plan, skip the candidate ladder —
 	// this is the in-DP pruning of infeasible subtrees.
-	need := residencyAtDims(p.units, dims, p.opt)
+	need := residencyAtDims(p.consts, dims, p.opt)
 	id := node.Identity()
 	floor := id.HBMBytes
 	if p.opt.Ratio == RatioEqual && id.CapFloorHalf < floor {
@@ -276,8 +278,8 @@ func (p *planner) constrainSplit(node *hardware.Tree, dims []tensor.LayerDims, s
 func (p *planner) typeSpaceSize() int {
 	n := 1
 	probe := levelCtx{opt: p.opt}
-	for _, u := range p.units {
-		probe.units = []unitInfo{{layer: u}}
+	for u := range p.units {
+		probe.units = p.units[u : u+1]
 		n *= len(probe.allowedTypes(0))
 		if n > memDFSMaxTries {
 			return n

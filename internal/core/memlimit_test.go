@@ -122,14 +122,11 @@ func TestMemoryRejectIffBruteForce(t *testing.T) {
 	}
 	for ni, dims := range nets {
 		net := chainNet(dims)
-		units := net.Units()
-		rootDims := make([]tensor.LayerDims, len(units))
-		for i, u := range units {
-			rootDims[i] = u.Dims
-		}
 		opt := AccPar().withDefaults()
 		opt.Ratio = RatioEqual
-		res0 := residencyAtDims(units, rootDims, opt)
+		s := newSearchShape(net, opt)
+		units, rootDims := s.units, s.rootDims
+		res0 := residencyAtDims(s.consts, rootDims, opt)
 
 		// bruteFeasible enumerates every type vector at alpha = ½ and
 		// reports whether any assignment fits both leaves.
@@ -138,14 +135,9 @@ func TestMemoryRejectIffBruteForce(t *testing.T) {
 			var recur func(u int) bool
 			recur = func(u int) bool {
 				if u == len(units) {
-					dl := make([]tensor.LayerDims, len(units))
-					dr := make([]tensor.LayerDims, len(units))
-					for i, d := range rootDims {
-						dl[i] = d.Scale(assignment[i].Dim(), 0.5)
-						dr[i] = d.Scale(assignment[i].Dim(), 0.5)
-					}
-					return residencyAtDims(units, dl, opt) <= capL &&
-						residencyAtDims(units, dr, opt) <= capR
+					half := s.scaled(rootDims, assignment, 0.5)
+					return residencyAtDims(s.consts, half, opt) <= capL &&
+						residencyAtDims(s.consts, half, opt) <= capR
 				}
 				for _, ty := range opt.Types {
 					assignment[u] = ty

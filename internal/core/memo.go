@@ -6,15 +6,14 @@ import (
 
 	"accpar/internal/cost"
 	"accpar/internal/hardware"
-	"accpar/internal/tensor"
 	"accpar/internal/wordhash"
 )
 
 // planMemo caches solved hierarchical subproblems. A subproblem is fully
-// identified — within one planner, whose network, segment structure and
-// options are fixed — by the hardware subtree it partitions and the
-// effective per-unit dims it partitions at, so the key is a content hash
-// of exactly those two inputs. Content addressing (rather than node
+// identified — within one planner, whose network, segment structure,
+// per-unit constants and options are fixed — by the hardware subtree it
+// partitions and the effective per-unit extents it partitions at, so the
+// key is a content hash of exactly those two inputs. Content addressing (rather than node
 // pointers) is what lets degradation-aware replanning reuse every subtree
 // the fault did not touch: the pristine and degraded hierarchies are
 // distinct tree objects, but their unaffected subtrees hash identically.
@@ -143,30 +142,33 @@ func (p *planMemo) epochCounts(counts map[int64]int) {
 	}
 }
 
-// subproblemKey hashes (hardware subtree, effective dims) into a memo
+// subproblemKey hashes (hardware subtree, effective extents) into a memo
 // key. The subtree enters through its cached content digest
-// (hardware.Tree.Identity), so keying a node is O(dims) regardless of
+// (hardware.Tree.Identity), so keying a node is O(units) regardless of
 // how much hardware hangs below it. The hashed words — the digest's two
-// halves, the unit count and nine extents per unit — go through
-// wordhash one machine word at a time, with no buffer.
-func (p *planner) subproblemKey(node *hardware.Tree, dims []tensor.LayerDims) subKey {
+// halves, the unit count and three extents per unit (B, D_i, D_o) — go
+// through wordhash one machine word at a time, with no buffer. The other
+// six extents of a unit never change below the root; the search
+// fingerprint covers them (searchFingerprint), so a key needs only the
+// three a split can change.
+func (p *planner) subproblemKey(node *hardware.Tree, dims []extents) subKey {
 	h := newKeyHash(node, len(dims))
 	for i := range dims {
-		hashDims(&h, &dims[i])
+		hashExtents(&h, &dims[i])
 	}
 	return h.Sum()
 }
 
-// childKey scales the dims of one child of a split at (dims, types,
+// childKey scales the extents of one child of a split at (dims, types,
 // ratio) into dst, a buffer of len(dims) units, and returns the child's
 // subproblem key, subproblemKey(node, dst), in the same pass: each unit
-// is hashed as scaleUnit writes it, so a miss solves from dst without
+// is hashed as extents.scale writes it, so a miss solves from dst without
 // scaling again.
-func (p *planner) childKey(dst []tensor.LayerDims, node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, ratio float64) subKey {
+func (p *planner) childKey(dst []extents, node *hardware.Tree, dims []extents, types []cost.Type, ratio float64) subKey {
 	h := newKeyHash(node, len(dims))
 	for i := range dims {
-		dst[i] = scaleUnit(p.units[i].Virtual, dims[i], types[i], ratio)
-		hashDims(&h, &dst[i])
+		dst[i] = dims[i].scale(p.consts[i].virtual, types[i], ratio)
+		hashExtents(&h, &dst[i])
 	}
 	return h.Sum()
 }
@@ -180,15 +182,9 @@ func newKeyHash(node *hardware.Tree, n int) wordhash.Hash {
 	return h
 }
 
-// hashDims absorbs one unit's nine extents.
-func hashDims(h *wordhash.Hash, d *tensor.LayerDims) {
-	h.Word(uint64(d.B))
-	h.Word(uint64(d.Di))
-	h.Word(uint64(d.Do))
-	h.Word(uint64(d.HIn))
-	h.Word(uint64(d.WIn))
-	h.Word(uint64(d.HOut))
-	h.Word(uint64(d.WOut))
-	h.Word(uint64(d.KH))
-	h.Word(uint64(d.KW))
+// hashExtents absorbs one unit's three extents.
+func hashExtents(h *wordhash.Hash, e *extents) {
+	h.Word(uint64(e.B))
+	h.Word(uint64(e.Di))
+	h.Word(uint64(e.Do))
 }

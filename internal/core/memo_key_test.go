@@ -9,7 +9,6 @@ import (
 
 	"accpar/internal/cost"
 	"accpar/internal/hardware"
-	"accpar/internal/tensor"
 )
 
 // TestSubproblemKeyBytes pins the memo keys of two fixed (subtree, dims)
@@ -27,14 +26,14 @@ func TestSubproblemKeyBytes(t *testing.T) {
 	for i := range types {
 		types[i] = cost.Types[i%len(cost.Types)]
 	}
-	childDims := ScaleUnitDims(p.units, p.rootDims, types, 0.3)
+	childDims := p.scaled(p.rootDims, types, 0.3)
 	for _, c := range []struct {
 		name string
 		key  subKey
 		want string
 	}{
-		{"root", p.subproblemKey(tree, p.rootDims), "761843957c723a9b582e75623b493ef5"},
-		{"left child", p.subproblemKey(tree.Left, childDims), "f90717de4ef7058a0d6dd978e53286ef"},
+		{"root", p.subproblemKey(tree, p.rootDims), "f736df0a8e006ff7c47808e0b00cdae0"},
+		{"left child", p.subproblemKey(tree.Left, childDims), "61271397ab0eea721324f505bdb185dd"},
 	} {
 		if got := hex.EncodeToString(c.key[:]); got != c.want {
 			t.Errorf("%s key = %s, want %s", c.name, got, c.want)
@@ -43,14 +42,14 @@ func TestSubproblemKeyBytes(t *testing.T) {
 }
 
 // TestChildKeyMatchesScaledDims: a split keys each child as it scales
-// the child's dims into a buffer (childKey), while the root, replan and
-// stale paths key dims they already hold (subproblemKey). The two must
+// the child's extents into a buffer (childKey), while the root, replan and
+// stale paths key extents they already hold (subproblemKey). The two must
 // agree exactly, or a child solved on one path would silently miss on the
-// other, and the buffer a miss solves from must hold ScaleUnitDims's
-// dims. Random type vectors and ratios
-// at both clamps are walked several levels down on ResNet-18 and
-// inception, whose virtual junction units (residual adds, concatenations)
-// scale both channel extents.
+// other, and the buffer a miss solves from must hold the extents of
+// ScaleUnitDims's dims, which plan walkers derive. Random type vectors
+// and ratios at both clamps are walked several levels down on ResNet-18
+// and inception, whose virtual junction units (residual adds,
+// concatenations) scale both channel extents.
 func TestChildKeyMatchesScaledDims(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	ratios := []float64{cost.MinRatio, 2 * cost.MinRatio, 0.3, 0.5, 1 - 2*cost.MinRatio, 1 - cost.MinRatio}
@@ -69,7 +68,7 @@ func TestChildKeyMatchesScaledDims(t *testing.T) {
 		}
 		tree := paperTree(t, 8)
 		for trial := 0; trial < 20; trial++ {
-			node, dims := tree, p.rootDims
+			node, dims, full := tree, p.rootDims, layerDims(p.units)
 			for !node.IsLeaf() {
 				types := make([]cost.Type, len(dims))
 				for i := range types {
@@ -83,8 +82,12 @@ func TestChildKeyMatchesScaledDims(t *testing.T) {
 				if rnd.Intn(2) == 1 {
 					child = node.Right
 				}
-				scaled := ScaleUnitDims(p.units, dims, types, r)
-				buf := make([]tensor.LayerDims, len(dims))
+				full = ScaleUnitDims(p.units, full, types, r)
+				scaled := make([]extents, len(full))
+				for i, d := range full {
+					scaled[i] = extentsOf(d)
+				}
+				buf := make([]extents, len(dims))
 				got := p.childKey(buf, child, dims, types, r)
 				if want := p.subproblemKey(child, scaled); got != want {
 					t.Fatalf("%s level %d ratio %g: childKey %x, subproblemKey %x", model, node.Level, r, got, want)

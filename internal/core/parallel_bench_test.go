@@ -7,7 +7,6 @@ import (
 	"accpar/internal/cost"
 	"accpar/internal/hardware"
 	"accpar/internal/models"
-	"accpar/internal/tensor"
 )
 
 // benchCtx builds a level context over a paper-scale model and a
@@ -35,12 +34,7 @@ func benchCtx(tb testing.TB) (*levelCtx, []cost.Type) {
 	opt := Options{}.withDefaults()
 	sideI := Side{Compute: tree.Left.Group.ComputeDensity(), Net: opt.Topology.BisectionBandwidth(tree.Left.Group)}
 	sideJ := Side{Compute: tree.Right.Group.ComputeDensity(), Net: opt.Topology.BisectionBandwidth(tree.Right.Group)}
-	units := net.Units()
-	dims := make([]tensor.LayerDims, len(units))
-	for i := range units {
-		dims[i] = units[i].Dims
-	}
-	ctx := newLevelCtx(units, indexSegments(net), net.Edges(), opt).reset(dims, sideI, sideJ)
+	ctx := rootCtx(net, opt, sideI, sideJ)
 	ctx.alpha = 0.5
 	types := make([]cost.Type, len(ctx.units))
 	for i := range types {

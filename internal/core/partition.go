@@ -25,9 +25,9 @@ import (
 type planner struct {
 	*searchShape
 	net *dnn.Network
-	// rootDims are the network's unscaled per-unit dims, the dims of
-	// every plan root.
-	rootDims []tensor.LayerDims
+	// rootDims are the network's unscaled per-unit extents, the extents
+	// of every plan root.
+	rootDims []extents
 	opt      Options
 	memo     *planMemo
 	sem      *parallel.Sem
@@ -51,36 +51,42 @@ type planner struct {
 }
 
 // searchShape is the part of a search's state fixed by its fingerprint
-// (searchFingerprint): the network's units, the segment index the search
-// sees (flattened under Linearize), the edges of the true structure that
-// plans are priced on, a pool of prepared level contexts (level.go), so a
-// split reuses DP scratch and coefficient slices instead of allocating
-// them, and a pool of child-dims buffers (getDims), so a split's children
-// are scaled without allocating. A SharedCache keeps one shape per
-// fingerprint beside its memo and hands it to every search on that memo;
-// an uncached planner builds a private one.
+// (searchFingerprint): the network's units and their constants
+// (unitConst: virtual, feature-map areas, kernel window), the segment
+// index the search sees (flattened under Linearize), the edges of the
+// true structure that plans are priced on, a pool of prepared level
+// contexts (level.go), so a split reuses DP scratch and coefficient
+// slices instead of allocating them, and a pool of child-extents buffers
+// (getDims), so a split's children are scaled without allocating. A
+// SharedCache keeps one shape per fingerprint beside its memo and hands
+// it to every search on that memo; an uncached planner builds a private
+// one.
 //
 // Networks that differ only in batch size share a fingerprint, so a
-// shape may be built from another call's network: nothing read through
-// it may depend on units' Dims, which each call supplies as its own
-// rootDims and the subproblem keys carry. The shape keeps its builder's
-// dims only to lend them, read-only, to calls whose dims are equal
-// (rootDimsOf).
+// shape may be built from another call's network. The fingerprint covers
+// every unit's constants, so those hold for every network the shape
+// serves; the extents a split changes (B, D_i, D_o) each call supplies
+// as its own rootDims, and the subproblem keys carry them. The shape
+// keeps its builder's extents only to lend them, read-only, to calls
+// whose extents are equal (rootDimsOf).
 type searchShape struct {
 	units    []dnn.WeightedLayer
+	consts   []unitConst
 	planSegs []segRef
 	edges    [][2]int
 	levels   sync.Pool
 	dims     sync.Pool
-	rootDims []tensor.LayerDims
+	rootDims []extents
 }
 
 // newSearchShape builds the shape of a search over net under opt.
 func newSearchShape(net *dnn.Network, opt Options) *searchShape {
 	s := &searchShape{units: net.Units(), planSegs: indexSegments(net), edges: net.Edges()}
-	s.rootDims = make([]tensor.LayerDims, len(s.units))
+	s.consts = make([]unitConst, len(s.units))
+	s.rootDims = make([]extents, len(s.units))
 	for i := range s.units {
-		s.rootDims[i] = s.units[i].Dims
+		s.consts[i] = constOf(&s.units[i])
+		s.rootDims[i] = extentsOf(s.units[i].Dims)
 	}
 	if opt.Linearize {
 		// The search sees a flattened chain (HyPar's linear-structure
@@ -92,23 +98,24 @@ func newSearchShape(net *dnn.Network, opt Options) *searchShape {
 	// A cached shape outlives the call that built it: its contexts keep
 	// only the fingerprinted options, never a caller's cache or recorder.
 	opt.Cache, opt.Audit, opt.Parallelism = nil, nil, 0
-	s.levels.New = func() any { return newLevelCtx(s.units, s.planSegs, s.edges, opt) }
+	s.levels.New = func() any { return newLevelCtx(s, opt) }
 	s.dims.New = func() any {
-		buf := make([]tensor.LayerDims, len(s.units))
+		buf := make([]extents, len(s.units))
 		return &buf
 	}
 	return s
 }
 
-// getDims takes a per-unit dims buffer from the shape's pool. A split
-// scales a child's dims into one (childKey, scaleInto) and solves the
+// getDims takes a per-unit extents buffer from the shape's pool. A split
+// scales a child's extents into one (childKey, scaleInto) and solves the
 // child from it; the caller puts it back once the child is solved.
 // Nothing a plan node keeps points into a buffer: plan nodes store no
-// dims, and level contexts copy theirs. Pooling on the shape keeps
-// forked workers, and concurrent searches on one SharedCache, on buffers
-// of their own.
-func (s *searchShape) getDims() *[]tensor.LayerDims {
-	return s.dims.Get().(*[]tensor.LayerDims)
+// dims, and a level context reads a buffer only while it serves a split
+// of the child, which ends before the child is solved. Pooling on the
+// shape keeps forked workers, and concurrent searches on one SharedCache,
+// on buffers of their own.
+func (s *searchShape) getDims() *[]extents {
+	return s.dims.Get().(*[]extents)
 }
 
 // noteHit records a replan hit when the call collects stats; other
@@ -146,20 +153,20 @@ func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, e
 	return p, nil
 }
 
-// rootDimsOf returns net's per-unit dims, the dims of every plan root:
-// the shape's own slice when they equal its builder's (every search of a
-// sweep, and a server's repeated requests), a fresh one otherwise.
-func (s *searchShape) rootDimsOf(net *dnn.Network) []tensor.LayerDims {
+// rootDimsOf returns net's per-unit extents, the extents of every plan
+// root: the shape's own slice when they equal its builder's (every search
+// of a sweep, and a server's repeated requests), a fresh one otherwise.
+func (s *searchShape) rootDimsOf(net *dnn.Network) []extents {
 	i, same := 0, true
 	eachUnit(net, func(u *dnn.WeightedLayer) {
-		same = same && u.Dims == s.rootDims[i]
+		same = same && extentsOf(u.Dims) == s.rootDims[i]
 		i++
 	})
 	if same {
 		return s.rootDims
 	}
-	dims := make([]tensor.LayerDims, 0, len(s.units))
-	eachUnit(net, func(u *dnn.WeightedLayer) { dims = append(dims, u.Dims) })
+	dims := make([]extents, 0, len(s.units))
+	eachUnit(net, func(u *dnn.WeightedLayer) { dims = append(dims, extentsOf(u.Dims)) })
 	return dims
 }
 
@@ -236,12 +243,12 @@ func strategyName(opt Options) string {
 
 // partitionNode handles one hierarchy node with the given effective dims,
 // consulting the subproblem memo first; see lookup and solve.
-func (p *planner) partitionNode(node *hardware.Tree, dims []tensor.LayerDims) (*PlanNode, error) {
+func (p *planner) partitionNode(node *hardware.Tree, dims []extents) (*PlanNode, error) {
 	return p.partitionKeyed(node, dims, p.subproblemKey(node, dims))
 }
 
 // partitionKeyed is partitionNode for a subproblem already keyed.
-func (p *planner) partitionKeyed(node *hardware.Tree, dims []tensor.LayerDims, key subKey) (*PlanNode, error) {
+func (p *planner) partitionKeyed(node *hardware.Tree, dims []extents, key subKey) (*PlanNode, error) {
 	if err := p.checkCtx(); err != nil {
 		return nil, err
 	}
@@ -278,7 +285,7 @@ func (p *planner) lookup(node *hardware.Tree, key subKey) (*PlanNode, bool) {
 // solve answers a memo miss and stores the solution. The stored node is
 // read-only from here on: later hits, in this search or (through the
 // SharedCache) in others, link it rather than copy it.
-func (p *planner) solve(node *hardware.Tree, dims []tensor.LayerDims, key subKey) (*PlanNode, error) {
+func (p *planner) solve(node *hardware.Tree, dims []extents, key subKey) (*PlanNode, error) {
 	n, err := p.computeNode(node, dims, key)
 	if err != nil {
 		// Errors are not cached: they are rare, cheap to rediscover, and
@@ -291,7 +298,7 @@ func (p *planner) solve(node *hardware.Tree, dims []tensor.LayerDims, key subKey
 
 // computeNode solves one hierarchy node from scratch; key is its
 // subproblem key, for the audit record.
-func (p *planner) computeNode(node *hardware.Tree, dims []tensor.LayerDims, key subKey) (*PlanNode, error) {
+func (p *planner) computeNode(node *hardware.Tree, dims []extents, key subKey) (*PlanNode, error) {
 	obsSubproblems.Inc()
 	if p.rs != nil {
 		p.rs.expanded.Add(1)
@@ -308,7 +315,7 @@ func (p *planner) computeNode(node *hardware.Tree, dims []tensor.LayerDims, key 
 		defer sp.End()
 	}
 	if node.IsLeaf() {
-		n, err := leafNode(node, p.units, dims, p.opt)
+		n, err := leafNode(node, p.consts, dims, p.opt)
 		if err != nil {
 			return nil, err
 		}
@@ -341,7 +348,7 @@ func (p *planner) computeNode(node *hardware.Tree, dims []tensor.LayerDims, key 
 // penalty into the DP unit costs (memlimit.go's λ ladder); λ = 0 is the
 // exact unconstrained search. Reported costs (Eval) never include the
 // penalty — it steers decisions only.
-func (p *planner) solveSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI, sideJ Side, memLambda float64) (*PlanNode, error) {
+func (p *planner) solveSplit(node *hardware.Tree, dims []extents, sideI, sideJ Side, memLambda float64) (*PlanNode, error) {
 	types, alpha, ev, err := p.decideSplit(node, dims, sideI, sideJ, memLambda)
 	if err != nil {
 		return nil, err
@@ -366,7 +373,7 @@ const maxRatioIters = 4
 // types), or a DP that returns the types α was balanced for (the next
 // bisection would return the same α). Either way the result is the one a
 // further round would confirm, bit for bit.
-func (p *planner) decideSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI, sideJ Side, memLambda float64) ([]cost.Type, float64, LevelEval, error) {
+func (p *planner) decideSplit(node *hardware.Tree, dims []extents, sideI, sideJ Side, memLambda float64) ([]cost.Type, float64, LevelEval, error) {
 	ctx := p.level(dims, sideI, sideJ)
 	defer p.levels.Put(ctx)
 	if memLambda > 0 {
@@ -420,13 +427,13 @@ func (p *planner) decideSplit(node *hardware.Tree, dims []tensor.LayerDims, side
 // no search, just the true-cost evaluation and the child recursion. The
 // constrained ladder uses it for candidates whose decisions were chosen
 // outside the alternation loop.
-func (p *planner) buildSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI, sideJ Side, types []cost.Type, alpha float64) (*PlanNode, error) {
+func (p *planner) buildSplit(node *hardware.Tree, dims []extents, sideI, sideJ Side, types []cost.Type, alpha float64) (*PlanNode, error) {
 	return p.assembleSplit(node, dims, sideI, sideJ, types, alpha, p.evalSplit(dims, sideI, sideJ, types, alpha))
 }
 
 // evalSplit prices fixed (types, alpha) decisions at one split on a
 // pooled level context.
-func (p *planner) evalSplit(dims []tensor.LayerDims, sideI, sideJ Side, types []cost.Type, alpha float64) LevelEval {
+func (p *planner) evalSplit(dims []extents, sideI, sideJ Side, types []cost.Type, alpha float64) LevelEval {
 	ctx := p.level(dims, sideI, sideJ)
 	defer p.levels.Put(ctx)
 	ctx.alpha = alpha
@@ -436,7 +443,7 @@ func (p *planner) evalSplit(dims []tensor.LayerDims, sideI, sideJ Side, types []
 // assembleSplit recurses into both children of a priced split and links
 // the node. No level context is held across the recursion: the split's
 // decisions are already in (types, alpha, ev).
-func (p *planner) assembleSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI, sideJ Side, types []cost.Type, alpha float64, ev LevelEval) (*PlanNode, error) {
+func (p *planner) assembleSplit(node *hardware.Tree, dims []extents, sideI, sideJ Side, types []cost.Type, alpha float64, ev LevelEval) (*PlanNode, error) {
 	left, right, err := p.partitionChildren(node, dims, types, alpha)
 	if err != nil {
 		return nil, err
@@ -470,7 +477,7 @@ func (p *planner) assembleSplit(node *hardware.Tree, dims []tensor.LayerDims, si
 //
 // The serial recursion solves the children one after the other, so they
 // take turns on one pooled dims buffer; a fork takes one per child.
-func (p *planner) partitionChildren(node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, alpha float64) (left, right *PlanNode, err error) {
+func (p *planner) partitionChildren(node *hardware.Tree, dims []extents, types []cost.Type, alpha float64) (left, right *PlanNode, err error) {
 	if node.Left.Identity().Digest != node.Right.Identity().Digest && p.sem.TryAcquire() {
 		return p.forkChildren(node, dims, types, alpha)
 	}
@@ -489,7 +496,7 @@ func (p *planner) partitionChildren(node *hardware.Tree, dims []tensor.LayerDims
 // slot the caller acquired, and the left child on the calling one. It is
 // its own function so that the serial path never moves the results the
 // goroutine writes to the heap.
-func (p *planner) forkChildren(node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, alpha float64) (left, right *PlanNode, err error) {
+func (p *planner) forkChildren(node *hardware.Tree, dims []extents, types []cost.Type, alpha float64) (left, right *PlanNode, err error) {
 	obsForks.Inc()
 	lbuf, rbuf := p.getDims(), p.getDims()
 	defer p.dims.Put(lbuf)
@@ -514,9 +521,9 @@ func (p *planner) forkChildren(node *hardware.Tree, dims []tensor.LayerDims, typ
 }
 
 // partitionChild handles one child of a split at (dims, types, ratio):
-// it scales the child's dims into buf as it keys them (childKey), and a
-// memo miss solves from buf.
-func (p *planner) partitionChild(buf []tensor.LayerDims, node *hardware.Tree, dims []tensor.LayerDims, types []cost.Type, ratio float64) (*PlanNode, error) {
+// it scales the child's extents into buf as it keys them (childKey), and
+// a memo miss solves from buf.
+func (p *planner) partitionChild(buf []extents, node *hardware.Tree, dims []extents, types []cost.Type, ratio float64) (*PlanNode, error) {
 	return p.partitionKeyed(node, buf, p.childKey(buf, node, dims, types, ratio))
 }
 
@@ -528,28 +535,24 @@ func (p *planner) partitionChild(buf []tensor.LayerDims, node *hardware.Tree, di
 // partition (Type-II or Type-III) scales both Di and Do to keep the
 // identity consistent. Plan nodes store no dims; a reader walking a plan
 // from its root, whose dims are the units' own, derives every node's dims
-// with this function, exactly as the search did.
+// with this function, exactly as the search derived their extents.
 func ScaleUnitDims(units []dnn.WeightedLayer, dims []tensor.LayerDims, types []cost.Type, ratio float64) []tensor.LayerDims {
 	out := make([]tensor.LayerDims, len(dims))
-	scaleInto(out, units, dims, types, ratio)
+	for i, d := range dims {
+		e := extentsOf(d).scale(units[i].Virtual, types[i], ratio)
+		d.B, d.Di, d.Do = int(e.B), int(e.Di), int(e.Do)
+		out[i] = d
+	}
 	return out
 }
 
-// scaleInto is ScaleUnitDims into dst, a buffer of len(dims) units.
-func scaleInto(dst []tensor.LayerDims, units []dnn.WeightedLayer, dims []tensor.LayerDims, types []cost.Type, ratio float64) {
-	for i, d := range dims {
-		dst[i] = scaleUnit(units[i].Virtual, d, types[i], ratio)
+// scaleInto writes the extents of one child of a split at (dims, types,
+// ratio) into dst, a buffer of len(dims) units; childKey scales the same
+// way as it hashes.
+func (s *searchShape) scaleInto(dst, dims []extents, types []cost.Type, ratio float64) {
+	for i := range dims {
+		dst[i] = dims[i].scale(s.consts[i].virtual, types[i], ratio)
 	}
-}
-
-// scaleUnit scales one unit's dims for a child of a split under type t;
-// scaleInto and childKey share it, so a key always names the dims it was
-// hashed from.
-func scaleUnit(virtual bool, d tensor.LayerDims, t cost.Type, ratio float64) tensor.LayerDims {
-	if virtual && t != cost.TypeI {
-		return d.Scale(tensor.DimDi, ratio).Scale(tensor.DimDo, ratio)
-	}
-	return d.Scale(t.Dim(), ratio)
 }
 
 // leafNode models an unsplit group executing its final shard: computation
@@ -561,7 +564,7 @@ func scaleUnit(virtual bool, d tensor.LayerDims, t cost.Type, ratio float64) ten
 // remaining implicit sub-level. Without this fallback a shallow hierarchy
 // would get intra-group aggregation for free and the hierarchy-level sweep
 // (Figure 8) would be meaningless.
-func leafNode(node *hardware.Tree, units []dnn.WeightedLayer, dims []tensor.LayerDims, opt Options) (*PlanNode, error) {
+func leafNode(node *hardware.Tree, consts []unitConst, dims []extents, opt Options) (*PlanNode, error) {
 	for _, r := range [...]struct {
 		name string
 		v    float64
@@ -570,27 +573,31 @@ func leafNode(node *hardware.Tree, units []dnn.WeightedLayer, dims []tensor.Laye
 			return nil, &DegenerateHardwareError{Level: node.Level, Detail: fmt.Sprintf("leaf %s = %g", r.name, r.v)}
 		}
 	}
+	inference := opt.Mode == ModeInference
 	var flops float64
 	var memBytes float64
 	var weightBytes float64
 	var weightElems int64
-	for i, u := range units {
-		if u.Virtual {
+	for i := range consts {
+		k := &consts[i]
+		if k.virtual {
 			continue
 		}
-		d := dims[i]
-		perPhase := cost.PhaseStreamBytes(d)
-		if opt.Mode == ModeInference {
-			flops += float64(tensor.InferenceFLOPs(d))
+		s := k.sizes(dims[i], inference)
+		// Each phase streams two operands in and its result out, and
+		// every phase touches tensors of the same three sizes
+		// (cost.PhaseStreamBytes).
+		perPhase := float64(s.af+s.aw+s.afNext) * tensor.BytesPerElement
+		flops += float64(s.flops)
+		if inference {
 			memBytes += perPhase // forward only
 		} else {
-			flops += float64(cost.ComputeFLOPs(d))
 			memBytes += 3 * perPhase // forward, backward, gradient
 		}
-		weightBytes += float64(d.AW()) * tensor.BytesPerElement
-		weightElems += d.AW()
+		weightBytes += float64(s.aw) * tensor.BytesPerElement
+		weightElems += s.aw
 	}
-	if opt.Mode != ModeInference {
+	if !inference {
 		// Weight-update phase (Section 2.1): arithmetic and HBM traffic of
 		// the configured optimizer over this leaf's kernel shards.
 		flops += float64(opt.Optimizer.UpdateFLOPs(weightElems))
@@ -599,8 +606,8 @@ func leafNode(node *hardware.Tree, units []dnn.WeightedLayer, dims []tensor.Laye
 	// Resident footprint: kernels and gradients, retained activations and
 	// one error tensor per layer, plus optimizer state (residencyAtDims
 	// keeps this accounting shared with the constrained search's floors).
-	residency := residencyAtDims(units, dims, opt)
-	if opt.Mode == ModeInference {
+	residency := residencyAtDims(consts, dims, opt)
+	if inference {
 		// No gradient synchronization exists in inference; the implicit
 		// data-parallel fallback costs nothing.
 		weightBytes = 0

@@ -11,7 +11,6 @@ import (
 	"accpar/internal/dnn"
 	"accpar/internal/hardware"
 	"accpar/internal/models"
-	"accpar/internal/tensor"
 )
 
 func treeFor(t testing.TB, groups ...hardware.GroupSpec) *hardware.Tree {
@@ -67,7 +66,7 @@ func stalePlan(net *dnn.Network, plan *Plan, tree *hardware.Tree, opt Options) (
 
 // staleNode applies one stale decision to one (possibly degraded)
 // hierarchy node.
-func (p *planner) staleNode(node *hardware.Tree, old *PlanNode, dims []tensor.LayerDims) (*PlanNode, error) {
+func (p *planner) staleNode(node *hardware.Tree, old *PlanNode, dims []extents) (*PlanNode, error) {
 	if err := p.checkCtx(); err != nil {
 		return nil, err
 	}
@@ -78,7 +77,7 @@ func (p *planner) staleNode(node *hardware.Tree, old *PlanNode, dims []tensor.La
 		return p.partitionNode(node, dims)
 	}
 	if node.IsLeaf() {
-		return leafNode(node, p.units, dims, p.opt)
+		return leafNode(node, p.consts, dims, p.opt)
 	}
 	sideI := Side{Compute: node.Left.Group.ComputeDensity(), Net: p.opt.Topology.BisectionBandwidth(node.Left.Group)}
 	sideJ := Side{Compute: node.Right.Group.ComputeDensity(), Net: p.opt.Topology.BisectionBandwidth(node.Right.Group)}
@@ -92,11 +91,11 @@ func (p *planner) staleNode(node *hardware.Tree, old *PlanNode, dims []tensor.La
 	types := old.Types
 	ev := p.evalSplit(dims, sideI, sideJ, types, alpha)
 
-	left, err := p.staleNode(node.Left, old.Left, ScaleUnitDims(p.units, dims, types, alpha))
+	left, err := p.staleNode(node.Left, old.Left, p.scaled(dims, types, alpha))
 	if err != nil {
 		return nil, err
 	}
-	right, err := p.staleNode(node.Right, old.Right, ScaleUnitDims(p.units, dims, types, 1-alpha))
+	right, err := p.staleNode(node.Right, old.Right, p.scaled(dims, types, 1-alpha))
 	if err != nil {
 		return nil, err
 	}

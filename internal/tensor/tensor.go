@@ -211,27 +211,32 @@ func size4(a, b, c, d int) int64 {
 // Scale returns a copy of the dims with one logical dimension scaled by
 // ratio (used when descending the partitioning hierarchy: a child group that
 // received ratio α of a Type-I partition sees an effective batch of α·B).
-// The scaled extent is kept at a minimum of 1. dim must be one of
-// DimB, DimDi, DimDo.
+// The scaled extent follows ScaleExtent. dim must be one of DimB, DimDi,
+// DimDo.
 func (d LayerDims) Scale(dim Dim, ratio float64) LayerDims {
-	scale := func(v int) int {
-		s := int(float64(v)*ratio + 0.5)
-		if s < 1 {
-			s = 1
-		}
-		return s
-	}
 	switch dim {
 	case DimB:
-		d.B = scale(d.B)
+		d.B = int(ScaleExtent(int64(d.B), ratio))
 	case DimDi:
-		d.Di = scale(d.Di)
+		d.Di = int(ScaleExtent(int64(d.Di), ratio))
 	case DimDo:
-		d.Do = scale(d.Do)
+		d.Do = int(ScaleExtent(int64(d.Do), ratio))
 	default:
 		panic(fmt.Sprintf("tensor: unknown dimension %v", dim))
 	}
 	return d
+}
+
+// ScaleExtent is the split rule for one extent: a child that receives
+// ratio of an extent v gets v·ratio rounded to the nearest integer, kept
+// at a minimum of 1. Scale and the planner's search both call it, so the
+// rule lives in one place.
+func ScaleExtent(v int64, ratio float64) int64 {
+	s := int64(float64(v)*ratio + 0.5)
+	if s < 1 {
+		s = 1
+	}
+	return s
 }
 
 // Dim identifies one of the three partitionable dimensions of the tensor
