@@ -269,8 +269,8 @@ func TestObserveCountsFollowersCapturesLeader(t *testing.T) {
 // recovery outside it, which answers 500. The request must still leave
 // the in-flight gauge, count as an error, land in the latency histogram
 // and reach the flight recorder. The recovery here answers as
-// admission.Recover does without moving the process-wide serve_panics
-// counter, which TestOverloadHammer expects to read 0.
+// admission.Recover does, without moving the process-wide serve_panics
+// counter.
 func TestObserveAfterPanic(t *testing.T) {
 	srv := newServer(accpar.NewSession(0), serveConfig{})
 	observed := srv.observe("/v1/plan", planMetrics, func(http.ResponseWriter, *http.Request) {

@@ -222,11 +222,14 @@ func TestCacheWarmRunIsAllHits(t *testing.T) {
 
 // TestCacheOptionIsolation: different option sets sharing one cache must
 // never cross-contaminate — each cached search must still match its own
-// uncached reference bit for bit.
+// uncached reference bit for bit, strategy name included (a search shape
+// names its plans once). The last five variants each differ from AccPar
+// in one field the strategy name reports.
 func TestCacheOptionIsolation(t *testing.T) {
 	net := buildNet(t, "alexnet", 64)
 	tree := paperTree(t, 4)
 	cache := NewSharedCache(0)
+	accpar := func(set func(*Options)) Options { o := AccPar(); set(&o); return o }
 	variants := []struct {
 		name string
 		opt  Options
@@ -235,7 +238,14 @@ func TestCacheOptionIsolation(t *testing.T) {
 		{"dp", DataParallel()},
 		{"owt", OWT()},
 		{"hypar", HyPar()},
-		{"inference", func() Options { o := AccPar(); o.Mode = ModeInference; return o }()},
+		{"inference", accpar(func(o *Options) { o.Mode = ModeInference })},
+		{"types", accpar(func(o *Options) { o.Types = []cost.Type{cost.TypeI, cost.TypeII} })},
+		{"comm-only", accpar(func(o *Options) { o.Objective = ObjectiveCommOnly })},
+		{"equal-ratio", accpar(func(o *Options) { o.Ratio = RatioEqual })},
+		{"linearize", accpar(func(o *Options) { o.Linearize = true })},
+		{"fixed", accpar(func(o *Options) {
+			o.Fixed = func(dnn.WeightedLayer) (cost.Type, bool) { return cost.TypeI, true }
+		})},
 	}
 	// Interleave: cold pass of everything, then a warm pass, comparing
 	// each against its private uncached reference.

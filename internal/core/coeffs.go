@@ -11,7 +11,7 @@ import (
 // ratio α (zero, αβ-bilinear, or β-linear), and every per-unit quantity
 // (FLOPs, Table 4 intra-layer elements, boundary tensor sizes) is a pure
 // function of the unit's effective dims. Computing them once per split
-// turns unitCost/edgeCost during runDP — and the whole g(α) balance
+// turns unitRow/edgeRow during runDP — and the whole g(α) balance
 // function during the solveRatio bisection — into O(1) arithmetic instead
 // of re-deriving tensor shares on every call.
 //
@@ -196,7 +196,7 @@ func (c *levelCtx) pat() *[3][3]patKind {
 // prepare fills the per-unit caches from the size function:
 // mode-appropriate FLOPs, Table 4 intra-layer elements per type, and the
 // A(F_l)/A(F_{l+1}) boundary inputs. Called once per split; every
-// unitCost/edgeCost/evalLevel evaluation afterwards is pure arithmetic
+// unitRow/edgeRow/evalLevel evaluation afterwards is pure arithmetic
 // over these arrays. The arrays are allocated on a context's first split
 // and rewritten in place after.
 func (c *levelCtx) prepare() {

@@ -9,15 +9,56 @@ import (
 
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
+	"accpar/internal/tensor"
 	"accpar/internal/workload"
 )
+
+// refUnitCost is the per-pair unit cost: the DP cost of executing unit u
+// under type t, computation (Eq. 8) plus intra-layer communication
+// (Table 4), combined per the objective, with the memory penalty when one
+// is set. It computes both compute shares for every type; unitRow, which
+// computes them once per unit, must match it bit for bit.
+func refUnitCost(c *levelCtx, u int, t cost.Type) float64 {
+	if c.consts[u].virtual {
+		return 0
+	}
+	flops := c.flopsU[u]
+	intraBytes := c.intraU[u][t] * tensor.BytesPerElement
+	var v float64
+	if c.opt.Objective == ObjectiveCommOnly {
+		v = 2 * intraBytes
+	} else {
+		ei := c.alpha*flops/c.sideI.Compute + intraBytes/c.sideI.Net
+		ej := c.beta()*flops/c.sideJ.Compute + intraBytes/c.sideJ.Net
+		v = math.Max(ei, ej)
+	}
+	if c.memLambda > 0 {
+		v += c.memLambda * c.memPressure(u, t)
+	}
+	return v
+}
+
+// refEdgeCost is the per-pair edge cost: the DP cost of the transition
+// from unit p (type tt) to unit n (type t), the Table 5 conversion over
+// the boundary tensor combined per the objective, evaluated for that one
+// pair; edgeRow must match it bit for bit.
+func refEdgeCost(c *levelCtx, p, n int, tt, t cost.Type) float64 {
+	boundary := float64(c.boundary(p, n))
+	k := c.pat()[tt][t]
+	if c.opt.Objective == ObjectiveCommOnly {
+		return (patElems(k, boundary, c.alpha, c.beta()) + patElems(k, boundary, c.beta(), c.alpha)) * tensor.BytesPerElement
+	}
+	ei := patElems(k, boundary, c.alpha, c.beta()) * tensor.BytesPerElement / c.sideI.Net
+	ej := patElems(k, boundary, c.beta(), c.alpha) * tensor.BytesPerElement / c.sideJ.Net
+	return math.Max(ei, ej)
+}
 
 // refPathDP is the original Section 5.2 path solver: the whole path DP
 // re-run for one (entry type tt, merge type t) pair. It is the reference
 // runDP's per-entry-type tables are checked against.
 func refPathDP(c *levelCtx, prev int, path []int, merge int, tt, t cost.Type) (float64, []cost.Type) {
 	if len(path) == 0 {
-		return c.edgeCost(prev, merge, tt, t), nil
+		return refEdgeCost(c, prev, merge, tt, t), nil
 	}
 	type cell struct {
 		cost float64
@@ -31,17 +72,17 @@ func refPathDP(c *levelCtx, prev int, path []int, merge int, tt, t cost.Type) (f
 		}
 	}
 	for _, t0 := range c.allowedTypes(path[0]) {
-		table[0][t0] = cell{cost: c.edgeCost(prev, path[0], tt, t0) + c.unitCost(path[0], t0)}
+		table[0][t0] = cell{cost: refEdgeCost(c, prev, path[0], tt, t0) + refUnitCost(c, path[0], t0)}
 	}
 	for k := 1; k < len(path); k++ {
 		for _, tk := range c.allowedTypes(path[k]) {
-			base := c.unitCost(path[k], tk)
+			base := refUnitCost(c, path[k], tk)
 			for _, tp := range c.allowedTypes(path[k-1]) {
 				prevCost := table[k-1][tp].cost
 				if math.IsInf(prevCost, 1) {
 					continue
 				}
-				cand := prevCost + c.edgeCost(path[k-1], path[k], tp, tk) + base
+				cand := prevCost + refEdgeCost(c, path[k-1], path[k], tp, tk) + base
 				if cand < table[k][tk].cost {
 					table[k][tk] = cell{cost: cand, back: int(tp)}
 				}
@@ -55,7 +96,7 @@ func refPathDP(c *levelCtx, prev int, path []int, merge int, tt, t cost.Type) (f
 		if math.IsInf(table[last][tl].cost, 1) {
 			continue
 		}
-		cand := table[last][tl].cost + c.edgeCost(path[last], merge, tl, t)
+		cand := table[last][tl].cost + refEdgeCost(c, path[last], merge, tl, t)
 		if cand < best {
 			best = cand
 			bestLast = int(tl)
@@ -92,7 +133,7 @@ func refRunDP(c *levelCtx) ([]cost.Type, float64, error) {
 	cur := [K]float64{inf, inf, inf}
 	first := c.planSegs[0].unit
 	for _, t := range c.allowedTypes(first) {
-		cur[t] = c.unitCost(first, t)
+		cur[t] = refUnitCost(c, first, t)
 	}
 	chain = append(chain, rec{unit: first, back: [K]int{-1, -1, -1}})
 	i := 1
@@ -105,12 +146,12 @@ func refRunDP(c *levelCtx) ([]cost.Type, float64, error) {
 			v := seg.unit
 			r.unit = v
 			for _, t := range c.allowedTypes(v) {
-				base := c.unitCost(v, t)
+				base := refUnitCost(c, v, t)
 				for _, tt := range c.allowedTypes(prevUnit) {
 					if math.IsInf(cur[tt], 1) {
 						continue
 					}
-					cand := cur[tt] + c.edgeCost(prevUnit, v, tt, t) + base
+					cand := cur[tt] + refEdgeCost(c, prevUnit, v, tt, t) + base
 					if cand < next[t] {
 						next[t] = cand
 						r.back[t] = int(tt)
@@ -126,7 +167,7 @@ func refRunDP(c *levelCtx) ([]cost.Type, float64, error) {
 			r.unit = m
 			r.paths = seg.paths
 			for _, t := range c.allowedTypes(m) {
-				base := c.unitCost(m, t)
+				base := refUnitCost(c, m, t)
 				for _, tt := range c.allowedTypes(prevUnit) {
 					if math.IsInf(cur[tt], 1) {
 						continue
@@ -311,4 +352,81 @@ func TestRunDPMatchesReference(t *testing.T) {
 	if infeasible == 0 || multiPath == 0 {
 		t.Fatalf("coverage: %d cases, %d infeasible, %d multi-path", cases, infeasible, multiPath)
 	}
+}
+
+// TestEdgeRowMatchesPairwise checks the DP's rows against the per-pair
+// definitions bit for bit: edgeRow (and edgeCost) against refEdgeCost on
+// all nine type pairs, and unitRow (and unitCost) against refUnitCost on
+// every type, in both modes, under both objectives, with and without the
+// memory penalty, at random ratios, sides and boundaries (0 and 1
+// included) on networks with virtual junctions.
+func TestEdgeRowMatchesPairwise(t *testing.T) {
+	rnd := rand.New(rand.NewSource(44))
+	nets := []*dnn.Network{buildNet(t, "resnet50", 64), buildNet(t, "inception", 32), residualNet()}
+	alphas := []float64{0.5, cost.MinRatio, 1 - cost.MinRatio}
+	edges, units := 0, 0
+	for rep := 0; rep < 48; rep++ {
+		net := nets[rep%len(nets)]
+		opt := Options{Objective: Objective(rep % 2), Mode: Mode(rep / 2 % 2)}.withDefaults()
+		side := func() Side {
+			return Side{Compute: 1e12 * (1 + 400*rnd.Float64()), Net: 1e9 * (1 + 100*rnd.Float64())}
+		}
+		c := rootCtx(net, opt, side(), side())
+		c.alpha = cost.ClampRatio(rnd.Float64())
+		if rep%8 < len(alphas) {
+			c.alpha = alphas[rep%8]
+		}
+		if rep%3 == 0 {
+			c.memLambda = 10 * rnd.Float64()
+			c.capI = 1e6 * (1 + 1e4*rnd.Float64())
+			c.capJ = 1e6 * (1 + 1e4*rnd.Float64())
+		}
+		// Random boundaries: each unit's producer and consumer sizes, so
+		// the edge's boundary is the smaller of two random draws, with 0
+		// and 1 drawn often.
+		for u := range c.afU {
+			for _, sz := range []*int64{&c.afU[u], &c.afNextU[u]} {
+				switch rnd.Intn(6) {
+				case 0:
+					*sz = 0
+				case 1:
+					*sz = 1
+				default:
+					*sz = rnd.Int63n(1 << uint(1+rnd.Intn(50)))
+				}
+			}
+		}
+		for _, e := range c.edges {
+			row := c.edgeRow(e[0], e[1])
+			for _, tt := range cost.Types {
+				for _, tn := range cost.Types {
+					want := refEdgeCost(c, e[0], e[1], tt, tn)
+					if got := row[tt][tn]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s edge %v (%v→%v, mode %v, objective %v, alpha %v, boundary %d): edgeRow %v, per-pair %v",
+							net.Name, e, tt, tn, opt.Mode, opt.Objective, c.alpha, c.boundary(e[0], e[1]), got, want)
+					}
+					if got := c.edgeCost(e[0], e[1], tt, tn); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s edge %v (%v→%v): edgeCost %v, per-pair %v", net.Name, e, tt, tn, got, want)
+					}
+				}
+			}
+			edges++
+		}
+		for u := range c.units {
+			var row [dpTypes]float64
+			c.unitRow(u, cost.Types, &row)
+			for _, tu := range cost.Types {
+				want := refUnitCost(c, u, tu)
+				if got := row[tu]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s unit %d (%v, mode %v, objective %v, alpha %v, λ %v): unitRow %v, per-pair %v",
+						net.Name, u, tu, opt.Mode, opt.Objective, c.alpha, c.memLambda, got, want)
+				}
+				if got := c.unitCost(u, tu); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s unit %d (%v): unitCost %v, per-pair %v", net.Name, u, tu, got, want)
+				}
+			}
+			units++
+		}
+	}
+	t.Logf("%d edges × 9 pairs, %d units × 3 types", edges, units)
 }

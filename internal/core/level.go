@@ -156,30 +156,47 @@ func (c *levelCtx) allowedTypes(u int) []cost.Type {
 }
 
 // unitCost returns the DP cost of executing unit u under type t at this
-// level: computation cost (Eq. 8) plus intra-layer communication cost
-// (Table 4), combined per the objective. Virtual junction units cost
-// nothing here — they only induce inter-layer conversions at their
-// boundaries.
+// level: unitRow's entry for t.
 func (c *levelCtx) unitCost(u int, t cost.Type) float64 {
+	var row [dpTypes]float64
+	c.unitRow(u, cost.Types[t:t+1], &row)
+	return row[t]
+}
+
+// unitRow writes into row the DP cost of executing unit u under each of
+// types at this level: computation cost (Eq. 8) plus intra-layer
+// communication cost (Table 4), combined per the objective. The α- and
+// β-share compute terms depend only on the unit, so they are computed
+// once for all types. Virtual junction units cost nothing here — they
+// only induce inter-layer conversions at their boundaries.
+func (c *levelCtx) unitRow(u int, types []cost.Type, row *[dpTypes]float64) {
 	if c.consts[u].virtual {
-		return 0
+		for _, t := range types {
+			row[t] = 0
+		}
+		return
 	}
-	flops := c.flopsU[u]
-	intraBytes := c.intraU[u][t] * tensor.BytesPerElement
-	var v float64
+	intra := &c.intraU[u]
 	if c.opt.Objective == ObjectiveCommOnly {
 		// Both groups remotely access the peer's partial-sum tensor, so the
 		// total traffic is twice the Table 4 amount.
-		v = 2 * intraBytes
+		for _, t := range types {
+			row[t] = 2 * (intra[t] * tensor.BytesPerElement)
+		}
 	} else {
-		ei := c.alpha*flops/c.sideI.Compute + intraBytes/c.sideI.Net
-		ej := c.beta()*flops/c.sideJ.Compute + intraBytes/c.sideJ.Net
-		v = math.Max(ei, ej)
+		flops := c.flopsU[u]
+		compI := c.alpha * flops / c.sideI.Compute
+		compJ := c.beta() * flops / c.sideJ.Compute
+		for _, t := range types {
+			intraBytes := intra[t] * tensor.BytesPerElement
+			row[t] = max(compI+intraBytes/c.sideI.Net, compJ+intraBytes/c.sideJ.Net)
+		}
 	}
 	if c.memLambda > 0 {
-		v += c.memLambda * c.memPressure(u, t)
+		for _, t := range types {
+			row[t] += c.memLambda * c.memPressure(u, t)
+		}
 	}
-	return v
 }
 
 // memPressure scores the capacity share unit u's resident tensors would
@@ -209,17 +226,36 @@ func (c *levelCtx) boundary(p, n int) int64 {
 }
 
 // edgeCost returns the DP cost of the inter-layer transition from unit p
-// (type tt) to unit n (type t): the Table 5 conversion cost over the
-// boundary tensor, combined per the objective.
+// (type tt) to unit n (type t): edgeRow's entry for the pair.
 func (c *levelCtx) edgeCost(p, n int, tt, t cost.Type) float64 {
-	boundary := float64(c.boundary(p, n))
-	k := c.pat()[tt][t]
-	if c.opt.Objective == ObjectiveCommOnly {
-		return (patElems(k, boundary, c.alpha, c.beta()) + patElems(k, boundary, c.beta(), c.alpha)) * tensor.BytesPerElement
+	return c.edgeRow(p, n)[tt][t]
+}
+
+// edgeRow returns the DP cost of every inter-layer transition on the edge
+// from unit p to unit n, indexed [tt][t] by the two units' types: the
+// Table 5 conversion cost over the boundary tensor, combined per the
+// objective. Every transition is one of the closed forms patKind names,
+// so each non-zero form is evaluated once and spread over the row
+// through pat(); patZero transitions cost +0.
+func (c *levelCtx) edgeRow(p, n int) (row [dpTypes][dpTypes]float64) {
+	b := float64(c.boundary(p, n))
+	alpha, beta := c.alpha, c.beta()
+	commOnly := c.opt.Objective == ObjectiveCommOnly
+	netI, netJ := c.sideI.Net, c.sideJ.Net
+	price := func(k patKind) float64 {
+		ei, ej := patElems(k, b, alpha, beta), patElems(k, b, beta, alpha)
+		if commOnly {
+			return (ei + ej) * tensor.BytesPerElement
+		}
+		return max(ei*tensor.BytesPerElement/netI, ej*tensor.BytesPerElement/netJ)
 	}
-	ei := patElems(k, boundary, c.alpha, c.beta()) * tensor.BytesPerElement / c.sideI.Net
-	ej := patElems(k, boundary, c.beta(), c.alpha) * tensor.BytesPerElement / c.sideJ.Net
-	return math.Max(ei, ej)
+	byKind := [patBeta + 1]float64{patAB2: price(patAB2), patAB1: price(patAB1), patBeta: price(patBeta)}
+	for tt, kinds := range c.pat() {
+		for t, k := range kinds {
+			row[tt][t] = byKind[k]
+		}
+	}
+	return row
 }
 
 // The Section 5.2 multi-path DP. A parallel region between the unit
@@ -232,6 +268,11 @@ func (c *levelCtx) edgeCost(p, n int, tt, t cost.Type) float64 {
 // t. runDP sums the finished minima per (t, tt) pair, in the same order
 // and with the same strict-< tie rule as a per-pair solve, and backtracks
 // a path's inner types only for the pair that wins.
+//
+// One runDP call prices every edge of planSegs once, as an edgeRow for
+// all nine type pairs, and every (unit, type) once, as a unitRow: the
+// loops below only index those rows. A path's merge edge too is priced
+// once (solveRegion) and shared by every merge type.
 //
 // All of runDP's working memory lives in the levelCtx's dpScratch, sized
 // from planSegs on first use and reused by every later runDP call on the
@@ -307,9 +348,9 @@ func (c *levelCtx) scratch() *dpScratch {
 // finite cost in cur. cst[(k·3+tt)·3+x] is the cheapest cost of the
 // entry conversion plus the path's first k+1 units and their
 // conversions, with path[k] in type x; back at the same index is the
-// arg-min type of path[k-1] (-1 at k = 0). Each conversion inside the
-// path is costed once and shared by all entry types; infeasible cells
-// stay +Inf.
+// arg-min type of path[k-1] (-1 at k = 0). Each edge of the path, the
+// entry edge included, is priced once as an edgeRow and its row shared by
+// all entry types; infeasible cells stay +Inf.
 func (c *levelCtx) pathForward(prev int, path []int, cur *[dpTypes]float64, cst []float64, back []int8) {
 	inf := math.Inf(1)
 	for i := range cst {
@@ -317,22 +358,24 @@ func (c *levelCtx) pathForward(prev int, path []int, cur *[dpTypes]float64, cst 
 		back[i] = -1
 	}
 	dp := &c.dp
+	entry := c.edgeRow(prev, path[0])
 	for _, t0 := range dp.allowed[path[0]] {
 		base := dp.unit[path[0]][t0]
 		for _, tt := range dp.allowed[prev] {
 			if math.IsInf(cur[tt], 1) {
 				continue
 			}
-			cst[int(tt)*dpTypes+int(t0)] = c.edgeCost(prev, path[0], tt, t0) + base
+			cst[int(tt)*dpTypes+int(t0)] = entry[tt][t0] + base
 		}
 	}
 	const row = dpTypes * dpTypes
 	for k := 1; k < len(path); k++ {
 		prow, krow, kback := cst[(k-1)*row:k*row], cst[k*row:(k+1)*row], back[k*row:(k+1)*row]
+		edge := c.edgeRow(path[k-1], path[k])
 		for _, tk := range dp.allowed[path[k]] {
 			base := dp.unit[path[k]][tk]
 			for _, tp := range dp.allowed[path[k-1]] {
-				e := c.edgeCost(path[k-1], path[k], tp, tk)
+				e := edge[tp][tk]
 				for tt := 0; tt < dpTypes; tt++ {
 					prevCost := prow[tt*dpTypes+int(tp)]
 					if math.IsInf(prevCost, 1) {
@@ -349,27 +392,33 @@ func (c *levelCtx) pathForward(prev int, path []int, cur *[dpTypes]float64, cst 
 	}
 }
 
-// pathFinish closes a non-empty path's forward tables into the merge unit
-// under merge type t: fin[tt] is the path's minimum cost between the
-// endpoint states (tt, t) and last[tt] the arg-min type of its last unit
-// (+Inf and -1 when no type is feasible).
-func (c *levelCtx) pathFinish(path []int, merge int, t cost.Type, cst []float64, fin []float64, last []int8) {
-	for tt := range fin {
-		fin[tt] = math.Inf(1)
-		last[tt] = -1
-	}
+// pathFinish closes a non-empty path's forward tables into merge unit m
+// under every merge type t, over the merge edge's row edge (edgeRow of
+// the path's last unit and m): fin[t·3+tt] is the path's minimum cost
+// between the endpoint states (tt, t) and last at the same index the
+// arg-min type of its last unit (+Inf and -1 when no type is feasible).
+func (c *levelCtx) pathFinish(path []int, m int, edge *[dpTypes][dpTypes]float64, cst []float64, fin []float64, last []int8) {
 	k := len(path) - 1
 	row := cst[k*dpTypes*dpTypes : (k+1)*dpTypes*dpTypes]
-	for _, tl := range c.dp.allowed[path[k]] {
-		e := c.edgeCost(path[k], merge, tl, t)
-		for tt := range fin {
-			if math.IsInf(row[tt*dpTypes+int(tl)], 1) {
-				continue
-			}
-			cand := row[tt*dpTypes+int(tl)] + e
-			if cand < fin[tt] {
-				fin[tt] = cand
-				last[tt] = int8(tl)
+	lastTypes := c.dp.allowed[path[k]]
+	for _, t := range c.dp.allowed[m] {
+		tfin := fin[int(t)*dpTypes : int(t+1)*dpTypes]
+		tlast := last[int(t)*dpTypes : int(t+1)*dpTypes]
+		for tt := range tfin {
+			tfin[tt] = math.Inf(1)
+			tlast[tt] = -1
+		}
+		for _, tl := range lastTypes {
+			e := edge[tl][t]
+			for tt := range tfin {
+				if math.IsInf(row[tt*dpTypes+int(tl)], 1) {
+					continue
+				}
+				cand := row[tt*dpTypes+int(tl)] + e
+				if cand < tfin[tt] {
+					tfin[tt] = cand
+					tlast[tt] = int8(tl)
+				}
 			}
 		}
 	}
@@ -377,26 +426,27 @@ func (c *levelCtx) pathFinish(path []int, merge int, t cost.Type, cst []float64,
 
 // solveRegion tabulates every path's minima between the endpoint states
 // of a region from prev to merge unit m into the scratch at the region's
-// offsets, and returns the offsets past the region. An empty path is a
-// pure identity shortcut: its cost is the direct tt→t conversion on the
-// merge unit's boundary.
+// offsets, and returns the offsets past the region. Each path's merge
+// edge is priced once, for every merge type. An empty path is a pure
+// identity shortcut: its cost is the direct tt→t conversion on the merge
+// unit's boundary.
 func (c *levelCtx) solveRegion(prev int, paths [][]int, m int, cur *[dpTypes]float64, cells, fins int) (int, int) {
 	dp := &c.dp
 	for _, path := range paths {
 		n := len(path) * dpTypes * dpTypes
 		cst := dp.cost[cells : cells+n]
+		fin := dp.fin[fins : fins+dpTypes*dpTypes]
 		if len(path) > 0 {
 			c.pathForward(prev, path, cur, cst, dp.back[cells:cells+n])
-		}
-		for _, t := range dp.allowed[m] {
-			fin := dp.fin[fins+int(t)*dpTypes : fins+int(t+1)*dpTypes]
-			if len(path) > 0 {
-				c.pathFinish(path, m, t, cst, fin, dp.last[fins+int(t)*dpTypes:fins+int(t+1)*dpTypes])
-				continue
-			}
-			for _, tt := range dp.allowed[prev] {
-				if !math.IsInf(cur[tt], 1) {
-					fin[tt] = c.edgeCost(prev, m, tt, t)
+			edge := c.edgeRow(path[len(path)-1], m)
+			c.pathFinish(path, m, &edge, cst, fin, dp.last[fins:fins+dpTypes*dpTypes])
+		} else {
+			edge := c.edgeRow(prev, m)
+			for _, t := range dp.allowed[m] {
+				for _, tt := range dp.allowed[prev] {
+					if !math.IsInf(cur[tt], 1) {
+						fin[int(t)*dpTypes+int(tt)] = edge[tt][t]
+					}
 				}
 			}
 		}
@@ -419,9 +469,7 @@ func (c *levelCtx) runDP() ([]cost.Type, float64, error) {
 	inf := math.Inf(1)
 	dp := c.scratch()
 	for u, allowed := range dp.allowed {
-		for _, t := range allowed {
-			dp.unit[u][t] = c.unitCost(u, t)
-		}
+		c.unitRow(u, allowed, &dp.unit[u])
 	}
 	chain := dp.chain[:0]
 
@@ -444,13 +492,14 @@ func (c *levelCtx) runDP() ([]cost.Type, float64, error) {
 			// Plain series transition (Eq. 9).
 			v := seg.unit
 			r.unit = v
+			edge := c.edgeRow(prevUnit, v)
 			for _, t := range dp.allowed[v] {
 				base := dp.unit[v][t]
 				for _, tt := range dp.allowed[prevUnit] {
 					if math.IsInf(cur[tt], 1) {
 						continue
 					}
-					cand := cur[tt] + c.edgeCost(prevUnit, v, tt, t) + base
+					cand := cur[tt] + edge[tt][t] + base
 					if cand < next[t] {
 						next[t] = cand
 						r.back[t] = int8(tt)
@@ -560,7 +609,7 @@ func (c *levelCtx) evalLevel(types []cost.Type) LevelEval {
 		intraBytes := c.intraU[u][types[u]] * tensor.BytesPerElement
 		ev.TimeI += c.alpha*flops/c.sideI.Compute + intraBytes/c.sideI.Net
 		ev.TimeJ += c.beta()*flops/c.sideJ.Compute + intraBytes/c.sideJ.Net
-		ev.CommTime += math.Max(intraBytes/c.sideI.Net, intraBytes/c.sideJ.Net)
+		ev.CommTime += max(intraBytes/c.sideI.Net, intraBytes/c.sideJ.Net)
 		ev.CommBytes += 2 * intraBytes
 	}
 	for _, e := range c.edges {
@@ -570,7 +619,7 @@ func (c *levelCtx) evalLevel(types []cost.Type) LevelEval {
 		bj := patElems(k, boundary, c.beta(), c.alpha) * tensor.BytesPerElement
 		ev.TimeI += bi / c.sideI.Net
 		ev.TimeJ += bj / c.sideJ.Net
-		ev.CommTime += math.Max(bi/c.sideI.Net, bj/c.sideJ.Net)
+		ev.CommTime += max(bi/c.sideI.Net, bj/c.sideJ.Net)
 		ev.CommBytes += bi + bj
 	}
 	return ev

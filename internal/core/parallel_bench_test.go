@@ -86,6 +86,34 @@ func benchTree(b *testing.B, perKind int) *hardware.Tree {
 	return tree
 }
 
+// BenchmarkRunDP measures one Eq. 9 type DP over a whole network at the
+// root split of the 64+64 TPU-v2/v3 array, at a fixed heterogeneous
+// share α = 0.37: the kernel every split of the search runs once or more
+// per type/ratio round.
+func BenchmarkRunDP(b *testing.B) {
+	tree := benchTree(b, 64)
+	opt := Options{}.withDefaults()
+	sideI := Side{Compute: tree.Left.Group.ComputeDensity(), Net: opt.Topology.BisectionBandwidth(tree.Left.Group)}
+	sideJ := Side{Compute: tree.Right.Group.ComputeDensity(), Net: opt.Topology.BisectionBandwidth(tree.Right.Group)}
+	for _, model := range []string{"inception", "resnet50"} {
+		b.Run(model+"/512", func(b *testing.B) {
+			net, err := models.BuildNetwork(model, 512)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := rootCtx(net, opt, sideI, sideJ)
+			ctx.alpha = 0.37
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ctx.runDP(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPartitionHierarchical measures the full hierarchical planner —
 // memoized subtree reuse plus bounded fork/join recursion — on ResNet-50
 // over the 128+128 paper array, against the serial reference path.

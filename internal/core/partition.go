@@ -57,7 +57,8 @@ type planner struct {
 // true structure that plans are priced on, a pool of prepared level
 // contexts (level.go), so a split reuses DP scratch and coefficient
 // slices instead of allocating them, and a pool of child-extents buffers
-// (getDims), so a split's children are scaled without allocating. A
+// (getDims), so a split's children are scaled without allocating, and
+// the strategy name every plan of the shape reports. A
 // SharedCache keeps one shape per fingerprint beside its memo and hands
 // it to every search on that memo; an uncached planner builds a private
 // one.
@@ -77,11 +78,12 @@ type searchShape struct {
 	levels   sync.Pool
 	dims     sync.Pool
 	rootDims []extents
+	strategy string
 }
 
 // newSearchShape builds the shape of a search over net under opt.
 func newSearchShape(net *dnn.Network, opt Options) *searchShape {
-	s := &searchShape{units: net.Units(), planSegs: indexSegments(net), edges: net.Edges()}
+	s := &searchShape{units: net.Units(), planSegs: indexSegments(net), edges: net.Edges(), strategy: strategyName(opt)}
 	s.consts = make([]unitConst, len(s.units))
 	s.rootDims = make([]extents, len(s.units))
 	for i := range s.units {
@@ -212,7 +214,7 @@ func (p *planner) planKeyed(tree *hardware.Tree, key subKey) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := &Plan{Network: p.net, Strategy: strategyName(p.opt), Root: root, audit: p.opt.Audit, opt: p.opt}
+	plan := &Plan{Network: p.net, Strategy: p.strategy, Root: root, audit: p.opt.Audit, opt: p.opt}
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("core: internal plan inconsistency: %w", err)
 	}
@@ -235,7 +237,8 @@ func partitionOne(ctx context.Context, net *dnn.Network, tree *hardware.Tree, op
 	return p.plan(tree)
 }
 
-// strategyName summarizes options for reporting.
+// strategyName summarizes options for reporting. It reads only
+// fingerprinted options, so a search shape names its plans once.
 func strategyName(opt Options) string {
 	return fmt.Sprintf("types=%d objective=%v ratio=%v linearize=%v fixed=%v",
 		len(opt.Types), opt.Objective, opt.Ratio, opt.Linearize, opt.Fixed != nil)
