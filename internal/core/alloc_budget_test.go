@@ -118,6 +118,44 @@ const replanAllocBudget = 350
 // its trims.
 const replanBudgetCacheEntries = 2048
 
+// TestSearchAllocsIndependentOfParallelism: one option set's search runs
+// on its caller's goroutine at any Parallelism, so a search of an
+// interleaved fleet, whose root splits unequal halves (64 TPU-v2 against
+// 64 TPU-v3 boards), allocates at Parallelism 4 exactly what it does at 1.
+// A split that forked a child onto a goroutine would show here as the
+// goroutine, its closure, a second dims buffer and heap-moved results.
+// Parallelism is 4, not 0: AllocsPerRun pins GOMAXPROCS to 1, which would
+// resolve 0 to a single worker.
+func TestSearchAllocsIndependentOfParallelism(t *testing.T) {
+	net, err := models.BuildNetwork("resnet50", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, v3 := hardware.TPUv2(), hardware.TPUv3()
+	tree := treeFor(t,
+		hardware.GroupSpec{Spec: v2, Count: 32}, hardware.GroupSpec{Spec: v3, Count: 32},
+		hardware.GroupSpec{Spec: v2, Count: 32}, hardware.GroupSpec{Spec: v3, Count: 32})
+	allocs := func(par int) float64 {
+		opt := AccPar()
+		opt.Parallelism = par
+		var searchErr error
+		n := testing.AllocsPerRun(10, func() {
+			if _, err := PartitionCtx(context.Background(), net, tree, opt); err != nil {
+				searchErr = err
+			}
+		})
+		if searchErr != nil {
+			t.Fatal(searchErr)
+		}
+		return n
+	}
+	serial, par4 := allocs(1), allocs(4)
+	t.Logf("%.0f allocs per search at Parallelism 1, %.0f at 4", serial, par4)
+	if par4 != serial {
+		t.Errorf("search at Parallelism 4 allocates %.0f, at 1 %.0f", par4, serial)
+	}
+}
+
 // TestReplanSteadyStateAllocBudget fails when cache upkeep grows with the
 // retained state again: a per-search trim of a full cache, or a
 // whole-cache re-digest per eviction, multiplies this figure.

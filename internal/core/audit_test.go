@@ -192,12 +192,12 @@ func TestAuditRejectShowsCapacityFloorPrune(t *testing.T) {
 
 // TestAuditParallelismStable: the search audit explains a plan from the
 // captured artifact alone only if the artifact does not depend on
-// scheduling. The -explain-search document of ResNet-50 (batch 512) must
-// be byte-identical at Parallelism 1, 2 and 8, on 32+32 boards and on
-// v2:32,v3:32,v2:32,v3:32. The second fleet's unequal halves, 64 TPU-v2
-// and 64 TPU-v3 boards, fork, and each holds identical halves linked as
-// one node. CI runs each fleet under -race with -cpu 4 and a -count of 10
-// or 20, so worker interleavings vary.
+// scheduling. The -explain-search document of the ResNet-50 (batch 512)
+// portfolio, whose option sets run on a pool, must be byte-identical at
+// Parallelism 1, 2 and 8, on 32+32 boards and on v2:32,v3:32,v2:32,v3:32,
+// whose unequal halves, 64 TPU-v2 and 64 TPU-v3 boards, each hold
+// identical halves linked as one node. CI runs each fleet under -race with
+// -cpu 4 and a -count of 10 or 20, so worker interleavings vary.
 func TestAuditParallelismStable(t *testing.T) {
 	net := buildNet(t, "resnet50", 512)
 	v2, v3 := hardware.TPUv2(), hardware.TPUv3()
@@ -213,14 +213,16 @@ func TestAuditParallelismStable(t *testing.T) {
 		t.Run(fleet.name, func(t *testing.T) {
 			var want []byte
 			for _, workers := range []int{1, 2, 8} {
-				opt := AccPar()
-				opt.Parallelism = workers
-				opt.Audit = NewAuditRecorder()
-				if _, err := PartitionCtx(context.Background(), net, fleet.tree, opt); err != nil {
+				rec := NewAuditRecorder()
+				opts := portfolioAt(workers)
+				for i := range opts {
+					opts[i].Audit = rec
+				}
+				if _, err := PartitionCtx(context.Background(), net, fleet.tree, opts...); err != nil {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
-				if err := opt.Audit.WriteJSON(&buf); err != nil {
+				if err := rec.WriteJSON(&buf); err != nil {
 					t.Fatal(err)
 				}
 				if want == nil {

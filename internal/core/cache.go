@@ -29,7 +29,8 @@ import (
 //
 // Parallelism is deliberately absent from the fingerprint: plans are
 // byte-identical across worker counts (TestParallelismEquivalence), so a
-// plan solved serially may warm a parallel search and vice versa.
+// plan solved inline may warm a pooled portfolio or replan and vice
+// versa.
 
 // defaultCacheCapacity bounds a cache constructed with a non-positive
 // capacity. Hierarchical subproblems are small (a plan subtree over tens

@@ -23,7 +23,8 @@ func homTree(t *testing.T, spec hardware.Spec, n, levels int) *hardware.Tree {
 }
 
 // TestPooledLevelsConcurrentCache runs concurrent portfolio searches,
-// each forking its own recursion (Parallelism 4), on one SharedCache, so
+// each running its option sets on a pool (Parallelism 4), on one
+// SharedCache, so
 // every caller of a fingerprint takes and returns the same retained
 // shape's pooled level contexts at once. Every plan must be
 // byte-identical to a serial one-shot search; under -race this also

@@ -7,8 +7,8 @@ import (
 )
 
 // Process-wide planner metrics. Updates sit on search-level paths (one per
-// subproblem, fork or bisection run, never per DP cell), so the counters
-// are invisible in profiles and free when nothing exports them.
+// subproblem or bisection run, never per DP cell), so the counters are
+// invisible in profiles and free when nothing exports them.
 var (
 	// obsSubproblems counts hierarchy subproblems solved from scratch
 	// (computeNode runs — the work memoization and the shared cache avoid).
@@ -24,8 +24,6 @@ var (
 	obsCacheEvictions = obs.NewCounter("plancache.evictions")
 	// obsBisectIters counts Eq. 10 bisection iterations.
 	obsBisectIters = obs.NewCounter("core.bisection_iterations")
-	// obsForks counts child subproblems forked onto pooled workers.
-	obsForks = obs.NewCounter("core.parallel_forks")
 	// obsReplanHits counts subproblems a served replan (Session.Replan,
 	// or a resilience run's searches) served from the memo instead of
 	// re-solving: plain subproblems, a recurrent tree's root and memoized

@@ -104,12 +104,15 @@ type Options struct {
 	// inference (forward only — Section 1: inference performs only data
 	// forward). Default ModeTraining.
 	Mode Mode
-	// Parallelism bounds the worker pool the hierarchical search fans its
-	// recursion over: 0 uses one worker per available CPU
-	// (runtime.GOMAXPROCS), 1 selects the serial reference path (no
-	// goroutines are spawned). The produced plan is byte-identical across
-	// all settings — every subproblem is pure, so scheduling cannot change
-	// results — which the equivalence tests enforce.
+	// Parallelism bounds the worker pool that runs the independent
+	// searches of one call — a portfolio's option sets (Strategy.Variants)
+	// and a replan's stale and fresh passes. Each search recurses on the
+	// goroutine that runs it. 1 runs everything inline on the caller's
+	// goroutine (no goroutines are spawned); any other value lets those
+	// searches run on a pool, 0 with one worker per available CPU
+	// (runtime.GOMAXPROCS). The produced plan is byte-identical across all
+	// settings — every search is pure, so scheduling cannot change results
+	// — which the equivalence tests enforce.
 	Parallelism int
 	// MemoryLimit selects how the search treats per-leaf HBM capacity:
 	// ignore it (the default — Plan.Memory still reports overflow after

@@ -115,11 +115,10 @@ func BenchmarkRunDP(b *testing.B) {
 }
 
 // BenchmarkPartitionHierarchical measures the full hierarchical planner —
-// memoized subtree reuse plus bounded fork/join recursion — on ResNet-50
-// over the 128+128 paper array, against the serial reference path.
-// serial-reject is the serial search under MemoryReject, which the paper
-// array's capacities never bind: its cost over serial is the constrained
-// search's bookkeeping.
+// one option set's search with memoized subtree reuse — on ResNet-50 over
+// the 128+128 paper array. serial-reject is the same search under
+// MemoryReject, which the paper array's capacities never bind: its cost
+// over serial is the constrained search's bookkeeping.
 func BenchmarkPartitionHierarchical(b *testing.B) {
 	net, err := models.BuildNetwork("resnet50", 512)
 	if err != nil {
@@ -128,16 +127,13 @@ func BenchmarkPartitionHierarchical(b *testing.B) {
 	tree := benchTree(b, 128)
 	for _, bc := range []struct {
 		name string
-		par  int
 		mem  MemoryMode
 	}{
-		{name: "serial", par: 1},
-		{name: "parallel", par: 0},
-		{name: "serial-reject", par: 1, mem: MemoryReject},
+		{name: "serial"},
+		{name: "serial-reject", mem: MemoryReject},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			opt := AccPar()
-			opt.Parallelism = bc.par
 			opt.MemoryLimit = bc.mem
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -9,13 +9,14 @@ import (
 	"testing"
 
 	"accpar/internal/cost"
+	"accpar/internal/dnn"
 	"accpar/internal/hardware"
 	"accpar/internal/obs"
 	"accpar/internal/tensor"
 )
 
 // planJSON renders a plan through the canonical JSON encoding, the
-// byte-level identity the parallel planner is held to.
+// byte-level identity plans are held to across Parallelism settings.
 func planJSON(t *testing.T, p *Plan) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -25,40 +26,70 @@ func planJSON(t *testing.T, p *Plan) []byte {
 	return buf.Bytes()
 }
 
-// TestParallelismEquivalence: the planner must produce byte-identical
-// plans regardless of the Parallelism setting — the serial reference
-// path (1), a fixed worker count (4), and the GOMAXPROCS default (0) —
-// on both a ResNet-style multi-path network and a deep model over a
-// multi-level hardware tree.
-func TestParallelismEquivalence(t *testing.T) {
-	cases := []struct {
-		name  string
-		batch int
-	}{
-		{name: "resnet50", batch: 64},
-		{name: "vgg16", batch: 64},
+// portfolioAt returns the AccPar portfolio (StrategyAccPar.Variants)
+// with Parallelism par on every option set, so its searches run on a
+// pool unless par is 1.
+func portfolioAt(par int) []Options {
+	opts := StrategyAccPar.Variants()
+	for i := range opts {
+		opts[i].Parallelism = par
 	}
-	tree := paperTree(t, 4) // 4+4 accelerators, three split levels
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			net := buildNet(t, tc.name, tc.batch)
-			var want []byte
-			for _, par := range []int{1, 4, 0} {
-				opt := AccPar()
-				opt.Parallelism = par
-				plan, err := PartitionCtx(context.Background(), net, tree, opt)
-				if err != nil {
-					t.Fatalf("Parallelism=%d: %v", par, err)
-				}
-				got := planJSON(t, plan)
-				if par == 1 {
-					want = got
-					continue
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("Parallelism=%d plan differs from serial reference (%d vs %d bytes)", par, len(got), len(want))
-				}
-			}
+	return opts
+}
+
+// replanJSON renders every plan of a replan report through the canonical
+// JSON encoding.
+func replanJSON(t *testing.T, rep *ReplanReport) []byte {
+	t.Helper()
+	var out []byte
+	for _, p := range []*Plan{rep.FaultFree, rep.Stale, rep.Fresh, rep.Replanned} {
+		out = append(out, planJSON(t, p)...)
+	}
+	return out
+}
+
+// parallelEquivalence checks that the calls which run independent
+// searches concurrently — a portfolio's option sets and a replan's stale
+// and fresh passes — give byte-identical results at the serial reference
+// path (1), a fixed worker count (4) and the GOMAXPROCS default (0).
+func parallelEquivalence(t *testing.T, net *dnn.Network, groups []hardware.GroupSpec) {
+	t.Helper()
+	pristine := treeFor(t, groups...)
+	degraded := slowdownTree(t, groups, 1, 2)
+	var wantPlan, wantReplan []byte
+	for _, par := range []int{1, 4, 0} {
+		plan, err := PartitionCtx(context.Background(), net, pristine, portfolioAt(par)...)
+		if err != nil {
+			t.Fatalf("Parallelism=%d: %v", par, err)
+		}
+		opt := AccPar()
+		opt.Parallelism = par
+		rep, err := ReplanCtx(context.Background(), net, pristine, degraded, opt)
+		if err != nil {
+			t.Fatalf("Parallelism=%d replan: %v", par, err)
+		}
+		gotPlan, gotReplan := planJSON(t, plan), replanJSON(t, rep)
+		if par == 1 {
+			wantPlan, wantReplan = gotPlan, gotReplan
+			continue
+		}
+		if !bytes.Equal(gotPlan, wantPlan) {
+			t.Errorf("Parallelism=%d portfolio plan differs from serial reference (%d vs %d bytes)", par, len(gotPlan), len(wantPlan))
+		}
+		if !bytes.Equal(gotReplan, wantReplan) {
+			t.Errorf("Parallelism=%d replan differs from serial reference (%d vs %d bytes)", par, len(gotReplan), len(wantReplan))
+		}
+	}
+}
+
+// TestParallelismEquivalence: the portfolio and the replan must produce
+// byte-identical plans regardless of the Parallelism setting, on both a
+// ResNet-style multi-path network and a deep model over a multi-level
+// hardware tree.
+func TestParallelismEquivalence(t *testing.T) {
+	for _, name := range []string{"resnet50", "vgg16"} {
+		t.Run(name, func(t *testing.T) {
+			parallelEquivalence(t, buildNet(t, name, 64), v2v3Groups(4)) // 4+4 accelerators, three split levels
 		})
 	}
 }
@@ -66,25 +97,7 @@ func TestParallelismEquivalence(t *testing.T) {
 // TestParallelismEquivalenceResidual covers the hand-built residual
 // (multi-path) network from the brute-force suite.
 func TestParallelismEquivalenceResidual(t *testing.T) {
-	net := residualNet()
-	tree := paperTree(t, 2)
-	var want []byte
-	for _, par := range []int{1, 4, 0} {
-		opt := AccPar()
-		opt.Parallelism = par
-		plan, err := PartitionCtx(context.Background(), net, tree, opt)
-		if err != nil {
-			t.Fatalf("Parallelism=%d: %v", par, err)
-		}
-		got := planJSON(t, plan)
-		if par == 1 {
-			want = got
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("Parallelism=%d plan differs from serial reference", par)
-		}
-	}
+	parallelEquivalence(t, residualNet(), v2v3Groups(2))
 }
 
 // TestParallelismValidate: negative worker counts are rejected.
@@ -195,8 +208,8 @@ func uniformTypes(n int, t cost.Type) []cost.Type {
 
 // TestPlannerMemoRace hammers the memoized planner from concurrent
 // Partition and Replan calls. Run under -race, it exercises the sharded
-// memo, the bounded fork/join recursion, and Replan's concurrent
-// stale-and-fresh passes over one shared memo.
+// memo, the shape's pooled level contexts and dims buffers, and Replan's
+// concurrent stale-and-fresh passes over one shared memo.
 func TestPlannerMemoRace(t *testing.T) {
 	net := buildNet(t, "alexnet", 64)
 	groups := v2v3Groups(4)
@@ -221,7 +234,7 @@ func TestPlannerMemoRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			opt := AccPar()
-			opt.Parallelism = w%3 + 1 // mix serial and forked recursion
+			opt.Parallelism = w%3 + 1 // mix inline and concurrent replan passes
 			if w%2 == 0 {
 				if _, err := PartitionCtx(context.Background(), net, pristine, opt); err != nil {
 					errs <- fmt.Errorf("worker %d Partition: %w", w, err)
@@ -242,27 +255,38 @@ func TestPlannerMemoRace(t *testing.T) {
 
 // TestEqualSiblingsSolvedOnce: the halves of a homogeneous split, which
 // pose one subproblem at α = 0.5 and whose children meet again when α is
-// a rounding step off 0.5, are solved once at any Parallelism, so an
-// uncached parallel search expands exactly the subproblems the serial
-// search does. Forking the right half would let two workers miss on the
-// same subproblem and both solve it. Run with -count=20 -cpu 4 to give a
+// a rounding step off 0.5, are solved once by every search, so the calls
+// that run searches concurrently — the portfolio's option sets and a
+// replan's stale and fresh passes — expand exactly the subproblems their
+// serial runs do. Run with -count=20 -cpu 4 to give a
 // scheduling-dependent count its chances.
 func TestEqualSiblingsSolvedOnce(t *testing.T) {
 	net := buildNet(t, "vgg16", 64)
-	tree := paperTree(t, 64)
-	expanded := func(par int) int64 {
-		opt := AccPar()
-		opt.Parallelism = par
+	groups := v2v3Groups(64)
+	pristine := treeFor(t, groups...)
+	degraded := slowdownTree(t, groups, 1, 2)
+	expanded := func(par int) (portfolio, replan int64) {
 		before := obs.Default().Snapshot().Counters["core.subproblems_expanded"]
-		if _, err := PartitionCtx(context.Background(), net, tree, opt); err != nil {
+		if _, err := PartitionCtx(context.Background(), net, pristine, portfolioAt(par)...); err != nil {
 			t.Fatal(err)
 		}
-		return obs.Default().Snapshot().Counters["core.subproblems_expanded"] - before
+		portfolio = obs.Default().Snapshot().Counters["core.subproblems_expanded"] - before
+		opt := AccPar()
+		opt.Parallelism = par
+		rep, err := ReplanCtx(context.Background(), net, pristine, degraded, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return portfolio, rep.Stats.Expanded
 	}
-	want := expanded(1)
+	wantPortfolio, wantReplan := expanded(1)
 	for i := 0; i < 10; i++ {
-		if got := expanded(4); got != want {
-			t.Fatalf("search %d at Parallelism 4 expanded %d subproblems, serial %d", i, got, want)
+		gotPortfolio, gotReplan := expanded(4)
+		if gotPortfolio != wantPortfolio {
+			t.Fatalf("portfolio %d at Parallelism 4 expanded %d subproblems, serial %d", i, gotPortfolio, wantPortfolio)
+		}
+		if gotReplan != wantReplan {
+			t.Fatalf("replan %d at Parallelism 4 expanded %d subproblems, serial %d", i, gotReplan, wantReplan)
 		}
 	}
 }

@@ -11,17 +11,15 @@ import (
 	"accpar/internal/dnn"
 	"accpar/internal/hardware"
 	"accpar/internal/obs"
-	"accpar/internal/parallel"
 	"accpar/internal/tensor"
 )
 
 // planner carries the per-call state of one hierarchical partitioning:
-// the network, its root dims, the options, the subproblem memo, the
-// worker-pool semaphore bounding the fan-out of the recursion over
-// hardware-tree children, and the search shape it solves splits with. A
-// planner may be reused across several trees of the same network and
-// options — ReplanCtx does exactly that, so subtrees untouched by a
-// degradation are solved once.
+// the network, its root dims, the options, the subproblem memo and the
+// search shape it solves splits with. A search, or one pass of a replan,
+// recurses on the goroutine that runs it. A planner may be reused across
+// several trees of the same network and options — ReplanCtx does exactly
+// that, so subtrees untouched by a degradation are solved once.
 type planner struct {
 	*searchShape
 	net *dnn.Network
@@ -30,7 +28,6 @@ type planner struct {
 	rootDims []extents
 	opt      Options
 	memo     *planMemo
-	sem      *parallel.Sem
 	// cache is the cross-run cache (Options.Cache) whose memo this
 	// planner searches on; nil when the planner has a private memo.
 	cache *SharedCache
@@ -114,8 +111,8 @@ func newSearchShape(net *dnn.Network, opt Options) *searchShape {
 // Nothing a plan node keeps points into a buffer: plan nodes store no
 // dims, and a level context reads a buffer only while it serves a split
 // of the child, which ends before the child is solved. Pooling on the
-// shape keeps forked workers, and concurrent searches on one SharedCache,
-// on buffers of their own.
+// shape keeps concurrent searches on one SharedCache on buffers of their
+// own.
 func (s *searchShape) getDims() *[]extents {
 	return s.dims.Get().(*[]extents)
 }
@@ -140,7 +137,7 @@ func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, e
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	p := &planner{net: net, opt: opt, sem: parallel.NewSem(opt.Parallelism), ctx: ctx}
+	p := &planner{net: net, opt: opt, ctx: ctx}
 	if opt.Cache != nil {
 		p.cache = opt.Cache
 		p.memo, p.searchShape, p.epoch = opt.Cache.attach(net, opt)
@@ -463,27 +460,12 @@ func (p *planner) assembleSplit(node *hardware.Tree, dims []extents, sideI, side
 	}, nil
 }
 
-// partitionChildren recurses into both children of a split, forking the
-// right child onto a pooled goroutine when a worker slot is free and
-// falling back to the plain serial recursion otherwise. Both child
-// subproblems are pure functions of (subtree, dims), so the fork changes
-// wall-clock only, never results; on a double failure the left child's
-// error wins so error reporting matches the serial order.
-//
-// Children on identical hardware (the halves of a homogeneous split) are
-// never forked. At α = 0.5 they are one subproblem; at a ratio a rounding
-// step off 0.5 their dims differ only where an odd extent rounds up on
-// one side and down on the other, and their own children meet again one
-// level down. Solving left then right makes the right child and every
-// such cousin an ordinary memo hit, exactly as in a serial search,
-// instead of a second worker solving it again.
-//
-// The serial recursion solves the children one after the other, so they
-// take turns on one pooled dims buffer; a fork takes one per child.
+// partitionChildren recurses into both children of a split, left then
+// right, on the calling goroutine. Both children take turns on one pooled
+// dims buffer. Solving them in order also makes the right child of a
+// homogeneous split (identical hardware at α = 0.5), and every cousin
+// that meets again one level down, an ordinary memo hit.
 func (p *planner) partitionChildren(node *hardware.Tree, dims []extents, types []cost.Type, alpha float64) (left, right *PlanNode, err error) {
-	if node.Left.Identity().Digest != node.Right.Identity().Digest && p.sem.TryAcquire() {
-		return p.forkChildren(node, dims, types, alpha)
-	}
 	buf := p.getDims()
 	defer p.dims.Put(buf)
 	if left, err = p.partitionChild(*buf, node.Left, dims, types, alpha); err != nil {
@@ -491,34 +473,6 @@ func (p *planner) partitionChildren(node *hardware.Tree, dims []extents, types [
 	}
 	if right, err = p.partitionChild(*buf, node.Right, dims, types, 1-alpha); err != nil {
 		return nil, nil, err
-	}
-	return left, right, nil
-}
-
-// forkChildren solves the right child on a goroutine, holding the worker
-// slot the caller acquired, and the left child on the calling one. It is
-// its own function so that the serial path never moves the results the
-// goroutine writes to the heap.
-func (p *planner) forkChildren(node *hardware.Tree, dims []extents, types []cost.Type, alpha float64) (left, right *PlanNode, err error) {
-	obsForks.Inc()
-	lbuf, rbuf := p.getDims(), p.getDims()
-	defer p.dims.Put(lbuf)
-	defer p.dims.Put(rbuf)
-	var wg sync.WaitGroup
-	var rerr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer p.sem.Release()
-		right, rerr = p.partitionChild(*rbuf, node.Right, dims, types, 1-alpha)
-	}()
-	left, err = p.partitionChild(*lbuf, node.Left, dims, types, alpha)
-	wg.Wait()
-	if err != nil {
-		return nil, nil, err
-	}
-	if rerr != nil {
-		return nil, nil, rerr
 	}
 	return left, right, nil
 }

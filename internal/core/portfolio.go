@@ -120,9 +120,7 @@ func (s Strategy) Variants() []Options {
 // programming with the Eq. 10 ratio balance until the type assignment
 // stabilizes, then recurses into both children with the per-unit dims
 // scaled by the chosen ratio along each unit's partitioned dimension.
-// Options.Parallelism bounds the worker pool the recursion fans out over;
-// every subproblem is pure, so the plan is byte-identical across all
-// settings.
+// One option set's search recurses on the calling goroutine.
 //
 // With several option sets (a Strategy's Variants) PartitionCtx searches
 // each and returns the plan with the lowest modelled iteration time. The

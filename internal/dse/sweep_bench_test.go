@@ -37,7 +37,8 @@ func benchConfig() Config {
 // the degraded tree, every search on a private memo. A replan's stale
 // re-costing is left out: it re-costs stored decisions and expands no
 // subproblem when the fault keeps the tree's shape, as a slowdown does.
-// Candidates fan out over cfg.Workers and each search over parallelism.
+// Candidates fan out over cfg.Workers and each portfolio's option sets
+// over parallelism.
 func coldSweep(ctx context.Context, space *Space, cfg Config, parallelism int) error {
 	cands, err := space.Enumerate()
 	if err != nil {

@@ -1,9 +1,11 @@
-// Package parallel provides the bounded-concurrency primitives the
-// planning and evaluation engines share: a deterministic slot-indexed
-// ForEach (every fan-out, with or without a context) and a semaphore for
-// structured fork/join recursion. The module deliberately avoids external
-// dependencies (golang.org/x/sync is not vendored), so these are small
-// self-contained equivalents.
+// Package parallel provides the bounded fan-out the planning and
+// evaluation engines share: a deterministic slot-indexed ForEach, with or
+// without a context, for work items that are whole independent searches
+// or evaluations (a portfolio's option sets, a replan's passes, sweep and
+// comparison candidates). A single search never forks; it recurses on the
+// goroutine that runs it. The module deliberately avoids external
+// dependencies (golang.org/x/sync is not vendored), so this is a small
+// self-contained equivalent.
 //
 // Every helper honours the convention used across the repo's Options
 // types: a worker count of 0 means "one worker per available CPU"
@@ -100,48 +102,4 @@ feed:
 		}
 	}
 	return nil
-}
-
-// Sem is a weighted token bucket for structured fork/join recursion: a
-// recursive splitter calls TryAcquire before forking a child onto a new
-// goroutine and falls back to inline execution when no token is
-// available, bounding total goroutines without ever blocking the
-// recursion itself.
-type Sem struct {
-	tokens chan struct{}
-}
-
-// NewSem returns a semaphore with Workers(n)−1 tokens: the calling
-// goroutine itself counts as one worker, so a Parallelism of 1 yields an
-// empty bucket and TryAcquire always fails — the serial reference path.
-func NewSem(n int) *Sem {
-	w := Workers(n) - 1
-	if w <= 0 {
-		return &Sem{}
-	}
-	s := &Sem{tokens: make(chan struct{}, w)}
-	for i := 0; i < w; i++ {
-		s.tokens <- struct{}{}
-	}
-	return s
-}
-
-// TryAcquire takes a token if one is free.
-func (s *Sem) TryAcquire() bool {
-	if s == nil || s.tokens == nil {
-		return false
-	}
-	select {
-	case <-s.tokens:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release returns a token taken with TryAcquire.
-func (s *Sem) Release() {
-	if s != nil && s.tokens != nil {
-		s.tokens <- struct{}{}
-	}
 }

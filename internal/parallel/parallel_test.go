@@ -47,29 +47,3 @@ func TestForEachCoversAllSlots(t *testing.T) {
 		}
 	}
 }
-
-func TestSemSerialNeverAcquires(t *testing.T) {
-	s := NewSem(1)
-	if s.TryAcquire() {
-		t.Fatal("serial semaphore must have no tokens")
-	}
-	var nilSem *Sem
-	if nilSem.TryAcquire() {
-		t.Fatal("nil semaphore must not acquire")
-	}
-	nilSem.Release() // must not panic
-}
-
-func TestSemBounded(t *testing.T) {
-	s := NewSem(3) // 2 tokens
-	if !s.TryAcquire() || !s.TryAcquire() {
-		t.Fatal("expected 2 tokens")
-	}
-	if s.TryAcquire() {
-		t.Fatal("expected exhaustion after 2 acquires")
-	}
-	s.Release()
-	if !s.TryAcquire() {
-		t.Fatal("released token must be reusable")
-	}
-}

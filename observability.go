@@ -13,7 +13,7 @@ import (
 
 // MetricsSnapshot is a point-in-time copy of the process-wide metrics
 // registry: planner search counters (subproblems expanded, memo hits,
-// bisection iterations, parallel forks), plan-cache hits, misses and
+// bisection iterations), plan-cache hits, misses and
 // evictions, and simulator totals (tasks, retries, per-group busy time,
 // injected fault events).
 type MetricsSnapshot = obs.Snapshot
