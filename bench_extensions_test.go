@@ -67,7 +67,8 @@ func BenchmarkBatchSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceGeneration measures aggregated trace derivation for every
+// BenchmarkTraceGeneration measures work-table derivation
+// (trace.WorkPair), the form of a trace the simulator prices, for every
 // layer of VGG-16 under all three types.
 func BenchmarkTraceGeneration(b *testing.B) {
 	net, err := models.BuildNetwork("vgg16", 512)
@@ -82,7 +83,7 @@ func BenchmarkTraceGeneration(b *testing.B) {
 				continue
 			}
 			for _, ty := range cost.Types {
-				if _, _, err := trace.GeneratePair(u.Dims, ty, 0.5); err != nil {
+				if _, _, err := trace.WorkPair(u.Dims, ty, 0.5); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -183,6 +183,27 @@ func BenchmarkPartitionSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkPortfolioSearch measures the production AccPar portfolio, the
+// nine option sets of StrategyAccPar.Variants searched in turn, on the
+// same inputs as BenchmarkPartitionSearch, without a cache.
+func BenchmarkPortfolioSearch(b *testing.B) {
+	net, err := models.BuildNetwork("resnet50", 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := eval.HeterogeneousTree(128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	variants := core.StrategyAccPar.Variants()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.PartitionCtx(context.Background(), net, tree, variants...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulatorVGG measures the trace-driven discrete-event simulator
 // on VGG-16 at batch 512 over a v2/v3 group pair.
 func BenchmarkSimulatorVGG(b *testing.B) {

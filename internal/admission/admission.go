@@ -158,17 +158,3 @@ func (s *Sem) notify() {
 		close(w.grant)
 	}
 }
-
-// InFlight returns the weight currently held.
-func (s *Sem) InFlight() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur
-}
-
-// QueueLen returns the number of queued waiters.
-func (s *Sem) QueueLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.waiters.Len()
-}

@@ -279,3 +279,17 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 	t.Fatal("condition not reached within 2s")
 }
+
+// InFlight returns the weight currently held.
+func (s *Sem) InFlight() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cur
+}
+
+// QueueLen returns the number of queued waiters.
+func (s *Sem) QueueLen() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.waiters.Len()
+}

@@ -4,6 +4,8 @@ package core
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 
 	"accpar/internal/hardware"
@@ -118,42 +120,87 @@ const replanAllocBudget = 350
 // its trims.
 const replanBudgetCacheEntries = 2048
 
-// TestSearchAllocsIndependentOfParallelism: one option set's search runs
-// on its caller's goroutine at any Parallelism, so a search of an
-// interleaved fleet, whose root splits unequal halves (64 TPU-v2 against
-// 64 TPU-v3 boards), allocates at Parallelism 4 exactly what it does at 1.
-// A split that forked a child onto a goroutine would show here as the
-// goroutine, its closure, a second dims buffer and heap-moved results.
-// Parallelism is 4, not 0: AllocsPerRun pins GOMAXPROCS to 1, which would
-// resolve 0 to a single worker.
+// TestSearchAllocsIndependentOfParallelism: one request runs on its
+// caller's goroutine at any Parallelism, so each of these allocates at
+// Parallelism 4 exactly what it does at 1 on an interleaved fleet, whose
+// root splits unequal halves (64 TPU-v2 against 64 TPU-v3 boards): one
+// option set's search, the AccPar portfolio with Parallelism on every
+// variant, and a replan after a slowdown of a TPU-v3 group. A search,
+// variant or replan pass that ran on another goroutine would show here as
+// the goroutines, their closures, a channel and an error slice. Calls are
+// counted at GOMAXPROCS 2 (allocsAt), so that a pool sized from
+// GOMAXPROCS would start more than one worker.
 func TestSearchAllocsIndependentOfParallelism(t *testing.T) {
 	net, err := models.BuildNetwork("resnet50", 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v2, v3 := hardware.TPUv2(), hardware.TPUv3()
-	tree := treeFor(t,
-		hardware.GroupSpec{Spec: v2, Count: 32}, hardware.GroupSpec{Spec: v3, Count: 32},
-		hardware.GroupSpec{Spec: v2, Count: 32}, hardware.GroupSpec{Spec: v3, Count: 32})
-	allocs := func(par int) float64 {
-		opt := AccPar()
-		opt.Parallelism = par
-		var searchErr error
-		n := testing.AllocsPerRun(10, func() {
-			if _, err := PartitionCtx(context.Background(), net, tree, opt); err != nil {
-				searchErr = err
+	groups := []hardware.GroupSpec{{Spec: v2, Count: 32}, {Spec: v3, Count: 32}, {Spec: v2, Count: 32}, {Spec: v3, Count: 32}}
+	tree := treeFor(t, groups...)
+	degraded := slowdownTree(t, groups, 1, 2)
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		run  func(par int) error
+	}{
+		{"search", func(par int) error {
+			opt := AccPar()
+			opt.Parallelism = par
+			_, err := PartitionCtx(ctx, net, tree, opt)
+			return err
+		}},
+		{"portfolio", func(par int) error {
+			_, err := PartitionCtx(ctx, net, tree, portfolioAt(par)...)
+			return err
+		}},
+		{"replan", func(par int) error {
+			opt := AccPar()
+			opt.Parallelism = par
+			_, err := ReplanCtx(ctx, net, tree, degraded, opt)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := func(par int) uint64 {
+				var runErr error
+				n := allocsAt(2, 25, func() {
+					if err := c.run(par); err != nil {
+						runErr = err
+					}
+				})
+				if runErr != nil {
+					t.Fatal(runErr)
+				}
+				return n
+			}
+			serial, par4 := allocs(1), allocs(4)
+			t.Logf("%d allocs per %s at Parallelism 1, %d at 4", serial, c.name, par4)
+			if par4 != serial {
+				t.Errorf("%s at Parallelism 4 allocates %d, at 1 %d", c.name, par4, serial)
 			}
 		})
-		if searchErr != nil {
-			t.Fatal(searchErr)
-		}
-		return n
 	}
-	serial, par4 := allocs(1), allocs(4)
-	t.Logf("%.0f allocs per search at Parallelism 1, %.0f at 4", serial, par4)
-	if par4 != serial {
-		t.Errorf("search at Parallelism 4 allocates %.0f, at 1 %.0f", par4, serial)
+}
+
+// allocsAt counts the mallocs of one call of f at GOMAXPROCS procs: the
+// fewest over runs calls, after a warm-up call. testing.AllocsPerRun pins
+// GOMAXPROCS to 1 instead, which would size a GOMAXPROCS-wide pool to a
+// single inline worker; above 1 a sync.Pool may miss on any call, which
+// only adds mallocs, so the fewest is the call's own count.
+func allocsAt(procs, runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+	fewest := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		f()
+		runtime.ReadMemStats(&ms)
+		fewest = min(fewest, ms.Mallocs-before)
 	}
+	return fewest
 }
 
 // TestReplanSteadyStateAllocBudget fails when cache upkeep grows with the

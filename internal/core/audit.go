@@ -170,8 +170,8 @@ func (r *AuditRecorder) adopt(other *AuditRecorder) {
 }
 
 // Report returns the sorted, deduplicated decision audit. Records are
-// keyed by content-addressed subproblem identity, so concurrent workers
-// recording the same pure subproblem collapse to one entry.
+// keyed by content-addressed subproblem identity, so searches recording
+// the same pure subproblem collapse to one entry.
 func (r *AuditRecorder) Report() AuditReport {
 	r.mu.Lock()
 	recs := make([]AuditSubproblem, len(r.records))

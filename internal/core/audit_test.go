@@ -192,12 +192,13 @@ func TestAuditRejectShowsCapacityFloorPrune(t *testing.T) {
 
 // TestAuditParallelismStable: the search audit explains a plan from the
 // captured artifact alone only if the artifact does not depend on
-// scheduling. The -explain-search document of the ResNet-50 (batch 512)
-// portfolio, whose option sets run on a pool, must be byte-identical at
-// Parallelism 1, 2 and 8, on 32+32 boards and on v2:32,v3:32,v2:32,v3:32,
-// whose unequal halves, 64 TPU-v2 and 64 TPU-v3 boards, each hold
-// identical halves linked as one node. CI runs each fleet under -race with
-// -cpu 4 and a -count of 10 or 20, so worker interleavings vary.
+// Parallelism or scheduling. The -explain-search document of the
+// ResNet-50 (batch 512) portfolio, which keeps only the winning option
+// set's records, must be byte-identical at Parallelism 1, 2 and 8, on
+// 32+32 boards and on v2:32,v3:32,v2:32,v3:32, whose unequal halves, 64
+// TPU-v2 and 64 TPU-v3 boards, each hold identical halves linked as one
+// node. CI runs each fleet under -race with -cpu 4 and a -count of 10 or
+// 20.
 func TestAuditParallelismStable(t *testing.T) {
 	net := buildNet(t, "resnet50", 512)
 	v2, v3 := hardware.TPUv2(), hardware.TPUv3()

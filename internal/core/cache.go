@@ -27,10 +27,10 @@ import (
 // a design-space sweep's subtrees shared between candidate fleets are
 // entries of the same memo the one-shot searches fill.
 //
-// Parallelism is deliberately absent from the fingerprint: plans are
-// byte-identical across worker counts (TestParallelismEquivalence), so a
-// plan solved inline may warm a pooled portfolio or replan and vice
-// versa.
+// Parallelism is deliberately absent from the fingerprint: no search
+// reads it, and plans are byte-identical at every value
+// (TestParallelismEquivalence), so searches that differ only in it share
+// one entry.
 
 // defaultCacheCapacity bounds a cache constructed with a non-positive
 // capacity. Hierarchical subproblems are small (a plan subtree over tens

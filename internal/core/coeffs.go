@@ -102,7 +102,7 @@ func (u *unitConst) sizes(e extents, inference bool) (s unitSizes) {
 // intra writes the Table 4 intra-layer elements of every type into row,
 // indexed by type (cost.IntraCommElements). Inference runs the forward
 // phase only, so only Type-II, whose partial sums fall there, exchanges
-// anything (cost.IntraCommElementsInference).
+// anything.
 func (s *unitSizes) intra(row *[3]float64, inference bool) {
 	row[cost.TypeI], row[cost.TypeII], row[cost.TypeIII] = float64(s.aw), float64(s.afNext), float64(s.af)
 	if inference {

@@ -283,7 +283,7 @@ func TestSplitAlternationWork(t *testing.T) {
 				t.Fatal(err)
 			}
 			iters = obsBisectIters.Value() - iters
-			if dp := p.rs.dpRuns.Load(); dp != 1 || iters != 1 || alpha != 0.5 {
+			if dp := p.rs.dpRuns; dp != 1 || iters != 1 || alpha != 0.5 {
 				t.Errorf("%s: identical halves took %d DP runs and %d bisection iterations to α = %v; want 1, 1 and 0.5", model, dp, iters, alpha)
 			}
 		}
@@ -306,7 +306,7 @@ func TestSplitAlternationWork(t *testing.T) {
 					t.Fatal(err)
 				}
 				eachSplit(p, plan, tree, func(*PlanNode, *hardware.Tree, []extents) { splits++ })
-				dpRuns += rs.dpRuns.Load()
+				dpRuns += rs.dpRuns
 			}
 		}
 		perSplit := float64(dpRuns) / float64(splits)

@@ -12,26 +12,27 @@ import (
 // exchange per implicit sub-level, at the halves' bandwidth.
 func TestLeafFallbackCommTime(t *testing.T) {
 	const weightBytes = 1e9
+	v2, v3 := hardware.TPUv2(), hardware.TPUv3()
 	// Singleton: free.
-	single := hardware.NewGroup(hardware.TPUv3())
+	single := groupOf(t, hardware.GroupSpec{Spec: v3, Count: 1})
 	if got, err := leafFallbackCommTime(single, weightBytes, hardware.FullBisection); err != nil || got != 0 {
 		t.Errorf("singleton fallback = %g, %v", got, err)
 	}
 	// Pair of v3: one level at one link's bandwidth each side.
-	pair := hardware.NewGroup(hardware.TPUv3(), hardware.TPUv3())
+	pair := groupOf(t, hardware.GroupSpec{Spec: v3, Count: 2})
 	want := weightBytes / hardware.TPUv3().NetBandwidth
 	if got, err := leafFallbackCommTime(pair, weightBytes, hardware.FullBisection); err != nil || math.Abs(got-want) > 1e-12*want {
 		t.Errorf("pair fallback = %g, want %g (%v)", got, want, err)
 	}
 	// Four v3: two levels; level 1 at 2-link halves, level 2 at 1-link
 	// halves.
-	quad := hardware.NewGroup(hardware.TPUv3(), hardware.TPUv3(), hardware.TPUv3(), hardware.TPUv3())
+	quad := groupOf(t, hardware.GroupSpec{Spec: v3, Count: 4})
 	want = weightBytes/(2*hardware.TPUv3().NetBandwidth) + weightBytes/hardware.TPUv3().NetBandwidth
 	if got, err := leafFallbackCommTime(quad, weightBytes, hardware.FullBisection); err != nil || math.Abs(got-want) > 1e-12*want {
 		t.Errorf("quad fallback = %g, want %g (%v)", got, want, err)
 	}
 	// Heterogeneous leaf group: the slower (v2) half bounds each level.
-	mixed := hardware.NewGroup(hardware.TPUv2(), hardware.TPUv2(), hardware.TPUv3(), hardware.TPUv3())
+	mixed := groupOf(t, hardware.GroupSpec{Spec: v2, Count: 2}, hardware.GroupSpec{Spec: v3, Count: 2})
 	got, err := leafFallbackCommTime(mixed, weightBytes, hardware.FullBisection)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +45,7 @@ func TestLeafFallbackCommTime(t *testing.T) {
 		t.Errorf("mixed fallback %g must exceed the first level alone %g", got, wantMin)
 	}
 	// Uneven split (3 members): the larger half recursion dominates.
-	odd := hardware.NewGroup(hardware.TPUv3(), hardware.TPUv3(), hardware.TPUv3())
+	odd := groupOf(t, hardware.GroupSpec{Spec: v3, Count: 3})
 	gotOdd, err := leafFallbackCommTime(odd, weightBytes, hardware.FullBisection)
 	if err != nil {
 		t.Fatal(err)
@@ -52,6 +53,13 @@ func TestLeafFallbackCommTime(t *testing.T) {
 	if gotOdd <= 0 {
 		t.Errorf("odd-group fallback = %g", gotOdd)
 	}
+}
+
+// groupOf returns the group of an array of the given groups, in order:
+// the root group of its hierarchy.
+func groupOf(t *testing.T, groups ...hardware.GroupSpec) *hardware.Group {
+	t.Helper()
+	return treeFor(t, groups...).Group
 }
 
 // TestLevelBudgetFallbackConsistency: a level-capped plan's total time

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"accpar/internal/cost"
@@ -57,24 +56,20 @@ func (s *ReplanStats) Add(other ReplanStats) {
 	s.Seconds += other.Seconds
 }
 
-// replanStats is the per-call atomic collector behind ReplanStats;
-// concurrent search workers of one call share it. dpRuns, the call's
+// replanStats is the per-call collector behind ReplanStats; only the
+// call's own goroutine touches it. dpRuns, the call's
 // Eq. 9 DP runs (decideSplit), is not reported: the work-count tests
 // read it to pin the type/ratio alternation's cost.
 type replanStats struct {
-	hits        atomic.Int64
-	expanded    atomic.Int64
-	staleReused atomic.Int64
-	invalidated atomic.Int64
-	dpRuns      atomic.Int64
+	hits, expanded, staleReused, invalidated, dpRuns int64
 }
 
 func (rs *replanStats) snapshot(d time.Duration) ReplanStats {
 	return ReplanStats{
-		IncrementalHits: rs.hits.Load(),
-		Invalidated:     rs.invalidated.Load(),
-		Expanded:        rs.expanded.Load(),
-		StaleReused:     rs.staleReused.Load(),
+		IncrementalHits: rs.hits,
+		Invalidated:     rs.invalidated,
+		Expanded:        rs.expanded,
+		StaleReused:     rs.staleReused,
 		Seconds:         d.Seconds(),
 	}
 }
@@ -82,7 +77,7 @@ func (rs *replanStats) snapshot(d time.Duration) ReplanStats {
 // noteStaleReuse records an untouched-hardware stale-pass reuse.
 func (p *planner) noteStaleReuse() {
 	if p.rs != nil {
-		p.rs.staleReused.Add(1)
+		p.rs.staleReused++
 	}
 }
 

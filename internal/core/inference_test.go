@@ -79,13 +79,13 @@ func TestInferenceShiftsTypeChoices(t *testing.T) {
 // TestInferenceIntraTable: the forward-only intra amounts.
 func TestInferenceIntraTable(t *testing.T) {
 	d := tensor.FC(8, 16, 32)
-	if got := cost.IntraCommElementsInference(cost.TypeI, d); got != 0 {
+	if got := intraCommElementsInference(cost.TypeI, d); got != 0 {
 		t.Errorf("Type-I inference intra = %d, want 0", got)
 	}
-	if got := cost.IntraCommElementsInference(cost.TypeII, d); got != d.AFNext() {
+	if got := intraCommElementsInference(cost.TypeII, d); got != d.AFNext() {
 		t.Errorf("Type-II inference intra = %d, want A(F_next)", got)
 	}
-	if got := cost.IntraCommElementsInference(cost.TypeIII, d); got != 0 {
+	if got := intraCommElementsInference(cost.TypeIII, d); got != 0 {
 		t.Errorf("Type-III inference intra = %d, want 0", got)
 	}
 }

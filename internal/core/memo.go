@@ -29,8 +29,8 @@ import (
 // addressing already guarantees an entry can only be missed, never
 // wrongly hit.
 //
-// The memo is sharded to keep concurrent planner workers from serializing
-// on one lock. A shard's map is made by the first put that lands in it, so
+// The memo is sharded to keep concurrent searches on one SharedCache from
+// serializing on one lock. A shard's map is made by the first put that lands in it, so
 // the zero planMemo is ready to use and a small memo (a SharedCache keeps
 // one per search fingerprint) holds only the shards it fills.
 type planMemo struct {

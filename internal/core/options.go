@@ -104,15 +104,10 @@ type Options struct {
 	// inference (forward only — Section 1: inference performs only data
 	// forward). Default ModeTraining.
 	Mode Mode
-	// Parallelism bounds the worker pool that runs the independent
-	// searches of one call — a portfolio's option sets (Strategy.Variants)
-	// and a replan's stale and fresh passes. Each search recurses on the
-	// goroutine that runs it. 1 runs everything inline on the caller's
-	// goroutine (no goroutines are spawned); any other value lets those
-	// searches run on a pool, 0 with one worker per available CPU
-	// (runtime.GOMAXPROCS). The produced plan is byte-identical across all
-	// settings — every search is pure, so scheduling cannot change results
-	// — which the equivalence tests enforce.
+	// Parallelism is validated (it must not be negative) and otherwise
+	// read by nothing: every search, portfolio and replan runs on its
+	// caller's goroutine whatever its value. It stays only so that callers
+	// that set it keep compiling.
 	Parallelism int
 	// MemoryLimit selects how the search treats per-leaf HBM capacity:
 	// ignore it (the default — Plan.Memory still reports overflow after

@@ -27,8 +27,7 @@ func planJSON(t *testing.T, p *Plan) []byte {
 }
 
 // portfolioAt returns the AccPar portfolio (StrategyAccPar.Variants)
-// with Parallelism par on every option set, so its searches run on a
-// pool unless par is 1.
+// with Parallelism par on every option set.
 func portfolioAt(par int) []Options {
 	opts := StrategyAccPar.Variants()
 	for i := range opts {
@@ -48,10 +47,10 @@ func replanJSON(t *testing.T, rep *ReplanReport) []byte {
 	return out
 }
 
-// parallelEquivalence checks that the calls which run independent
-// searches concurrently — a portfolio's option sets and a replan's stale
-// and fresh passes — give byte-identical results at the serial reference
-// path (1), a fixed worker count (4) and the GOMAXPROCS default (0).
+// parallelEquivalence checks that the calls which run several searches —
+// a portfolio's option sets and a replan's stale and fresh passes — give
+// byte-identical results at Parallelism 1, 4 and 0: the field no longer
+// changes how a call runs, and these tests keep it that way.
 func parallelEquivalence(t *testing.T, net *dnn.Network, groups []hardware.GroupSpec) {
 	t.Helper()
 	pristine := treeFor(t, groups...)
@@ -207,9 +206,9 @@ func uniformTypes(n int, t cost.Type) []cost.Type {
 }
 
 // TestPlannerMemoRace hammers the memoized planner from concurrent
-// Partition and Replan calls. Run under -race, it exercises the sharded
-// memo, the shape's pooled level contexts and dims buffers, and Replan's
-// concurrent stale-and-fresh passes over one shared memo.
+// Partition and Replan calls. Run under -race, it checks that calls
+// without a cache share nothing but their read-only inputs and the
+// instrumentation: each owns its memo, level contexts and dims buffers.
 func TestPlannerMemoRace(t *testing.T) {
 	net := buildNet(t, "alexnet", 64)
 	groups := v2v3Groups(4)
@@ -234,7 +233,7 @@ func TestPlannerMemoRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			opt := AccPar()
-			opt.Parallelism = w%3 + 1 // mix inline and concurrent replan passes
+			opt.Parallelism = w%3 + 1 // read by nothing; varied in case that changes
 			if w%2 == 0 {
 				if _, err := PartitionCtx(context.Background(), net, pristine, opt); err != nil {
 					errs <- fmt.Errorf("worker %d Partition: %w", w, err)
@@ -256,10 +255,10 @@ func TestPlannerMemoRace(t *testing.T) {
 // TestEqualSiblingsSolvedOnce: the halves of a homogeneous split, which
 // pose one subproblem at α = 0.5 and whose children meet again when α is
 // a rounding step off 0.5, are solved once by every search, so the calls
-// that run searches concurrently — the portfolio's option sets and a
-// replan's stale and fresh passes — expand exactly the subproblems their
-// serial runs do. Run with -count=20 -cpu 4 to give a
-// scheduling-dependent count its chances.
+// that run several searches — the portfolio's option sets and a replan's
+// stale and fresh passes — expand the same subproblems at Parallelism 4
+// as at 1. CI runs it with -count=20 -cpu 4, so a count that came to
+// depend on scheduling again would show.
 func TestEqualSiblingsSolvedOnce(t *testing.T) {
 	net := buildNet(t, "vgg16", 64)
 	groups := v2v3Groups(64)

@@ -121,7 +121,7 @@ func (s *searchShape) getDims() *[]extents {
 // searches skip the replan counters.
 func (p *planner) noteHit() {
 	if p.rs != nil {
-		p.rs.hits.Add(1)
+		p.rs.hits++
 	}
 }
 
@@ -193,7 +193,7 @@ func (p *planner) release() {
 	}
 	n := p.cache.trim()
 	if p.rs != nil {
-		p.rs.invalidated.Add(n)
+		p.rs.invalidated += n
 	}
 }
 
@@ -301,7 +301,7 @@ func (p *planner) solve(node *hardware.Tree, dims []extents, key subKey) (*PlanN
 func (p *planner) computeNode(node *hardware.Tree, dims []extents, key subKey) (*PlanNode, error) {
 	obsSubproblems.Inc()
 	if p.rs != nil {
-		p.rs.expanded.Add(1)
+		p.rs.expanded++
 	}
 	if p.cache != nil {
 		p.cache.misses.Add(1)
@@ -397,7 +397,7 @@ func (p *planner) decideSplit(node *hardware.Tree, dims []extents, sideI, sideJ 
 			return nil, 0, LevelEval{}, err
 		}
 		if p.rs != nil {
-			p.rs.dpRuns.Add(1)
+			p.rs.dpRuns++
 		}
 		newTypes, _, err := ctx.runDP()
 		if err != nil {

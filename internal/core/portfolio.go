@@ -10,7 +10,6 @@ import (
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
 	"accpar/internal/hardware"
-	"accpar/internal/parallel"
 )
 
 // The paper compares four schemes that are restrictions of one search:
@@ -120,19 +119,15 @@ func (s Strategy) Variants() []Options {
 // programming with the Eq. 10 ratio balance until the type assignment
 // stabilizes, then recurses into both children with the per-unit dims
 // scaled by the chosen ratio along each unit's partitioned dimension.
-// One option set's search recurses on the calling goroutine.
+// The whole call runs on the calling goroutine.
 //
 // With several option sets (a Strategy's Variants) PartitionCtx searches
-// each and returns the plan with the lowest modelled iteration time. The
-// searches are independent, so they run across a worker pool; the winner
-// is chosen by a serial scan — lowest time, earliest option set on ties —
-// so the outcome matches the serial loop exactly. The pool stays serial
-// when every option set asks for the serial reference path
-// (Parallelism 1).
+// each in turn and returns the plan with the lowest modelled iteration
+// time, the earliest option set on ties.
 //
 // The search polls ctx at every subproblem visit and before every DP run
 // of a split's type/ratio alternation, and option sets not yet started
-// when ctx is done are never dispatched; aborts report ErrCanceled or
+// when ctx is done never run; aborts report ErrCanceled or
 // ErrDeadlineExceeded. An aborted search never publishes partial results
 // — neither into its plan nor into the shared cache (Options.Cache).
 func PartitionCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, error) {
@@ -189,7 +184,7 @@ func partition(ctx context.Context, net *dnn.Network, tree *hardware.Tree, rs *r
 			}
 		}
 	}
-	best, idx, err := bestOf(ctx, len(opts), portfolioWorkers(opts), func(i int) (*Plan, error) {
+	best, idx, err := bestOf(ctx, len(opts), func(i int) (*Plan, error) {
 		return partitionOne(ctx, net, tree, opts[i], rs)
 	})
 	if callerAudit == nil {
@@ -213,54 +208,38 @@ func partition(ctx context.Context, net *dnn.Network, tree *hardware.Tree, rs *r
 	return best, idx, nil
 }
 
-// portfolioWorkers sizes a portfolio's worker pool: serial when every
-// option set asks for the serial reference path (Parallelism 1), the
-// default pool otherwise.
-func portfolioWorkers(opts []Options) int {
-	for _, opt := range opts {
-		if opt.Parallelism != 1 {
-			return 0
+// bestOf is the one portfolio winner rule. It runs variants 0..n-1 (n ≥ 1)
+// through run, in index order on the caller's goroutine, and returns the
+// winner and its index: lowest modelled time, earliest variant on ties.
+// A variant not yet started when ctx is done never runs. A variant with
+// no fitting plan must not abort the portfolio — another variant's larger
+// space may still contain one — so ErrNoFeasiblePlan (the earliest
+// variant's) propagates only when every variant is infeasible. Any other
+// error aborts the whole portfolio.
+func bestOf(ctx context.Context, n int, run func(i int) (*Plan, error)) (*Plan, int, error) {
+	var best *Plan
+	idx := -1
+	var nofit error
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, -1, WrapCtxErr(err)
 		}
-	}
-	return 1
-}
-
-// bestOf is the one portfolio winner rule. It runs variants 0..n-1
-// through run on a pool of workers (1 runs them inline in index order)
-// and returns the winner and its index: lowest modelled time, earliest
-// variant on ties, so the outcome matches the serial loop exactly. A
-// variant with no fitting plan must not abort the portfolio — another
-// variant's larger space may still contain one — so ErrNoFeasiblePlan
-// (the earliest variant's) propagates only when every variant is
-// infeasible. Any other error aborts the whole portfolio.
-func bestOf(ctx context.Context, n, workers int, run func(i int) (*Plan, error)) (*Plan, int, error) {
-	plans := make([]*Plan, n)
-	nofit := make([]error, n)
-	err := parallel.ForEachCtx(ctx, n, workers, func(i int) error {
 		plan, err := run(i)
 		if errors.Is(err, ErrNoFeasiblePlan) {
-			nofit[i] = err
-			return nil
-		}
-		plans[i] = plan
-		return err
-	})
-	if err != nil {
-		return nil, -1, WrapCtxErr(err)
-	}
-	best := -1
-	for i, plan := range plans {
-		if plan != nil && (best < 0 || plan.Time() < plans[best].Time()) {
-			best = i
-		}
-	}
-	if best < 0 {
-		for _, e := range nofit {
-			if e != nil {
-				return nil, -1, e
+			if nofit == nil {
+				nofit = err
 			}
+			continue
 		}
-		return nil, -1, fmt.Errorf("core: portfolio produced no plan")
+		if err != nil {
+			return nil, -1, err
+		}
+		if best == nil || plan.Time() < best.Time() {
+			best, idx = plan, i
+		}
 	}
-	return plans[best], best, nil
+	if best == nil {
+		return nil, -1, nofit
+	}
+	return best, idx, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"accpar/internal/dnn"
 	"accpar/internal/hardware"
-	"accpar/internal/parallel"
 )
 
 // ReplanReport compares the three relevant operating points after a
@@ -52,12 +51,12 @@ func (r *ReplanReport) Recovery() float64 {
 //
 // One planner serves all three passes, so the memo carries every subtree
 // the degradation did not touch from the pristine partition straight into
-// the degraded one, and the stale and fresh passes run concurrently when
-// Options.Parallelism permits. With Options.Cache set the memo is the
-// cache's memo for the search fingerprint, so earlier searches and
-// replans serve the pristine plan, recurrent degraded subtrees and
-// memoized stale re-costings, and the cache is trimmed to its bound
-// afterwards; without one the planner's memo is private to the call. The
+// the degraded one. The passes run in turn on the calling goroutine. With
+// Options.Cache set the memo is the cache's memo for the search
+// fingerprint, so earlier searches and replans serve the pristine plan,
+// recurrent degraded subtrees and memoized stale re-costings, and the
+// cache is trimmed to its bound afterwards; without one the planner's
+// memo is private to the call. The
 // report is byte-identical either way: the cache changes only how much
 // was re-computed, which Stats reports. All three passes poll ctx and the
 // pipeline aborts with ErrCanceled or ErrDeadlineExceeded without
@@ -88,33 +87,20 @@ func (p *planner) replan(pristine, degraded *hardware.Tree) (*ReplanReport, erro
 	if err != nil {
 		return nil, err
 	}
-	// The stale re-costing and the fresh degraded partition are
-	// independent given the pristine plan; both consult the memo and share
-	// the degraded root's key.
+	// The stale re-costing runs first, then the fresh degraded partition;
+	// both consult the memo and share the degraded root's key.
 	dkey := p.subproblemKey(degraded, p.rootDims)
-	var stale, fresh *Plan
-	ctx := p.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	err = parallel.ForEachCtx(ctx, 2, p.opt.Parallelism, func(i int) error {
-		if i == 1 {
-			var ferr error
-			fresh, ferr = p.planKeyed(degraded, dkey)
-			return ferr
-		}
-		root, serr := p.staleNodeInc(degraded, pristine, faultFree.Root, p.rootDims, dkey)
-		if serr != nil {
-			return serr
-		}
-		stale = &Plan{Network: p.net, Strategy: faultFree.Strategy + " (stale)", Root: root, opt: p.opt}
-		if serr := stale.Validate(); serr != nil {
-			return fmt.Errorf("core: internal stale-plan inconsistency: %w", serr)
-		}
-		return nil
-	})
+	root, err := p.staleNodeInc(degraded, pristine, faultFree.Root, p.rootDims, dkey)
 	if err != nil {
-		return nil, WrapCtxErr(err)
+		return nil, err
+	}
+	stale := &Plan{Network: p.net, Strategy: faultFree.Strategy + " (stale)", Root: root, opt: p.opt}
+	if err := stale.Validate(); err != nil {
+		return nil, fmt.Errorf("core: internal stale-plan inconsistency: %w", err)
+	}
+	fresh, err := p.planKeyed(degraded, dkey)
+	if err != nil {
+		return nil, err
 	}
 	rep := &ReplanReport{
 		FaultFree: faultFree,

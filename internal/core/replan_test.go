@@ -212,33 +212,20 @@ func TestReplanAfterGroupLoss(t *testing.T) {
 	}
 }
 
-// TestDegenerateHardwareTypedError: a NaN-density group must surface as
-// *DegenerateHardwareError, not as a NaN plan time.
+// TestDegenerateHardwareTypedError: a group whose density is not finite
+// must surface as *DegenerateHardwareError, not as a NaN plan time. Each
+// board passes Spec.Validate, but two of them sum to an infinite density.
 func TestDegenerateHardwareTypedError(t *testing.T) {
 	net, err := models.BuildNetwork("lenet", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	poison := hardware.TPUv2()
-	poison.FLOPS = math.NaN()
-	// Build the tree by hand: Spec.Validate would (rightly) refuse the
-	// NaN spec, but a planner must still fail typed, not propagate NaN.
-	mk := func(s hardware.Spec, n int) *hardware.Group {
-		accel := make([]hardware.Spec, n)
-		for i := range accel {
-			accel[i] = s
-		}
-		return hardware.NewGroup(accel...)
-	}
-	tree := &hardware.Tree{
-		Group: mk(poison, 2),
-		Level: 1,
-		Left:  &hardware.Tree{Group: mk(poison, 1), Level: 2},
-		Right: &hardware.Tree{Group: mk(hardware.TPUv3(), 1), Level: 2},
-	}
+	huge := hardware.TPUv2()
+	huge.FLOPS = math.MaxFloat64
+	tree := treeFor(t, hardware.GroupSpec{Spec: huge, Count: 2}, hardware.GroupSpec{Spec: hardware.TPUv3(), Count: 2})
 	_, err = PartitionCtx(context.Background(), net, tree, AccPar())
 	if err == nil {
-		t.Fatal("NaN compute density must fail")
+		t.Fatal("infinite compute density must fail")
 	}
 	var dh *DegenerateHardwareError
 	if !errors.As(err, &dh) {

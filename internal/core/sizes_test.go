@@ -41,7 +41,7 @@ func TestSearchSizesMatchTensor(t *testing.T) {
 			{"inference AFNext", si.afNext, d.AFNext()},
 			{"inference AW", si.aw, d.AW()},
 			{"TrainingFLOPs", s.flops, tensor.TrainingFLOPs(d)},
-			{"InferenceFLOPs", si.flops, tensor.InferenceFLOPs(d)},
+			{"ForwardFLOPs", si.flops, tensor.ForwardFLOPs(d)},
 		} {
 			if c.got != c.want {
 				t.Fatalf("%s unit %d %+v: %s = %d, want %d", name, u, d, c.what, c.got, c.want)
@@ -54,8 +54,8 @@ func TestSearchSizesMatchTensor(t *testing.T) {
 			if got, want := train[ty], float64(cost.IntraCommElements(ty, d)); got != want {
 				t.Fatalf("%s unit %d %+v: %v intra = %g, IntraCommElements %g", name, u, d, ty, got, want)
 			}
-			if got, want := infer[ty], float64(cost.IntraCommElementsInference(ty, d)); got != want {
-				t.Fatalf("%s unit %d %+v: %v inference intra = %g, IntraCommElementsInference %g", name, u, d, ty, got, want)
+			if got, want := infer[ty], float64(intraCommElementsInference(ty, d)); got != want {
+				t.Fatalf("%s unit %d %+v: %v inference intra = %g, intraCommElementsInference %g", name, u, d, ty, got, want)
 			}
 		}
 		checked++
@@ -188,4 +188,17 @@ func TestFingerprintCoversUnitConstants(t *testing.T) {
 			t.Fatalf("batch 64 and 512 left %d cache entries (shared shape %v), want one shared entry", len(cache.entries), shapes[0] == shapes[1])
 		}
 	})
+}
+
+// intraCommElementsInference returns the intra-layer exchange of the
+// forward phase only — what DNN inference (data forward only, Section 1)
+// incurs: the Table 4 amount of a type whose partial sums fall in the
+// forward phase (Type-II's F_{l+1}), and nothing for the types whose
+// partial sums belong to the backward or gradient phase, which inference
+// never runs.
+func intraCommElementsInference(t cost.Type, d tensor.LayerDims) int64 {
+	if t.PsumPhase() != cost.PhaseForward {
+		return 0
+	}
+	return cost.IntraCommElements(t, d)
 }

@@ -28,19 +28,6 @@ func IntraCommElements(t Type, d tensor.LayerDims) int64 {
 	}
 }
 
-// IntraCommElementsInference returns the intra-layer exchange of the
-// forward phase only — what DNN inference (data forward only, Section 1)
-// incurs: the Table 4 amount of a type whose partial sums fall in the
-// forward phase (Type-II's F_{l+1}), and nothing for the types whose
-// partial sums belong to the backward or gradient phase, which inference
-// never runs.
-func IntraCommElementsInference(t Type, d tensor.LayerDims) int64 {
-	if t.PsumPhase() != PhaseForward {
-		return 0
-	}
-	return IntraCommElements(t, d)
-}
-
 // PhaseStreamBytes returns the local memory traffic of one phase of a
 // layer with dims d: two operands streamed in and the result streamed
 // out. Every phase touches tensors of the same three sizes — forward
@@ -128,11 +115,6 @@ func InterCommElements(prev, next Type, boundary int64, alpha, beta float64) flo
 	fwd, bwd := InterCommSplit(prev, next, boundary, alpha, beta)
 	return fwd + bwd
 }
-
-// ComputeFLOPs returns the total FLOPs of one training iteration of a layer
-// (forward + backward + gradient, Table 6). An accelerator with
-// partitioning ratio α performs α·ComputeFLOPs of them (Eq. 8).
-func ComputeFLOPs(d tensor.LayerDims) int64 { return tensor.TrainingFLOPs(d) }
 
 // MinRatio bounds the partitioning ratio away from 0 and 1: a zero ratio
 // would mean a group holds no shard at all, which the hierarchy cannot

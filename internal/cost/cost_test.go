@@ -192,13 +192,6 @@ func TestEqualRatioReducesToHyPar(t *testing.T) {
 	}
 }
 
-func TestComputeFLOPs(t *testing.T) {
-	d := dims()
-	if got := ComputeFLOPs(d); got != tensor.TrainingFLOPs(d) {
-		t.Error("ComputeFLOPs must equal total training FLOPs")
-	}
-}
-
 // TestClampRatio: ratios outside [MinRatio, 1−MinRatio] clamp to the
 // nearest bound, and interior ratios pass through unchanged.
 func TestClampRatio(t *testing.T) {
@@ -290,16 +283,17 @@ func TestInterCommSplitComponents(t *testing.T) {
 	}
 }
 
-// TestIntraCommInference: forward-only intra amounts per type.
+// TestIntraCommInference: inference runs the forward phase only, so of
+// the Table 4 exchanges only the one of a type whose partial sums fall in
+// the forward phase remains: Type-II's F_{l+1}.
 func TestIntraCommInference(t *testing.T) {
 	d := tensor.Conv(4, 3, 8, 6, 6, 6, 6, 3, 3)
-	if got := IntraCommElementsInference(TypeI, d); got != 0 {
-		t.Errorf("Type-I inference = %d, want 0", got)
+	for _, ty := range Types {
+		if forward := ty.PsumPhase() == PhaseForward; forward != (ty == TypeII) {
+			t.Errorf("%v partial sums in the forward phase = %v", ty, forward)
+		}
 	}
-	if got := IntraCommElementsInference(TypeII, d); got != d.AFNext() {
+	if got := IntraCommElements(TypeII, d); got != d.AFNext() {
 		t.Errorf("Type-II inference = %d, want %d", got, d.AFNext())
-	}
-	if got := IntraCommElementsInference(TypeIII, d); got != 0 {
-		t.Errorf("Type-III inference = %d, want 0", got)
 	}
 }

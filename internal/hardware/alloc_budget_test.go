@@ -93,12 +93,12 @@ func buildTreeBytes(t *testing.T, arr *Array, levels int) uint64 {
 
 // newHeterogeneousAllocBudget pins the allocations of NewHeterogeneous
 // on the 128×TPU-v2 + 128×TPU-v3 paper array: the array, its run list
-// (one run per group), and its name (the list of group names, each
-// group's formatted count and name, and their join). Measured at 8, as
-// with one member slice of 256 boards; 17 when that slice grew board by
-// board. The budget is the measure, so a run list that grows by even one
-// append fails it.
-const newHeterogeneousAllocBudget = 8
+// (one run per group), and its name string, built in a stack buffer.
+// Measured at 3; 8 when the name was a list of fmt.Sprintf results and
+// their strings.Join, and 17 when the member slice grew board by board.
+// The budget is the measure, so a run list that grows by even one append
+// fails it.
+const newHeterogeneousAllocBudget = 3
 
 // TestNewHeterogeneousAllocBudget fails when building an array allocates
 // per board.

@@ -41,15 +41,6 @@ type Group struct {
 	desc                string
 }
 
-// NewGroup returns the group of the given boards, in order.
-func NewGroup(accel ...Spec) *Group {
-	var s span
-	for _, spec := range accel {
-		s.add(run{spec: spec, fp: spec.Fingerprint()}, 1)
-	}
-	return new(Group).set(s)
-}
-
 // add appends n boards of r's spec to s: to its last run when they are
 // identical to its boards, else as the new run r. Boards are identical
 // when they agree on every field Fingerprint reads.
@@ -114,9 +105,6 @@ func (g *Group) MemBandwidth() float64 { return g.memBW }
 
 // HBMBytes returns the aggregate memory capacity.
 func (g *Group) HBMBytes() int64 { return g.hbm }
-
-// Homogeneous reports whether all members share one spec name.
-func (g *Group) Homogeneous() bool { return g.homogeneous() }
 
 func (s *span) homogeneous() bool {
 	return !slices.ContainsFunc(s.runs, func(r run) bool { return r.spec.Name != s.runs[0].spec.Name })

@@ -8,7 +8,7 @@ package hardware
 import (
 	"fmt"
 	"math"
-	"strings"
+	"strconv"
 )
 
 // Spec describes one accelerator board.
@@ -125,11 +125,16 @@ func NewHeterogeneous(groups ...GroupSpec) (*Array, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("hardware: heterogeneous array needs at least one group")
 	}
-	names := make([]string, len(groups))
+	name := make([]byte, 0, 64) // on the stack for most fleets
 	for i, g := range groups {
-		names[i] = fmt.Sprintf("%d×%s", g.Count, g.Spec.Name)
+		if i > 0 {
+			name = append(name, " + "...)
+		}
+		name = strconv.AppendInt(name, int64(g.Count), 10)
+		name = append(name, "×"...)
+		name = append(name, g.Spec.Name...)
 	}
-	return newArray(strings.Join(names, " + "), groups...)
+	return newArray(string(name), groups...)
 }
 
 // newArray returns the array of the groups' boards in order. Adjacent

@@ -120,6 +120,17 @@ func TestHeterogeneousArray(t *testing.T) {
 	if !a.Heterogeneous() {
 		t.Error("mixed array must report heterogeneous")
 	}
+	if a.Name != "128×tpu-v2 + 128×tpu-v3" {
+		t.Errorf("Name = %q", a.Name)
+	}
+	// Every group is named in order, adjacent identical groups included.
+	b, err := NewHeterogeneous(GroupSpec{TPUv2(), 32}, GroupSpec{TPUv3(), 1000}, GroupSpec{TPUv3(), 7}, GroupSpec{TPUv2(), 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Name != "32×tpu-v2 + 1000×tpu-v3 + 7×tpu-v3 + 32×tpu-v2" {
+		t.Errorf("Name = %q", b.Name)
+	}
 	if _, err := NewHeterogeneous(); err == nil {
 		t.Error("empty group list must be rejected")
 	}
@@ -141,7 +152,7 @@ func TestFewBoardsNeverMix(t *testing.T) {
 		}
 	}
 	for _, g := range []*Group{NewGroup(), NewGroup(TPUv3())} {
-		if !g.Homogeneous() {
+		if !g.homogeneous() {
 			t.Errorf("group of %d boards reports mixed", g.Size())
 		}
 	}
@@ -164,7 +175,7 @@ func TestGroupAggregates(t *testing.T) {
 	if got := g.HBMBytes(); got != 2*64*GiB+128*GiB {
 		t.Errorf("HBMBytes = %d", got)
 	}
-	if g.Homogeneous() {
+	if g.homogeneous() {
 		t.Error("mixed group must not be homogeneous")
 	}
 	if g.String() != "2×tpu-v2+1×tpu-v3" {
@@ -178,10 +189,10 @@ func TestBisectHeterogeneousSplitsBySpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !l.Homogeneous() || l.String() != "4×tpu-v2" {
+	if !l.homogeneous() || l.String() != "4×tpu-v2" {
 		t.Errorf("left = %v", l)
 	}
-	if !r.Homogeneous() || r.String() != "4×tpu-v3" {
+	if !r.homogeneous() || r.String() != "4×tpu-v3" {
 		t.Errorf("right = %v", r)
 	}
 }
@@ -477,7 +488,7 @@ func TestBuildTreePaperArray(t *testing.T) {
 		t.Errorf("Depth = %d, want 9", got)
 	}
 	// Top split must separate the two TPU generations.
-	if !tree.Left.Group.Homogeneous() || !tree.Right.Group.Homogeneous() {
+	if !tree.Left.Group.homogeneous() || !tree.Right.Group.homogeneous() {
 		t.Error("top split of the paper array must be homogeneous per side")
 	}
 	if tree.Left.Group.String() != "128×tpu-v2" || tree.Right.Group.String() != "128×tpu-v3" {
@@ -543,4 +554,13 @@ func TestPropertyTreeLeavesPartition(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// NewGroup returns the group of the given boards, in order.
+func NewGroup(accel ...Spec) *Group {
+	var s span
+	for _, spec := range accel {
+		s.add(run{spec: spec, fp: spec.Fingerprint()}, 1)
+	}
+	return new(Group).set(s)
 }

@@ -1,11 +1,12 @@
-// Package parallel provides the bounded fan-out the planning and
-// evaluation engines share: a deterministic slot-indexed ForEach, with or
-// without a context, for work items that are whole independent searches
-// or evaluations (a portfolio's option sets, a replan's passes, sweep and
-// comparison candidates). A single search never forks; it recurses on the
-// goroutine that runs it. The module deliberately avoids external
-// dependencies (golang.org/x/sync is not vendored), so this is a small
-// self-contained equivalent.
+// Package parallel provides the bounded fan-out the evaluation engines
+// share: a deterministic slot-indexed ForEach, with or without a context,
+// for work items that are independent requests (design-space sweep
+// candidates, the strategies a comparison plans, the points of an
+// evaluation sweep). A single request never forks: a search, a
+// portfolio's option sets and a replan's passes run in turn on the
+// goroutine that runs the request. The module deliberately avoids
+// external dependencies (golang.org/x/sync is not vendored), so this is a
+// small self-contained equivalent.
 //
 // Every helper honours the convention used across the repo's Options
 // types: a worker count of 0 means "one worker per available CPU"

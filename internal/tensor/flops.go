@@ -47,7 +47,3 @@ func GradientFLOPs(d LayerDims) int64 {
 func TrainingFLOPs(d LayerDims) int64 {
 	return ForwardFLOPs(d) + BackwardFLOPs(d) + GradientFLOPs(d)
 }
-
-// InferenceFLOPs returns the FLOPs of the forward phase only; DNN inference
-// performs only data forward (Section 1).
-func InferenceFLOPs(d LayerDims) int64 { return ForwardFLOPs(d) }

@@ -136,36 +136,10 @@ func (d LayerDims) IsFC() bool {
 	return d.HIn == 1 && d.WIn == 1 && d.HOut == 1 && d.WOut == 1 && d.KH == 1 && d.KW == 1
 }
 
-// InputShape returns the shape of F_l (and E_l): (B, Di, HIn, WIn), or
-// (B, Di) for a fully-connected layer.
-func (d LayerDims) InputShape() Shape {
-	if d.IsFC() {
-		return NewShape(d.B, d.Di)
-	}
-	return NewShape(d.B, d.Di, d.HIn, d.WIn)
-}
-
-// OutputShape returns the shape of F_{l+1} (and E_{l+1}): (B, Do, HOut, WOut),
-// or (B, Do) for a fully-connected layer.
-func (d LayerDims) OutputShape() Shape {
-	if d.IsFC() {
-		return NewShape(d.B, d.Do)
-	}
-	return NewShape(d.B, d.Do, d.HOut, d.WOut)
-}
-
-// WeightShape returns the shape of W_l (and ΔW_l): (Di, Do, KH, KW), or
-// (Di, Do) for a fully-connected layer.
-func (d LayerDims) WeightShape() Shape {
-	if d.IsFC() {
-		return NewShape(d.Di, d.Do)
-	}
-	return NewShape(d.Di, d.Do, d.KH, d.KW)
-}
-
 // AF returns A(F_l) = A(E_l), the input feature-map / error size: the
-// Size of InputShape, multiplied out directly because the planner's hot
-// paths call it per unit per subproblem.
+// size of the shape (B, Di, HIn, WIn), or (B, Di) for a fully-connected
+// layer, multiplied out directly because the planner's hot paths call it
+// per unit per subproblem.
 func (d LayerDims) AF() int64 {
 	if d.IsFC() {
 		return size2(d.B, d.Di)
@@ -174,7 +148,7 @@ func (d LayerDims) AF() int64 {
 }
 
 // AFNext returns A(F_{l+1}) = A(E_{l+1}), the output feature-map / error
-// size: the Size of OutputShape.
+// size: the size of the shape (B, Do, HOut, WOut), or (B, Do).
 func (d LayerDims) AFNext() int64 {
 	if d.IsFC() {
 		return size2(d.B, d.Do)
@@ -182,7 +156,8 @@ func (d LayerDims) AFNext() int64 {
 	return size4(d.B, d.Do, d.HOut, d.WOut)
 }
 
-// AW returns A(W_l) = A(ΔW_l), the kernel size: the Size of WeightShape.
+// AW returns A(W_l) = A(ΔW_l), the kernel size: the size of the shape
+// (Di, Do, KH, KW), or (Di, Do).
 func (d LayerDims) AW() int64 {
 	if d.IsFC() {
 		return size2(d.Di, d.Do)
@@ -208,29 +183,10 @@ func size4(a, b, c, d int) int64 {
 	return int64(a) * int64(b) * int64(c) * int64(d)
 }
 
-// Scale returns a copy of the dims with one logical dimension scaled by
-// ratio (used when descending the partitioning hierarchy: a child group that
-// received ratio α of a Type-I partition sees an effective batch of α·B).
-// The scaled extent follows ScaleExtent. dim must be one of DimB, DimDi,
-// DimDo.
-func (d LayerDims) Scale(dim Dim, ratio float64) LayerDims {
-	switch dim {
-	case DimB:
-		d.B = int(ScaleExtent(int64(d.B), ratio))
-	case DimDi:
-		d.Di = int(ScaleExtent(int64(d.Di), ratio))
-	case DimDo:
-		d.Do = int(ScaleExtent(int64(d.Do), ratio))
-	default:
-		panic(fmt.Sprintf("tensor: unknown dimension %v", dim))
-	}
-	return d
-}
-
 // ScaleExtent is the split rule for one extent: a child that receives
 // ratio of an extent v gets v·ratio rounded to the nearest integer, kept
-// at a minimum of 1. Scale and the planner's search both call it, so the
-// rule lives in one place.
+// at a minimum of 1. The planner's search calls it, and the array
+// simulator through core.ScaleUnitDims, so the rule lives in one place.
 func ScaleExtent(v int64, ratio float64) int64 {
 	s := int64(float64(v)*ratio + 0.5)
 	if s < 1 {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -166,9 +167,6 @@ func TestFLOPTable6FC(t *testing.T) {
 	if got := TrainingFLOPs(d); got != wantF+wantB+wantG {
 		t.Errorf("TrainingFLOPs = %d, want %d", got, wantF+wantB+wantG)
 	}
-	if got := InferenceFLOPs(d); got != wantF {
-		t.Errorf("InferenceFLOPs = %d, want %d", got, wantF)
-	}
 }
 
 // TestFLOPConvExtension verifies the Section 4.3 convolution extension: the
@@ -223,7 +221,7 @@ func TestPropertyFLOPsPositive(t *testing.T) {
 	f := func(seed int64) bool {
 		d := randomDims(rand.New(rand.NewSource(seed)))
 		return ForwardFLOPs(d) > 0 && BackwardFLOPs(d) > 0 && GradientFLOPs(d) > 0 &&
-			TrainingFLOPs(d) > InferenceFLOPs(d)
+			TrainingFLOPs(d) > ForwardFLOPs(d)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -285,4 +283,50 @@ func TestPropertyScaleBounds(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// InputShape returns the shape of F_l (and E_l): (B, Di, HIn, WIn), or
+// (B, Di) for a fully-connected layer.
+func (d LayerDims) InputShape() Shape {
+	if d.IsFC() {
+		return NewShape(d.B, d.Di)
+	}
+	return NewShape(d.B, d.Di, d.HIn, d.WIn)
+}
+
+// OutputShape returns the shape of F_{l+1} (and E_{l+1}): (B, Do, HOut, WOut),
+// or (B, Do) for a fully-connected layer.
+func (d LayerDims) OutputShape() Shape {
+	if d.IsFC() {
+		return NewShape(d.B, d.Do)
+	}
+	return NewShape(d.B, d.Do, d.HOut, d.WOut)
+}
+
+// WeightShape returns the shape of W_l (and ΔW_l): (Di, Do, KH, KW), or
+// (Di, Do) for a fully-connected layer.
+func (d LayerDims) WeightShape() Shape {
+	if d.IsFC() {
+		return NewShape(d.Di, d.Do)
+	}
+	return NewShape(d.Di, d.Do, d.KH, d.KW)
+}
+
+// Scale returns a copy of the dims with one logical dimension scaled by
+// ratio (used when descending the partitioning hierarchy: a child group that
+// received ratio α of a Type-I partition sees an effective batch of α·B).
+// The scaled extent follows ScaleExtent. dim must be one of DimB, DimDi,
+// DimDo.
+func (d LayerDims) Scale(dim Dim, ratio float64) LayerDims {
+	switch dim {
+	case DimB:
+		d.B = int(ScaleExtent(int64(d.B), ratio))
+	case DimDi:
+		d.Di = int(ScaleExtent(int64(d.Di), ratio))
+	case DimDo:
+		d.Do = int(ScaleExtent(int64(d.Do), ratio))
+	default:
+		panic(fmt.Sprintf("tensor: unknown dimension %v", dim))
+	}
+	return d
 }

@@ -192,21 +192,6 @@ func pairOf(d tensor.LayerDims, t cost.Type, alpha float64) (i, j Assignment) {
 	return i, j
 }
 
-// GeneratePair derives the traces of both accelerators of a bi-partition:
-// side i gets SplitShare(total, alpha), side j the remainder.
-func GeneratePair(d tensor.LayerDims, t cost.Type, alpha float64) (i, j *Trace, err error) {
-	si, sj := pairOf(d, t, alpha)
-	i, err = Generate(si)
-	if err != nil {
-		return nil, nil, err
-	}
-	j, err = Generate(sj)
-	if err != nil {
-		return nil, nil, err
-	}
-	return i, j, nil
-}
-
 // PhaseWork is what one accelerator does in one training phase of one
 // layer: its scalar arithmetic (MULT and ADD), and its local (LOAD and
 // STORE) and network (RLOAD) traffic in bytes.
@@ -240,8 +225,8 @@ func WorkOf(a Assignment) (Work, error) {
 	return w, nil
 }
 
-// WorkPair is GeneratePair's work-table form: the tables of both
-// accelerators of a bi-partition, side i owning SplitShare(total, alpha).
+// WorkPair returns the work tables of both accelerators of a
+// bi-partition, side i owning SplitShare(total, alpha).
 func WorkPair(d tensor.LayerDims, t cost.Type, alpha float64) (i, j Work, err error) {
 	si, sj := pairOf(d, t, alpha)
 	if i, err = WorkOf(si); err != nil {

@@ -109,37 +109,6 @@ func (t *Trace) FLOPs() int64 {
 	return tot[OpMult] + tot[OpAdd]
 }
 
-// PhaseRecords returns the records of one phase.
-func (t *Trace) PhaseRecords(p cost.Phase) []Record {
-	var out []Record
-	for _, r := range t.Records {
-		if r.Phase == p {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Expand materializes every record as Count singleton records (Granule
-// preserved). It refuses traces above maxRecords to protect callers from
-// accidentally expanding an ImageNet-scale trace.
-func (t *Trace) Expand(maxRecords int64) (*Trace, error) {
-	var total int64
-	for _, r := range t.Records {
-		total += r.Count
-	}
-	if total > maxRecords {
-		return nil, fmt.Errorf("trace: expansion needs %d records, cap is %d", total, maxRecords)
-	}
-	out := &Trace{Records: make([]Record, 0, total)}
-	for _, r := range t.Records {
-		for i := int64(0); i < r.Count; i++ {
-			out.Records = append(out.Records, Record{Phase: r.Phase, Op: r.Op, Tensor: r.Tensor, Count: 1, Granule: r.Granule})
-		}
-	}
-	return out, nil
-}
-
 // Validate checks every record.
 func (t *Trace) Validate() error {
 	for i, r := range t.Records {

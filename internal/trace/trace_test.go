@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -292,4 +293,50 @@ func TestPropertyShareConservation(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// GeneratePair derives the traces of both accelerators of a bi-partition:
+// side i gets SplitShare(total, alpha), side j the remainder.
+func GeneratePair(d tensor.LayerDims, t cost.Type, alpha float64) (i, j *Trace, err error) {
+	si, sj := pairOf(d, t, alpha)
+	i, err = Generate(si)
+	if err != nil {
+		return nil, nil, err
+	}
+	j, err = Generate(sj)
+	if err != nil {
+		return nil, nil, err
+	}
+	return i, j, nil
+}
+
+// PhaseRecords returns the records of one phase.
+func (t *Trace) PhaseRecords(p cost.Phase) []Record {
+	var out []Record
+	for _, r := range t.Records {
+		if r.Phase == p {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// Expand materializes every record as Count singleton records (Granule
+// preserved). It refuses traces above maxRecords to protect callers from
+// accidentally expanding an ImageNet-scale trace.
+func (t *Trace) Expand(maxRecords int64) (*Trace, error) {
+	var total int64
+	for _, r := range t.Records {
+		total += r.Count
+	}
+	if total > maxRecords {
+		return nil, fmt.Errorf("trace: expansion needs %d records, cap is %d", total, maxRecords)
+	}
+	out := &Trace{Records: make([]Record, 0, total)}
+	for _, r := range t.Records {
+		for i := int64(0); i < r.Count; i++ {
+			out.Records = append(out.Records, Record{Phase: r.Phase, Op: r.Op, Tensor: r.Tensor, Count: 1, Granule: r.Granule})
+		}
+	}
+	return out, nil
 }
