@@ -388,10 +388,10 @@ type Comparison struct {
 	Plans map[Strategy]*Plan
 }
 
-// Compare partitions the network with all four strategies, running the
-// strategies concurrently over a shared plan cache (the AccPar portfolio
-// and the baselines it subsumes reuse each other's subproblems). The
-// resulting plans are identical to four serial Partition calls.
+// Compare partitions the network with all four strategies in one AccPar
+// portfolio run on a fresh Session: the portfolio searches the three
+// baselines as variants, so their plans come from that run. The
+// resulting plans are identical to four Partition calls.
 func Compare(net *Network, arr *Array) (*Comparison, error) {
 	return NewSession(0).Compare(net, arr)
 }

@@ -204,6 +204,29 @@ func BenchmarkPortfolioSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkCompareCold measures a four-strategy comparison on a fresh
+// Session per op (a cold plan cache, as a one-off /v1/compare or accpar
+// -compare sees it) on the paper array at batch 512.
+func BenchmarkCompareCold(b *testing.B) {
+	arr, err := HeterogeneousArray(ArrayGroup{Spec: TPUv2(), Count: 128}, ArrayGroup{Spec: TPUv3(), Count: 128})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, model := range []string{"resnet50", "vgg16"} {
+		net, err := BuildModel(model, 512)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(model, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := NewSession(0).Compare(net, arr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSimulatorVGG measures the trace-driven discrete-event simulator
 // on VGG-16 at batch 512 over a v2/v3 group pair.
 func BenchmarkSimulatorVGG(b *testing.B) {

@@ -127,7 +127,7 @@ func TestSessionCancelMidSearchLeavesCacheConsistent(t *testing.T) {
 	}
 }
 
-// TestCompareCtxCanceled asserts the concurrent strategy fan-out maps a
+// TestCompareCtxCanceled asserts the comparison's portfolio run maps a
 // canceled context to the typed sentinel.
 func TestCompareCtxCanceled(t *testing.T) {
 	net, arr := cancelWorkload(t)

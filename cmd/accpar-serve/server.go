@@ -25,8 +25,8 @@ import (
 // the request-body bound. The zero value selects the defaults.
 type serveConfig struct {
 	// MaxConcurrent caps concurrently running planning work, in weight
-	// units (plan costs 1, compare and resilience cost 2 — they fan out
-	// several searches each). ≤ 0 selects 2×GOMAXPROCS.
+	// units (plan costs 1, compare and resilience cost 2 — each runs
+	// several searches in sequence). ≤ 0 selects 2×GOMAXPROCS.
 	MaxConcurrent int64
 	// MaxQueue bounds the admission wait queue; beyond it requests are
 	// shed with 429. Negative means unbounded (never shed).
@@ -56,9 +56,10 @@ func (c serveConfig) withDefaults() serveConfig {
 	return c
 }
 
-// Admission weights: compare fans out all four strategies and
-// resilience runs two searches plus three simulations, so they hold
-// twice the weight of a single plan.
+// Admission weights: compare runs the AccPar portfolio, whose variants
+// include the three baselines, and resilience runs two searches plus
+// three simulations, each in sequence on the request's goroutine, so
+// they hold twice the weight of a single plan.
 const (
 	weightPlan       = 1
 	weightCompare    = 2

@@ -11,13 +11,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"accpar"
-	"accpar/internal/core"
 	"accpar/internal/hardware"
 	"accpar/internal/obs"
 	"accpar/internal/workload"
@@ -102,21 +100,15 @@ func run(seed int64, batch, layers, v2, v3 int, dotOut string) error {
 	if err != nil {
 		return err
 	}
-	tree, err := hardware.BuildTree(arr, 64)
+	c, err := accpar.Compare(net, arr)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%-8s %-14s %-10s\n", "scheme", "time/iter (s)", "speedup")
-	plans := map[core.Strategy]*core.Plan{}
-	for _, s := range core.Strategies {
-		plan, err := core.PartitionCtx(context.Background(), net, tree, s.Variants()...)
-		if err != nil {
-			return err
-		}
-		plans[s] = plan
-		fmt.Printf("%-8v %-14.6g %-10.2f\n", s, plan.Time(), plans[core.StrategyDP].Time()/plan.Time())
+	for _, s := range accpar.Strategies {
+		fmt.Printf("%-8v %-14.6g %-10.2f\n", s, c.Plans[s].Time(), c.Speedup(s))
 	}
 	fmt.Println()
-	fmt.Println(plans[core.StrategyAccPar].TypeMap())
+	fmt.Println(c.Plans[accpar.StrategyAccPar].TypeMap())
 	return nil
 }

@@ -71,18 +71,18 @@ func TestCacheEquivalence(t *testing.T) {
 			homTree(t, hardware.TPUv2(), 16, 64),
 			paperTree(t, 4), // revisit: served almost entirely from the cache
 		} {
-			got, variant, err := PartitionBestCtx(context.Background(), net, tree, variants...)
+			got, variant, err := PartitionAllCtx(context.Background(), net, tree, variants...)
 			if err != nil {
 				t.Fatalf("tree %d: %v", i, err)
 			}
-			want, wantVariant, err := PartitionBestCtx(context.Background(), net, tree, StrategyAccPar.Variants()...)
+			want, wantVariant, err := PartitionAllCtx(context.Background(), net, tree, StrategyAccPar.Variants()...)
 			if err != nil {
 				t.Fatalf("tree %d standalone: %v", i, err)
 			}
 			if variant != wantVariant {
 				t.Errorf("tree %d: cached portfolio won with variant %d, standalone with %d", i, variant, wantVariant)
 			}
-			if !bytes.Equal(planJSON(t, got), planJSON(t, want)) {
+			if !bytes.Equal(planJSON(t, got[variant]), planJSON(t, want[wantVariant])) {
 				t.Errorf("tree %d: cached plan diverges from standalone AccPar portfolio search", i)
 			}
 		}

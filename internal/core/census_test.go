@@ -111,7 +111,7 @@ func TestPortfolioCensus(t *testing.T) {
 			}
 			res.times[vi] = plan.Time()
 		}
-		_, best, err := PartitionBestCtx(context.Background(), c.net, c.tree, opts...)
+		_, best, err := PartitionAllCtx(context.Background(), c.net, c.tree, opts...)
 		if err != nil {
 			return fmt.Errorf("%s portfolio: %w", c.name, err)
 		}

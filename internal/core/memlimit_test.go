@@ -266,7 +266,7 @@ func TestMinResidencyBytes(t *testing.T) {
 }
 
 // TestPortfolioToleratesInfeasibleVariants: every portfolio path —
-// PartitionCtx, and PartitionBestCtx on a shared cache cold and warm —
+// PartitionCtx, and PartitionAllCtx on a shared cache cold and warm —
 // skips variants that cannot fit, returns the same fitting winner, and
 // propagates the typed error only when every variant is infeasible.
 func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
@@ -299,7 +299,7 @@ func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
 		t.Error("portfolio winner overflows")
 	}
 	want := planJSON(t, plan)
-	_, wantVariant, err := PartitionBestCtx(context.Background(), net, tree, variants...)
+	_, wantVariant, err := PartitionAllCtx(context.Background(), net, tree, variants...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +309,11 @@ func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
 		cached[i].Cache = cache
 	}
 	for pass := 0; pass < 2; pass++ {
-		got, variant, err := PartitionBestCtx(context.Background(), net, tree, cached...)
+		got, variant, err := PartitionAllCtx(context.Background(), net, tree, cached...)
 		if err != nil {
 			t.Fatalf("cached portfolio pass %d with feasible variants: %v", pass, err)
 		}
-		if !bytes.Equal(planJSON(t, got), want) || variant != wantVariant {
+		if variant != wantVariant || !bytes.Equal(planJSON(t, got[variant]), want) {
 			t.Errorf("cached portfolio pass %d winner (variant %d) differs from PartitionCtx (variant %d)", pass, variant, wantVariant)
 		}
 	}

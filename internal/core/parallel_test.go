@@ -206,9 +206,10 @@ func uniformTypes(n int, t cost.Type) []cost.Type {
 }
 
 // TestPlannerMemoRace hammers the memoized planner from concurrent
-// Partition and Replan calls. Run under -race, it checks that calls
-// without a cache share nothing but their read-only inputs and the
-// instrumentation: each owns its memo, level contexts and dims buffers.
+// Partition and Replan calls on one SharedCache. Run under -race, it
+// checks the memo get/put, the cache trims and the shared search shapes'
+// pools under concurrent searches, while each call still owns its level
+// contexts and dims buffers.
 func TestPlannerMemoRace(t *testing.T) {
 	net := buildNet(t, "alexnet", 64)
 	groups := v2v3Groups(4)
@@ -225,6 +226,7 @@ func TestPlannerMemoRace(t *testing.T) {
 	if workers < 8 {
 		workers = 8
 	}
+	cache := NewSharedCache(0)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -233,6 +235,7 @@ func TestPlannerMemoRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			opt := AccPar()
+			opt.Cache = cache
 			opt.Parallelism = w%3 + 1 // read by nothing; varied in case that changes
 			if w%2 == 0 {
 				if _, err := PartitionCtx(context.Background(), net, pristine, opt); err != nil {

@@ -80,37 +80,61 @@ func (s Strategy) Options() Options {
 	return strategyOptions[s]()
 }
 
+// The option sets of StrategyAccPar.Variants, in the order the winner
+// rule breaks ties in. The last three are the baselines; the rest are
+// AccPar with one design element removed.
+const (
+	VariantAccPar     = iota // the full configuration
+	VariantNoTypeIII         // types {I, II}
+	VariantNoTypeII          // types {I, III}
+	VariantCommOnly          // HyPar's communication-only objective
+	VariantEqualRatio        // α = 0.5 at every split
+	VariantLinearized        // multi-path regions flattened
+	VariantHyPar
+	VariantOWT
+	VariantDP
+)
+
 // Variants returns the option sets PartitionCtx searches for the
 // strategy. AccPar is the production portfolio: the full configuration
 // plus the restricted variants it subsumes (type-set restrictions, the
-// communication-proxy objective, and the baselines themselves). Every
-// other strategy is its single configuration. The slice is fresh, so
-// callers may set per-call fields (Cache, MemoryLimit, Topology) on it.
+// communication-proxy objective, and the baselines themselves), indexed
+// by the Variant constants. Every other strategy is its single
+// configuration. The slice is fresh, so callers may set per-call fields
+// (Cache, MemoryLimit, Topology) on it.
 func (s Strategy) Variants() []Options {
 	if s != StrategyAccPar {
 		return []Options{s.Options()}
 	}
-	twoTypesII := AccPar()
-	twoTypesII.Types = []cost.Type{cost.TypeI, cost.TypeII}
-	twoTypesIII := AccPar()
-	twoTypesIII.Types = []cost.Type{cost.TypeI, cost.TypeIII}
-	commOnly := AccPar()
-	commOnly.Objective = ObjectiveCommOnly
-	equalRatio := AccPar()
-	equalRatio.Ratio = RatioEqual
-	linearized := AccPar()
-	linearized.Linearize = true
-	return []Options{
-		AccPar(),
-		twoTypesII,
-		twoTypesIII,
-		commOnly,
-		equalRatio,
-		linearized,
-		HyPar(),
-		OWT(),
-		DataParallel(),
+	v := make([]Options, VariantDP+1)
+	for i := VariantAccPar; i < VariantHyPar; i++ {
+		v[i] = AccPar()
 	}
+	v[VariantNoTypeIII].Types = []cost.Type{cost.TypeI, cost.TypeII}
+	v[VariantNoTypeII].Types = []cost.Type{cost.TypeI, cost.TypeIII}
+	v[VariantCommOnly].Objective = ObjectiveCommOnly
+	v[VariantEqualRatio].Ratio = RatioEqual
+	v[VariantLinearized].Linearize = true
+	v[VariantHyPar] = HyPar()
+	v[VariantOWT] = OWT()
+	v[VariantDP] = DataParallel()
+	return v
+}
+
+// Variant maps a strategy to its plan in a PartitionAllCtx run of
+// StrategyAccPar.Variants whose winner is winner: each baseline is its
+// own variant, and AccPar is the winner. One portfolio run so answers all
+// four strategies with the plans four PartitionCtx calls would return.
+func (s Strategy) Variant(winner int) int {
+	switch s {
+	case StrategyDP:
+		return VariantDP
+	case StrategyOWT:
+		return VariantOWT
+	case StrategyHyPar:
+		return VariantHyPar
+	}
+	return winner
 }
 
 // PartitionCtx runs the hierarchical layer-wise partitioning of the
@@ -131,15 +155,27 @@ func (s Strategy) Variants() []Options {
 // ErrDeadlineExceeded. An aborted search never publishes partial results
 // — neither into its plan nor into the shared cache (Options.Cache).
 func PartitionCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, error) {
-	plan, _, err := PartitionBestCtx(ctx, net, tree, opts...)
+	plan, _, err := partition(ctx, net, tree, nil, opts, nil)
 	return plan, err
 }
 
-// PartitionBestCtx is PartitionCtx that also returns the index of the
-// winning option set, so a caller can continue with the winner's options
-// (a design-space sweep replans each faulted candidate that way).
-func PartitionBestCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, int, error) {
-	return partition(ctx, net, tree, nil, opts)
+// PartitionAllCtx is PartitionCtx that keeps every option set's plan:
+// plans[i] is opts[i]'s plan, nil when that set has no fitting plan, and
+// winner indexes the plan PartitionCtx returns. When no set fits, the
+// error is ErrNoFeasiblePlan, plans is all nil and winner is -1; on any
+// other error plans is nil. A comparison reads every strategy from one
+// run of StrategyAccPar.Variants (Strategy.Variant), and a design-space
+// sweep replans each faulted candidate with its winner's options.
+func PartitionAllCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (plans []*Plan, winner int, err error) {
+	plans = make([]*Plan, len(opts))
+	_, winner, err = partition(ctx, net, tree, nil, opts, plans)
+	switch {
+	case err == nil:
+		return plans, winner, nil
+	case errors.Is(err, ErrNoFeasiblePlan):
+		return plans, -1, err
+	}
+	return nil, -1, err
 }
 
 // PartitionStatsCtx is PartitionCtx that also reports, summed over every
@@ -149,17 +185,22 @@ func PartitionBestCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree
 func PartitionStatsCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, ReplanStats, error) {
 	start := time.Now()
 	rs := &replanStats{}
-	plan, _, err := partition(ctx, net, tree, rs, opts)
+	plan, _, err := partition(ctx, net, tree, rs, opts, nil)
 	return plan, rs.snapshot(time.Since(start)), err
 }
 
-// partition is PartitionBestCtx with an optional stats collector.
-func partition(ctx context.Context, net *dnn.Network, tree *hardware.Tree, rs *replanStats, opts []Options) (*Plan, int, error) {
+// partition is the one portfolio path: PartitionCtx with an optional
+// stats collector and, when plans is non-nil (len(opts) slots), each
+// option set's plan, nil where its search failed.
+func partition(ctx context.Context, net *dnn.Network, tree *hardware.Tree, rs *replanStats, opts []Options, plans []*Plan) (*Plan, int, error) {
 	switch len(opts) {
 	case 0:
 		return nil, -1, fmt.Errorf("core: PartitionCtx needs at least one option set")
 	case 1:
 		plan, err := partitionOne(ctx, net, tree, opts[0], rs)
+		if plans != nil {
+			plans[0] = plan
+		}
 		return plan, 0, err
 	}
 	// When the caller attached an audit recorder, each variant searches
@@ -185,7 +226,11 @@ func partition(ctx context.Context, net *dnn.Network, tree *hardware.Tree, rs *r
 		}
 	}
 	best, idx, err := bestOf(ctx, len(opts), func(i int) (*Plan, error) {
-		return partitionOne(ctx, net, tree, opts[i], rs)
+		plan, err := partitionOne(ctx, net, tree, opts[i], rs)
+		if plans != nil {
+			plans[i] = plan
+		}
+		return plan, err
 	})
 	if callerAudit == nil {
 		return best, idx, err

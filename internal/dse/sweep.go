@@ -259,7 +259,7 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 			finish()
 			return nil
 		}
-		plan, variant, err := core.PartitionBestCtx(ctx, net, j.tree, variants...)
+		plans, variant, err := core.PartitionAllCtx(ctx, net, j.tree, variants...)
 		if err != nil {
 			if errors.Is(err, core.ErrNoFeasiblePlan) {
 				r.Infeasible = true
@@ -268,6 +268,7 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 			}
 			return err
 		}
+		plan := plans[variant]
 		if cfg.Memory != core.MemoryOff && !plan.Memory().OK {
 			// Penalize mode returns the best effort; an overflowing best
 			// effort still disqualifies the candidate.

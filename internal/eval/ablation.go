@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"accpar/internal/core"
-	"accpar/internal/cost"
 	"accpar/internal/models"
 	"accpar/internal/report"
 )
@@ -47,21 +46,18 @@ func (a Ablation) String() string {
 	}
 }
 
-// Options returns AccPar with the ablated element removed.
-func (a Ablation) Options() core.Options {
-	opt := core.AccPar()
-	switch a {
-	case AblationCommOnly:
-		opt.Objective = core.ObjectiveCommOnly
-	case AblationTwoTypes:
-		opt.Types = []cost.Type{cost.TypeI, cost.TypeII}
-	case AblationEqualRatio:
-		opt.Ratio = core.RatioEqual
-	case AblationLinearized:
-		opt.Linearize = true
-	}
-	return opt
+// ablationVariants maps each ablation to its portfolio variant: AccPar
+// with the ablated element removed.
+var ablationVariants = [...]int{
+	AblationCommOnly:   core.VariantCommOnly,
+	AblationTwoTypes:   core.VariantNoTypeIII,
+	AblationEqualRatio: core.VariantEqualRatio,
+	AblationLinearized: core.VariantLinearized,
 }
+
+// Variant returns the index, among core.StrategyAccPar.Variants, of AccPar
+// with the ablated element removed.
+func (a Ablation) Variant() int { return ablationVariants[a] }
 
 // AblationResult reports, per model, the slowdown factor incurred by
 // removing one design element (ablated time / full AccPar time, ≥ 1 up to
@@ -74,7 +70,9 @@ type AblationResult struct {
 	Slowdown float64
 }
 
-// RunAblations evaluates every ablation on the heterogeneous array.
+// RunAblations evaluates every ablation on the heterogeneous array. Each
+// ablation is a variant of the AccPar portfolio, so one portfolio run per
+// model yields the full plan (its winner) and every ablated plan.
 func RunAblations(cfg Config) ([]AblationResult, *report.Table, error) {
 	cfg = cfg.withDefaults()
 	tree, err := HeterogeneousTree(cfg.PerKind)
@@ -88,16 +86,14 @@ func RunAblations(cfg Config) ([]AblationResult, *report.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		full, err := core.PartitionCtx(context.TODO(), net, tree, core.StrategyAccPar.Variants()...)
+		plans, winner, err := portfolio(context.TODO(), net, tree, nil, nil)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("eval: ablations on %s: %w", name, err)
 		}
+		full := plans[winner]
 		row := []float64{}
 		for _, a := range Ablations {
-			plan, err := core.PartitionCtx(context.TODO(), net, tree, a.Options())
-			if err != nil {
-				return nil, nil, fmt.Errorf("eval: ablation %v on %s: %w", a, name, err)
-			}
+			plan := plans[a.Variant()]
 			r := AblationResult{
 				Ablation: a,
 				Model:    name,

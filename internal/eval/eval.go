@@ -9,6 +9,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"accpar/internal/core"
@@ -20,15 +21,38 @@ import (
 	"accpar/internal/report"
 )
 
-// partition plans net on tree under s — AccPar as its full portfolio —
-// searching through cache (nil for the uncached search). Plans
-// are byte-identical either way.
-func partition(ctx context.Context, s core.Strategy, net *dnn.Network, tree *hardware.Tree, cache *core.SharedCache) (*core.Plan, error) {
-	opts := s.Variants()
+// portfolio runs the AccPar portfolio once on net and tree: every option
+// set of StrategyAccPar.Variants searches through cache (nil: a private
+// memo; plans are byte-identical either way), after set, when non-nil,
+// adjusts it. The variants include the three baselines and every
+// ablation, so this one run answers each strategy (strategyPlans) and
+// each ablation (RunAblations).
+func portfolio(ctx context.Context, net *dnn.Network, tree *hardware.Tree, cache *core.SharedCache, set func(*core.Options)) ([]*core.Plan, int, error) {
+	opts := core.StrategyAccPar.Variants()
 	for i := range opts {
 		opts[i].Cache = cache
+		if set != nil {
+			set(&opts[i])
+		}
 	}
-	return core.PartitionCtx(ctx, net, tree, opts...)
+	return core.PartitionAllCtx(ctx, net, tree, opts...)
+}
+
+// strategyPlans is one portfolio run's plan per strategy. A strategy
+// with no fitting plan maps to nil; when none fits at all the error is
+// also ErrNoFeasiblePlan. Any other error returns no plans.
+func strategyPlans(ctx context.Context, net *dnn.Network, tree *hardware.Tree, cache *core.SharedCache, set func(*core.Options)) (map[core.Strategy]*core.Plan, error) {
+	plans, winner, err := portfolio(ctx, net, tree, cache, set)
+	if err != nil && !errors.Is(err, core.ErrNoFeasiblePlan) {
+		return nil, err
+	}
+	out := make(map[core.Strategy]*core.Plan, len(core.Strategies))
+	for _, s := range core.Strategies {
+		if i := s.Variant(winner); i >= 0 {
+			out[s] = plans[i]
+		}
+	}
+	return out, err
 }
 
 // Config sizes the experiments. The zero value is upgraded to the paper's
@@ -76,6 +100,8 @@ func HeterogeneousTree(perKind int) (*hardware.Tree, error) {
 // ModelResult is one model's outcome across the four schemes.
 type ModelResult struct {
 	Model string
+	// Plans is each scheme's plan.
+	Plans map[core.Strategy]*core.Plan
 	// Time is modelled per-iteration time per scheme, seconds.
 	Time map[core.Strategy]float64
 	// Speedup is normalized to DP, the paper's baseline.
@@ -83,14 +109,16 @@ type ModelResult struct {
 }
 
 // SpeedupSweep partitions every model with every scheme on the tree and
-// normalizes to data parallelism. The models are independent searches, so
-// they run across a worker pool; each model's result lands in its own
-// slot, so the returned order (and on error, the reported model) matches
-// the serial sweep exactly. Every search seeds from and feeds cache (nil
-// for the uncached sweep), so a warm cache turns the whole sweep into
-// lookups. ctx bounds the searches and may carry a request-scoped tracer
-// (obs.WithTracer): per-model sweep spans land in that tracer, so
-// concurrent sweeps each trace in isolation.
+// normalizes to data parallelism. Each model is one AccPar portfolio run,
+// whose variants include the three baselines, so the run answers all four
+// schemes. The models are independent searches, so they run across a
+// worker pool; each model's result lands in its own slot, so the returned
+// order (and on error, the reported model) matches the serial sweep
+// exactly. Every search seeds from and feeds cache (nil for the uncached
+// sweep), so a warm cache turns the whole sweep into lookups. ctx bounds
+// the searches and may carry a request-scoped tracer (obs.WithTracer):
+// per-model sweep spans land in that tracer, so concurrent sweeps each
+// trace in isolation.
 func SpeedupSweep(ctx context.Context, tree *hardware.Tree, modelNames []string, batch int, cache *core.SharedCache) ([]ModelResult, error) {
 	out := make([]ModelResult, len(modelNames))
 	err := parallel.ForEach(len(modelNames), 0, func(i int) error {
@@ -103,13 +131,13 @@ func SpeedupSweep(ctx context.Context, tree *hardware.Tree, modelNames []string,
 		if err != nil {
 			return fmt.Errorf("eval: %s: %w", name, err)
 		}
-		r := ModelResult{Model: name, Time: map[core.Strategy]float64{}, Speedup: map[core.Strategy]float64{}}
+		plans, err := strategyPlans(ctx, net, tree, cache, nil)
+		if err != nil {
+			return fmt.Errorf("eval: %s: %w", name, err)
+		}
+		r := ModelResult{Model: name, Plans: plans, Time: map[core.Strategy]float64{}, Speedup: map[core.Strategy]float64{}}
 		for _, s := range core.Strategies {
-			plan, err := partition(ctx, s, net, tree, cache)
-			if err != nil {
-				return fmt.Errorf("eval: %s/%v: %w", name, s, err)
-			}
-			r.Time[s] = plan.Time()
+			r.Time[s] = plans[s].Time()
 		}
 		for _, s := range core.Strategies {
 			r.Speedup[s] = r.Time[core.StrategyDP] / r.Time[s]
@@ -256,17 +284,13 @@ func Figure8(cfg Config) (*FigureResult, error) {
 		if err != nil {
 			return err
 		}
-		times := map[core.Strategy]float64{}
-		for _, s := range core.Strategies {
-			plan, err := partition(context.TODO(), s, net, tree, cfg.Cache)
-			if err != nil {
-				return fmt.Errorf("eval: figure8 h=%d %v: %w", h, s, err)
-			}
-			times[s] = plan.Time()
+		plans, err := strategyPlans(context.TODO(), net, tree, cfg.Cache, nil)
+		if err != nil {
+			return fmt.Errorf("eval: figure8 h=%d: %w", h, err)
 		}
 		row := []float64{1.0}
 		for _, s := range core.Strategies[1:] {
-			row = append(row, times[core.StrategyDP]/times[s])
+			row = append(row, plans[core.StrategyDP].Time()/plans[s].Time())
 		}
 		rows[k] = row
 		return nil
@@ -301,7 +325,9 @@ type FlexibilityRow struct {
 	Geomean         float64
 }
 
-// Table8 computes the flexibility comparison on the heterogeneous array.
+// Table8 computes the flexibility comparison on the heterogeneous array:
+// it runs the Figure 5 speedup sweep and counts each scheme's
+// configurations on the plans that sweep made.
 func Table8(cfg Config) ([]FlexibilityRow, *report.Table, error) {
 	cfg = cfg.withDefaults()
 	tree, err := HeterogeneousTree(cfg.PerKind)
@@ -312,49 +338,28 @@ func Table8(cfg Config) ([]FlexibilityRow, *report.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Each scheme's config census is an independent sweep over the models:
-	// count per-slot across the worker pool, render rows serially in
-	// scheme order.
-	distinct := make([]int, len(core.Strategies))
-	err = parallel.ForEach(len(core.Strategies), 0, func(k int) error {
-		s := core.Strategies[k]
+	var rows []FlexibilityRow
+	tbl := report.NewTable("Table 8: flexibility of DP, OWT, HyPar and AccPar", "scheme", "configuration", "distinct configs", "geomean speedup")
+	for _, s := range core.Strategies {
+		var vals []float64
 		configs := map[string]bool{}
-		for _, name := range cfg.Models {
-			net, err := models.BuildNetwork(name, cfg.Batch)
-			if err != nil {
-				return err
-			}
-			plan, err := partition(context.TODO(), s, net, tree, cfg.Cache)
-			if err != nil {
-				return err
-			}
-			units := net.Units()
+		for _, r := range results {
+			vals = append(vals, r.Speedup[s])
+			plan := r.Plans[s]
+			units := plan.Network.Units()
 			for _, lvl := range plan.Levels() {
 				for i, ty := range lvl.Types {
 					if units[i].Virtual {
 						continue
 					}
-					configs[fmt.Sprintf("%s/%s=%v", name, units[i].Name, ty)] = true
+					configs[fmt.Sprintf("%s/%s=%v", r.Model, units[i].Name, ty)] = true
 				}
 			}
-		}
-		distinct[k] = len(configs)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []FlexibilityRow
-	tbl := report.NewTable("Table 8: flexibility of DP, OWT, HyPar and AccPar", "scheme", "configuration", "distinct configs", "geomean speedup")
-	for k, s := range core.Strategies {
-		var vals []float64
-		for _, r := range results {
-			vals = append(vals, r.Speedup[s])
 		}
 		row := FlexibilityRow{
 			Scheme:          s,
 			Dynamic:         s.Options().Fixed == nil,
-			DistinctConfigs: distinct[k],
+			DistinctConfigs: len(configs),
 			Geomean:         report.Geomean(vals),
 		}
 		rows = append(rows, row)
@@ -366,6 +371,3 @@ func Table8(cfg Config) ([]FlexibilityRow, *report.Table, error) {
 	}
 	return rows, tbl, nil
 }
-
-// ensure dnn is linked for documentation references.
-var _ = dnn.KindConv

@@ -1,10 +1,12 @@
 package eval
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"accpar/internal/core"
+	"accpar/internal/cost"
 	"accpar/internal/models"
 )
 
@@ -217,11 +219,30 @@ func TestRunAblations(t *testing.T) {
 }
 
 func TestAblationNames(t *testing.T) {
+	seen := map[int]bool{}
 	for _, a := range Ablations {
 		if a.String() == "" || strings.HasPrefix(a.String(), "Ablation(") {
 			t.Errorf("ablation %d lacks a name", int(a))
 		}
-		_ = a.Options()
+		// Each ablation is its own one-element removal from AccPar: a
+		// portfolio variant after the full one and before the baselines,
+		// without the ablated element.
+		v := a.Variant()
+		if v <= core.VariantAccPar || v >= core.VariantHyPar || seen[v] {
+			t.Errorf("ablation %v maps to variant %d", a, v)
+			continue
+		}
+		seen[v] = true
+		opt := core.StrategyAccPar.Variants()[v]
+		removed := map[Ablation]bool{
+			AblationCommOnly:   opt.Objective == core.ObjectiveCommOnly,
+			AblationTwoTypes:   len(opt.Types) == 2 && !slices.Contains(opt.Types, cost.TypeIII),
+			AblationEqualRatio: opt.Ratio == core.RatioEqual,
+			AblationLinearized: opt.Linearize,
+		}[a]
+		if !removed {
+			t.Errorf("ablation %v maps to variant %d, which keeps the element", a, v)
+		}
 	}
 }
 

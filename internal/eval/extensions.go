@@ -43,25 +43,19 @@ func TopologySweep(cfg Config, model string) ([]TopologyResult, *report.Table, e
 		fmt.Sprintf("Topology sensitivity on %s (speedup vs DP per topology)", model),
 		"topology", "DP time (s)", "OWT", "HyPar", "AccPar")
 	for _, topo := range hardware.Topologies {
-		times := map[core.Strategy]float64{}
-		for _, s := range core.Strategies {
-			opts := s.Variants()
-			for i := range opts {
-				opts[i].Topology = topo
-			}
-			plan, err := core.PartitionCtx(context.TODO(), net, tree, opts...)
-			if err != nil {
-				return nil, nil, fmt.Errorf("eval: topology %v scheme %v: %w", topo, s, err)
-			}
-			times[s] = plan.Time()
+		plans, err := strategyPlans(context.TODO(), net, tree, nil, func(o *core.Options) { o.Topology = topo })
+		if err != nil {
+			return nil, nil, fmt.Errorf("eval: topology %v: %w", topo, err)
 		}
-		row := []string{topo.String(), fmt.Sprintf("%.4g", times[core.StrategyDP])}
+		dp := plans[core.StrategyDP].Time()
+		row := []string{topo.String(), fmt.Sprintf("%.4g", dp)}
 		for _, s := range core.Strategies[1:] {
-			sp := times[core.StrategyDP] / times[s]
+			t := plans[s].Time()
+			sp := dp / t
 			row = append(row, fmt.Sprintf("%.2f", sp))
-			out = append(out, TopologyResult{Topology: topo, Model: model, Scheme: s, Time: times[s], Speedup: sp})
+			out = append(out, TopologyResult{Topology: topo, Model: model, Scheme: s, Time: t, Speedup: sp})
 		}
-		out = append(out, TopologyResult{Topology: topo, Model: model, Scheme: core.StrategyDP, Time: times[core.StrategyDP], Speedup: 1})
+		out = append(out, TopologyResult{Topology: topo, Model: model, Scheme: core.StrategyDP, Time: dp, Speedup: 1})
 		tbl.AddRow(row...)
 	}
 	return out, tbl, nil
@@ -96,21 +90,19 @@ func BatchSweep(cfg Config, model string, batches []int) ([]BatchResult, *report
 		if err != nil {
 			return nil, nil, err
 		}
-		times := map[core.Strategy]float64{}
-		for _, s := range core.Strategies {
-			plan, err := partition(context.TODO(), s, net, tree, nil)
-			if err != nil {
-				return nil, nil, fmt.Errorf("eval: batch %d scheme %v: %w", b, s, err)
-			}
-			times[s] = plan.Time()
+		plans, err := strategyPlans(context.TODO(), net, tree, nil, nil)
+		if err != nil {
+			return nil, nil, fmt.Errorf("eval: batch %d: %w", b, err)
 		}
-		row := []string{fmt.Sprintf("%d", b), fmt.Sprintf("%.4g", times[core.StrategyDP])}
+		dp := plans[core.StrategyDP].Time()
+		row := []string{fmt.Sprintf("%d", b), fmt.Sprintf("%.4g", dp)}
 		for _, s := range core.Strategies[1:] {
-			sp := times[core.StrategyDP] / times[s]
+			t := plans[s].Time()
+			sp := dp / t
 			row = append(row, fmt.Sprintf("%.2f", sp))
-			out = append(out, BatchResult{Batch: b, Model: model, Scheme: s, Time: times[s], Speedup: sp})
+			out = append(out, BatchResult{Batch: b, Model: model, Scheme: s, Time: t, Speedup: sp})
 		}
-		out = append(out, BatchResult{Batch: b, Model: model, Scheme: core.StrategyDP, Time: times[core.StrategyDP], Speedup: 1})
+		out = append(out, BatchResult{Batch: b, Model: model, Scheme: core.StrategyDP, Time: dp, Speedup: 1})
 		tbl.AddRow(row...)
 	}
 	return out, tbl, nil

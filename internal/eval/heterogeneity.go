@@ -63,21 +63,19 @@ func HeterogeneitySweep(cfg Config, model string, boards int) ([]HeterogeneityRe
 		if err != nil {
 			return nil, nil, err
 		}
-		times := map[core.Strategy]float64{}
-		for _, s := range core.Strategies {
-			plan, err := partition(context.TODO(), s, net, tree, nil)
-			if err != nil {
-				return nil, nil, fmt.Errorf("eval: fleet %d+%d scheme %v: %w", v2, v3, s, err)
-			}
-			times[s] = plan.Time()
+		plans, err := strategyPlans(context.TODO(), net, tree, nil, nil)
+		if err != nil {
+			return nil, nil, fmt.Errorf("eval: fleet %d+%d: %w", v2, v3, err)
 		}
-		row := []string{fmt.Sprintf("%d×v2+%d×v3", v2, v3), fmt.Sprintf("%.4g", times[core.StrategyDP])}
+		dp := plans[core.StrategyDP].Time()
+		row := []string{fmt.Sprintf("%d×v2+%d×v3", v2, v3), fmt.Sprintf("%.4g", dp)}
 		for _, s := range core.Strategies[1:] {
-			sp := times[core.StrategyDP] / times[s]
+			t := plans[s].Time()
+			sp := dp / t
 			row = append(row, fmt.Sprintf("%.2f", sp))
-			out = append(out, HeterogeneityResult{V2: v2, V3: v3, Scheme: s, Time: times[s], Speedup: sp})
+			out = append(out, HeterogeneityResult{V2: v2, V3: v3, Scheme: s, Time: t, Speedup: sp})
 		}
-		out = append(out, HeterogeneityResult{V2: v2, V3: v3, Scheme: core.StrategyDP, Time: times[core.StrategyDP], Speedup: 1})
+		out = append(out, HeterogeneityResult{V2: v2, V3: v3, Scheme: core.StrategyDP, Time: dp, Speedup: 1})
 		tbl.AddRow(row...)
 	}
 	return out, tbl, nil

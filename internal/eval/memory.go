@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"accpar/internal/core"
-	"accpar/internal/dnn"
 	"accpar/internal/hardware"
 	"accpar/internal/models"
 	"accpar/internal/report"
@@ -38,8 +37,10 @@ type MemoryCeilingResult struct {
 var ceilingSchemes = []core.Strategy{core.StrategyDP, core.StrategyOWT, core.StrategyAccPar}
 
 // MemoryCeilingSweep partitions the model on the heterogeneous array with
-// every board's HBM scaled by each fraction, planning under MemoryReject,
-// and tabulates makespan or infeasibility per scheme. Empty fractions
+// every board's HBM scaled by each fraction, planning under MemoryReject
+// in one AccPar portfolio run per fraction (a baseline is infeasible when
+// its variant has no fitting plan), and tabulates makespan or
+// infeasibility per scheme. Empty fractions
 // default to a descending ladder that brackets every scheme's knee at the
 // paper's scale.
 func MemoryCeilingSweep(cfg Config, model string, fractions []float64) ([]MemoryCeilingResult, *report.Table, error) {
@@ -73,15 +74,15 @@ func MemoryCeilingSweep(cfg Config, model string, fractions []float64) ([]Memory
 			fmt.Sprintf("1/%g", 1/f),
 			fmt.Sprintf("%s/%s", gib(v2.HBMBytes), gib(v3.HBMBytes)),
 		}
+		plans, err := strategyPlans(context.TODO(), net, tree, cfg.Cache, func(o *core.Options) { o.MemoryLimit = core.MemoryReject })
+		if err != nil && !errors.Is(err, core.ErrNoFeasiblePlan) {
+			return nil, nil, fmt.Errorf("eval: ceiling 1/%g: %w", 1/f, err)
+		}
 		for _, s := range ceilingSchemes {
 			r := MemoryCeilingResult{Fraction: f, Model: model, Scheme: s}
-			plan, err := partitionRejecting(s, net, tree, cfg.Cache)
-			switch {
-			case errors.Is(err, core.ErrNoFeasiblePlan):
+			if plan := plans[s]; plan == nil {
 				row = append(row, "infeasible")
-			case err != nil:
-				return nil, nil, fmt.Errorf("eval: ceiling 1/%g scheme %v: %w", 1/f, s, err)
-			default:
+			} else {
 				r.Feasible = true
 				r.Time = plan.Time()
 				row = append(row, fmt.Sprintf("%.4g s", r.Time))
@@ -91,18 +92,6 @@ func MemoryCeilingSweep(cfg Config, model string, fractions []float64) ([]Memory
 		tbl.AddRow(row...)
 	}
 	return out, tbl, nil
-}
-
-// partitionRejecting runs one scheme under the reject-mode constraint:
-// the AccPar portfolio with every variant constrained, or the baseline's
-// single constrained configuration.
-func partitionRejecting(s core.Strategy, net *dnn.Network, tree *hardware.Tree, cache *core.SharedCache) (*core.Plan, error) {
-	opts := s.Variants()
-	for i := range opts {
-		opts[i].MemoryLimit = core.MemoryReject
-		opts[i].Cache = cache
-	}
-	return core.PartitionCtx(context.TODO(), net, tree, opts...)
 }
 
 // gib renders a capacity in GiB with sub-GiB values kept readable.

@@ -1,10 +1,10 @@
 // Package parallel provides the bounded fan-out the evaluation engines
 // share: a deterministic slot-indexed ForEach, with or without a context,
 // for work items that are independent requests (design-space sweep
-// candidates, the strategies a comparison plans, the points of an
-// evaluation sweep). A single request never forks: a search, a
-// portfolio's option sets and a replan's passes run in turn on the
-// goroutine that runs the request. The module deliberately avoids
+// candidates, the models of a speedup sweep, the hierarchy depths of
+// Figure 8). A single request never forks: a search, a portfolio's option
+// sets — a comparison's four strategies among them — and a replan's
+// passes run in turn on the goroutine that runs the request. The module deliberately avoids
 // external dependencies (golang.org/x/sync is not vendored), so this is a
 // small self-contained equivalent.
 //

@@ -8,7 +8,6 @@ import (
 	"accpar/internal/core"
 	"accpar/internal/diag"
 	"accpar/internal/hardware"
-	"accpar/internal/parallel"
 )
 
 // PlanCache is the shared cross-run plan cache: a concurrency-safe,
@@ -119,36 +118,35 @@ func (s *Session) PartitionWithOptionsCtx(ctx context.Context, net *Network, arr
 	return partitionCtx(ctx, net, arr, maxLevels, s.cache, nil, opt)
 }
 
-// Compare partitions the network with all four strategies concurrently
-// over one hardware tree, every strategy searching through the session
-// cache. Plans are identical to four serial Partition calls.
+// Compare partitions the network with all four strategies through the
+// session cache. The AccPar portfolio already searches the three
+// baselines as variants, so one portfolio run answers every strategy, on
+// the calling goroutine: plans are identical to four Partition calls,
+// and the cache sees exactly the lookups of one Partition with
+// StrategyAccPar.
 func (s *Session) Compare(net *Network, arr *Array) (*Comparison, error) {
 	return s.CompareCtx(context.Background(), net, arr)
 }
 
-// CompareCtx is Compare bound to a context: strategies not yet started
-// when ctx is done are never dispatched, and running ones abort at their
-// next cancellation probe.
+// CompareCtx is Compare bound to a context: variants not yet started
+// when ctx is done never run, and a running one aborts at its next
+// cancellation probe with ErrCanceled or ErrDeadlineExceeded.
 func (s *Session) CompareCtx(ctx context.Context, net *Network, arr *Array) (*Comparison, error) {
 	tree, err := hardware.BuildTree(arr, 64)
 	if err != nil {
 		return nil, err
 	}
-	plans := make([]*Plan, len(Strategies))
-	err = parallel.ForEachCtx(ctx, len(Strategies), 0, func(i int) error {
-		plan, err := searchTree(ctx, net, tree, s.cache, nil, Strategies[i].Variants())
-		if err != nil {
-			return fmt.Errorf("accpar: %v: %w", Strategies[i], err)
-		}
-		plans[i] = plan
-		return nil
-	})
+	opts := StrategyAccPar.Variants()
+	for i := range opts {
+		opts[i].Cache = s.cache
+	}
+	plans, winner, err := core.PartitionAllCtx(ctx, net, tree, opts...)
 	if err != nil {
-		return nil, core.WrapCtxErr(err)
+		return nil, err
 	}
 	c := &Comparison{Plans: map[Strategy]*Plan{}}
-	for i, st := range Strategies {
-		c.Plans[st] = plans[i]
+	for _, st := range Strategies {
+		c.Plans[st] = plans[st.Variant(winner)]
 	}
 	return c, nil
 }

@@ -21,10 +21,10 @@ func planBytes(t *testing.T, p *Plan) []byte {
 	return b.Bytes()
 }
 
-// TestSessionCompareMatchesSerial: the parallel, cache-sharing Compare,
-// whose four strategies search one shared hardware tree, must produce
-// plans byte-identical to four independent Partition calls, on the
-// two-kind paper fleet and on a fleet of three board kinds.
+// TestSessionCompareMatchesSerial: the cache-sharing Compare, whose one
+// portfolio run answers all four strategies, must produce plans
+// byte-identical to four independent Partition calls, on the two-kind
+// paper fleet and on a fleet of three board kinds.
 func TestSessionCompareMatchesSerial(t *testing.T) {
 	net, err := BuildModel("alexnet", 64)
 	if err != nil {
@@ -61,6 +61,38 @@ func TestSessionCompareMatchesSerial(t *testing.T) {
 		}
 		if st := sess.CacheStats(); st.Hits == 0 {
 			t.Errorf("%s: two Compare passes shared nothing: %+v", arr.Name, st)
+		}
+	}
+}
+
+// TestCompareLookupsAreOnePortfolio: Compare answers the baselines from
+// the AccPar portfolio's own variants instead of searching them again, so
+// on a fresh Session it makes exactly the cache lookups (hits plus
+// misses) of one Partition with StrategyAccPar on another fresh Session.
+func TestCompareLookupsAreOnePortfolio(t *testing.T) {
+	mixed, err := ParseFleet("edge-npu:3,tpu-v2:2,tpu-v3:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []string{"alexnet", "resnet18"} {
+		net, err := BuildModel(model, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, arr := range []*Array{paperArray(t, 4), mixed} {
+			cmp := NewSession(0)
+			if _, err := cmp.Compare(net, arr); err != nil {
+				t.Fatal(err)
+			}
+			one := NewSession(0)
+			if _, err := one.Partition(net, arr, StrategyAccPar); err != nil {
+				t.Fatal(err)
+			}
+			got, want := cmp.CacheStats(), one.CacheStats()
+			if got.Hits+got.Misses != want.Hits+want.Misses {
+				t.Errorf("%s on %s: Compare made %d lookups (%+v), one AccPar portfolio %d (%+v)",
+					model, arr.Name, got.Hits+got.Misses, got, want.Hits+want.Misses, want)
+			}
 		}
 	}
 }
