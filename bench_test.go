@@ -109,15 +109,16 @@ func BenchmarkFigure8Hierarchy(b *testing.B) {
 
 // BenchmarkTable8Flexibility regenerates Table 8: the flexibility ordering
 // DP ≺ OWT ≺ HyPar ≺ AccPar, quantified as the number of distinct
-// (model, layer, type) configurations each scheme selects.
+// (model, layer, type) configurations each scheme selects. Table 8 reads
+// the Figure 5 sweep, so each iteration runs that sweep and counts.
 func BenchmarkTable8Flexibility(b *testing.B) {
 	var rows []eval.FlexibilityRow
-	var err error
 	for i := 0; i < b.N; i++ {
-		rows, _, err = eval.Table8(eval.Config{})
+		fr, err := eval.Figure5(eval.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		rows, _ = eval.Table8(fr.Results)
 	}
 	b.ReportMetric(float64(rows[0].DistinctConfigs), "configs_dp")
 	b.ReportMetric(float64(rows[3].DistinctConfigs), "configs_accpar")
@@ -125,14 +126,16 @@ func BenchmarkTable8Flexibility(b *testing.B) {
 
 // benchAblation measures the geomean slowdown of removing one design
 // element from AccPar across the nine models on the heterogeneous array.
+// The ablations read the Figure 5 sweep, so each iteration runs that
+// sweep and reads them off it.
 func benchAblation(b *testing.B, a eval.Ablation) {
 	var results []eval.AblationResult
-	var err error
 	for i := 0; i < b.N; i++ {
-		results, _, err = eval.RunAblations(eval.Config{})
+		fr, err := eval.Figure5(eval.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		results, _ = eval.RunAblations(fr.Results)
 	}
 	prod, n := 1.0, 0
 	for _, r := range results {

@@ -365,17 +365,15 @@ func runLoad(cfg config) (*report, error) {
 			}(w)
 		}
 	case "open":
-		// Fixed arrival process: one goroutine per request, launched on a
-		// ticker regardless of how many are still in flight — the server
-		// slowing down does not slow the offered load.
-		interval := time.Duration(float64(time.Second) / cfg.Rate)
-		if interval <= 0 {
-			interval = time.Nanosecond
-		}
+		// Fixed arrival process: arrival i is due at start + i/rate and
+		// launches its own goroutine however many are still in flight, so
+		// the server slowing down does not slow the offered load. A late
+		// loop launches the arrivals it owes at once rather than skipping
+		// them, so a run offers exactly ⌊duration·rate⌋ requests.
+		arrivals := int(cfg.Duration.Seconds() * cfg.Rate)
 		rng := rand.New(rand.NewSource(cfg.Seed))
-		ticker := time.NewTicker(interval)
-		for time.Now().Before(deadline) {
-			<-ticker.C
+		for i := 0; i < arrivals; i++ {
+			time.Sleep(time.Until(start.Add(time.Duration(float64(i) / cfg.Rate * float64(time.Second)))))
 			ep := pick(eps, rng)
 			seed := rng.Int63()
 			wg.Add(1)
@@ -384,7 +382,6 @@ func runLoad(cfg config) (*report, error) {
 				fire(client, cfg, ep, rand.New(rand.NewSource(seed)), deadline)
 			}()
 		}
-		ticker.Stop()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)

@@ -119,6 +119,30 @@ func TestRunLoadOpenLoop(t *testing.T) {
 	}
 }
 
+// TestOpenLoopSendsEveryArrival: open mode offers exactly
+// ⌊duration·rate⌋ logical requests in every run, even when its arrival
+// loop runs late; a ticker that drops late ticks sends fewer.
+func TestOpenLoopSendsEveryArrival(t *testing.T) {
+	ts, _, _ := stubServe(1 << 30)
+	defer ts.Close()
+	cfg := config{
+		URL: ts.URL, Mode: "open", Rate: 1000,
+		Duration: 200 * time.Millisecond, Mix: "plan=1",
+		Model: "lenet", Batch: 32, V2: 2, V3: 2, Levels: 4,
+		ClientTimeout: 5 * time.Second, MaxRetries: 0, Seed: 1,
+	}
+	want := int64(cfg.Duration.Seconds() * cfg.Rate)
+	for run := 0; run < 5; run++ {
+		rep, err := runLoad(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Totals.Sent != want {
+			t.Errorf("run %d sent %d requests, want %d", run, rep.Totals.Sent, want)
+		}
+	}
+}
+
 func TestDistinctBodiesRotate(t *testing.T) {
 	reg := obs.NewRegistry()
 	eps, err := buildEndpoints(config{

@@ -1,11 +1,9 @@
 package eval
 
 import (
-	"context"
 	"fmt"
 
 	"accpar/internal/core"
-	"accpar/internal/models"
 	"accpar/internal/report"
 )
 
@@ -70,33 +68,22 @@ type AblationResult struct {
 	Slowdown float64
 }
 
-// RunAblations evaluates every ablation on the heterogeneous array. Each
-// ablation is a variant of the AccPar portfolio, so one portfolio run per
-// model yields the full plan (its winner) and every ablated plan.
-func RunAblations(cfg Config) ([]AblationResult, *report.Table, error) {
-	cfg = cfg.withDefaults()
-	tree, err := HeterogeneousTree(cfg.PerKind)
-	if err != nil {
-		return nil, nil, err
-	}
+// RunAblations evaluates every ablation on a speedup sweep's results (the
+// paper's are Figure 5's, on the heterogeneous array). Each ablation is a
+// variant of the AccPar portfolio, so each model's run already holds the
+// full plan (its winner) and every ablated plan; RunAblations searches
+// nothing.
+func RunAblations(results []ModelResult) ([]AblationResult, *report.Table) {
 	var out []AblationResult
 	tbl := report.NewTable("AccPar ablations (slowdown vs full AccPar)", "model", "comm-only", "no Type-III", "equal ratio", "linearized")
-	for _, name := range cfg.Models {
-		net, err := models.BuildNetwork(name, cfg.Batch)
-		if err != nil {
-			return nil, nil, err
-		}
-		plans, winner, err := portfolio(context.TODO(), net, tree, nil, nil)
-		if err != nil {
-			return nil, nil, fmt.Errorf("eval: ablations on %s: %w", name, err)
-		}
-		full := plans[winner]
+	for _, res := range results {
+		full := res.Variants[res.Winner]
 		row := []float64{}
 		for _, a := range Ablations {
-			plan := plans[a.Variant()]
+			plan := res.Variants[a.Variant()]
 			r := AblationResult{
 				Ablation: a,
-				Model:    name,
+				Model:    res.Model,
 				FullTime: full.Time(),
 				Time:     plan.Time(),
 				Slowdown: plan.Time() / full.Time(),
@@ -104,7 +91,7 @@ func RunAblations(cfg Config) ([]AblationResult, *report.Table, error) {
 			out = append(out, r)
 			row = append(row, r.Slowdown)
 		}
-		tbl.AddFloatRow(name, 3, row...)
+		tbl.AddFloatRow(res.Model, 3, row...)
 	}
-	return out, tbl, nil
+	return out, tbl
 }

@@ -55,43 +55,37 @@ func (fr *FigureResult) WriteSeriesCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ExportAll regenerates Figures 5, 6 and 8 and writes them as CSV files
-// into dir (figure5.csv, figure6.csv, figure8.csv), returning the paths.
-func ExportAll(cfg Config, dir string) ([]string, error) {
+// ExportAll writes Figures 5, 6 and 8, as made by Figure5, Figure6 and
+// Figure8, as CSV files into dir (figure5.csv, figure6.csv, figure8.csv),
+// returning the paths. It searches nothing.
+func ExportAll(dir string, fig5, fig6, fig8 *FigureResult) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	files := []struct {
+		name  string
+		fr    *FigureResult
+		write func(*FigureResult, io.Writer) error
+	}{
+		{"figure5.csv", fig5, (*FigureResult).WriteCSV},
+		{"figure6.csv", fig6, (*FigureResult).WriteCSV},
+		{"figure8.csv", fig8, (*FigureResult).WriteSeriesCSV},
+	}
 	var paths []string
-	write := func(name string, gen func() (*FigureResult, error), series bool) error {
-		fr, err := gen()
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(dir, name)
+	for _, file := range files {
+		path := filepath.Join(dir, file.name)
 		f, err := os.Create(path)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		defer f.Close()
-		if series {
-			err = fr.WriteSeriesCSV(f)
-		} else {
-			err = fr.WriteCSV(f)
+		err = file.write(file.fr, f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 		paths = append(paths, path)
-		return nil
-	}
-	if err := write("figure5.csv", func() (*FigureResult, error) { return Figure5(cfg) }, false); err != nil {
-		return nil, err
-	}
-	if err := write("figure6.csv", func() (*FigureResult, error) { return Figure6(cfg) }, false); err != nil {
-		return nil, err
-	}
-	if err := write("figure8.csv", func() (*FigureResult, error) { return Figure8(cfg) }, true); err != nil {
-		return nil, err
 	}
 	return paths, nil
 }

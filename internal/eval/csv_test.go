@@ -66,7 +66,15 @@ func TestSeriesCSV(t *testing.T) {
 
 func TestExportAll(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "csv")
-	paths, err := ExportAll(smallCfg(), dir)
+	var figs []*FigureResult
+	for _, gen := range []func(Config) (*FigureResult, error){Figure5, Figure6, Figure8} {
+		fr, err := gen(smallCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		figs = append(figs, fr)
+	}
+	paths, err := ExportAll(dir, figs[0], figs[1], figs[2])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ package eval
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"accpar/internal/core"
@@ -25,8 +24,8 @@ import (
 // set of StrategyAccPar.Variants searches through cache (nil: a private
 // memo; plans are byte-identical either way), after set, when non-nil,
 // adjusts it. The variants include the three baselines and every
-// ablation, so this one run answers each strategy (strategyPlans) and
-// each ablation (RunAblations).
+// ablation, so this one run answers each strategy (Strategy.Variant) and
+// each ablation (Ablation.Variant).
 func portfolio(ctx context.Context, net *dnn.Network, tree *hardware.Tree, cache *core.SharedCache, set func(*core.Options)) ([]*core.Plan, int, error) {
 	opts := core.StrategyAccPar.Variants()
 	for i := range opts {
@@ -38,21 +37,22 @@ func portfolio(ctx context.Context, net *dnn.Network, tree *hardware.Tree, cache
 	return core.PartitionAllCtx(ctx, net, tree, opts...)
 }
 
-// strategyPlans is one portfolio run's plan per strategy. A strategy
-// with no fitting plan maps to nil; when none fits at all the error is
-// also ErrNoFeasiblePlan. Any other error returns no plans.
-func strategyPlans(ctx context.Context, net *dnn.Network, tree *hardware.Tree, cache *core.SharedCache, set func(*core.Options)) (map[core.Strategy]*core.Plan, error) {
+// measure is one portfolio run, labelled label, with every strategy's
+// time and speedup over DP. Its callers plan without a memory limit, so
+// every variant has a plan; any error returns no result.
+func measure(ctx context.Context, label string, net *dnn.Network, tree *hardware.Tree, cache *core.SharedCache, set func(*core.Options)) (ModelResult, error) {
 	plans, winner, err := portfolio(ctx, net, tree, cache, set)
-	if err != nil && !errors.Is(err, core.ErrNoFeasiblePlan) {
-		return nil, err
+	if err != nil {
+		return ModelResult{}, err
 	}
-	out := make(map[core.Strategy]*core.Plan, len(core.Strategies))
+	r := ModelResult{Model: label, Variants: plans, Winner: winner, Time: map[core.Strategy]float64{}, Speedup: map[core.Strategy]float64{}}
 	for _, s := range core.Strategies {
-		if i := s.Variant(winner); i >= 0 {
-			out[s] = plans[i]
-		}
+		r.Time[s] = r.Plan(s).Time()
 	}
-	return out, err
+	for _, s := range core.Strategies {
+		r.Speedup[s] = r.Time[core.StrategyDP] / r.Time[s]
+	}
+	return r, nil
 }
 
 // Config sizes the experiments. The zero value is upgraded to the paper's
@@ -63,10 +63,6 @@ type Config struct {
 	PerKind int
 	HomSize int
 	Models  []string
-	// Cache, when non-nil, is the shared cross-run plan cache every
-	// partition of the experiment suite seeds from and feeds — repeated
-	// sweeps (parameter studies, warm CI runs) then re-solve nothing.
-	Cache *core.SharedCache
 }
 
 func (c Config) withDefaults() Config {
@@ -97,28 +93,37 @@ func HeterogeneousTree(perKind int) (*hardware.Tree, error) {
 	return hardware.BuildTree(arr, 64)
 }
 
-// ModelResult is one model's outcome across the four schemes.
+// ModelResult is one model's outcome across the four schemes: its AccPar
+// portfolio run and what each scheme's plan in it costs.
 type ModelResult struct {
 	Model string
-	// Plans is each scheme's plan.
-	Plans map[core.Strategy]*core.Plan
+	// Variants is every plan of the run, indexed like
+	// core.StrategyAccPar.Variants, and Winner indexes the fastest. A
+	// scheme's plan is Variants[Strategy.Variant(Winner)] (Plan), an
+	// ablation's Variants[Ablation.Variant()].
+	Variants []*core.Plan
+	Winner   int
 	// Time is modelled per-iteration time per scheme, seconds.
 	Time map[core.Strategy]float64
 	// Speedup is normalized to DP, the paper's baseline.
 	Speedup map[core.Strategy]float64
 }
 
+// Plan returns the scheme's plan.
+func (r ModelResult) Plan(s core.Strategy) *core.Plan { return r.Variants[s.Variant(r.Winner)] }
+
 // SpeedupSweep partitions every model with every scheme on the tree and
 // normalizes to data parallelism. Each model is one AccPar portfolio run,
-// whose variants include the three baselines, so the run answers all four
-// schemes. The models are independent searches, so they run across a
-// worker pool; each model's result lands in its own slot, so the returned
-// order (and on error, the reported model) matches the serial sweep
-// exactly. Every search seeds from and feeds cache (nil for the uncached
-// sweep), so a warm cache turns the whole sweep into lookups. ctx bounds
-// the searches and may carry a request-scoped tracer (obs.WithTracer):
-// per-model sweep spans land in that tracer, so concurrent sweeps each
-// trace in isolation.
+// whose variants include the three baselines and the ablations, so its
+// result answers all four schemes, Table8 and RunAblations. The models
+// are independent searches, so they run across a worker pool; each
+// model's result lands in its own slot, so the returned order (and on
+// error, the reported model) matches the serial sweep exactly. Every
+// search seeds from and feeds cache (nil for the uncached sweep), so a
+// warm cache turns a repeated sweep, such as a parameter study, into
+// lookups. ctx bounds the searches and may carry a request-scoped tracer
+// (obs.WithTracer): per-model sweep spans land in that tracer, so
+// concurrent sweeps each trace in isolation.
 func SpeedupSweep(ctx context.Context, tree *hardware.Tree, modelNames []string, batch int, cache *core.SharedCache) ([]ModelResult, error) {
 	out := make([]ModelResult, len(modelNames))
 	err := parallel.ForEach(len(modelNames), 0, func(i int) error {
@@ -131,18 +136,9 @@ func SpeedupSweep(ctx context.Context, tree *hardware.Tree, modelNames []string,
 		if err != nil {
 			return fmt.Errorf("eval: %s: %w", name, err)
 		}
-		plans, err := strategyPlans(ctx, net, tree, cache, nil)
-		if err != nil {
+		if out[i], err = measure(ctx, name, net, tree, cache, nil); err != nil {
 			return fmt.Errorf("eval: %s: %w", name, err)
 		}
-		r := ModelResult{Model: name, Plans: plans, Time: map[core.Strategy]float64{}, Speedup: map[core.Strategy]float64{}}
-		for _, s := range core.Strategies {
-			r.Time[s] = plans[s].Time()
-		}
-		for _, s := range core.Strategies {
-			r.Speedup[s] = r.Time[core.StrategyDP] / r.Time[s]
-		}
-		out[i] = r
 		return nil
 	})
 	if err != nil {
@@ -161,7 +157,9 @@ type FigureResult struct {
 	Results []ModelResult
 }
 
-// render assembles the presentation pieces from sweep results.
+// render assembles the presentation pieces from sweep results: one table
+// row and one series point per result, labelled by its Model, under the
+// x label xlabel.
 func render(name, xlabel string, results []ModelResult) *FigureResult {
 	fr := &FigureResult{
 		Name:    name,
@@ -186,23 +184,31 @@ func render(name, xlabel string, results []ModelResult) *FigureResult {
 		}
 		fr.Geomean[s] = report.Geomean(vals)
 	}
-	fr.Table.AddFloatRow("geomean", 2, fr.Geomean[core.StrategyDP], fr.Geomean[core.StrategyOWT], fr.Geomean[core.StrategyHyPar], fr.Geomean[core.StrategyAccPar])
 	return fr
 }
 
+// modelFigure is the speedup sweep of every model on tree, rendered with
+// a closing geomean row (Figures 5 and 6).
+func modelFigure(name string, tree *hardware.Tree, cfg Config) (*FigureResult, error) {
+	results, err := SpeedupSweep(context.TODO(), tree, cfg.Models, cfg.Batch, nil)
+	if err != nil {
+		return nil, err
+	}
+	fr := render(name, "model", results)
+	fr.Table.AddFloatRow("geomean", 2, fr.Geomean[core.StrategyDP], fr.Geomean[core.StrategyOWT], fr.Geomean[core.StrategyHyPar], fr.Geomean[core.StrategyAccPar])
+	return fr, nil
+}
+
 // Figure5 reproduces the heterogeneous-array speedups (Section 6.2): nine
-// DNNs on 128 TPU-v2 + 128 TPU-v3, normalized to data parallelism.
+// DNNs on 128 TPU-v2 + 128 TPU-v3, normalized to data parallelism. Its
+// Results also feed Table8 and RunAblations.
 func Figure5(cfg Config) (*FigureResult, error) {
 	cfg = cfg.withDefaults()
 	tree, err := HeterogeneousTree(cfg.PerKind)
 	if err != nil {
 		return nil, err
 	}
-	results, err := SpeedupSweep(context.TODO(), tree, cfg.Models, cfg.Batch, cfg.Cache)
-	if err != nil {
-		return nil, err
-	}
-	return render("Figure 5: speedup on heterogeneous array (vs DP)", "model", results), nil
+	return modelFigure("Figure 5: speedup on heterogeneous array (vs DP)", tree, cfg)
 }
 
 // Figure6 reproduces the homogeneous-array speedups (Section 6.3): nine
@@ -217,11 +223,7 @@ func Figure6(cfg Config) (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := SpeedupSweep(context.TODO(), tree, cfg.Models, cfg.Batch, cfg.Cache)
-	if err != nil {
-		return nil, err
-	}
-	return render("Figure 6: speedup on homogeneous array (vs DP)", "model", results), nil
+	return modelFigure("Figure 6: speedup on homogeneous array (vs DP)", tree, cfg)
 }
 
 // Figure7 reproduces the AlexNet partition-type map: the types AccPar
@@ -264,52 +266,27 @@ func Figure8(cfg Config) (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fr := &FigureResult{
-		Name:    "Figure 8: speedup vs hierarchy level on Vgg19 (heterogeneous array)",
-		Table:   report.NewTable("Figure 8: speedup vs hierarchy level on Vgg19 (heterogeneous array)", "h", "DP", "OWT", "HyPar", "AccPar"),
-		Series:  map[core.Strategy]*report.Series{},
-		Geomean: map[core.Strategy]float64{},
-	}
-	for _, s := range core.Strategies {
-		fr.Series[s] = &report.Series{Name: s.String(), XLabel: "hierarchy level", YLabel: "speedup vs DP"}
-	}
 	// The h values are independent sweeps: run them across the worker
-	// pool, collect per-slot, and assemble rows serially in h order so the
-	// table is identical to the serial loop's.
+	// pool, each into its own slot, so the rows come out in h order.
 	const hLo, hHi = 2, 9
-	rows := make([][]float64, hHi-hLo+1)
-	err = parallel.ForEach(len(rows), 0, func(k int) error {
+	results := make([]ModelResult, hHi-hLo+1)
+	err = parallel.ForEach(len(results), 0, func(k int) error {
 		h := hLo + k
 		tree, err := hardware.BuildTree(arr, h-1)
 		if err != nil {
 			return err
 		}
-		plans, err := strategyPlans(context.TODO(), net, tree, cfg.Cache, nil)
-		if err != nil {
+		if results[k], err = measure(context.TODO(), fmt.Sprintf("h=%d", h), net, tree, nil, nil); err != nil {
 			return fmt.Errorf("eval: figure8 h=%d: %w", h, err)
 		}
-		row := []float64{1.0}
-		for _, s := range core.Strategies[1:] {
-			row = append(row, plans[core.StrategyDP].Time()/plans[s].Time())
-		}
-		rows[k] = row
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var speedups = map[core.Strategy][]float64{}
-	for k, row := range rows {
-		label := fmt.Sprintf("h=%d", hLo+k)
-		fr.Table.AddFloatRow(label, 2, row...)
-		for i, s := range core.Strategies {
-			sp := row[i]
-			fr.Series[s].Add(label, sp)
-			speedups[s] = append(speedups[s], sp)
-		}
-	}
-	for _, s := range core.Strategies {
-		fr.Geomean[s] = report.Geomean(speedups[s])
+	fr := render("Figure 8: speedup vs hierarchy level on Vgg19 (heterogeneous array)", "h", results)
+	for _, s := range fr.Series {
+		s.XLabel = "hierarchy level"
 	}
 	return fr, nil
 }
@@ -325,19 +302,10 @@ type FlexibilityRow struct {
 	Geomean         float64
 }
 
-// Table8 computes the flexibility comparison on the heterogeneous array:
-// it runs the Figure 5 speedup sweep and counts each scheme's
-// configurations on the plans that sweep made.
-func Table8(cfg Config) ([]FlexibilityRow, *report.Table, error) {
-	cfg = cfg.withDefaults()
-	tree, err := HeterogeneousTree(cfg.PerKind)
-	if err != nil {
-		return nil, nil, err
-	}
-	results, err := SpeedupSweep(context.TODO(), tree, cfg.Models, cfg.Batch, cfg.Cache)
-	if err != nil {
-		return nil, nil, err
-	}
+// Table8 computes the flexibility comparison from a speedup sweep's
+// results (the paper's are Figure 5's): it counts each scheme's
+// configurations on the plans that sweep made, and searches nothing.
+func Table8(results []ModelResult) ([]FlexibilityRow, *report.Table) {
 	var rows []FlexibilityRow
 	tbl := report.NewTable("Table 8: flexibility of DP, OWT, HyPar and AccPar", "scheme", "configuration", "distinct configs", "geomean speedup")
 	for _, s := range core.Strategies {
@@ -345,7 +313,7 @@ func Table8(cfg Config) ([]FlexibilityRow, *report.Table, error) {
 		configs := map[string]bool{}
 		for _, r := range results {
 			vals = append(vals, r.Speedup[s])
-			plan := r.Plans[s]
+			plan := r.Plan(s)
 			units := plan.Network.Units()
 			for _, lvl := range plan.Levels() {
 				for i, ty := range lvl.Types {
@@ -369,5 +337,5 @@ func Table8(cfg Config) ([]FlexibilityRow, *report.Table, error) {
 		}
 		tbl.AddRow(s.String(), mode, fmt.Sprintf("%d", row.DistinctConfigs), fmt.Sprintf("%.2f", row.Geomean))
 	}
-	return rows, tbl, nil
+	return rows, tbl
 }

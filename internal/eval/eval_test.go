@@ -160,10 +160,11 @@ func TestFigure8Scalability(t *testing.T) {
 }
 
 func TestTable8FlexibilityOrdering(t *testing.T) {
-	rows, tbl, err := Table8(smallCfg())
+	fig5, err := Figure5(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows, tbl := Table8(fig5.Results)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -188,10 +189,11 @@ func TestTable8FlexibilityOrdering(t *testing.T) {
 func TestRunAblations(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Models = []string{"alexnet", "resnet18"}
-	results, tbl, err := RunAblations(cfg)
+	fig5, err := Figure5(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results, tbl := RunAblations(fig5.Results)
 	if len(results) != len(cfg.Models)*len(Ablations) {
 		t.Fatalf("results = %d", len(results))
 	}

@@ -17,6 +17,20 @@ import (
 // appeal should grow with batch size (Section 6.2's model-size vs
 // compute-density argument).
 
+// pointOrder is the order a sweep lists one point's schemes in: the
+// three that are measured against DP, then DP itself.
+var pointOrder = []core.Strategy{core.StrategyOWT, core.StrategyHyPar, core.StrategyAccPar, core.StrategyDP}
+
+// row is a sweep table's row for r: its label, DP's time and the other
+// schemes' speedups over DP.
+func (r ModelResult) row() []string {
+	row := []string{r.Model, fmt.Sprintf("%.4g", r.Time[core.StrategyDP])}
+	for _, s := range core.Strategies[1:] {
+		row = append(row, fmt.Sprintf("%.2f", r.Speedup[s]))
+	}
+	return row
+}
+
 // TopologyResult is one (topology, scheme) outcome.
 type TopologyResult struct {
 	Topology hardware.Topology
@@ -43,20 +57,14 @@ func TopologySweep(cfg Config, model string) ([]TopologyResult, *report.Table, e
 		fmt.Sprintf("Topology sensitivity on %s (speedup vs DP per topology)", model),
 		"topology", "DP time (s)", "OWT", "HyPar", "AccPar")
 	for _, topo := range hardware.Topologies {
-		plans, err := strategyPlans(context.TODO(), net, tree, nil, func(o *core.Options) { o.Topology = topo })
+		r, err := measure(context.TODO(), topo.String(), net, tree, nil, func(o *core.Options) { o.Topology = topo })
 		if err != nil {
 			return nil, nil, fmt.Errorf("eval: topology %v: %w", topo, err)
 		}
-		dp := plans[core.StrategyDP].Time()
-		row := []string{topo.String(), fmt.Sprintf("%.4g", dp)}
-		for _, s := range core.Strategies[1:] {
-			t := plans[s].Time()
-			sp := dp / t
-			row = append(row, fmt.Sprintf("%.2f", sp))
-			out = append(out, TopologyResult{Topology: topo, Model: model, Scheme: s, Time: t, Speedup: sp})
+		for _, s := range pointOrder {
+			out = append(out, TopologyResult{Topology: topo, Model: model, Scheme: s, Time: r.Time[s], Speedup: r.Speedup[s]})
 		}
-		out = append(out, TopologyResult{Topology: topo, Model: model, Scheme: core.StrategyDP, Time: dp, Speedup: 1})
-		tbl.AddRow(row...)
+		tbl.AddRow(r.row()...)
 	}
 	return out, tbl, nil
 }
@@ -90,20 +98,14 @@ func BatchSweep(cfg Config, model string, batches []int) ([]BatchResult, *report
 		if err != nil {
 			return nil, nil, err
 		}
-		plans, err := strategyPlans(context.TODO(), net, tree, nil, nil)
+		r, err := measure(context.TODO(), fmt.Sprintf("%d", b), net, tree, nil, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("eval: batch %d: %w", b, err)
 		}
-		dp := plans[core.StrategyDP].Time()
-		row := []string{fmt.Sprintf("%d", b), fmt.Sprintf("%.4g", dp)}
-		for _, s := range core.Strategies[1:] {
-			t := plans[s].Time()
-			sp := dp / t
-			row = append(row, fmt.Sprintf("%.2f", sp))
-			out = append(out, BatchResult{Batch: b, Model: model, Scheme: s, Time: t, Speedup: sp})
+		for _, s := range pointOrder {
+			out = append(out, BatchResult{Batch: b, Model: model, Scheme: s, Time: r.Time[s], Speedup: r.Speedup[s]})
 		}
-		out = append(out, BatchResult{Batch: b, Model: model, Scheme: core.StrategyDP, Time: dp, Speedup: 1})
-		tbl.AddRow(row...)
+		tbl.AddRow(r.row()...)
 	}
 	return out, tbl, nil
 }

@@ -63,20 +63,14 @@ func HeterogeneitySweep(cfg Config, model string, boards int) ([]HeterogeneityRe
 		if err != nil {
 			return nil, nil, err
 		}
-		plans, err := strategyPlans(context.TODO(), net, tree, nil, nil)
+		r, err := measure(context.TODO(), fmt.Sprintf("%d×v2+%d×v3", v2, v3), net, tree, nil, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("eval: fleet %d+%d: %w", v2, v3, err)
 		}
-		dp := plans[core.StrategyDP].Time()
-		row := []string{fmt.Sprintf("%d×v2+%d×v3", v2, v3), fmt.Sprintf("%.4g", dp)}
-		for _, s := range core.Strategies[1:] {
-			t := plans[s].Time()
-			sp := dp / t
-			row = append(row, fmt.Sprintf("%.2f", sp))
-			out = append(out, HeterogeneityResult{V2: v2, V3: v3, Scheme: s, Time: t, Speedup: sp})
+		for _, s := range pointOrder {
+			out = append(out, HeterogeneityResult{V2: v2, V3: v3, Scheme: s, Time: r.Time[s], Speedup: r.Speedup[s]})
 		}
-		out = append(out, HeterogeneityResult{V2: v2, V3: v3, Scheme: core.StrategyDP, Time: dp, Speedup: 1})
-		tbl.AddRow(row...)
+		tbl.AddRow(r.row()...)
 	}
 	return out, tbl, nil
 }

@@ -74,13 +74,17 @@ func MemoryCeilingSweep(cfg Config, model string, fractions []float64) ([]Memory
 			fmt.Sprintf("1/%g", 1/f),
 			fmt.Sprintf("%s/%s", gib(v2.HBMBytes), gib(v3.HBMBytes)),
 		}
-		plans, err := strategyPlans(context.TODO(), net, tree, cfg.Cache, func(o *core.Options) { o.MemoryLimit = core.MemoryReject })
+		plans, winner, err := portfolio(context.TODO(), net, tree, nil, func(o *core.Options) { o.MemoryLimit = core.MemoryReject })
 		if err != nil && !errors.Is(err, core.ErrNoFeasiblePlan) {
 			return nil, nil, fmt.Errorf("eval: ceiling 1/%g: %w", 1/f, err)
 		}
 		for _, s := range ceilingSchemes {
 			r := MemoryCeilingResult{Fraction: f, Model: model, Scheme: s}
-			if plan := plans[s]; plan == nil {
+			var plan *core.Plan
+			if winner >= 0 { // else no variant fits, and no scheme does
+				plan = plans[s.Variant(winner)]
+			}
+			if plan == nil {
 				row = append(row, "infeasible")
 			} else {
 				r.Feasible = true
