@@ -141,12 +141,12 @@ func (c *SharedCache) lenLocked() int {
 // attach returns the memo and search shape of net's fingerprint under
 // opt, creating the entry on first use, and a fresh epoch for one search
 // on it.
-func (c *SharedCache) attach(net *dnn.Network, opt Options) (*planMemo, *searchShape, int64) {
+func (c *SharedCache) attach(net *searchNet, opt Options) (*planMemo, *searchShape, int64) {
 	fp := searchFingerprint(net, opt)
 	c.mu.Lock()
 	e := c.entries[fp]
 	if e == nil {
-		e = &cacheEntry{shape: newSearchShape(net, opt)}
+		e = &cacheEntry{shape: newSearchShape(net.net, opt)}
 		c.entries[fp] = e
 	}
 	c.mu.Unlock()
@@ -202,12 +202,15 @@ func (c *SharedCache) trim() int64 {
 }
 
 // searchFingerprint hashes everything that is fixed across one planner's
-// subproblems but varies between planners sharing a cache: the network
-// structure, every unit's constants and the decision-relevant options.
-// Subproblem keys (subtree, extents) are only unique within one
-// fingerprint.
-func searchFingerprint(net *dnn.Network, opt Options) [16]byte {
+// subproblems but varies between planners sharing a cache: the network's
+// digest (networkDigest) and the decision-relevant options. Subproblem
+// keys (subtree, extents) are only unique within one fingerprint. Every
+// search attaches through it — single searches, each option set of a
+// portfolio and ReplanCtx — and the network half is computed once per
+// call (searchNet), so a portfolio hashes its network once.
+func searchFingerprint(net *searchNet, opt Options) [16]byte {
 	h := wordhash.New()
+	h.Digest(net.networkDigest())
 	wInt := func(v int64) { h.Word(uint64(v)) }
 	wBool := func(b bool) {
 		if b {
@@ -217,46 +220,18 @@ func searchFingerprint(net *dnn.Network, opt Options) [16]byte {
 		}
 	}
 
-	// Network structure: per-unit identity and constants (unitConst: the
-	// feature-map areas and kernel window no split changes; the three
-	// extents a split changes travel in the subproblem key) and the
-	// series-parallel segment shape, which also fixes the planned
-	// structure under Linearize. The Fixed assignment is a function —
-	// unhashable by value — but its only observable effect is its result
-	// on each of this network's units, so that result vector IS its
-	// fingerprint here.
+	// The Fixed assignment is a function — unhashable by value — but its
+	// only observable effect is its result on each of this network's
+	// units, so that result vector IS its fingerprint here.
 	wBool(opt.Fixed != nil)
-	wUnit := func(u *dnn.WeightedLayer) {
-		h.String(u.Name)
-		wInt(int64(u.Kind))
-		k := constOf(u)
-		wBool(k.virtual)
-		wInt(k.sIn)
-		wInt(k.sOut)
-		wInt(k.k)
-		if opt.Fixed == nil {
-			return
-		}
-		if t, ok := opt.Fixed(*u); ok {
-			wInt(int64(t) + 1)
-		} else {
-			wInt(0)
-		}
-	}
-	wInt(int64(len(net.Segments)))
-	for _, s := range net.Segments {
-		if s.Unit != nil {
-			wInt(-1)
-			wUnit(s.Unit)
-			continue
-		}
-		wInt(int64(len(s.Paths)))
-		for _, path := range s.Paths {
-			wInt(int64(len(path)))
-			for i := range path {
-				wUnit(&path[i])
+	if opt.Fixed != nil {
+		eachUnit(net.net, func(u *dnn.WeightedLayer) {
+			if t, ok := opt.Fixed(*u); ok {
+				wInt(int64(t) + 1)
+			} else {
+				wInt(0)
 			}
-		}
+		})
 	}
 
 	// Options, field by field. Types order matters to DP tie-breaking, so
@@ -277,5 +252,45 @@ func searchFingerprint(net *dnn.Network, opt Options) [16]byte {
 	// subtree digests (hardware.Tree.Identity) fold in every spec's
 	// HBMBytes fingerprint.
 	wInt(int64(opt.MemoryLimit))
+	return h.Sum()
+}
+
+// networkDigest hashes the network half of a search fingerprint: each
+// unit's identity and constants (unitConst: the feature-map areas and
+// kernel window no split changes; the three extents a split changes
+// travel in the subproblem key) and the series-parallel segment shape,
+// which also fixes the planned structure under Linearize. Networks that
+// differ only in batch share a digest.
+func networkDigest(net *dnn.Network) [16]byte {
+	h := wordhash.New()
+	wInt := func(v int64) { h.Word(uint64(v)) }
+	wUnit := func(u *dnn.WeightedLayer) {
+		h.String(u.Name)
+		wInt(int64(u.Kind))
+		k := constOf(u)
+		if k.virtual {
+			wInt(1)
+		} else {
+			wInt(0)
+		}
+		wInt(k.sIn)
+		wInt(k.sOut)
+		wInt(k.k)
+	}
+	wInt(int64(len(net.Segments)))
+	for _, s := range net.Segments {
+		if s.Unit != nil {
+			wInt(-1)
+			wUnit(s.Unit)
+			continue
+		}
+		wInt(int64(len(s.Paths)))
+		for _, path := range s.Paths {
+			wInt(int64(len(path)))
+			for i := range path {
+				wUnit(&path[i])
+			}
+		}
+	}
 	return h.Sum()
 }

@@ -297,7 +297,7 @@ func TestSplitAlternationWork(t *testing.T) {
 			for _, f := range planColdFleets() {
 				tree := fleetTree(t, f[0], f[1], 1)
 				rs := &replanStats{}
-				plan, err := partitionOne(ctx, net, tree, opt, rs)
+				plan, err := partitionOne(ctx, &searchNet{net: net, rs: rs}, tree, opt)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
 	"accpar/internal/hardware"
@@ -15,6 +17,12 @@ func SubproblemKey(node *hardware.Tree, dims []tensor.LayerDims) [16]byte {
 		ext[i] = extentsOf(d)
 	}
 	return (*planner)(nil).subproblemKey(node, ext)
+}
+
+// newPlanner validates the inputs and builds the state of a one-off
+// search of net, collecting no stats; see searchNet.planner.
+func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, error) {
+	return (&searchNet{net: net}).planner(ctx, opt)
 }
 
 // rootCtx builds a level context over net's own search shape under opt,

@@ -57,11 +57,15 @@ func (s *ReplanStats) Add(other ReplanStats) {
 }
 
 // replanStats is the per-call collector behind ReplanStats; only the
-// call's own goroutine touches it. dpRuns, the call's
-// Eq. 9 DP runs (decideSplit), is not reported: the work-count tests
-// read it to pin the type/ratio alternation's cost.
+// call's own goroutine touches it. The work counts after the first line
+// are not reported; the work-count tests read them: dpRuns, the call's
+// Eq. 9 DP runs (decideSplit), pins the type/ratio alternation's cost,
+// childKeys the child keys hashed (childKey), and validations and
+// digests the network checks and digests (searchNet).
 type replanStats struct {
-	hits, expanded, staleReused, invalidated, dpRuns int64
+	hits, expanded, staleReused, invalidated int64
+
+	dpRuns, childKeys, validations, digests int64
 }
 
 func (rs *replanStats) snapshot(d time.Duration) ReplanStats {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"accpar/internal/cost"
 	"accpar/internal/dnn"
@@ -60,6 +61,46 @@ func indexSegments(net *dnn.Network) []segRef {
 	return refs
 }
 
+// markRepeats returns, indexed like segs, which parallel regions can
+// tabulate exactly what the region before them does: those whose paths,
+// entry unit and merge unit match the previous region's position by
+// position in shape, unit constants and allowed types, as the regions of
+// a repeated block (a ResNet stage's identity blocks) do. runDP checks
+// the rest at run time (sameTables). It is the only set-up the region
+// reuse costs, O(units) per search shape, and it returns nil for a
+// network with no such region (Inception), whose DP runs then compare
+// nothing.
+func markRepeats(segs []segRef, consts []unitConst, allowed func(u int) []cost.Type) []bool {
+	same := func(a, b int) bool { return consts[a] == consts[b] && slices.Equal(allowed(a), allowed(b)) }
+	var repeats []bool
+	last := -1
+	for i := 1; i+1 < len(segs); i++ {
+		s := &segs[i]
+		if s.unit >= 0 || segs[i-1].unit < 0 || segs[i+1].unit < 0 {
+			continue
+		}
+		if last >= 0 {
+			prev := &segs[last]
+			repeat := len(s.paths) == len(prev.paths) && same(segs[i-1].unit, segs[last-1].unit) && same(segs[i+1].unit, segs[last+1].unit)
+			for k := 0; repeat && k < len(s.paths); k++ {
+				a, b := s.paths[k], prev.paths[k]
+				repeat = len(a) == len(b)
+				for x := 0; repeat && x < len(a); x++ {
+					repeat = same(a[x], b[x])
+				}
+			}
+			if repeat {
+				if repeats == nil {
+					repeats = make([]bool, len(segs))
+				}
+				repeats[i] = true
+			}
+		}
+		last = i
+	}
+	return repeats
+}
+
 // levelCtx bundles everything the DP needs at one hierarchy node. A
 // search shape recycles its contexts through a pool (planner.level): the
 // per-unit slices and the DP scratch are sized once for the network, and
@@ -82,10 +123,13 @@ type levelCtx struct {
 	// linear structure" (Section 1): HyPar decides on a flattened chain and
 	// then pays the real multi-path conversion costs it never modelled.
 	planSegs []segRef
-	sideI    Side
-	sideJ    Side
-	alpha    float64
-	opt      Options
+	// repeats is the search shape's markRepeats of planSegs: nil when no
+	// region repeats the one before it.
+	repeats []bool
+	sideI   Side
+	sideJ   Side
+	alpha   float64
+	opt     Options
 
 	// memLambda, when positive, folds a residency-pressure penalty into
 	// every DP unit cost (memlimit.go's constrained ladder): λ times the
@@ -117,6 +161,7 @@ func newLevelCtx(s *searchShape, opt Options) *levelCtx {
 		consts:   s.consts,
 		edges:    s.edges,
 		planSegs: s.planSegs,
+		repeats:  s.repeats,
 		opt:      opt,
 	}
 }
@@ -274,6 +319,14 @@ func (c *levelCtx) edgeRow(p, n int) (row [dpTypes][dpTypes]float64) {
 // loops below only index those rows. A path's merge edge too is priced
 // once (solveRegion) and shared by every merge type.
 //
+// A region's tables are fixed by its path shapes, the allowed types of
+// its units (entry and merge units included), its path units' rows, the
+// boundary size of each of its edges and which entry states are finite.
+// A repeated block (a ResNet stage's identity blocks) often matches the
+// region before it in all of these, and then runDP points it at that
+// region's tables instead of solving it again: markRepeats finds the
+// candidates once per search shape, and sameTables checks the rest.
+//
 // All of runDP's working memory lives in the levelCtx's dpScratch, sized
 // from planSegs on first use and reused by every later runDP call on the
 // same context: the type/ratio alternation of one split, and every later
@@ -304,7 +357,8 @@ type dpRec struct {
 	// back is the predecessor state chosen per own state.
 	back [dpTypes]int8
 	// paths is the region preceding a merge unit (nil otherwise); cells
-	// and fins are its offsets into the scratch path tables.
+	// and fins are the offsets of its tables in the scratch path tables:
+	// the previous region's offsets when it reused that region's tables.
 	paths       [][]int
 	cells, fins int
 }
@@ -456,6 +510,56 @@ func (c *levelCtx) solveRegion(prev int, paths [][]int, m int, cur *[dpTypes]flo
 	return cells, fins
 }
 
+// sameTables reports whether the region at planSegs[i], which
+// markRepeats flagged, tabulates bit for bit what the region before it,
+// at planSegs[j], did in this run from entry states of the same
+// finiteness. markRepeats has matched the two regions' shapes and
+// allowed types; what a split sets is every path unit's DP row and every
+// edge's boundary size, the entry and merge edges included (an empty
+// path's one edge runs from the entry unit to the merge unit), so those
+// are compared here. Rows, not extents: a row is what the tables read,
+// and equal extents give equal rows only while nothing else writes the
+// coefficient caches.
+func (c *levelCtx) sameTables(j, i int) bool {
+	a, b := c.planSegs[j].paths, c.planSegs[i].paths
+	ma, mb := c.planSegs[j+1].unit, c.planSegs[i+1].unit
+	for k, pb := range b {
+		pa := a[k]
+		ua, ub := c.planSegs[j-1].unit, c.planSegs[i-1].unit
+		for x := range pb {
+			if c.boundary(ua, pa[x]) != c.boundary(ub, pb[x]) || !sameRow(&c.dp.unit[pa[x]], &c.dp.unit[pb[x]]) {
+				return false
+			}
+			ua, ub = pa[x], pb[x]
+		}
+		if c.boundary(ua, ma) != c.boundary(ub, mb) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameRow reports whether two DP unit rows are equal bit for bit.
+func sameRow(a, b *[dpTypes]float64) bool {
+	for t := range a {
+		if math.Float64bits(a[t]) != math.Float64bits(b[t]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameFinite reports whether two DP states have the same finite entries:
+// a region's tables read the entry states only to skip infinite ones.
+func sameFinite(a, b *[dpTypes]float64) bool {
+	for t := range a {
+		if math.IsInf(a[t], 1) != math.IsInf(b[t], 1) {
+			return false
+		}
+	}
+	return true
+}
+
 // runDP executes the layer-wise dynamic programming (Eq. 9) over the whole
 // network at one hierarchy node, returning the per-unit type assignment
 // (indexed like net.Units()) and the minimized objective value. The
@@ -481,6 +585,12 @@ func (c *levelCtx) runDP() ([]cost.Type, float64, error) {
 	chain = append(chain, dpRec{unit: first, back: [dpTypes]int8{-1, -1, -1}})
 
 	cells, fins := 0, 0
+	// last is the latest region of a network with repeats: its planSegs
+	// index, its table offsets and the entry states it was solved from.
+	var last struct {
+		seg, cells, fins int
+		cur              [dpTypes]float64
+	}
 	i := 1
 	for i < len(c.planSegs) {
 		seg := c.planSegs[i]
@@ -514,8 +624,18 @@ func (c *levelCtx) runDP() ([]cost.Type, float64, error) {
 				return nil, 0, fmt.Errorf("core: parallel region without merge unit")
 			}
 			m := c.planSegs[i+1].unit
-			r.unit, r.paths, r.cells, r.fins = m, seg.paths, cells, fins
-			cells, fins = c.solveRegion(prevUnit, seg.paths, m, &cur, cells, fins)
+			r.unit, r.paths = m, seg.paths
+			if c.repeats != nil && c.repeats[i] && sameFinite(&cur, &last.cur) && c.sameTables(last.seg, i) {
+				// A repeated block: the region before it tabulated
+				// exactly these tables, and its backtrack reads them.
+				r.cells, r.fins = last.cells, last.fins
+			} else {
+				r.cells, r.fins = cells, fins
+				cells, fins = c.solveRegion(prevUnit, seg.paths, m, &cur, cells, fins)
+			}
+			if c.repeats != nil {
+				last.seg, last.cells, last.fins, last.cur = i, r.cells, r.fins, cur
+			}
 			for _, t := range dp.allowed[m] {
 				base := dp.unit[m][t]
 				for _, tt := range dp.allowed[prevUnit] {

@@ -20,9 +20,10 @@ import (
 //   - Before retrying, two admissible capacity floors prune provably
 //     infeasible subtrees inside the recursion: the workload's aggregate
 //     residency against the subtree's aggregate HBM (valid for any ratio
-//     mode — splitting is superadditive in the residency monomials, see
-//     bound.go), and under equal ratios the sharper per-leaf depth floor
-//     (every child inherits at least half its parent's residency).
+//     mode, because the children of a split together hold at least their
+//     parent's residency: see residencyAtDims), and under equal ratios
+//     the sharper per-leaf depth floor (every child inherits at least
+//     half its parent's residency).
 //   - Otherwise a deterministic candidate ladder escalates: λ-penalized
 //     DP re-solves (the penalty steers decisions toward types that shard
 //     the resident tensors; reported costs never include it), a
@@ -65,6 +66,20 @@ func (e *NoFeasiblePlanError) Unwrap() error { return ErrNoFeasiblePlan }
 // residencyAtDims mirrors leafNode's resident-footprint accounting at the
 // given effective extents: kernel shards and their gradients, retained
 // activations and one error tensor per layer, plus optimizer state.
+//
+// The children of a split together hold at least their parent's
+// residency, which is what makes it a floor. Every term is a sum of
+// monomials A(F_l) = B·D_i·s_in, A(F_{l+1}) = B·D_o·s_out and
+// A(W_l) = D_i·D_o·k, and optimizer state is linear in A(W_l). A split
+// scales one extent of each unit (Table 3; both channel extents of a
+// virtual junction, which holds no kernel and is not counted): a monomial
+// that contains the extent is split between the two children, and one
+// that does not (Type-I's kernel, Type-II's output, Type-III's input) is
+// held whole by both. The two shares of an extent v,
+// tensor.ScaleExtent(v, α) and tensor.ScaleExtent(v, 1−α), round α·v and
+// (1−α)·v to the nearest integer, at least 1, and add up to at least v.
+// So every monomial's children sum to at least its parent's
+// (TestSplitResidencySuperadditive checks it on random splits).
 func residencyAtDims(consts []unitConst, dims []extents, opt Options) int64 {
 	var residency, weightElems int64
 	inference := opt.Mode == ModeInference
@@ -81,9 +96,10 @@ func residencyAtDims(consts []unitConst, dims []extents, opt Options) int64 {
 }
 
 // MinResidencyBytes returns the workload's aggregate resident footprint at
-// root dims — a lower bound on the total HBM any fleet needs, since
-// splitting is superadditive in the residency monomials (bound.go). DSE
-// sweeps use it to discard undersized candidate fleets before costing.
+// root dims — a lower bound on the total HBM any fleet needs, since the
+// children of every split together hold at least their parent's
+// residency monomials (residencyAtDims). DSE sweeps use it to discard
+// undersized candidate fleets before costing.
 func MinResidencyBytes(net *dnn.Network, opt Options) (int64, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {

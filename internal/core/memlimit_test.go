@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"accpar/internal/cost"
+	"accpar/internal/dnn"
 	"accpar/internal/hardware"
+	"accpar/internal/models"
 	"accpar/internal/optimizer"
 	"accpar/internal/tensor"
+	"accpar/internal/workload"
 )
 
 // shrunkTree builds a 1+1 TPU-v2/v3 hierarchy with every board's HBM
@@ -197,7 +201,7 @@ func TestMemoryLimitChangesFingerprint(t *testing.T) {
 	for _, mode := range []MemoryMode{MemoryOff, MemoryReject, MemoryPenalize} {
 		opt := AccPar().withDefaults()
 		opt.MemoryLimit = mode
-		fp := searchFingerprint(net, opt)
+		fp := searchFingerprint(&searchNet{net: net}, opt)
 		if prev, dup := seen[fp]; dup {
 			t.Errorf("modes %v and %v share fingerprint %x", prev, mode, fp)
 		}
@@ -362,4 +366,56 @@ func TestMemoryPrunedMetric(t *testing.T) {
 	if after := obsMemoryPruned.Value(); after <= before {
 		t.Errorf("memory_pruned_subtrees stayed at %d despite an impossible capacity", after)
 	}
+}
+
+// TestSplitResidencySuperadditive checks the claim the capacity floors
+// and the design-space pre-prune (MinResidencyBytes) rest on: the two
+// children of a split together hold at least their parent's residency
+// (residencyAtDims). It draws random splits — a type per unit, a ratio
+// at either extreme, at 0.5 or anywhere between — and descends through
+// random children several levels deep, on the golden-grid networks and
+// on generated ones, in both modes and under every optimizer.
+func TestSplitResidencySuperadditive(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	var nets []*dnn.Network
+	for _, model := range append(models.EvaluationOrder(), "inception") {
+		nets = append(nets, buildNet(t, model, 512))
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		net, err := workload.GenerateNetwork(seed, workload.Config{ResidualProb: 0.5, MaxLayers: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, net)
+	}
+	ratios := []float64{cost.MinRatio, 1 - cost.MinRatio, 0.5}
+	splits := 0
+	for _, net := range nets {
+		s := newSearchShape(net, AccPar().withDefaults())
+		types := make([]cost.Type, len(s.units))
+		for rep := 0; rep < 16; rep++ {
+			opt := Options{Mode: Mode(rnd.Intn(2)), Optimizer: optimizer.Kinds[rnd.Intn(len(optimizer.Kinds))]}
+			dims := s.rootDims
+			for depth := 0; depth < 10; depth++ {
+				for u := range types {
+					types[u] = cost.Types[rnd.Intn(3)]
+				}
+				ratio := cost.ClampRatio(rnd.Float64())
+				if k := rnd.Intn(2 * len(ratios)); k < len(ratios) {
+					ratio = ratios[k]
+				}
+				left, right := s.scaled(dims, types, ratio), s.scaled(dims, types, 1-ratio)
+				parent := residencyAtDims(s.consts, dims, opt)
+				if sum := residencyAtDims(s.consts, left, opt) + residencyAtDims(s.consts, right, opt); sum < parent {
+					t.Fatalf("%s (mode %v, %v) depth %d, ratio %v: children hold %d bytes, parent %d", net.Name, opt.Mode, opt.Optimizer, depth, ratio, sum, parent)
+				}
+				splits++
+				dims = left
+				if rnd.Intn(2) == 0 {
+					dims = right
+				}
+			}
+		}
+	}
+	t.Logf("%d splits over %d networks", splits, len(nets))
 }

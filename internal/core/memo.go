@@ -165,6 +165,9 @@ func (p *planner) subproblemKey(node *hardware.Tree, dims []extents) subKey {
 // is hashed as extents.scale writes it, so a miss solves from dst without
 // scaling again.
 func (p *planner) childKey(dst []extents, node *hardware.Tree, dims []extents, types []cost.Type, ratio float64) subKey {
+	if p.rs != nil {
+		p.rs.childKeys++
+	}
 	h := newKeyHash(node, len(dims))
 	for i := range dims {
 		dst[i] = dims[i].scale(p.consts[i].virtual, types[i], ratio)

@@ -50,7 +50,8 @@ type planner struct {
 // searchShape is the part of a search's state fixed by its fingerprint
 // (searchFingerprint): the network's units and their constants
 // (unitConst: virtual, feature-map areas, kernel window), the segment
-// index the search sees (flattened under Linearize), the edges of the
+// index the search sees (flattened under Linearize) and its regions that
+// repeat the one before them (markRepeats), the edges of the
 // true structure that plans are priced on, a pool of prepared level
 // contexts (level.go), so a split reuses DP scratch and coefficient
 // slices instead of allocating them, and a pool of child-extents buffers
@@ -71,6 +72,7 @@ type searchShape struct {
 	units    []dnn.WeightedLayer
 	consts   []unitConst
 	planSegs []segRef
+	repeats  []bool
 	edges    [][2]int
 	levels   sync.Pool
 	dims     sync.Pool
@@ -97,6 +99,8 @@ func newSearchShape(net *dnn.Network, opt Options) *searchShape {
 	// A cached shape outlives the call that built it: its contexts keep
 	// only the fingerprinted options, never a caller's cache or recorder.
 	opt.Cache, opt.Audit, opt.Parallelism = nil, nil, 0
+	probe := levelCtx{units: s.units, opt: opt}
+	s.repeats = markRepeats(s.planSegs, s.consts, probe.allowedTypes)
 	s.levels.New = func() any { return newLevelCtx(s, opt) }
 	s.dims.New = func() any {
 		buf := make([]extents, len(s.units))
@@ -125,22 +129,61 @@ func (p *planner) noteHit() {
 	}
 }
 
-// newPlanner validates the inputs and builds the per-call search state.
-// With opt.Cache set the planner searches on the cache's memo and shape
-// for its search fingerprint under a fresh epoch, and the caller ends the
-// search with release; otherwise it gets a private memo and shape.
-func newPlanner(ctx context.Context, net *dnn.Network, opt Options) (*planner, error) {
+// searchNet is the network of one partitioning call, shared by the
+// planners of its option sets (a portfolio) or passes (a replan): it
+// validates the network once, and computes the network's digest
+// (networkDigest) once, when the first of them attaches to a cache, so
+// an uncached search never hashes the network. It lives for one call,
+// so nothing retains the digest. rs, when set, collects the call's
+// stats, and counts both.
+type searchNet struct {
+	net             *dnn.Network
+	rs              *replanStats
+	checked, hashed bool
+	err             error
+	digest          [16]byte
+}
+
+// validate returns the network's Validate error, checking it once.
+func (n *searchNet) validate() error {
+	if !n.checked {
+		n.checked, n.err = true, n.net.Validate()
+		if n.rs != nil {
+			n.rs.validations++
+		}
+	}
+	return n.err
+}
+
+// networkDigest returns the network's digest, hashing it once.
+func (n *searchNet) networkDigest() *[16]byte {
+	if !n.hashed {
+		n.hashed, n.digest = true, networkDigest(n.net)
+		if n.rs != nil {
+			n.rs.digests++
+		}
+	}
+	return &n.digest
+}
+
+// planner validates the options and the network and builds the per-call
+// search state, collecting stats into n.rs. With opt.Cache set the
+// planner searches on the cache's memo and shape for its search
+// fingerprint under a fresh epoch, and the caller ends the search with
+// release; otherwise it gets a private memo and shape.
+func (n *searchNet) planner(ctx context.Context, opt Options) (*planner, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if err := net.Validate(); err != nil {
+	if err := n.validate(); err != nil {
 		return nil, err
 	}
-	p := &planner{net: net, opt: opt, ctx: ctx}
+	net := n.net
+	p := &planner{net: net, opt: opt, ctx: ctx, rs: n.rs}
 	if opt.Cache != nil {
 		p.cache = opt.Cache
-		p.memo, p.searchShape, p.epoch = opt.Cache.attach(net, opt)
+		p.memo, p.searchShape, p.epoch = opt.Cache.attach(n, opt)
 	} else {
 		p.memo, p.searchShape = &planMemo{}, newSearchShape(net, opt)
 	}
@@ -222,14 +265,13 @@ func (p *planner) planKeyed(tree *hardware.Tree, key subKey) (*Plan, error) {
 }
 
 // partitionOne is PartitionCtx's single search: one option set, one
-// planner, trimming the cache (opt.Cache) to its bound afterwards. rs,
+// planner, trimming the cache (opt.Cache) to its bound afterwards. net.rs,
 // when set, collects the search's stats.
-func partitionOne(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opt Options, rs *replanStats) (*Plan, error) {
-	p, err := newPlanner(ctx, net, opt)
+func partitionOne(ctx context.Context, net *searchNet, tree *hardware.Tree, opt Options) (*Plan, error) {
+	p, err := net.planner(ctx, opt)
 	if err != nil {
 		return nil, err
 	}
-	p.rs = rs
 	defer p.release()
 	return p.plan(tree)
 }
@@ -462,26 +504,31 @@ func (p *planner) assembleSplit(node *hardware.Tree, dims []extents, sideI, side
 
 // partitionChildren recurses into both children of a split, left then
 // right, on the calling goroutine. Both children take turns on one pooled
-// dims buffer. Solving them in order also makes the right child of a
-// homogeneous split (identical hardware at α = 0.5), and every cousin
-// that meets again one level down, an ordinary memo hit.
+// dims buffer: each is scaled into it as it is keyed (childKey), and a
+// memo miss solves from it. Solving them in order also makes the right
+// child of a homogeneous split (identical hardware at α = 0.5), and
+// every cousin that meets again one level down, an ordinary memo hit.
+//
+// The right child of such a split mirrors the left: at α = 0.5 exactly
+// both scale every extent by the same 0.5, and subtrees of one digest
+// key alike, so it takes the left child's key and extents (the buffer
+// still holds them: a solve only reads its dims) without running
+// childKey again. Its lookup, epoch stamp, counters and audit record
+// are the ones any child gets.
 func (p *planner) partitionChildren(node *hardware.Tree, dims []extents, types []cost.Type, alpha float64) (left, right *PlanNode, err error) {
 	buf := p.getDims()
 	defer p.dims.Put(buf)
-	if left, err = p.partitionChild(*buf, node.Left, dims, types, alpha); err != nil {
+	key := p.childKey(*buf, node.Left, dims, types, alpha)
+	if left, err = p.partitionKeyed(node.Left, *buf, key); err != nil {
 		return nil, nil, err
 	}
-	if right, err = p.partitionChild(*buf, node.Right, dims, types, 1-alpha); err != nil {
+	if alpha != 0.5 || node.Left.Identity().Digest != node.Right.Identity().Digest {
+		key = p.childKey(*buf, node.Right, dims, types, 1-alpha)
+	}
+	if right, err = p.partitionKeyed(node.Right, *buf, key); err != nil {
 		return nil, nil, err
 	}
 	return left, right, nil
-}
-
-// partitionChild handles one child of a split at (dims, types, ratio):
-// it scales the child's extents into buf as it keys them (childKey), and
-// a memo miss solves from buf.
-func (p *planner) partitionChild(buf []extents, node *hardware.Tree, dims []extents, types []cost.Type, ratio float64) (*PlanNode, error) {
-	return p.partitionKeyed(node, buf, p.childKey(buf, node, dims, types, ratio))
 }
 
 // ScaleUnitDims returns the effective per-unit dims of one child of a

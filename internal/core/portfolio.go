@@ -191,13 +191,16 @@ func PartitionStatsCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tre
 
 // partition is the one portfolio path: PartitionCtx with an optional
 // stats collector and, when plans is non-nil (len(opts) slots), each
-// option set's plan, nil where its search failed.
+// option set's plan, nil where its search failed. Every option set
+// searches the one searchNet, so the call validates and digests the
+// network once.
 func partition(ctx context.Context, net *dnn.Network, tree *hardware.Tree, rs *replanStats, opts []Options, plans []*Plan) (*Plan, int, error) {
+	sn := &searchNet{net: net, rs: rs}
 	switch len(opts) {
 	case 0:
 		return nil, -1, fmt.Errorf("core: PartitionCtx needs at least one option set")
 	case 1:
-		plan, err := partitionOne(ctx, net, tree, opts[0], rs)
+		plan, err := partitionOne(ctx, sn, tree, opts[0])
 		if plans != nil {
 			plans[0] = plan
 		}
@@ -226,7 +229,7 @@ func partition(ctx context.Context, net *dnn.Network, tree *hardware.Tree, rs *r
 		}
 	}
 	best, idx, err := bestOf(ctx, len(opts), func(i int) (*Plan, error) {
-		plan, err := partitionOne(ctx, net, tree, opts[i], rs)
+		plan, err := partitionOne(ctx, sn, tree, opts[i])
 		if plans != nil {
 			plans[i] = plan
 		}

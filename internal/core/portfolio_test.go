@@ -115,7 +115,7 @@ func TestStrategyVariantsAreTheirConfigurations(t *testing.T) {
 	}
 	for _, model := range models.Names() {
 		net := buildNet(t, model, 64)
-		fp := func(o Options) [16]byte { return searchFingerprint(net, o.withDefaults()) }
+		fp := func(o Options) [16]byte { return searchFingerprint(&searchNet{net: net}, o.withDefaults()) }
 		seen := map[[16]byte]int{}
 		for i, v := range variants {
 			got := fp(v)

@@ -66,12 +66,11 @@ func (r *ReplanReport) Recovery() float64 {
 // the serving entry points that replan after a fault do (ObserveReplan).
 func ReplanCtx(ctx context.Context, net *dnn.Network, pristine, degraded *hardware.Tree, opt Options) (*ReplanReport, error) {
 	start := time.Now()
-	p, err := newPlanner(ctx, net, opt)
+	rs := &replanStats{}
+	p, err := (&searchNet{net: net, rs: rs}).planner(ctx, opt)
 	if err != nil {
 		return nil, err
 	}
-	rs := &replanStats{}
-	p.rs = rs
 	rep, err := p.replan(pristine, degraded)
 	p.release()
 	if err != nil {

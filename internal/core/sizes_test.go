@@ -123,7 +123,7 @@ func TestFingerprintCoversUnitConstants(t *testing.T) {
 	tree := paperTree(t, 4)
 	opt := AccPar()
 	base := convChain(64, nil)
-	baseFP := searchFingerprint(base, opt.withDefaults())
+	baseFP := searchFingerprint(&searchNet{net: base}, opt.withDefaults())
 	for _, c := range []struct {
 		name string
 		edit func(d *tensor.LayerDims)
@@ -134,7 +134,7 @@ func TestFingerprintCoversUnitConstants(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			other := convChain(64, c.edit)
-			if searchFingerprint(other, opt.withDefaults()) == baseFP {
+			if searchFingerprint(&searchNet{net: other}, opt.withDefaults()) == baseFP {
 				t.Fatalf("networks differing in %s share a fingerprint", c.name)
 			}
 			alone, err := PartitionCtx(context.Background(), other, tree, opt)
@@ -166,7 +166,7 @@ func TestFingerprintCoversUnitConstants(t *testing.T) {
 	}
 	t.Run("batch", func(t *testing.T) {
 		other := convChain(512, nil)
-		if searchFingerprint(other, opt.withDefaults()) != baseFP {
+		if searchFingerprint(&searchNet{net: other}, opt.withDefaults()) != baseFP {
 			t.Fatal("networks differing only in batch get different fingerprints")
 		}
 		cache := NewSharedCache(0)

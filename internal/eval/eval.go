@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"accpar/internal/core"
+	"accpar/internal/cost"
 	"accpar/internal/dnn"
 	"accpar/internal/hardware"
 	"accpar/internal/models"
@@ -308,9 +309,15 @@ type FlexibilityRow struct {
 func Table8(results []ModelResult) ([]FlexibilityRow, *report.Table) {
 	var rows []FlexibilityRow
 	tbl := report.NewTable("Table 8: flexibility of DP, OWT, HyPar and AccPar", "scheme", "configuration", "distinct configs", "geomean speedup")
+	// A configuration is one layer of one model under one partition type,
+	// at any level of the plan's left spine.
+	type config struct {
+		model, unit string
+		typ         cost.Type
+	}
 	for _, s := range core.Strategies {
 		var vals []float64
-		configs := map[string]bool{}
+		configs := map[config]bool{}
 		for _, r := range results {
 			vals = append(vals, r.Speedup[s])
 			plan := r.Plan(s)
@@ -320,7 +327,7 @@ func Table8(results []ModelResult) ([]FlexibilityRow, *report.Table) {
 					if units[i].Virtual {
 						continue
 					}
-					configs[fmt.Sprintf("%s/%s=%v", r.Model, units[i].Name, ty)] = true
+					configs[config{r.Model, units[i].Name, ty}] = true
 				}
 			}
 		}

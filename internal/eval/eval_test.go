@@ -159,6 +159,27 @@ func TestFigure8Scalability(t *testing.T) {
 	}
 }
 
+// table8AllocBudget bounds Table 8's count on the paper's nine models:
+// it reads Figure 5's plans (about 10,000 allocations for the sweep) and
+// keys its configurations on a comparable struct, so the count adds at
+// most 3.5% to them (276 measured). Formatting one string key per
+// (model, layer, level, scheme) made it about 18,000.
+const table8AllocBudget = 350
+
+// TestTable8AllocBudget: counting the paper's Table 8 on Figure 5's
+// sweep stays within table8AllocBudget allocations.
+func TestTable8AllocBudget(t *testing.T) {
+	fig5, err := Figure5(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() { Table8(fig5.Results) })
+	t.Logf("Table 8 on Figure 5's sweep: %.0f allocs", allocs)
+	if allocs > table8AllocBudget {
+		t.Errorf("Table 8 on Figure 5's sweep: %.0f allocs, budget %d", allocs, table8AllocBudget)
+	}
+}
+
 func TestTable8FlexibilityOrdering(t *testing.T) {
 	fig5, err := Figure5(smallCfg())
 	if err != nil {
